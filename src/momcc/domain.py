@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import lru_cache
 
 
 class SecurityLevel(IntEnum):
@@ -122,6 +123,13 @@ def parse_version(text: str) -> tuple[int, int, int]:
     """
     if not isinstance(text, str):
         raise VersionError(f"version must be a string, got {text!r}")
+    return _parse_dotted(text)
+
+
+@lru_cache(maxsize=256)
+def _parse_dotted(text: str) -> tuple[int, int, int]:
+    # A run compares the same few version strings on every listing, so
+    # each is parsed once. Failures are not cached and raise every time.
     parts = text.split(".")
     if not 1 <= len(parts) <= 3:
         raise VersionError(f"version must have 1-3 components: {text!r}")

@@ -37,7 +37,6 @@ from .agents import (
 from .domain import ExecutionReport, Outcome, ResourceVector
 from .errors import UnknownEntityError
 from .governor import ServiceGovernor
-from .governor.registry import service_to_dict
 from .scenario import MODE_WAN_CLOUD, Scenario
 from .wire import MessageKind, ProtocolMessage, Role, envelope_dict
 
@@ -483,16 +482,21 @@ class Simulation:
             return self._gov_rating(msg)
         return []
 
+    # Reply payloads carry the registry's cached per-service dicts, so
+    # every reply and trace record naming a service shares one dict.
+    # Nothing downstream may mutate a payload.
+
     def _gov_list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
         p = msg.payload
-        services = self.governor.registry.list_available_services(
+        registry = self.governor.registry
+        services = registry.list_available_services(
             ResourceVector(**p["free"]), p["platform_os"], p["platform_version"]
         )
         reply = ProtocolMessage(
             kind=MessageKind.LIST_SERVICES_REPLY,
             sender_role=Role.GOVERNOR,
             correlation_id=msg.correlation_id,
-            payload={"services": [service_to_dict(d) for d in services]},
+            payload={"services": [registry.wire_dict(d.service_id) for d in services]},
         )
         return [Outbound(to=sender, latency_class="governor", message=reply)]
 
@@ -516,17 +520,12 @@ class Simulation:
         return [Outbound(to=sender, latency_class="governor", message=reply)]
 
     def _gov_discovery(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
-        from dataclasses import asdict
-
-        results = self.governor.registry.discover(
-            msg.payload["query"], msg.payload["requester_pseudonym"]
-        )
-        entries = []
-        for result in results:
-            listing = asdict(result.listing)
-            listing["min_resources"] = result.listing.min_resources.as_dict()
-            listing["dependencies"] = list(result.listing.dependencies)
-            entries.append({"service": listing, "hosts": list(result.hosts)})
+        registry = self.governor.registry
+        results = registry.discover(msg.payload["query"], msg.payload["requester_pseudonym"])
+        entries = [
+            {"service": registry.listing_dict(r.listing.service_id), "hosts": list(r.hosts)}
+            for r in results
+        ]
         reply = ProtocolMessage(
             kind=MessageKind.DISCOVERY_REPLY,
             sender_role=Role.GOVERNOR,

@@ -139,11 +139,11 @@ class ServiceGovernor:
             for service_id in service_ids:
                 desc = self.registry.get(service_id)
                 profile = self.hosts.get_host(host_id)
-                self.host_db.hosts[host_id] = replace(
+                self.host_db.put_hosting(replace(
                     profile,
                     committed=profile.committed.plus(desc.min_resources),
                     hosted=profile.hosted | {service_id},
-                )
+                ))
                 if self.billing.agreement_for(service_id) is None:
                     self.billing.negotiate_host(
                         host_id=host_id,
@@ -169,6 +169,8 @@ class ServiceGovernor:
                         problems.append(f"host {host_id}: trust score out of bounds")
                     if cert.successes > cert.attempts:
                         problems.append(f"host {host_id}: successes exceed attempts")
+            if self.host_db.hosting != self.host_db.scan_hosting():
+                problems.append("hosts: hosting index differs from the hosted sets")
             if self.billing.total_credited() != self.billing.total_metered():
                 problems.append("ledger: credits do not sum to metered totals")
             balance_sum = sum(

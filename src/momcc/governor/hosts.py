@@ -113,10 +113,6 @@ class HostRegistry:
                 raise UnknownEntityError(f"unknown host: {host_id!r}")
             return profile
 
-    def has_host(self, host_id: str) -> bool:
-        with self._lock:
-            return host_id in self.host_db.hosts
-
     # -- allocation -------------------------------------------------------
 
     def request_hosting(self, host_id: str, service_id: str,
@@ -161,11 +157,11 @@ class HostRegistry:
 
             trace.append(MessageKind.ALLOCATION_CONFIRM)
             profile = self.host_db.hosts[host_id]  # certificate may have been attached
-            self.host_db.hosts[host_id] = replace(
+            self.host_db.put_hosting(replace(
                 profile,
                 committed=profile.committed.plus(desc.min_resources),
                 hosted=profile.hosted | {service_id},
-            )
+            ))
             decision = AllocationDecision(
                 host_id=host_id,
                 service_id=service_id,
@@ -202,11 +198,11 @@ class HostRegistry:
             if service_id not in profile.hosted:
                 raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
             desc = self.registry.get(service_id)
-            self.host_db.hosts[host_id] = replace(
+            self.host_db.put_hosting(replace(
                 profile,
                 committed=profile.committed.minus(desc.min_resources),
                 hosted=profile.hosted - {service_id},
-            )
+            ))
 
     def mark_departed(self, host_id: str) -> None:
         """Churn exit: the host stops serving and all its services free up."""
@@ -223,16 +219,20 @@ class HostRegistry:
         """Live endpoints for a service: best certificate first.
 
         Order: certificate level desc, trust score desc, host_id asc.
-        Hosts without certificates cannot be hosting anything, so every
-        entry here has one.
+        Only the holders in the hosting index are looked at; liveness and
+        certificates are read from their current profiles, since trust
+        moves on every report.
         """
         with self._lock:
-            hosting = [
-                p for p in self.host_db.hosts.values()
-                if p.alive and service_id in p.hosted and p.certificate is not None
-            ]
-            hosting.sort(key=lambda p: (-p.certificate.level, -p.certificate.trust_score, p.host_id))
-            return [p.host_id for p in hosting]
+            hosts = self.host_db.hosts
+            ranked = []
+            for host_id in self.host_db.hosting.get(service_id, ()):
+                profile = hosts[host_id]
+                cert = profile.certificate
+                if profile.alive and cert is not None:
+                    ranked.append((-cert.level, -cert.trust_score, host_id))
+            ranked.sort()
+            return [host_id for _, _, host_id in ranked]
 
     # -- execution reports ---------------------------------------------------
 
@@ -327,3 +327,4 @@ class HostRegistry:
                 report = report_from_dict(raw)
                 self.host_db.reports.append(report)
                 self.host_db.seen_report_ids.add(report.report_id)
+            self.host_db.hosting = self.host_db.scan_hosting()

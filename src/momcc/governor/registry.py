@@ -5,11 +5,18 @@ ceiling, dependency acyclicity, registered developer) before it becomes
 Active. Discovery answers requesters with developer identity stripped,
 pairing each match with the live hosts currently running it; hosts
 browse the full descriptions instead, filtered to what they can run.
+
+Descriptions never change after registration, so everything derived
+from one (its listing, its two reply encodings, its host revenue) is
+built once, on first use, and kept in the service database. The reply
+encodings are shared by every reply that carries them: readers must
+never mutate them.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, field
+from bisect import insort
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -26,9 +33,24 @@ class ServiceStatus(Enum):
 
 @dataclass
 class ServiceDatabase:
+    """Registered services, their ids in sorted order, and per-service caches.
+
+    A restore replaces the whole database, which drops the caches with it.
+    """
+
     services: dict[str, ServiceDescription] = field(default_factory=dict)
     status: dict[str, ServiceStatus] = field(default_factory=dict)
     search_text: dict[str, str] = field(default_factory=dict)
+    sorted_ids: list[str] = field(default_factory=list)
+    listings: dict[str, ServiceListing] = field(default_factory=dict)
+    listing_dicts: dict[str, dict] = field(default_factory=dict)
+    wire_dicts: dict[str, dict] = field(default_factory=dict)
+    host_revenue: dict[str, int] = field(default_factory=dict)
+
+    def add(self, desc: ServiceDescription) -> None:
+        self.services[desc.service_id] = desc
+        self.search_text[desc.service_id] = f"{desc.name} {desc.description}".lower()
+        insort(self.sorted_ids, desc.service_id)
 
 
 @dataclass(frozen=True)
@@ -74,29 +96,22 @@ def _listing_of(desc: ServiceDescription) -> ServiceListing:
     )
 
 
-def has_cycle(edges: dict[str, tuple[str, ...]]) -> bool:
-    """Iterative three-color DFS over the dependency graph."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in edges}
-    for start in edges:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack.pop()
-            deps = [d for d in edges.get(node, ()) if d in edges]
-            if idx < len(deps):
-                stack.append((node, idx + 1))
-                child = deps[idx]
-                if color[child] == GRAY:
-                    return True
-                if color[child] == WHITE:
-                    color[child] = GRAY
-                    stack.append((child, 0))
-            else:
-                color[node] = BLACK
-    return False
+def listing_to_dict(listing: ServiceListing) -> dict:
+    return {
+        "service_id": listing.service_id,
+        "name": listing.name,
+        "description": listing.description,
+        "functionality_tag": listing.functionality_tag,
+        "input_spec": listing.input_spec,
+        "output_spec": listing.output_spec,
+        "binding_method": listing.binding_method,
+        "security_level": listing.security_level,
+        "platform_os": listing.platform_os,
+        "platform_min_version": listing.platform_min_version,
+        "min_resources": listing.min_resources.as_dict(),
+        "price_per_invocation": listing.price_per_invocation,
+        "dependencies": list(listing.dependencies),
+    }
 
 
 class ServiceRegistry:
@@ -144,14 +159,32 @@ class ServiceRegistry:
                     f"service {desc.service_id!r} exceeds the footprint ceiling "
                     f"{self.footprint_ceiling.as_dict()}",
                 )
-            edges = {sid: s.dependencies for sid, s in self.db.services.items()}
-            edges[desc.service_id] = desc.dependencies
-            if has_cycle(edges):
+            if self._closes_cycle(desc):
                 raise RegistrationRejected("cycle", f"service {desc.service_id!r} would close a dependency cycle")
-            self.db.services[desc.service_id] = desc
+            self.db.add(desc)
             self.db.status[desc.service_id] = ServiceStatus.ACTIVE
-            self.db.search_text[desc.service_id] = f"{desc.name} {desc.description}".lower()
             return desc.service_id
+
+    def _closes_cycle(self, desc: ServiceDescription) -> bool:
+        """Whether registering `desc` would close a dependency cycle.
+
+        The registered graph is acyclic, so a new cycle must pass through
+        the new node: it closes exactly when the new id is reachable from
+        one of its own dependencies. Edges to ids not registered yet lead
+        nowhere.
+        """
+        services = self.db.services
+        stack = list(desc.dependencies)
+        seen: set[str] = set()
+        while stack:
+            node = stack.pop()
+            if node == desc.service_id:
+                return True
+            if node in seen or node not in services:
+                continue
+            seen.add(node)
+            stack.extend(services[node].dependencies)
+        return False
 
     def deprecate_service(self, service_id: str, reason: str = "") -> None:
         """Mark Deprecated: hidden from discovery and hosting listings.
@@ -194,7 +227,7 @@ class ServiceRegistry:
         with self._lock:
             return [
                 self.db.services[sid]
-                for sid in sorted(self.db.services)
+                for sid in self.db.sorted_ids
                 if self.db.status[sid] == ServiceStatus.ACTIVE
             ]
 
@@ -202,12 +235,13 @@ class ServiceRegistry:
         """Case-insensitive substring match over name and description."""
         needle = query.lower()
         with self._lock:
-            hits = [
-                sid
-                for sid in sorted(self.db.services)
-                if self.db.status[sid] == ServiceStatus.ACTIVE and needle in self.db.search_text[sid]
+            db = self.db
+            search_text, status = db.search_text, db.status
+            return [
+                db.services[sid]
+                for sid in db.sorted_ids
+                if needle in search_text[sid] and status[sid] == ServiceStatus.ACTIVE
             ]
-            return [self.db.services[sid] for sid in hits]
 
     # -- discovery and listings -------------------------------------------
 
@@ -217,8 +251,31 @@ class ServiceRegistry:
             results = []
             for desc in self.search_active(query):
                 hosts = tuple(self._host_provider(desc.service_id))
-                results.append(DiscoveryResult(listing=_listing_of(desc), hosts=hosts))
+                results.append(DiscoveryResult(listing=self._listing(desc), hosts=hosts))
             return results
+
+    def _listing(self, desc: ServiceDescription) -> ServiceListing:
+        listing = self.db.listings.get(desc.service_id)
+        if listing is None:
+            listing = self.db.listings[desc.service_id] = _listing_of(desc)
+        return listing
+
+    def listing_dict(self, service_id: str) -> dict:
+        """A service's listing as a discovery reply carries it. Shared: do not mutate."""
+        with self._lock:
+            encoded = self.db.listing_dicts.get(service_id)
+            if encoded is None:
+                encoded = listing_to_dict(self._listing(self.get(service_id)))
+                self.db.listing_dicts[service_id] = encoded
+            return encoded
+
+    def wire_dict(self, service_id: str) -> dict:
+        """`service_to_dict` of a registered service, built once. Shared: do not mutate."""
+        with self._lock:
+            encoded = self.db.wire_dicts.get(service_id)
+            if encoded is None:
+                encoded = self.db.wire_dicts[service_id] = service_to_dict(self.get(service_id))
+            return encoded
 
     def list_available_services(
         self, host_free: ResourceVector, host_os: str, host_version: str
@@ -230,16 +287,19 @@ class ServiceRegistry:
                 for desc in self.active_services()
                 if desc.platform.matches(host_os, host_version) and host_free.covers(desc.min_resources)
             ]
-        return sorted(candidates, key=lambda d: (-self._host_revenue(d), d.service_id))
+            candidates.sort(key=lambda d: (-self._host_revenue(d), d.service_id))
+            return candidates
 
     def _host_revenue(self, desc: ServiceDescription) -> int:
         """Expected per-invocation host earnings: price x remainder share."""
-        from .billing import _frac  # local import to keep modules decoupled
+        revenue = self.db.host_revenue.get(desc.service_id)
+        if revenue is None:
+            from .billing import _frac  # local import to keep modules decoupled
 
-        share = 1 - _frac(desc.developer_share) - _frac(self._governor_commission)
-        if share <= 0:
-            return 0
-        return int(share * desc.price_per_invocation)
+            share = 1 - _frac(desc.developer_share) - _frac(self._governor_commission)
+            revenue = int(share * desc.price_per_invocation) if share > 0 else 0
+            self.db.host_revenue[desc.service_id] = revenue
+        return revenue
 
     def substitution_candidates(self, functionality_tag: str, exclude: str | None = None) -> list[ServiceDescription]:
         with self._lock:
@@ -263,21 +323,29 @@ class ServiceRegistry:
     def restore_state(self, state: dict) -> None:
         with self._lock:
             self.db = ServiceDatabase()
-            for sid, raw in state["services"].items():
-                desc = service_from_dict(raw)
-                self.db.services[sid] = desc
-                self.db.search_text[sid] = f"{desc.name} {desc.description}".lower()
+            for raw in state["services"].values():
+                self.db.add(service_from_dict(raw))
             for sid, status in state["status"].items():
                 self.db.status[sid] = ServiceStatus(status)
 
 
 def service_to_dict(desc: ServiceDescription) -> dict:
-    raw = asdict(desc)
-    raw["security_level"] = desc.security_level.label
-    raw["platform"] = {"os_name": desc.platform.os_name, "min_version": desc.platform.min_version}
-    raw["min_resources"] = desc.min_resources.as_dict()
-    raw["dependencies"] = list(desc.dependencies)
-    return raw
+    return {
+        "service_id": desc.service_id,
+        "developer_id": desc.developer_id,
+        "name": desc.name,
+        "description": desc.description,
+        "functionality_tag": desc.functionality_tag,
+        "input_spec": desc.input_spec,
+        "output_spec": desc.output_spec,
+        "binding_method": desc.binding_method,
+        "security_level": desc.security_level.label,
+        "platform": {"os_name": desc.platform.os_name, "min_version": desc.platform.min_version},
+        "min_resources": desc.min_resources.as_dict(),
+        "price_per_invocation": desc.price_per_invocation,
+        "developer_share": desc.developer_share,
+        "dependencies": list(desc.dependencies),
+    }
 
 
 def service_from_dict(raw: dict) -> ServiceDescription:

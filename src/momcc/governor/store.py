@@ -3,6 +3,12 @@ and security governor all read and write.
 
 Mutation happens only under the owning governor's lock; the values held
 are immutable, so readers always see complete records.
+
+`hosting` indexes `profile.hosted` by service, so finding the holders of
+one service does not scan every host. Every write that can change a
+profile's `hosted` set goes through `put_hosting` (a bulk load rebuilds
+the index with `scan_hosting`); writes that leave `hosted` alone
+(reports, certificates, departure) store the profile directly.
 """
 from __future__ import annotations
 
@@ -16,6 +22,28 @@ class HostDatabase:
     hosts: dict[str, HostProfile] = field(default_factory=dict)
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
+    hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
+
+    def put_hosting(self, profile: HostProfile) -> None:
+        """Store a profile whose `hosted` set may differ from the stored one."""
+        old = self.hosts.get(profile.host_id)
+        before = old.hosted if old is not None else frozenset()
+        for service_id in before - profile.hosted:
+            holders = self.hosting[service_id]
+            holders.discard(profile.host_id)
+            if not holders:
+                del self.hosting[service_id]
+        for service_id in profile.hosted - before:
+            self.hosting.setdefault(service_id, set()).add(profile.host_id)
+        self.hosts[profile.host_id] = profile
+
+    def scan_hosting(self) -> dict[str, set[str]]:
+        """The hosting index as a full scan of the profiles computes it."""
+        index: dict[str, set[str]] = {}
+        for host_id, profile in self.hosts.items():
+            for service_id in profile.hosted:
+                index.setdefault(service_id, set()).add(host_id)
+        return index
 
     def reports_for_host(self, host_id: str, window: int | None = None) -> list[ExecutionReport]:
         matching = [r for r in self.reports if r.host_id == host_id]

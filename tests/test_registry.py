@@ -7,7 +7,7 @@ import pytest
 from conftest import governor_with, make_service
 from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel
 from momcc.errors import RegistrationRejected, UnknownEntityError
-from momcc.governor.registry import ServiceRegistry, has_cycle
+from momcc.governor.registry import ServiceRegistry
 
 
 def kahn_has_cycle(edges: dict) -> bool:
@@ -79,15 +79,25 @@ class TestRegistration:
         assert not registry.is_known("B")
 
     def test_cycle_detector_matches_kahn_oracle_on_random_graphs(self):
+        """Each registration in a random sequence is rejected as a cycle
+        exactly when the graph of the accepted services plus it has one."""
         rng = random.Random(17)
         for _ in range(300):
             n = rng.randint(1, 8)
             nodes = [f"s{i}" for i in range(n)]
-            edges = {
-                node: tuple(rng.sample(nodes, rng.randint(0, n - 1)))
-                for node in nodes
-            }
-            assert has_cycle(edges) == kahn_has_cycle(edges)
+            registry = ServiceRegistry()
+            accepted: dict[str, tuple[str, ...]] = {}
+            for node in rng.sample(nodes, n):
+                deps = tuple(rng.sample(nodes, rng.randint(0, n - 1)))
+                closes = kahn_has_cycle({**accepted, node: deps})
+                try:
+                    registry.register_service(make_service(service_id=node, dependencies=deps))
+                except RegistrationRejected as err:
+                    assert err.reason == "cycle" and closes
+                    assert not registry.is_known(node)
+                else:
+                    assert not closes
+                    accepted[node] = deps
 
     def test_self_dependency_rejected(self):
         registry = ServiceRegistry()
