@@ -12,23 +12,15 @@ import random
 from dataclasses import dataclass, field
 
 from .domain import Outcome, ResourceVector, ServiceDescription
-from .wire import MessageKind, ProtocolMessage, Role
+from .wire import MessageKind, Outbound, ProtocolMessage, Role
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
 
 
 @dataclass(frozen=True)
-class Outbound:
-    """A message an agent wants delivered: engine adds latency and routing."""
-
-    to: str
-    latency_class: str
-    message: ProtocolMessage
-    delay_ms: float = 0.0  # extra local delay before the message leaves
-
-
-@dataclass(frozen=True)
 class HostAgentConfig:
+    """One host population's settings; ranges are checked by `validate_scenario`."""
+
     capacity: ResourceVector
     battery_mwh: int
     platform_os: str
@@ -38,31 +30,15 @@ class HostAgentConfig:
     failure_prob: float = 0.0
     identity_verified: bool = False
 
-    def __post_init__(self) -> None:
-        if self.greediness not in GREEDINESS_STRATEGIES:
-            raise ValueError(f"unknown greediness strategy: {self.greediness!r}")
-        if not 0.0 <= self.failure_prob <= 1.0:
-            raise ValueError("failure_prob must be in [0, 1]")
-        if self.departure_rate < 0:
-            raise ValueError("departure_rate must be >= 0")
-
 
 @dataclass(frozen=True)
 class RequesterAgentConfig:
+    """One requester population's settings; ranges are checked by `validate_scenario`."""
+
     demand_rate: float  # invocations per hour
     query_pool: tuple[str, ...]
     rating_bias: tuple[float, float, float, float, float] = (0.05, 0.05, 0.1, 0.3, 0.5)
     rating_prob: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.demand_rate < 0:
-            raise ValueError("demand_rate must be >= 0")
-        if not self.query_pool:
-            raise ValueError("query_pool must be non-empty")
-        if len(self.rating_bias) != 5 or any(w < 0 for w in self.rating_bias):
-            raise ValueError("rating_bias must be five non-negative weights")
-        if not 0.0 <= self.rating_prob <= 1.0:
-            raise ValueError("rating_prob must be in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ from its own stream seeded by (scenario seed, agent id), so adding
 agents never perturbs the behavior of existing ones. Latency is sampled
 per message from the scenario's class ranges; messages to and from the
 governor pay the governor-class delay, so discovery cost is visible.
+The engine only schedules and routes: messages to the governor go to its
+protocol endpoint (`governor.endpoint`), everything else to an agent.
 
 Two modes:
 
@@ -25,20 +27,20 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .agents import (
     AggregatorAgent,
     AggregatorConfig,
     HostAgent,
     HostAgentConfig,
-    Outbound,
     RequesterAgent,
 )
-from .domain import ExecutionReport, Outcome, ResourceVector
-from .errors import UnknownEntityError
+from .domain import ResourceVector
 from .governor import ServiceGovernor
+from .governor.endpoint import GovernorEndpoint
 from .scenario import MODE_WAN_CLOUD, Scenario
-from .wire import MessageKind, ProtocolMessage, Role, envelope_dict
+from .wire import MessageKind, Outbound, ProtocolMessage, Role, envelope_dict
 
 CLOUD_HOST_ID = "cloud-host"
 GOVERNOR_ID = "governor"
@@ -183,12 +185,13 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.now = 0.0
-        self._queue: list[tuple[float, int, object]] = []
+        self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
         self._id_seq = 0
         self.latency_rng = random.Random(f"{scenario.seed}/latency")
         self.master_rng = random.Random(f"{scenario.seed}/master")
         self.governor = ServiceGovernor(scenario.governor_config)
+        self.endpoint = GovernorEndpoint(self.governor)
         self.trace: list[TraceRecord] = []
         self.latencies: list[float] = []
         self.invocations_total = 0
@@ -199,7 +202,6 @@ class Simulation:
         self.hosts: dict[str, HostAgent] = {}
         self.aggregators: dict[str, AggregatorAgent] = {}
         self.requesters: dict[str, RequesterAgent] = {}
-        self._pending_ratings: dict[str, dict] = {}  # correlation -> report payload or rating
         self._setup()
 
     # -- identifiers ------------------------------------------------------
@@ -252,10 +254,10 @@ class Simulation:
                         agent_id, config.platform_os, config.platform_version,
                         config.capacity, config.battery_mwh,
                     )
-                    self._schedule(0.0, ("join", agent_id))
+                    self._schedule(0.0, self._on_join, agent_id)
                     delay = agent.next_departure_delay_ms()
                     if delay is not None:
-                        self._schedule(delay, ("depart", agent_id))
+                        self._schedule(delay, self._on_depart, agent_id)
 
             index = 0
             for entry in sc.aggregators:
@@ -285,7 +287,7 @@ class Simulation:
                         agent_id, config.platform_os, config.platform_version,
                         config.capacity, config.battery_mwh,
                     )
-                    self._schedule(0.0, ("join", agent_id))
+                    self._schedule(0.0, self._on_join, agent_id)
 
         index = 0
         for entry in sc.requesters:
@@ -302,11 +304,11 @@ class Simulation:
                 self.requesters[agent_id] = agent
                 delay = agent.next_demand_delay_ms()
                 if delay is not None:
-                    self._schedule(delay, ("demand", agent_id))
+                    self._schedule(delay, self._on_demand, agent_id)
 
         sweep_ms = sc.sweep_interval_hours * 3_600_000.0
         if not wan_mode:
-            self._schedule(sweep_ms, ("sweep", sweep_ms))
+            self._schedule(sweep_ms, self._on_sweep, sweep_ms)
 
     def _setup_cloud(self) -> None:
         sc = self.scenario
@@ -334,9 +336,10 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, at: float, event: object) -> None:
+    def _schedule(self, at: float, handler: Callable[[Any], None], arg: Any) -> None:
+        """Call handler(arg) at simulated time `at`; ties fire in scheduling order."""
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, event))
+        heapq.heappush(self._queue, (at, self._seq, handler, arg))
 
     def _latency_class(self, sender: str, recipient: str, requested: str) -> str:
         if requested == "wlan" and CLOUD_HOST_ID in (sender, recipient):
@@ -354,7 +357,8 @@ class Simulation:
             self.latencies.append(transport)
         self._schedule(
             received_at,
-            ("deliver", TraceRecord(sent_at, received_at, sender, outbound.to, outbound.message)),
+            self._on_deliver,
+            TraceRecord(sent_at, received_at, sender, outbound.to, outbound.message),
         )
 
     # -- the event loop -------------------------------------------------------
@@ -362,22 +366,12 @@ class Simulation:
     def run(self) -> SimulationResult:
         deadline = self.scenario.duration_ms
         while self._queue:
-            at, _, event = heapq.heappop(self._queue)
+            at, _, handler, arg = heapq.heappop(self._queue)
             if at > deadline:
                 continue  # drains the queue; nothing fires past the horizon
             self.now = at
-            kind = event[0]
-            if kind == "deliver":
-                self._on_deliver(event[1])
-            elif kind == "join":
-                self._on_join(event[1])
-            elif kind == "demand":
-                self._on_demand(event[1])
-            elif kind == "depart":
-                self._on_depart(event[1])
-            elif kind == "sweep":
-                self._on_sweep(event[1])
-        self._flush_pending_reports()
+            handler(arg)
+        self.endpoint.flush()  # ratings still in flight at the horizon never arrive
         return SimulationResult(
             report=self._build_report(),
             governor=self.governor,
@@ -399,7 +393,7 @@ class Simulation:
             self._send(agent_id, outbound)
         delay = agent.next_demand_delay_ms()
         if delay is not None:
-            self._schedule(self.now + delay, ("demand", agent_id))
+            self._schedule(self.now + delay, self._on_demand, agent_id)
 
     def _on_depart(self, agent_id: str) -> None:
         agent = self.hosts.get(agent_id)
@@ -419,7 +413,7 @@ class Simulation:
         self.host_assessments = self.governor.hosts.assess_hosts(
             self.scenario.governor_config.profiler_policy.window
         )
-        self._schedule(self.now + interval_ms, ("sweep", interval_ms))
+        self._schedule(self.now + interval_ms, self._on_sweep, interval_ms)
 
     def _on_deliver(self, record: TraceRecord) -> None:
         self.trace.append(record)
@@ -433,7 +427,7 @@ class Simulation:
                 self.invocations_failed += 1
 
         if recipient == GOVERNOR_ID:
-            for outbound in self._governor_handle(msg, record.sender):
+            for outbound in self.endpoint.handle(msg, record.sender, self.now):
                 self._send(GOVERNOR_ID, outbound)
             return
 
@@ -466,130 +460,6 @@ class Simulation:
             },
         )
         self._send(record.recipient, Outbound(to=record.sender, latency_class="wlan", message=reply))
-
-    # -- governor message handling ------------------------------------------
-
-    def _governor_handle(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
-        if msg.kind == MessageKind.LIST_SERVICES_REQUEST:
-            return self._gov_list_services(msg, sender)
-        if msg.kind == MessageKind.HOSTING_REQUEST:
-            return self._gov_hosting(msg, sender)
-        if msg.kind == MessageKind.DISCOVERY_QUERY:
-            return self._gov_discovery(msg, sender)
-        if msg.kind == MessageKind.EXECUTION_REPORT:
-            return self._gov_report(msg)
-        if msg.kind == MessageKind.RATE_SERVICE:
-            return self._gov_rating(msg)
-        return []
-
-    # Reply payloads carry the registry's cached per-service dicts, so
-    # every reply and trace record naming a service shares one dict.
-    # Nothing downstream may mutate a payload.
-
-    def _gov_list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
-        p = msg.payload
-        registry = self.governor.registry
-        services = registry.list_available_services(
-            ResourceVector(**p["free"]), p["platform_os"], p["platform_version"]
-        )
-        reply = ProtocolMessage(
-            kind=MessageKind.LIST_SERVICES_REPLY,
-            sender_role=Role.GOVERNOR,
-            correlation_id=msg.correlation_id,
-            payload={"services": [registry.wire_dict(d.service_id) for d in services]},
-        )
-        return [Outbound(to=sender, latency_class="governor", message=reply)]
-
-    def _gov_hosting(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
-        p = msg.payload
-        decision = self.governor.request_hosting(
-            p["host_id"], p["service_id"],
-            identity_verified=p.get("identity_verified", False),
-            at=self.now,
-        )
-        kind = MessageKind.ALLOCATION_CONFIRM if decision.confirmed else MessageKind.ALLOCATION_DENIED
-        payload = {"host_id": p["host_id"], "service_id": p["service_id"]}
-        if not decision.confirmed:
-            payload["reason"] = decision.reason
-        reply = ProtocolMessage(
-            kind=kind,
-            sender_role=Role.GOVERNOR,
-            correlation_id=msg.correlation_id,
-            payload=payload,
-        )
-        return [Outbound(to=sender, latency_class="governor", message=reply)]
-
-    def _gov_discovery(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
-        registry = self.governor.registry
-        results = registry.discover(msg.payload["query"], msg.payload["requester_pseudonym"])
-        entries = [
-            {"service": registry.listing_dict(r.listing.service_id), "hosts": list(r.hosts)}
-            for r in results
-        ]
-        reply = ProtocolMessage(
-            kind=MessageKind.DISCOVERY_REPLY,
-            sender_role=Role.GOVERNOR,
-            correlation_id=msg.correlation_id,
-            payload={"results": entries},
-        )
-        return [Outbound(to=sender, latency_class="governor", message=reply)]
-
-    def _gov_report(self, msg: ProtocolMessage) -> list[Outbound]:
-        p = msg.payload
-        if p["ok"]:
-            # Successful reports wait for the consumer's rating message so
-            # the trust update sees outcome and rating as one observation.
-            pending = self._pending_ratings.get(msg.correlation_id)
-            if pending is not None and "rating" in pending:
-                self._ingest(p, pending["rating"])
-                del self._pending_ratings[msg.correlation_id]
-            else:
-                self._pending_ratings[msg.correlation_id] = {"report": p}
-            return []
-        self._ingest(p, None)
-        self.governor.profiler.report_malfunction(
-            p["service_id"],
-            detail=f"invocation failed: {p.get('failure_reason') or 'unknown'}",
-            at=self.now,
-        )
-        return []
-
-    def _gov_rating(self, msg: ProtocolMessage) -> list[Outbound]:
-        pending = self._pending_ratings.get(msg.correlation_id)
-        rating = msg.payload.get("rating")
-        if pending is not None and "report" in pending:
-            self._ingest(pending["report"], rating)
-            del self._pending_ratings[msg.correlation_id]
-        else:
-            self._pending_ratings[msg.correlation_id] = {"rating": rating}
-        return []
-
-    def _ingest(self, report_payload: dict, rating: int | None) -> None:
-        p = report_payload
-        outcome = Outcome.success() if p["ok"] else Outcome.failure(p["failure_reason"])
-        report = ExecutionReport(
-            report_id=p["report_id"],
-            host_id=p["host_id"],
-            service_id=p["service_id"],
-            requester_pseudonym=p["requester_pseudonym"],
-            started_at=p["started_at"],
-            duration_ms=p["duration_ms"],
-            energy_used_mwh=p["energy_used_mwh"],
-            outcome=outcome,
-            rating=rating,
-        )
-        try:
-            self.governor.ingest_report(report)
-        except UnknownEntityError:
-            pass  # report raced a deregistration; nothing to update
-
-    def _flush_pending_reports(self) -> None:
-        # Ratings still in flight at the horizon: ingest unrated.
-        for correlation in sorted(self._pending_ratings):
-            pending = self._pending_ratings[correlation]
-            if "report" in pending:
-                self._ingest(pending["report"], None)
-        self._pending_ratings.clear()
 
     # -- reporting ---------------------------------------------------------
 

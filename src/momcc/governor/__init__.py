@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
-from ..domain import ExecutionReport, ResourceVector
+from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
 from ..errors import MissingAgreementError
 from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
@@ -128,7 +128,8 @@ class ServiceGovernor:
         """Administratively place services on a host, skipping admission.
 
         Exists for the always-on cloud endpoint of the WAN baseline; the
-        marketplace path never uses it.
+        marketplace path never uses it. Services the host already holds
+        are left as they are.
         """
         from dataclasses import replace
 
@@ -139,6 +140,8 @@ class ServiceGovernor:
             for service_id in service_ids:
                 desc = self.registry.get(service_id)
                 profile = self.hosts.get_host(host_id)
+                if service_id in profile.hosted:
+                    continue
                 self.host_db.put_hosting(replace(
                     profile,
                     committed=profile.committed.plus(desc.min_resources),
@@ -163,6 +166,11 @@ class ServiceGovernor:
             for host_id, profile in self.host_db.hosts.items():
                 if not profile.capacity.covers(profile.committed):
                     problems.append(f"host {host_id}: committed exceeds capacity")
+                held = ZERO_RESOURCES
+                for service_id in profile.hosted:
+                    held = held.plus(self.registry.get(service_id).min_resources)
+                if profile.committed != held:
+                    problems.append(f"host {host_id}: committed differs from its hosted services")
                 cert = profile.certificate
                 if cert is not None:
                     if not 0.0 <= cert.trust_score <= 1.0:

@@ -13,7 +13,7 @@ Hosts never negotiate with developers or requesters directly.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from ..errors import DuplicateCorrelationError, NegotiationRejected
@@ -255,25 +255,19 @@ class BillingUnit:
     # -- persistence ------------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        from .serialize import developer_terms_to_dict, agreement_to_dict, ledger_entry_to_dict
-
+        # The state file is written with sorted keys, so asdict's field order is free.
         with self._lock:
             return {
                 "governor_commission": self.governor_commission,
                 "developers": {
-                    dev_id: developer_terms_to_dict(terms)
-                    for dev_id, terms in sorted(self._developers.items())
+                    dev_id: asdict(terms) for dev_id, terms in sorted(self._developers.items())
                 },
-                "agreements": {
-                    sid: agreement_to_dict(a) for sid, a in sorted(self._agreements.items())
-                },
-                "entries": [ledger_entry_to_dict(e) for e in self._entries],
+                "agreements": {sid: asdict(a) for sid, a in sorted(self._agreements.items())},
+                "entries": [asdict(e) for e in self._entries],
                 "entry_seq": self._entry_seq,
             }
 
     def restore_state(self, state: dict) -> None:
-        from .serialize import agreement_from_dict, ledger_entry_from_dict
-
         with self._lock:
             self.governor_commission = state["governor_commission"]
             self._developers.clear()
@@ -281,13 +275,11 @@ class BillingUnit:
             self._entries.clear()
             self._metered_correlations.clear()
             for raw in state["developers"].values():
-                self._developers[raw["developer_id"]] = DeveloperTerms(
-                    raw["developer_id"], raw["price_per_invocation"], raw["developer_share"]
-                )
+                self._developers[raw["developer_id"]] = DeveloperTerms(**raw)
             for sid, raw in state["agreements"].items():
-                self._agreements[sid] = agreement_from_dict(raw)
+                self._agreements[sid] = Agreement(**raw)
             for raw in state["entries"]:
-                entry = ledger_entry_from_dict(raw)
+                entry = LedgerEntry(**raw)
                 self._entries.append(entry)
                 self._metered_correlations.add(entry.correlation_id)
             self._entry_seq = state["entry_seq"]

@@ -9,7 +9,7 @@ naming a requester.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..errors import UnknownEntityError
 from .registry import ServiceRegistry
@@ -138,18 +138,7 @@ class ServiceProfiler:
 
     def snapshot_state(self) -> dict:
         with self._lock:
-            return {
-                "escalations": [
-                    {
-                        "escalation_id": e.escalation_id,
-                        "service_id": e.service_id,
-                        "developer_id": e.developer_id,
-                        "detail": e.detail,
-                        "at": e.at,
-                    }
-                    for e in self.escalations
-                ],
-            }
+            return {"escalations": [asdict(e) for e in self.escalations]}
 
     def restore_state(self, state: dict) -> None:
         with self._lock:

@@ -1,7 +1,10 @@
-"""Dict conversions for governor state snapshots.
+"""Dict conversions for governor state snapshots and execution reports.
 
 The snapshot schema is plain JSON-compatible dicts with stable key
 order; see the snapshot module for the file envelope and checksum.
+These are the records a generic dataclass codec cannot encode: level
+labels, frozensets and the flattened `Outcome`. Plain records are
+encoded with `dataclasses.asdict` where they are snapshotted.
 """
 from __future__ import annotations
 
@@ -13,7 +16,6 @@ from ..domain import (
     SecurityCertificate,
     SecurityLevel,
 )
-from .billing import Agreement, DeveloperTerms, LedgerEntry
 
 
 def certificate_to_dict(cert: SecurityCertificate) -> dict:
@@ -103,51 +105,4 @@ def report_from_dict(raw: dict) -> ExecutionReport:
         energy_used_mwh=raw["energy_used_mwh"],
         outcome=outcome,
         rating=raw["rating"],
-    )
-
-
-def developer_terms_to_dict(terms: DeveloperTerms) -> dict:
-    return {
-        "developer_id": terms.developer_id,
-        "price_per_invocation": terms.price_per_invocation,
-        "developer_share": terms.developer_share,
-    }
-
-
-def agreement_to_dict(agreement: Agreement) -> dict:
-    return {
-        "service_id": agreement.service_id,
-        "developer_id": agreement.developer_id,
-        "price_per_invocation": agreement.price_per_invocation,
-        "developer_share": agreement.developer_share,
-        "host_share": agreement.host_share,
-        "governor_commission": agreement.governor_commission,
-    }
-
-
-def agreement_from_dict(raw: dict) -> Agreement:
-    return Agreement(**raw)
-
-
-def ledger_entry_to_dict(entry: LedgerEntry) -> dict:
-    return {
-        "entry_id": entry.entry_id,
-        "correlation_id": entry.correlation_id,
-        "payer": entry.payer,
-        "total": entry.total,
-        "credits": dict(sorted(entry.credits.items())),
-        "class_totals": dict(sorted(entry.class_totals.items())),
-        "timestamp": entry.timestamp,
-    }
-
-
-def ledger_entry_from_dict(raw: dict) -> LedgerEntry:
-    return LedgerEntry(
-        entry_id=raw["entry_id"],
-        correlation_id=raw["correlation_id"],
-        payer=raw["payer"],
-        total=raw["total"],
-        credits=dict(raw["credits"]),
-        class_totals=dict(raw["class_totals"]),
-        timestamp=raw["timestamp"],
     )

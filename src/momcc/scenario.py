@@ -37,13 +37,9 @@ from .agents import (
     HostAgentConfig,
     RequesterAgentConfig,
 )
-from .domain import (
-    PlatformRequirement,
-    ResourceVector,
-    SecurityLevel,
-    ServiceDescription,
-)
+from .domain import ResourceVector, ServiceDescription
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
+from .governor.registry import service_from_dict
 
 FORMAT_VERSION = 1
 
@@ -63,12 +59,6 @@ class LatencyModel:
     wlan_ms: tuple[float, float] = DEFAULT_WLAN_MS
     wan_ms: tuple[float, float] = DEFAULT_WAN_MS
     governor_ms: tuple[float, float] = DEFAULT_GOVERNOR_MS
-
-    def __post_init__(self) -> None:
-        for name in ("wlan_ms", "wan_ms", "governor_ms"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= low <= high")
 
     def range_for(self, latency_class: str) -> tuple[float, float]:
         return {
@@ -295,6 +285,16 @@ SCENARIO_SCHEMA = {
 }
 
 
+# The optional service fields of a scenario; the wire form always carries them.
+_SERVICE_DEFAULTS = {
+    "description": "",
+    "input_spec": "",
+    "output_spec": "",
+    "binding_method": "local-call",
+    "dependencies": [],
+}
+
+
 class ScenarioValidationError(ValueError):
     """Carries every diagnostic found, not just the first."""
 
@@ -342,29 +342,13 @@ def validate_scenario(data: dict) -> list[str]:
                 f"/aggregators/{i}/composite_service_id: "
                 f"{agg['composite_service_id']!r} is not a composite service"
             )
+    # Rules between policy values (such as the trust thresholds' order)
+    # live in the governor's config types; build the config to apply them.
+    try:
+        governor_config_from(data.get("policies", {}))
+    except ValueError as exc:
+        diagnostics.append(f"/policies: {exc}")
     return diagnostics
-
-
-def service_from_scenario(raw: dict) -> ServiceDescription:
-    return ServiceDescription(
-        service_id=raw["service_id"],
-        developer_id=raw["developer_id"],
-        name=raw["name"],
-        description=raw.get("description", ""),
-        functionality_tag=raw["functionality_tag"],
-        input_spec=raw.get("input_spec", ""),
-        output_spec=raw.get("output_spec", ""),
-        binding_method=raw.get("binding_method", "local-call"),
-        security_level=SecurityLevel.from_name(raw["security_level"]),
-        platform=PlatformRequirement(
-            os_name=raw["platform"]["os_name"],
-            min_version=raw["platform"]["min_version"],
-        ),
-        min_resources=ResourceVector(**raw["min_resources"]),
-        price_per_invocation=raw["price_per_invocation"],
-        developer_share=raw["developer_share"],
-        dependencies=tuple(raw.get("dependencies", [])),
-    )
 
 
 def _range(value, default: tuple[float, float]) -> tuple[float, float]:
@@ -417,7 +401,7 @@ def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario
         wan_ms=_range(latency_raw.get("wan_ms"), DEFAULT_WAN_MS),
         governor_ms=_range(latency_raw.get("governor_ms"), DEFAULT_GOVERNOR_MS),
     )
-    services = tuple(service_from_scenario(raw) for raw in data["services"])
+    services = tuple(service_from_dict({**_SERVICE_DEFAULTS, **raw}) for raw in data["services"])
 
     hosts = tuple(
         PopulationEntry(

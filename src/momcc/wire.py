@@ -197,6 +197,16 @@ class ProtocolMessage:
             raise ValueError("correlation_id must be non-empty")
 
 
+@dataclass(frozen=True)
+class Outbound:
+    """A message to be delivered: the engine adds latency and routing."""
+
+    to: str
+    latency_class: str
+    message: ProtocolMessage
+    delay_ms: float = 0.0  # extra local delay before the message leaves
+
+
 def envelope_dict(msg: ProtocolMessage) -> dict:
     """The JSON object form of a message, suitable for extension with metadata."""
     return {

@@ -121,6 +121,23 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "duration_hours" in err and "seed" in err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_trust_thresholds_out_of_order_are_a_policies_diagnostic(
+        self, command, tmp_path, capsys
+    ):
+        """validate and run apply the same rule: HIGH must need more than MEDIUM."""
+        data = scenario_dict()
+        data["policies"] = {"trust": {"promote_medium": [0.6, 10], "promote_high": [0.5, 30]}}
+        path = write_scenario(tmp_path, data)
+        args = ["--no-banner", command, str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        code = main(args)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "error: /policies: promote_high thresholds must strictly dominate promote_medium" in err
+        assert "Traceback" not in err
+
     def test_diagnostics_use_pointer_paths(self, tmp_path, capsys):
         data = scenario_dict()
         data["hosts"][0]["count"] = -1

@@ -1,8 +1,8 @@
 """Output bytes pinned across code changes, and the shared reply dicts.
 
-The digests are those of the bundled scenarios' outputs before the
-registry cached its reply encodings; a change that moves any of them
-changes what a run computes or writes.
+The digests are those of the bundled scenarios' outputs (`momcc run`
+files and the `momcc snapshot` state file) at earlier commits; a change
+that moves any of them changes what a run computes or writes.
 """
 import hashlib
 from dataclasses import asdict
@@ -21,10 +21,16 @@ GOLDEN = {
     "default.json": {
         "metrics.json": "1f4dc7f9f4d1095b00cdd5a564f1031666cefe70d83e5fff898fc852e2a2733a",
         "trace.log": "3fa344bdb41dfceba4997d4a2ab7986c02a6f7790d11fcbc07dc69a18b8bc6b9",
+        "metrics.csv": "f5a4823e339d451314f28e26f7724a15803a564468da7abb4d2deb6bbe52c4fd",
+        "ledger.csv": "75a3fb7032a49bbc9f046737edc8394122c0f802e2145855b046b4efc4f681ca",
+        "state.json": "97d0207175affd5ba86b0cdc7eeea318473ae375d2bfe5fc1f535f192c1f5c60",
     },
     "composite.json": {
         "metrics.json": "c0d3ac1c3f11af055714eac2d564957a73255e2b070dcda07467645c4bb24e04",
         "trace.log": "9db176be49f5e42689ad3aa176b9eb416bcea70149d518928a0ee649eb1c895f",
+        "metrics.csv": "cfed24fd6464b17e3de96451f6c62f2b770016aceebad477933fafb9ca37f117",
+        "ledger.csv": "263d10d365ad62e878bcfaf711936281816eaff06596581cb228fc7ff5330ef1",
+        "state.json": "84b6cc753575590074b6ba69d6db0be4e219175e1eb2db18b8a00f5e2b50cfa9",
     },
 }
 
@@ -52,6 +58,8 @@ def asdict_listing(desc) -> dict:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path)]) == EXIT_OK
+    state = str(tmp_path / "state.json")
+    assert main(["snapshot", str(SCENARIOS / name), "--out", state]) == EXIT_OK
     for filename, digest in GOLDEN[name].items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
 

@@ -74,8 +74,7 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
     elif kind == "depart":
         governor.hosts.mark_departed(op[1])
     elif kind == "preprovision":
-        held = governor.host_db.hosts[op[1]].hosted
-        governor.preprovision_host(op[1], [s for s in op[2] if s not in held])
+        governor.preprovision_host(op[1], op[2])  # held services included: they are skipped
     elif kind == "report":
         _, host_id, service_id, ok, rating = op
         if governor.host_db.hosts[host_id].certificate is None:

@@ -1,5 +1,6 @@
 """Allocation handshake, resource accounting, report ingestion, assessment."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +162,25 @@ class TestUnhost:
         governor.hosts.unhost("host-a", "svc-resize")
         with pytest.raises(NotHostedError):
             governor.hosts.unhost("host-a", "svc-resize")
+
+    def test_preprovisioning_a_held_service_commits_it_once(self, governor):
+        governor.preprovision_host("host-a", ["svc-resize"])
+        governor.preprovision_host("host-a", ["svc-resize"])
+        assert governor.hosts.get_host("host-a").committed == ResourceVector(512, 2, 5, 500)
+        governor.hosts.unhost("host-a", "svc-resize")
+        profile = governor.hosts.get_host("host-a")
+        assert (profile.hosted, profile.committed) == (frozenset(), ResourceVector(0, 0, 0, 0))
+        assert governor.check_invariants() == []
+
+    def test_invariants_catch_committed_that_differs_from_hosted(self, governor):
+        governor.request_hosting("host-a", "svc-resize")
+        profile = governor.hosts.get_host("host-a")
+        governor.host_db.hosts["host-a"] = replace(
+            profile, committed=profile.committed.plus(ResourceVector(1, 0, 0, 0))
+        )
+        assert governor.check_invariants() == [
+            "host host-a: committed differs from its hosted services"
+        ]
 
     def test_random_host_unhost_sequences_keep_capacity_invariant(self):
         """Stateful property: capacity covers committed at every step."""
