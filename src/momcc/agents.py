@@ -5,6 +5,13 @@ communicate only through protocol messages; an agent never touches
 governor state directly. Every random draw an agent makes comes from its
 own seeded stream, so one agent's behavior does not depend on how many
 others are in the scenario.
+
+Hosts and aggregators are both Service hosts: devices that run a Service
+for pay. They share one device model (`DeviceAgent`): one battery, one
+execution step that draws energy, duration and faults, and one builder
+for the invoke result and the execution report the governor meters.
+An aggregator is a device whose one Service is a composite: it consumes
+the dependencies like a requester before running its own step.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .domain import Outcome, ResourceVector, ServiceDescription
+from .governor.registry import service_from_dict
 from .wire import MessageKind, Outbound, ProtocolMessage, Role
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
@@ -45,8 +53,8 @@ class RequesterAgentConfig:
 class AggregatorConfig:
     """An aggregator hosts one composite service and consumes its parts.
 
-    Dependencies run sequentially by default; `parallel_dependencies`
-    fans out every dependency at once instead.
+    Dependencies run one at a time, in the composite's order, by default;
+    `parallel_dependencies` starts all of them at once, in sorted order.
     """
 
     composite_service_id: str
@@ -82,11 +90,58 @@ def select_services(offered: list[ServiceDescription], free: ResourceVector,
     return chosen
 
 
-class HostAgent:
-    """A mobile device leasing its resources: browse, host, execute, churn."""
+def _to_governor(kind: MessageKind, role: Role, correlation: str, payload: dict,
+                 delay_ms: float = 0.0) -> Outbound:
+    message = ProtocolMessage(kind=kind, sender_role=role, correlation_id=correlation, payload=payload)
+    return Outbound(to="governor", latency_class="governor", message=message, delay_ms=delay_ms)
 
-    def __init__(self, agent_id: str, config: HostAgentConfig, rng: random.Random,
-                 next_id, exec_ms: tuple[float, float] = (5.0, 25.0)):
+
+def _invoke_result(correlation: str, service_id: str, outcome: Outcome) -> ProtocolMessage:
+    return ProtocolMessage(
+        kind=MessageKind.INVOKE_RESULT,
+        sender_role=Role.HOST,
+        correlation_id=correlation,
+        payload={"service_id": service_id, "ok": outcome.ok, "reason": outcome.reason},
+    )
+
+
+def _discovery_query(correlation: str, query: str, pseudonym: str) -> Outbound:
+    return _to_governor(MessageKind.DISCOVERY_QUERY, Role.REQUESTER, correlation,
+                        {"query": query, "requester_pseudonym": pseudonym})
+
+
+def _invoke(host_id: str, correlation: str, service_id: str, pseudonym: str) -> Outbound:
+    message = ProtocolMessage(
+        kind=MessageKind.INVOKE,
+        sender_role=Role.REQUESTER,
+        correlation_id=correlation,
+        payload={"service_id": service_id, "requester_pseudonym": pseudonym},
+    )
+    return Outbound(to=host_id, latency_class="wlan", message=message)
+
+
+def _rating(correlation: str, service_id: str, rating: int | None, pseudonym: str) -> Outbound:
+    return _to_governor(MessageKind.RATE_SERVICE, Role.REQUESTER, correlation, {
+        "service_id": service_id, "rating": rating, "requester_pseudonym": pseudonym,
+    })
+
+
+def _first_live_host(reply: ProtocolMessage, service_id: str | None = None) -> tuple[str, str] | None:
+    """(service id, best host) of the first discovery result with a live
+    host, among results for `service_id` when one is given."""
+    for entry in reply.payload.get("results", []):
+        if entry.get("hosts"):
+            found = entry["service"]["service_id"]
+            if service_id is None or found == service_id:
+                return found, entry["hosts"][0]
+    return None
+
+
+class DeviceAgent:
+    """A mobile device that runs Services for pay: the Service host role."""
+
+    def __init__(self, agent_id: str, config: HostAgentConfig | AggregatorConfig,
+                 rng: random.Random, next_id, exec_ms: tuple[float, float]):
         self.agent_id = agent_id
         self.config = config
         self.rng = rng
@@ -94,6 +149,60 @@ class HostAgent:
         self.exec_ms = exec_ms
         self.alive = True
         self.battery = config.battery_mwh
+
+    def _execute(self, desc: ServiceDescription) -> tuple[Outcome, int, float]:
+        """Run one invocation of `desc`: (outcome, energy used, duration ms).
+
+        Refused without a draw when the battery cannot cover it; otherwise
+        the energy is spent, then the duration and the fault are drawn.
+        """
+        energy = desc.min_resources.energy
+        if self.battery < energy:
+            return Outcome.failure("energy"), 0, 0.0
+        self.battery -= energy
+        duration = self.rng.uniform(*self.exec_ms)
+        if self.rng.random() < self.config.failure_prob:
+            return Outcome.failure("fault"), energy, duration
+        return Outcome.success(), energy, duration
+
+    def _result_and_report(self, correlation: str, to: str, service_id: str, pseudonym: str,
+                           started: float, now: float, outcome: Outcome,
+                           energy: int = 0, duration: float = 0.0) -> list[Outbound]:
+        """The invoke result for `to` and the execution report for the
+        governor, both leaving when the execution step ends. The report
+        spans the whole call from `started`: for a composite, its
+        dependencies as well as its own step."""
+        report = {
+            "report_id": f"rpt-{correlation}",
+            "host_id": self.agent_id,
+            "service_id": service_id,
+            "requester_pseudonym": pseudonym,
+            "started_at": started,
+            "duration_ms": (now - started) + duration,
+            "energy_used_mwh": energy,
+            "ok": outcome.ok,
+            "failure_reason": outcome.reason,
+        }
+        return [
+            Outbound(to=to, latency_class="wlan", delay_ms=duration,
+                     message=_invoke_result(correlation, service_id, outcome)),
+            _to_governor(MessageKind.EXECUTION_REPORT, Role.HOST, correlation, report, duration),
+        ]
+
+    def _hosting_request(self, service_id: str) -> Outbound:
+        return _to_governor(MessageKind.HOSTING_REQUEST, Role.HOST, self.next_id("alloc"), {
+            "host_id": self.agent_id,
+            "service_id": service_id,
+            "identity_verified": self.config.identity_verified,
+        })
+
+
+class HostAgent(DeviceAgent):
+    """A mobile device leasing its resources: browse, host, execute, churn."""
+
+    def __init__(self, agent_id: str, config: HostAgentConfig, rng: random.Random,
+                 next_id, exec_ms: tuple[float, float] = (5.0, 25.0)):
+        super().__init__(agent_id, config, rng, next_id, exec_ms)
         self.hosted: dict[str, ServiceDescription] = {}
         self.free = config.capacity
         self._pending: dict[str, ServiceDescription] = {}
@@ -104,18 +213,12 @@ class HostAgent:
         """Browse the catalog once on arrival."""
         if not self.alive:
             return []
-        msg = ProtocolMessage(
-            kind=MessageKind.LIST_SERVICES_REQUEST,
-            sender_role=Role.HOST,
-            correlation_id=self.next_id("list"),
-            payload={
-                "host_id": self.agent_id,
-                "free": self.free.as_dict(),
-                "platform_os": self.config.platform_os,
-                "platform_version": self.config.platform_version,
-            },
-        )
-        return [Outbound(to="governor", latency_class="governor", message=msg)]
+        return [_to_governor(MessageKind.LIST_SERVICES_REQUEST, Role.HOST, self.next_id("list"), {
+            "host_id": self.agent_id,
+            "free": self.free.as_dict(),
+            "platform_os": self.config.platform_os,
+            "platform_version": self.config.platform_version,
+        })]
 
     def next_departure_delay_ms(self) -> float | None:
         """Sample the churn clock; None when the host never departs."""
@@ -148,33 +251,15 @@ class HostAgent:
             return self._on_listing(msg)
         if msg.kind == MessageKind.ALLOCATION_CONFIRM:
             return self._on_confirm(msg)
-        if msg.kind == MessageKind.ALLOCATION_DENIED:
-            return []
         if msg.kind == MessageKind.INVOKE:
             return self._on_invoke(msg, sender, now)
         return []
 
     def _on_listing(self, msg: ProtocolMessage) -> list[Outbound]:
-        from .governor.registry import service_from_dict
-
         offered = [service_from_dict(raw) for raw in msg.payload.get("services", [])]
-        chosen = select_services(offered, self.free, self.config.greediness, self.rng)
         out = []
-        for desc in chosen:
-            out.append(Outbound(
-                to="governor",
-                latency_class="governor",
-                message=ProtocolMessage(
-                    kind=MessageKind.HOSTING_REQUEST,
-                    sender_role=Role.HOST,
-                    correlation_id=self.next_id("alloc"),
-                    payload={
-                        "host_id": self.agent_id,
-                        "service_id": desc.service_id,
-                        "identity_verified": self.config.identity_verified,
-                    },
-                ),
-            ))
+        for desc in select_services(offered, self.free, self.config.greediness, self.rng):
+            out.append(self._hosting_request(desc.service_id))
             self._pending[desc.service_id] = desc
         return out
 
@@ -189,54 +274,12 @@ class HostAgent:
     def _on_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
         desc = self.hosted.get(service_id)
-        if desc is None:
-            result = Outcome.failure("not_hosted")
-            return self._finish_invoke(msg, sender, result, duration_ms=0.0, energy=0, now=now)
-        if self.battery < desc.min_resources.energy:
-            result = Outcome.failure("energy")
-            return self._finish_invoke(msg, sender, result, duration_ms=0.0, energy=0, now=now)
-        energy = desc.min_resources.energy
-        self.battery -= energy
-        duration = self.rng.uniform(*self.exec_ms)
-        if self.rng.random() < self.config.failure_prob:
-            result = Outcome.failure("fault")
-        else:
-            result = Outcome.success()
-        return self._finish_invoke(msg, sender, result, duration_ms=duration, energy=energy, now=now)
-
-    def _finish_invoke(self, msg: ProtocolMessage, sender: str, outcome: Outcome,
-                       duration_ms: float, energy: int, now: float) -> list[Outbound]:
-        correlation = msg.correlation_id
-        reply = ProtocolMessage(
-            kind=MessageKind.INVOKE_RESULT,
-            sender_role=Role.HOST,
-            correlation_id=correlation,
-            payload={
-                "service_id": msg.payload["service_id"],
-                "ok": outcome.ok,
-                "reason": outcome.reason,
-            },
+        outcome, energy, duration = (
+            (Outcome.failure("not_hosted"), 0, 0.0) if desc is None else self._execute(desc)
         )
-        report = ProtocolMessage(
-            kind=MessageKind.EXECUTION_REPORT,
-            sender_role=Role.HOST,
-            correlation_id=correlation,
-            payload={
-                "report_id": f"rpt-{correlation}",
-                "host_id": self.agent_id,
-                "service_id": msg.payload["service_id"],
-                "requester_pseudonym": msg.payload["requester_pseudonym"],
-                "started_at": now,
-                "duration_ms": duration_ms,
-                "energy_used_mwh": energy,
-                "ok": outcome.ok,
-                "failure_reason": outcome.reason,
-            },
-        )
-        return [
-            Outbound(to=sender, latency_class="wlan", message=reply, delay_ms=duration_ms),
-            Outbound(to="governor", latency_class="governor", message=report, delay_ms=duration_ms),
-        ]
+        return self._result_and_report(msg.correlation_id, sender, service_id,
+                                       msg.payload["requester_pseudonym"], now, now,
+                                       outcome, energy, duration)
 
 
 class RequesterAgent:
@@ -263,13 +306,7 @@ class RequesterAgent:
         self.demand_events += 1
         query = self.config.query_pool[self._query_index % len(self.config.query_pool)]
         self._query_index += 1
-        msg = ProtocolMessage(
-            kind=MessageKind.DISCOVERY_QUERY,
-            sender_role=Role.REQUESTER,
-            correlation_id=self.next_id("disc"),
-            payload={"query": query, "requester_pseudonym": self.pseudonym},
-        )
-        return [Outbound(to="governor", latency_class="governor", message=msg)]
+        return [_discovery_query(self.next_id("disc"), query, self.pseudonym)]
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         if msg.kind == MessageKind.DISCOVERY_REPLY:
@@ -279,24 +316,12 @@ class RequesterAgent:
         return []
 
     def _on_discovery(self, msg: ProtocolMessage) -> list[Outbound]:
-        options = [
-            entry for entry in msg.payload.get("results", []) if entry.get("hosts")
-        ]
-        if not options:
+        found = _first_live_host(msg)
+        if found is None:
             self.unavailable_events += 1
             return []
-        entry = options[0]
-        host_id = entry["hosts"][0]
-        invoke = ProtocolMessage(
-            kind=MessageKind.INVOKE,
-            sender_role=Role.REQUESTER,
-            correlation_id=self.next_id("inv"),
-            payload={
-                "service_id": entry["service"]["service_id"],
-                "requester_pseudonym": self.pseudonym,
-            },
-        )
-        return [Outbound(to=host_id, latency_class="wlan", message=invoke)]
+        service_id, host_id = found
+        return [_invoke(host_id, self.next_id("inv"), service_id, self.pseudonym)]
 
     def _on_result(self, msg: ProtocolMessage) -> list[Outbound]:
         if not msg.payload.get("ok"):
@@ -304,36 +329,26 @@ class RequesterAgent:
         rating: int | None = None
         if self.rng.random() < self.config.rating_prob:
             rating = self.rng.choices((1, 2, 3, 4, 5), weights=self.config.rating_bias)[0]
-        rate = ProtocolMessage(
-            kind=MessageKind.RATE_SERVICE,
-            sender_role=Role.REQUESTER,
-            correlation_id=msg.correlation_id,
-            payload={
-                "service_id": msg.payload["service_id"],
-                "rating": rating,
-                "requester_pseudonym": self.pseudonym,
-            },
-        )
-        return [Outbound(to="governor", latency_class="governor", message=rate)]
+        return [_rating(msg.correlation_id, msg.payload["service_id"], rating, self.pseudonym)]
 
 
 @dataclass
 class _CompositeCall:
-    upstream_correlation: str
-    upstream_sender: str
-    upstream_pseudonym: str
-    composite: ServiceDescription
-    remaining: list[str]          # sequential queue
+    correlation: str   # of the upstream invoke
+    sender: str
+    pseudonym: str
     started: float
-    pending: set[str] = field(default_factory=set)  # parallel in-flight deps
+    waiting: list[str]  # dependencies not yet started, in start order
+    at_once: int        # how many dependencies may be in flight together
+    in_flight: set[str] = field(default_factory=set)
     done: bool = False
 
 
-class AggregatorAgent:
-    """A requester that hosts a composite service.
+class AggregatorAgent(DeviceAgent):
+    """A device that hosts a composite service and consumes its parts.
 
     When its composite is invoked it discovers and invokes each
-    dependency (sequentially, or all at once with the parallel flag);
+    dependency (one at a time, or all at once with the parallel flag);
     the composite succeeds only if every dependency does, and only then
     runs its own (simulated) aggregation step. Dependency invocations
     are billed to the aggregator's own pseudonym, one ledger entry per
@@ -343,36 +358,18 @@ class AggregatorAgent:
     def __init__(self, agent_id: str, config: AggregatorConfig, rng: random.Random,
                  next_id, pseudonym: str, dependency_names: dict[str, str],
                  exec_ms: tuple[float, float] = (5.0, 25.0)):
-        self.agent_id = agent_id
-        self.config = config
-        self.rng = rng
-        self.next_id = next_id
+        super().__init__(agent_id, config, rng, next_id, exec_ms)
         self.pseudonym = pseudonym
         self.dependency_names = dependency_names
-        self.exec_ms = exec_ms
-        self.alive = True
-        self.battery = config.battery_mwh
         self.composite: ServiceDescription | None = None
         # In-flight correlation -> (call, dependency id it concerns).
         self._calls: dict[str, tuple[_CompositeCall, str]] = {}
 
     def join(self, now: float) -> list[Outbound]:
-        msg = ProtocolMessage(
-            kind=MessageKind.HOSTING_REQUEST,
-            sender_role=Role.HOST,
-            correlation_id=self.next_id("alloc"),
-            payload={
-                "host_id": self.agent_id,
-                "service_id": self.config.composite_service_id,
-                "identity_verified": self.config.identity_verified,
-            },
-        )
-        return [Outbound(to="governor", latency_class="governor", message=msg)]
+        return [self._hosting_request(self.config.composite_service_id)]
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         if not self.alive:
-            return []
-        if msg.kind == MessageKind.ALLOCATION_CONFIRM:
             return []
         if msg.kind == MessageKind.INVOKE:
             return self._on_composite_invoke(msg, sender, now)
@@ -386,73 +383,46 @@ class AggregatorAgent:
         self.composite = desc
 
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
-        if self.composite is None or msg.payload["service_id"] != self.composite.service_id:
-            reply = ProtocolMessage(
-                kind=MessageKind.INVOKE_RESULT,
-                sender_role=Role.HOST,
-                correlation_id=msg.correlation_id,
-                payload={"service_id": msg.payload["service_id"], "ok": False, "reason": "not_hosted"},
-            )
+        service_id = msg.payload["service_id"]
+        if self.composite is None or service_id != self.composite.service_id:
+            reply = _invoke_result(msg.correlation_id, service_id, Outcome.failure("not_hosted"))
             return [Outbound(to=sender, latency_class="wlan", message=reply)]
-        call = _CompositeCall(
-            upstream_correlation=msg.correlation_id,
-            upstream_sender=sender,
-            upstream_pseudonym=msg.payload["requester_pseudonym"],
-            composite=self.composite,
-            remaining=list(self.composite.dependencies),
-            started=now,
-        )
+        deps = self.composite.dependencies
         if self.config.parallel_dependencies:
-            call.pending = set(call.remaining)
-            call.remaining = []
-            if not call.pending:
-                return self._complete(call, now)
-            out: list[Outbound] = []
-            for dep_id in sorted(call.pending):
-                out.extend(self._discover_dependency(call, dep_id))
-            return out
+            waiting, at_once = sorted(set(deps)), len(deps)
+        else:
+            waiting, at_once = list(deps), 1
+        call = _CompositeCall(msg.correlation_id, sender, msg.payload["requester_pseudonym"],
+                              now, waiting, at_once)
         return self._advance(call, now)
 
-    def _discover_dependency(self, call: _CompositeCall, dep_id: str) -> list[Outbound]:
-        correlation = self.next_id("adisc")
-        self._calls[correlation] = (call, dep_id)
-        query = self.dependency_names.get(dep_id, dep_id)
-        msg = ProtocolMessage(
-            kind=MessageKind.DISCOVERY_QUERY,
-            sender_role=Role.REQUESTER,
-            correlation_id=correlation,
-            payload={"query": query, "requester_pseudonym": self.pseudonym},
-        )
-        return [Outbound(to="governor", latency_class="governor", message=msg)]
-
     def _advance(self, call: _CompositeCall, now: float) -> list[Outbound]:
-        if not call.remaining:
-            return self._complete(call, now)
-        return self._discover_dependency(call, call.remaining[0])
+        """Start what the call may start now; run the composite's own
+        step once no dependency is waiting or in flight."""
+        if not call.waiting and not call.in_flight:
+            outcome, energy, duration = self._execute(self.composite)
+            return self._finish(call, now, outcome, energy, duration)
+        out = []
+        while call.waiting and len(call.in_flight) < call.at_once:
+            dep_id = call.waiting.pop(0)
+            call.in_flight.add(dep_id)
+            correlation = self.next_id("adisc")
+            self._calls[correlation] = (call, dep_id)
+            out.append(_discovery_query(correlation, self.dependency_names.get(dep_id, dep_id),
+                                        self.pseudonym))
+        return out
 
     def _on_discovery(self, msg: ProtocolMessage, now: float) -> list[Outbound]:
         entry = self._calls.pop(msg.correlation_id, None)
-        if entry is None:
+        if entry is None or entry[0].done:
             return []
         call, dep_id = entry
-        if call.done:
-            return []
-        host_id = None
-        for result in msg.payload.get("results", []):
-            if result["service"]["service_id"] == dep_id and result.get("hosts"):
-                host_id = result["hosts"][0]
-                break
-        if host_id is None:
-            return self._fail(call, now, reason="dependency")
+        found = _first_live_host(msg, dep_id)
+        if found is None:
+            return self._finish(call, now, Outcome.failure("dependency"))
         correlation = self.next_id("ainv")
         self._calls[correlation] = (call, dep_id)
-        invoke = ProtocolMessage(
-            kind=MessageKind.INVOKE,
-            sender_role=Role.REQUESTER,
-            correlation_id=correlation,
-            payload={"service_id": dep_id, "requester_pseudonym": self.pseudonym},
-        )
-        return [Outbound(to=host_id, latency_class="wlan", message=invoke)]
+        return [_invoke(found[1], correlation, dep_id, self.pseudonym)]
 
     def _on_dep_result(self, msg: ProtocolMessage, now: float) -> list[Outbound]:
         entry = self._calls.pop(msg.correlation_id, None)
@@ -465,79 +435,16 @@ class AggregatorAgent:
             # Dependency invocations are acknowledged like any consumer's:
             # a rating message (unrated) closes the loop with the governor.
             # Sent even for already-failed calls, since the dependency did run.
-            out.append(Outbound(
-                to="governor",
-                latency_class="governor",
-                message=ProtocolMessage(
-                    kind=MessageKind.RATE_SERVICE,
-                    sender_role=Role.REQUESTER,
-                    correlation_id=msg.correlation_id,
-                    payload={
-                        "service_id": msg.payload["service_id"],
-                        "rating": None,
-                        "requester_pseudonym": self.pseudonym,
-                    },
-                ),
-            ))
+            out.append(_rating(msg.correlation_id, msg.payload["service_id"], None, self.pseudonym))
         if call.done:
             return out
         if not ok:
-            return out + self._fail(call, now, reason="dependency")
-        if self.config.parallel_dependencies:
-            call.pending.discard(dep_id)
-            if call.pending:
-                return out
-            return out + self._complete(call, now)
-        call.remaining.pop(0)
+            return out + self._finish(call, now, Outcome.failure("dependency"))
+        call.in_flight.discard(dep_id)
         return out + self._advance(call, now)
 
-    def _complete(self, call: _CompositeCall, now: float) -> list[Outbound]:
-        desc = call.composite
-        if self.battery < desc.min_resources.energy:
-            return self._fail(call, now, reason="energy")
-        energy = desc.min_resources.energy
-        self.battery -= energy
-        duration = self.rng.uniform(*self.exec_ms)
-        if self.rng.random() < self.config.failure_prob:
-            return self._fail(call, now, reason="fault", energy=energy, duration=duration)
+    def _finish(self, call: _CompositeCall, now: float, outcome: Outcome,
+                energy: int = 0, duration: float = 0.0) -> list[Outbound]:
         call.done = True
-        return self._reply(call, Outcome.success(), now, energy=energy, duration=duration)
-
-    def _fail(self, call: _CompositeCall, now: float, reason: str,
-              energy: int = 0, duration: float = 0.0) -> list[Outbound]:
-        call.done = True
-        return self._reply(call, Outcome.failure(reason), now, energy=energy, duration=duration)
-
-    def _reply(self, call: _CompositeCall, outcome: Outcome, now: float,
-               energy: int, duration: float) -> list[Outbound]:
-        correlation = call.upstream_correlation
-        result = ProtocolMessage(
-            kind=MessageKind.INVOKE_RESULT,
-            sender_role=Role.HOST,
-            correlation_id=correlation,
-            payload={
-                "service_id": call.composite.service_id,
-                "ok": outcome.ok,
-                "reason": outcome.reason,
-            },
-        )
-        report = ProtocolMessage(
-            kind=MessageKind.EXECUTION_REPORT,
-            sender_role=Role.HOST,
-            correlation_id=correlation,
-            payload={
-                "report_id": f"rpt-{correlation}",
-                "host_id": self.agent_id,
-                "service_id": call.composite.service_id,
-                "requester_pseudonym": call.upstream_pseudonym,
-                "started_at": call.started,
-                "duration_ms": (now - call.started) + duration,
-                "energy_used_mwh": energy,
-                "ok": outcome.ok,
-                "failure_reason": outcome.reason,
-            },
-        )
-        return [
-            Outbound(to=call.upstream_sender, latency_class="wlan", message=result, delay_ms=duration),
-            Outbound(to="governor", latency_class="governor", message=report, delay_ms=duration),
-        ]
+        return self._result_and_report(call.correlation, call.sender, self.composite.service_id,
+                                       call.pseudonym, call.started, now, outcome, energy, duration)

@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -29,6 +30,7 @@ from .governor.billing import format_money
 from .scenario import (
     MODE_MARKETPLACE,
     MODE_WAN_CLOUD,
+    Scenario,
     ScenarioValidationError,
     load_scenario,
     validate_scenario,
@@ -58,17 +60,22 @@ def _write_outputs(result: SimulationResult, out_dir: Path) -> None:
         csv.writer(fh).writerows(result.governor.billing.ledger_csv_rows())
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load(path: str, seed: int | None = None) -> Scenario | None:
+    """The scenario at `path`, or None after printing why it cannot be run."""
     try:
-        scenario = load_scenario(args.scenario, seed_override=args.seed)
+        return load_scenario(path, seed_override=seed)
     except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_INVALID
+        print(f"error: scenario file not found: {path}", file=sys.stderr)
     except ScenarioValidationError as exc:
         for diagnostic in exc.diagnostics:
             print(f"error: {diagnostic}", file=sys.stderr)
-        return EXIT_INVALID
+    return None
 
+
+def cmd_run(args: argparse.Namespace) -> int:
+    scenario = _load(args.scenario, args.seed)
+    if scenario is None:
+        return EXIT_INVALID
     result = run_scenario(scenario)
     out_dir = Path(args.out)
     _write_outputs(result, out_dir)
@@ -89,17 +96,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        base = load_scenario(args.scenario)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
+    base = _load(args.scenario)
+    if base is None:
         return EXIT_INVALID
-    except ScenarioValidationError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"error: {diagnostic}", file=sys.stderr)
-        return EXIT_INVALID
-
-    from dataclasses import replace
 
     rows = []
     for offset in range(args.seeds):
@@ -152,14 +151,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_snapshot(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario, seed_override=args.seed)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_INVALID
-    except ScenarioValidationError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"error: {diagnostic}", file=sys.stderr)
+    scenario = _load(args.scenario, args.seed)
+    if scenario is None:
         return EXIT_INVALID
     result = run_scenario(scenario)
     write_snapshot(args.out, result.governor)

@@ -32,6 +32,7 @@ from typing import Any, Callable
 from .agents import (
     AggregatorAgent,
     AggregatorConfig,
+    DeviceAgent,
     HostAgent,
     HostAgentConfig,
     RequesterAgent,
@@ -438,7 +439,7 @@ class Simulation:
         )
         if agent is None:
             return
-        if isinstance(agent, (HostAgent, AggregatorAgent)) and not agent.alive:
+        if isinstance(agent, DeviceAgent) and not agent.alive:
             if msg.kind == MessageKind.INVOKE:
                 self._bounce_invoke(record)
             return

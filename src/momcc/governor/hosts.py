@@ -127,10 +127,7 @@ class HostRegistry:
             profile = self.host_db.hosts.get(host_id)
             if profile is None:
                 raise UnknownEntityError(f"unknown host: {host_id!r}")
-            try:
-                desc = self.registry.get(service_id)
-            except UnknownEntityError:
-                raise
+            desc = self.registry.get(service_id)
             trace: list[MessageKind] = [MessageKind.HOSTING_REQUEST]
 
             if not profile.alive:
@@ -240,7 +237,9 @@ class HostRegistry:
         """Append a report and fan it out to trust and billing.
 
         Re-delivery of a report_id is absorbed silently (returns False)
-        so retries never double-count anything.
+        so retries never double-count anything. Every check runs before
+        the first write, so a rejected report leaves no trace and a retry
+        is judged afresh.
         """
         with self._lock:
             if report.report_id in self.host_db.seen_report_ids:
@@ -250,6 +249,8 @@ class HostRegistry:
                 raise UnknownEntityError(f"unknown host: {report.host_id!r}")
             if not self.registry.is_known(report.service_id):
                 raise UnknownEntityError(f"unknown service: {report.service_id!r}")
+            if profile.certificate is None:
+                raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
 
             self.host_db.seen_report_ids.add(report.report_id)
             self.host_db.reports.append(report)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
-from ..domain import PlatformRequirement, ResourceVector, ServiceDescription
+from ..domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
 from ..errors import RegistrationRejected, UnknownEntityError
 
 DEFAULT_FOOTPRINT_CEILING = ResourceVector(cpu=1024, memory=64, storage=64, energy=1000)
@@ -349,8 +349,6 @@ def service_to_dict(desc: ServiceDescription) -> dict:
 
 
 def service_from_dict(raw: dict) -> ServiceDescription:
-    from ..domain import SecurityLevel
-
     return ServiceDescription(
         service_id=raw["service_id"],
         developer_id=raw["developer_id"],

@@ -1,6 +1,9 @@
 """Scenario files: the JSON description of one simulated marketplace.
 
-This module is the single home of built-in defaults. Precedence is
+A scenario section is built into its config dataclass by field name
+(the schema admits no other keys), so each built-in default lives only
+in its dataclass: the agent configs in `agents`, the governor's configs
+in `governor`, and `LatencyModel` and `Scenario` here. Precedence is
 always: command-line flags over scenario file over these built-ins.
 
 Schema sketch (all money in integer minor units, rates per hour):
@@ -43,11 +46,6 @@ from .governor.registry import service_from_dict
 
 FORMAT_VERSION = 1
 
-DEFAULT_WLAN_MS = (5.0, 30.0)
-DEFAULT_WAN_MS = (100.0, 300.0)
-DEFAULT_GOVERNOR_MS = (20.0, 60.0)
-DEFAULT_EXEC_MS = (5.0, 25.0)
-
 MODE_MARKETPLACE = "momcc"
 MODE_WAN_CLOUD = "wan_cloud"
 
@@ -56,9 +54,9 @@ MODE_WAN_CLOUD = "wan_cloud"
 class LatencyModel:
     """Transport delay ranges (ms, uniform) for the three message classes."""
 
-    wlan_ms: tuple[float, float] = DEFAULT_WLAN_MS
-    wan_ms: tuple[float, float] = DEFAULT_WAN_MS
-    governor_ms: tuple[float, float] = DEFAULT_GOVERNOR_MS
+    wlan_ms: tuple[float, float] = (5.0, 30.0)
+    wan_ms: tuple[float, float] = (100.0, 300.0)
+    governor_ms: tuple[float, float] = (20.0, 60.0)
 
     def range_for(self, latency_class: str) -> tuple[float, float]:
         return {
@@ -78,14 +76,14 @@ class PopulationEntry:
 class Scenario:
     seed: int
     duration_hours: float
-    baseline_mode: str
     latency: LatencyModel
-    exec_ms: tuple[float, float]
     services: tuple[ServiceDescription, ...]
     hosts: tuple[PopulationEntry, ...]
     requesters: tuple[PopulationEntry, ...]
     aggregators: tuple[PopulationEntry, ...]
     governor_config: GovernorConfig
+    baseline_mode: str = MODE_MARKETPLACE
+    exec_ms: tuple[float, float] = (5.0, 25.0)
     sweep_interval_hours: float = 1.0
 
     @property
@@ -351,43 +349,35 @@ def validate_scenario(data: dict) -> list[str]:
     return diagnostics
 
 
-def _range(value, default: tuple[float, float]) -> tuple[float, float]:
-    if value is None:
-        return default
-    return (float(value[0]), float(value[1]))
+def _value(value):
+    """A validated JSON value as a config field holds it: arrays become
+    tuples and objects (resource vectors) `ResourceVector`s."""
+    if isinstance(value, list):
+        return tuple(value)
+    if isinstance(value, dict):
+        return ResourceVector(**value)
+    return value
+
+
+def _build(cls, raw: dict, skip: tuple[str, ...] = ()):
+    """`cls` from a validated document section, by field name; the
+    schema admits no key but `cls`'s fields and `skip`."""
+    return cls(**{key: _value(value) for key, value in raw.items() if key not in skip})
 
 
 def governor_config_from(policies: dict) -> GovernorConfig:
-    trust_raw = policies.get("trust", {})
-    trust = TrustPolicy(
-        alpha=trust_raw.get("alpha", TrustPolicy.alpha),
-        promote_medium=tuple(trust_raw.get("promote_medium", TrustPolicy.promote_medium)),
-        promote_high=tuple(trust_raw.get("promote_high", TrustPolicy.promote_high)),
-        hysteresis=trust_raw.get("hysteresis", TrustPolicy.hysteresis),
-        rating_weight=trust_raw.get("rating_weight", TrustPolicy.rating_weight),
-    )
-    profiler_raw = policies.get("profiler", {})
-    profiler = ProfilerPolicy(
-        failure_threshold=profiler_raw.get("failure_threshold", ProfilerPolicy.failure_threshold),
-        window=profiler_raw.get("window", ProfilerPolicy.window),
-    )
-    registry_raw = policies.get("registry", {})
-    config = GovernorConfig(
-        footprint_ceiling=(
-            ResourceVector(**registry_raw["footprint_ceiling"])
-            if "footprint_ceiling" in registry_raw
-            else GovernorConfig.footprint_ceiling
-        ),
-        governor_commission=policies.get("billing", {}).get(
-            "governor_commission", GovernorConfig.governor_commission
-        ),
-        trust_policy=trust,
-        profiler_policy=profiler,
-        assessment_weights=tuple(
-            policies.get("assessment_weights", GovernorConfig.assessment_weights)
-        ),
-    )
-    return config
+    """The governor's config from a validated `policies` section: its
+    `registry` and `billing` sections and `assessment_weights` name the
+    config's own fields, `trust` and `profiler` those of its policies."""
+    own = {**policies.get("registry", {}), **policies.get("billing", {})}
+    if "assessment_weights" in policies:
+        own["assessment_weights"] = policies["assessment_weights"]
+    return _build(GovernorConfig, {
+        **own,
+        "trust_policy": _build(TrustPolicy, policies.get("trust", {})),
+        "profiler_policy": _build(ProfilerPolicy, policies.get("profiler", {}),
+                                  skip=("sweep_interval_hours",)),
+    })
 
 
 def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario:
@@ -395,73 +385,29 @@ def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
 
-    latency_raw = data.get("latency", {})
-    latency = LatencyModel(
-        wlan_ms=_range(latency_raw.get("wlan_ms"), DEFAULT_WLAN_MS),
-        wan_ms=_range(latency_raw.get("wan_ms"), DEFAULT_WAN_MS),
-        governor_ms=_range(latency_raw.get("governor_ms"), DEFAULT_GOVERNOR_MS),
-    )
-    services = tuple(service_from_dict({**_SERVICE_DEFAULTS, **raw}) for raw in data["services"])
-
-    hosts = tuple(
-        PopulationEntry(
-            count=raw["count"],
-            config=HostAgentConfig(
-                capacity=ResourceVector(**raw["capacity"]),
-                battery_mwh=raw["battery_mwh"],
-                platform_os=raw["platform_os"],
-                platform_version=raw["platform_version"],
-                greediness=raw.get("greediness", "max_revenue"),
-                departure_rate=raw.get("departure_rate", 0.0),
-                failure_prob=raw.get("failure_prob", 0.0),
-                identity_verified=raw.get("identity_verified", False),
-            ),
-        )
-        for raw in data.get("hosts", [])
-    )
-    requesters = tuple(
-        PopulationEntry(
-            count=raw["count"],
-            config=RequesterAgentConfig(
-                demand_rate=raw["demand_rate"],
-                query_pool=tuple(raw["query_pool"]),
-                rating_bias=tuple(raw.get("rating_bias", RequesterAgentConfig.rating_bias)),
-                rating_prob=raw.get("rating_prob", 1.0),
-            ),
-        )
-        for raw in data.get("requesters", [])
-    )
-    aggregators = tuple(
-        PopulationEntry(
-            count=raw["count"],
-            config=AggregatorConfig(
-                composite_service_id=raw["composite_service_id"],
-                capacity=ResourceVector(**raw["capacity"]),
-                battery_mwh=raw["battery_mwh"],
-                platform_os=raw["platform_os"],
-                platform_version=raw["platform_version"],
-                failure_prob=raw.get("failure_prob", 0.0),
-                identity_verified=raw.get("identity_verified", False),
-                parallel_dependencies=raw.get("parallel_dependencies", False),
-            ),
-        )
-        for raw in data.get("aggregators", [])
-    )
-
+    optional = {key: _value(data[key]) for key in ("baseline_mode", "exec_ms") if key in data}
+    profiler = data.get("policies", {}).get("profiler", {})
+    if "sweep_interval_hours" in profiler:
+        optional["sweep_interval_hours"] = profiler["sweep_interval_hours"]
     return Scenario(
         seed=seed_override if seed_override is not None else data["seed"],
         duration_hours=float(data["duration_hours"]),
-        baseline_mode=data.get("baseline_mode", MODE_MARKETPLACE),
-        latency=latency,
-        exec_ms=_range(data.get("exec_ms"), DEFAULT_EXEC_MS),
-        services=services,
-        hosts=hosts,
-        requesters=requesters,
-        aggregators=aggregators,
-        governor_config=governor_config_from(data.get("policies", {})),
-        sweep_interval_hours=data.get("policies", {}).get("profiler", {}).get(
-            "sweep_interval_hours", 1.0
+        latency=_build(LatencyModel, data.get("latency", {})),
+        services=tuple(
+            service_from_dict({**_SERVICE_DEFAULTS, **raw}) for raw in data["services"]
         ),
+        hosts=_populations(HostAgentConfig, data.get("hosts", [])),
+        requesters=_populations(RequesterAgentConfig, data.get("requesters", [])),
+        aggregators=_populations(AggregatorConfig, data.get("aggregators", [])),
+        governor_config=governor_config_from(data.get("policies", {})),
+        **optional,
+    )
+
+
+def _populations(cls, entries: list[dict]) -> tuple[PopulationEntry, ...]:
+    return tuple(
+        PopulationEntry(count=raw["count"], config=_build(cls, raw, skip=("count",)))
+        for raw in entries
     )
 
 

@@ -123,6 +123,41 @@ def scenario_dict(
     return data
 
 
+def composite_scenario(seed=11, dep_b_failure=0.0, parallel=False):
+    """One aggregator whose composite needs svc-a and svc-b, each on its own host;
+    the svc-b host fails with probability `dep_b_failure`."""
+    return scenario_dict(
+        seed=seed,
+        duration_hours=1.0,
+        services=[
+            service_dict(service_id="svc-a", name="alpha step", functionality_tag="a",
+                         price=600, min_resources={"cpu": 200, "memory": 2, "storage": 2, "energy": 200}),
+            service_dict(service_id="svc-b", name="beta step", functionality_tag="b",
+                         price=700, min_resources={"cpu": 200, "memory": 2, "storage": 2, "energy": 200}),
+            service_dict(service_id="svc-combo", name="combo pipeline", functionality_tag="combo",
+                         price=2000, dependencies=["svc-a", "svc-b"],
+                         min_resources={"cpu": 100, "memory": 1, "storage": 1, "energy": 100}),
+        ],
+        hosts=[
+            {"count": 1, "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
+             "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
+             "greediness": "random", "failure_prob": 0.0,
+             "departure_rate": 0.0},
+            {"count": 1, "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
+             "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
+             "greediness": "min_energy", "failure_prob": dep_b_failure,
+             "departure_rate": 0.0},
+        ],
+        requesters=[{"count": 1, "demand_rate": 4, "query_pool": ["combo"]}],
+        aggregators=[{
+            "count": 1, "composite_service_id": "svc-combo",
+            "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
+            "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
+            "failure_prob": 0.0, "parallel_dependencies": parallel,
+        }],
+    )
+
+
 _CRITERION_PREFIX = "tests/test_acceptance.py::"
 
 

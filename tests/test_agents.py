@@ -1,7 +1,7 @@
 """Agent strategies and protocol behavior, standalone and in small runs."""
 import random
 
-from conftest import make_service, scenario_dict, service_dict
+from conftest import composite_scenario, make_service, scenario_dict
 from momcc.agents import (
     HostAgent,
     HostAgentConfig,
@@ -187,39 +187,6 @@ class TestRequesterProtocol:
         (out,) = agent.handle(ok, "host-001", 2.0)
         assert out.message.kind == MessageKind.RATE_SERVICE
         assert out.message.payload["rating"] is None
-
-
-def composite_scenario(seed=11, dep_b_failure=0.0, parallel=False):
-    return scenario_dict(
-        seed=seed,
-        duration_hours=1.0,
-        services=[
-            service_dict(service_id="svc-a", name="alpha step", functionality_tag="a",
-                         price=600, min_resources={"cpu": 200, "memory": 2, "storage": 2, "energy": 200}),
-            service_dict(service_id="svc-b", name="beta step", functionality_tag="b",
-                         price=700, min_resources={"cpu": 200, "memory": 2, "storage": 2, "energy": 200}),
-            service_dict(service_id="svc-combo", name="combo pipeline", functionality_tag="combo",
-                         price=2000, dependencies=["svc-a", "svc-b"],
-                         min_resources={"cpu": 100, "memory": 1, "storage": 1, "energy": 100}),
-        ],
-        hosts=[
-            {"count": 1, "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
-             "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
-             "greediness": "random", "failure_prob": 0.0,
-             "departure_rate": 0.0},
-            {"count": 1, "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
-             "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
-             "greediness": "min_energy", "failure_prob": dep_b_failure,
-             "departure_rate": 0.0},
-        ],
-        requesters=[{"count": 1, "demand_rate": 4, "query_pool": ["combo"]}],
-        aggregators=[{
-            "count": 1, "composite_service_id": "svc-combo",
-            "capacity": {"cpu": 512, "memory": 8, "storage": 8, "energy": 300},
-            "battery_mwh": 10**6, "platform_os": "Android", "platform_version": "4.0",
-            "failure_prob": 0.0, "parallel_dependencies": parallel,
-        }],
-    )
 
 
 class TestAggregation:

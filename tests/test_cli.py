@@ -16,6 +16,25 @@ def write_scenario(tmp_path: Path, data: dict, name: str = "scenario.json") -> P
     return path
 
 
+@pytest.mark.parametrize("command", ["run", "compare", "snapshot"])
+class TestScenarioLoading:
+    """Every command that runs a scenario reports a bad one the same way."""
+
+    def test_missing_file_is_named_and_exits_one(self, command, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        assert main(["--no-banner", command, str(absent)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: scenario file not found: {absent}\n"
+
+    def test_each_diagnostic_is_printed_and_exits_one(self, command, tmp_path, capsys):
+        data = scenario_dict()
+        data["duration_hours"] = -2
+        data["seed"] = -1
+        path = write_scenario(tmp_path, data)
+        assert main(["--no-banner", command, str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("error: /") for line in err)
+
+
 class TestRun:
     def test_bundled_scenario_smoke(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,10 +1,17 @@
 """Engine determinism, causality, baseline comparison, trace checking."""
+from dataclasses import fields
+
 import pytest
 
 from conftest import scenario_dict, service_dict
+from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
 from momcc.engine import CLOUD_HOST_ID, percentile, run_scenario
+from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from momcc.scenario import (
+    MODE_MARKETPLACE,
     MODE_WAN_CLOUD,
+    SCENARIO_SCHEMA,
+    LatencyModel,
     ScenarioValidationError,
     scenario_from_dict,
 )
@@ -318,6 +325,47 @@ class TestSubstitutionInFlight:
         by_host = {a.host_id: a for a in result.host_assessments}
         if by_host["host-000"].assessed and by_host["host-001"].assessed:
             assert by_host["host-000"].score < by_host["host-001"].score
+
+
+def field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+def schema_keys(schema: dict) -> set[str]:
+    return set(schema["properties"])
+
+
+class TestScenarioDefaults:
+    def test_schema_sections_name_only_config_fields(self):
+        """Sections are built by field name, so every key must be a field."""
+        doc = SCENARIO_SCHEMA["properties"]
+        assert schema_keys(doc["hosts"]["items"]) - {"count"} == field_names(HostAgentConfig)
+        assert schema_keys(doc["requesters"]["items"]) - {"count"} == field_names(RequesterAgentConfig)
+        assert schema_keys(doc["aggregators"]["items"]) - {"count"} == field_names(AggregatorConfig)
+        assert schema_keys(doc["latency"]) == field_names(LatencyModel)
+        policies = doc["policies"]["properties"]
+        assert schema_keys(policies["trust"]) <= field_names(TrustPolicy)
+        assert schema_keys(policies["profiler"]) - {"sweep_interval_hours"} == field_names(ProfilerPolicy)
+        own = schema_keys(policies["registry"]) | schema_keys(policies["billing"]) | {"assessment_weights"}
+        assert own <= field_names(GovernorConfig)
+
+    def test_omitted_keys_take_the_dataclass_defaults(self):
+        data = scenario_dict(
+            hosts=[{"count": 1, "capacity": {"cpu": 2048, "memory": 32, "storage": 64, "energy": 1500},
+                    "battery_mwh": 20000, "platform_os": "Android", "platform_version": "4.0"}],
+            requesters=[{"count": 1, "demand_rate": 10, "query_pool": ["image"]}],
+        )
+        del data["baseline_mode"]
+        scenario = scenario_from_dict(data)
+        assert scenario.baseline_mode == MODE_MARKETPLACE
+        assert scenario.latency == LatencyModel()
+        assert scenario.exec_ms == (5.0, 25.0)
+        assert scenario.sweep_interval_hours == 1.0
+        assert scenario.governor_config == GovernorConfig()
+        host = scenario.hosts[0].config
+        assert (host.greediness, host.departure_rate, host.failure_prob, host.identity_verified) == (
+            "max_revenue", 0.0, 0.0, False)
+        assert scenario.requesters[0].config == RequesterAgentConfig(10, ("image",))
 
 
 class TestPolicyPlumbing:

@@ -1,8 +1,9 @@
 """Output bytes pinned across code changes, and the shared reply dicts.
 
 The digests are those of the bundled scenarios' outputs (`momcc run`
-files and the `momcc snapshot` state file) at earlier commits; a change
-that moves any of them changes what a run computes or writes.
+files and the `momcc snapshot` state file), and of one parallel
+composite run, at earlier commits; a change that moves any of them
+changes what a run computes or writes.
 """
 import hashlib
 from dataclasses import asdict
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from momcc.cli import EXIT_OK, main
+from conftest import composite_scenario
+from momcc.cli import EXIT_OK, _write_outputs, main
 from momcc.engine import run_scenario
 from momcc.governor.registry import service_to_dict
-from momcc.scenario import load_scenario
+from momcc.scenario import load_scenario, scenario_from_dict
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -32,6 +34,13 @@ GOLDEN = {
         "ledger.csv": "263d10d365ad62e878bcfaf711936281816eaff06596581cb228fc7ff5330ef1",
         "state.json": "84b6cc753575590074b6ba69d6db0be4e219175e1eb2db18b8a00f5e2b50cfa9",
     },
+}
+
+# The bundled composite runs its dependencies one at a time; this run
+# fans them out, and its svc-b host fails half of its invocations.
+PARALLEL_COMPOSITE = {
+    "metrics.json": "e358868c6d998bc98b3f27ebc1a6433464c06319cf08a41a830526b8b49a067d",
+    "trace.log": "1f3443e9e527cb11b0f85b0ba47a3626140c1a78a2cf7aeab1064525651d997b",
 }
 
 
@@ -61,6 +70,13 @@ def test_bundled_scenario_outputs_match_pinned_digests(name, tmp_path, capsys):
     state = str(tmp_path / "state.json")
     assert main(["snapshot", str(SCENARIOS / name), "--out", state]) == EXIT_OK
     for filename, digest in GOLDEN[name].items():
+        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+
+
+def test_parallel_composite_outputs_match_pinned_digests(tmp_path):
+    scenario = scenario_from_dict(composite_scenario(parallel=True, dep_b_failure=0.5))
+    _write_outputs(run_scenario(scenario), tmp_path)
+    for filename, digest in PARALLEL_COMPOSITE.items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
 
 

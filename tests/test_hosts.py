@@ -249,6 +249,19 @@ class TestIngestReport:
         governor.ingest_report(make_report(energy=500))
         assert governor.hosts.get_host("host-a").battery_mwh == 19500
 
+    def test_report_from_host_without_certificate_changes_nothing(self, governor):
+        report = make_report(report_id="rpt-early")
+        with pytest.raises(UnknownEntityError):
+            governor.ingest_report(report)
+        assert governor.host_db.reports == []
+        assert governor.host_db.seen_report_ids == set()
+        profile = governor.hosts.get_host("host-a")
+        assert (profile.attempts, profile.battery_mwh) == (0, 20000)
+        # Once the host holds a certificate, the same report is taken.
+        governor.request_hosting("host-a", "svc-resize")
+        assert governor.ingest_report(report) is True
+        assert governor.hosts.get_host("host-a").attempts == 1
+
 
 class TestAssessHosts:
     def test_perfect_history_scores_one(self, governor):
