@@ -7,11 +7,13 @@ own seeded stream, so one agent's behavior does not depend on how many
 others are in the scenario.
 
 Hosts and aggregators are both Service hosts: devices that run a Service
-for pay. They share one device model (`DeviceAgent`): one battery, one
-execution step that draws energy, duration and faults, and one builder
-for the invoke result and the execution report the governor meters.
-An aggregator is a device whose one Service is a composite: it consumes
-the dependencies like a requester before running its own step.
+for pay. They share one device model (`DeviceAgent`): one battery, the
+services it hosts, one execution step that draws energy, duration and
+faults, one builder for the invoke result and the execution report the
+governor meters, and one way to leave (churn, or a battery that no
+hosted service can run on). An aggregator is a device whose one Service
+is a composite: it consumes the dependencies like a requester before
+running its own step.
 """
 from __future__ import annotations
 
@@ -149,6 +151,21 @@ class DeviceAgent:
         self.exec_ms = exec_ms
         self.alive = True
         self.battery = config.battery_mwh
+        self.hosted: dict[str, ServiceDescription] = {}
+
+    def depart(self) -> list[str]:
+        """Leave the pool; returns the service ids that must be unhosted."""
+        self.alive = False
+        released = sorted(self.hosted)
+        self.hosted.clear()
+        return released
+
+    @property
+    def battery_exhausted(self) -> bool:
+        """No hosted service can run on the remaining charge."""
+        if not self.hosted:
+            return False
+        return self.battery < min(d.min_resources.energy for d in self.hosted.values())
 
     def _execute(self, desc: ServiceDescription) -> tuple[Outcome, int, float]:
         """Run one invocation of `desc`: (outcome, energy used, duration ms).
@@ -201,9 +218,8 @@ class HostAgent(DeviceAgent):
     """A mobile device leasing its resources: browse, host, execute, churn."""
 
     def __init__(self, agent_id: str, config: HostAgentConfig, rng: random.Random,
-                 next_id, exec_ms: tuple[float, float] = (5.0, 25.0)):
+                 next_id, exec_ms: tuple[float, float]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
-        self.hosted: dict[str, ServiceDescription] = {}
         self.free = config.capacity
         self._pending: dict[str, ServiceDescription] = {}
 
@@ -226,21 +242,6 @@ class HostAgent(DeviceAgent):
             return None
         per_ms = self.config.departure_rate / 3_600_000.0
         return self.rng.expovariate(per_ms)
-
-    def depart(self) -> list[str]:
-        """Leave the pool; returns the service ids that must be unhosted."""
-        self.alive = False
-        released = sorted(self.hosted)
-        self.hosted.clear()
-        self.free = self.config.capacity
-        return released
-
-    @property
-    def battery_exhausted(self) -> bool:
-        """No hosted service can run on the remaining charge."""
-        if not self.hosted:
-            return False
-        return self.battery < min(d.min_resources.energy for d in self.hosted.values())
 
     # -- message handling -------------------------------------------------
 
@@ -356,12 +357,13 @@ class AggregatorAgent(DeviceAgent):
     """
 
     def __init__(self, agent_id: str, config: AggregatorConfig, rng: random.Random,
-                 next_id, pseudonym: str, dependency_names: dict[str, str],
-                 exec_ms: tuple[float, float] = (5.0, 25.0)):
+                 next_id, exec_ms: tuple[float, float], composite: ServiceDescription,
+                 pseudonym: str, dependency_names: dict[str, str]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
+        self.composite = composite
+        self.hosted[composite.service_id] = composite
         self.pseudonym = pseudonym
         self.dependency_names = dependency_names
-        self.composite: ServiceDescription | None = None
         # In-flight correlation -> (call, dependency id it concerns).
         self._calls: dict[str, tuple[_CompositeCall, str]] = {}
 
@@ -379,12 +381,9 @@ class AggregatorAgent(DeviceAgent):
             return self._on_dep_result(msg, now)
         return []
 
-    def attach_composite(self, desc: ServiceDescription) -> None:
-        self.composite = desc
-
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
-        if self.composite is None or service_id != self.composite.service_id:
+        if service_id != self.composite.service_id:
             reply = _invoke_result(msg.correlation_id, service_id, Outcome.failure("not_hosted"))
             return [Outbound(to=sender, latency_class="wlan", message=reply)]
         deps = self.composite.dependencies

@@ -27,16 +27,9 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-from .agents import (
-    AggregatorAgent,
-    AggregatorConfig,
-    DeviceAgent,
-    HostAgent,
-    HostAgentConfig,
-    RequesterAgent,
-)
+from .agents import AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent
 from .domain import ResourceVector
 from .governor import ServiceGovernor
 from .governor.endpoint import GovernorEndpoint
@@ -200,8 +193,7 @@ class Simulation:
         self.invocations_failed = 0
         self.sweep_actions: list[dict] = []
         self.host_assessments: list = []  # latest periodic efficiency scores
-        self.hosts: dict[str, HostAgent] = {}
-        self.aggregators: dict[str, AggregatorAgent] = {}
+        self.devices: dict[str, DeviceAgent] = {}  # hosts, aggregators, the cloud host
         self.requesters: dict[str, RequesterAgent] = {}
         self._setup()
 
@@ -237,99 +229,66 @@ class Simulation:
         if wan_mode:
             self._setup_cloud()
         else:
-            index = 0
-            for entry in sc.hosts:
-                for _ in range(entry.count):
-                    agent_id = f"host-{index:03d}"
-                    index += 1
-                    config: HostAgentConfig = entry.config
-                    agent = HostAgent(
-                        agent_id,
-                        config,
-                        random.Random(f"{sc.seed}/host/{agent_id}"),
-                        self.next_id,
-                        exec_ms=sc.exec_ms,
-                    )
-                    self.hosts[agent_id] = agent
-                    self.governor.hosts.register_host(
-                        agent_id, config.platform_os, config.platform_version,
-                        config.capacity, config.battery_mwh,
-                    )
-                    self._schedule(0.0, self._on_join, agent_id)
-                    delay = agent.next_departure_delay_ms()
-                    if delay is not None:
-                        self._schedule(delay, self._on_depart, agent_id)
-
-            index = 0
-            for entry in sc.aggregators:
-                for _ in range(entry.count):
-                    agent_id = f"agg-{index:03d}"
-                    index += 1
-                    config: AggregatorConfig = entry.config
-                    composite = next(
-                        d for d in sc.services if d.service_id == config.composite_service_id
-                    )
-                    dep_names = {
-                        d.service_id: d.name for d in sc.services
-                        if d.service_id in composite.dependencies
-                    }
-                    agent = AggregatorAgent(
-                        agent_id,
-                        config,
-                        random.Random(f"{sc.seed}/agg/{agent_id}"),
-                        self.next_id,
-                        pseudonym=self._pseudonym(taken_pseudonyms),
-                        dependency_names=dep_names,
-                        exec_ms=sc.exec_ms,
-                    )
-                    agent.attach_composite(composite)
-                    self.aggregators[agent_id] = agent
-                    self.governor.hosts.register_host(
-                        agent_id, config.platform_os, config.platform_version,
-                        config.capacity, config.battery_mwh,
-                    )
-                    self._schedule(0.0, self._on_join, agent_id)
-
-        index = 0
-        for entry in sc.requesters:
-            for _ in range(entry.count):
-                agent_id = f"req-{index:03d}"
-                index += 1
-                agent = RequesterAgent(
-                    agent_id,
-                    entry.config,
-                    random.Random(f"{sc.seed}/req/{agent_id}"),
-                    self.next_id,
-                    pseudonym=self._pseudonym(taken_pseudonyms),
-                )
-                self.requesters[agent_id] = agent
-                delay = agent.next_demand_delay_ms()
+            for agent_id, config, rng in self._population("host", sc.hosts):
+                agent = HostAgent(agent_id, config, rng, self.next_id, sc.exec_ms)
+                self._add_device(agent)
+                delay = agent.next_departure_delay_ms()
                 if delay is not None:
-                    self._schedule(delay, self._on_demand, agent_id)
+                    self._schedule(delay, self._on_depart, agent_id)
+
+            services = {d.service_id: d for d in sc.services}
+            for agent_id, config, rng in self._population("agg", sc.aggregators):
+                composite = services[config.composite_service_id]
+                self._add_device(AggregatorAgent(
+                    agent_id, config, rng, self.next_id, sc.exec_ms, composite,
+                    pseudonym=self._pseudonym(taken_pseudonyms),
+                    dependency_names={dep: services[dep].name for dep in composite.dependencies},
+                ))
+
+        for agent_id, config, rng in self._population("req", sc.requesters):
+            agent = RequesterAgent(agent_id, config, rng, self.next_id,
+                                   pseudonym=self._pseudonym(taken_pseudonyms))
+            self.requesters[agent_id] = agent
+            delay = agent.next_demand_delay_ms()
+            if delay is not None:
+                self._schedule(delay, self._on_demand, agent_id)
 
         sweep_ms = sc.sweep_interval_hours * 3_600_000.0
         if not wan_mode:
             self._schedule(sweep_ms, self._on_sweep, sweep_ms)
 
+    def _population(self, prefix: str, entries) -> Iterator[tuple[str, Any, random.Random]]:
+        """(agent id, config, random stream) of each member of a population,
+        numbered from 0 across its entries."""
+        configs = [entry.config for entry in entries for _ in range(entry.count)]
+        for index, config in enumerate(configs):
+            agent_id = f"{prefix}-{index:03d}"
+            yield agent_id, config, random.Random(f"{self.scenario.seed}/{prefix}/{agent_id}")
+
+    def _add_device(self, agent: DeviceAgent, joins: bool = True) -> None:
+        """Register a device with the governor and schedule its join."""
+        config = agent.config
+        self.devices[agent.agent_id] = agent
+        self.governor.hosts.register_host(
+            agent.agent_id, config.platform_os, config.platform_version,
+            config.capacity, config.battery_mwh,
+        )
+        if joins:
+            self._schedule(0.0, self._on_join, agent.agent_id)
+
     def _setup_cloud(self) -> None:
+        """The WAN baseline's one always-on host: placed on every service
+        administratively, so it never joins or browses."""
         sc = self.scenario
         config = HostAgentConfig(
             capacity=_CLOUD_CAPACITY,
             battery_mwh=_CLOUD_BATTERY,
             platform_os="cloud",
             platform_version="1",
-            greediness="max_revenue",
-            departure_rate=0.0,
-            failure_prob=0.0,
         )
-        agent = HostAgent(
-            CLOUD_HOST_ID, config,
-            random.Random(f"{sc.seed}/cloud"), self.next_id, exec_ms=sc.exec_ms,
-        )
-        self.hosts[CLOUD_HOST_ID] = agent
-        self.governor.hosts.register_host(
-            CLOUD_HOST_ID, "cloud", "1", _CLOUD_CAPACITY, _CLOUD_BATTERY
-        )
+        agent = HostAgent(CLOUD_HOST_ID, config, random.Random(f"{sc.seed}/cloud"),
+                          self.next_id, sc.exec_ms)
+        self._add_device(agent, joins=False)
         service_ids = [d.service_id for d in sc.services]
         self.governor.preprovision_host(CLOUD_HOST_ID, service_ids, identity_verified=True)
         for desc in sc.services:
@@ -382,8 +341,8 @@ class Simulation:
         )
 
     def _on_join(self, agent_id: str) -> None:
-        agent = self.hosts.get(agent_id) or self.aggregators.get(agent_id)
-        if agent is None or not agent.alive:
+        agent = self.devices[agent_id]
+        if not agent.alive:
             return
         for outbound in agent.join(self.now):
             self._send(agent_id, outbound)
@@ -397,8 +356,8 @@ class Simulation:
             self._schedule(self.now + delay, self._on_demand, agent_id)
 
     def _on_depart(self, agent_id: str) -> None:
-        agent = self.hosts.get(agent_id)
-        if agent is None or not agent.alive:
+        agent = self.devices[agent_id]
+        if not agent.alive:
             return
         agent.depart()
         self.governor.hosts.mark_departed(agent_id)
@@ -432,20 +391,17 @@ class Simulation:
                 self._send(GOVERNOR_ID, outbound)
             return
 
-        agent = (
-            self.hosts.get(recipient)
-            or self.aggregators.get(recipient)
-            or self.requesters.get(recipient)
-        )
+        agent = self.devices.get(recipient) or self.requesters.get(recipient)
         if agent is None:
             return
-        if isinstance(agent, DeviceAgent) and not agent.alive:
+        device = isinstance(agent, DeviceAgent)
+        if device and not agent.alive:
             if msg.kind == MessageKind.INVOKE:
                 self._bounce_invoke(record)
             return
         for outbound in agent.handle(msg, record.sender, self.now):
             self._send(recipient, outbound)
-        if isinstance(agent, HostAgent) and agent.alive and agent.battery_exhausted:
+        if device and agent.alive and agent.battery_exhausted:
             self._on_depart(recipient)
 
     def _bounce_invoke(self, record: TraceRecord) -> None:

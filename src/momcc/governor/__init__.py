@@ -55,10 +55,9 @@ class ServiceGovernor:
             governor_commission=self.config.governor_commission, lock=self.lock
         )
         self.registry = ServiceRegistry(
+            billing=self.billing,
             footprint_ceiling=self.config.footprint_ceiling,
-            developer_check=self.billing.developer_registered,
             host_provider=self._live_hosts_for,
-            governor_commission=self.config.governor_commission,
             lock=self.lock,
         )
         self.security = SecurityGovernor(
@@ -92,17 +91,22 @@ class ServiceGovernor:
             decision = self.hosts.request_hosting(
                 host_id, service_id, identity_verified=identity_verified, at=at
             )
-            if decision.confirmed and self.billing.agreement_for(service_id) is None:
-                desc = self.registry.get(service_id)
-                self.billing.negotiate_host(
-                    host_id=host_id,
-                    service_id=service_id,
-                    min_share=min_share,
-                    developer_id=desc.developer_id,
-                    price=desc.price_per_invocation,
-                    developer_share=desc.developer_share,
-                )
+            if decision.confirmed:
+                self._settle_agreement(host_id, service_id, min_share)
             return decision
+
+    def _settle_agreement(self, host_id: str, service_id: str, min_share: float = 0.0) -> None:
+        """Settle a service's split on its first placement; later hosts take the same one."""
+        if self.billing.agreement_for(service_id) is None:
+            desc = self.registry.get(service_id)
+            self.billing.negotiate_host(
+                host_id=host_id,
+                service_id=service_id,
+                min_share=min_share,
+                developer_id=desc.developer_id,
+                price=desc.price_per_invocation,
+                developer_share=desc.developer_share,
+            )
 
     def ingest_report(self, report: ExecutionReport) -> bool:
         return self.hosts.ingest_report(report)
@@ -131,31 +135,15 @@ class ServiceGovernor:
         marketplace path never uses it. Services the host already holds
         are left as they are.
         """
-        from dataclasses import replace
-
         with self.lock:
-            profile = self.hosts.get_host(host_id)
-            if profile.certificate is None:
+            if self.host_db.get(host_id).certificate is None:
                 self.security.issue_certificate(host_id, identity_verified, at=at)
             for service_id in service_ids:
                 desc = self.registry.get(service_id)
-                profile = self.hosts.get_host(host_id)
-                if service_id in profile.hosted:
+                if service_id in self.host_db.get(host_id).hosted:
                     continue
-                self.host_db.put_hosting(replace(
-                    profile,
-                    committed=profile.committed.plus(desc.min_resources),
-                    hosted=profile.hosted | {service_id},
-                ))
-                if self.billing.agreement_for(service_id) is None:
-                    self.billing.negotiate_host(
-                        host_id=host_id,
-                        service_id=service_id,
-                        min_share=0.0,
-                        developer_id=desc.developer_id,
-                        price=desc.price_per_invocation,
-                        developer_share=desc.developer_share,
-                    )
+                self.hosts.place(host_id, desc)
+                self._settle_agreement(host_id, service_id)
 
     # -- invariants (used by tests and the stress harness) -----------------
 

@@ -113,14 +113,15 @@ class BillingUnit:
         with self._lock:
             return developer_id in self._developers
 
+    def host_share(self, developer_share: float) -> Fraction:
+        """Exact 1 - developer_share - commission; negative when those exceed 1."""
+        return 1 - _frac(developer_share) - _frac(self.governor_commission)
+
     def negotiate_host(self, host_id: str, service_id: str, min_share: float,
                        developer_id: str, price: int, developer_share: float) -> Agreement:
-        """Offer a host the remainder share for a service.
-
-        The remainder is 1 - developer_share - commission; the host takes
-        it or leaves it (rejection if below its min_share).
-        """
-        remainder = 1 - _frac(developer_share) - _frac(self.governor_commission)
+        """Offer a host the remainder share for a service; the host takes
+        it or leaves it (rejection if below its min_share)."""
+        remainder = self.host_share(developer_share)
         if remainder < 0:
             raise NegotiationRejected(
                 f"service {service_id!r} leaves a negative host share"

@@ -17,6 +17,7 @@ from ..domain import (
     ExecutionReport,
     HostProfile,
     ResourceVector,
+    ServiceDescription,
     ZERO_RESOURCES,
     level_admits,
 )
@@ -108,10 +109,7 @@ class HostRegistry:
 
     def get_host(self, host_id: str) -> HostProfile:
         with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {host_id!r}")
-            return profile
+            return self.host_db.get(host_id)
 
     # -- allocation -------------------------------------------------------
 
@@ -124,9 +122,7 @@ class HostRegistry:
         untouched.
         """
         with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {host_id!r}")
+            profile = self.host_db.get(host_id)
             desc = self.registry.get(service_id)
             trace: list[MessageKind] = [MessageKind.HOSTING_REQUEST]
 
@@ -153,12 +149,7 @@ class HostRegistry:
                 return self._deny(profile, desc, trace, "security")
 
             trace.append(MessageKind.ALLOCATION_CONFIRM)
-            profile = self.host_db.hosts[host_id]  # certificate may have been attached
-            self.host_db.put_hosting(replace(
-                profile,
-                committed=profile.committed.plus(desc.min_resources),
-                hosted=profile.hosted | {service_id},
-            ))
+            self.place(host_id, desc)
             decision = AllocationDecision(
                 host_id=host_id,
                 service_id=service_id,
@@ -186,12 +177,20 @@ class HostRegistry:
             return self.trace_filter(trace)
         return trace
 
+    def place(self, host_id: str, desc: ServiceDescription) -> None:
+        """Reserve a service's resources on a host and add it to `hosted`; no checks."""
+        with self._lock:
+            profile = self.host_db.get(host_id)
+            self.host_db.put_hosting(replace(
+                profile,
+                committed=profile.committed.plus(desc.min_resources),
+                hosted=profile.hosted | {desc.service_id},
+            ))
+
     def unhost(self, host_id: str, service_id: str) -> None:
         """Release a hosted service and return its reserved resources."""
         with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {host_id!r}")
+            profile = self.host_db.get(host_id)
             if service_id not in profile.hosted:
                 raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
             desc = self.registry.get(service_id)
@@ -204,9 +203,7 @@ class HostRegistry:
     def mark_departed(self, host_id: str) -> None:
         """Churn exit: the host stops serving and all its services free up."""
         with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {host_id!r}")
+            profile = self.host_db.get(host_id)
             for service_id in list(profile.hosted):
                 self.unhost(host_id, service_id)
             profile = self.host_db.hosts[host_id]
@@ -244,9 +241,7 @@ class HostRegistry:
         with self._lock:
             if report.report_id in self.host_db.seen_report_ids:
                 return False
-            profile = self.host_db.hosts.get(report.host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {report.host_id!r}")
+            profile = self.host_db.get(report.host_id)
             if not self.registry.is_known(report.service_id):
                 raise UnknownEntityError(f"unknown service: {report.service_id!r}")
             if profile.certificate is None:

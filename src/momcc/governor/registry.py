@@ -1,27 +1,30 @@
 """Service registry: the public service repository and discovery point.
 
-Registration vets each service (malware-scan attestation, footprint
-ceiling, dependency acyclicity, registered developer) before it becomes
-Active. Discovery answers requesters with developer identity stripped,
-pairing each match with the live hosts currently running it; hosts
-browse the full descriptions instead, filtered to what they can run.
+Registration vets each service (developer registered with billing,
+malware-scan attestation, footprint ceiling, dependency acyclicity)
+before it becomes Active. Discovery answers requesters with developer
+identity stripped, pairing each match with the live hosts currently
+running it; hosts browse the full descriptions instead, filtered to
+what they can run.
 
 Descriptions never change after registration, so everything derived
 from one (its listing, its two reply encodings, its host revenue) is
-built once, on first use, and kept in the service database. The reply
-encodings are shared by every reply that carries them: readers must
-never mutate them.
+built once, on first use, and kept in the service database. Host
+revenue is the price times billing's host share, so listings rank by
+the split billing settles. The reply encodings are shared by every
+reply that carries them: readers must never mutate them.
 """
 from __future__ import annotations
 
 import threading
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable
 
 from ..domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
 from ..errors import RegistrationRejected, UnknownEntityError
+from .billing import BillingUnit
 
 DEFAULT_FOOTPRINT_CEILING = ResourceVector(cpu=1024, memory=64, storage=64, energy=1000)
 
@@ -97,21 +100,9 @@ def _listing_of(desc: ServiceDescription) -> ServiceListing:
 
 
 def listing_to_dict(listing: ServiceListing) -> dict:
-    return {
-        "service_id": listing.service_id,
-        "name": listing.name,
-        "description": listing.description,
-        "functionality_tag": listing.functionality_tag,
-        "input_spec": listing.input_spec,
-        "output_spec": listing.output_spec,
-        "binding_method": listing.binding_method,
-        "security_level": listing.security_level,
-        "platform_os": listing.platform_os,
-        "platform_min_version": listing.platform_min_version,
-        "min_resources": listing.min_resources.as_dict(),
-        "price_per_invocation": listing.price_per_invocation,
-        "dependencies": list(listing.dependencies),
-    }
+    encoded = asdict(listing)
+    encoded["dependencies"] = list(listing.dependencies)
+    return encoded
 
 
 class ServiceRegistry:
@@ -119,39 +110,34 @@ class ServiceRegistry:
 
     def __init__(
         self,
+        billing: BillingUnit,
         footprint_ceiling: ResourceVector = DEFAULT_FOOTPRINT_CEILING,
-        scanner: Callable[[ServiceDescription], bool] | None = None,
-        developer_check: Callable[[str], bool] | None = None,
         host_provider: Callable[[str], list[str]] | None = None,
-        governor_commission: float = 0.0,
         lock: threading.RLock | None = None,
     ):
         self.db = ServiceDatabase()
         self.footprint_ceiling = footprint_ceiling
-        # Pluggable malware-scan hook; the default attests everything.
-        self._scanner = scanner or (lambda desc: True)
-        self._developer_check = developer_check
+        self._billing = billing
         self._host_provider = host_provider or (lambda service_id: [])
-        self._governor_commission = governor_commission
         self._lock = lock or threading.RLock()
 
     # -- registration ---------------------------------------------------
 
-    def register_service(self, desc: ServiceDescription, scan_attestation: bool | None = None) -> str:
+    def register_service(self, desc: ServiceDescription, scan_attestation: bool = True) -> str:
         """Vet and store a service as Active.
 
-        Rejection reasons, in check order: developer, duplicate, scan,
-        footprint, cycle.
+        `scan_attestation` is the verdict of the malware scan the code
+        went through. Rejection reasons, in check order: developer,
+        duplicate, scan, footprint, cycle.
         """
         with self._lock:
-            if self._developer_check is not None and not self._developer_check(desc.developer_id):
+            if not self._billing.developer_registered(desc.developer_id):
                 raise RegistrationRejected(
                     "developer", f"developer {desc.developer_id!r} not registered with billing"
                 )
             if desc.service_id in self.db.services:
                 raise RegistrationRejected("duplicate", f"service id {desc.service_id!r} already registered")
-            attested = scan_attestation if scan_attestation is not None else self._scanner(desc)
-            if not attested:
+            if not scan_attestation:
                 raise RegistrationRejected("scan", f"service {desc.service_id!r} failed the code scan")
             if not self.footprint_ceiling.covers(desc.min_resources):
                 raise RegistrationRejected(
@@ -291,12 +277,10 @@ class ServiceRegistry:
             return candidates
 
     def _host_revenue(self, desc: ServiceDescription) -> int:
-        """Expected per-invocation host earnings: price x remainder share."""
+        """Expected per-invocation host earnings: price x host share."""
         revenue = self.db.host_revenue.get(desc.service_id)
         if revenue is None:
-            from .billing import _frac  # local import to keep modules decoupled
-
-            share = 1 - _frac(desc.developer_share) - _frac(self._governor_commission)
+            share = self._billing.host_share(desc.developer_share)
             revenue = int(share * desc.price_per_invocation) if share > 0 else 0
             self.db.host_revenue[desc.service_id] = revenue
         return revenue

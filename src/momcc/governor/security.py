@@ -107,9 +107,7 @@ class SecurityGovernor:
         level jump.
         """
         with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            if profile is None:
-                raise UnknownEntityError(f"unknown host: {host_id!r}")
+            profile = self.host_db.get(host_id)
             if profile.certificate is not None:
                 raise CertificateExistsError(f"host {host_id!r} already holds a certificate")
             score = min(1.0, self.policy.verified_bonus) if identity_verified else 0.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..domain import ExecutionReport, HostProfile
+from ..errors import UnknownEntityError
 
 
 @dataclass
@@ -23,6 +24,12 @@ class HostDatabase:
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
     hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
+
+    def get(self, host_id: str) -> HostProfile:
+        profile = self.hosts.get(host_id)
+        if profile is None:
+            raise UnknownEntityError(f"unknown host: {host_id!r}")
+        return profile
 
     def put_hosting(self, profile: HostProfile) -> None:
         """Store a profile whose `hosted` set may differ from the stored one."""

@@ -3,7 +3,8 @@
 The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
 serialization of the payload. Restores verify the digest before
-touching anything, so a truncated or edited file fails loudly.
+touching anything, so a truncated or edited file fails loudly; so does
+a payload the decoders reject.
 """
 from __future__ import annotations
 
@@ -59,11 +60,18 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
         raise SnapshotIntegrityError("checksum mismatch: snapshot is corrupt or was edited")
 
     governor = ServiceGovernor(config)
-    with governor.lock:
-        governor.registry.restore_state(payload["registry"])
-        governor.hosts.restore_state(payload["hosts"])
-        governor.billing.restore_state(payload["billing"])
-        governor.profiler.restore_state(payload["profiler"])
+    try:
+        with governor.lock:
+            governor.registry.restore_state(payload["registry"])
+            governor.hosts.restore_state(payload["hosts"])
+            governor.billing.restore_state(payload["billing"])
+            governor.profiler.restore_state(payload["profiler"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A matching checksum does not make a payload well formed: the
+        # decoders reject missing keys and values of the wrong shape.
+        raise SnapshotIntegrityError(
+            f"snapshot payload does not decode: {type(exc).__name__}: {exc}"
+        ) from None
     return governor
 
 

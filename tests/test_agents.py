@@ -11,7 +11,7 @@ from momcc.agents import (
 )
 from momcc.domain import ResourceVector
 from momcc.engine import run_scenario
-from momcc.scenario import scenario_from_dict
+from momcc.scenario import Scenario, scenario_from_dict
 from momcc.wire import MessageKind, ProtocolMessage, Role
 
 
@@ -19,6 +19,8 @@ def ids(prefix="t"):
     counter = iter(range(1, 10_000))
     return lambda p: f"{p}-{next(counter):04d}"
 
+
+EXEC_MS = Scenario.exec_ms  # the scenario default the engine passes
 
 HOST_CONFIG = HostAgentConfig(
     capacity=ResourceVector(2048, 32, 64, 2000),
@@ -95,7 +97,7 @@ class TestHostExecution:
             platform_version="4.0",
             failure_prob=0.0,
         )
-        agent = HostAgent("host-000", config, random.Random("x"), ids())
+        agent = HostAgent("host-000", config, random.Random("x"), ids(), EXEC_MS)
         agent.hosted["svc-resize"] = make_service()  # needs 500 mWh
         return agent
 
@@ -272,3 +274,18 @@ class TestAggregation:
         # Each composite invocation produced exactly one (failed) report.
         assert len({r.report_id for r in combo_reports}) == len(combo_reports)
         assert result.governor.check_invariants() == []
+
+    def test_drained_aggregator_retires_like_a_drained_host(self):
+        """Two composite steps fit in the battery; then the aggregator
+        leaves instead of staying ranked and paying for dependencies
+        whose composite can no longer run."""
+        data = composite_scenario()
+        data["aggregators"][0]["battery_mwh"] = 250  # the composite step needs 100
+        data["requesters"][0]["demand_rate"] = 20
+        result = run_scenario(scenario_from_dict(data))
+        governor = result.governor
+        agg_reports = [r for r in governor.host_db.reports if r.host_id == "agg-000"]
+        assert [r.outcome.reason for r in agg_reports] == [None, None]
+        assert governor.hosts.live_hosts_ranked("svc-combo") == []
+        assert not governor.host_db.hosts["agg-000"].alive
+        assert governor.check_invariants() == []

@@ -1,4 +1,5 @@
 """CLI exit codes, output files, and diffable determinism."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -180,6 +181,21 @@ class TestSnapshotRestore:
         main(["--no-banner", "snapshot", str(scenario), "--out", str(state)])
         state.write_bytes(state.read_bytes()[:100])
         assert main(["--no-banner", "restore", str(state)]) == EXIT_INVALID
+
+    def test_payload_that_does_not_decode_is_integrity_error(self, tmp_path, capsys):
+        """A checksum-valid payload with a missing key is reported, not raised."""
+        scenario = write_scenario(tmp_path, scenario_dict(seed=2, duration_hours=0.5))
+        state = tmp_path / "state.json"
+        main(["--no-banner", "snapshot", str(scenario), "--out", str(state)])
+        snapshot = json.loads(state.read_text(encoding="utf-8"))
+        payload = snapshot["payload"]
+        del next(iter(payload["hosts"]["hosts"].values()))["alive"]
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        snapshot["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        state.write_text(json.dumps(snapshot), encoding="utf-8")
+        assert main(["--no-banner", "restore", str(state)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "alive" in err
 
     def test_restore_missing_file_exits_one(self, tmp_path):
         assert main(["--no-banner", "restore", str(tmp_path / "nope.json")]) == EXIT_INVALID

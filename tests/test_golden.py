@@ -1,12 +1,12 @@
 """Output bytes pinned across code changes, and the shared reply dicts.
 
 The digests are those of the bundled scenarios' outputs (`momcc run`
-files and the `momcc snapshot` state file), and of one parallel
-composite run, at earlier commits; a change that moves any of them
+files and the `momcc snapshot` state file) in both modes, and of one
+parallel composite run, at earlier commits; a change that moves any of them
 changes what a run computes or writes.
 """
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,8 @@ from conftest import composite_scenario
 from momcc.cli import EXIT_OK, _write_outputs, main
 from momcc.engine import run_scenario
 from momcc.governor.registry import service_to_dict
-from momcc.scenario import load_scenario, scenario_from_dict
+from momcc.scenario import MODE_WAN_CLOUD, load_scenario, scenario_from_dict
+from momcc.snapshot import write_snapshot
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -41,6 +42,23 @@ GOLDEN = {
 PARALLEL_COMPOSITE = {
     "metrics.json": "e358868c6d998bc98b3f27ebc1a6433464c06319cf08a41a830526b8b49a067d",
     "trace.log": "1f3443e9e527cb11b0f85b0ba47a3626140c1a78a2cf7aeab1064525651d997b",
+}
+
+# The bundled scenarios in the WAN baseline: one always-on cloud host,
+# placed on every service by `preprovision_host` instead of admission.
+WAN_CLOUD = {
+    "default.json": {
+        "metrics.json": "1f54937fc45018f528b6480349f52486d1148be6e7e5392e8ea319bd1a3786c0",
+        "trace.log": "9f4c62988a5162a053124f4d78ac4d123ab3cbc9624e4a7eb176be4ab183dec6",
+        "ledger.csv": "2d19e3dc935007b1329cb4803f8191b6799a583198ccfcad473db1380c1433c9",
+        "state.json": "40a7689bf5da0d06eccbd30e74aef37ba7b48aef74465b9da1a7593fdac043fe",
+    },
+    "composite.json": {
+        "metrics.json": "54ef533c86fe8bd644d97922b2995e766855b03db592945ec2499b7021d73713",
+        "trace.log": "43bd00c3e86785ba4aa9fedfd19f8305b45f136922e0bb13b82525e9f067f6ed",
+        "ledger.csv": "12375f566004995e3225fe7e4cdd54b51a09a78d73093471e191a3fe18f21701",
+        "state.json": "71147d9e5580acc3e4ae68e4473df4b75501a193ebcafef97cec0149520ec48b",
+    },
 }
 
 
@@ -77,6 +95,16 @@ def test_parallel_composite_outputs_match_pinned_digests(tmp_path):
     scenario = scenario_from_dict(composite_scenario(parallel=True, dep_b_failure=0.5))
     _write_outputs(run_scenario(scenario), tmp_path)
     for filename, digest in PARALLEL_COMPOSITE.items():
+        assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+
+
+@pytest.mark.parametrize("name", sorted(WAN_CLOUD))
+def test_wan_cloud_outputs_match_pinned_digests(name, tmp_path):
+    scenario = replace(load_scenario(SCENARIOS / name), baseline_mode=MODE_WAN_CLOUD)
+    result = run_scenario(scenario)
+    _write_outputs(result, tmp_path)
+    write_snapshot(tmp_path / "state.json", result.governor)
+    for filename, digest in WAN_CLOUD[name].items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
 
 

@@ -7,7 +7,17 @@ import pytest
 from conftest import governor_with, make_service
 from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel
 from momcc.errors import RegistrationRejected, UnknownEntityError
-from momcc.governor.registry import ServiceRegistry
+from momcc.governor.billing import BillingUnit
+from momcc.governor.registry import DEFAULT_FOOTPRINT_CEILING, ServiceRegistry
+
+
+def bare_registry(footprint_ceiling=DEFAULT_FOOTPRINT_CEILING,
+                  developers=("dev-alpha",)) -> ServiceRegistry:
+    """A registry alone, over a billing unit that knows `developers`."""
+    billing = BillingUnit()
+    for developer_id in developers:
+        billing.negotiate_developer(developer_id, 1000, 0.4)
+    return ServiceRegistry(billing, footprint_ceiling)
 
 
 def kahn_has_cycle(edges: dict) -> bool:
@@ -32,45 +42,39 @@ def kahn_has_cycle(edges: dict) -> bool:
 
 class TestRegistration:
     def test_reference_requirements_accepted_under_default_ceiling(self):
-        registry = ServiceRegistry(footprint_ceiling=ResourceVector(1024, 64, 64, 1000))
+        registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
         sid = registry.register_service(make_service())
         assert registry.is_active(sid)
 
     def test_memory_one_over_ceiling_rejected(self):
-        registry = ServiceRegistry(footprint_ceiling=ResourceVector(1024, 64, 64, 1000))
+        registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
         fat = make_service(service_id="svc-fat", min_resources=ResourceVector(512, 65, 5, 500))
         with pytest.raises(RegistrationRejected) as err:
             registry.register_service(fat)
         assert err.value.reason == "footprint"
 
     def test_duplicate_id_rejected(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         registry.register_service(make_service())
         with pytest.raises(RegistrationRejected) as err:
             registry.register_service(make_service())
         assert err.value.reason == "duplicate"
 
     def test_failed_scan_attestation_rejected(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         with pytest.raises(RegistrationRejected) as err:
             registry.register_service(make_service(), scan_attestation=False)
         assert err.value.reason == "scan"
 
-    def test_scanner_hook_consulted_when_no_explicit_attestation(self):
-        registry = ServiceRegistry(scanner=lambda desc: "evil" not in desc.name)
-        registry.register_service(make_service(service_id="ok"))
-        with pytest.raises(RegistrationRejected):
-            registry.register_service(make_service(service_id="bad", name="evil resize"))
-
     def test_unregistered_developer_rejected(self):
-        registry = ServiceRegistry(developer_check=lambda dev: dev == "dev-known")
+        registry = bare_registry(developers=("dev-known",))
         registry.register_service(make_service(service_id="a", developer_id="dev-known"))
         with pytest.raises(RegistrationRejected) as err:
             registry.register_service(make_service(service_id="b", developer_id="dev-ghost"))
         assert err.value.reason == "developer"
 
     def test_two_service_cycle_rejected(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         registry.register_service(make_service(service_id="A", dependencies=("B",)))
         with pytest.raises(RegistrationRejected) as err:
             registry.register_service(make_service(service_id="B", dependencies=("A",)))
@@ -85,7 +89,7 @@ class TestRegistration:
         for _ in range(300):
             n = rng.randint(1, 8)
             nodes = [f"s{i}" for i in range(n)]
-            registry = ServiceRegistry()
+            registry = bare_registry()
             accepted: dict[str, tuple[str, ...]] = {}
             for node in rng.sample(nodes, n):
                 deps = tuple(rng.sample(nodes, rng.randint(0, n - 1)))
@@ -100,12 +104,12 @@ class TestRegistration:
                     accepted[node] = deps
 
     def test_self_dependency_rejected(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         with pytest.raises(RegistrationRejected):
             registry.register_service(make_service(service_id="loop", dependencies=("loop",)))
 
     def test_forward_reference_to_unregistered_dependency_allowed(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         registry.register_service(make_service(service_id="top", dependencies=("leaf",)))
         registry.register_service(make_service(service_id="leaf"))
         assert registry.is_active("top")
@@ -273,7 +277,7 @@ class TestDeprecation:
         ) == []
 
     def test_deprecate_unknown_id_errors(self):
-        registry = ServiceRegistry()
+        registry = bare_registry()
         with pytest.raises(UnknownEntityError):
             registry.deprecate_service("svc-ghost", "x")
 

@@ -3,9 +3,11 @@ import json
 
 import pytest
 
-from conftest import scenario_dict
+from conftest import make_service, scenario_dict
+from momcc.domain import ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError
+from momcc.governor import GovernorConfig, ServiceGovernor
 from momcc.scenario import scenario_from_dict
 from momcc.snapshot import (
     load_governor,
@@ -51,6 +53,28 @@ class TestRoundTrip:
         write_snapshot(first, governor_after_run)
         write_snapshot(second, load_governor(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_restored_governor_lists_by_the_restored_commission(self):
+        """The registry ranks listings by the host share billing settles,
+        so both read the commission the snapshot carries."""
+        governor = ServiceGovernor(GovernorConfig(governor_commission=0.1))
+        for desc in (
+            make_service(service_id="a", developer_id="dev-a", price=1000, developer_share=0.85),
+            make_service(service_id="b", developer_id="dev-b", price=10, developer_share=0.0),
+        ):
+            governor.billing.negotiate_developer(
+                desc.developer_id, desc.price_per_invocation, desc.developer_share
+            )
+            governor.registry.register_service(desc)
+
+        def listed(gov):
+            offered = gov.registry.list_available_services(
+                ResourceVector(2048, 32, 64, 2000), "Android", "4.0"
+            )
+            return [desc.service_id for desc in offered]
+
+        assert listed(governor) == ["a", "b"]  # host earns 50 on a, 9 on b
+        assert listed(restore_governor(snapshot_governor(governor))) == ["a", "b"]
 
 
 class TestIntegrity:
