@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .domain import Outcome, ResourceVector, ServiceDescription
 from .governor.registry import service_from_dict
 from .wire import MessageKind, Outbound, ProtocolMessage, Role
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
+_RATINGS = (1, 2, 3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -296,6 +298,9 @@ class RequesterAgent:
         self.demand_events = 0
         self.unavailable_events = 0
         self._query_index = 0
+        # `choices(weights=...)` would accumulate the weights on every draw;
+        # these are the same sums, so the draws and the stream are unchanged.
+        self._rating_cum_weights = tuple(accumulate(config.rating_bias))
 
     def next_demand_delay_ms(self) -> float | None:
         if self.config.demand_rate <= 0:
@@ -329,7 +334,7 @@ class RequesterAgent:
             return []
         rating: int | None = None
         if self.rng.random() < self.config.rating_prob:
-            rating = self.rng.choices((1, 2, 3, 4, 5), weights=self.config.rating_bias)[0]
+            rating = self.rng.choices(_RATINGS, cum_weights=self._rating_cum_weights)[0]
         return [_rating(msg.correlation_id, msg.payload["service_id"], rating, self.pseudonym)]
 
 

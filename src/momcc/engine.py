@@ -22,6 +22,7 @@ differ in); execution time is tracked separately in reports.
 """
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -324,14 +325,26 @@ class Simulation:
     # -- the event loop -------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        deadline = self.scenario.duration_ms
-        while self._queue:
-            at, _, handler, arg = heapq.heappop(self._queue)
-            if at > deadline:
-                continue  # drains the queue; nothing fires past the horizon
-            self.now = at
-            handler(arg)
-        self.endpoint.flush()  # ratings still in flight at the horizon never arrive
+        # A run keeps almost everything it allocates (reports, profiles, trace
+        # records), so each pass of the cyclic collector rescans a heap that
+        # grows with the run. The event loop leaves no cyclic garbage, since
+        # reference counting frees everything it drops (tests/test_engine.py
+        # checks this), so those passes would find nothing. The collector is
+        # paused for the loop, and the caller's setting is restored.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            deadline = self.scenario.duration_ms
+            while self._queue:
+                at, _, handler, arg = heapq.heappop(self._queue)
+                if at > deadline:
+                    continue  # drains the queue; nothing fires past the horizon
+                self.now = at
+                handler(arg)
+            self.endpoint.flush()  # ratings still in flight at the horizon never arrive
+        finally:
+            if collecting:
+                gc.enable()
         return SimulationResult(
             report=self._build_report(),
             governor=self.governor,

@@ -167,6 +167,13 @@ class ServiceGovernor:
                         problems.append(f"host {host_id}: successes exceed attempts")
             if self.host_db.hosting != self.host_db.scan_hosting():
                 problems.append("hosts: hosting index differs from the hosted sets")
+            by_host, by_service = self.host_db.scan_report_indexes()
+            if self.host_db.host_reports != by_host:
+                problems.append("hosts: per-host report index differs from the report history")
+            if self.host_db.service_reports != by_service:
+                problems.append("hosts: per-service report index differs from the report history")
+            if self.host_db.seen_report_ids != {r.report_id for r in self.host_db.reports}:
+                problems.append("hosts: seen report ids differ from the report history")
             if self.billing.total_credited() != self.billing.total_metered():
                 problems.append("ledger: credits do not sum to metered totals")
             balance_sum = sum(

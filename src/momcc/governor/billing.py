@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from ..errors import DuplicateCorrelationError, NegotiationRejected
 
@@ -31,6 +32,20 @@ def _frac(x: float) -> Fraction:
 def share_of(amount: int, share: float) -> int:
     """Floor of amount x share, computed exactly."""
     return int(_frac(share) * amount)
+
+
+@lru_cache(maxsize=4096)
+def split_price(price: int, developer_share: float, host_share: float) -> tuple[int, int, int]:
+    """(developer, host, governor) credits of one invocation: each share
+    rounded down, the remainder to the governor.
+
+    An agreement's split depends only on these three terms, so each
+    distinct agreement builds its `Fraction`s once, not once per metered
+    invocation.
+    """
+    developer = share_of(price, developer_share)
+    host = share_of(price, host_share)
+    return developer, host, price - developer - host
 
 
 @dataclass(frozen=True)
@@ -161,9 +176,9 @@ class BillingUnit:
                     f"correlation {correlation_id!r} already metered"
                 )
             price = agreement.price_per_invocation
-            dev_credit = share_of(price, agreement.developer_share)
-            host_credit = share_of(price, agreement.host_share)
-            governor_credit = price - dev_credit - host_credit
+            dev_credit, host_credit, governor_credit = split_price(
+                price, agreement.developer_share, agreement.host_share
+            )
             credits: dict[str, int] = {}
             for party, amount in (
                 (agreement.developer_id, dev_credit),

@@ -24,7 +24,7 @@ from ..domain import (
 from ..errors import DuplicateHostError, NotHostedError, UnknownEntityError
 from ..wire import MessageKind
 from .registry import ServiceRegistry, ServiceStatus
-from .security import SecurityGovernor
+from .security import SecurityGovernor, update_trust
 from .store import HostDatabase
 
 # Confirmed allocations must follow the collaborative handshake exactly.
@@ -231,7 +231,8 @@ class HostRegistry:
     # -- execution reports ---------------------------------------------------
 
     def ingest_report(self, report: ExecutionReport) -> bool:
-        """Append a report and fan it out to trust and billing.
+        """Append a report, update its host's counters and trust in one
+        profile write, and pass a success on to billing.
 
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything. Every check runs before
@@ -247,8 +248,9 @@ class HostRegistry:
             if profile.certificate is None:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
 
-            self.host_db.seen_report_ids.add(report.report_id)
-            self.host_db.reports.append(report)
+            certificate = update_trust(profile.certificate, report, self.security.policy)
+
+            self.host_db.add_report(report)
             self.host_db.hosts[report.host_id] = replace(
                 profile,
                 attempts=profile.attempts + 1,
@@ -256,8 +258,8 @@ class HostRegistry:
                 rating_count=profile.rating_count + (1 if report.rating is not None else 0),
                 rating_sum=profile.rating_sum + (report.rating or 0),
                 battery_mwh=max(0, profile.battery_mwh - report.energy_used_mwh),
+                certificate=certificate,
             )
-            self.security.apply_report(report)
             if report.outcome.ok and self._on_success_report is not None:
                 self._on_success_report(report)
             return True
@@ -317,10 +319,10 @@ class HostRegistry:
             self.host_db.hosts.clear()
             self.host_db.reports.clear()
             self.host_db.seen_report_ids.clear()
+            self.host_db.host_reports.clear()
+            self.host_db.service_reports.clear()
             for host_id, raw in state["hosts"].items():
                 self.host_db.hosts[host_id] = host_profile_from_dict(raw)
             for raw in state["reports"]:
-                report = report_from_dict(raw)
-                self.host_db.reports.append(report)
-                self.host_db.seen_report_ids.add(report.report_id)
+                self.host_db.add_report(report_from_dict(raw))
             self.host_db.hosting = self.host_db.scan_hosting()

@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass, replace
 
 from ..domain import ExecutionReport, SecurityCertificate, SecurityLevel
-from ..errors import CertificateExistsError, CertificateMismatchError, UnknownEntityError
+from ..errors import CertificateExistsError, CertificateMismatchError
 from .store import HostDatabase
 
 
@@ -92,7 +92,9 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
 
 
 class SecurityGovernor:
-    """Issues certificates and applies trust updates on the shared host database."""
+    """Issues certificates on the shared host database and holds the trust
+    policy; the host registry applies `update_trust` with it on each report,
+    in the same profile write as the report's counters."""
 
     def __init__(self, host_db: HostDatabase, policy: TrustPolicy | None = None,
                  lock: threading.RLock | None = None):
@@ -127,13 +129,3 @@ class SecurityGovernor:
         with self._lock:
             profile = self.host_db.hosts.get(host_id)
             return profile.certificate if profile is not None else None
-
-    def apply_report(self, report: ExecutionReport) -> SecurityCertificate:
-        """Atomic read-modify-write of the host's certificate."""
-        with self._lock:
-            profile = self.host_db.hosts.get(report.host_id)
-            if profile is None or profile.certificate is None:
-                raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
-            cert = update_trust(profile.certificate, report, self.policy)
-            self.host_db.hosts[report.host_id] = replace(profile, certificate=cert)
-            return cert

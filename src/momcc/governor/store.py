@@ -9,6 +9,11 @@ one service does not scan every host. Every write that can change a
 profile's `hosted` set goes through `put_hosting` (a bulk load rebuilds
 the index with `scan_hosting`); writes that leave `hosted` alone
 (reports, certificates, departure) store the profile directly.
+
+`reports` is the append-only execution history. `add_report` is its one
+write: it also records the report id and appends the report to its host's
+and its service's lists, so a window over one host or one service slices
+a short list instead of scanning the whole history.
 """
 from __future__ import annotations
 
@@ -24,6 +29,8 @@ class HostDatabase:
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
     hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
+    host_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
+    service_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
 
     def get(self, host_id: str) -> HostProfile:
         profile = self.hosts.get(host_id)
@@ -52,18 +59,34 @@ class HostDatabase:
                 index.setdefault(service_id, set()).add(host_id)
         return index
 
+    def add_report(self, report: ExecutionReport) -> None:
+        """Append a report to the history, its id set and both indexes."""
+        self.seen_report_ids.add(report.report_id)
+        self.reports.append(report)
+        self.host_reports.setdefault(report.host_id, []).append(report)
+        self.service_reports.setdefault(report.service_id, []).append(report)
+
+    def scan_report_indexes(self) -> tuple[dict[str, list[ExecutionReport]],
+                                           dict[str, list[ExecutionReport]]]:
+        """The per-host and per-service indexes as a full scan of `reports` computes them."""
+        by_host: dict[str, list[ExecutionReport]] = {}
+        by_service: dict[str, list[ExecutionReport]] = {}
+        for report in self.reports:
+            by_host.setdefault(report.host_id, []).append(report)
+            by_service.setdefault(report.service_id, []).append(report)
+        return by_host, by_service
+
     def reports_for_host(self, host_id: str, window: int | None = None) -> list[ExecutionReport]:
-        matching = [r for r in self.reports if r.host_id == host_id]
-        return _windowed(matching, window)
+        return _windowed(self.host_reports.get(host_id, []), window)
 
     def reports_for_service(self, service_id: str, window: int | None = None) -> list[ExecutionReport]:
-        matching = [r for r in self.reports if r.service_id == service_id]
-        return _windowed(matching, window)
+        return _windowed(self.service_reports.get(service_id, []), window)
 
 
 def _windowed(reports: list[ExecutionReport], window: int | None) -> list[ExecutionReport]:
+    """A copy of the last `window` reports (all of them for None), so callers never hold an index."""
     if window is None:
-        return reports
+        return reports[:]
     if window <= 0:  # [-0:] would be the whole list
         return []
     return reports[-window:]

@@ -1,7 +1,9 @@
 """Negotiation feasibility, metering arithmetic, ledger conservation."""
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from momcc.errors import (
     DuplicateCorrelationError,
@@ -13,6 +15,7 @@ from momcc.governor.billing import (
     GOVERNOR_PARTY,
     format_money,
     share_of,
+    split_price,
 )
 
 
@@ -192,3 +195,57 @@ class TestHelpers:
         assert rows[1][2] == "anon-1"
         assert rows[1][3] == "10.00"
         assert rows[1][-1] == "1"
+
+
+def exact_split(price: int, agreement: Agreement) -> dict[str, int]:
+    """Each share of the price rounded down, computed afresh; the rest to the governor."""
+    developer = int(Fraction(str(agreement.developer_share)) * price)
+    host = int(Fraction(str(agreement.host_share)) * price)
+    return {"developer": developer, "host": host, "governor": price - developer - host}
+
+
+prices = st.integers(0, 10**6)
+decimal_shares = st.integers(0, 100).map(lambda k: k / 100)
+
+
+class TestCachedSplit:
+    """Metering reads each agreement's split from a cache; it must be the
+    exact per-invocation formula for every agreement and every unit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prices, decimal_shares, decimal_shares, decimal_shares)
+    def test_split_matches_the_exact_formula_in_two_units(self, price, dev, commission_a, commission_b):
+        assume(commission_a != commission_b)
+        assume(Fraction(str(dev)) + Fraction(str(max(commission_a, commission_b))) <= 1)
+        for n, commission in enumerate((commission_a, commission_b)):
+            billing = unit(commission)
+            agmt = billing.negotiate_host("host-a", "svc-resize", 0.0, "dev-alpha", price, dev)
+            expected = exact_split(price, agmt)
+            assert split_price(price, agmt.developer_share, agmt.host_share) == (
+                share_of(price, agmt.developer_share),
+                share_of(price, agmt.host_share),
+                expected["governor"],
+            )
+            entry = billing.meter_invocation(agmt, "anon-1", f"inv-{n}", "host-a")
+            assert entry.class_totals == expected
+            assert sum(entry.credits.values()) == entry.total == price
+
+    def test_restored_unit_meters_the_restored_agreement(self):
+        original = unit(0.15)
+        agmt = original.negotiate_host("host-a", "svc-resize", 0.0, "dev-alpha", 997, 0.33)
+        original.meter_invocation(agmt, "anon-1", "inv-1", "host-a")
+        restored = unit(0.3)  # metering something else first warms the cache with other shares
+        restored.meter_invocation(
+            restored.negotiate_host("host-b", "svc-other", 0.0, "dev-beta", 997, 0.33),
+            "anon-2", "inv-0", "host-b",
+        )
+        restored.restore_state(original.snapshot_state())
+        entry = restored.meter_invocation(
+            restored.agreement_for("svc-resize"), "anon-1", "inv-2", "host-a"
+        )
+        assert restored.agreement_for("svc-resize") == agmt
+        assert entry.class_totals == exact_split(997, agmt)
+        assert entry.class_totals == original.meter_invocation(
+            agmt, "anon-1", "inv-2", "host-a"
+        ).class_totals
+        assert restored.total_credited() == restored.total_metered() == 2 * 997

@@ -1,11 +1,14 @@
 """Engine determinism, causality, baseline comparison, trace checking."""
-from dataclasses import fields
+import gc
+from contextlib import contextmanager
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
-from conftest import scenario_dict, service_dict
+from conftest import composite_scenario, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
-from momcc.engine import CLOUD_HOST_ID, percentile, run_scenario
+from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from momcc.scenario import (
     MODE_MARKETPLACE,
@@ -13,6 +16,7 @@ from momcc.scenario import (
     SCENARIO_SCHEMA,
     LatencyModel,
     ScenarioValidationError,
+    load_scenario,
     scenario_from_dict,
 )
 from momcc.wire import MessageKind, decode_envelope
@@ -421,3 +425,71 @@ class TestPercentile:
             for q in (0.5, 0.9, 0.95):
                 expected = sorted(values)[max(1, math.ceil(q * len(values))) - 1]
                 assert percentile(values, q) == expected
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def collector_cases():
+    """Both bundled scenarios in both modes, and the six composite variants."""
+    cases = {}
+    for name in ("default.json", "composite.json"):
+        for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
+            cases[f"{name}-{mode}"] = lambda name=name, mode=mode: replace(
+                load_scenario(SCENARIOS / name), baseline_mode=mode
+            )
+    for parallel in (False, True):
+        for failure in (0.0, 0.5, 1.0):
+            cases[f"composite-parallel={parallel}-failure={failure}"] = (
+                lambda parallel=parallel, failure=failure: scenario_from_dict(
+                    composite_scenario(parallel=parallel, dep_b_failure=failure)
+                )
+            )
+    return cases
+
+
+COLLECTOR_CASES = collector_cases()
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the body with the cyclic collector on or off, then restore it."""
+    collecting = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if collecting else gc.disable)()
+
+
+class TestCollectorPause:
+    """`Simulation.run` pauses the cyclic collector; that is safe only while
+    the run leaves no cyclic garbage, and it must hand back the caller's setting."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_restores_the_callers_collector_setting(self, enabled):
+        with collector(enabled):
+            Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_raising_handler_still_restores_the_setting(self, enabled):
+        def fail(_):
+            raise RuntimeError("handler failed")
+
+        simulation = Simulation(scenario_from_dict(scenario_dict(seed=3)))
+        simulation._schedule(0.0, fail, None)
+        with collector(enabled):
+            with pytest.raises(RuntimeError, match="handler failed"):
+                simulation.run()
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
+    def test_a_run_leaves_no_cyclic_garbage(self, case):
+        scenario = COLLECTOR_CASES[case]()
+        with collector(False):
+            gc.collect()
+            simulation = Simulation(scenario)
+            result = simulation.run()
+            assert result.trace
+            assert gc.collect() == 0
