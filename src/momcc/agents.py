@@ -71,26 +71,33 @@ class AggregatorConfig:
     parallel_dependencies: bool = False
 
 
-def select_services(offered: list[ServiceDescription], free: ResourceVector,
-                    strategy: str, rng: random.Random) -> list[ServiceDescription]:
-    """Greedy-fit selection over an offer list, per greediness strategy.
+def select_services(offered: list[dict], free: ResourceVector,
+                    strategy: str, rng: random.Random) -> list[dict]:
+    """Greedy-fit selection over a listing's service dicts, per greediness
+    strategy; returns the chosen dicts.
 
     Composites are skipped (plain hosts cannot drive dependency chains),
     and a service is taken only while the remaining free resources cover
-    it, mirroring the governor's own admission check.
+    its `min_resources`, mirroring the governor's own admission check.
+    Only the chosen services need decoding, so the rest are read raw.
     """
-    candidates = [d for d in offered if not d.is_composite]
+    candidates = [raw for raw in offered if not raw["dependencies"]]
     if strategy == "min_energy":
-        candidates.sort(key=lambda d: (d.min_resources.energy, d.service_id))
+        candidates.sort(key=lambda raw: (raw["min_resources"]["energy"], raw["service_id"]))
     elif strategy == "random":
         rng.shuffle(candidates)
     # max_revenue keeps the governor's revenue-sorted order.
     chosen = []
-    remaining = free
-    for desc in candidates:
-        if remaining.covers(desc.min_resources):
-            chosen.append(desc)
-            remaining = remaining.minus(desc.min_resources)
+    cpu, memory, storage, energy = free.cpu, free.memory, free.storage, free.energy
+    for raw in candidates:
+        need = raw["min_resources"]
+        if (cpu >= need["cpu"] and memory >= need["memory"]
+                and storage >= need["storage"] and energy >= need["energy"]):
+            chosen.append(raw)
+            cpu -= need["cpu"]
+            memory -= need["memory"]
+            storage -= need["storage"]
+            energy -= need["energy"]
     return chosen
 
 
@@ -259,9 +266,10 @@ class HostAgent(DeviceAgent):
         return []
 
     def _on_listing(self, msg: ProtocolMessage) -> list[Outbound]:
-        offered = [service_from_dict(raw) for raw in msg.payload.get("services", [])]
+        offered = msg.payload.get("services", [])
         out = []
-        for desc in select_services(offered, self.free, self.config.greediness, self.rng):
+        for raw in select_services(offered, self.free, self.config.greediness, self.rng):
+            desc = service_from_dict(raw)
             out.append(self._hosting_request(desc.service_id))
             self._pending[desc.service_id] = desc
         return out

@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .engine import SimulationResult, run_scenario
+from .engine import SimulationResult, paused_collector, run_scenario
 from .errors import SnapshotIntegrityError
 from .governor.billing import format_money
 from .scenario import (
@@ -50,14 +50,27 @@ def _banner(enabled: bool) -> None:
 
 def _write_outputs(result: SimulationResult, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "metrics.json").write_bytes(result.report.to_json_bytes())
-    with (out_dir / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(result.report.to_csv_rows())
-    (out_dir / "trace.log").write_text(
-        "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
-    )
-    with (out_dir / "ledger.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(result.governor.billing.ledger_csv_rows())
+    with paused_collector():
+        _fresh(out_dir / "metrics.json").write_bytes(result.report.to_json_bytes())
+        with _fresh(out_dir / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(result.report.to_csv_rows())
+        _fresh(out_dir / "trace.log").write_text(
+            "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
+        )
+        with _fresh(out_dir / "ledger.csv").open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(result.governor.billing.ledger_csv_rows())
+
+
+def _fresh(path: Path) -> Path:
+    """`path` with any file there removed, so writing creates a new file.
+
+    Truncating the last run's large file and writing it again can wait on
+    the filesystem flushing the old blocks (ext4 does this for a file
+    replaced by truncation); a new file does not. A symlink at `path` is
+    replaced, not written through.
+    """
+    path.unlink(missing_ok=True)
+    return path
 
 
 def _load(path: str, seed: int | None = None) -> Scenario | None:

@@ -19,6 +19,13 @@ Two modes:
 The recorded per-invocation latency is the sampled network transport
 delay of the Invoke hop (the distance-to-service cost the two modes
 differ in); execution time is tracked separately in reports.
+
+A run's trace is written one JSON line per delivered message
+(`TraceRecord.to_line`). Lines are built directly in sorted key order,
+and the shared per-service dicts that discovery and listing replies
+carry are encoded once per `trace_lines()` call and spliced into every
+line that names them. `paused_collector()` keeps the cyclic collector
+off while a run executes and while its outputs are written.
 """
 from __future__ import annotations
 
@@ -27,7 +34,9 @@ import heapq
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterator
 
 from .agents import AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent
@@ -35,13 +44,17 @@ from .domain import ResourceVector
 from .governor import ServiceGovernor
 from .governor.endpoint import GovernorEndpoint
 from .scenario import MODE_WAN_CLOUD, Scenario
-from .wire import MessageKind, Outbound, ProtocolMessage, Role, envelope_dict
+from .wire import MessageKind, Outbound, ProtocolMessage, Role
 
 CLOUD_HOST_ID = "cloud-host"
 GOVERNOR_ID = "governor"
 
 _CLOUD_CAPACITY = ResourceVector(10**9, 10**9, 10**9, 10**9)
 _CLOUD_BATTERY = 10**15
+
+# json.dumps(..., sort_keys=True, separators=(",", ":")) builds a new
+# encoder on every call; this one is built once.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @dataclass
@@ -109,7 +122,7 @@ class MetricsReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return (json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (_indented(self.to_json_dict()) + "\n").encode("utf-8")
 
     def to_csv_rows(self) -> list[list[str]]:
         flat = _flatten(self.to_json_dict())
@@ -131,6 +144,26 @@ def _flatten(obj, prefix: str = "") -> dict[str, object]:
     return out
 
 
+def _indented(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` for str-keyed objects.
+
+    With an indent, json uses its pure-Python encoder, whose closures form
+    reference cycles that only the cyclic collector frees; this builds the
+    same text from the compact encoder, so writing the outputs leaves no
+    cyclic garbage (see `paused_collector`).
+    """
+    if not obj or not isinstance(obj, (dict, list, tuple)):
+        return _COMPACT(obj)
+    inner = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict):
+        items = [f"{_COMPACT(key)}: {_indented(value, depth + 1)}" for key, value in sorted(obj.items())]
+        opening, closing = "{", "}"
+    else:
+        items = [_indented(value, depth + 1) for value in obj]
+        opening, closing = "[", "]"
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
 def percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile over a non-empty list."""
     ordered = sorted(values)
@@ -146,13 +179,85 @@ class TraceRecord:
     recipient: str
     message: ProtocolMessage
 
-    def to_line(self) -> str:
-        record = envelope_dict(self.message)
-        record["ts"] = round(self.sent_at, 3)
-        record["tr"] = round(self.received_at, 3)
-        record["from"] = self.sender
-        record["to"] = self.recipient
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def to_line(self, memo: dict[int, tuple[Any, str]] | None = None) -> str:
+        """The message's envelope plus routing keys (`from`, `to`) and
+        send/receive times (`ts`, `tr`, in ms to 3 places), as one JSON
+        object with sorted keys and no spaces.
+
+        The line is built directly in sorted key order. The shared
+        per-service dicts of discovery and listing replies are encoded
+        once per `memo` (see `_payload_json`).
+        """
+        msg = self.message
+        return (
+            f'{{"correlation_id":{encode_basestring_ascii(msg.correlation_id)}'
+            f',"from":{encode_basestring_ascii(self.sender)}'
+            f',"kind":{encode_basestring_ascii(msg.kind.value)}'
+            f',"payload":{_payload_json(msg, {} if memo is None else memo)}'
+            f',"sender_role":{encode_basestring_ascii(msg.sender_role.value)}'
+            f',"to":{encode_basestring_ascii(self.recipient)}'
+            f',"tr":{round(self.received_at, 3)!r}'
+            f',"ts":{round(self.sent_at, 3)!r}}}'
+        )
+
+
+_RESULT_KEYS = {"hosts", "service"}
+
+
+def _sole_list(payload: dict, key: str) -> bool:
+    """Whether `key`, holding a list, is the payload's only key."""
+    return len(payload) == 1 and type(payload.get(key)) in (list, tuple)
+
+
+def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str:
+    """A payload's compact JSON. Discovery and listing replies carry the
+    registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
+    `wire_dict`), and each is encoded once per memo: the memo keys by
+    `id()` and holds the object itself, so no id is reused while it lives."""
+    payload = msg.payload
+    kind = msg.kind
+    if kind == MessageKind.DISCOVERY_REPLY and _sole_list(payload, "results"):
+        entries = ",".join(
+            f'{{"hosts":{_COMPACT(entry["hosts"])},"service":{_shared_json(entry["service"], memo)}}}'
+            if type(entry) is dict and entry.keys() == _RESULT_KEYS else _COMPACT(entry)
+            for entry in payload["results"]
+        )
+        return f'{{"results":[{entries}]}}'
+    if kind == MessageKind.LIST_SERVICES_REPLY and _sole_list(payload, "services"):
+        services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
+        return f'{{"services":[{services}]}}'
+    return _COMPACT(payload)
+
+
+def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]]) -> str:
+    hit = memo.get(id(obj))
+    if hit is not None and hit[0] is obj:
+        return hit[1]
+    text = _COMPACT(obj)
+    memo[id(obj)] = (obj, text)
+    return text
+
+
+@contextmanager
+def paused_collector():
+    """Pause the cyclic collector for the block, then restore the caller's
+    setting.
+
+    A run keeps almost everything it allocates (reports, profiles, trace
+    records), so each pass of the collector rescans a heap that grows
+    with the run, and the first passes after the run walk all of it while
+    the outputs are written. The event loop and the output writer leave
+    no cyclic garbage, since reference counting frees everything they
+    drop (tests/test_engine.py checks this), so those passes would find
+    nothing.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
 
 
 @dataclass
@@ -171,7 +276,8 @@ class SimulationResult:
         ]
 
     def trace_lines(self) -> list[str]:
-        return [record.to_line() for record in self.trace]
+        memo: dict[int, tuple[Any, str]] = {}
+        return [record.to_line(memo) for record in self.trace]
 
 
 class Simulation:
@@ -325,15 +431,7 @@ class Simulation:
     # -- the event loop -------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        # A run keeps almost everything it allocates (reports, profiles, trace
-        # records), so each pass of the cyclic collector rescans a heap that
-        # grows with the run. The event loop leaves no cyclic garbage, since
-        # reference counting frees everything it drops (tests/test_engine.py
-        # checks this), so those passes would find nothing. The collector is
-        # paused for the loop, and the caller's setting is restored.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
+        with paused_collector():
             deadline = self.scenario.duration_ms
             while self._queue:
                 at, _, handler, arg = heapq.heappop(self._queue)
@@ -342,9 +440,6 @@ class Simulation:
                 self.now = at
                 handler(arg)
             self.endpoint.flush()  # ratings still in flight at the horizon never arrive
-        finally:
-            if collecting:
-                gc.enable()
         return SimulationResult(
             report=self._build_report(),
             governor=self.governor,

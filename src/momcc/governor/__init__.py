@@ -167,6 +167,8 @@ class ServiceGovernor:
                         problems.append(f"host {host_id}: successes exceed attempts")
             if self.host_db.hosting != self.host_db.scan_hosting():
                 problems.append("hosts: hosting index differs from the hosted sets")
+            if self.host_db.ranked != self.host_db.scan_ranked():
+                problems.append("hosts: ranking differs from a full scan of the profiles")
             by_host, by_service = self.host_db.scan_report_indexes()
             if self.host_db.host_reports != by_host:
                 problems.append("hosts: per-host report index differs from the report history")

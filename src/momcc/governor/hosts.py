@@ -104,7 +104,7 @@ class HostRegistry:
                 committed=ZERO_RESOURCES,
                 battery_mwh=battery_mwh,
             )
-            self.host_db.hosts[host_id] = profile
+            self.host_db.put(profile)
             return profile
 
     def get_host(self, host_id: str) -> HostProfile:
@@ -181,7 +181,7 @@ class HostRegistry:
         """Reserve a service's resources on a host and add it to `hosted`; no checks."""
         with self._lock:
             profile = self.host_db.get(host_id)
-            self.host_db.put_hosting(replace(
+            self.host_db.put(replace(
                 profile,
                 committed=profile.committed.plus(desc.min_resources),
                 hosted=profile.hosted | {desc.service_id},
@@ -194,7 +194,7 @@ class HostRegistry:
             if service_id not in profile.hosted:
                 raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
             desc = self.registry.get(service_id)
-            self.host_db.put_hosting(replace(
+            self.host_db.put(replace(
                 profile,
                 committed=profile.committed.minus(desc.min_resources),
                 hosted=profile.hosted - {service_id},
@@ -206,38 +206,28 @@ class HostRegistry:
             profile = self.host_db.get(host_id)
             for service_id in list(profile.hosted):
                 self.unhost(host_id, service_id)
-            profile = self.host_db.hosts[host_id]
-            self.host_db.hosts[host_id] = replace(profile, alive=False)
+            self.host_db.put(replace(self.host_db.hosts[host_id], alive=False))
 
     def live_hosts_ranked(self, service_id: str) -> list[str]:
         """Live endpoints for a service: best certificate first.
 
-        Order: certificate level desc, trust score desc, host_id asc.
-        Only the holders in the hosting index are looked at; liveness and
-        certificates are read from their current profiles, since trust
-        moves on every report.
+        Order: certificate level desc, trust score desc, host_id asc, as
+        the host database keeps it (`HostDatabase.ranked`).
         """
         with self._lock:
-            hosts = self.host_db.hosts
-            ranked = []
-            for host_id in self.host_db.hosting.get(service_id, ()):
-                profile = hosts[host_id]
-                cert = profile.certificate
-                if profile.alive and cert is not None:
-                    ranked.append((-cert.level, -cert.trust_score, host_id))
-            ranked.sort()
-            return [host_id for _, _, host_id in ranked]
+            return [host_id for _, _, host_id in self.host_db.ranked.get(service_id, ())]
 
     # -- execution reports ---------------------------------------------------
 
     def ingest_report(self, report: ExecutionReport) -> bool:
-        """Append a report, update its host's counters and trust in one
-        profile write, and pass a success on to billing.
+        """Pass a success on to billing, append the report, and update its
+        host's counters and trust in one profile write.
 
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
-        is judged afresh.
+        is judged afresh: the billing hook checks the service's agreement
+        before it meters, and nothing after it can fail.
         """
         with self._lock:
             if report.report_id in self.host_db.seen_report_ids:
@@ -248,20 +238,28 @@ class HostRegistry:
             if profile.certificate is None:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
 
-            certificate = update_trust(profile.certificate, report, self.security.policy)
-
-            self.host_db.add_report(report)
-            self.host_db.hosts[report.host_id] = replace(
-                profile,
+            ok = report.outcome.ok
+            # The constructor, not `dataclasses.replace`: one report is the
+            # hottest profile write, and `__post_init__` still checks it.
+            updated = HostProfile(
+                host_id=profile.host_id,
+                os_name=profile.os_name,
+                os_version=profile.os_version,
+                capacity=profile.capacity,
+                committed=profile.committed,
+                battery_mwh=max(0, profile.battery_mwh - report.energy_used_mwh),
+                certificate=update_trust(profile.certificate, report, self.security.policy),
+                hosted=profile.hosted,
                 attempts=profile.attempts + 1,
-                successes=profile.successes + (1 if report.outcome.ok else 0),
+                successes=profile.successes + (1 if ok else 0),
                 rating_count=profile.rating_count + (1 if report.rating is not None else 0),
                 rating_sum=profile.rating_sum + (report.rating or 0),
-                battery_mwh=max(0, profile.battery_mwh - report.energy_used_mwh),
-                certificate=certificate,
+                alive=profile.alive,
             )
-            if report.outcome.ok and self._on_success_report is not None:
+            if ok and self._on_success_report is not None:
                 self._on_success_report(report)
+            self.host_db.add_report(report)
+            self.host_db.put(updated)
             return True
 
     # -- periodic assessment ---------------------------------------------------
@@ -326,3 +324,4 @@ class HostRegistry:
             for raw in state["reports"]:
                 self.host_db.add_report(report_from_dict(raw))
             self.host_db.hosting = self.host_db.scan_hosting()
+            self.host_db.ranked = self.host_db.scan_ranked()

@@ -87,8 +87,17 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
     score = min(1.0, max(0.0, score))
     attempts = cert.attempts + 1
     successes = cert.successes + (1 if report.outcome.ok else 0)
-    level = next_level(cert.level, score, attempts, policy)
-    return replace(cert, trust_score=score, attempts=attempts, successes=successes, level=level)
+    # The constructor, not `dataclasses.replace`, which costs more on the
+    # report path; `__post_init__` still checks the result.
+    return SecurityCertificate(
+        host_id=cert.host_id,
+        level=next_level(cert.level, score, attempts, policy),
+        trust_score=score,
+        attempts=attempts,
+        successes=successes,
+        issued_at=cert.issued_at,
+        identity_verified=cert.identity_verified,
+    )
 
 
 class SecurityGovernor:
@@ -122,7 +131,7 @@ class SecurityGovernor:
                 issued_at=at,
                 identity_verified=identity_verified,
             )
-            self.host_db.hosts[host_id] = replace(profile, certificate=cert)
+            self.host_db.put(replace(profile, certificate=cert))
             return cert
 
     def get_certificate(self, host_id: str) -> SecurityCertificate | None:

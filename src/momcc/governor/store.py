@@ -4,11 +4,16 @@ and security governor all read and write.
 Mutation happens only under the owning governor's lock; the values held
 are immutable, so readers always see complete records.
 
-`hosting` indexes `profile.hosted` by service, so finding the holders of
-one service does not scan every host. Every write that can change a
-profile's `hosted` set goes through `put_hosting` (a bulk load rebuilds
-the index with `scan_hosting`); writes that leave `hosted` alone
-(reports, certificates, departure) store the profile directly.
+`put` is the one profile write, and it keeps two indexes in step:
+
+- `hosting` maps each service to its holders, so finding the holders of
+  one service does not scan every host;
+- `ranked` maps each service to a sorted list of `(-level, -trust,
+  host_id)`, one entry per live, certified holder, so discovery copies
+  a kept ranking instead of sorting every holder on every query. A
+  report moves its host's entry in each service it holds.
+
+A bulk load rebuilds both with `scan_hosting` and `scan_ranked`.
 
 `reports` is the append-only execution history. `add_report` is its one
 write: it also records the report id and appends the report to its host's
@@ -17,10 +22,23 @@ a short list instead of scanning the whole history.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from ..domain import ExecutionReport, HostProfile
 from ..errors import UnknownEntityError
+
+
+RankKey = tuple[int, float, str]
+
+
+def rank_key(profile: HostProfile) -> RankKey | None:
+    """A holder's place in discovery order: certificate level desc, trust
+    score desc, host_id asc; None for a departed or uncertified host."""
+    cert = profile.certificate
+    if cert is None or not profile.alive:
+        return None
+    return (-cert.level, -cert.trust_score, profile.host_id)
 
 
 @dataclass
@@ -29,6 +47,7 @@ class HostDatabase:
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
     hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
+    ranked: dict[str, list[RankKey]] = field(default_factory=dict)  # service_id -> live, certified holders
     host_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
     service_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
 
@@ -38,18 +57,45 @@ class HostDatabase:
             raise UnknownEntityError(f"unknown host: {host_id!r}")
         return profile
 
-    def put_hosting(self, profile: HostProfile) -> None:
-        """Store a profile whose `hosted` set may differ from the stored one."""
-        old = self.hosts.get(profile.host_id)
+    def put(self, profile: HostProfile) -> None:
+        """Store a profile and move it in the hosting and ranking indexes."""
+        host_id = profile.host_id
+        old = self.hosts.get(host_id)
+        self.hosts[host_id] = profile
         before = old.hosted if old is not None else frozenset()
-        for service_id in before - profile.hosted:
-            holders = self.hosting[service_id]
-            holders.discard(profile.host_id)
-            if not holders:
-                del self.hosting[service_id]
-        for service_id in profile.hosted - before:
-            self.hosting.setdefault(service_id, set()).add(profile.host_id)
-        self.hosts[profile.host_id] = profile
+        after = profile.hosted
+        old_key = rank_key(old) if old is not None else None
+        new_key = rank_key(profile)
+        if before is after:  # a report, a certificate or a departure: no set arithmetic
+            kept = after
+        else:
+            for service_id in before - after:
+                holders = self.hosting[service_id]
+                holders.discard(host_id)
+                if not holders:
+                    del self.hosting[service_id]
+                if old_key is not None:
+                    self._unrank(service_id, old_key)
+            for service_id in after - before:
+                self.hosting.setdefault(service_id, set()).add(host_id)
+                if new_key is not None:
+                    insort(self.ranked.setdefault(service_id, []), new_key)
+            kept = before & after
+        if old_key == new_key:
+            return
+        for service_id in kept:
+            if old_key is None:
+                insort(self.ranked.setdefault(service_id, []), new_key)
+            elif new_key is None:
+                self._unrank(service_id, old_key)
+            else:
+                _move(self.ranked[service_id], old_key, new_key)
+
+    def _unrank(self, service_id: str, key: RankKey) -> None:
+        entries = self.ranked[service_id]
+        del entries[_index(entries, key)]
+        if not entries:
+            del self.ranked[service_id]
 
     def scan_hosting(self) -> dict[str, set[str]]:
         """The hosting index as a full scan of the profiles computes it."""
@@ -57,6 +103,18 @@ class HostDatabase:
         for host_id, profile in self.hosts.items():
             for service_id in profile.hosted:
                 index.setdefault(service_id, set()).add(host_id)
+        return index
+
+    def scan_ranked(self) -> dict[str, list[RankKey]]:
+        """The ranking index as a full scan of the profiles computes it."""
+        index: dict[str, list[RankKey]] = {}
+        for profile in self.hosts.values():
+            key = rank_key(profile)
+            if key is not None:
+                for service_id in profile.hosted:
+                    index.setdefault(service_id, []).append(key)
+        for entries in index.values():
+            entries.sort()
         return index
 
     def add_report(self, report: ExecutionReport) -> None:
@@ -81,6 +139,23 @@ class HostDatabase:
 
     def reports_for_service(self, service_id: str, window: int | None = None) -> list[ExecutionReport]:
         return _windowed(self.service_reports.get(service_id, []), window)
+
+
+def _index(entries: list[RankKey], key: RankKey) -> int:
+    i = bisect_left(entries, key)
+    if i == len(entries) or entries[i] != key:
+        raise LookupError(f"ranking has no entry {key!r}: a profile was stored without `put`")
+    return i
+
+
+def _move(entries: list[RankKey], old: RankKey, new: RankKey) -> None:
+    """Replace `old` with `new`, in place while the order still holds."""
+    i = _index(entries, old)
+    if (i == 0 or entries[i - 1] < new) and (i + 1 == len(entries) or new < entries[i + 1]):
+        entries[i] = new
+    else:
+        del entries[i]
+        insort(entries, new)
 
 
 def _windowed(reports: list[ExecutionReport], window: int | None) -> list[ExecutionReport]:

@@ -11,6 +11,7 @@ from momcc.agents import (
 )
 from momcc.domain import ResourceVector
 from momcc.engine import run_scenario
+from momcc.governor.registry import service_to_dict
 from momcc.scenario import Scenario, scenario_from_dict
 from momcc.wire import MessageKind, ProtocolMessage, Role
 
@@ -37,31 +38,31 @@ class TestSelection:
         """The governor sorts by host revenue; 4.00 ranks before 2.00."""
         rich = make_service(service_id="rich", price=1000, developer_share=0.4)   # host 4.00
         poor = make_service(service_id="poor", price=1000, developer_share=0.6)   # host 2.00
-        offered = [rich, poor]  # revenue-sorted, as the governor sends it
+        offered = [service_to_dict(rich), service_to_dict(poor)]  # revenue-sorted, as the governor sends it
         free = ResourceVector(512, 2, 5, 500)  # room for exactly one
         chosen = select_services(offered, free, "max_revenue", random.Random(0))
-        assert [d.service_id for d in chosen] == ["rich"]
+        assert [d["service_id"] for d in chosen] == ["rich"]
 
     def test_min_energy_sorts_by_energy_need(self):
         thirsty = make_service(service_id="thirsty",
                                min_resources=ResourceVector(100, 1, 1, 900))
         frugal = make_service(service_id="frugal",
                               min_resources=ResourceVector(100, 1, 1, 100))
-        chosen = select_services([thirsty, frugal], ResourceVector(200, 2, 2, 950),
-                                 "min_energy", random.Random(0))
-        assert [d.service_id for d in chosen] == ["frugal"]
+        chosen = select_services([service_to_dict(thirsty), service_to_dict(frugal)],
+                                 ResourceVector(200, 2, 2, 950), "min_energy", random.Random(0))
+        assert [d["service_id"] for d in chosen] == ["frugal"]
 
     def test_greedy_fit_never_overcommits(self):
         rng = random.Random(2)
         for _ in range(200):
             offered = [
-                make_service(
+                service_to_dict(make_service(
                     service_id=f"s{i}",
                     min_resources=ResourceVector(
                         rng.randint(0, 900), rng.randint(0, 20),
                         rng.randint(0, 30), rng.randint(0, 800),
                     ),
-                )
+                ))
                 for i in range(8)
             ]
             free = ResourceVector(rng.randint(0, 2048), rng.randint(0, 32),
@@ -69,12 +70,12 @@ class TestSelection:
             chosen = select_services(offered, free, rng.choice(["max_revenue", "min_energy", "random"]), rng)
             total = ResourceVector(0, 0, 0, 0)
             for desc in chosen:
-                total = total.plus(desc.min_resources)
+                total = total.plus(ResourceVector(**desc["min_resources"]))
             assert free.covers(total)
 
     def test_composites_skipped_by_plain_hosts(self):
         composite = make_service(service_id="combo", dependencies=("leaf",))
-        chosen = select_services([composite], ResourceVector(2048, 32, 64, 2000),
+        chosen = select_services([service_to_dict(composite)], ResourceVector(2048, 32, 64, 2000),
                                  "max_revenue", random.Random(0))
         assert chosen == []
 

@@ -67,6 +67,21 @@ class TestRun:
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
         assert json.loads((out1 / "metrics.json").read_text())["seed"] == 7
 
+    def test_rerun_replaces_each_output_instead_of_writing_through_it(self, tmp_path):
+        path = write_scenario(tmp_path, scenario_dict(seed=1))
+        out = tmp_path / "out"
+        assert main(["--no-banner", "run", str(path), "--out", str(out)]) == EXIT_OK
+        first = {name: (out / name).read_bytes()
+                 for name in ("metrics.json", "metrics.csv", "trace.log", "ledger.csv")}
+        elsewhere = tmp_path / "elsewhere.log"
+        elsewhere.write_text("kept\n", encoding="utf-8")
+        (out / "trace.log").unlink()
+        (out / "trace.log").symlink_to(elsewhere)
+        assert main(["--no-banner", "run", str(path), "--out", str(out)]) == EXIT_OK
+        assert not (out / "trace.log").is_symlink()
+        assert elsewhere.read_text(encoding="utf-8") == "kept\n"
+        assert {name: (out / name).read_bytes() for name in first} == first
+
     def test_stdout_is_deterministic_without_banner(self, tmp_path, capsys):
         path = write_scenario(tmp_path, scenario_dict(seed=1))
         out = tmp_path / "a"

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import composite_scenario, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
+from momcc.cli import _write_outputs
 from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from momcc.scenario import (
@@ -463,8 +464,9 @@ def collector(enabled: bool):
 
 
 class TestCollectorPause:
-    """`Simulation.run` pauses the cyclic collector; that is safe only while
-    the run leaves no cyclic garbage, and it must hand back the caller's setting."""
+    """`Simulation.run` and the output writer pause the cyclic collector; that
+    is safe only while they leave no cyclic garbage, and each must hand back
+    the caller's setting."""
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_restores_the_callers_collector_setting(self, enabled):
@@ -484,12 +486,44 @@ class TestCollectorPause:
                 simulation.run()
             assert gc.isenabled() is enabled
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_writing_restores_the_callers_collector_setting(self, enabled, tmp_path):
+        result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+        with collector(enabled):
+            _write_outputs(result, tmp_path)
+            assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failing_write_still_restores_the_setting(self, enabled, tmp_path):
+        result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+        (tmp_path / "trace.log").mkdir()  # the writer cannot remove a directory
+        with collector(enabled):
+            with pytest.raises(OSError):
+                _write_outputs(result, tmp_path)
+            assert gc.isenabled() is enabled
+
+    def test_the_collector_is_off_while_the_trace_is_encoded(self, tmp_path):
+        result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+        encode = result.trace_lines
+        collecting = []
+
+        def trace_lines():
+            collecting.append(gc.isenabled())
+            return encode()
+
+        result.trace_lines = trace_lines
+        with collector(True):
+            _write_outputs(result, tmp_path)
+        assert collecting == [False]
+
     @pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
-    def test_a_run_leaves_no_cyclic_garbage(self, case):
+    def test_a_run_leaves_no_cyclic_garbage(self, case, tmp_path):
         scenario = COLLECTOR_CASES[case]()
         with collector(False):
             gc.collect()
             simulation = Simulation(scenario)
             result = simulation.run()
             assert result.trace
+            assert gc.collect() == 0
+            _write_outputs(result, tmp_path)
             assert gc.collect() == 0

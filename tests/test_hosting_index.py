@@ -1,8 +1,11 @@
 """The host database's service -> holders index against a full scan.
 
-`live_hosts_ranked` reads only the holders the index names, so every
-path that changes a profile's hosted set must keep the index in step.
+`live_hosts_ranked` copies the kept ranking, so every path that changes
+a profile's hosted set, liveness or certificate must keep the hosting
+index and the ranking in step.
 """
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_service
@@ -108,3 +111,12 @@ class TestHostingIndex:
         assert governor.check_invariants() == []
         governor.host_db.hosting["svc-a"].discard("host-0")
         assert governor.check_invariants() == ["hosts: hosting index differs from the hosted sets"]
+
+    def test_invariant_reports_a_stale_ranking(self):
+        governor = build_governor()
+        governor.request_hosting("host-0", "svc-a")
+        governor.request_hosting("host-1", "svc-a")
+        assert governor.check_invariants() == []
+        profile = governor.host_db.hosts["host-0"]
+        governor.host_db.hosts["host-0"] = replace(profile, alive=False)  # stored without `put`
+        assert governor.check_invariants() == ["hosts: ranking differs from a full scan of the profiles"]

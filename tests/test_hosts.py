@@ -6,7 +6,12 @@ import pytest
 
 from conftest import governor_with, make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
-from momcc.errors import DuplicateHostError, NotHostedError, UnknownEntityError
+from momcc.errors import (
+    DuplicateHostError,
+    MissingAgreementError,
+    NotHostedError,
+    UnknownEntityError,
+)
 from momcc.wire import MessageKind
 
 AMPLE = ResourceVector(2048, 32, 64, 2000)
@@ -261,6 +266,28 @@ class TestIngestReport:
         governor.request_hosting("host-a", "svc-resize")
         assert governor.ingest_report(report) is True
         assert governor.hosts.get_host("host-a").attempts == 1
+
+    def test_report_for_a_service_without_agreement_changes_nothing(self, governor):
+        """A success for a service never placed has no agreement to meter:
+        it is rejected before any write, and the retry is judged afresh."""
+        governor.request_hosting("host-a", "svc-resize")  # certificate; svc-secure stays unplaced
+        before = governor.hosts.get_host("host-a")
+        ranked_before = {sid: list(keys) for sid, keys in governor.host_db.ranked.items()}
+        report = make_report(service_id="svc-secure", report_id="rpt-unplaced")
+        with pytest.raises(MissingAgreementError):
+            governor.ingest_report(report)
+        assert governor.host_db.reports == []
+        assert governor.host_db.seen_report_ids == set()
+        assert governor.hosts.get_host("host-a") == before
+        assert governor.host_db.ranked == ranked_before
+        assert governor.billing.audit() == []
+        # Once the service is placed, its agreement exists and the retry is metered.
+        governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
+        governor.preprovision_host("host-b", ["svc-secure"])
+        assert governor.ingest_report(report) is True
+        assert governor.billing.already_metered("rpt-unplaced")
+        assert governor.hosts.get_host("host-a").attempts == 1
+        assert governor.check_invariants() == []
 
 
 class TestAssessHosts:

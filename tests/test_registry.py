@@ -152,14 +152,14 @@ class TestDiscovery:
         governor.request_hosting("host-a", "svc-resize")
         governor.request_hosting("host-b", "svc-resize")
         db = governor.host_db
-        db.hosts["host-a"] = replace(
+        db.put(replace(
             db.hosts["host-a"],
             certificate=SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 38, 0.0, False),
-        )
-        db.hosts["host-b"] = replace(
+        ))
+        db.put(replace(
             db.hosts["host-b"],
             certificate=SecurityCertificate("host-b", SecurityLevel.MEDIUM, 0.95, 40, 39, 0.0, False),
-        )
+        ))
         ranked = governor.hosts.live_hosts_ranked("svc-resize")
         assert ranked == ["host-a", "host-b"]
 
@@ -175,10 +175,10 @@ class TestDiscovery:
             level = rng.choice(list(SecurityLevel))
             score = round(rng.random(), 3)
             db = governor.host_db
-            db.hosts[host_id] = replace(
+            db.put(replace(
                 db.hosts[host_id],
                 certificate=SecurityCertificate(host_id, level, score, 10, 5, 0.0, False),
-            )
+            ))
             expected.append((host_id, level, score))
         oracle = [h for h, _, _ in sorted(expected, key=lambda t: (-int(t[1]), -t[2], t[0]))]
         assert governor.hosts.live_hosts_ranked("svc-resize") == oracle
