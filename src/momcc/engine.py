@@ -250,12 +250,20 @@ def paused_collector():
     no cyclic garbage, since reference counting frees everything they
     drop (tests/test_engine.py checks this), so those passes would find
     nothing.
+
+    The block's survivors are then moved to the oldest generation without
+    a scan (a freeze and unfreeze), so the next allocation does not start
+    a young-generation pass over all of them. A caller that froze objects
+    of its own is left as it is, since unfreezing would release them too.
     """
     collecting = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
+            gc.unfreeze()
         if collecting:
             gc.enable()
 

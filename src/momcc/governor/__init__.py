@@ -169,6 +169,11 @@ class ServiceGovernor:
                 problems.append("hosts: hosting index differs from the hosted sets")
             if self.host_db.ranked != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
+            catalog = self.registry.db
+            if sorted(catalog.by_bit) != catalog.indexed_ids() or catalog.grams != catalog.scan_grams():
+                problems.append("registry: search index differs from a full scan of the catalog")
+            if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
+                problems.append("registry: listing order differs from a full sort of the catalog")
             by_host, by_service = self.host_db.scan_report_indexes()
             if self.host_db.host_reports != by_host:
                 problems.append("hosts: per-host report index differs from the report history")

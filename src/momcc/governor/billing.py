@@ -24,8 +24,13 @@ GOVERNOR_PARTY = "governor"
 DEFAULT_COMMISSION = 0.2
 
 
+@lru_cache(maxsize=4096, typed=True)
 def _frac(x: float) -> Fraction:
-    """Exact fraction of a decimal-looking float ("0.4" -> 2/5)."""
+    """Exact fraction of a decimal-looking float ("0.4" -> 2/5).
+
+    A run converts the same few shares over and over (two per registered
+    service), so each distinct one is built once.
+    """
     return Fraction(str(x))
 
 

@@ -8,11 +8,21 @@ running it; hosts browse the full descriptions instead, filtered to
 what they can run.
 
 Descriptions never change after registration, so everything derived
-from one (its listing, its two reply encodings, its host revenue) is
-built once, on first use, and kept in the service database. Host
-revenue is the price times billing's host share, so listings rank by
-the split billing settles. The reply encodings are shared by every
-reply that carries them: readers must never mutate them.
+from one (its listing, its two reply encodings, its index entries) is
+built once and kept in the service database. The reply encodings are
+built on first use and shared by every reply that carries them: readers
+must never mutate them.
+
+Discovery looks up the trigram postings of its query (each 3-character
+substring of a service's lowercased name and description maps to the
+ids containing it) and tests only the services holding all of them;
+queries shorter than 3 characters still scan. Listings filter one list
+kept in host-revenue order, so no call sorts the catalog or parses a
+service's version. Host revenue is the price times billing's host
+share, so listings rank by the split billing settles. Both indexes
+cover every registered service whatever its status, which is checked
+when a query reads them; registration only queues a service, and the
+next query indexes the queue.
 """
 from __future__ import annotations
 
@@ -20,9 +30,15 @@ import threading
 from bisect import insort
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
-from ..domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
+from ..domain import (
+    PlatformRequirement,
+    ResourceVector,
+    SecurityLevel,
+    ServiceDescription,
+    parse_version,
+)
 from ..errors import RegistrationRejected, UnknownEntityError
 from .billing import BillingUnit
 
@@ -36,9 +52,18 @@ class ServiceStatus(Enum):
 
 @dataclass
 class ServiceDatabase:
-    """Registered services, their ids in sorted order, and per-service caches.
+    """Registered services, their ids in sorted order, per-service caches,
+    and the two query indexes.
 
-    A restore replaces the whole database, which drops the caches with it.
+    `grams` maps each trigram of a service's `search_text` to the ids
+    containing it, as a bitset: bit i stands for `by_bit[i]`, the i-th
+    service indexed. On a 2000-service catalog an int per trigram takes
+    about a sixteenth of the memory of a set of ids, and a search
+    intersects two postings in one operation. `by_revenue` holds one
+    `RevenueEntry` per service in `(-host revenue, service_id)` order.
+    `pending` lists the ids that `add` stored and `index` has not yet
+    entered into either. A restore replaces the whole database, which
+    drops the caches, the indexes and the queue with it.
     """
 
     services: dict[str, ServiceDescription] = field(default_factory=dict)
@@ -48,12 +73,84 @@ class ServiceDatabase:
     listings: dict[str, ServiceListing] = field(default_factory=dict)
     listing_dicts: dict[str, dict] = field(default_factory=dict)
     wire_dicts: dict[str, dict] = field(default_factory=dict)
-    host_revenue: dict[str, int] = field(default_factory=dict)
+    grams: dict[str, int] = field(default_factory=dict)
+    by_bit: list[str] = field(default_factory=list)
+    by_revenue: list[RevenueEntry] = field(default_factory=list)
+    pending: list[str] = field(default_factory=list)
 
     def add(self, desc: ServiceDescription) -> None:
         self.services[desc.service_id] = desc
         self.search_text[desc.service_id] = f"{desc.name} {desc.description}".lower()
         insort(self.sorted_ids, desc.service_id)
+        self.pending.append(desc.service_id)
+
+    def index(self, host_revenue: Callable[[ServiceDescription], int]) -> None:
+        """Enter every pending service into both indexes."""
+        grams = self.grams
+        for sid in self.pending:
+            bit = 1 << len(self.by_bit)
+            self.by_bit.append(sid)
+            for gram in trigrams(self.search_text[sid]):
+                grams[gram] = grams.get(gram, 0) | bit
+            insort(self.by_revenue, revenue_entry(self.services[sid], host_revenue))
+        self.pending.clear()
+
+    def candidates(self, needle: str) -> list[str]:
+        """Indexed ids, in sorted order, whose text holds every trigram of
+        `needle`: a superset of those whose text holds `needle`, and all of
+        them when `needle` is shorter than 3 characters."""
+        grams, by_bit = self.grams, self.by_bit
+        bits = (1 << len(by_bit)) - 1
+        # Slicing in place costs less than `trigrams` on a query's few characters.
+        for i in range(len(needle) - 2):
+            bits &= grams.get(needle[i:i + 3], 0)
+            if not bits:
+                return []
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(by_bit[low.bit_length() - 1])
+            bits ^= low
+        found.sort()
+        return found
+
+    def indexed_ids(self) -> list[str]:
+        """Ids of the services no longer pending, in sorted order."""
+        pending = set(self.pending)
+        return [sid for sid in self.sorted_ids if sid not in pending]
+
+    def scan_grams(self) -> dict[str, int]:
+        """`grams` rebuilt from the text of every service in `by_bit`."""
+        grams: dict[str, int] = {}
+        for position, sid in enumerate(self.by_bit):
+            for gram in trigrams(self.search_text[sid]):
+                grams[gram] = grams.get(gram, 0) | 1 << position
+        return grams
+
+    def scan_by_revenue(self, host_revenue: Callable[[ServiceDescription], int]) -> list[RevenueEntry]:
+        """`by_revenue` rebuilt by sorting every indexed service."""
+        return sorted(revenue_entry(self.services[sid], host_revenue) for sid in self.indexed_ids())
+
+
+def trigrams(text: str) -> Iterator[str]:
+    """Every 3-character substring of `text`, repeats included."""
+    return map("".join, zip(text, text[1:], text[2:]))
+
+
+# (-host revenue, service_id, platform os, parsed min version, cpu,
+# memory, storage, energy, description): what a listing filters on, in
+# the order it ranks. Ids are unique, so sorting never compares past them.
+RevenueEntry = tuple[int, str, str, tuple[int, int, int], int, int, int, int, ServiceDescription]
+
+
+def revenue_entry(desc: ServiceDescription,
+                  host_revenue: Callable[[ServiceDescription], int]) -> RevenueEntry:
+    need = desc.min_resources
+    return (
+        -host_revenue(desc), desc.service_id, desc.platform.os_name,
+        parse_version(desc.platform.min_version),
+        need.cpu, need.memory, need.storage, need.energy, desc,
+    )
 
 
 @dataclass(frozen=True)
@@ -221,13 +318,20 @@ class ServiceRegistry:
         """Case-insensitive substring match over name and description."""
         needle = query.lower()
         with self._lock:
-            db = self.db
-            search_text, status = db.search_text, db.status
+            db = self._indexed()
+            candidates = db.sorted_ids if len(needle) < 3 else db.candidates(needle)
+            search_text, status, active = db.search_text, db.status, ServiceStatus.ACTIVE
             return [
                 db.services[sid]
-                for sid in db.sorted_ids
-                if needle in search_text[sid] and status[sid] == ServiceStatus.ACTIVE
+                for sid in candidates
+                if needle in search_text[sid] and status[sid] is active
             ]
+
+    def _indexed(self) -> ServiceDatabase:
+        """The database, with every pending service entered into its indexes."""
+        if self.db.pending:
+            self.db.index(self.host_revenue)
+        return self.db
 
     # -- discovery and listings -------------------------------------------
 
@@ -266,24 +370,29 @@ class ServiceRegistry:
     def list_available_services(
         self, host_free: ResourceVector, host_os: str, host_version: str
     ) -> list[ServiceDescription]:
-        """Active services the host could run, best host revenue first."""
-        with self._lock:
-            candidates = [
-                desc
-                for desc in self.active_services()
-                if desc.platform.matches(host_os, host_version) and host_free.covers(desc.min_resources)
-            ]
-            candidates.sort(key=lambda d: (-self._host_revenue(d), d.service_id))
-            return candidates
+        """Active services the host could run, best host revenue first.
 
-    def _host_revenue(self, desc: ServiceDescription) -> int:
-        """Expected per-invocation host earnings: price x host share."""
-        revenue = self.db.host_revenue.get(desc.service_id)
-        if revenue is None:
-            share = self._billing.host_share(desc.developer_share)
-            revenue = int(share * desc.price_per_invocation) if share > 0 else 0
-            self.db.host_revenue[desc.service_id] = revenue
-        return revenue
+        Raises `VersionError` if `host_version` does not parse.
+        """
+        version = parse_version(host_version)
+        cpu, memory, storage, energy = host_free.cpu, host_free.memory, host_free.storage, host_free.energy
+        with self._lock:
+            db = self._indexed()
+            status, active = db.status, ServiceStatus.ACTIVE
+            return [
+                desc
+                for _, sid, os_name, min_version, need_cpu, need_memory, need_storage, need_energy, desc
+                in db.by_revenue
+                if os_name == host_os and min_version <= version
+                and need_cpu <= cpu and need_memory <= memory
+                and need_storage <= storage and need_energy <= energy
+                and status[sid] is active
+            ]
+
+    def host_revenue(self, desc: ServiceDescription) -> int:
+        """Expected per-invocation host earnings: price x host share, rounded down."""
+        share = self._billing.host_share(desc.developer_share)
+        return share.numerator * desc.price_per_invocation // share.denominator if share > 0 else 0
 
     def substitution_candidates(self, functionality_tag: str, exclude: str | None = None) -> list[ServiceDescription]:
         with self._lock:

@@ -13,6 +13,7 @@ from momcc.governor.billing import (
     Agreement,
     BillingUnit,
     GOVERNOR_PARTY,
+    _frac,
     format_money,
     share_of,
     split_price,
@@ -249,3 +250,29 @@ class TestCachedSplit:
             agmt, "anon-1", "inv-2", "host-a"
         ).class_totals
         assert restored.total_credited() == restored.total_metered() == 2 * 997
+
+
+cacheable_shares = st.one_of(decimal_shares, st.sampled_from([0, 1, 1.0, 0.0]))
+
+
+class TestCachedShareParsing:
+    """`_frac` is cached; a cached share must be the exact fraction it
+    parsed to before, and the splits built from it must not move."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prices, cacheable_shares, cacheable_shares, decimal_shares)
+    def test_cached_fractions_match_a_fresh_parse(self, price, dev, host, commission):
+        for share in (dev, host, commission):
+            assert _frac(share) == Fraction(str(share))
+            assert _frac(share) == Fraction(str(share))  # a cache hit
+        assume(Fraction(str(dev)) + Fraction(str(host)) <= 1)
+        developer = int(Fraction(str(dev)) * price)
+        host_credit = int(Fraction(str(host)) * price)
+        assert split_price(price, dev, host) == (developer, host_credit, price - developer - host_credit)
+        assert unit(commission).host_share(dev) == 1 - Fraction(str(dev)) - Fraction(str(commission))
+
+    def test_ints_and_floats_are_cached_apart(self):
+        assert _frac(1) == _frac(1.0) == 1
+        assert _frac(0) == _frac(0.0) == 0
+        with pytest.raises(ValueError):
+            _frac(True)  # "True" is no decimal, even after 1 is cached

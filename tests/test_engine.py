@@ -516,6 +516,43 @@ class TestCollectorPause:
             _write_outputs(result, tmp_path)
         assert collecting == [False]
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_the_callers_freeze_count_is_unchanged(self, frozen, tmp_path):
+        if frozen:
+            gc.freeze()
+        try:
+            before = gc.get_freeze_count()
+            assert (before > 0) is frozen
+            with collector(True):
+                result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+                assert gc.get_freeze_count() == before
+                _write_outputs(result, tmp_path)
+            assert gc.get_freeze_count() == before
+        finally:
+            gc.unfreeze()
+
+    def test_no_collection_fires_from_the_run_through_the_write(self, tmp_path):
+        """The pauses hand their survivors to the oldest generation, so the
+        first allocations after a pause do not start a young-generation
+        pass over everything the run built."""
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        simulation = Simulation(scenario_from_dict(scenario_dict(seed=3, duration_hours=6.0)))
+        with collector(True):
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                result = simulation.run()
+                _write_outputs(result, tmp_path)
+            finally:
+                gc.callbacks.remove(count)
+        assert len(result.trace) > 700  # more than the youngest generation's threshold
+        assert started == []
+
     @pytest.mark.parametrize("case", sorted(COLLECTOR_CASES))
     def test_a_run_leaves_no_cyclic_garbage(self, case, tmp_path):
         scenario = COLLECTOR_CASES[case]()

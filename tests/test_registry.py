@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 import pytest
 
 from conftest import governor_with, make_service
-from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel
+from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel, VersionError
 from momcc.errors import RegistrationRejected, UnknownEntityError
 from momcc.governor.billing import BillingUnit
 from momcc.governor.registry import DEFAULT_FOOTPRINT_CEILING, ServiceRegistry
@@ -235,6 +235,15 @@ class TestListAvailable:
             ResourceVector(4096, 64, 64, 5000), "Android", "4.0"
         )
         assert [d.service_id for d in listed] == ["rich", "mid", "cheap"]
+
+    @pytest.mark.parametrize("host_os", ["Android", "Tizen"])
+    def test_an_unparsable_host_version_raises(self, host_os):
+        # Whether or not an active service names the host's OS.
+        governor = governor_with([make_service()])
+        with pytest.raises(VersionError):
+            governor.registry.list_available_services(
+                ResourceVector(4096, 64, 64, 5000), host_os, "4.x"
+            )
 
     def test_matches_brute_force_filter_oracle(self):
         """100 random services x 20 random hosts against a filter loop."""
