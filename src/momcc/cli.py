@@ -54,9 +54,10 @@ def _write_outputs(result: SimulationResult, out_dir: Path) -> None:
         _fresh(out_dir / "metrics.json").write_bytes(result.report.to_json_bytes())
         with _fresh(out_dir / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(result.report.to_csv_rows())
-        _fresh(out_dir / "trace.log").write_text(
-            "".join(line + "\n" for line in result.trace_lines()), encoding="utf-8"
-        )
+        with _fresh(out_dir / "trace.log").open("wb") as fh:
+            write = fh.write
+            for line in result.iter_trace_lines():
+                write(f"{line}\n".encode("utf-8"))
         with _fresh(out_dir / "ledger.csv").open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(result.governor.billing.ledger_csv_rows())
 

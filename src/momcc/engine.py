@@ -21,11 +21,14 @@ delay of the Invoke hop (the distance-to-service cost the two modes
 differ in); execution time is tracked separately in reports.
 
 A run's trace is written one JSON line per delivered message
-(`TraceRecord.to_line`). Lines are built directly in sorted key order,
-and the shared per-service dicts that discovery and listing replies
-carry are encoded once per `trace_lines()` call and spliced into every
-line that names them. `paused_collector()` keeps the cyclic collector
-off while a run executes and while its outputs are written.
+(`TraceRecord.to_line`). Lines are built directly in sorted key order.
+The shared per-service dicts that discovery and listing replies carry,
+and the shared host lists of discovery replies, are encoded once per
+`iter_trace_lines()` pass and spliced into every line that names them.
+The pass yields one line at a time, so a writer holds one line of the
+trace, never all of it; the trace records themselves stay in memory.
+`paused_collector()` keeps the cyclic collector off while a run
+executes and while its outputs are written.
 """
 from __future__ import annotations
 
@@ -212,13 +215,15 @@ def _sole_list(payload: dict, key: str) -> bool:
 def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str:
     """A payload's compact JSON. Discovery and listing replies carry the
     registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
-    `wire_dict`), and each is encoded once per memo: the memo keys by
-    `id()` and holds the object itself, so no id is reused while it lives."""
+    `wire_dict`) and discovery replies the host database's kept holder
+    lists (`HostDatabase.ranked_hosts`); each is encoded once per memo:
+    the memo keys by `id()` and holds the object itself, so no id is
+    reused while it lives."""
     payload = msg.payload
     kind = msg.kind
     if kind == MessageKind.DISCOVERY_REPLY and _sole_list(payload, "results"):
         entries = ",".join(
-            f'{{"hosts":{_COMPACT(entry["hosts"])},"service":{_shared_json(entry["service"], memo)}}}'
+            f'{{"hosts":{_shared_json(entry["hosts"], memo)},"service":{_shared_json(entry["service"], memo)}}}'
             if type(entry) is dict and entry.keys() == _RESULT_KEYS else _COMPACT(entry)
             for entry in payload["results"]
         )
@@ -283,9 +288,15 @@ class SimulationResult:
             for d in self.governor.hosts.decisions
         ]
 
-    def trace_lines(self) -> list[str]:
+    def iter_trace_lines(self) -> Iterator[str]:
+        """The trace's lines in order, each encoded as it is taken, with
+        one memo for the whole pass."""
         memo: dict[int, tuple[Any, str]] = {}
-        return [record.to_line(memo) for record in self.trace]
+        for record in self.trace:
+            yield record.to_line(memo)
+
+    def trace_lines(self) -> list[str]:
+        return list(self.iter_trace_lines())
 
 
 class Simulation:

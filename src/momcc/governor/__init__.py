@@ -169,6 +169,10 @@ class ServiceGovernor:
                 problems.append("hosts: hosting index differs from the hosted sets")
             if self.host_db.ranked != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
+            ranked = self.host_db.ranked
+            if any(kept != [host_id for _, _, host_id in ranked.get(service_id, ())]
+                   for service_id, kept in self.host_db.ranked_ids.items()):
+                problems.append("hosts: kept holder list differs from the ranking")
             catalog = self.registry.db
             if sorted(catalog.by_bit) != catalog.indexed_ids() or catalog.grams != catalog.scan_grams():
                 problems.append("registry: search index differs from a full scan of the catalog")

@@ -53,6 +53,13 @@ def split_price(price: int, developer_share: float, host_share: float) -> tuple[
     return developer, host, price - developer - host
 
 
+@lru_cache(maxsize=4096, typed=True)
+def _host_share(developer_share: float, commission: float) -> Fraction:
+    """Exact 1 - developer_share - commission, built once per distinct pair:
+    the listing index asks for it once per registered service."""
+    return 1 - _frac(developer_share) - _frac(commission)
+
+
 @dataclass(frozen=True)
 class DeveloperTerms:
     developer_id: str
@@ -135,7 +142,7 @@ class BillingUnit:
 
     def host_share(self, developer_share: float) -> Fraction:
         """Exact 1 - developer_share - commission; negative when those exceed 1."""
-        return 1 - _frac(developer_share) - _frac(self.governor_commission)
+        return _host_share(developer_share, self.governor_commission)
 
     def negotiate_host(self, host_id: str, service_id: str, min_share: float,
                        developer_id: str, price: int, developer_share: float) -> Agreement:

@@ -52,8 +52,10 @@ class GovernorEndpoint:
                 self._ingest(pending["report"], None)
         self.pending.clear()
 
-    # Reply payloads carry the registry's cached per-service dicts, so
-    # every reply and trace record naming a service shares one dict.
+    # Reply payloads carry the registry's cached per-service dicts and
+    # the host database's kept holder lists, so every reply and trace
+    # record naming a service shares one dict, and every discovery reply
+    # between two changes of a service's ranking shares one host list.
     # Nothing downstream may mutate a payload.
 
     def _list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
@@ -82,7 +84,7 @@ class GovernorEndpoint:
         registry = self.governor.registry
         results = registry.discover(msg.payload["query"], msg.payload["requester_pseudonym"])
         entries = [
-            {"service": registry.listing_dict(r.listing.service_id), "hosts": list(r.hosts)}
+            {"service": registry.listing_dict(r.listing.service_id), "hosts": r.hosts}
             for r in results
         ]
         return _reply(MessageKind.DISCOVERY_REPLY, msg, sender, {"results": entries})

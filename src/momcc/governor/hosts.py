@@ -212,10 +212,13 @@ class HostRegistry:
         """Live endpoints for a service: best certificate first.
 
         Order: certificate level desc, trust score desc, host_id asc, as
-        the host database keeps it (`HostDatabase.ranked`).
+        the host database keeps it (`HostDatabase.ranked`). The list is
+        the database's kept one (`HostDatabase.ranked_hosts`), shared by
+        every caller until the ranking's order or membership changes.
+        Shared: do not mutate.
         """
         with self._lock:
-            return [host_id for _, _, host_id in self.host_db.ranked.get(service_id, ())]
+            return self.host_db.ranked_hosts(service_id)
 
     # -- execution reports ---------------------------------------------------
 
@@ -325,3 +328,4 @@ class HostRegistry:
                 self.host_db.add_report(report_from_dict(raw))
             self.host_db.hosting = self.host_db.scan_hosting()
             self.host_db.ranked = self.host_db.scan_ranked()
+            self.host_db.ranked_ids.clear()

@@ -174,8 +174,11 @@ class ServiceListing:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
+    """A match and its live hosts, best first. `hosts` is the host
+    database's kept list for the service. Shared: do not mutate."""
+
     listing: ServiceListing
-    hosts: tuple[str, ...]
+    hosts: list[str]
 
 
 def _listing_of(desc: ServiceDescription) -> ServiceListing:
@@ -338,11 +341,10 @@ class ServiceRegistry:
     def discover(self, query: str, requester_pseudonym: str) -> list[DiscoveryResult]:
         """Requester-facing search; results carry no developer identity."""
         with self._lock:
-            results = []
-            for desc in self.search_active(query):
-                hosts = tuple(self._host_provider(desc.service_id))
-                results.append(DiscoveryResult(listing=self._listing(desc), hosts=hosts))
-            return results
+            return [
+                DiscoveryResult(listing=self._listing(desc), hosts=self._host_provider(desc.service_id))
+                for desc in self.search_active(query)
+            ]
 
     def _listing(self, desc: ServiceDescription) -> ServiceListing:
         listing = self.db.listings.get(desc.service_id)

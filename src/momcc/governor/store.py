@@ -9,11 +9,19 @@ are immutable, so readers always see complete records.
 - `hosting` maps each service to its holders, so finding the holders of
   one service does not scan every host;
 - `ranked` maps each service to a sorted list of `(-level, -trust,
-  host_id)`, one entry per live, certified holder, so discovery copies
+  host_id)`, one entry per live, certified holder, so discovery reads
   a kept ranking instead of sorting every holder on every query. A
   report moves its host's entry in each service it holds.
 
-A bulk load rebuilds both with `scan_hosting` and `scan_ranked`.
+`ranked_ids` keeps, per service, the host ids of its `ranked` entries as
+one list, built by `ranked_hosts` on the first read after the ranking's
+order or membership changes. A report that moves its host's entry in
+place keeps the list; an insert, a removal or a reinsert drops it. A
+kept list is never mutated, so every discovery reply (and the trace
+record that holds it) shares the list its ranking produced.
+
+A bulk load rebuilds the indexes with `scan_hosting` and `scan_ranked`
+and drops every kept list.
 
 `reports` is the append-only execution history. `add_report` is its one
 write: it also records the report id and appends the report to its host's
@@ -48,6 +56,7 @@ class HostDatabase:
     seen_report_ids: set[str] = field(default_factory=set)
     hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
     ranked: dict[str, list[RankKey]] = field(default_factory=dict)  # service_id -> live, certified holders
+    ranked_ids: dict[str, list[str]] = field(default_factory=dict)  # service_id -> host ids of `ranked`, kept
     host_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
     service_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
 
@@ -79,23 +88,37 @@ class HostDatabase:
             for service_id in after - before:
                 self.hosting.setdefault(service_id, set()).add(host_id)
                 if new_key is not None:
-                    insort(self.ranked.setdefault(service_id, []), new_key)
+                    self._rank(service_id, new_key)
             kept = before & after
         if old_key == new_key:
             return
         for service_id in kept:
             if old_key is None:
-                insort(self.ranked.setdefault(service_id, []), new_key)
+                self._rank(service_id, new_key)
             elif new_key is None:
                 self._unrank(service_id, old_key)
-            else:
-                _move(self.ranked[service_id], old_key, new_key)
+            elif not _move(self.ranked[service_id], old_key, new_key):
+                self.ranked_ids.pop(service_id, None)
+
+    def _rank(self, service_id: str, key: RankKey) -> None:
+        insort(self.ranked.setdefault(service_id, []), key)
+        self.ranked_ids.pop(service_id, None)
 
     def _unrank(self, service_id: str, key: RankKey) -> None:
         entries = self.ranked[service_id]
         del entries[_index(entries, key)]
         if not entries:
             del self.ranked[service_id]
+        self.ranked_ids.pop(service_id, None)
+
+    def ranked_hosts(self, service_id: str) -> list[str]:
+        """The host ids of a service's ranking, best first, as one kept
+        list. Shared: do not mutate."""
+        kept = self.ranked_ids.get(service_id)
+        if kept is None:
+            kept = [host_id for _, _, host_id in self.ranked.get(service_id, ())]
+            self.ranked_ids[service_id] = kept
+        return kept
 
     def scan_hosting(self) -> dict[str, set[str]]:
         """The hosting index as a full scan of the profiles computes it."""
@@ -148,14 +171,16 @@ def _index(entries: list[RankKey], key: RankKey) -> int:
     return i
 
 
-def _move(entries: list[RankKey], old: RankKey, new: RankKey) -> None:
-    """Replace `old` with `new`, in place while the order still holds."""
+def _move(entries: list[RankKey], old: RankKey, new: RankKey) -> bool:
+    """Replace `old` with `new`, in place while the order still holds;
+    whether it did (the order of the entries' hosts is then unchanged)."""
     i = _index(entries, old)
     if (i == 0 or entries[i - 1] < new) and (i + 1 == len(entries) or new < entries[i + 1]):
         entries[i] = new
-    else:
-        del entries[i]
-        insort(entries, new)
+        return True
+    del entries[i]
+    insort(entries, new)
+    return False
 
 
 def _windowed(reports: list[ExecutionReport], window: int | None) -> list[ExecutionReport]:

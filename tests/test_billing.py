@@ -255,6 +255,21 @@ class TestCachedSplit:
 cacheable_shares = st.one_of(decimal_shares, st.sampled_from([0, 1, 1.0, 0.0]))
 
 
+class TestCachedHostShare:
+    """`BillingUnit.host_share` reads a cache keyed on (developer share,
+    commission); units with different commissions share it in one process."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(decimal_shares, decimal_shares, decimal_shares)
+    def test_host_share_matches_a_fresh_fraction_in_two_units(self, dev, commission_a, commission_b):
+        assume(commission_a != commission_b)
+        units = ((unit(commission_a), commission_a), (unit(commission_b), commission_b))
+        for _ in range(2):  # the second round reads the cache
+            for billing, commission in units:
+                expected = 1 - Fraction(str(dev)) - Fraction(str(commission))
+                assert billing.host_share(dev) == expected
+
+
 class TestCachedShareParsing:
     """`_frac` is cached; a cached share must be the exact fraction it
     parsed to before, and the splits built from it must not move."""

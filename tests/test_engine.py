@@ -1,5 +1,6 @@
 """Engine determinism, causality, baseline comparison, trace checking."""
 import gc
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
@@ -503,18 +504,22 @@ class TestCollectorPause:
             assert gc.isenabled() is enabled
 
     def test_the_collector_is_off_while_the_trace_is_encoded(self, tmp_path):
+        """Lines are encoded as the writer takes them, so the collector is
+        checked at every line, not only when the writer asks for them."""
         result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
-        encode = result.trace_lines
+        encode = result.iter_trace_lines
         collecting = []
 
-        def trace_lines():
-            collecting.append(gc.isenabled())
-            return encode()
+        def iter_trace_lines():
+            for line in encode():
+                collecting.append(gc.isenabled())
+                yield line
 
-        result.trace_lines = trace_lines
+        result.iter_trace_lines = iter_trace_lines
         with collector(True):
             _write_outputs(result, tmp_path)
-        assert collecting == [False]
+        assert len(collecting) == len(result.trace) > 0
+        assert not any(collecting)
 
     @pytest.mark.parametrize("frozen", [False, True])
     def test_the_callers_freeze_count_is_unchanged(self, frozen, tmp_path):
@@ -564,3 +569,23 @@ class TestCollectorPause:
             assert gc.collect() == 0
             _write_outputs(result, tmp_path)
             assert gc.collect() == 0
+
+
+class TestStreamedTrace:
+    """The writer writes each trace line as it is encoded, so what it holds
+    does not grow with the trace."""
+
+    def test_the_writer_never_holds_the_whole_trace(self, tmp_path):
+        result = Simulation(scenario_from_dict(scenario_dict(
+            seed=3, duration_hours=6.0,
+            requesters=[{"count": 8, "demand_rate": 60, "query_pool": ["image"]}],
+        ))).run()
+        tracemalloc.start()
+        try:
+            _write_outputs(result, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        written = (tmp_path / "trace.log").read_bytes()
+        assert peak < len(written) / 4
+        assert written == "".join(line + "\n" for line in result.trace_lines()).encode("utf-8")

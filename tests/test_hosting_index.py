@@ -1,8 +1,10 @@
 """The host database's service -> holders index against a full scan.
 
-`live_hosts_ranked` copies the kept ranking, so every path that changes
-a profile's hosted set, liveness or certificate must keep the hosting
-index and the ranking in step.
+`live_hosts_ranked` returns the kept host list of the ranking, so every
+path that changes a profile's hosted set, liveness or certificate must
+keep the hosting index, the ranking and the kept lists in step. A list
+once returned is never mutated: earlier discovery replies and their
+trace records hold it.
 """
 from dataclasses import replace
 
@@ -62,6 +64,7 @@ operations = st.one_of(
     st.tuples(st.just("report"), hosts, services, st.booleans(),
               st.one_of(st.none(), st.integers(1, 5))),
     st.tuples(st.just("restore")),
+    st.tuples(st.just("rewind")),
 )
 
 
@@ -89,8 +92,10 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
             energy_used_mwh=1, outcome=Outcome.success() if ok else Outcome.failure("fault"),
             rating=rating,
         ))
-    else:
+    elif kind == "restore":
         governor = restore_governor(snapshot_governor(governor), CONFIG)
+    else:  # restore the hosts in place, back to before any placement
+        governor.hosts.restore_state(build_governor().hosts.snapshot_state())
     return governor
 
 
@@ -99,11 +104,29 @@ class TestHostingIndex:
     @given(st.lists(operations, max_size=40))
     def test_ranking_matches_full_scan_after_every_step(self, ops):
         governor = build_governor()
+        returned = []  # every list handed out, with its contents at the time
         for seq, op in enumerate(ops):
             governor = apply(governor, op, seq)
+            assert all(ranked == contents for ranked, contents in returned)
             for service_id in SERVICE_IDS:
-                assert governor.hosts.live_hosts_ranked(service_id) == scan_ranked(governor, service_id)
+                ranked = governor.hosts.live_hosts_ranked(service_id)
+                assert ranked == scan_ranked(governor, service_id)
+                assert governor.hosts.live_hosts_ranked(service_id) is ranked
+                returned.append((ranked, list(ranked)))
             assert governor.check_invariants() == []
+
+    def test_a_reordering_report_builds_a_new_list_and_an_in_place_move_keeps_it(self):
+        governor = build_governor()
+        governor.request_hosting("host-0", "svc-a")
+        governor.request_hosting("host-1", "svc-a")
+        before = governor.hosts.live_hosts_ranked("svc-a")
+        assert before == ["host-0", "host-1"]  # equal trust: host id order
+        apply(governor, ("report", "host-1", "svc-a", True, None), 1)  # host-1 overtakes host-0
+        after = governor.hosts.live_hosts_ranked("svc-a")
+        assert after == ["host-1", "host-0"] and before == ["host-0", "host-1"]
+        apply(governor, ("report", "host-1", "svc-a", True, None), 2)  # moves within first place
+        assert governor.hosts.live_hosts_ranked("svc-a") is after
+        assert governor.check_invariants() == []
 
     def test_invariant_reports_a_stale_index(self):
         governor = build_governor()
@@ -120,3 +143,12 @@ class TestHostingIndex:
         profile = governor.host_db.hosts["host-0"]
         governor.host_db.hosts["host-0"] = replace(profile, alive=False)  # stored without `put`
         assert governor.check_invariants() == ["hosts: ranking differs from a full scan of the profiles"]
+
+    def test_invariant_reports_a_stale_holder_list(self):
+        governor = build_governor()
+        governor.request_hosting("host-0", "svc-a")
+        stale = governor.hosts.live_hosts_ranked("svc-a")
+        governor.request_hosting("host-1", "svc-a")
+        assert governor.check_invariants() == []
+        governor.host_db.ranked_ids["svc-a"] = stale  # kept across a change that drops it
+        assert governor.check_invariants() == ["hosts: kept holder list differs from the ranking"]

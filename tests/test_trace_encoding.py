@@ -1,8 +1,8 @@
 """The trace writer and the metrics writer against plain `json.dumps`.
 
 `TraceRecord.to_line` builds each line in sorted key order and splices
-the shared per-service dicts of discovery and listing replies from a
-memo; `MetricsReport.to_json_bytes` indents without json's pure-Python
+the shared per-service dicts of discovery and listing replies, and the
+shared host lists of discovery replies, from a memo; `MetricsReport.to_json_bytes` indents without json's pure-Python
 encoder. Both must produce exactly what the straightforward encodings
 produce, which the tests keep as their oracles.
 """
@@ -42,15 +42,19 @@ json_values = st.recursive(
 json_objects = st.dictionaries(st.text(max_size=6), json_values, max_size=4)
 
 
+host_ids = st.lists(st.text(max_size=8), max_size=4)
+
+
 @st.composite
-def payloads(draw, kind: MessageKind, shared: list[dict]):
+def payloads(draw, kind: MessageKind, shared: list[dict], shared_hosts: list):
     """A payload of `kind`: the protocol's shape for discovery and listing
-    replies, naming dicts from `shared` so records repeat them, or any
-    JSON object."""
+    replies, naming dicts from `shared` and host lists or tuples from
+    `shared_hosts` so records repeat them, or any JSON object."""
     pick = st.sampled_from(shared)
     if kind == MessageKind.DISCOVERY_REPLY and draw(st.booleans()):
+        hosts = st.one_of(st.sampled_from(shared_hosts), host_ids, host_ids.map(tuple))
         entries = st.one_of(
-            st.fixed_dictionaries({"service": pick, "hosts": st.lists(st.text(max_size=8), max_size=4)}),
+            st.fixed_dictionaries({"service": pick, "hosts": hosts}),
             json_values,
         )
         return {"results": draw(st.lists(entries, max_size=4))}
@@ -62,6 +66,7 @@ def payloads(draw, kind: MessageKind, shared: list[dict]):
 @st.composite
 def trace_records(draw):
     shared = draw(st.lists(json_objects, min_size=1, max_size=4))
+    shared_hosts = draw(st.lists(st.one_of(host_ids, host_ids.map(tuple)), min_size=1, max_size=3))
     records = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(list(MessageKind)))
@@ -69,7 +74,7 @@ def trace_records(draw):
             kind=kind,
             sender_role=draw(st.sampled_from(list(Role))),
             correlation_id=draw(st.text(min_size=1, max_size=10)),
-            payload=draw(payloads(kind, shared)),
+            payload=draw(payloads(kind, shared, shared_hosts)),
         )
         records.append(TraceRecord(draw(finite), draw(finite), draw(st.text(max_size=8)),
                                    draw(st.text(max_size=8)), message))
@@ -93,6 +98,15 @@ class TestTraceLine:
             MessageKind.LIST_SERVICES_REPLY, Role.GOVERNOR, "list-1", {"services": [service]},
         ))
         memo = {id(service): ({"service_id": "stale"}, '{"service_id":"stale"}')}
+        assert record.to_line(memo) == oracle_line(record)
+
+    def test_a_host_list_memo_entry_for_another_object_is_not_reused(self):
+        hosts = ["host-a", "host-b"]
+        record = TraceRecord(1.0, 2.0, "governor", "req-000", ProtocolMessage(
+            MessageKind.DISCOVERY_REPLY, Role.GOVERNOR, "disc-1",
+            {"results": [{"service": {"service_id": "svc-a"}, "hosts": hosts}]},
+        ))
+        memo = {id(hosts): (["host-stale"], '["host-stale"]')}
         assert record.to_line(memo) == oracle_line(record)
 
 
