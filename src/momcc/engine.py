@@ -281,13 +281,6 @@ class SimulationResult:
     requester_ids: tuple[str, ...]
     host_assessments: list
 
-    def allocation_verdicts(self) -> list[tuple[str, str, bool]]:
-        """(host_id, service_id, conforms) for every recorded allocation."""
-        return [
-            (d.host_id, d.service_id, d.conforms())
-            for d in self.governor.hosts.decisions
-        ]
-
     def iter_trace_lines(self) -> Iterator[str]:
         """The trace's lines in order, each encoded as it is taken, with
         one memo for the whole pass."""

@@ -3,7 +3,10 @@
 Wires the service registry, host registry/profiler, security governor,
 service profiler, and billing unit over shared stores, under a single
 re-entrant lock so every public operation is atomic (linearizable) with
-respect to governor state.
+respect to governor state. Units that need a sibling hold it: discovery
+reads the host database's ranking, and the host registry meters each
+successful report with billing. `GovernorConfig` is the one home of
+every unit's defaults; the units' constructors take no defaults.
 """
 from __future__ import annotations
 
@@ -11,8 +14,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
-from ..errors import MissingAgreementError
-from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit
+from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit, check_developer_share
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
 from .profiler import ProfilerPolicy, ServiceProfiler
 from .registry import DEFAULT_FOOTPRINT_CEILING, DiscoveryResult, ServiceRegistry
@@ -56,8 +58,8 @@ class ServiceGovernor:
         )
         self.registry = ServiceRegistry(
             billing=self.billing,
+            host_db=self.host_db,
             footprint_ceiling=self.config.footprint_ceiling,
-            host_provider=self._live_hosts_for,
             lock=self.lock,
         )
         self.security = SecurityGovernor(
@@ -67,7 +69,7 @@ class ServiceGovernor:
             host_db=self.host_db,
             registry=self.registry,
             security=self.security,
-            on_success_report=self._meter_report,
+            billing=self.billing,
             assessment_weights=self.config.assessment_weights,
             lock=self.lock,
         )
@@ -78,31 +80,35 @@ class ServiceGovernor:
             lock=self.lock,
         )
 
-    def _live_hosts_for(self, service_id: str) -> list[str]:
-        return self.hosts.live_hosts_ranked(service_id)
-
     # -- cross-unit flows -------------------------------------------------
 
     def request_hosting(self, host_id: str, service_id: str,
-                        identity_verified: bool = False, min_share: float = 0.0,
-                        at: float = 0.0) -> AllocationDecision:
-        """Full hosting flow: admission handshake plus revenue agreement."""
+                        identity_verified: bool = False, at: float = 0.0) -> AllocationDecision:
+        """Full hosting flow: admission handshake plus revenue agreement.
+
+        A service's first confirmed placement settles its agreement; a
+        service whose agreement cannot be settled is rejected
+        (`NegotiationRejected`) before the handshake writes anything.
+        """
         with self.lock:
+            if self.billing.agreement_for(service_id) is None:
+                check_developer_share(self.registry.get(service_id).developer_share,
+                                      self.billing.governor_commission)
             decision = self.hosts.request_hosting(
                 host_id, service_id, identity_verified=identity_verified, at=at
             )
             if decision.confirmed:
-                self._settle_agreement(host_id, service_id, min_share)
+                self._settle_agreement(host_id, service_id)
             return decision
 
-    def _settle_agreement(self, host_id: str, service_id: str, min_share: float = 0.0) -> None:
+    def _settle_agreement(self, host_id: str, service_id: str) -> None:
         """Settle a service's split on its first placement; later hosts take the same one."""
         if self.billing.agreement_for(service_id) is None:
             desc = self.registry.get(service_id)
             self.billing.negotiate_host(
                 host_id=host_id,
                 service_id=service_id,
-                min_share=min_share,
+                min_share=0.0,
                 developer_id=desc.developer_id,
                 price=desc.price_per_invocation,
                 developer_share=desc.developer_share,
@@ -111,29 +117,14 @@ class ServiceGovernor:
     def ingest_report(self, report: ExecutionReport) -> bool:
         return self.hosts.ingest_report(report)
 
-    def _meter_report(self, report: ExecutionReport) -> None:
-        # Invoked by the host registry for successful reports only.
-        agreement = self.billing.agreement_for(report.service_id)
-        if agreement is None:
-            raise MissingAgreementError(
-                f"no billing agreement for service {report.service_id!r}"
-            )
-        if not self.billing.already_metered(report.report_id):
-            self.billing.meter_invocation(
-                agreement,
-                requester_pseudonym=report.requester_pseudonym,
-                correlation_id=report.report_id,
-                host_id=report.host_id,
-                at=report.started_at + report.duration_ms,
-            )
-
     def preprovision_host(self, host_id: str, service_ids: list[str],
                           identity_verified: bool = False, at: float = 0.0) -> None:
         """Administratively place services on a host, skipping admission.
 
         Exists for the always-on cloud endpoint of the WAN baseline; the
         marketplace path never uses it. Services the host already holds
-        are left as they are.
+        are left as they are. Each service's agreement is settled before
+        it is placed, so a rejection places nothing.
         """
         with self.lock:
             if self.host_db.get(host_id).certificate is None:
@@ -142,8 +133,8 @@ class ServiceGovernor:
                 desc = self.registry.get(service_id)
                 if service_id in self.host_db.get(host_id).hosted:
                     continue
-                self.hosts.place(host_id, desc)
                 self._settle_agreement(host_id, service_id)
+                self.hosts.place(host_id, desc)
 
     # -- invariants (used by tests and the stress harness) -----------------
 
@@ -157,6 +148,8 @@ class ServiceGovernor:
                 held = ZERO_RESOURCES
                 for service_id in profile.hosted:
                     held = held.plus(self.registry.get(service_id).min_resources)
+                    if self.billing.agreement_for(service_id) is None:
+                        problems.append(f"host {host_id}: service {service_id} hosted without an agreement")
                 if profile.committed != held:
                     problems.append(f"host {host_id}: committed differs from its hosted services")
                 cert = profile.certificate
@@ -165,8 +158,6 @@ class ServiceGovernor:
                         problems.append(f"host {host_id}: trust score out of bounds")
                     if cert.successes > cert.attempts:
                         problems.append(f"host {host_id}: successes exceed attempts")
-            if self.host_db.hosting != self.host_db.scan_hosting():
-                problems.append("hosts: hosting index differs from the hosted sets")
             if self.host_db.ranked != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
             ranked = self.host_db.ranked

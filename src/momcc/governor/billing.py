@@ -16,8 +16,10 @@ import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
-from ..errors import DuplicateCorrelationError, NegotiationRejected
+from ..domain import ExecutionReport
+from ..errors import DuplicateCorrelationError, MissingAgreementError, NegotiationRejected
 
 GOVERNOR_PARTY = "governor"
 
@@ -58,6 +60,15 @@ def _host_share(developer_share: float, commission: float) -> Fraction:
     """Exact 1 - developer_share - commission, built once per distinct pair:
     the listing index asks for it once per registered service."""
     return 1 - _frac(developer_share) - _frac(commission)
+
+
+def check_developer_share(developer_share: float, commission: float) -> None:
+    """Billing's feasibility rule: a developer share plus the governor's
+    commission may not exceed 1, or no host share is left to agree on."""
+    if _host_share(developer_share, commission) < 0:
+        raise NegotiationRejected(
+            f"developer share {developer_share} plus commission {commission} exceeds 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -106,12 +117,11 @@ class LedgerEntry:
 
 
 class BillingUnit:
-    def __init__(self, governor_commission: float = DEFAULT_COMMISSION,
-                 lock: threading.RLock | None = None):
+    def __init__(self, governor_commission: float, lock: threading.RLock):
         if not 0.0 <= governor_commission <= 1.0:
             raise ValueError("governor_commission must be in [0, 1]")
         self.governor_commission = governor_commission
-        self._lock = lock or threading.RLock()
+        self._lock = lock
         self._developers: dict[str, DeveloperTerms] = {}
         self._agreements: dict[str, Agreement] = {}
         self._entries: list[LedgerEntry] = []
@@ -126,11 +136,7 @@ class BillingUnit:
             raise NegotiationRejected("price must be >= 0")
         if not 0.0 <= requested_share <= 1.0:
             raise NegotiationRejected("requested share must be in [0, 1]")
-        if _frac(requested_share) + _frac(self.governor_commission) > 1:
-            raise NegotiationRejected(
-                f"developer share {requested_share} plus commission "
-                f"{self.governor_commission} exceeds 1"
-            )
+        check_developer_share(requested_share, self.governor_commission)
         terms = DeveloperTerms(developer_id, price, requested_share)
         with self._lock:
             self._developers[developer_id] = terms
@@ -148,11 +154,8 @@ class BillingUnit:
                        developer_id: str, price: int, developer_share: float) -> Agreement:
         """Offer a host the remainder share for a service; the host takes
         it or leaves it (rejection if below its min_share)."""
+        check_developer_share(developer_share, self.governor_commission)
         remainder = self.host_share(developer_share)
-        if remainder < 0:
-            raise NegotiationRejected(
-                f"service {service_id!r} leaves a negative host share"
-            )
         if remainder < _frac(min_share):
             raise NegotiationRejected(
                 f"host share {float(remainder)} below requested minimum {min_share}"
@@ -216,6 +219,24 @@ class BillingUnit:
             self._entries.append(entry)
             return entry
 
+    def meter_report(self, report: ExecutionReport) -> None:
+        """Meter a successful execution report under its service's
+        agreement, once: a report id already metered is skipped."""
+        with self._lock:
+            agreement = self._agreements.get(report.service_id)
+            if agreement is None:
+                raise MissingAgreementError(
+                    f"no billing agreement for service {report.service_id!r}"
+                )
+            if report.report_id not in self._metered_correlations:
+                self.meter_invocation(
+                    agreement,
+                    requester_pseudonym=report.requester_pseudonym,
+                    correlation_id=report.report_id,
+                    host_id=report.host_id,
+                    at=report.started_at + report.duration_ms,
+                )
+
     def already_metered(self, correlation_id: str) -> bool:
         with self._lock:
             return correlation_id in self._metered_correlations
@@ -262,13 +283,13 @@ class BillingUnit:
 
     LEDGER_CSV_VERSION = 1
 
-    def ledger_csv_rows(self) -> list[list[str]]:
-        """Rows for the ledger export: one column per party class."""
-        header = ["entry_id", "correlation_id", "payer", "total",
-                  "developer", "host", "governor", "format_version"]
-        rows = [header]
+    def ledger_csv_rows(self) -> Iterator[list[str]]:
+        """Rows for the ledger export, one column per party class, each
+        built as it is taken."""
+        yield ["entry_id", "correlation_id", "payer", "total",
+               "developer", "host", "governor", "format_version"]
         for entry in self.audit():
-            rows.append([
+            yield [
                 entry.entry_id,
                 entry.correlation_id,
                 entry.payer,
@@ -277,8 +298,7 @@ class BillingUnit:
                 format_money(entry.class_totals["host"]),
                 format_money(entry.class_totals["governor"]),
                 str(self.LEDGER_CSV_VERSION),
-            ])
-        return rows
+            ]
 
     # -- persistence ------------------------------------------------------
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from ..domain import (
     ExecutionReport,
@@ -23,6 +22,7 @@ from ..domain import (
 )
 from ..errors import DuplicateHostError, NotHostedError, UnknownEntityError
 from ..wire import MessageKind
+from .billing import BillingUnit
 from .registry import ServiceRegistry, ServiceStatus
 from .security import SecurityGovernor, update_trust
 from .store import HostDatabase
@@ -69,20 +69,17 @@ class HostRegistry:
         host_db: HostDatabase,
         registry: ServiceRegistry,
         security: SecurityGovernor,
-        on_success_report: Callable[[ExecutionReport], None] | None = None,
-        assessment_weights: tuple[float, float, float] = DEFAULT_ASSESSMENT_WEIGHTS,
-        lock: threading.RLock | None = None,
+        billing: BillingUnit,
+        assessment_weights: tuple[float, float, float],
+        lock: threading.RLock,
     ):
         self.host_db = host_db
         self.registry = registry
         self.security = security
-        self._on_success_report = on_success_report
+        self.billing = billing
         self.assessment_weights = assessment_weights
-        self._lock = lock or threading.RLock()
+        self._lock = lock
         self.decisions: list[AllocationDecision] = []
-        # Test instrumentation: transforms a decision trace before it is
-        # recorded. Leave as None outside fault-injection tests.
-        self.trace_filter: Callable[[tuple[MessageKind, ...]], tuple[MessageKind, ...]] | None = None
 
     # -- host lifecycle -------------------------------------------------
 
@@ -106,10 +103,6 @@ class HostRegistry:
             )
             self.host_db.put(profile)
             return profile
-
-    def get_host(self, host_id: str) -> HostProfile:
-        with self._lock:
-            return self.host_db.get(host_id)
 
     # -- allocation -------------------------------------------------------
 
@@ -138,7 +131,7 @@ class HostRegistry:
                 return self._deny(profile, desc, trace, "resources")
 
             trace.append(MessageKind.SC_QUERY)
-            cert = self.security.get_certificate(host_id)
+            cert = profile.certificate
             if cert is None:
                 trace.append(MessageKind.TRUST_ESTABLISH)
                 cert = self.security.issue_certificate(host_id, identity_verified, at=at)
@@ -155,27 +148,21 @@ class HostRegistry:
                 service_id=service_id,
                 confirmed=True,
                 reason=None,
-                trace=self._filtered(tuple(trace)),
+                trace=tuple(trace),
             )
             self.decisions.append(decision)
             return decision
 
     def _deny(self, profile: HostProfile, desc, trace: list[MessageKind], reason: str) -> AllocationDecision:
-        trace = trace + [MessageKind.ALLOCATION_DENIED]
         decision = AllocationDecision(
             host_id=profile.host_id,
             service_id=desc.service_id,
             confirmed=False,
             reason=reason,
-            trace=self._filtered(tuple(trace)),
+            trace=(*trace, MessageKind.ALLOCATION_DENIED),
         )
         self.decisions.append(decision)
         return decision
-
-    def _filtered(self, trace: tuple[MessageKind, ...]) -> tuple[MessageKind, ...]:
-        if self.trace_filter is not None:
-            return self.trace_filter(trace)
-        return trace
 
     def place(self, host_id: str, desc: ServiceDescription) -> None:
         """Reserve a service's resources on a host and add it to `hosted`; no checks."""
@@ -208,29 +195,17 @@ class HostRegistry:
                 self.unhost(host_id, service_id)
             self.host_db.put(replace(self.host_db.hosts[host_id], alive=False))
 
-    def live_hosts_ranked(self, service_id: str) -> list[str]:
-        """Live endpoints for a service: best certificate first.
-
-        Order: certificate level desc, trust score desc, host_id asc, as
-        the host database keeps it (`HostDatabase.ranked`). The list is
-        the database's kept one (`HostDatabase.ranked_hosts`), shared by
-        every caller until the ranking's order or membership changes.
-        Shared: do not mutate.
-        """
-        with self._lock:
-            return self.host_db.ranked_hosts(service_id)
-
     # -- execution reports ---------------------------------------------------
 
     def ingest_report(self, report: ExecutionReport) -> bool:
-        """Pass a success on to billing, append the report, and update its
+        """Meter a success with billing, append the report, and update its
         host's counters and trust in one profile write.
 
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
-        is judged afresh: the billing hook checks the service's agreement
-        before it meters, and nothing after it can fail.
+        is judged afresh: `BillingUnit.meter_report` checks the service's
+        agreement before it meters, and nothing after it can fail.
         """
         with self._lock:
             if report.report_id in self.host_db.seen_report_ids:
@@ -259,8 +234,8 @@ class HostRegistry:
                 rating_sum=profile.rating_sum + (report.rating or 0),
                 alive=profile.alive,
             )
-            if ok and self._on_success_report is not None:
-                self._on_success_report(report)
+            if ok:
+                self.billing.meter_report(report)
             self.host_db.add_report(report)
             self.host_db.put(updated)
             return True
@@ -326,6 +301,5 @@ class HostRegistry:
                 self.host_db.hosts[host_id] = host_profile_from_dict(raw)
             for raw in state["reports"]:
                 self.host_db.add_report(report_from_dict(raw))
-            self.host_db.hosting = self.host_db.scan_hosting()
             self.host_db.ranked = self.host_db.scan_ranked()
             self.host_db.ranked_ids.clear()

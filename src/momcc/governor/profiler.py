@@ -52,11 +52,11 @@ class Escalation:
 
 class ServiceProfiler:
     def __init__(self, registry: ServiceRegistry, host_db: HostDatabase,
-                 policy: ProfilerPolicy | None = None, lock: threading.RLock | None = None):
+                 policy: ProfilerPolicy, lock: threading.RLock):
         self.registry = registry
         self.host_db = host_db
-        self.policy = policy or ProfilerPolicy()
-        self._lock = lock or threading.RLock()
+        self.policy = policy
+        self._lock = lock
         self.escalations: list[Escalation] = []
         self._escalation_seq = 0
 

@@ -41,6 +41,7 @@ from ..domain import (
 )
 from ..errors import RegistrationRejected, UnknownEntityError
 from .billing import BillingUnit
+from .store import HostDatabase
 
 DEFAULT_FOOTPRINT_CEILING = ResourceVector(cpu=1024, memory=64, storage=64, energy=1000)
 
@@ -208,18 +209,13 @@ def listing_to_dict(listing: ServiceListing) -> dict:
 class ServiceRegistry:
     """Linearizable service store: concurrent reads, serialized writes."""
 
-    def __init__(
-        self,
-        billing: BillingUnit,
-        footprint_ceiling: ResourceVector = DEFAULT_FOOTPRINT_CEILING,
-        host_provider: Callable[[str], list[str]] | None = None,
-        lock: threading.RLock | None = None,
-    ):
+    def __init__(self, billing: BillingUnit, host_db: HostDatabase,
+                 footprint_ceiling: ResourceVector, lock: threading.RLock):
         self.db = ServiceDatabase()
         self.footprint_ceiling = footprint_ceiling
         self._billing = billing
-        self._host_provider = host_provider or (lambda service_id: [])
-        self._lock = lock or threading.RLock()
+        self._host_db = host_db
+        self._lock = lock
 
     # -- registration ---------------------------------------------------
 
@@ -301,10 +297,6 @@ class ServiceRegistry:
                 raise UnknownEntityError(f"unknown service: {service_id!r}")
             return status
 
-    def is_active(self, service_id: str) -> bool:
-        with self._lock:
-            return self.db.status.get(service_id) == ServiceStatus.ACTIVE
-
     def is_known(self, service_id: str) -> bool:
         with self._lock:
             return service_id in self.db.services
@@ -339,10 +331,12 @@ class ServiceRegistry:
     # -- discovery and listings -------------------------------------------
 
     def discover(self, query: str, requester_pseudonym: str) -> list[DiscoveryResult]:
-        """Requester-facing search; results carry no developer identity."""
+        """Requester-facing search; results carry no developer identity.
+        Each match's hosts are the host database's kept ranking."""
         with self._lock:
+            ranked_hosts = self._host_db.ranked_hosts
             return [
-                DiscoveryResult(listing=self._listing(desc), hosts=self._host_provider(desc.service_id))
+                DiscoveryResult(listing=self._listing(desc), hosts=ranked_hosts(desc.service_id))
                 for desc in self.search_active(query)
             ]
 

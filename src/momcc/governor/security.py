@@ -105,11 +105,10 @@ class SecurityGovernor:
     policy; the host registry applies `update_trust` with it on each report,
     in the same profile write as the report's counters."""
 
-    def __init__(self, host_db: HostDatabase, policy: TrustPolicy | None = None,
-                 lock: threading.RLock | None = None):
+    def __init__(self, host_db: HostDatabase, policy: TrustPolicy, lock: threading.RLock):
         self.host_db = host_db
-        self.policy = policy or TrustPolicy()
-        self._lock = lock or threading.RLock()
+        self.policy = policy
+        self._lock = lock
 
     def issue_certificate(self, host_id: str, identity_verified: bool, at: float = 0.0) -> SecurityCertificate:
         """Issue the lowest certificate to a registered host without one.

@@ -4,14 +4,11 @@ and security governor all read and write.
 Mutation happens only under the owning governor's lock; the values held
 are immutable, so readers always see complete records.
 
-`put` is the one profile write, and it keeps two indexes in step:
-
-- `hosting` maps each service to its holders, so finding the holders of
-  one service does not scan every host;
-- `ranked` maps each service to a sorted list of `(-level, -trust,
-  host_id)`, one entry per live, certified holder, so discovery reads
-  a kept ranking instead of sorting every holder on every query. A
-  report moves its host's entry in each service it holds.
+`put` is the one profile write, and it keeps one index in step:
+`ranked` maps each service to a sorted list of `(-level, -trust,
+host_id)`, one entry per live, certified holder, so discovery reads a
+kept ranking instead of sorting every holder on every query. A report
+moves its host's entry in each service it holds.
 
 `ranked_ids` keeps, per service, the host ids of its `ranked` entries as
 one list, built by `ranked_hosts` on the first read after the ranking's
@@ -20,8 +17,8 @@ place keeps the list; an insert, a removal or a reinsert drops it. A
 kept list is never mutated, so every discovery reply (and the trace
 record that holds it) shares the list its ranking produced.
 
-A bulk load rebuilds the indexes with `scan_hosting` and `scan_ranked`
-and drops every kept list.
+A bulk load rebuilds the ranking with `scan_ranked` and drops every
+kept list.
 
 `reports` is the append-only execution history. `add_report` is its one
 write: it also records the report id and appends the report to its host's
@@ -54,7 +51,6 @@ class HostDatabase:
     hosts: dict[str, HostProfile] = field(default_factory=dict)
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
-    hosting: dict[str, set[str]] = field(default_factory=dict)  # service_id -> holder host ids
     ranked: dict[str, list[RankKey]] = field(default_factory=dict)  # service_id -> live, certified holders
     ranked_ids: dict[str, list[str]] = field(default_factory=dict)  # service_id -> host ids of `ranked`, kept
     host_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
@@ -67,10 +63,9 @@ class HostDatabase:
         return profile
 
     def put(self, profile: HostProfile) -> None:
-        """Store a profile and move it in the hosting and ranking indexes."""
-        host_id = profile.host_id
-        old = self.hosts.get(host_id)
-        self.hosts[host_id] = profile
+        """Store a profile and move it in the ranking."""
+        old = self.hosts.get(profile.host_id)
+        self.hosts[profile.host_id] = profile
         before = old.hosted if old is not None else frozenset()
         after = profile.hosted
         old_key = rank_key(old) if old is not None else None
@@ -78,16 +73,11 @@ class HostDatabase:
         if before is after:  # a report, a certificate or a departure: no set arithmetic
             kept = after
         else:
-            for service_id in before - after:
-                holders = self.hosting[service_id]
-                holders.discard(host_id)
-                if not holders:
-                    del self.hosting[service_id]
-                if old_key is not None:
+            if old_key is not None:
+                for service_id in before - after:
                     self._unrank(service_id, old_key)
-            for service_id in after - before:
-                self.hosting.setdefault(service_id, set()).add(host_id)
-                if new_key is not None:
+            if new_key is not None:
+                for service_id in after - before:
                     self._rank(service_id, new_key)
             kept = before & after
         if old_key == new_key:
@@ -119,14 +109,6 @@ class HostDatabase:
             kept = [host_id for _, _, host_id in self.ranked.get(service_id, ())]
             self.ranked_ids[service_id] = kept
         return kept
-
-    def scan_hosting(self) -> dict[str, set[str]]:
-        """The hosting index as a full scan of the profiles computes it."""
-        index: dict[str, set[str]] = {}
-        for host_id, profile in self.hosts.items():
-            for service_id in profile.hosted:
-                index.setdefault(service_id, set()).add(host_id)
-        return index
 
     def scan_ranked(self) -> dict[str, list[RankKey]]:
         """The ranking index as a full scan of the profiles computes it."""

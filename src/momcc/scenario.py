@@ -41,7 +41,9 @@ from .agents import (
     RequesterAgentConfig,
 )
 from .domain import ResourceVector, ServiceDescription
+from .errors import NegotiationRejected
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
+from .governor.billing import check_developer_share
 from .governor.registry import service_from_dict
 
 FORMAT_VERSION = 1
@@ -343,9 +345,16 @@ def validate_scenario(data: dict) -> list[str]:
     # Rules between policy values (such as the trust thresholds' order)
     # live in the governor's config types; build the config to apply them.
     try:
-        governor_config_from(data.get("policies", {}))
+        config = governor_config_from(data.get("policies", {}))
     except ValueError as exc:
         diagnostics.append(f"/policies: {exc}")
+    else:
+        # Billing's rule: each developer share leaves room for the commission.
+        for i, svc in enumerate(data["services"]):
+            try:
+                check_developer_share(svc["developer_share"], config.governor_commission)
+            except NegotiationRejected as exc:
+                diagnostics.append(f"/services/{i}/developer_share: {exc}")
     return diagnostics
 
 

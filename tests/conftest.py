@@ -2,10 +2,13 @@
 pass/fail line per acceptance criterion."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from momcc.domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
-from momcc.governor import ServiceGovernor
+from momcc.governor import HostRegistry, ServiceGovernor
+from momcc.wire import MessageKind
 
 
 def make_service(
@@ -49,6 +52,20 @@ def governor_with(services: list[ServiceDescription]) -> ServiceGovernor:
             )
         governor.registry.register_service(desc)
     return governor
+
+
+def drop_sc_query(monkeypatch) -> None:
+    """Inject a handshake fault: every allocation decision the host
+    registry records and returns lacks its SC_QUERY step."""
+    handshake = HostRegistry.request_hosting
+
+    def faulty(self, *args, **kwargs):
+        decision = handshake(self, *args, **kwargs)
+        decision = replace(decision, trace=tuple(k for k in decision.trace if k != MessageKind.SC_QUERY))
+        self.decisions[-1] = decision
+        return decision
+
+    monkeypatch.setattr(HostRegistry, "request_hosting", faulty)
 
 
 @pytest.fixture

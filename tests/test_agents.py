@@ -287,6 +287,6 @@ class TestAggregation:
         governor = result.governor
         agg_reports = [r for r in governor.host_db.reports if r.host_id == "agg-000"]
         assert [r.outcome.reason for r in agg_reports] == [None, None]
-        assert governor.hosts.live_hosts_ranked("svc-combo") == []
+        assert governor.host_db.ranked_hosts("svc-combo") == []
         assert not governor.host_db.hosts["agg-000"].alive
         assert governor.check_invariants() == []

@@ -1,5 +1,6 @@
 """Negotiation feasibility, metering arithmetic, ledger conservation."""
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from momcc.governor.billing import (
 
 
 def unit(commission=0.2) -> BillingUnit:
-    return BillingUnit(governor_commission=commission)
+    return BillingUnit(governor_commission=commission, lock=threading.RLock())
 
 
 def agreement(price=1000, dev=0.4, host=0.4, commission=0.2) -> Agreement:
@@ -190,7 +191,7 @@ class TestHelpers:
     def test_ledger_csv_header_has_party_class_columns(self):
         billing = unit()
         billing.meter_invocation(agreement(), "anon-1", "inv-1", "host-a")
-        rows = billing.ledger_csv_rows()
+        rows = list(billing.ledger_csv_rows())
         assert rows[0] == ["entry_id", "correlation_id", "payer", "total",
                            "developer", "host", "governor", "format_version"]
         assert rows[1][2] == "anon-1"

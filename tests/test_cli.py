@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import scenario_dict
+from conftest import drop_sc_query, scenario_dict
 from momcc.cli import EXIT_INVALID, EXIT_OK, EXIT_TRACE_VIOLATIONS, main
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -93,18 +93,7 @@ class TestRun:
 
     def test_trace_violations_exit_two(self, tmp_path, monkeypatch):
         """A run whose traces break the handshake grammar exits 2."""
-        import momcc.cli as cli_module
-        from momcc.engine import Simulation
-        from momcc.wire import MessageKind
-
-        def faulty_run(scenario):
-            sim = Simulation(scenario)
-            sim.governor.hosts.trace_filter = lambda trace: tuple(
-                k for k in trace if k != MessageKind.SC_QUERY
-            )
-            return sim.run()
-
-        monkeypatch.setattr(cli_module, "run_scenario", faulty_run)
+        drop_sc_query(monkeypatch)
         path = write_scenario(tmp_path, scenario_dict(seed=1))
         code = main(["--no-banner", "run", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_TRACE_VIOLATIONS
@@ -172,6 +161,28 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "error: /policies: promote_high thresholds must strictly dominate promote_medium" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_developer_share_beyond_the_commission_is_a_service_diagnostic(
+        self, command, tmp_path, capsys
+    ):
+        """validate and run apply billing's rule: share + commission <= 1."""
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        data["services"][0]["developer_share"] = 0.9  # the commission is 0.2
+        path = write_scenario(tmp_path, data)
+        args = ["--no-banner", command, str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        code = main(args)
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: /services/0/developer_share: developer share 0.9 plus commission 0.2 exceeds 1\n"
+
+    def test_developer_share_is_judged_against_the_scenario_commission(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        data["services"][0]["developer_share"] = 0.9
+        data["policies"]["billing"]["governor_commission"] = 0.1  # 0.9 + 0.1 = 1 exactly
+        assert main(["--no-banner", "validate", str(write_scenario(tmp_path, data))]) == EXIT_OK
 
     def test_diagnostics_use_pointer_paths(self, tmp_path, capsys):
         data = scenario_dict()

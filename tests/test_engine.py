@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import composite_scenario, scenario_dict, service_dict
+from conftest import composite_scenario, drop_sc_query, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
 from momcc.cli import _write_outputs
 from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
+from momcc.governor.registry import ServiceStatus
 from momcc.scenario import (
     MODE_MARKETPLACE,
     MODE_WAN_CLOUD,
@@ -128,26 +129,21 @@ class TestModes:
 class TestTraceConformance:
     def test_run_with_allocations_has_conforming_traces(self):
         result = run_scenario(scenario_from_dict(scenario_dict(seed=6)))
-        verdicts = result.allocation_verdicts()
-        assert verdicts
-        assert all(ok for _, _, ok in verdicts)
+        decisions = result.governor.hosts.decisions
+        assert decisions
+        assert all(d.conforms() for d in decisions)
         assert result.report.trace_violations == 0
 
     def test_empty_run_zero_traces_zero_violations(self):
         data = scenario_dict(hosts=[], requesters=[])
         result = run_scenario(scenario_from_dict(data))
-        assert result.allocation_verdicts() == []
+        assert result.governor.hosts.decisions == []
         assert result.report.trace_violations == 0
 
-    def test_injected_fault_is_counted(self):
-        """Negative control: drop the SC step via the test hook."""
-        from momcc.engine import Simulation
-
-        sim = Simulation(scenario_from_dict(scenario_dict(seed=6)))
-        sim.governor.hosts.trace_filter = lambda trace: tuple(
-            k for k in trace if k != MessageKind.SC_QUERY
-        )
-        result = sim.run()
+    def test_injected_fault_is_counted(self, monkeypatch):
+        """Negative control: drop the SC step from every recorded decision."""
+        drop_sc_query(monkeypatch)
+        result = run_scenario(scenario_from_dict(scenario_dict(seed=6)))
         assert result.report.trace_violations > 0
 
     def test_trace_log_lines_decode_as_envelopes(self):
@@ -317,8 +313,8 @@ class TestSubstitutionInFlight:
         assert all(r.outcome.ok for r in after)
         # The replacement stayed available throughout.
         assert report.availability == 1.0
-        assert result.governor.registry.is_active("svc-solid")
-        assert not result.governor.registry.is_active("svc-aa-doomed")
+        assert result.governor.registry.status_of("svc-solid") is ServiceStatus.ACTIVE
+        assert result.governor.registry.status_of("svc-aa-doomed") is not ServiceStatus.ACTIVE
 
     def test_periodic_assessment_rides_the_sweep_cadence(self):
         result = run_scenario(scenario_from_dict(self.substitution_scenario()))

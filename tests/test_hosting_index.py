@@ -1,8 +1,8 @@
-"""The host database's service -> holders index against a full scan.
+"""The host database's discovery ranking against a full scan.
 
-`live_hosts_ranked` returns the kept host list of the ranking, so every
-path that changes a profile's hosted set, liveness or certificate must
-keep the hosting index, the ranking and the kept lists in step. A list
+`HostDatabase.ranked_hosts` returns the kept host list of the ranking,
+so every path that changes a profile's hosted set, liveness or
+certificate must keep the ranking and the kept lists in step. A list
 once returned is never mutated: earlier discovery replies and their
 trace records hold it.
 """
@@ -109,9 +109,9 @@ class TestHostingIndex:
             governor = apply(governor, op, seq)
             assert all(ranked == contents for ranked, contents in returned)
             for service_id in SERVICE_IDS:
-                ranked = governor.hosts.live_hosts_ranked(service_id)
+                ranked = governor.host_db.ranked_hosts(service_id)
                 assert ranked == scan_ranked(governor, service_id)
-                assert governor.hosts.live_hosts_ranked(service_id) is ranked
+                assert governor.host_db.ranked_hosts(service_id) is ranked
                 returned.append((ranked, list(ranked)))
             assert governor.check_invariants() == []
 
@@ -119,21 +119,14 @@ class TestHostingIndex:
         governor = build_governor()
         governor.request_hosting("host-0", "svc-a")
         governor.request_hosting("host-1", "svc-a")
-        before = governor.hosts.live_hosts_ranked("svc-a")
+        before = governor.host_db.ranked_hosts("svc-a")
         assert before == ["host-0", "host-1"]  # equal trust: host id order
         apply(governor, ("report", "host-1", "svc-a", True, None), 1)  # host-1 overtakes host-0
-        after = governor.hosts.live_hosts_ranked("svc-a")
+        after = governor.host_db.ranked_hosts("svc-a")
         assert after == ["host-1", "host-0"] and before == ["host-0", "host-1"]
         apply(governor, ("report", "host-1", "svc-a", True, None), 2)  # moves within first place
-        assert governor.hosts.live_hosts_ranked("svc-a") is after
+        assert governor.host_db.ranked_hosts("svc-a") is after
         assert governor.check_invariants() == []
-
-    def test_invariant_reports_a_stale_index(self):
-        governor = build_governor()
-        governor.request_hosting("host-0", "svc-a")
-        assert governor.check_invariants() == []
-        governor.host_db.hosting["svc-a"].discard("host-0")
-        assert governor.check_invariants() == ["hosts: hosting index differs from the hosted sets"]
 
     def test_invariant_reports_a_stale_ranking(self):
         governor = build_governor()
@@ -147,7 +140,7 @@ class TestHostingIndex:
     def test_invariant_reports_a_stale_holder_list(self):
         governor = build_governor()
         governor.request_hosting("host-0", "svc-a")
-        stale = governor.hosts.live_hosts_ranked("svc-a")
+        stale = governor.host_db.ranked_hosts("svc-a")
         governor.request_hosting("host-1", "svc-a")
         assert governor.check_invariants() == []
         governor.host_db.ranked_ids["svc-a"] = stale  # kept across a change that drops it

@@ -4,11 +4,12 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import governor_with, make_service
+from conftest import drop_sc_query, governor_with, make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import (
     DuplicateHostError,
     MissingAgreementError,
+    NegotiationRejected,
     NotHostedError,
     UnknownEntityError,
 )
@@ -48,7 +49,7 @@ def governor():
 
 class TestRegisterHost:
     def test_new_host_starts_empty(self, governor):
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         assert profile.hosted == frozenset()
         assert profile.committed == ResourceVector(0, 0, 0, 0)
         assert profile.certificate is None
@@ -111,15 +112,15 @@ class TestRequestHosting:
 
     def test_confirmed_allocation_reserves_resources(self, governor):
         governor.request_hosting("host-a", "svc-resize")
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         assert profile.committed == ResourceVector(512, 2, 5, 500)
         assert "svc-resize" in profile.hosted
 
     def test_denied_decision_mutates_nothing(self, governor):
-        before = governor.hosts.get_host("host-a")
+        before = governor.host_db.get("host-a")
         decision = governor.request_hosting("host-a", "svc-secure")
         assert not decision.confirmed
-        after = governor.hosts.get_host("host-a")
+        after = governor.host_db.get("host-a")
         assert after.committed == before.committed
         assert after.hosted == before.hosted
 
@@ -154,11 +155,44 @@ class TestRequestHosting:
         assert agreement.host_share == pytest.approx(0.4)
 
 
+class TestUnsettleableAgreement:
+    """A service whose developer share plus the commission exceeds 1 (its
+    developer negotiated a smaller share) leaves no host share to agree on."""
+
+    @pytest.fixture
+    def governor(self):
+        gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
+        gov.registry.register_service(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
+        gov.hosts.register_host("host-a", "Android", "4.0", AMPLE, 20000)
+        return gov
+
+    def test_hosting_request_is_rejected_before_the_handshake_writes(self, governor):
+        with pytest.raises(NegotiationRejected):
+            governor.request_hosting("host-a", "svc-resize")
+        profile = governor.host_db.get("host-a")
+        assert profile.hosted == frozenset() and profile.certificate is None
+        assert governor.hosts.decisions == []
+        assert governor.billing.agreement_for("svc-resize") is None
+        assert governor.check_invariants() == []
+
+    def test_preprovisioning_places_nothing_without_an_agreement(self, governor):
+        with pytest.raises(NegotiationRejected):
+            governor.preprovision_host("host-a", ["svc-resize"])
+        assert governor.host_db.get("host-a").hosted == frozenset()
+        assert governor.check_invariants() == []
+
+    def test_invariant_reports_a_hosted_service_without_an_agreement(self, governor):
+        governor.hosts.place("host-a", governor.registry.get("svc-resize"))  # no checks, no agreement
+        assert governor.check_invariants() == [
+            "host host-a: service svc-resize hosted without an agreement"
+        ]
+
+
 class TestUnhost:
     def test_unhost_restores_committed(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.hosts.unhost("host-a", "svc-resize")
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         assert profile.committed == ResourceVector(0, 0, 0, 0)
         assert profile.hosted == frozenset()
 
@@ -171,15 +205,15 @@ class TestUnhost:
     def test_preprovisioning_a_held_service_commits_it_once(self, governor):
         governor.preprovision_host("host-a", ["svc-resize"])
         governor.preprovision_host("host-a", ["svc-resize"])
-        assert governor.hosts.get_host("host-a").committed == ResourceVector(512, 2, 5, 500)
+        assert governor.host_db.get("host-a").committed == ResourceVector(512, 2, 5, 500)
         governor.hosts.unhost("host-a", "svc-resize")
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         assert (profile.hosted, profile.committed) == (frozenset(), ResourceVector(0, 0, 0, 0))
         assert governor.check_invariants() == []
 
     def test_invariants_catch_committed_that_differs_from_hosted(self, governor):
         governor.request_hosting("host-a", "svc-resize")
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         governor.host_db.hosts["host-a"] = replace(
             profile, committed=profile.committed.plus(ResourceVector(1, 0, 0, 0))
         )
@@ -211,7 +245,7 @@ class TestUnhost:
                     governor.hosts.unhost("host-x", sid)
                 except NotHostedError:
                     pass
-            profile = governor.hosts.get_host("host-x")
+            profile = governor.host_db.get("host-x")
             assert profile.capacity.covers(profile.committed)
         assert governor.check_invariants() == []
 
@@ -220,7 +254,7 @@ class TestIngestReport:
     def test_single_success_gives_availability_one(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report())
-        assert governor.hosts.get_host("host-a").availability_ratio == 1.0
+        assert governor.host_db.get("host-a").availability_ratio == 1.0
 
     def test_sfss_stream_gives_three_quarters(self, governor):
         governor.request_hosting("host-a", "svc-resize")
@@ -228,13 +262,13 @@ class TestIngestReport:
         for ok in pattern:
             governor.ingest_report(make_report(ok=ok))
         # Counting oracle.
-        assert governor.hosts.get_host("host-a").availability_ratio == sum(pattern) / len(pattern)
-        assert governor.hosts.get_host("host-a").availability_ratio == 0.75
+        assert governor.host_db.get("host-a").availability_ratio == sum(pattern) / len(pattern)
+        assert governor.host_db.get("host-a").availability_ratio == 0.75
 
     def test_first_rated_report_sets_mean_rating(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report(rating=5))
-        assert governor.hosts.get_host("host-a").mean_rating == 5.0
+        assert governor.host_db.get("host-a").mean_rating == 5.0
 
     def test_unknown_host_or_service_errors(self, governor):
         with pytest.raises(UnknownEntityError):
@@ -247,12 +281,12 @@ class TestIngestReport:
         report = make_report(report_id="rpt-fixed")
         assert governor.ingest_report(report) is True
         assert governor.ingest_report(report) is False
-        assert governor.hosts.get_host("host-a").attempts == 1
+        assert governor.host_db.get("host-a").attempts == 1
 
     def test_battery_view_decreases_with_reported_energy(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report(energy=500))
-        assert governor.hosts.get_host("host-a").battery_mwh == 19500
+        assert governor.host_db.get("host-a").battery_mwh == 19500
 
     def test_report_from_host_without_certificate_changes_nothing(self, governor):
         report = make_report(report_id="rpt-early")
@@ -260,25 +294,25 @@ class TestIngestReport:
             governor.ingest_report(report)
         assert governor.host_db.reports == []
         assert governor.host_db.seen_report_ids == set()
-        profile = governor.hosts.get_host("host-a")
+        profile = governor.host_db.get("host-a")
         assert (profile.attempts, profile.battery_mwh) == (0, 20000)
         # Once the host holds a certificate, the same report is taken.
         governor.request_hosting("host-a", "svc-resize")
         assert governor.ingest_report(report) is True
-        assert governor.hosts.get_host("host-a").attempts == 1
+        assert governor.host_db.get("host-a").attempts == 1
 
     def test_report_for_a_service_without_agreement_changes_nothing(self, governor):
         """A success for a service never placed has no agreement to meter:
         it is rejected before any write, and the retry is judged afresh."""
         governor.request_hosting("host-a", "svc-resize")  # certificate; svc-secure stays unplaced
-        before = governor.hosts.get_host("host-a")
+        before = governor.host_db.get("host-a")
         ranked_before = {sid: list(keys) for sid, keys in governor.host_db.ranked.items()}
         report = make_report(service_id="svc-secure", report_id="rpt-unplaced")
         with pytest.raises(MissingAgreementError):
             governor.ingest_report(report)
         assert governor.host_db.reports == []
         assert governor.host_db.seen_report_ids == set()
-        assert governor.hosts.get_host("host-a") == before
+        assert governor.host_db.get("host-a") == before
         assert governor.host_db.ranked == ranked_before
         assert governor.billing.audit() == []
         # Once the service is placed, its agreement exists and the retry is metered.
@@ -286,7 +320,7 @@ class TestIngestReport:
         governor.preprovision_host("host-b", ["svc-secure"])
         assert governor.ingest_report(report) is True
         assert governor.billing.already_metered("rpt-unplaced")
-        assert governor.hosts.get_host("host-a").attempts == 1
+        assert governor.host_db.get("host-a").attempts == 1
         assert governor.check_invariants() == []
 
 
@@ -358,10 +392,8 @@ class TestTraceConformance:
         governor.request_hosting("host-a", "svc-greedy")
         assert governor.hosts.count_trace_violations() == 0
 
-    def test_trace_filter_hook_injects_detectable_fault(self, governor):
-        governor.hosts.trace_filter = lambda trace: tuple(
-            k for k in trace if k != MessageKind.SC_QUERY
-        )
+    def test_injected_handshake_fault_is_detected(self, governor, monkeypatch):
+        drop_sc_query(monkeypatch)
         decision = governor.request_hosting("host-a", "svc-resize")
         assert decision.confirmed
         assert not decision.conforms()

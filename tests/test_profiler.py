@@ -79,7 +79,7 @@ class TestSubstitutionSweep:
         actions = governor.profiler.substitution_sweep()
         assert [(a.deprecated_id, a.replacement_id) for a in actions] == [("svc-resize", "svc-alt")]
         assert governor.registry.status_of("svc-resize") == ServiceStatus.DEPRECATED
-        assert governor.registry.is_active("svc-alt")
+        assert governor.registry.status_of("svc-alt") is ServiceStatus.ACTIVE
 
     def test_threshold_is_strict_inequality(self):
         # window 10, exactly 3 failures in 10 = 0.30: not deprecated
@@ -88,7 +88,7 @@ class TestSubstitutionSweep:
             policy=ProfilerPolicy(failure_threshold=0.3, window=10),
         )
         assert governor.profiler.substitution_sweep() == []
-        assert governor.registry.is_active("svc-resize")
+        assert governor.registry.status_of("svc-resize") is ServiceStatus.ACTIVE
 
     def test_no_same_tag_alternative_yields_none(self):
         governor = governor_with([make_service()])

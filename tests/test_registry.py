@@ -1,5 +1,6 @@
 """Service registry vetting, discovery, listings, and deprecation."""
 import random
+import threading
 from dataclasses import asdict, replace
 
 import pytest
@@ -7,17 +8,19 @@ import pytest
 from conftest import governor_with, make_service
 from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel, VersionError
 from momcc.errors import RegistrationRejected, UnknownEntityError
-from momcc.governor.billing import BillingUnit
-from momcc.governor.registry import DEFAULT_FOOTPRINT_CEILING, ServiceRegistry
+from momcc.governor.billing import DEFAULT_COMMISSION, BillingUnit
+from momcc.governor.registry import DEFAULT_FOOTPRINT_CEILING, ServiceRegistry, ServiceStatus
+from momcc.governor.store import HostDatabase
 
 
 def bare_registry(footprint_ceiling=DEFAULT_FOOTPRINT_CEILING,
                   developers=("dev-alpha",)) -> ServiceRegistry:
     """A registry alone, over a billing unit that knows `developers`."""
-    billing = BillingUnit()
+    lock = threading.RLock()
+    billing = BillingUnit(DEFAULT_COMMISSION, lock)
     for developer_id in developers:
         billing.negotiate_developer(developer_id, 1000, 0.4)
-    return ServiceRegistry(billing, footprint_ceiling)
+    return ServiceRegistry(billing, HostDatabase(), footprint_ceiling, lock)
 
 
 def kahn_has_cycle(edges: dict) -> bool:
@@ -44,7 +47,7 @@ class TestRegistration:
     def test_reference_requirements_accepted_under_default_ceiling(self):
         registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
         sid = registry.register_service(make_service())
-        assert registry.is_active(sid)
+        assert registry.status_of(sid) is ServiceStatus.ACTIVE
 
     def test_memory_one_over_ceiling_rejected(self):
         registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
@@ -112,7 +115,7 @@ class TestRegistration:
         registry = bare_registry()
         registry.register_service(make_service(service_id="top", dependencies=("leaf",)))
         registry.register_service(make_service(service_id="leaf"))
-        assert registry.is_active("top")
+        assert registry.status_of("top") is ServiceStatus.ACTIVE
 
     def test_governor_wires_billing_gate_into_registration(self):
         """Through the governor, registration requires a negotiated developer."""
@@ -124,7 +127,7 @@ class TestRegistration:
         assert err.value.reason == "developer"
         governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
         governor.registry.register_service(make_service())
-        assert governor.registry.is_active("svc-resize")
+        assert governor.registry.status_of("svc-resize") is ServiceStatus.ACTIVE
 
 
 class TestDiscovery:
@@ -160,7 +163,7 @@ class TestDiscovery:
             db.hosts["host-b"],
             certificate=SecurityCertificate("host-b", SecurityLevel.MEDIUM, 0.95, 40, 39, 0.0, False),
         ))
-        ranked = governor.hosts.live_hosts_ranked("svc-resize")
+        ranked = governor.host_db.ranked_hosts("svc-resize")
         assert ranked == ["host-a", "host-b"]
 
     def test_host_ranking_matches_sort_oracle(self):
@@ -181,15 +184,15 @@ class TestDiscovery:
             ))
             expected.append((host_id, level, score))
         oracle = [h for h, _, _ in sorted(expected, key=lambda t: (-int(t[1]), -t[2], t[0]))]
-        assert governor.hosts.live_hosts_ranked("svc-resize") == oracle
+        assert governor.host_db.ranked_hosts("svc-resize") == oracle
 
     def test_dead_hosts_not_listed(self):
         governor = governor_with([make_service()])
         governor.hosts.register_host("host-a", "Android", "4.0", ResourceVector(2048, 32, 64, 1000), 9000)
         governor.request_hosting("host-a", "svc-resize")
-        assert governor.hosts.live_hosts_ranked("svc-resize") == ["host-a"]
+        assert governor.host_db.ranked_hosts("svc-resize") == ["host-a"]
         governor.hosts.mark_departed("host-a")
-        assert governor.hosts.live_hosts_ranked("svc-resize") == []
+        assert governor.host_db.ranked_hosts("svc-resize") == []
 
     def test_ordering_is_deterministic(self):
         governor = governor_with([
