@@ -8,7 +8,10 @@ Subcommands:
     restore    verify and summarize a persisted governor state
 
 Exit codes: 0 success, 1 invalid input (bad scenario, bad flags,
-corrupt snapshot), 2 protocol trace violations in a run.
+corrupt snapshot), 2 protocol trace violations in a run, 3 a run that
+leaves the governor's state inconsistent (`check_invariants`); 3 wins
+over 2, since an inconsistent state makes the violation count
+untrustworthy.
 
 Everything printed is deterministic except the banner, which carries a
 wall-clock timestamp; pass --no-banner for diffable output.
@@ -40,6 +43,7 @@ from .snapshot import load_governor, write_snapshot
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_TRACE_VIOLATIONS = 2
+EXIT_INVARIANTS = 3
 
 
 def _banner(enabled: bool) -> None:
@@ -101,6 +105,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"invocations={report.invocations_total} mean_latency_ms={latency}")
     print(f"trace_violations={report.trace_violations}")
     print(f"outputs: {out_dir}/metrics.json metrics.csv trace.log ledger.csv")
+    problems = result.governor.check_invariants()
+    for problem in problems:
+        print(f"error: invariant: {problem}", file=sys.stderr)
+    if problems:
+        return EXIT_INVARIANTS
     if report.trace_violations > 0:
         return EXIT_TRACE_VIOLATIONS
     return EXIT_OK

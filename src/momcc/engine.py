@@ -23,7 +23,8 @@ differ in); execution time is tracked separately in reports.
 A run's trace is written one JSON line per delivered message
 (`TraceRecord.to_line`). Lines are built directly in sorted key order.
 The shared per-service dicts that discovery and listing replies carry,
-and the shared host lists of discovery replies, are encoded once per
+the shared host lists of discovery replies, and the one payload that
+repeated discovery answers share are encoded once per
 `iter_trace_lines()` pass and spliced into every line that names them.
 The pass yields one line at a time, so a writer holds one line of the
 trace, never all of it; the trace records themselves stay in memory.
@@ -216,29 +217,38 @@ def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str
     """A payload's compact JSON. Discovery and listing replies carry the
     registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
     `wire_dict`) and discovery replies the host database's kept holder
-    lists (`HostDatabase.ranked_hosts`); each is encoded once per memo:
-    the memo keys by `id()` and holds the object itself, so no id is
-    reused while it lives."""
+    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer is
+    one shared payload (`GovernorEndpoint`). Each is encoded once per
+    memo: the memo keys by `id()` and holds the object itself, so no id
+    is reused while it lives."""
     payload = msg.payload
     kind = msg.kind
-    if kind == MessageKind.DISCOVERY_REPLY and _sole_list(payload, "results"):
-        entries = ",".join(
-            f'{{"hosts":{_shared_json(entry["hosts"], memo)},"service":{_shared_json(entry["service"], memo)}}}'
-            if type(entry) is dict and entry.keys() == _RESULT_KEYS else _COMPACT(entry)
-            for entry in payload["results"]
-        )
-        return f'{{"results":[{entries}]}}'
+    if kind == MessageKind.DISCOVERY_REPLY:
+        return _shared_json(payload, memo, _discovery_json)
     if kind == MessageKind.LIST_SERVICES_REPLY and _sole_list(payload, "services"):
         services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
         return f'{{"services":[{services}]}}'
     return _COMPACT(payload)
 
 
-def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]]) -> str:
+def _discovery_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
+    if not _sole_list(payload, "results"):
+        return _COMPACT(payload)
+    entries = ",".join(
+        f'{{"hosts":{_shared_json(entry["hosts"], memo)},"service":{_shared_json(entry["service"], memo)}}}'
+        if type(entry) is dict and entry.keys() == _RESULT_KEYS else _COMPACT(entry)
+        for entry in payload["results"]
+    )
+    return f'{{"results":[{entries}]}}'
+
+
+def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]],
+                 encode: Callable[[Any, dict], str] | None = None) -> str:
+    """`obj`'s compact JSON, or `encode(obj, memo)`, kept in `memo` for `obj`."""
     hit = memo.get(id(obj))
     if hit is not None and hit[0] is obj:
         return hit[1]
-    text = _COMPACT(obj)
+    text = _COMPACT(obj) if encode is None else encode(obj, memo)
     memo[id(obj)] = (obj, text)
     return text
 

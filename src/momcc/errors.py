@@ -17,7 +17,7 @@ class UnknownEntityError(MarketplaceError):
 class RegistrationRejected(MarketplaceError):
     """Service registration failed vetting.
 
-    `reason` is one of: duplicate, footprint, scan, cycle, developer.
+    `reason` is one of: developer, share, duplicate, scan, footprint, cycle.
     """
 
     def __init__(self, reason: str, message: str):

@@ -169,6 +169,9 @@ class ServiceGovernor:
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
                 problems.append("registry: listing order differs from a full sort of the catalog")
+            if any(kept != catalog.matches(needle, catalog.sorted_ids)
+                   for needle, kept in catalog.answers.items()):
+                problems.append("registry: kept search answer differs from a full scan of the catalog")
             by_host, by_service = self.host_db.scan_report_indexes()
             if self.host_db.host_reports != by_host:
                 problems.append("hosts: per-host report index differs from the report history")

@@ -8,6 +8,11 @@ nothing of transport, so the caller routes what `handle` returns.
 A successful execution report waits for the consumer's rating (or the
 rating for its report), so the trust update sees outcome and rating as
 one observation. `flush` ends that wait when no more messages will come.
+
+Discovery replies are kept per query: while the registry's answer to a
+query equals the last one (the same kept results, so the same listings
+and host lists), every reply to it carries the one payload built from
+that answer, and the trace encodes it once.
 """
 from __future__ import annotations
 
@@ -26,6 +31,7 @@ class GovernorEndpoint:
     def __init__(self, governor: ServiceGovernor):
         self.governor = governor
         self.pending: dict[str, dict] = {}  # correlation -> {"report": payload} or {"rating": r}
+        self.replies: dict[str, tuple[list, dict]] = {}  # query -> (its last results, their payload)
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         """The replies to one message from `sender` received at `now`."""
@@ -56,7 +62,8 @@ class GovernorEndpoint:
     # the host database's kept holder lists, so every reply and trace
     # record naming a service shares one dict, and every discovery reply
     # between two changes of a service's ranking shares one host list.
-    # Nothing downstream may mutate a payload.
+    # Repeated discovery answers share their whole payload. Nothing
+    # downstream may mutate a payload.
 
     def _list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
         p = msg.payload
@@ -82,12 +89,19 @@ class GovernorEndpoint:
 
     def _discovery(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
         registry = self.governor.registry
-        results = registry.discover(msg.payload["query"], msg.payload["requester_pseudonym"])
-        entries = [
-            {"service": registry.listing_dict(r.listing.service_id), "hosts": r.hosts}
-            for r in results
-        ]
-        return _reply(MessageKind.DISCOVERY_REPLY, msg, sender, {"results": entries})
+        query = msg.payload["query"]
+        results = registry.discover(query, msg.payload["requester_pseudonym"])
+        last = self.replies.get(query)
+        # The kept results make this a list of identity checks between changes.
+        if last is not None and last[0] == results:
+            payload = last[1]
+        else:
+            payload = {"results": [
+                {"service": registry.listing_dict(r.listing.service_id), "hosts": r.hosts}
+                for r in results
+            ]}
+            self.replies[query] = (results, payload)
+        return _reply(MessageKind.DISCOVERY_REPLY, msg, sender, payload)
 
     def _report(self, msg: ProtocolMessage, now: float) -> None:
         p = msg.payload

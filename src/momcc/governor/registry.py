@@ -23,6 +23,18 @@ share, so listings rank by the split billing settles. Both indexes
 cover every registered service whatever its status, which is checked
 when a query reads them; registration only queues a service, and the
 next query indexes the queue.
+
+A query's answer is kept until a service that can change it does: the
+database maps each lowercased query to its Active matches, and a
+registration or a deprecation drops exactly the kept queries that the
+service's text contains (a restore starts a fresh database). A kept
+answer is shared by every caller that asks the same query: readers must
+never mutate it. There is no cap: the kept queries are the distinct
+queries asked, and a scenario's requesters draw theirs from fixed
+pools. Discovery likewise
+keeps one `DiscoveryResult` per service and reuses it while the host
+database still returns the same kept ranking list, so between two
+changes a repeated query builds nothing.
 """
 from __future__ import annotations
 
@@ -39,8 +51,8 @@ from ..domain import (
     ServiceDescription,
     parse_version,
 )
-from ..errors import RegistrationRejected, UnknownEntityError
-from .billing import BillingUnit
+from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
+from .billing import BillingUnit, check_developer_share
 from .store import HostDatabase
 
 DEFAULT_FOOTPRINT_CEILING = ResourceVector(cpu=1024, memory=64, storage=64, energy=1000)
@@ -63,27 +75,39 @@ class ServiceDatabase:
     intersects two postings in one operation. `by_revenue` holds one
     `RevenueEntry` per service in `(-host revenue, service_id)` order.
     `pending` lists the ids that `add` stored and `index` has not yet
-    entered into either. A restore replaces the whole database, which
-    drops the caches, the indexes and the queue with it.
+    entered into either. `answers` keeps each searched needle's Active
+    matches in id order, and `results` each service's last discovery
+    result. A restore replaces the whole database, which drops the
+    caches, the indexes, the kept answers and the queue with it.
     """
 
     services: dict[str, ServiceDescription] = field(default_factory=dict)
     status: dict[str, ServiceStatus] = field(default_factory=dict)
     search_text: dict[str, str] = field(default_factory=dict)
     sorted_ids: list[str] = field(default_factory=list)
-    listings: dict[str, ServiceListing] = field(default_factory=dict)
     listing_dicts: dict[str, dict] = field(default_factory=dict)
     wire_dicts: dict[str, dict] = field(default_factory=dict)
     grams: dict[str, int] = field(default_factory=dict)
     by_bit: list[str] = field(default_factory=list)
     by_revenue: list[RevenueEntry] = field(default_factory=list)
     pending: list[str] = field(default_factory=list)
+    answers: dict[str, list[ServiceDescription]] = field(default_factory=dict)
+    results: dict[str, DiscoveryResult] = field(default_factory=dict)
 
     def add(self, desc: ServiceDescription) -> None:
+        text = f"{desc.name} {desc.description}".lower()
         self.services[desc.service_id] = desc
-        self.search_text[desc.service_id] = f"{desc.name} {desc.description}".lower()
+        self.search_text[desc.service_id] = text
         insort(self.sorted_ids, desc.service_id)
         self.pending.append(desc.service_id)
+        self.forget_answers(text)
+
+    def forget_answers(self, text: str) -> None:
+        """Drop the kept answers of every needle that `text` contains: the
+        only queries a service with that text can enter or leave."""
+        answers = self.answers
+        for needle in [needle for needle in answers if needle in text]:
+            del answers[needle]
 
     def index(self, host_revenue: Callable[[ServiceDescription], int]) -> None:
         """Enter every pending service into both indexes."""
@@ -114,6 +138,15 @@ class ServiceDatabase:
             bits ^= low
         found.sort()
         return found
+
+    def matches(self, needle: str, ids: list[str]) -> list[ServiceDescription]:
+        """The Active services among `ids` whose text holds `needle`, in
+        the order of `ids`; `sorted_ids` makes it a full scan."""
+        search_text, status, active = self.search_text, self.status, ServiceStatus.ACTIVE
+        return [
+            self.services[sid] for sid in ids
+            if needle in search_text[sid] and status[sid] is active
+        ]
 
     def indexed_ids(self) -> list[str]:
         """Ids of the services no longer pending, in sorted order."""
@@ -176,7 +209,8 @@ class ServiceListing:
 @dataclass(frozen=True)
 class DiscoveryResult:
     """A match and its live hosts, best first. `hosts` is the host
-    database's kept list for the service. Shared: do not mutate."""
+    database's kept list for the service. The registry keeps one per
+    service and returns it while that list lasts. Shared: do not mutate."""
 
     listing: ServiceListing
     hosts: list[str]
@@ -224,13 +258,18 @@ class ServiceRegistry:
 
         `scan_attestation` is the verdict of the malware scan the code
         went through. Rejection reasons, in check order: developer,
-        duplicate, scan, footprint, cycle.
+        share (billing could never settle the service's split), duplicate,
+        scan, footprint, cycle.
         """
         with self._lock:
             if not self._billing.developer_registered(desc.developer_id):
                 raise RegistrationRejected(
                     "developer", f"developer {desc.developer_id!r} not registered with billing"
                 )
+            try:
+                check_developer_share(desc.developer_share, self._billing.governor_commission)
+            except NegotiationRejected as exc:
+                raise RegistrationRejected("share", f"service {desc.service_id!r}: {exc}") from None
             if desc.service_id in self.db.services:
                 raise RegistrationRejected("duplicate", f"service id {desc.service_id!r} already registered")
             if not scan_attestation:
@@ -280,6 +319,7 @@ class ServiceRegistry:
             if self.db.status[service_id] != ServiceStatus.ACTIVE:
                 raise UnknownEntityError(f"service {service_id!r} is not Active")
             self.db.status[service_id] = ServiceStatus.DEPRECATED
+            self.db.forget_answers(self.db.search_text[service_id])
 
     # -- lookup ----------------------------------------------------------
 
@@ -310,17 +350,18 @@ class ServiceRegistry:
             ]
 
     def search_active(self, query: str) -> list[ServiceDescription]:
-        """Case-insensitive substring match over name and description."""
+        """Case-insensitive substring match over name and description, in
+        id order. The list is the kept answer: shared, do not mutate."""
         needle = query.lower()
         with self._lock:
+            kept = self.db.answers.get(needle)
+            if kept is not None:
+                return kept
             db = self._indexed()
-            candidates = db.sorted_ids if len(needle) < 3 else db.candidates(needle)
-            search_text, status, active = db.search_text, db.status, ServiceStatus.ACTIVE
-            return [
-                db.services[sid]
-                for sid in candidates
-                if needle in search_text[sid] and status[sid] is active
-            ]
+            kept = db.answers[needle] = db.matches(
+                needle, db.sorted_ids if len(needle) < 3 else db.candidates(needle)
+            )
+            return kept
 
     def _indexed(self) -> ServiceDatabase:
         """The database, with every pending service entered into its indexes."""
@@ -332,26 +373,27 @@ class ServiceRegistry:
 
     def discover(self, query: str, requester_pseudonym: str) -> list[DiscoveryResult]:
         """Requester-facing search; results carry no developer identity.
-        Each match's hosts are the host database's kept ranking."""
+        Each match's hosts are the host database's kept ranking, and its
+        result is the kept one while that ranking's list is unchanged."""
         with self._lock:
-            ranked_hosts = self._host_db.ranked_hosts
-            return [
-                DiscoveryResult(listing=self._listing(desc), hosts=ranked_hosts(desc.service_id))
-                for desc in self.search_active(query)
-            ]
-
-    def _listing(self, desc: ServiceDescription) -> ServiceListing:
-        listing = self.db.listings.get(desc.service_id)
-        if listing is None:
-            listing = self.db.listings[desc.service_id] = _listing_of(desc)
-        return listing
+            ranked_hosts, kept = self._host_db.ranked_hosts, self.db.results
+            found = []
+            for desc in self.search_active(query):
+                service_id = desc.service_id
+                hosts = ranked_hosts(service_id)
+                result = kept.get(service_id)
+                if result is None or result.hosts is not hosts:
+                    listing = _listing_of(desc) if result is None else result.listing
+                    result = kept[service_id] = DiscoveryResult(listing, hosts)
+                found.append(result)
+            return found
 
     def listing_dict(self, service_id: str) -> dict:
         """A service's listing as a discovery reply carries it. Shared: do not mutate."""
         with self._lock:
             encoded = self.db.listing_dicts.get(service_id)
             if encoded is None:
-                encoded = listing_to_dict(self._listing(self.get(service_id)))
+                encoded = listing_to_dict(_listing_of(self.get(service_id)))
                 self.db.listing_dicts[service_id] = encoded
             return encoded
 

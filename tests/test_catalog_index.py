@@ -1,18 +1,22 @@
-"""The service database's trigram search index and revenue-ordered listing
-against a full scan of the catalog.
+"""The service database's trigram search index, kept answers and
+revenue-ordered listing against a full scan of the catalog.
 
-Discovery reads candidates from the trigram postings and listings filter
-the revenue-ordered list, so every registration, deprecation and restore
-must leave both queries answering exactly what a scan of every service
-would: the same services, in the same order.
+Discovery reads candidates from the trigram postings, keeps each query's
+answer and each service's result, and listings filter the
+revenue-ordered list. So every registration, deprecation, restore,
+report and departure must leave both queries answering exactly what a
+scan of every service and every host profile would: the same services,
+in the same order, with the same hosts.
 """
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_service
-from momcc.domain import ResourceVector, ServiceDescription
+from momcc.domain import ExecutionReport, Outcome, ResourceVector, ServiceDescription
 from momcc.errors import RegistrationRejected, UnknownEntityError
-from momcc.governor import ServiceGovernor
+from momcc.governor import GovernorConfig, ServiceGovernor, TrustPolicy
 from momcc.snapshot import restore_governor, snapshot_governor
 
 DEVELOPER = "dev-alpha"
@@ -27,12 +31,25 @@ OSES = ["Android", "Tizen"]
 MIN_VERSIONS = ["1", "3.2", "4", "4.0.1", "10.1"]
 HOST_VERSIONS = ["1", "3.2", "4.0", "4.0.1", "9.9", "10.1"]
 DEVELOPER_SHARES = [0.0, 0.1, 0.2, 0.4, 0.75, 0.8, 0.9]
+# Levels move within a few reports, so reports reorder rankings.
+CONFIG = GovernorConfig(
+    trust_policy=TrustPolicy(alpha=0.5, promote_medium=(0.5, 2), promote_high=(0.8, 4))
+)
+HOST_IDS = [f"host-{i}" for i in range(4)]
+HOST_CAPACITY = ResourceVector(8192, 128, 128, 8000)  # room for every service at once
 
 
 def build_governor() -> ServiceGovernor:
-    governor = ServiceGovernor()
+    governor = ServiceGovernor(CONFIG)
     governor.billing.negotiate_developer(DEVELOPER, 1000, 0.4)
+    for host_id in HOST_IDS:
+        governor.hosts.register_host(host_id, "Android", "10.1", HOST_CAPACITY, 10**6)
     return governor
+
+
+def settleable(desc: ServiceDescription) -> bool:
+    """Billing's rule, exactly: developer share plus commission at most 1."""
+    return Fraction(str(desc.developer_share)) + Fraction(str(CONFIG.governor_commission)) <= 1
 
 
 def text_of(desc: ServiceDescription) -> str:
@@ -65,6 +82,16 @@ def scan_listing(governor: ServiceGovernor, model: dict[str, ServiceDescription]
     return candidates
 
 
+def scan_hosts(governor: ServiceGovernor, service_id: str) -> list[str]:
+    """A service's live, certified holders as a scan of every profile ranks them."""
+    holding = [
+        p for p in governor.host_db.hosts.values()
+        if p.alive and service_id in p.hosted and p.certificate is not None
+    ]
+    holding.sort(key=lambda p: (-p.certificate.level, -p.certificate.trust_score, p.host_id))
+    return [p.host_id for p in holding]
+
+
 words = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
 services = st.builds(
     lambda sid, name, description, os_name, min_version, need, price, share: make_service(
@@ -89,6 +116,8 @@ needles = st.one_of(
     st.text(ALPHABET, max_size=2),
     st.text(ALPHABET, min_size=3, max_size=8),
     st.sampled_from(ABSENT + WORDS),
+    # Short, mixed-case and length-changing ("İ".lower() is 2 characters).
+    st.sampled_from(["", "i", "İ", "İst", "iST", "ß", "SS", "Im", "mAG"]),
     # A slice of some service's text, in its own case or another.
     st.tuples(st.integers(0, 9), st.integers(0, 30), st.integers(0, 12),
               st.sampled_from([str, str.upper, str.lower, str.swapcase])),
@@ -99,7 +128,12 @@ operations = st.one_of(
     st.tuples(st.just("restore")),
     st.tuples(st.just("restore_registry")),
     st.tuples(st.just("search"), needles),
+    st.tuples(st.just("discover"), needles),
     st.tuples(st.just("list"), free_resources, st.sampled_from(OSES), st.sampled_from(HOST_VERSIONS)),
+    st.tuples(st.just("host"), st.sampled_from(HOST_IDS), st.sampled_from(SERVICE_IDS)),
+    st.tuples(st.just("report"), st.sampled_from(HOST_IDS), st.sampled_from(SERVICE_IDS),
+              st.booleans(), st.one_of(st.none(), st.integers(1, 5))),
+    st.tuples(st.just("depart"), st.sampled_from(HOST_IDS)),
 )
 
 
@@ -120,15 +154,19 @@ class Catalog:
         self.governor = build_governor()
         self.model: dict[str, ServiceDescription] = {}
         self.deprecated: set[str] = set()
+        self.queries: set[str] = set()  # every query discovered so far
+        self.reports = 0
 
     def apply(self, op: tuple) -> None:
         kind = op[0]
-        registry = self.governor.registry
+        governor = self.governor
+        registry = governor.registry
         if kind == "register":
             desc = op[1]
-            if desc.service_id in self.model:
-                with pytest.raises(RegistrationRejected):
+            if not settleable(desc) or desc.service_id in self.model:
+                with pytest.raises(RegistrationRejected) as err:
                     registry.register_service(desc)
+                assert err.value.reason == ("duplicate" if settleable(desc) else "share")
             else:
                 registry.register_service(desc)
                 self.model[desc.service_id] = desc
@@ -141,20 +179,55 @@ class Catalog:
                 with pytest.raises(UnknownEntityError):
                     registry.deprecate_service(sid)
         elif kind == "restore":
-            self.governor = restore_governor(snapshot_governor(self.governor))
+            self.governor = restore_governor(snapshot_governor(governor), CONFIG)
         elif kind == "restore_registry":
             # Into the registry that took the snapshot, with its indexes and
             # queue in whatever state the steps so far left them.
             registry.restore_state(registry.snapshot_state())
         elif kind == "search":
             self.check_search(needle_of(op[1], self.model))
-        else:
+        elif kind == "discover":
+            query = needle_of(op[1], self.model)
+            self.queries.add(query)
+            self.check_discover(query)
+        elif kind == "list":
             self.check_listing(*op[1:])
+        elif kind == "host":
+            _, host_id, service_id = op
+            if service_id in self.model:
+                governor.request_hosting(host_id, service_id)
+        elif kind == "report":
+            _, host_id, service_id, ok, rating = op
+            if service_id not in self.model or governor.host_db.hosts[host_id].certificate is None:
+                return  # no such report reaches the governor
+            self.reports += 1
+            ok = ok and governor.billing.agreement_for(service_id) is not None
+            governor.ingest_report(ExecutionReport(
+                report_id=f"rpt-{self.reports:04d}", host_id=host_id, service_id=service_id,
+                requester_pseudonym="anon-catalog", started_at=float(self.reports),
+                duration_ms=10.0, energy_used_mwh=1,
+                outcome=Outcome.success() if ok else Outcome.failure("fault"), rating=rating,
+            ))
+        else:
+            governor.hosts.mark_departed(op[1])
 
     def check_search(self, query: str) -> None:
         assert self.governor.registry.search_active(query) == scan_search(
             self.model, self.deprecated, query
         )
+
+    def check_discover(self, query: str) -> None:
+        """`discover` against a scan of the catalog and of the host
+        profiles; asked again with nothing changed, it returns the same
+        result objects."""
+        registry = self.governor.registry
+        found = registry.discover(query, "anon-catalog")
+        assert [(r.listing.service_id, r.listing.name, r.hosts) for r in found] == [
+            (desc.service_id, desc.name, scan_hosts(self.governor, desc.service_id))
+            for desc in scan_search(self.model, self.deprecated, query)
+        ]
+        again = registry.discover(query, "anon-catalog")
+        assert len(again) == len(found) and all(a is b for a, b in zip(again, found))
 
     def check_listing(self, free: ResourceVector, host_os: str, version: str) -> None:
         assert self.governor.registry.list_available_services(free, host_os, version) == scan_listing(
@@ -169,10 +242,13 @@ class TestCatalogIndex:
         catalog = Catalog()
         for op in ops:
             catalog.apply(op)
+            for query in catalog.queries:
+                catalog.check_discover(query)
             assert catalog.governor.check_invariants() == []
         catalog.check_listing(ResourceVector(1024, 64, 64, 1000), "Android", "10.1")
         for word in WORDS + ABSENT:
             catalog.check_search(word)
+            catalog.check_discover(word)
 
     def test_short_and_length_changing_needles(self):
         catalog = Catalog()
@@ -241,3 +317,47 @@ class TestIndexInvariants:
         assert governor.check_invariants() == [
             "registry: listing order differs from a full sort of the catalog"
         ]
+
+    def test_invariant_reports_a_stale_kept_answer(self):
+        governor = indexed_governor()
+        db = governor.registry.db
+        assert [d.service_id for d in db.answers["image"]] == ["svc-a", "svc-b"]
+        db.answers["image"] = db.answers["image"][:1]  # kept across a change that drops it
+        assert governor.check_invariants() == [
+            "registry: kept search answer differs from a full scan of the catalog"
+        ]
+
+
+class TestKeptAnswers:
+    def test_a_change_drops_exactly_the_answers_it_can_move(self):
+        governor = indexed_governor()
+        registry, db = governor.registry, governor.registry.db
+        image, route = registry.search_active("IMAGE"), registry.search_active("route")
+        assert registry.search_active("image") is image  # the needle is the lowercased query
+        registry.register_service(
+            make_service(service_id="svc-c", developer_id=DEVELOPER, name="map tiles", description="x")
+        )
+        assert registry.search_active("image") is image and registry.search_active("route") is route
+        registry.register_service(
+            make_service(service_id="svc-d", developer_id=DEVELOPER, name="Image tiles", description="x")
+        )
+        assert set(db.answers) == {"route"}  # only "image" is in "image tiles x"
+        assert [d.service_id for d in registry.search_active("image")] == ["svc-a", "svc-b", "svc-d"]
+        registry.deprecate_service("svc-b")  # "image route ...": both needles
+        assert db.answers == {}
+        assert [d.service_id for d in registry.search_active("image")] == ["svc-a", "svc-d"]
+        assert registry.search_active("route") == []
+        assert governor.check_invariants() == []
+
+    def test_a_kept_result_lasts_while_its_host_list_does(self):
+        governor = indexed_governor()
+        for host_id in ("host-0", "host-1"):
+            assert governor.request_hosting(host_id, "svc-a").confirmed
+        [first] = governor.registry.discover("resize", "anon")
+        assert first.hosts == ["host-0", "host-1"]
+        assert governor.registry.discover("resize", "anon")[0] is first
+        [second] = governor.registry.discover("resize", "anon")
+        governor.hosts.mark_departed("host-0")
+        [third] = governor.registry.discover("resize", "anon")
+        assert second is first and third is not first
+        assert third.hosts == ["host-1"] and first.hosts == ["host-0", "host-1"]

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from conftest import drop_sc_query, scenario_dict
-from momcc.cli import EXIT_INVALID, EXIT_OK, EXIT_TRACE_VIOLATIONS, main
+from momcc.cli import EXIT_INVALID, EXIT_INVARIANTS, EXIT_OK, EXIT_TRACE_VIOLATIONS, main
+from momcc.governor import ServiceGovernor
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -97,6 +98,27 @@ class TestRun:
         path = write_scenario(tmp_path, scenario_dict(seed=1))
         code = main(["--no-banner", "run", str(path), "--out", str(tmp_path / "out")])
         assert code == EXIT_TRACE_VIOLATIONS
+
+    @pytest.mark.parametrize("name", ["default.json", "composite.json"])
+    def test_bundled_scenarios_leave_a_consistent_governor(self, name, tmp_path, capsys):
+        code = main(["--no-banner", "run", str(SCENARIOS / name), "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("violations", [False, True])
+    def test_an_inconsistent_governor_exits_three(self, violations, tmp_path, monkeypatch, capsys):
+        """Invariant problems go to stderr and win over trace violations."""
+        if violations:
+            drop_sc_query(monkeypatch)
+        monkeypatch.setattr(ServiceGovernor, "check_invariants",
+                            lambda self: ["hosts: planted one", "ledger: planted two"])
+        path = write_scenario(tmp_path, scenario_dict(seed=1))
+        out = tmp_path / "out"
+        assert main(["--no-banner", "run", str(path), "--out", str(out)]) == EXIT_INVARIANTS
+        assert capsys.readouterr().err == (
+            "error: invariant: hosts: planted one\nerror: invariant: ledger: planted two\n"
+        )
+        assert (out / "metrics.json").exists()  # the outputs are written first
 
 
 class TestCompare:

@@ -17,14 +17,14 @@ def endpoint():
     return GovernorEndpoint(governor)
 
 
-def report(correlation: str, ok: bool = True) -> ProtocolMessage:
+def report(correlation: str, ok: bool = True, host_id: str = "host-a") -> ProtocolMessage:
     return ProtocolMessage(
         kind=MessageKind.EXECUTION_REPORT,
         sender_role=Role.HOST,
         correlation_id=correlation,
         payload={
             "report_id": f"rpt-{correlation}",
-            "host_id": "host-a",
+            "host_id": host_id,
             "service_id": "svc-resize",
             "requester_pseudonym": "anon-1",
             "started_at": 10.0,
@@ -130,3 +130,67 @@ def test_requests_are_answered_to_the_sender_under_their_correlation(endpoint):
     assert replies[MessageKind.ALLOCATION_DENIED]["reason"] == "platform"
     [result] = replies[MessageKind.DISCOVERY_REPLY]["results"]
     assert (result["service"]["service_id"], result["hosts"]) == ("svc-resize", ["host-a"])
+
+
+def discovery(correlation: str, query: str = "image") -> ProtocolMessage:
+    return ProtocolMessage(
+        MessageKind.DISCOVERY_QUERY, Role.REQUESTER, correlation,
+        {"query": query, "requester_pseudonym": "anon-1"},
+    )
+
+
+def discovered(endpoint, correlation: str, query: str = "image") -> dict:
+    [outbound] = endpoint.handle(discovery(correlation, query), "req-0", 5.0)
+    return outbound.message.payload
+
+
+def content(payload: dict) -> list[tuple[str, list[str]]]:
+    return [(entry["service"]["service_id"], list(entry["hosts"])) for entry in payload["results"]]
+
+
+class TestSharedDiscoveryReplies:
+    @pytest.fixture
+    def market(self, endpoint):
+        """Two hosts on svc-resize (host-a ahead after one rated report) and a second service."""
+        governor = endpoint.governor
+        governor.registry.register_service(make_service(service_id="svc-blur", name="image blur"))
+        governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
+        assert governor.request_hosting("host-b", "svc-resize").confirmed
+        endpoint.handle(report("inv-0"), "host-b", 1.0)
+        endpoint.handle(rating("inv-0"), "req-0", 1.0)
+        return endpoint
+
+    def test_identical_queries_with_nothing_changed_share_one_payload(self, market):
+        first = discovered(market, "disc-1")
+        assert content(first) == [("svc-blur", []), ("svc-resize", ["host-a", "host-b"])]
+        assert discovered(market, "disc-2") is first
+        assert discovered(market, "disc-3", "blur") is not first
+
+    def test_a_ranking_reinsert_gives_a_new_payload(self, market):
+        first = discovered(market, "disc-1")
+        for n in range(1, 4):  # host-b overtakes host-a
+            market.handle(report(f"inv-{n}", host_id="host-b"), "host-b", 2.0)
+            market.handle(rating(f"inv-{n}"), "req-0", 2.0)
+        second = discovered(market, "disc-2")
+        assert second is not first
+        assert content(second) == [("svc-blur", []), ("svc-resize", ["host-b", "host-a"])]
+        assert content(first) == [("svc-blur", []), ("svc-resize", ["host-a", "host-b"])]
+
+    def test_a_deprecation_gives_a_new_payload(self, market):
+        first = discovered(market, "disc-1")
+        market.governor.registry.deprecate_service("svc-blur")
+        second = discovered(market, "disc-2")
+        assert second is not first
+        assert content(second) == [("svc-resize", ["host-a", "host-b"])]
+
+    def test_registering_a_matching_service_gives_a_new_payload(self, market):
+        registry = market.governor.registry
+        first = discovered(market, "disc-1")
+        registry.register_service(make_service(service_id="svc-crop", name="map crop", description="tiles"))
+        assert discovered(market, "disc-2") is first  # "map crop tiles" does not hold "image"
+        registry.register_service(make_service(service_id="svc-a", name="IMAGE crop"))
+        second = discovered(market, "disc-3")
+        assert second is not first
+        assert content(second) == [
+            ("svc-a", []), ("svc-blur", []), ("svc-resize", ["host-a", "host-b"])
+        ]

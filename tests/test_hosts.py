@@ -13,6 +13,7 @@ from momcc.errors import (
     NotHostedError,
     UnknownEntityError,
 )
+from momcc.governor.registry import ServiceStatus, service_to_dict
 from momcc.wire import MessageKind
 
 AMPLE = ResourceVector(2048, 32, 64, 2000)
@@ -157,12 +158,18 @@ class TestRequestHosting:
 
 class TestUnsettleableAgreement:
     """A service whose developer share plus the commission exceeds 1 (its
-    developer negotiated a smaller share) leaves no host share to agree on."""
+    developer negotiated a smaller share) leaves no host share to agree on.
+
+    Registration rejects such a service, but a restored state is not
+    vetted again, so one can still reach the hosting path that way."""
 
     @pytest.fixture
     def governor(self):
         gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
-        gov.registry.register_service(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
+        state = gov.registry.snapshot_state()
+        state["services"]["svc-resize"] = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
+        state["status"]["svc-resize"] = ServiceStatus.ACTIVE.value
+        gov.registry.restore_state(state)
         gov.hosts.register_host("host-a", "Android", "4.0", AMPLE, 20000)
         return gov
 

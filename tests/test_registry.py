@@ -129,6 +129,33 @@ class TestRegistration:
         governor.registry.register_service(make_service())
         assert governor.registry.status_of("svc-resize") is ServiceStatus.ACTIVE
 
+    def test_share_that_billing_could_never_settle_rejected(self):
+        """A developer share plus the commission above 1 leaves no host
+        share: such a service must not become Active, or every hosting
+        request for it would be refused at negotiation."""
+        registry = bare_registry()  # developer negotiated at 0.4, commission 0.2
+        greedy = make_service(service_id="svc-greedy", developer_share=0.9)
+        with pytest.raises(RegistrationRejected) as err:
+            registry.register_service(greedy)
+        assert err.value.reason == "share"
+        assert not registry.is_known("svc-greedy")
+        assert registry.search_active("image") == []
+        registry.register_service(make_service(service_id="svc-even", developer_share=0.8))
+        assert registry.status_of("svc-even") is ServiceStatus.ACTIVE
+
+    def test_share_is_checked_after_the_developer_and_before_the_rest(self):
+        registry = bare_registry(developers=("dev-known",))
+        registry.register_service(make_service(service_id="svc-a", developer_id="dev-known"))
+        cases = [
+            (make_service(service_id="svc-b", developer_id="dev-ghost", developer_share=0.9), "developer"),
+            (make_service(service_id="svc-a", developer_id="dev-known", developer_share=0.9), "share"),
+            (make_service(service_id="svc-a", developer_id="dev-known"), "duplicate"),
+        ]
+        for desc, reason in cases:
+            with pytest.raises(RegistrationRejected) as err:
+                registry.register_service(desc, scan_attestation=False)
+            assert err.value.reason == reason
+
 
 class TestDiscovery:
     def test_no_match_gives_empty_list(self):

@@ -1,9 +1,10 @@
 """The trace writer and the metrics writer against plain `json.dumps`.
 
 `TraceRecord.to_line` builds each line in sorted key order and splices
-the shared per-service dicts of discovery and listing replies, and the
-shared host lists of discovery replies, from a memo; `MetricsReport.to_json_bytes` indents without json's pure-Python
-encoder. Both must produce exactly what the straightforward encodings
+the shared per-service dicts of discovery and listing replies, the
+shared host lists of discovery replies, and whole discovery payloads
+that several replies share, from a memo; `MetricsReport.to_json_bytes`
+indents without json's pure-Python encoder. Both must produce exactly what the straightforward encodings
 produce, which the tests keep as their oracles.
 """
 import json
@@ -67,14 +68,21 @@ def payloads(draw, kind: MessageKind, shared: list[dict], shared_hosts: list):
 def trace_records(draw):
     shared = draw(st.lists(json_objects, min_size=1, max_size=4))
     shared_hosts = draw(st.lists(st.one_of(host_ids, host_ids.map(tuple)), min_size=1, max_size=3))
+    # Whole discovery payloads, of either shape, that several records carry.
+    shared_replies = draw(st.lists(payloads(MessageKind.DISCOVERY_REPLY, shared, shared_hosts),
+                                   min_size=1, max_size=2))
     records = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(list(MessageKind)))
+        if kind == MessageKind.DISCOVERY_REPLY and draw(st.booleans()):
+            payload = draw(st.sampled_from(shared_replies))
+        else:
+            payload = draw(payloads(kind, shared, shared_hosts))
         message = ProtocolMessage(
             kind=kind,
             sender_role=draw(st.sampled_from(list(Role))),
             correlation_id=draw(st.text(min_size=1, max_size=10)),
-            payload=draw(payloads(kind, shared, shared_hosts)),
+            payload=payload,
         )
         records.append(TraceRecord(draw(finite), draw(finite), draw(st.text(max_size=8)),
                                    draw(st.text(max_size=8)), message))
@@ -108,6 +116,21 @@ class TestTraceLine:
         ))
         memo = {id(hosts): (["host-stale"], '["host-stale"]')}
         assert record.to_line(memo) == oracle_line(record)
+
+    def test_a_shared_discovery_payload_is_encoded_once_per_memo(self):
+        payload = {"results": [{"service": {"service_id": "svc-a"}, "hosts": ["host-a"]}]}
+        records = [
+            TraceRecord(float(n), float(n) + 1, "governor", f"req-{n}", ProtocolMessage(
+                MessageKind.DISCOVERY_REPLY, Role.GOVERNOR, f"disc-{n}", payload,
+            ))
+            for n in range(2)
+        ]
+        memo = {}
+        assert [record.to_line(memo) for record in records] == [oracle_line(r) for r in records]
+        assert memo[id(payload)] == (payload, '{"results":[{"hosts":["host-a"],"service":{"service_id":"svc-a"}}]}')
+        # An entry whose object is another payload with the same id is not reused.
+        memo = {id(payload): ({"results": []}, '{"results":[]}')}
+        assert records[0].to_line(memo) == oracle_line(records[0])
 
 
 class TestIndented:
