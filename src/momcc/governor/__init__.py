@@ -4,9 +4,10 @@ Wires the service registry, host registry/profiler, security governor,
 service profiler, and billing unit over shared stores, under a single
 re-entrant lock so every public operation is atomic (linearizable) with
 respect to governor state. Units that need a sibling hold it: discovery
-reads the host database's ranking, and the host registry meters each
-successful report with billing. `GovernorConfig` is the one home of
-every unit's defaults; the units' constructors take no defaults.
+reads the host database's ranking, and the host registry settles each
+placed service's agreement and meters each successful report with
+billing. `GovernorConfig` is the one home of every unit's defaults; the
+units' constructors take no defaults.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 
 from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
-from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit, check_developer_share
+from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
 from .profiler import ProfilerPolicy, ServiceProfiler
 from .registry import DEFAULT_FOOTPRINT_CEILING, DiscoveryResult, ServiceRegistry
@@ -84,35 +85,11 @@ class ServiceGovernor:
 
     def request_hosting(self, host_id: str, service_id: str,
                         identity_verified: bool = False, at: float = 0.0) -> AllocationDecision:
-        """Full hosting flow: admission handshake plus revenue agreement.
-
-        A service's first confirmed placement settles its agreement; a
-        service whose agreement cannot be settled is rejected
-        (`NegotiationRejected`) before the handshake writes anything.
-        """
-        with self.lock:
-            if self.billing.agreement_for(service_id) is None:
-                check_developer_share(self.registry.get(service_id).developer_share,
-                                      self.billing.governor_commission)
-            decision = self.hosts.request_hosting(
-                host_id, service_id, identity_verified=identity_verified, at=at
-            )
-            if decision.confirmed:
-                self._settle_agreement(host_id, service_id)
-            return decision
-
-    def _settle_agreement(self, host_id: str, service_id: str) -> None:
-        """Settle a service's split on its first placement; later hosts take the same one."""
-        if self.billing.agreement_for(service_id) is None:
-            desc = self.registry.get(service_id)
-            self.billing.negotiate_host(
-                host_id=host_id,
-                service_id=service_id,
-                min_share=0.0,
-                developer_id=desc.developer_id,
-                price=desc.price_per_invocation,
-                developer_share=desc.developer_share,
-            )
+        """Full hosting flow: the admission handshake, whose placement
+        settles the service's revenue agreement on its first host."""
+        return self.hosts.request_hosting(
+            host_id, service_id, identity_verified=identity_verified, at=at
+        )
 
     def ingest_report(self, report: ExecutionReport) -> bool:
         return self.hosts.ingest_report(report)
@@ -123,18 +100,16 @@ class ServiceGovernor:
 
         Exists for the always-on cloud endpoint of the WAN baseline; the
         marketplace path never uses it. Services the host already holds
-        are left as they are. Each service's agreement is settled before
-        it is placed, so a rejection places nothing.
+        are left as they are; placing the others settles their agreements,
+        as admission does.
         """
         with self.lock:
             if self.host_db.get(host_id).certificate is None:
                 self.security.issue_certificate(host_id, identity_verified, at=at)
             for service_id in service_ids:
                 desc = self.registry.get(service_id)
-                if service_id in self.host_db.get(host_id).hosted:
-                    continue
-                self._settle_agreement(host_id, service_id)
-                self.hosts.place(host_id, desc)
+                if service_id not in self.host_db.get(host_id).hosted:
+                    self.hosts.place(host_id, desc)
 
     # -- invariants (used by tests and the stress harness) -----------------
 

@@ -6,9 +6,11 @@ credit down, and hands the remainder to the governor. Failed executions
 are never billed, and a correlation_id can be metered at most once.
 
 Negotiation is two-stage and always with the governor: a developer
-registers terms for their services, and a host later accepts whatever
-share remains after the developer share and the governor commission.
-Hosts never negotiate with developers or requesters directly.
+registers with billing, and a service's first placement settles its
+agreement, in which the host takes whatever share remains after the
+developer share and the governor commission. A service's price and
+share live only on its description. Hosts never negotiate with
+developers or requesters directly.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from ..domain import ExecutionReport
+from ..domain import ExecutionReport, ServiceDescription
 from ..errors import DuplicateCorrelationError, MissingAgreementError, NegotiationRejected
 
 GOVERNOR_PARTY = "governor"
@@ -72,13 +74,6 @@ def check_developer_share(developer_share: float, commission: float) -> None:
 
 
 @dataclass(frozen=True)
-class DeveloperTerms:
-    developer_id: str
-    price_per_invocation: int
-    developer_share: float
-
-
-@dataclass(frozen=True)
 class Agreement:
     """The settled split for one service; shares sum to exactly 1."""
 
@@ -122,7 +117,7 @@ class BillingUnit:
             raise ValueError("governor_commission must be in [0, 1]")
         self.governor_commission = governor_commission
         self._lock = lock
-        self._developers: dict[str, DeveloperTerms] = {}
+        self._developers: set[str] = set()
         self._agreements: dict[str, Agreement] = {}
         self._entries: list[LedgerEntry] = []
         self._metered_correlations: set[str] = set()
@@ -130,17 +125,16 @@ class BillingUnit:
 
     # -- negotiation --------------------------------------------------
 
-    def negotiate_developer(self, developer_id: str, price: int, requested_share: float) -> DeveloperTerms:
-        """Register a developer's terms; feasible iff share + commission <= 1."""
+    def negotiate_developer(self, developer_id: str, price: int, requested_share: float) -> None:
+        """Register a developer whose terms are feasible (share + commission
+        <= 1). Only the id is kept: each service carries its own terms."""
         if price < 0:
             raise NegotiationRejected("price must be >= 0")
         if not 0.0 <= requested_share <= 1.0:
             raise NegotiationRejected("requested share must be in [0, 1]")
         check_developer_share(requested_share, self.governor_commission)
-        terms = DeveloperTerms(developer_id, price, requested_share)
         with self._lock:
-            self._developers[developer_id] = terms
-        return terms
+            self._developers.add(developer_id)
 
     def developer_registered(self, developer_id: str) -> bool:
         with self._lock:
@@ -150,27 +144,25 @@ class BillingUnit:
         """Exact 1 - developer_share - commission; negative when those exceed 1."""
         return _host_share(developer_share, self.governor_commission)
 
-    def negotiate_host(self, host_id: str, service_id: str, min_share: float,
-                       developer_id: str, price: int, developer_share: float) -> Agreement:
-        """Offer a host the remainder share for a service; the host takes
-        it or leaves it (rejection if below its min_share)."""
-        check_developer_share(developer_share, self.governor_commission)
-        remainder = self.host_share(developer_share)
-        if remainder < _frac(min_share):
-            raise NegotiationRejected(
-                f"host share {float(remainder)} below requested minimum {min_share}"
-            )
-        agreement = Agreement(
-            service_id=service_id,
-            developer_id=developer_id,
-            price_per_invocation=price,
-            developer_share=developer_share,
-            host_share=float(remainder),
-            governor_commission=self.governor_commission,
-        )
+    def negotiate_host(self, desc: ServiceDescription) -> Agreement:
+        """The service's agreement, settled on the first call: its host
+        takes the remainder share. Later hosts take the same agreement.
+
+        Every stored service passed `check_developer_share` on its way in,
+        so the remainder is never negative.
+        """
         with self._lock:
-            self._agreements[service_id] = agreement
-        return agreement
+            agreement = self._agreements.get(desc.service_id)
+            if agreement is None:
+                agreement = self._agreements[desc.service_id] = Agreement(
+                    service_id=desc.service_id,
+                    developer_id=desc.developer_id,
+                    price_per_invocation=desc.price_per_invocation,
+                    developer_share=desc.developer_share,
+                    host_share=float(self.host_share(desc.developer_share)),
+                    governor_commission=self.governor_commission,
+                )
+            return agreement
 
     def agreement_for(self, service_id: str) -> Agreement | None:
         with self._lock:
@@ -236,10 +228,6 @@ class BillingUnit:
                     host_id=report.host_id,
                     at=report.started_at + report.duration_ms,
                 )
-
-    def already_metered(self, correlation_id: str) -> bool:
-        with self._lock:
-            return correlation_id in self._metered_correlations
 
     # -- accounts and audit -------------------------------------------
 
@@ -307,9 +295,7 @@ class BillingUnit:
         with self._lock:
             return {
                 "governor_commission": self.governor_commission,
-                "developers": {
-                    dev_id: asdict(terms) for dev_id, terms in sorted(self._developers.items())
-                },
+                "developers": sorted(self._developers),
                 "agreements": {sid: asdict(a) for sid, a in sorted(self._agreements.items())},
                 "entries": [asdict(e) for e in self._entries],
                 "entry_seq": self._entry_seq,
@@ -318,12 +304,12 @@ class BillingUnit:
     def restore_state(self, state: dict) -> None:
         with self._lock:
             self.governor_commission = state["governor_commission"]
-            self._developers.clear()
+            # Older state files map each id to that developer's terms; a
+            # set of either form is the ids, so both still restore.
+            self._developers = set(state["developers"])
             self._agreements.clear()
             self._entries.clear()
             self._metered_correlations.clear()
-            for raw in state["developers"].values():
-                self._developers[raw["developer_id"]] = DeveloperTerms(**raw)
             for sid, raw in state["agreements"].items():
                 self._agreements[sid] = Agreement(**raw)
             for raw in state["entries"]:

@@ -165,8 +165,10 @@ class HostRegistry:
         return decision
 
     def place(self, host_id: str, desc: ServiceDescription) -> None:
-        """Reserve a service's resources on a host and add it to `hosted`; no checks."""
+        """Settle the service's agreement, reserve its resources on a host
+        and add it to `hosted`; no admission checks."""
         with self._lock:
+            self.billing.negotiate_host(desc)
             profile = self.host_db.get(host_id)
             self.host_db.put(replace(
                 profile,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import threading
 from dataclasses import asdict, dataclass
 
+from ..domain import ExecutionReport
 from ..errors import UnknownEntityError
 from .registry import ServiceRegistry
 from .store import HostDatabase
@@ -23,6 +24,12 @@ DEFAULT_WINDOW = 20
 class ProfilerPolicy:
     failure_threshold: float = DEFAULT_FAILURE_THRESHOLD
     window: int = DEFAULT_WINDOW
+
+
+def failure_rate(recent: list[ExecutionReport]) -> float:
+    """The share of a service's recent reports that failed, 0.0 with none:
+    the rule the sweep deprecates by, ranks stand-ins by and reports."""
+    return sum(1 for r in recent if not r.outcome.ok) / len(recent) if recent else 0.0
 
 
 @dataclass(frozen=True)
@@ -69,12 +76,11 @@ class ServiceProfiler:
             recent = self.host_db.reports_for_service(service_id, window)
             if not recent:
                 return None
-            failures = sum(1 for r in recent if not r.outcome.ok)
             return ServiceStats(
                 service_id=service_id,
                 report_count=len(recent),
-                availability=(len(recent) - failures) / len(recent),
-                failure_rate=failures / len(recent),
+                availability=sum(1 for r in recent if r.outcome.ok) / len(recent),
+                failure_rate=failure_rate(recent),
                 mean_latency_ms=sum(r.duration_ms for r in recent) / len(recent),
                 security_failures=sum(
                     1 for r in recent if not r.outcome.ok and r.outcome.reason == "security"
@@ -92,10 +98,7 @@ class ServiceProfiler:
             actions: list[SweepAction] = []
             for desc in self.registry.active_services():
                 recent = self.host_db.reports_for_service(desc.service_id, self.policy.window)
-                if len(recent) < self.policy.window:
-                    continue
-                failures = sum(1 for r in recent if not r.outcome.ok)
-                if failures / len(recent) <= self.policy.failure_threshold:
+                if len(recent) < self.policy.window or failure_rate(recent) <= self.policy.failure_threshold:
                     continue
                 self.registry.deprecate_service(desc.service_id, reason="failure rate above threshold")
                 replacement = self._best_replacement(desc.functionality_tag, desc.service_id)
@@ -109,9 +112,7 @@ class ServiceProfiler:
 
         def rank(desc):
             recent = self.host_db.reports_for_service(desc.service_id, self.policy.window)
-            failures = sum(1 for r in recent if not r.outcome.ok)
-            rate = failures / len(recent) if recent else 0.0
-            return (rate, desc.min_resources.total(), desc.service_id)
+            return (failure_rate(recent), desc.min_resources.total(), desc.service_id)
 
         return min(candidates, key=rank).service_id
 

@@ -428,9 +428,10 @@ class ServiceRegistry:
             ]
 
     def host_revenue(self, desc: ServiceDescription) -> int:
-        """Expected per-invocation host earnings: price x host share, rounded down."""
+        """Expected per-invocation host earnings: price x host share, rounded
+        down. The share is never negative: registration and a restore vet it."""
         share = self._billing.host_share(desc.developer_share)
-        return share.numerator * desc.price_per_invocation // share.denominator if share > 0 else 0
+        return share.numerator * desc.price_per_invocation // share.denominator
 
     def substitution_candidates(self, functionality_tag: str, exclude: str | None = None) -> list[ServiceDescription]:
         with self._lock:
@@ -452,12 +453,18 @@ class ServiceRegistry:
             }
 
     def restore_state(self, state: dict) -> None:
+        """Replace the catalog with a snapshot's, vetting each service's
+        share under billing's commission as registration does: restore
+        billing first. A rejected state leaves the catalog as it was."""
         with self._lock:
-            self.db = ServiceDatabase()
+            db = ServiceDatabase()
             for raw in state["services"].values():
-                self.db.add(service_from_dict(raw))
+                desc = service_from_dict(raw)
+                check_developer_share(desc.developer_share, self._billing.governor_commission)
+                db.add(desc)
             for sid, status in state["status"].items():
-                self.db.status[sid] = ServiceStatus(status)
+                db.status[sid] = ServiceStatus(status)
+            self.db = db
 
 
 def service_to_dict(desc: ServiceDescription) -> dict:

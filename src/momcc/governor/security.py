@@ -132,8 +132,3 @@ class SecurityGovernor:
             )
             self.host_db.put(replace(profile, certificate=cert))
             return cert
-
-    def get_certificate(self, host_id: str) -> SecurityCertificate | None:
-        with self._lock:
-            profile = self.host_db.hosts.get(host_id)
-            return profile.certificate if profile is not None else None

@@ -4,7 +4,8 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
 serialization of the payload. Restores verify the digest before
 touching anything, so a truncated or edited file fails loudly; so does
-a payload the decoders reject.
+a payload the decoders reject, and a service whose share billing could
+never settle under the snapshot's commission.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import SnapshotIntegrityError
+from .errors import NegotiationRejected, SnapshotIntegrityError
 from .governor import GovernorConfig, ServiceGovernor
 
 FORMAT_VERSION = 1
@@ -62,13 +63,16 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
     governor = ServiceGovernor(config)
     try:
         with governor.lock:
+            # Billing first: the registry vets each service's share
+            # against the commission the snapshot carries.
+            governor.billing.restore_state(payload["billing"])
             governor.registry.restore_state(payload["registry"])
             governor.hosts.restore_state(payload["hosts"])
-            governor.billing.restore_state(payload["billing"])
             governor.profiler.restore_state(payload["profiler"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, NegotiationRejected) as exc:
         # A matching checksum does not make a payload well formed: the
-        # decoders reject missing keys and values of the wrong shape.
+        # decoders reject missing keys and values of the wrong shape, and
+        # the registry a service billing could never settle.
         raise SnapshotIntegrityError(
             f"snapshot payload does not decode: {type(exc).__name__}: {exc}"
         ) from None

@@ -184,9 +184,8 @@ def test_criterion_06_billing_conservation():
 
     reports = result.governor.host_db.reports
     assert reports
-    failed = [r for r in reports if not r.outcome.ok]
-    for report in failed:
-        assert not billing.already_metered(report.report_id)
+    metered_ids = {entry.correlation_id for entry in billing.audit()}
+    assert metered_ids == {r.report_id for r in reports if r.outcome.ok}
 
     before = {p: billing.account_balance(p) for p in billing.parties()}
     for report in reports:
@@ -195,7 +194,7 @@ def test_criterion_06_billing_conservation():
     assert before == after
 
     agreement = billing.agreement_for("svc-resize")
-    metered = [r for r in reports if billing.already_metered(r.report_id)]
+    metered = [r for r in reports if r.report_id in metered_ids]
     if agreement is not None and metered:
         with pytest.raises(DuplicateCorrelationError):
             billing.meter_invocation(agreement, "anon-x", metered[0].report_id, "host-000")
@@ -340,7 +339,7 @@ def test_criterion_11_concurrency_stress():
                         rating=None,
                     ))
                     governor.hosts.unhost("host-shared", "svc-shared")
-                cert = governor.security.get_certificate(f"host-{wid}")
+                cert = governor.host_db.get(f"host-{wid}").certificate
                 if cert is not None:
                     assert 0.0 <= cert.trust_score <= 1.0
                     assert cert.successes <= cert.attempts

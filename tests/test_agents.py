@@ -217,12 +217,8 @@ class TestAggregation:
         assert all(not r.outcome.ok for r in combo_reports)
         assert all(r.outcome.reason == "dependency" for r in combo_reports)
         # No composite invocation was ever metered.
-        metered_services = {
-            r.service_id
-            for r in reports
-            if result.governor.billing.already_metered(r.report_id)
-        }
-        assert "svc-combo" not in metered_services
+        metered = {entry.correlation_id for entry in result.governor.billing.audit()}
+        assert not metered & {r.report_id for r in combo_reports}
 
     def test_zero_dependency_composite_is_ordinary_service(self):
         """Leaf services flow through the plain host path untouched."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import make_service
 from momcc.errors import (
     DuplicateCorrelationError,
     NegotiationRejected,
@@ -38,19 +39,23 @@ def agreement(price=1000, dev=0.4, host=0.4, commission=0.2) -> Agreement:
 
 class TestNegotiateDeveloper:
     def test_feasible_terms_accepted(self):
-        terms = unit().negotiate_developer("dev-alpha", 1000, 0.4)
-        assert terms.developer_share == 0.4
+        billing = unit()
+        billing.negotiate_developer("dev-alpha", 1000, 0.4)
+        assert billing.developer_registered("dev-alpha")
 
     def test_share_plus_commission_over_one_rejected(self):
+        billing = unit()
         with pytest.raises(NegotiationRejected):
-            unit().negotiate_developer("dev-alpha", 1000, 0.9)  # 0.9 + 0.2 = 1.1
+            billing.negotiate_developer("dev-alpha", 1000, 0.9)  # 0.9 + 0.2 = 1.1
+        assert not billing.developer_registered("dev-alpha")
 
     def test_boundary_share_accepted_exactly(self):
         unit().negotiate_developer("dev-alpha", 1000, 0.8)  # 0.8 + 0.2 = 1
 
     def test_free_service_zero_share_accepted(self):
-        terms = unit().negotiate_developer("dev-alpha", 0, 0.0)
-        assert terms.developer_share == 0.0
+        billing = unit()
+        billing.negotiate_developer("dev-alpha", 0, 0.0)
+        assert billing.developer_registered("dev-alpha")
 
     def test_negative_price_rejected(self):
         with pytest.raises(NegotiationRejected):
@@ -58,24 +63,19 @@ class TestNegotiateDeveloper:
 
 
 class TestNegotiateHost:
-    def test_remainder_meets_min_share(self):
+    def test_first_call_settles_the_remainder_for_every_later_host(self):
         billing = unit()
-        result = billing.negotiate_host("host-a", "svc-resize", min_share=0.3,
-                                        developer_id="dev-alpha", price=1000,
-                                        developer_share=0.4)
+        desc = make_service(price=1000, developer_share=0.4)
+        result = billing.negotiate_host(desc)
+        assert (result.service_id, result.developer_id, result.price_per_invocation) == \
+            ("svc-resize", "dev-alpha", 1000)
         assert (result.developer_share, result.host_share, result.governor_commission) == \
             (0.4, 0.4, 0.2)
-
-    def test_min_share_above_remainder_rejected(self):
-        with pytest.raises(NegotiationRejected):
-            unit().negotiate_host("host-a", "svc-resize", min_share=0.5,
-                                  developer_id="dev-alpha", price=1000,
-                                  developer_share=0.4)
+        assert billing.negotiate_host(desc) is result
+        assert billing.agreement_for("svc-resize") is result
 
     def test_zero_developer_share_leaves_full_remainder(self):
-        result = unit().negotiate_host("host-a", "svc-free", min_share=0.8,
-                                       developer_id="dev-alpha", price=1000,
-                                       developer_share=0.0)
+        result = unit().negotiate_host(make_service(service_id="svc-free", developer_share=0.0))
         assert result.host_share == 0.8
 
     def test_shares_always_sum_to_one(self):
@@ -84,7 +84,9 @@ class TestNegotiateHost:
             commission = rng.choice([0.0, 0.1, 0.2, 0.25])
             dev = round(rng.uniform(0, 1 - commission), 2)
             billing = unit(commission)
-            result = billing.negotiate_host("h", "s", 0.0, "d", 100, dev)
+            result = billing.negotiate_host(
+                make_service(service_id="s", developer_id="d", price=100, developer_share=dev)
+            )
             # Agreement construction enforces the exact-sum invariant.
             assert isinstance(result, Agreement)
 
@@ -122,7 +124,9 @@ class TestMeterInvocation:
         total = 0
         for i in range(500):
             dev = round(rng.uniform(0, 0.85), 2)
-            agmt = billing.negotiate_host("h", f"s{i}", 0.0, "d", rng.randint(0, 999), dev)
+            agmt = billing.negotiate_host(make_service(
+                service_id=f"s{i}", developer_id="d", price=rng.randint(0, 999), developer_share=dev,
+            ))
             entry = billing.meter_invocation(agmt, "anon", f"inv-{i}", "host-a")
             assert sum(entry.credits.values()) == entry.total
             total += entry.total
@@ -162,10 +166,10 @@ class TestAccounts:
         billing = unit()
         rng = random.Random(10)
         for i in range(300):
-            agmt = billing.negotiate_host(
-                f"h{i % 7}", f"s{i % 11}-{i}", 0.0, f"d{i % 3}",
-                rng.randint(0, 5000), round(rng.uniform(0, 0.8), 2),
-            )
+            agmt = billing.negotiate_host(make_service(
+                service_id=f"s{i % 11}-{i}", developer_id=f"d{i % 3}",
+                price=rng.randint(0, 5000), developer_share=round(rng.uniform(0, 0.8), 2),
+            ))
             billing.meter_invocation(agmt, "anon", f"inv-{i}", f"h{i % 7}")
         balance_sum = sum(billing.account_balance(p) for p in billing.parties())
         assert balance_sum == billing.total_metered()
@@ -221,7 +225,7 @@ class TestCachedSplit:
         assume(Fraction(str(dev)) + Fraction(str(max(commission_a, commission_b))) <= 1)
         for n, commission in enumerate((commission_a, commission_b)):
             billing = unit(commission)
-            agmt = billing.negotiate_host("host-a", "svc-resize", 0.0, "dev-alpha", price, dev)
+            agmt = billing.negotiate_host(make_service(price=price, developer_share=dev))
             expected = exact_split(price, agmt)
             assert split_price(price, agmt.developer_share, agmt.host_share) == (
                 share_of(price, agmt.developer_share),
@@ -234,11 +238,13 @@ class TestCachedSplit:
 
     def test_restored_unit_meters_the_restored_agreement(self):
         original = unit(0.15)
-        agmt = original.negotiate_host("host-a", "svc-resize", 0.0, "dev-alpha", 997, 0.33)
+        agmt = original.negotiate_host(make_service(price=997, developer_share=0.33))
         original.meter_invocation(agmt, "anon-1", "inv-1", "host-a")
         restored = unit(0.3)  # metering something else first warms the cache with other shares
         restored.meter_invocation(
-            restored.negotiate_host("host-b", "svc-other", 0.0, "dev-beta", 997, 0.33),
+            restored.negotiate_host(make_service(
+                service_id="svc-other", developer_id="dev-beta", price=997, developer_share=0.33,
+            )),
             "anon-2", "inv-0", "host-b",
         )
         restored.restore_state(original.snapshot_state())

@@ -94,7 +94,7 @@ class TestRequestHosting:
         assert not decision.confirmed
         assert decision.reason == "security"
         # Trust establishment still happened: the host now holds a Low SC.
-        cert = governor.security.get_certificate("host-a")
+        cert = governor.host_db.get("host-a").certificate
         assert cert is not None and cert.level == SecurityLevel.LOW
 
     def test_small_memory_host_denied_on_resources(self, governor):
@@ -157,39 +157,27 @@ class TestRequestHosting:
 
 
 class TestUnsettleableAgreement:
-    """A service whose developer share plus the commission exceeds 1 (its
-    developer negotiated a smaller share) leaves no host share to agree on.
+    """A service whose developer share plus the commission exceeds 1 leaves
+    no host share to agree on. Registration and a restore both reject one,
+    so every stored service can be settled when it is placed."""
 
-    Registration rejects such a service, but a restored state is not
-    vetted again, so one can still reach the hosting path that way."""
-
-    @pytest.fixture
-    def governor(self):
+    def test_a_restore_rejects_it_and_keeps_the_catalog(self):
         gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
         state = gov.registry.snapshot_state()
         state["services"]["svc-resize"] = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
         state["status"]["svc-resize"] = ServiceStatus.ACTIVE.value
-        gov.registry.restore_state(state)
-        gov.hosts.register_host("host-a", "Android", "4.0", AMPLE, 20000)
-        return gov
-
-    def test_hosting_request_is_rejected_before_the_handshake_writes(self, governor):
         with pytest.raises(NegotiationRejected):
-            governor.request_hosting("host-a", "svc-resize")
-        profile = governor.host_db.get("host-a")
-        assert profile.hosted == frozenset() and profile.certificate is None
-        assert governor.hosts.decisions == []
-        assert governor.billing.agreement_for("svc-resize") is None
-        assert governor.check_invariants() == []
-
-    def test_preprovisioning_places_nothing_without_an_agreement(self, governor):
-        with pytest.raises(NegotiationRejected):
-            governor.preprovision_host("host-a", ["svc-resize"])
-        assert governor.host_db.get("host-a").hosted == frozenset()
-        assert governor.check_invariants() == []
+            gov.registry.restore_state(state)
+        assert list(gov.registry.db.services) == ["svc-fair"]
+        assert gov.check_invariants() == []
 
     def test_invariant_reports_a_hosted_service_without_an_agreement(self, governor):
-        governor.hosts.place("host-a", governor.registry.get("svc-resize"))  # no checks, no agreement
+        profile = governor.host_db.get("host-a")
+        governor.host_db.put(replace(  # stored directly: `place` would settle the agreement
+            profile,
+            committed=profile.committed.plus(governor.registry.get("svc-resize").min_resources),
+            hosted=profile.hosted | {"svc-resize"},
+        ))
         assert governor.check_invariants() == [
             "host host-a: service svc-resize hosted without an agreement"
         ]
@@ -326,7 +314,7 @@ class TestIngestReport:
         governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
         governor.preprovision_host("host-b", ["svc-secure"])
         assert governor.ingest_report(report) is True
-        assert governor.billing.already_metered("rpt-unplaced")
+        assert [entry.correlation_id for entry in governor.billing.audit()] == ["rpt-unplaced"]
         assert governor.host_db.get("host-a").attempts == 1
         assert governor.check_invariants() == []
 
@@ -360,7 +348,7 @@ class TestAssessHosts:
         governor.ingest_report(make_report(ok=True, rating=5, report_id="r1"))
         governor.ingest_report(make_report(ok=False, report_id="r2"))
         governor.ingest_report(make_report(ok=True, rating=4, report_id="r3"))
-        trust = governor.security.get_certificate("host-a").trust_score
+        trust = governor.host_db.get("host-a").certificate.trust_score
         availability = 2 / 3
         rating_norm = ((5 - 1) / 4 + (4 - 1) / 4) / 2
         expected = 0.5 * availability + 0.3 * rating_norm + 0.2 * trust
@@ -374,7 +362,7 @@ class TestAssessHosts:
         for i in range(2):
             governor.ingest_report(make_report(ok=True, rating=5, report_id=f"new-{i}"))
         (windowed,) = governor.hosts.assess_hosts(window=2)
-        trust = governor.security.get_certificate("host-a").trust_score
+        trust = governor.host_db.get("host-a").certificate.trust_score
         assert windowed.score == pytest.approx(0.5 * 1.0 + 0.3 * 1.0 + 0.2 * trust)
 
     def test_ordering_assessed_first_then_by_score(self, governor):

@@ -70,11 +70,12 @@ class TestIssue:
 
 class TestGet:
     def test_unknown_host_is_absent(self, governor):
-        assert governor.security.get_certificate("host-ghost") is None
+        with pytest.raises(UnknownEntityError):
+            governor.host_db.get("host-ghost")
 
     def test_present_after_issue(self, governor):
         governor.security.issue_certificate("host-a", False)
-        cert = governor.security.get_certificate("host-a")
+        cert = governor.host_db.get("host-a").certificate
         assert cert is not None and cert.level == SecurityLevel.LOW
 
     def test_concurrent_issue_and_get_linearize(self):
@@ -95,7 +96,7 @@ class TestGet:
         def reader():
             for _ in range(400):
                 for i in (0, 31, 63):
-                    cert = governor.security.get_certificate(f"h{i:02d}")
+                    cert = governor.host_db.get(f"h{i:02d}").certificate
                     if cert is not None:
                         observed.append(cert)
 

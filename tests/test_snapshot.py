@@ -10,6 +10,7 @@ from momcc.errors import SnapshotIntegrityError
 from momcc.governor import GovernorConfig, ServiceGovernor
 from momcc.scenario import scenario_from_dict
 from momcc.snapshot import (
+    _digest,
     load_governor,
     read_snapshot,
     restore_governor,
@@ -44,8 +45,11 @@ class TestRoundTrip:
     def test_restored_ledger_still_rejects_replay(self, governor_after_run):
         restored = restore_governor(snapshot_governor(governor_after_run))
         entries = restored.billing.audit()
-        if entries:
-            assert restored.billing.already_metered(entries[0].correlation_id)
+        assert entries
+        for report in restored.host_db.reports:
+            if report.outcome.ok:
+                restored.billing.meter_report(report)  # each one already metered
+        assert restored.billing.audit() == entries
 
     def test_file_round_trip_is_byte_stable(self, governor_after_run, tmp_path):
         first = tmp_path / "state.json"
@@ -76,6 +80,25 @@ class TestRoundTrip:
         assert listed(governor) == ["a", "b"]  # host earns 50 on a, 9 on b
         assert listed(restore_governor(snapshot_governor(governor))) == ["a", "b"]
 
+    def test_a_state_holding_developer_terms_restores(self, governor_after_run):
+        """State files once kept each developer's price and share beside the
+        id; a restore takes the ids from that form too."""
+        snap = snapshot_governor(governor_after_run)
+        payload = snap["payload"]
+        payload["billing"]["developers"] = {
+            raw["developer_id"]: {
+                "developer_id": raw["developer_id"],
+                "price_per_invocation": raw["price_per_invocation"],
+                "developer_share": raw["developer_share"],
+            }
+            for raw in payload["registry"]["services"].values()
+        }
+        snap["sha256"] = _digest(payload)
+        restored = restore_governor(snap)
+        assert all(restored.billing.developer_registered(developer) for developer in payload["billing"]["developers"])
+        assert snapshot_governor(restored) == snapshot_governor(governor_after_run)
+        assert restored.check_invariants() == []
+
 
 class TestIntegrity:
     def test_truncated_file_fails(self, governor_after_run, tmp_path):
@@ -101,6 +124,20 @@ class TestIntegrity:
         snap["kind"] = "other-thing"
         with pytest.raises(SnapshotIntegrityError):
             restore_governor(snap)
+
+    def test_a_service_billing_could_never_settle_is_rejected(self):
+        """A restore vets each service's share against the snapshot's own
+        commission, as registration does: 0.9 plus 0.2 leaves no host share."""
+        governor = ServiceGovernor()
+        governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
+        governor.registry.register_service(make_service())
+        snap = snapshot_governor(governor)
+        assert snap["payload"]["billing"]["governor_commission"] == 0.2
+        snap["payload"]["registry"]["services"]["svc-resize"]["developer_share"] = 0.9
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert "exceeds 1" in str(err.value)
 
     def test_missing_field_rejected(self):
         with pytest.raises(SnapshotIntegrityError):
