@@ -18,7 +18,7 @@ import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from ..domain import ExecutionReport, ServiceDescription
 from ..errors import DuplicateCorrelationError, MissingAgreementError, NegotiationRejected
@@ -144,25 +144,42 @@ class BillingUnit:
         """Exact 1 - developer_share - commission; negative when those exceed 1."""
         return _host_share(developer_share, self.governor_commission)
 
-    def negotiate_host(self, desc: ServiceDescription) -> Agreement:
-        """The service's agreement, settled on the first call: its host
-        takes the remainder share. Later hosts take the same agreement.
+    def _settle(self, desc: ServiceDescription) -> Agreement:
+        """The agreement the service's terms settle: its host takes the
+        remainder share.
 
         Every stored service passed `check_developer_share` on its way in,
         so the remainder is never negative.
         """
+        return Agreement(
+            service_id=desc.service_id,
+            developer_id=desc.developer_id,
+            price_per_invocation=desc.price_per_invocation,
+            developer_share=desc.developer_share,
+            host_share=float(self.host_share(desc.developer_share)),
+            governor_commission=self.governor_commission,
+        )
+
+    def negotiate_host(self, desc: ServiceDescription) -> Agreement:
+        """The service's agreement, settled on the first call. Later hosts
+        take the same agreement."""
         with self._lock:
             agreement = self._agreements.get(desc.service_id)
             if agreement is None:
-                agreement = self._agreements[desc.service_id] = Agreement(
-                    service_id=desc.service_id,
-                    developer_id=desc.developer_id,
-                    price_per_invocation=desc.price_per_invocation,
-                    developer_share=desc.developer_share,
-                    host_share=float(self.host_share(desc.developer_share)),
-                    governor_commission=self.governor_commission,
-                )
+                agreement = self._agreements[desc.service_id] = self._settle(desc)
             return agreement
+
+    def check_agreements(self, services: Mapping[str, ServiceDescription]) -> None:
+        """Raise `ValueError` unless every agreement is the one its
+        catalogued service in `services` settles: a restored agreement
+        must not bill by other terms than the description lists."""
+        with self._lock:
+            for sid, agreement in self._agreements.items():
+                desc = services.get(sid)
+                if desc is None:
+                    raise ValueError(f"agreement for {sid!r} names no catalogued service")
+                if agreement != self._settle(desc):
+                    raise ValueError(f"agreement for {sid!r} is not what its service's terms settle")
 
     def agreement_for(self, service_id: str) -> Agreement | None:
         with self._lock:

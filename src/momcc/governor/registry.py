@@ -454,16 +454,22 @@ class ServiceRegistry:
 
     def restore_state(self, state: dict) -> None:
         """Replace the catalog with a snapshot's, vetting each service's
-        share under billing's commission as registration does: restore
-        billing first. A rejected state leaves the catalog as it was."""
+        share under billing's commission as registration does, and each
+        billing agreement against its service: restore billing first.
+        A status must name each catalogued service and no other. A
+        rejected state leaves the catalog as it was."""
         with self._lock:
             db = ServiceDatabase()
             for raw in state["services"].values():
                 desc = service_from_dict(raw)
                 check_developer_share(desc.developer_share, self._billing.governor_commission)
                 db.add(desc)
+            unmatched = db.services.keys() ^ state["status"].keys()
+            if unmatched:
+                raise ValueError(f"status and services name different ids: {sorted(unmatched)}")
             for sid, status in state["status"].items():
                 db.status[sid] = ServiceStatus(status)
+            self._billing.check_agreements(db.services)
             self.db = db
 
 

@@ -24,15 +24,18 @@ Schema sketch (all money in integer minor units, rates per hour):
     }
 
 Validation reports every violation at once, each prefixed with a
-JSON-pointer-style path into the document.
+JSON-pointer-style path into the document. `SCENARIO_SCHEMA` is the one
+home of the structural rules; `momcc.schema` compiles it once, at
+import, into the checker `schema_diagnostics`. Integers are JSON
+integers (no `512.0`) and numbers are finite (no NaN or infinity).
+The semantic rules the schema cannot express follow it in
+`validate_scenario`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .agents import (
     GREEDINESS_STRATEGIES,
@@ -45,6 +48,7 @@ from .errors import NegotiationRejected
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .governor.billing import check_developer_share
 from .governor.registry import service_from_dict
+from .schema import compile_schema
 
 FORMAT_VERSION = 1
 
@@ -284,6 +288,9 @@ SCENARIO_SCHEMA = {
     "additionalProperties": False,
 }
 
+# The schema's diagnostics alone, without the semantic checks below.
+schema_diagnostics = compile_schema(SCENARIO_SCHEMA)
+
 
 # The optional service fields of a scenario; the wire form always carries them.
 _SERVICE_DEFAULTS = {
@@ -303,17 +310,9 @@ class ScenarioValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-def _pointer(path) -> str:
-    return "/" + "/".join(str(p) for p in path) if path else "/"
-
-
 def validate_scenario(data: dict) -> list[str]:
     """All schema and semantic diagnostics for a scenario document."""
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    diagnostics = [
-        f"{_pointer(error.absolute_path)}: {error.message}"
-        for error in sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    ]
+    diagnostics = schema_diagnostics(data)
     if diagnostics:
         return diagnostics
 

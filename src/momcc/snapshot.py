@@ -4,8 +4,10 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
 serialization of the payload. Restores verify the digest before
 touching anything, so a truncated or edited file fails loudly; so does
-a payload the decoders reject, and a service whose share billing could
-never settle under the snapshot's commission.
+a payload the decoders reject, a service whose share billing could
+never settle under the snapshot's commission, a status map that names
+other ids than the catalog, and a billing agreement other than the one
+its catalogued service's terms settle.
 """
 from __future__ import annotations
 
@@ -72,7 +74,8 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
     except (KeyError, TypeError, ValueError, AttributeError, NegotiationRejected) as exc:
         # A matching checksum does not make a payload well formed: the
         # decoders reject missing keys and values of the wrong shape, and
-        # the registry a service billing could never settle.
+        # the registry a service billing could never settle, a status for
+        # other ids and an agreement its service would not settle.
         raise SnapshotIntegrityError(
             f"snapshot payload does not decode: {type(exc).__name__}: {exc}"
         ) from None

@@ -206,6 +206,23 @@ class TestValidate:
         data["policies"]["billing"]["governor_commission"] = 0.1  # 0.9 + 0.1 = 1 exactly
         assert main(["--no-banner", "validate", str(write_scenario(tmp_path, data))]) == EXIT_OK
 
+    @pytest.mark.parametrize("edit, line", [
+        (lambda d: d["hosts"][0]["capacity"].update(cpu=512.0),
+         "/hosts/0/capacity/cpu: 512.0 is not of type 'integer'"),
+        (lambda d: d["hosts"][0].update(count=2.0), "/hosts/0/count: 2.0 is not of type 'integer'"),
+        (lambda d: d.update(duration_hours=float("nan")), "/duration_hours: nan is not of type 'number'"),
+        (lambda d: d.update(duration_hours=float("inf")), "/duration_hours: inf is not of type 'number'"),
+    ], ids=["fractional-cpu", "fractional-count", "nan-duration", "infinite-duration"])
+    def test_what_run_could_not_use_is_a_diagnostic(self, edit, line, tmp_path, capsys):
+        """An integer field takes no fraction and a number is finite: `run`
+        would raise on the first two and never end on the last two, so
+        only `validate` is run here."""
+        data = scenario_dict()
+        edit(data)
+        path = write_scenario(tmp_path, data)
+        assert main(["--no-banner", "validate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {line}\n"
+
     def test_diagnostics_use_pointer_paths(self, tmp_path, capsys):
         data = scenario_dict()
         data["hosts"][0]["count"] = -1

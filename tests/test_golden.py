@@ -16,7 +16,7 @@ from momcc.cli import EXIT_OK, _write_outputs, main
 from momcc.engine import run_scenario
 from momcc.governor.registry import service_to_dict
 from momcc.scenario import MODE_WAN_CLOUD, load_scenario, scenario_from_dict
-from momcc.snapshot import write_snapshot
+from momcc.snapshot import load_governor, write_snapshot
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -82,6 +82,13 @@ def asdict_listing(desc) -> dict:
     return wire
 
 
+def assert_restores_unchanged(state: Path) -> None:
+    """A pinned state file passes every restore check and writes back as it was read."""
+    restored = state.with_name("restored.json")
+    write_snapshot(restored, load_governor(state))
+    assert restored.read_bytes() == state.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_bundled_scenario_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert main(["run", str(SCENARIOS / name), "--out", str(tmp_path)]) == EXIT_OK
@@ -89,6 +96,7 @@ def test_bundled_scenario_outputs_match_pinned_digests(name, tmp_path, capsys):
     assert main(["snapshot", str(SCENARIOS / name), "--out", state]) == EXIT_OK
     for filename, digest in GOLDEN[name].items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+    assert_restores_unchanged(tmp_path / "state.json")
 
 
 def test_parallel_composite_outputs_match_pinned_digests(tmp_path):
@@ -106,6 +114,7 @@ def test_wan_cloud_outputs_match_pinned_digests(name, tmp_path):
     write_snapshot(tmp_path / "state.json", result.governor)
     for filename, digest in WAN_CLOUD[name].items():
         assert hashlib.sha256((tmp_path / filename).read_bytes()).hexdigest() == digest, filename
+    assert_restores_unchanged(tmp_path / "state.json")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -139,6 +139,45 @@ class TestIntegrity:
             restore_governor(snap)
         assert "exceeds 1" in str(err.value)
 
+    @pytest.mark.parametrize("edit", ["drop", "extra"])
+    def test_a_status_that_names_other_ids_than_the_services_is_rejected(
+        self, governor_after_run, edit
+    ):
+        """Discovery reads a status for every catalogued service; a state
+        whose two maps disagree is refused, not restored to fail later."""
+        snap = snapshot_governor(governor_after_run)
+        status = snap["payload"]["registry"]["status"]
+        if edit == "drop":
+            del status["svc-resize"]
+        else:
+            status["svc-ghost"] = "Active"
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert "status" in str(err.value)
+
+    def test_an_agreement_other_than_its_service_would_settle_is_rejected(
+        self, governor_after_run
+    ):
+        """The agreement must split by the description's terms, or metering
+        and the listings would read two different prices."""
+        snap = snapshot_governor(governor_after_run)
+        agreement = snap["payload"]["billing"]["agreements"]["svc-resize"]
+        agreement.update(price_per_invocation=5, developer_share=0.7, host_share=0.1)
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert "svc-resize" in str(err.value)
+
+    def test_an_agreement_for_no_catalogued_service_is_rejected(self, governor_after_run):
+        snap = snapshot_governor(governor_after_run)
+        agreements = snap["payload"]["billing"]["agreements"]
+        agreements["svc-ghost"] = {**agreements["svc-resize"], "service_id": "svc-ghost"}
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert "svc-ghost" in str(err.value)
+
     def test_missing_field_rejected(self):
         with pytest.raises(SnapshotIntegrityError):
             restore_governor({"format_version": 1, "kind": "governor-state"})
