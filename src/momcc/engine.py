@@ -24,8 +24,9 @@ A run's trace is written one JSON line per delivered message
 (`TraceRecord.to_line`). Lines are built directly in sorted key order.
 The shared per-service dicts that discovery and listing replies carry,
 the shared host lists of discovery replies, and the one payload that
-repeated discovery answers share are encoded once per
-`iter_trace_lines()` pass and spliced into every line that names them.
+repeated discovery answers or repeated kept listings share are encoded
+once per `iter_trace_lines()` pass and spliced into every line that
+names them.
 The pass yields one line at a time, so a writer holds one line of the
 trace, never all of it; the trace records themselves stay in memory.
 `paused_collector()` keeps the cyclic collector off while a run
@@ -189,8 +190,8 @@ class TraceRecord:
         object with sorted keys and no spaces.
 
         The line is built directly in sorted key order. The shared
-        per-service dicts of discovery and listing replies are encoded
-        once per `memo` (see `_payload_json`).
+        payloads of discovery and listing replies, and the per-service
+        dicts they carry, are encoded once per `memo` (see `_payload_json`).
         """
         msg = self.message
         return (
@@ -217,17 +218,16 @@ def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str
     """A payload's compact JSON. Discovery and listing replies carry the
     registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
     `wire_dict`) and discovery replies the host database's kept holder
-    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer is
-    one shared payload (`GovernorEndpoint`). Each is encoded once per
-    memo: the memo keys by `id()` and holds the object itself, so no id
-    is reused while it lives."""
+    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer and
+    a repeated kept listing are one shared payload (`GovernorEndpoint`).
+    Each is encoded once per memo: the memo keys by `id()` and holds the
+    object itself, so no id is reused while it lives."""
     payload = msg.payload
     kind = msg.kind
     if kind == MessageKind.DISCOVERY_REPLY:
         return _shared_json(payload, memo, _discovery_json)
-    if kind == MessageKind.LIST_SERVICES_REPLY and _sole_list(payload, "services"):
-        services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
-        return f'{{"services":[{services}]}}'
+    if kind == MessageKind.LIST_SERVICES_REPLY:
+        return _shared_json(payload, memo, _listing_json)
     return _COMPACT(payload)
 
 
@@ -240,6 +240,13 @@ def _discovery_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
         for entry in payload["results"]
     )
     return f'{{"results":[{entries}]}}'
+
+
+def _listing_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
+    if not _sole_list(payload, "services"):
+        return _COMPACT(payload)
+    services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
+    return f'{{"services":[{services}]}}'
 
 
 def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]],

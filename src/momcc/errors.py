@@ -55,3 +55,9 @@ class MissingAgreementError(MarketplaceError):
 
 class SnapshotIntegrityError(MarketplaceError):
     """A state snapshot failed its checksum or structural checks."""
+
+
+class StateRuleViolation(MarketplaceError):
+    """A decoded state breaks a rule the governor keeps: a share billing
+    could never settle, a status map naming other ids than the catalog,
+    or an agreement its service's terms would not settle."""

@@ -144,6 +144,11 @@ class ServiceGovernor:
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
                 problems.append("registry: listing order differs from a full sort of the catalog")
+            if any(entries != catalog.scan_listing(platform) or services != [e[-1] for e in entries]
+                   for platform, (entries, services) in catalog.listings.items()):
+                problems.append("registry: kept platform listing differs from a filter of the listing order")
+            if catalog.largest_need != catalog.scan_largest_need():
+                problems.append("registry: largest need differs from the max over the listing order")
             if any(kept != catalog.matches(needle, catalog.sorted_ids)
                    for needle, kept in catalog.answers.items()):
                 problems.append("registry: kept search answer differs from a full scan of the catalog")

@@ -21,7 +21,12 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from ..domain import ExecutionReport, ServiceDescription
-from ..errors import DuplicateCorrelationError, MissingAgreementError, NegotiationRejected
+from ..errors import (
+    DuplicateCorrelationError,
+    MissingAgreementError,
+    NegotiationRejected,
+    StateRuleViolation,
+)
 
 GOVERNOR_PARTY = "governor"
 
@@ -170,16 +175,16 @@ class BillingUnit:
             return agreement
 
     def check_agreements(self, services: Mapping[str, ServiceDescription]) -> None:
-        """Raise `ValueError` unless every agreement is the one its
-        catalogued service in `services` settles: a restored agreement
+        """Raise `StateRuleViolation` unless every agreement is the one
+        its catalogued service in `services` settles: a restored agreement
         must not bill by other terms than the description lists."""
         with self._lock:
             for sid, agreement in self._agreements.items():
                 desc = services.get(sid)
                 if desc is None:
-                    raise ValueError(f"agreement for {sid!r} names no catalogued service")
+                    raise StateRuleViolation(f"agreement for {sid!r} names no catalogued service")
                 if agreement != self._settle(desc):
-                    raise ValueError(f"agreement for {sid!r} is not what its service's terms settle")
+                    raise StateRuleViolation(f"agreement for {sid!r} is not what its service's terms settle")
 
     def agreement_for(self, service_id: str) -> Agreement | None:
         with self._lock:

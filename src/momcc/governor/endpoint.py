@@ -12,7 +12,10 @@ one observation. `flush` ends that wait when no more messages will come.
 Discovery replies are kept per query: while the registry's answer to a
 query equals the last one (the same kept results, so the same listings
 and host lists), every reply to it carries the one payload built from
-that answer, and the trace encodes it once.
+that answer, and the trace encodes it once. Listing replies are kept
+per host platform the same way: while the registry returns the same
+kept listing, every host of that platform gets the one payload built
+from it.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ class GovernorEndpoint:
         self.governor = governor
         self.pending: dict[str, dict] = {}  # correlation -> {"report": payload} or {"rating": r}
         self.replies: dict[str, tuple[list, dict]] = {}  # query -> (its last results, their payload)
+        self.listings: dict[tuple[str, str], tuple[list, dict]] = {}  # (os, version) -> (last listing, its payload)
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         """The replies to one message from `sender` received at `now`."""
@@ -62,16 +66,21 @@ class GovernorEndpoint:
     # the host database's kept holder lists, so every reply and trace
     # record naming a service shares one dict, and every discovery reply
     # between two changes of a service's ranking shares one host list.
-    # Repeated discovery answers share their whole payload. Nothing
-    # downstream may mutate a payload.
+    # Repeated discovery answers and repeated kept listings share their
+    # whole payload. Nothing downstream may mutate a payload.
 
     def _list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
         p = msg.payload
         registry = self.governor.registry
-        services = registry.list_available_services(
-            ResourceVector(**p["free"]), p["platform_os"], p["platform_version"]
-        )
-        payload = {"services": [registry.wire_dict(d.service_id) for d in services]}
+        platform = (p["platform_os"], p["platform_version"])
+        services = registry.list_available_services(ResourceVector(**p["free"]), *platform)
+        last = self.listings.get(platform)
+        # A covering host's listing is the registry's kept list itself.
+        if last is not None and last[0] is services:
+            payload = last[1]
+        else:
+            payload = {"services": [registry.wire_dict(d.service_id) for d in services]}
+            self.listings[platform] = (services, payload)
         return _reply(MessageKind.LIST_SERVICES_REPLY, msg, sender, payload)
 
     def _hosting(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:

@@ -16,13 +16,23 @@ must never mutate them.
 Discovery looks up the trigram postings of its query (each 3-character
 substring of a service's lowercased name and description maps to the
 ids containing it) and tests only the services holding all of them;
-queries shorter than 3 characters still scan. Listings filter one list
+queries shorter than 3 characters still scan. Listings read one list
 kept in host-revenue order, so no call sorts the catalog or parses a
 service's version. Host revenue is the price times billing's host
 share, so listings rank by the split billing settles. Both indexes
 cover every registered service whatever its status, which is checked
 when a query reads them; registration only queues a service, and the
 next query indexes the queue.
+
+A listing does no work between changes. The database keeps, per host
+platform (OS and parsed version), the Active services that platform can
+run, in host-revenue order, built on the platform's first listing, and
+the component-wise largest need of every indexed service. A host whose
+free resources cover that need gets the kept list itself; any other
+host gets it filtered by resources. A registration, once indexed, or
+a deprecation copies each kept list it changes once and inserts or
+deletes in the copy, so a list already handed out never changes. Kept
+lists are shared: readers must never mutate them.
 
 A query's answer is kept until a service that can change it does: the
 database maps each lowercased query to its Active matches, and a
@@ -39,7 +49,7 @@ changes a repeated query builds nothing.
 from __future__ import annotations
 
 import threading
-from bisect import insort
+from bisect import bisect, bisect_left, insort
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -51,7 +61,7 @@ from ..domain import (
     ServiceDescription,
     parse_version,
 )
-from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
+from ..errors import NegotiationRejected, RegistrationRejected, StateRuleViolation, UnknownEntityError
 from .billing import BillingUnit, check_developer_share
 from .store import HostDatabase
 
@@ -73,12 +83,18 @@ class ServiceDatabase:
     service indexed. On a 2000-service catalog an int per trigram takes
     about a sixteenth of the memory of a set of ids, and a search
     intersects two postings in one operation. `by_revenue` holds one
-    `RevenueEntry` per service in `(-host revenue, service_id)` order.
-    `pending` lists the ids that `add` stored and `index` has not yet
-    entered into either. `answers` keeps each searched needle's Active
-    matches in id order, and `results` each service's last discovery
-    result. A restore replaces the whole database, which drops the
-    caches, the indexes, the kept answers and the queue with it.
+    `RevenueEntry` per service in `(-host revenue, service_id)` order,
+    and `largest_need` the component-wise max of their needs (cpu,
+    memory, storage, energy); a deprecation leaves both, so the max only
+    grows. `listings` keeps, per `Platform`, its Active `by_revenue`
+    entries and, as a second list, their descriptions: the entries are
+    updated in place, the descriptions are handed out and so replaced,
+    never mutated. `pending` lists the ids that `add` stored and `index`
+    has not yet entered into the indexes. `answers` keeps each searched
+    needle's Active matches in id order, and `results` each service's
+    last discovery result. A restore replaces the whole database, which
+    drops the caches, the indexes, the kept answers and listings and the
+    queue with it.
     """
 
     services: dict[str, ServiceDescription] = field(default_factory=dict)
@@ -90,6 +106,10 @@ class ServiceDatabase:
     grams: dict[str, int] = field(default_factory=dict)
     by_bit: list[str] = field(default_factory=list)
     by_revenue: list[RevenueEntry] = field(default_factory=list)
+    largest_need: Need = (0, 0, 0, 0)
+    listings: dict[Platform, tuple[list[RevenueEntry], list[ServiceDescription]]] = field(
+        default_factory=dict
+    )
     pending: list[str] = field(default_factory=list)
     answers: dict[str, list[ServiceDescription]] = field(default_factory=dict)
     results: dict[str, DiscoveryResult] = field(default_factory=dict)
@@ -110,15 +130,63 @@ class ServiceDatabase:
             del answers[needle]
 
     def index(self, host_revenue: Callable[[ServiceDescription], int]) -> None:
-        """Enter every pending service into both indexes."""
-        grams = self.grams
+        """Enter every pending service into both indexes, the largest need
+        and, if Active, the kept listings of the platforms that run it."""
+        grams, largest, active = self.grams, self.largest_need, ServiceStatus.ACTIVE
+        entered = []
         for sid in self.pending:
             bit = 1 << len(self.by_bit)
             self.by_bit.append(sid)
             for gram in trigrams(self.search_text[sid]):
                 grams[gram] = grams.get(gram, 0) | bit
-            insort(self.by_revenue, revenue_entry(self.services[sid], host_revenue))
+            entry = revenue_entry(self.services[sid], host_revenue)
+            insort(self.by_revenue, entry)
+            largest = tuple(map(max, largest, entry[4:8]))
+            if self.status[sid] is active:
+                entered.append(entry)
+        self.largest_need = largest
         self.pending.clear()
+        for platform, (entries, services) in list(self.listings.items()):
+            added = [entry for entry in entered if runs_on(entry, platform)]
+            if added:
+                services = services.copy()
+                for entry in added:
+                    at = bisect(entries, entry)
+                    entries.insert(at, entry)
+                    services.insert(at, entry[-1])
+                self.listings[platform] = (entries, services)
+
+    def delist(self, entry: RevenueEntry) -> None:
+        """Take a service's entry out of every kept listing that holds it."""
+        for platform, (entries, services) in list(self.listings.items()):
+            at = bisect_left(entries, entry)
+            if at < len(entries) and entries[at][1] == entry[1]:
+                del entries[at]
+                self.listings[platform] = (entries, services[:at] + services[at + 1:])
+
+    def listing(self, platform: Platform) -> tuple[list[RevenueEntry], list[ServiceDescription]]:
+        """The kept listing of `platform`, built on its first call. Call
+        `index` first: pending services are not in it."""
+        kept = self.listings.get(platform)
+        if kept is None:
+            entries = self.scan_listing(platform)
+            kept = self.listings[platform] = (entries, [entry[-1] for entry in entries])
+        return kept
+
+    def scan_listing(self, platform: Platform) -> list[RevenueEntry]:
+        """The Active `by_revenue` entries that `platform` can run."""
+        status, active = self.status, ServiceStatus.ACTIVE
+        return [
+            entry for entry in self.by_revenue
+            if runs_on(entry, platform) and status[entry[1]] is active
+        ]
+
+    def scan_largest_need(self) -> Need:
+        """`largest_need` recomputed over `by_revenue`."""
+        largest = (0, 0, 0, 0)
+        for entry in self.by_revenue:
+            largest = tuple(map(max, largest, entry[4:8]))
+        return largest
 
     def candidates(self, needle: str) -> list[str]:
         """Indexed ids, in sorted order, whose text holds every trigram of
@@ -175,6 +243,15 @@ def trigrams(text: str) -> Iterator[str]:
 # memory, storage, energy, description): what a listing filters on, in
 # the order it ranks. Ids are unique, so sorting never compares past them.
 RevenueEntry = tuple[int, str, str, tuple[int, int, int], int, int, int, int, ServiceDescription]
+# A host platform: its OS and parsed version.
+Platform = tuple[str, tuple[int, int, int]]
+# Resources as (cpu, memory, storage, energy).
+Need = tuple[int, int, int, int]
+
+
+def runs_on(entry: RevenueEntry, platform: Platform) -> bool:
+    """Whether a host of `platform` meets the entry's platform requirement."""
+    return entry[2] == platform[0] and entry[3] <= platform[1]
 
 
 def revenue_entry(desc: ServiceDescription,
@@ -320,6 +397,7 @@ class ServiceRegistry:
                 raise UnknownEntityError(f"service {service_id!r} is not Active")
             self.db.status[service_id] = ServiceStatus.DEPRECATED
             self.db.forget_answers(self.db.search_text[service_id])
+            self.db.delist(revenue_entry(self.db.services[service_id], self.host_revenue))
 
     # -- lookup ----------------------------------------------------------
 
@@ -410,21 +488,23 @@ class ServiceRegistry:
     ) -> list[ServiceDescription]:
         """Active services the host could run, best host revenue first.
 
-        Raises `VersionError` if `host_version` does not parse.
+        A host whose free resources cover every indexed service's need
+        gets its platform's kept list: shared, do not mutate. Raises
+        `VersionError` if `host_version` does not parse.
         """
-        version = parse_version(host_version)
+        platform = (host_os, parse_version(host_version))
         cpu, memory, storage, energy = host_free.cpu, host_free.memory, host_free.storage, host_free.energy
         with self._lock:
             db = self._indexed()
-            status, active = db.status, ServiceStatus.ACTIVE
+            entries, services = db.listing(platform)
+            need_cpu, need_memory, need_storage, need_energy = db.largest_need
+            if cpu >= need_cpu and memory >= need_memory and storage >= need_storage and energy >= need_energy:
+                return services
             return [
                 desc
-                for _, sid, os_name, min_version, need_cpu, need_memory, need_storage, need_energy, desc
-                in db.by_revenue
-                if os_name == host_os and min_version <= version
-                and need_cpu <= cpu and need_memory <= memory
+                for _, _, _, _, need_cpu, need_memory, need_storage, need_energy, desc in entries
+                if need_cpu <= cpu and need_memory <= memory
                 and need_storage <= storage and need_energy <= energy
-                and status[sid] is active
             ]
 
     def host_revenue(self, desc: ServiceDescription) -> int:
@@ -456,17 +536,21 @@ class ServiceRegistry:
         """Replace the catalog with a snapshot's, vetting each service's
         share under billing's commission as registration does, and each
         billing agreement against its service: restore billing first.
-        A status must name each catalogued service and no other. A
-        rejected state leaves the catalog as it was."""
+        A status must name each catalogued service and no other. A state
+        that breaks one of these rules raises `StateRuleViolation` and
+        leaves the catalog as it was, as does one that does not decode."""
         with self._lock:
             db = ServiceDatabase()
             for raw in state["services"].values():
                 desc = service_from_dict(raw)
-                check_developer_share(desc.developer_share, self._billing.governor_commission)
+                try:
+                    check_developer_share(desc.developer_share, self._billing.governor_commission)
+                except NegotiationRejected as exc:
+                    raise StateRuleViolation(f"service {desc.service_id!r}: {exc}") from None
                 db.add(desc)
             unmatched = db.services.keys() ^ state["status"].keys()
             if unmatched:
-                raise ValueError(f"status and services name different ids: {sorted(unmatched)}")
+                raise StateRuleViolation(f"status and services name different ids: {sorted(unmatched)}")
             for sid, status in state["status"].items():
                 db.status[sid] = ServiceStatus(status)
             self._billing.check_agreements(db.services)

@@ -4,10 +4,11 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
 serialization of the payload. Restores verify the digest before
 touching anything, so a truncated or edited file fails loudly; so does
-a payload the decoders reject, a service whose share billing could
-never settle under the snapshot's commission, a status map that names
-other ids than the catalog, and a billing agreement other than the one
-its catalogued service's terms settle.
+a payload the decoders reject ("snapshot payload does not decode"), and
+one that decodes but breaks a rule ("snapshot breaks a rule"): a service
+whose share billing could never settle under the snapshot's commission,
+a status map that names other ids than the catalog, and a billing
+agreement other than the one its catalogued service's terms settle.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .errors import NegotiationRejected, SnapshotIntegrityError
+from .errors import SnapshotIntegrityError, StateRuleViolation
 from .governor import GovernorConfig, ServiceGovernor
 
 FORMAT_VERSION = 1
@@ -71,11 +72,13 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
             governor.registry.restore_state(payload["registry"])
             governor.hosts.restore_state(payload["hosts"])
             governor.profiler.restore_state(payload["profiler"])
-    except (KeyError, TypeError, ValueError, AttributeError, NegotiationRejected) as exc:
+    except StateRuleViolation as exc:
+        # The registry rejects a service billing could never settle, a
+        # status for other ids and an agreement its service would not settle.
+        raise SnapshotIntegrityError(f"snapshot breaks a rule: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A matching checksum does not make a payload well formed: the
-        # decoders reject missing keys and values of the wrong shape, and
-        # the registry a service billing could never settle, a status for
-        # other ids and an agreement its service would not settle.
+        # decoders reject missing keys and values of the wrong shape.
         raise SnapshotIntegrityError(
             f"snapshot payload does not decode: {type(exc).__name__}: {exc}"
         ) from None

@@ -2,11 +2,13 @@
 revenue-ordered listing against a full scan of the catalog.
 
 Discovery reads candidates from the trigram postings, keeps each query's
-answer and each service's result, and listings filter the
-revenue-ordered list. So every registration, deprecation, restore,
+answer and each service's result, and listings read each platform's kept
+list, whole for a host that covers the catalog's largest need and
+filtered for any other. So every registration, deprecation, restore,
 report and departure must leave both queries answering exactly what a
 scan of every service and every host profile would: the same services,
-in the same order, with the same hosts.
+in the same order, with the same hosts. A list already handed out must
+not change after it.
 """
 from fractions import Fraction
 
@@ -155,6 +157,7 @@ class Catalog:
         self.model: dict[str, ServiceDescription] = {}
         self.deprecated: set[str] = set()
         self.queries: set[str] = set()  # every query discovered so far
+        self.handed: list[tuple[list, list]] = []  # every listing so far, and a copy of it
         self.reports = 0
 
     def apply(self, op: tuple) -> None:
@@ -230,9 +233,19 @@ class Catalog:
         assert len(again) == len(found) and all(a is b for a, b in zip(again, found))
 
     def check_listing(self, free: ResourceVector, host_os: str, version: str) -> None:
-        assert self.governor.registry.list_available_services(free, host_os, version) == scan_listing(
-            self.governor, self.model, self.deprecated, free, host_os, version
-        )
+        listed = self.governor.registry.list_available_services(free, host_os, version)
+        assert listed == scan_listing(self.governor, self.model, self.deprecated, free, host_os, version)
+        self.handed.append((listed, list(listed)))
+
+    def check_listings_at_the_largest_need(self) -> None:
+        """Listings for free resources at the largest need, which get the
+        kept list, and one unit below it, which get it filtered; then
+        every list handed out so far, unchanged."""
+        largest = self.governor.registry.db.largest_need
+        for free in (ResourceVector(*largest), ResourceVector(*(max(n - 1, 0) for n in largest))):
+            for host_os, version in (("Android", "4.0"), ("Tizen", "10.1")):
+                self.check_listing(free, host_os, version)
+        assert all(listed == copy for listed, copy in self.handed)
 
 
 class TestCatalogIndex:
@@ -244,6 +257,7 @@ class TestCatalogIndex:
             catalog.apply(op)
             for query in catalog.queries:
                 catalog.check_discover(query)
+            catalog.check_listings_at_the_largest_need()
             assert catalog.governor.check_invariants() == []
         catalog.check_listing(ResourceVector(1024, 64, 64, 1000), "Android", "10.1")
         for word in WORDS + ABSENT:
@@ -318,6 +332,26 @@ class TestIndexInvariants:
             "registry: listing order differs from a full sort of the catalog"
         ]
 
+    def test_invariant_reports_a_stale_kept_listing(self):
+        governor = indexed_governor()
+        db = governor.registry.db
+        governor.registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
+        [(platform, (entries, services))] = db.listings.items()
+        assert [d.service_id for d in services] == ["svc-a", "svc-b"]
+        db.listings[platform] = (entries[1:], services[1:])  # kept across a change that adds svc-a
+        assert governor.check_invariants() == [
+            "registry: kept platform listing differs from a filter of the listing order"
+        ]
+
+    def test_invariant_reports_a_stale_largest_need(self):
+        governor = indexed_governor()
+        db = governor.registry.db
+        assert db.largest_need == (512, 2, 5, 500)
+        db.largest_need = (512, 2, 5, 499)  # kept across a registration that raises it
+        assert governor.check_invariants() == [
+            "registry: largest need differs from the max over the listing order"
+        ]
+
     def test_invariant_reports_a_stale_kept_answer(self):
         governor = indexed_governor()
         db = governor.registry.db
@@ -361,3 +395,33 @@ class TestKeptAnswers:
         [third] = governor.registry.discover("resize", "anon")
         assert second is first and third is not first
         assert third.hosts == ["host-1"] and first.hosts == ["host-0", "host-1"]
+
+
+class TestKeptListings:
+    def test_a_covering_host_gets_the_kept_list_and_others_a_filtered_copy(self):
+        governor = indexed_governor()
+        registry = governor.registry
+        kept = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
+        assert [d.service_id for d in kept] == ["svc-a", "svc-b"]  # host shares 0.7 and 0.4
+        assert registry.list_available_services(ResourceVector(512, 2, 5, 500), "Android", "4") is kept
+        short = registry.list_available_services(ResourceVector(512, 2, 5, 499), "Android", "4.0")
+        assert short == [] and short is not registry.list_available_services(
+            ResourceVector(512, 2, 5, 499), "Android", "4.0"
+        )
+        assert registry.list_available_services(HOST_CAPACITY, "Android", "3.1") == []
+
+    def test_a_change_replaces_the_kept_list_and_leaves_the_handed_one(self):
+        governor = indexed_governor()
+        registry = governor.registry
+        first = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
+        registry.register_service(make_service(service_id="svc-c", developer_id=DEVELOPER, min_version="4.1"))
+        assert registry.list_available_services(HOST_CAPACITY, "Android", "4.0") is first
+        registry.register_service(make_service(service_id="svc-d", developer_id=DEVELOPER, developer_share=0.2))
+        second = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
+        assert [d.service_id for d in second] == ["svc-a", "svc-d", "svc-b"]
+        registry.deprecate_service("svc-a")
+        third = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
+        assert [d.service_id for d in third] == ["svc-d", "svc-b"]
+        assert [d.service_id for d in first] == ["svc-a", "svc-b"]
+        assert [d.service_id for d in second] == ["svc-a", "svc-d", "svc-b"]
+        assert governor.check_invariants() == []

@@ -194,3 +194,46 @@ class TestSharedDiscoveryReplies:
         assert content(second) == [
             ("svc-a", []), ("svc-blur", []), ("svc-resize", ["host-a", "host-b"])
         ]
+
+
+def listing(correlation: str, free: ResourceVector = AMPLE, version: str = "4.0") -> ProtocolMessage:
+    return ProtocolMessage(
+        MessageKind.LIST_SERVICES_REQUEST, Role.HOST, correlation,
+        {"host_id": "host-x", "free": free.as_dict(), "platform_os": "Android",
+         "platform_version": version},
+    )
+
+
+def listed(endpoint, correlation: str, **request) -> dict:
+    [outbound] = endpoint.handle(listing(correlation, **request), "host-x", 5.0)
+    return outbound.message.payload
+
+
+def service_ids(payload: dict) -> list[str]:
+    return [raw["service_id"] for raw in payload["services"]]
+
+
+class TestSharedListingReplies:
+    def test_two_covering_hosts_on_one_platform_share_one_payload(self, endpoint):
+        first = listed(endpoint, "list-1")
+        assert service_ids(first) == ["svc-resize"]
+        assert listed(endpoint, "list-2") is first
+        assert listed(endpoint, "list-3", version="4.1") is not first  # another platform
+
+    def test_a_host_short_of_the_largest_need_gets_its_own_payload(self, endpoint):
+        first = listed(endpoint, "list-1")
+        short = ResourceVector(512, 2, 5, 499)  # svc-resize needs 500 mWh
+        assert service_ids(listed(endpoint, "list-2", free=short)) == []
+        assert service_ids(listed(endpoint, "list-3")) == ["svc-resize"]
+        assert first == listed(endpoint, "list-4")
+
+    def test_a_registration_gives_a_new_payload_and_leaves_the_earlier_one(self, endpoint):
+        first = listed(endpoint, "list-1")
+        endpoint.governor.registry.register_service(
+            make_service(service_id="svc-blur", name="image blur", price=2000)
+        )
+        second = listed(endpoint, "list-2")
+        assert second is not first
+        assert service_ids(second) == ["svc-blur", "svc-resize"]
+        assert service_ids(first) == ["svc-resize"]
+        assert listed(endpoint, "list-3") is second

@@ -9,8 +9,8 @@ from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import (
     DuplicateHostError,
     MissingAgreementError,
-    NegotiationRejected,
     NotHostedError,
+    StateRuleViolation,
     UnknownEntityError,
 )
 from momcc.governor.registry import ServiceStatus, service_to_dict
@@ -166,7 +166,7 @@ class TestUnsettleableAgreement:
         state = gov.registry.snapshot_state()
         state["services"]["svc-resize"] = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
         state["status"]["svc-resize"] = ServiceStatus.ACTIVE.value
-        with pytest.raises(NegotiationRejected):
+        with pytest.raises(StateRuleViolation, match="service 'svc-resize': developer share 0.9"):
             gov.registry.restore_state(state)
         assert list(gov.registry.db.services) == ["svc-fair"]
         assert gov.check_invariants() == []

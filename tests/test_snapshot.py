@@ -137,7 +137,10 @@ class TestIntegrity:
         snap["sha256"] = _digest(snap["payload"])
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
-        assert "exceeds 1" in str(err.value)
+        assert str(err.value) == (
+            "snapshot breaks a rule: service 'svc-resize': "
+            "developer share 0.9 plus commission 0.2 exceeds 1"
+        )
 
     @pytest.mark.parametrize("edit", ["drop", "extra"])
     def test_a_status_that_names_other_ids_than_the_services_is_rejected(
@@ -154,7 +157,10 @@ class TestIntegrity:
         snap["sha256"] = _digest(snap["payload"])
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
-        assert "status" in str(err.value)
+        named = "svc-resize" if edit == "drop" else "svc-ghost"
+        assert str(err.value) == (
+            f"snapshot breaks a rule: status and services name different ids: ['{named}']"
+        )
 
     def test_an_agreement_other_than_its_service_would_settle_is_rejected(
         self, governor_after_run
@@ -167,7 +173,9 @@ class TestIntegrity:
         snap["sha256"] = _digest(snap["payload"])
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
-        assert "svc-resize" in str(err.value)
+        assert str(err.value) == (
+            "snapshot breaks a rule: agreement for 'svc-resize' is not what its service's terms settle"
+        )
 
     def test_an_agreement_for_no_catalogued_service_is_rejected(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
@@ -176,7 +184,17 @@ class TestIntegrity:
         snap["sha256"] = _digest(snap["payload"])
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
-        assert "svc-ghost" in str(err.value)
+        assert str(err.value) == (
+            "snapshot breaks a rule: agreement for 'svc-ghost' names no catalogued service"
+        )
+
+    def test_a_payload_that_does_not_decode_keeps_its_message(self, governor_after_run):
+        snap = snapshot_governor(governor_after_run)
+        del snap["payload"]["registry"]["services"]["svc-resize"]["developer_id"]
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == "snapshot payload does not decode: KeyError: 'developer_id'"
 
     def test_missing_field_rejected(self):
         with pytest.raises(SnapshotIntegrityError):

@@ -2,8 +2,8 @@
 
 `TraceRecord.to_line` builds each line in sorted key order and splices
 the shared per-service dicts of discovery and listing replies, the
-shared host lists of discovery replies, and whole discovery payloads
-that several replies share, from a memo; `MetricsReport.to_json_bytes`
+shared host lists of discovery replies, and whole discovery and listing
+payloads that several replies share, from a memo; `MetricsReport.to_json_bytes`
 indents without json's pure-Python encoder. Both must produce exactly what the straightforward encodings
 produce, which the tests keep as their oracles.
 """
@@ -72,14 +72,17 @@ def payloads(draw, kind: MessageKind, shared: list[dict], shared_hosts: list):
 def trace_records(draw):
     shared = draw(st.lists(json_objects, min_size=1, max_size=4))
     shared_hosts = draw(st.lists(st.one_of(host_ids, host_ids.map(tuple)), min_size=1, max_size=3))
-    # Whole discovery payloads, of either shape, that several records carry.
-    shared_replies = draw(st.lists(payloads(MessageKind.DISCOVERY_REPLY, shared, shared_hosts),
-                                   min_size=1, max_size=2))
+    # Whole discovery and listing payloads, of either shape, that several
+    # records carry.
+    shared_replies = {
+        kind: draw(st.lists(payloads(kind, shared, shared_hosts), min_size=1, max_size=2))
+        for kind in (MessageKind.DISCOVERY_REPLY, MessageKind.LIST_SERVICES_REPLY)
+    }
     records = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(list(MessageKind)))
-        if kind == MessageKind.DISCOVERY_REPLY and draw(st.booleans()):
-            payload = draw(st.sampled_from(shared_replies))
+        if kind in shared_replies and draw(st.booleans()):
+            payload = draw(st.sampled_from(shared_replies[kind]))
         else:
             payload = draw(payloads(kind, shared, shared_hosts))
         message = ProtocolMessage(
@@ -134,6 +137,21 @@ class TestTraceLine:
         assert memo[id(payload)] == (payload, '{"results":[{"hosts":["host-a"],"service":{"service_id":"svc-a"}}]}')
         # An entry whose object is another payload with the same id is not reused.
         memo = {id(payload): ({"results": []}, '{"results":[]}')}
+        assert records[0].to_line(memo) == oracle_line(records[0])
+
+    def test_a_shared_listing_payload_is_encoded_once_per_memo(self):
+        payload = {"services": [{"service_id": "svc-a"}, {"service_id": "svc-b"}]}
+        records = [
+            TraceRecord(float(n), float(n) + 1, "governor", f"host-{n}", ProtocolMessage(
+                MessageKind.LIST_SERVICES_REPLY, Role.GOVERNOR, f"list-{n}", payload,
+            ))
+            for n in range(2)
+        ]
+        memo = {}
+        assert [record.to_line(memo) for record in records] == [oracle_line(r) for r in records]
+        assert memo[id(payload)] == (payload, '{"services":[{"service_id":"svc-a"},{"service_id":"svc-b"}]}')
+        # An entry whose object is another payload with the same id is not reused.
+        memo = {id(payload): ({"services": []}, '{"services":[]}')}
         assert records[0].to_line(memo) == oracle_line(records[0])
 
 
