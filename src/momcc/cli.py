@@ -195,7 +195,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
     services = len(governor.registry.db.services)
     hosts = len(governor.host_db.hosts)
     reports = len(governor.host_db.reports)
-    entries = len(governor.billing.audit())
+    entries = governor.billing.entry_count()
     metered = governor.billing.total_metered()
     print(f"services={services} hosts={hosts} reports={reports}")
     print(f"ledger_entries={entries} metered_total={format_money(metered)}")

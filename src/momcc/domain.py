@@ -320,16 +320,3 @@ class HostProfile:
     @property
     def free(self) -> ResourceVector:
         return self.capacity.minus(self.committed)
-
-    @property
-    def availability_ratio(self) -> float | None:
-        """Fraction of reported executions that succeeded; None before any report."""
-        if self.attempts == 0:
-            return None
-        return self.successes / self.attempts
-
-    @property
-    def mean_rating(self) -> float | None:
-        if self.rating_count == 0:
-            return None
-        return self.rating_sum / self.rating_count

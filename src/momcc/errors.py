@@ -60,4 +60,5 @@ class SnapshotIntegrityError(MarketplaceError):
 class StateRuleViolation(MarketplaceError):
     """A decoded state breaks a rule the governor keeps: a share billing
     could never settle, a status map naming other ids than the catalog,
-    or an agreement its service's terms would not settle."""
+    an agreement its service's terms would not settle, or a ledger entry
+    that no ledger row reproduces."""

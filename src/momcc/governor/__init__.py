@@ -161,9 +161,7 @@ class ServiceGovernor:
                 problems.append("hosts: seen report ids differ from the report history")
             if self.billing.total_credited() != self.billing.total_metered():
                 problems.append("ledger: credits do not sum to metered totals")
-            balance_sum = sum(
-                self.billing.account_balance(party) for party in self.billing.parties()
-            )
+            balance_sum = sum(self.billing.balances().values())
             if balance_sum != self.billing.total_metered():
                 problems.append("ledger: party balances do not sum to metered totals")
         return problems

@@ -11,9 +11,17 @@ agreement, in which the host takes whatever share remains after the
 developer share and the governor commission. A service's price and
 share live only on its description. Hosts never negotiate with
 developers or requesters directly.
+
+The ledger keeps one flat row per metered invocation (`Row`): its
+sequence number, correlation id, payer, price, developer and host ids,
+the three class credits and its timestamp. Metering, the hottest
+billing write, only appends a row. A `LedgerEntry` is a view of a row,
+built by `audit()` when asked; balances, totals, the CSV export and the
+state file read the rows directly.
 """
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -99,9 +107,13 @@ class Agreement:
                 raise ValueError(f"{name} must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
-    """One metered invocation's money flow; sum(credits) == total."""
+    """One metered invocation's money flow; sum(credits) == total.
+
+    A view of one ledger row, built by `audit()`. Slotted, so a full audit
+    holds less at once.
+    """
 
     entry_id: str
     correlation_id: str
@@ -116,6 +128,86 @@ class LedgerEntry:
             raise ValueError("credits must sum to total")
 
 
+# One metered invocation: (sequence number, correlation id, payer, price,
+# developer id, host id, developer credit, host credit, governor credit,
+# timestamp).
+Row = tuple[int, str, str, int, str, str, int, int, int, float]
+
+_ENTRY_ID = re.compile(r"led-([0-9]+)")
+_CLASSES = {"developer", "host", "governor"}
+
+
+def _entry_id(seq: int) -> str:
+    return f"led-{seq:06d}"
+
+
+def _credits(row: Row) -> dict[str, int]:
+    """A row's credit per party. A developer or host that is also the
+    governor, or each other, gets one summed credit."""
+    _, _, _, _, developer, host, dev_credit, host_credit, governor_credit, _ = row
+    credits = {developer: dev_credit}
+    credits[host] = credits.get(host, 0) + host_credit
+    credits[GOVERNOR_PARTY] = credits.get(GOVERNOR_PARTY, 0) + governor_credit
+    return credits
+
+
+def _entry_fields(row: Row) -> dict:
+    """A row as its `LedgerEntry`'s fields: the state file's form of an entry."""
+    seq, correlation_id, payer, price, _, _, dev_credit, host_credit, governor_credit, at = row
+    return {
+        "entry_id": _entry_id(seq),
+        "correlation_id": correlation_id,
+        "payer": payer,
+        "total": price,
+        "credits": _credits(row),
+        "class_totals": {"developer": dev_credit, "host": host_credit, "governor": governor_credit},
+        "timestamp": at,
+    }
+
+
+def _in_audit_order(rows: list[Row]) -> list[Row]:
+    """Rows by timestamp, then entry id (as text: led-1000000 comes
+    before led-999999)."""
+    return sorted(rows, key=lambda row: (row[-1], _entry_id(row[0])))
+
+
+def _row_of(raw: dict) -> Row:
+    """The row that reproduces a saved entry byte for byte.
+
+    `LedgerEntry` checks the entry's fields and sum as it always did. Every
+    field but the credits is kept as saved, so the row reproduces the entry
+    exactly when its id is a sequence number, its money is integer minor
+    units, and its credits are its class totals paid to one developer, one
+    host and the governor. An entry that breaks one of those breaks a rule;
+    it is never reshaped to fit.
+    """
+    entry = LedgerEntry(**raw)
+    match = _ENTRY_ID.fullmatch(entry.entry_id)
+    seq = int(match[1]) if match else None
+    if seq is None or _entry_id(seq) != entry.entry_id:
+        raise StateRuleViolation(f"ledger entry id {entry.entry_id!r} is not 'led-' and a sequence number")
+    totals = entry.class_totals
+    if (totals.keys() != _CLASSES
+            or not all(type(amount) is int for amount in (entry.total, *totals.values()))):
+        raise StateRuleViolation(
+            f"ledger entry {entry.entry_id!r}: total and class totals are not "
+            "integer minor units of the developer, host and governor classes"
+        )
+    candidates = (
+        (seq, entry.correlation_id, entry.payer, entry.total, developer, host,
+         totals["developer"], totals["host"], totals["governor"], entry.timestamp)
+        for developer in entry.credits
+        for host in entry.credits
+    )
+    row = next((row for row in candidates if _credits(row) == entry.credits), None)
+    if row is None or not all(type(amount) is int for amount in entry.credits.values()):
+        raise StateRuleViolation(
+            f"ledger entry {entry.entry_id!r}: credits are not its class totals "
+            "paid to a developer, a host and the governor"
+        )
+    return row
+
+
 class BillingUnit:
     def __init__(self, governor_commission: float, lock: threading.RLock):
         if not 0.0 <= governor_commission <= 1.0:
@@ -124,7 +216,7 @@ class BillingUnit:
         self._lock = lock
         self._developers: set[str] = set()
         self._agreements: dict[str, Agreement] = {}
-        self._entries: list[LedgerEntry] = []
+        self._rows: list[Row] = []
         self._metered_correlations: set[str] = set()
         self._entry_seq = 0
 
@@ -193,8 +285,8 @@ class BillingUnit:
     # -- metering -----------------------------------------------------
 
     def meter_invocation(self, agreement: Agreement, requester_pseudonym: str,
-                         correlation_id: str, host_id: str, at: float = 0.0) -> LedgerEntry:
-        """Record one successful paid invocation.
+                         correlation_id: str, host_id: str, at: float = 0.0) -> None:
+        """Record one successful paid invocation as one ledger row.
 
         Each share is rounded down to minor units and the remainder goes
         to the governor, so credits always sum to the price exactly.
@@ -208,30 +300,12 @@ class BillingUnit:
             dev_credit, host_credit, governor_credit = split_price(
                 price, agreement.developer_share, agreement.host_share
             )
-            credits: dict[str, int] = {}
-            for party, amount in (
-                (agreement.developer_id, dev_credit),
-                (host_id, host_credit),
-                (GOVERNOR_PARTY, governor_credit),
-            ):
-                credits[party] = credits.get(party, 0) + amount
             self._entry_seq += 1
-            entry = LedgerEntry(
-                entry_id=f"led-{self._entry_seq:06d}",
-                correlation_id=correlation_id,
-                payer=requester_pseudonym,
-                total=price,
-                credits=credits,
-                class_totals={
-                    "developer": dev_credit,
-                    "host": host_credit,
-                    "governor": governor_credit,
-                },
-                timestamp=at,
-            )
+            self._rows.append((
+                self._entry_seq, correlation_id, requester_pseudonym, price,
+                agreement.developer_id, host_id, dev_credit, host_credit, governor_credit, at,
+            ))
             self._metered_correlations.add(correlation_id)
-            self._entries.append(entry)
-            return entry
 
     def meter_report(self, report: ExecutionReport) -> None:
         """Meter a successful execution report under its service's
@@ -244,52 +318,59 @@ class BillingUnit:
                 )
             if report.report_id not in self._metered_correlations:
                 self.meter_invocation(
-                    agreement,
-                    requester_pseudonym=report.requester_pseudonym,
-                    correlation_id=report.report_id,
-                    host_id=report.host_id,
-                    at=report.started_at + report.duration_ms,
+                    agreement, report.requester_pseudonym, report.report_id,
+                    report.host_id, report.started_at + report.duration_ms,
                 )
 
     # -- accounts and audit -------------------------------------------
 
+    def balances(self) -> dict[str, int]:
+        """Every credited party's balance, in one pass over the ledger."""
+        with self._lock:
+            totals: dict[str, int] = {}
+            for _, _, _, _, developer, host, dev_credit, host_credit, governor_credit, _ in self._rows:
+                totals[developer] = totals.get(developer, 0) + dev_credit
+                totals[host] = totals.get(host, 0) + host_credit
+                totals[GOVERNOR_PARTY] = totals.get(GOVERNOR_PARTY, 0) + governor_credit
+            return totals
+
     def account_balance(self, party_id: str) -> int:
         """Credits minus withdrawals; withdrawals are out of scope (always 0)."""
+        return self.balances().get(party_id, 0)
+
+    def entry_count(self) -> int:
         with self._lock:
-            return sum(entry.credits.get(party_id, 0) for entry in self._entries)
+            return len(self._rows)
 
     def audit(self, start: float | None = None, end: float | None = None) -> list[LedgerEntry]:
-        """Entries in timestamp order, optionally restricted to [start, end]."""
+        """Entries in timestamp order, optionally restricted to [start, end],
+        each built from its row."""
         with self._lock:
-            entries = list(self._entries)
-        if start is not None:
-            entries = [e for e in entries if e.timestamp >= start]
-        if end is not None:
-            entries = [e for e in entries if e.timestamp <= end]
-        return sorted(entries, key=lambda e: (e.timestamp, e.entry_id))
+            rows = [
+                row for row in self._rows
+                if (start is None or row[-1] >= start) and (end is None or row[-1] <= end)
+            ]
+        return [LedgerEntry(**_entry_fields(row)) for row in _in_audit_order(rows)]
 
     def total_metered(self) -> int:
         with self._lock:
-            return sum(entry.total for entry in self._entries)
+            return sum(row[3] for row in self._rows)
 
     def total_credited(self) -> int:
         with self._lock:
-            return sum(sum(entry.credits.values()) for entry in self._entries)
+            return sum(row[6] + row[7] + row[8] for row in self._rows)
 
     def class_revenue(self) -> dict[str, int]:
         with self._lock:
-            totals = {"developer": 0, "host": 0, "governor": 0}
-            for entry in self._entries:
-                for cls, amount in entry.class_totals.items():
-                    totals[cls] += amount
-            return totals
+            developer = host = governor = 0
+            for row in self._rows:
+                developer += row[6]
+                host += row[7]
+                governor += row[8]
+            return {"developer": developer, "host": host, "governor": governor}
 
     def parties(self) -> set[str]:
-        with self._lock:
-            seen: set[str] = set()
-            for entry in self._entries:
-                seen.update(entry.credits)
-            return seen
+        return set(self.balances())
 
     LEDGER_CSV_VERSION = 1
 
@@ -298,16 +379,19 @@ class BillingUnit:
         built as it is taken."""
         yield ["entry_id", "correlation_id", "payer", "total",
                "developer", "host", "governor", "format_version"]
-        for entry in self.audit():
+        version = str(self.LEDGER_CSV_VERSION)
+        with self._lock:
+            rows = _in_audit_order(self._rows)
+        for seq, correlation_id, payer, price, _, _, dev_credit, host_credit, governor_credit, _ in rows:
             yield [
-                entry.entry_id,
-                entry.correlation_id,
-                entry.payer,
-                format_money(entry.total),
-                format_money(entry.class_totals["developer"]),
-                format_money(entry.class_totals["host"]),
-                format_money(entry.class_totals["governor"]),
-                str(self.LEDGER_CSV_VERSION),
+                _entry_id(seq),
+                correlation_id,
+                payer,
+                format_money(price),
+                format_money(dev_credit),
+                format_money(host_credit),
+                format_money(governor_credit),
+                version,
             ]
 
     # -- persistence ------------------------------------------------------
@@ -319,7 +403,7 @@ class BillingUnit:
                 "governor_commission": self.governor_commission,
                 "developers": sorted(self._developers),
                 "agreements": {sid: asdict(a) for sid, a in sorted(self._agreements.items())},
-                "entries": [asdict(e) for e in self._entries],
+                "entries": [_entry_fields(row) for row in self._rows],
                 "entry_seq": self._entry_seq,
             }
 
@@ -330,14 +414,14 @@ class BillingUnit:
             # set of either form is the ids, so both still restore.
             self._developers = set(state["developers"])
             self._agreements.clear()
-            self._entries.clear()
+            self._rows.clear()
             self._metered_correlations.clear()
             for sid, raw in state["agreements"].items():
                 self._agreements[sid] = Agreement(**raw)
             for raw in state["entries"]:
-                entry = LedgerEntry(**raw)
-                self._entries.append(entry)
-                self._metered_correlations.add(entry.correlation_id)
+                row = _row_of(raw)
+                self._rows.append(row)
+                self._metered_correlations.add(row[1])
             self._entry_seq = state["entry_seq"]
 
 

@@ -219,22 +219,23 @@ class HostRegistry:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
 
             ok = report.outcome.ok
-            # The constructor, not `dataclasses.replace`: one report is the
+            # The constructor with positional fields in declaration order,
+            # not `dataclasses.replace` or keywords: one report is the
             # hottest profile write, and `__post_init__` still checks it.
             updated = HostProfile(
-                host_id=profile.host_id,
-                os_name=profile.os_name,
-                os_version=profile.os_version,
-                capacity=profile.capacity,
-                committed=profile.committed,
-                battery_mwh=max(0, profile.battery_mwh - report.energy_used_mwh),
-                certificate=update_trust(profile.certificate, report, self.security.policy),
-                hosted=profile.hosted,
-                attempts=profile.attempts + 1,
-                successes=profile.successes + (1 if ok else 0),
-                rating_count=profile.rating_count + (1 if report.rating is not None else 0),
-                rating_sum=profile.rating_sum + (report.rating or 0),
-                alive=profile.alive,
+                profile.host_id,
+                profile.os_name,
+                profile.os_version,
+                profile.capacity,
+                profile.committed,
+                max(0, profile.battery_mwh - report.energy_used_mwh),  # battery_mwh
+                update_trust(profile.certificate, report, self.security.policy),
+                profile.hosted,
+                profile.attempts + 1,
+                profile.successes + (1 if ok else 0),
+                profile.rating_count + (1 if report.rating is not None else 0),
+                profile.rating_sum + (report.rating or 0),
+                profile.alive,
             )
             if ok:
                 self.billing.meter_report(report)

@@ -87,16 +87,17 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
     score = min(1.0, max(0.0, score))
     attempts = cert.attempts + 1
     successes = cert.successes + (1 if report.outcome.ok else 0)
-    # The constructor, not `dataclasses.replace`, which costs more on the
-    # report path; `__post_init__` still checks the result.
+    # The constructor with positional fields in declaration order, not
+    # `dataclasses.replace` or keywords, which cost more on the report
+    # path; `__post_init__` still checks the result.
     return SecurityCertificate(
-        host_id=cert.host_id,
-        level=next_level(cert.level, score, attempts, policy),
-        trust_score=score,
-        attempts=attempts,
-        successes=successes,
-        issued_at=cert.issued_at,
-        identity_verified=cert.identity_verified,
+        cert.host_id,
+        next_level(cert.level, score, attempts, policy),
+        score,  # trust_score
+        attempts,
+        successes,
+        cert.issued_at,
+        cert.identity_verified,
     )
 
 

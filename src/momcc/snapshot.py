@@ -7,8 +7,9 @@ touching anything, so a truncated or edited file fails loudly; so does
 a payload the decoders reject ("snapshot payload does not decode"), and
 one that decodes but breaks a rule ("snapshot breaks a rule"): a service
 whose share billing could never settle under the snapshot's commission,
-a status map that names other ids than the catalog, and a billing
-agreement other than the one its catalogued service's terms settle.
+a status map that names other ids than the catalog, a billing
+agreement other than the one its catalogued service's terms settle, and
+a ledger entry that no ledger row reproduces byte for byte.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
             governor.profiler.restore_state(payload["profiler"])
     except StateRuleViolation as exc:
         # The registry rejects a service billing could never settle, a
-        # status for other ids and an agreement its service would not settle.
+        # status for other ids and an agreement its service would not
+        # settle; billing rejects a ledger entry no row reproduces.
         raise SnapshotIntegrityError(f"snapshot breaks a rule: {exc}") from None
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A matching checksum does not make a payload well formed: the

@@ -26,6 +26,12 @@ def unit(commission=0.2) -> BillingUnit:
     return BillingUnit(governor_commission=commission, lock=threading.RLock())
 
 
+def metered(billing: BillingUnit, agmt: Agreement, correlation_id: str):
+    """Meter one invocation and read its entry back through `audit()`."""
+    billing.meter_invocation(agmt, "anon-1", correlation_id, "host-a")
+    return next(entry for entry in billing.audit() if entry.correlation_id == correlation_id)
+
+
 def agreement(price=1000, dev=0.4, host=0.4, commission=0.2) -> Agreement:
     return Agreement(
         service_id="svc-resize",
@@ -94,20 +100,20 @@ class TestNegotiateHost:
 class TestMeterInvocation:
     def test_even_split_on_round_price(self):
         billing = unit()
-        entry = billing.meter_invocation(agreement(price=1000), "anon-1", "inv-1", "host-a")
+        entry = metered(billing, agreement(price=1000), "inv-1")
         assert entry.class_totals == {"developer": 400, "host": 400, "governor": 200}
         assert entry.total == 1000
         assert sum(entry.credits.values()) == 1000
 
     def test_zero_price_gives_all_zero_entry(self):
         billing = unit()
-        entry = billing.meter_invocation(agreement(price=0), "anon-1", "inv-1", "host-a")
+        entry = metered(billing, agreement(price=0), "inv-1")
         assert entry.total == 0
         assert all(v == 0 for v in entry.credits.values())
 
     def test_one_cent_rounding_remainder_goes_to_governor(self):
         billing = unit()
-        entry = billing.meter_invocation(agreement(price=1), "anon-1", "inv-1", "host-a")
+        entry = metered(billing, agreement(price=1), "inv-1")
         assert entry.class_totals == {"developer": 0, "host": 0, "governor": 1}
         assert sum(entry.credits.values()) == 1
 
@@ -121,15 +127,19 @@ class TestMeterInvocation:
     def test_rounding_conserves_on_awkward_shares(self):
         rng = random.Random(12)
         billing = unit(0.15)
-        total = 0
+        prices = []
         for i in range(500):
             dev = round(rng.uniform(0, 0.85), 2)
             agmt = billing.negotiate_host(make_service(
                 service_id=f"s{i}", developer_id="d", price=rng.randint(0, 999), developer_share=dev,
             ))
-            entry = billing.meter_invocation(agmt, "anon", f"inv-{i}", "host-a")
+            billing.meter_invocation(agmt, "anon", f"inv-{i}", "host-a")
+            prices.append(agmt.price_per_invocation)
+        entries = billing.audit()
+        assert [entry.total for entry in entries] == prices
+        for entry in entries:
             assert sum(entry.credits.values()) == entry.total
-            total += entry.total
+        total = sum(prices)
         assert billing.total_metered() == total
         assert billing.total_credited() == total
 
@@ -232,7 +242,7 @@ class TestCachedSplit:
                 share_of(price, agmt.host_share),
                 expected["governor"],
             )
-            entry = billing.meter_invocation(agmt, "anon-1", f"inv-{n}", "host-a")
+            entry = metered(billing, agmt, f"inv-{n}")
             assert entry.class_totals == expected
             assert sum(entry.credits.values()) == entry.total == price
 
@@ -248,14 +258,10 @@ class TestCachedSplit:
             "anon-2", "inv-0", "host-b",
         )
         restored.restore_state(original.snapshot_state())
-        entry = restored.meter_invocation(
-            restored.agreement_for("svc-resize"), "anon-1", "inv-2", "host-a"
-        )
+        entry = metered(restored, restored.agreement_for("svc-resize"), "inv-2")
         assert restored.agreement_for("svc-resize") == agmt
         assert entry.class_totals == exact_split(997, agmt)
-        assert entry.class_totals == original.meter_invocation(
-            agmt, "anon-1", "inv-2", "host-a"
-        ).class_totals
+        assert entry.class_totals == metered(original, agmt, "inv-2").class_totals
         assert restored.total_credited() == restored.total_metered() == 2 * 997
 
 

@@ -249,21 +249,24 @@ class TestIngestReport:
     def test_single_success_gives_availability_one(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report())
-        assert governor.host_db.get("host-a").availability_ratio == 1.0
+        profile = governor.host_db.get("host-a")
+        assert profile.successes / profile.attempts == 1.0
 
     def test_sfss_stream_gives_three_quarters(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         pattern = [True, False, True, True]
         for ok in pattern:
             governor.ingest_report(make_report(ok=ok))
+        profile = governor.host_db.get("host-a")
         # Counting oracle.
-        assert governor.host_db.get("host-a").availability_ratio == sum(pattern) / len(pattern)
-        assert governor.host_db.get("host-a").availability_ratio == 0.75
+        assert profile.successes / profile.attempts == sum(pattern) / len(pattern)
+        assert profile.successes / profile.attempts == 0.75
 
     def test_first_rated_report_sets_mean_rating(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report(rating=5))
-        assert governor.host_db.get("host-a").mean_rating == 5.0
+        profile = governor.host_db.get("host-a")
+        assert profile.rating_sum / profile.rating_count == 5.0
 
     def test_unknown_host_or_service_errors(self, governor):
         with pytest.raises(UnknownEntityError):

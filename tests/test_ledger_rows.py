@@ -1,0 +1,189 @@
+"""The ledger kept as flat rows, against a reference that builds one
+`LedgerEntry` per metered invocation, as the ledger once stored them."""
+import json
+import threading
+from dataclasses import asdict
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import make_service
+from momcc.domain import ExecutionReport, Outcome, ResourceVector
+from momcc.errors import DuplicateCorrelationError
+from momcc.governor import ServiceGovernor
+from momcc.governor.billing import GOVERNOR_PARTY, BillingUnit, LedgerEntry, format_money
+
+COMMISSION = 0.15
+# (developer id, price, developer share): prices 0 and 1, awkward shares, and
+# developers who are also a host or the governor, so party credits merge.
+TERMS = [
+    ("dev-x", 0, 0.33),
+    ("dev-x", 1, 0.29),
+    ("host-a", 997, 0.07),
+    ("governor", 29, 0.85),
+    ("dev-y", 10**6, 0.0),
+]
+HOSTS = ["host-a", "host-b", "dev-x", "governor"]
+
+
+class ReferenceLedger:
+    """One `LedgerEntry` per metered invocation, each split computed afresh."""
+
+    def __init__(self, seq: int):
+        self.entries: list[LedgerEntry] = []
+        self.metered: set[str] = set()
+        self.seq = seq
+
+    def meter(self, agreement, payer, correlation_id, host_id, at):
+        if correlation_id in self.metered:
+            raise DuplicateCorrelationError(correlation_id)
+        price = agreement.price_per_invocation
+        dev = int(Fraction(str(agreement.developer_share)) * price)
+        host = int(Fraction(str(agreement.host_share)) * price)
+        gov = price - dev - host
+        credits: dict[str, int] = {}
+        for party, amount in ((agreement.developer_id, dev), (host_id, host), (GOVERNOR_PARTY, gov)):
+            credits[party] = credits.get(party, 0) + amount
+        self.seq += 1
+        self.entries.append(LedgerEntry(
+            entry_id=f"led-{self.seq:06d}", correlation_id=correlation_id, payer=payer,
+            total=price, credits=credits,
+            class_totals={"developer": dev, "host": host, "governor": gov}, timestamp=at,
+        ))
+        self.metered.add(correlation_id)
+
+    def audit(self, start=None, end=None):
+        entries = [e for e in self.entries
+                   if (start is None or e.timestamp >= start) and (end is None or e.timestamp <= end)]
+        return sorted(entries, key=lambda e: (e.timestamp, e.entry_id))
+
+    def balance(self, party):
+        return sum(e.credits.get(party, 0) for e in self.entries)
+
+    def parties(self):
+        return {party for e in self.entries for party in e.credits}
+
+    def class_revenue(self):
+        totals = {"developer": 0, "host": 0, "governor": 0}
+        for e in self.entries:
+            for cls, amount in e.class_totals.items():
+                totals[cls] += amount
+        return totals
+
+    def csv_rows(self):
+        return [["entry_id", "correlation_id", "payer", "total",
+                 "developer", "host", "governor", "format_version"]] + [
+            [e.entry_id, e.correlation_id, e.payer, format_money(e.total),
+             *(format_money(e.class_totals[c]) for c in ("developer", "host", "governor")), "1"]
+            for e in self.audit()
+        ]
+
+
+def billing_with_terms(seq: int) -> BillingUnit:
+    billing = BillingUnit(governor_commission=COMMISSION, lock=threading.RLock())
+    state = billing.snapshot_state()
+    state["entry_seq"] = seq
+    billing.restore_state(state)
+    for i, (developer, price, share) in enumerate(TERMS):
+        billing.negotiate_host(make_service(
+            service_id=f"svc-{i}", developer_id=developer, price=price, developer_share=share,
+        ))
+    return billing
+
+
+def canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+# Few ids and few timestamps, so duplicates and tied timestamps are common.
+operations = st.lists(st.tuples(
+    st.sampled_from(["report", "invocation"]),
+    st.integers(0, len(TERMS) - 1),
+    st.sampled_from(HOSTS),
+    st.integers(0, 24),  # correlation id
+    st.sampled_from(["anon-1", "anon-2"]),
+    st.sampled_from([0.0, 1.5, 2.0, 1e9]),
+), max_size=60)
+bounds = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 1.5, 2.0, 5.0]))
+
+
+class TestRowLedgerMatchesTheEntryLedger:
+    @settings(max_examples=200, deadline=None)
+    @given(operations, st.sampled_from([0, 999_990]), bounds, bounds)
+    def test_every_reader_and_the_state_match(self, ops, seq, start, end):
+        """Starting at 999,990 crosses into seven-digit entry ids, which
+        order as text in `audit()`: led-1000000 before led-999999."""
+        billing = billing_with_terms(seq)
+        reference = ReferenceLedger(seq)
+        for kind, service, host, cid, payer, at in ops:
+            agreement = billing.agreement_for(f"svc-{service}")
+            correlation_id = f"rpt-{cid}"
+            if kind == "report":
+                report = ExecutionReport(
+                    report_id=correlation_id, host_id=host, service_id=agreement.service_id,
+                    requester_pseudonym=payer, started_at=at, duration_ms=0.0,
+                    energy_used_mwh=0, outcome=Outcome.success(),
+                )
+                billing.meter_report(report)
+                if correlation_id not in reference.metered:
+                    reference.meter(agreement, payer, correlation_id, host, at)
+            elif correlation_id in reference.metered:
+                with pytest.raises(DuplicateCorrelationError):
+                    billing.meter_invocation(agreement, payer, correlation_id, host, at)
+            else:
+                billing.meter_invocation(agreement, payer, correlation_id, host, at)
+                reference.meter(agreement, payer, correlation_id, host, at)
+
+        assert billing.audit() == reference.audit()
+        assert billing.audit(start, end) == reference.audit(start, end)
+        assert billing.entry_count() == len(reference.entries)
+        assert billing.parties() == reference.parties()
+        for party in reference.parties() | {"nobody"}:
+            assert billing.account_balance(party) == reference.balance(party)
+        assert billing.balances() == {p: reference.balance(p) for p in reference.parties()}
+        assert billing.class_revenue() == reference.class_revenue()
+        total = sum(e.total for e in reference.entries)
+        assert billing.total_metered() == billing.total_credited() == total
+        assert list(billing.ledger_csv_rows()) == reference.csv_rows()
+
+        state = billing.snapshot_state()
+        saved = [asdict(e) for e in reference.entries]
+        assert state["entries"] == saved
+        assert canonical(state["entries"]) == canonical(saved)
+        assert state["entry_seq"] == reference.seq
+
+        restored = BillingUnit(governor_commission=0.5, lock=threading.RLock())
+        restored.restore_state(json.loads(canonical(state)))
+        assert canonical(restored.snapshot_state()) == canonical(state)
+        assert restored.audit() == billing.audit()
+
+
+class TestReportPathBuildsNoEntries:
+    def test_a_few_hundred_reports_construct_no_ledger_entry(self, monkeypatch):
+        built = []
+        check = LedgerEntry.__post_init__
+
+        def counting(self):
+            built.append(self.entry_id)
+            check(self)
+
+        # Every construction runs `__post_init__`, whichever module builds it.
+        monkeypatch.setattr(LedgerEntry, "__post_init__", counting)
+        governor = ServiceGovernor()
+        governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
+        governor.registry.register_service(make_service())
+        governor.hosts.register_host("host-a", "Android", "4.0", ResourceVector(2048, 32, 64, 2000), 20000)
+        assert governor.request_hosting("host-a", "svc-resize").confirmed
+        for i in range(300):
+            assert governor.ingest_report(ExecutionReport(
+                report_id=f"rpt-{i}", host_id="host-a", service_id="svc-resize",
+                requester_pseudonym="anon-1", started_at=float(i), duration_ms=5.0,
+                energy_used_mwh=1, outcome=Outcome.success(), rating=4,
+            ))
+        assert built == []
+        assert governor.billing.entry_count() == 300
+        assert governor.check_invariants() == []
+        assert built == []
+        assert len(governor.billing.audit()) == 300
+        assert len(built) == 300  # the counter sees what `audit()` builds

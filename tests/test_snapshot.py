@@ -188,6 +188,52 @@ class TestIntegrity:
             "snapshot breaks a rule: agreement for 'svc-ghost' names no catalogued service"
         )
 
+    @staticmethod
+    def _restore_with_first_entry_edited(governor, edit):
+        snap = snapshot_governor(governor)
+        edit(snap["payload"]["billing"]["entries"][0])
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        return str(err.value)
+
+    @pytest.mark.parametrize("entry_id", ["led-1", "led-0000001", "entry-000001"])
+    def test_a_ledger_entry_id_that_is_no_sequence_number_is_rejected(self, governor_after_run, entry_id):
+        """The ledger keeps a sequence number and writes the id from it, so
+        an id it would write differently is refused, not rewritten."""
+        message = self._restore_with_first_entry_edited(
+            governor_after_run, lambda entry: entry.update(entry_id=entry_id)
+        )
+        assert message == f"snapshot breaks a rule: ledger entry id {entry_id!r} is not 'led-' and a sequence number"
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry.update(total=float(entry["total"])),
+        lambda entry: entry["class_totals"].update(governor=float(entry["class_totals"]["governor"])),
+        lambda entry: entry["class_totals"].update(broker=0),
+    ], ids=["float total", "float class total", "extra class"])
+    def test_ledger_money_other_than_minor_units_of_the_three_classes_is_rejected(
+        self, governor_after_run, edit
+    ):
+        message = self._restore_with_first_entry_edited(governor_after_run, edit)
+        assert message == (
+            "snapshot breaks a rule: ledger entry 'led-000001': total and class totals are not "
+            "integer minor units of the developer, host and governor classes"
+        )
+
+    @pytest.mark.parametrize("edit", [
+        lambda entry: entry["credits"].update({"host-ghost": 0}),
+        lambda entry: entry["credits"].update({"dev-alpha": entry["credits"].pop("governor") + 400}),
+        lambda entry: entry["credits"].update({"dev-alpha": 400.0}),
+    ], ids=["extra party", "no governor", "float credit"])
+    def test_ledger_credits_other_than_the_class_totals_are_rejected(self, governor_after_run, edit):
+        """Each credit must be a class total paid to the developer, the host
+        or the governor; the row keeps those three and rebuilds the credits."""
+        message = self._restore_with_first_entry_edited(governor_after_run, edit)
+        assert message == (
+            "snapshot breaks a rule: ledger entry 'led-000001': credits are not its class totals "
+            "paid to a developer, a host and the governor"
+        )
+
     def test_a_payload_that_does_not_decode_keeps_its_message(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
         del snap["payload"]["registry"]["services"]["svc-resize"]["developer_id"]
