@@ -21,16 +21,19 @@ delay of the Invoke hop (the distance-to-service cost the two modes
 differ in); execution time is tracked separately in reports.
 
 A run's trace is written one JSON line per delivered message
-(`TraceRecord.to_line`). Lines are built directly in sorted key order.
+(`TraceRecord.to_line`). Lines are built directly in sorted key order,
+through one C encoder kept for the whole process (`_COMPACT`), with each
+message kind's and role's JSON text kept on its enum member.
 The shared per-service dicts that discovery and listing replies carry,
 the shared host lists of discovery replies, and the one payload that
 repeated discovery answers or repeated kept listings share are encoded
 once per `iter_trace_lines()` pass and spliced into every line that
 names them.
-The pass yields one line at a time, so a writer holds one line of the
-trace, never all of it; the trace records themselves stay in memory.
-`paused_collector()` keeps the cyclic collector off while a run
-executes and while its outputs are written.
+The pass yields one line at a time, and the writer (`cli._write_outputs`)
+gathers them into 64 KiB chunks, so it holds at most one chunk of the
+trace plus the pass's memo, never the whole file; the trace records
+themselves stay in memory. `paused_collector()` keeps the cyclic
+collector off while a run executes and while its outputs are written.
 """
 from __future__ import annotations
 
@@ -41,8 +44,8 @@ import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterator
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from typing import Any, Callable, Iterator, NoReturn
 
 from .agents import AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent
 from .domain import ResourceVector
@@ -57,9 +60,32 @@ GOVERNOR_ID = "governor"
 _CLOUD_CAPACITY = ResourceVector(10**9, 10**9, 10**9, 10**9)
 _CLOUD_BATTERY = 10**15
 
-# json.dumps(..., sort_keys=True, separators=(",", ":")) builds a new
-# encoder on every call; this one is built once.
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+def _unencodable(obj: Any) -> NoReturn:
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _compact_encoder() -> Callable[[Any], str]:
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))`.
+
+    `JSONEncoder.encode` builds a new C encoder and markers dict on every
+    call; this builds the C encoder once, for the whole process. It keeps
+    no markers: a shared markers dict keeps the containers of a failed
+    encode, so encoding one of them again, even once it is fixed, would
+    report a circular reference. A cyclic object therefore raises
+    `RecursionError`, not `ValueError`; no payload is cyclic. Without the
+    `_json` accelerator this is `JSONEncoder.encode`.
+    """
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    encoder = c_make_encoder(None, _unencodable, encode_basestring_ascii, None,
+                             ":", ",", True, False, True)
+    return lambda obj: "".join(encoder(obj, 0))
+
+
+_COMPACT = _compact_encoder()
 
 
 @dataclass
@@ -197,9 +223,9 @@ class TraceRecord:
         return (
             f'{{"correlation_id":{encode_basestring_ascii(msg.correlation_id)}'
             f',"from":{encode_basestring_ascii(self.sender)}'
-            f',"kind":{encode_basestring_ascii(msg.kind.value)}'
+            f',"kind":{msg.kind.json}'
             f',"payload":{_payload_json(msg, {} if memo is None else memo)}'
-            f',"sender_role":{encode_basestring_ascii(msg.sender_role.value)}'
+            f',"sender_role":{msg.sender_role.json}'
             f',"to":{encode_basestring_ascii(self.recipient)}'
             f',"tr":{round(self.received_at, 3)!r}'
             f',"ts":{round(self.sent_at, 3)!r}}}'
@@ -224,9 +250,9 @@ def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str
     object itself, so no id is reused while it lives."""
     payload = msg.payload
     kind = msg.kind
-    if kind == MessageKind.DISCOVERY_REPLY:
+    if kind is MessageKind.DISCOVERY_REPLY:
         return _shared_json(payload, memo, _discovery_json)
-    if kind == MessageKind.LIST_SERVICES_REPLY:
+    if kind is MessageKind.LIST_SERVICES_REPLY:
         return _shared_json(payload, memo, _listing_json)
     return _COMPACT(payload)
 

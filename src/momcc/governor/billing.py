@@ -420,8 +420,19 @@ class BillingUnit:
                 self._agreements[sid] = Agreement(**raw)
             for raw in state["entries"]:
                 row = _row_of(raw)
+                if row[1] in self._metered_correlations:
+                    raise StateRuleViolation(
+                        f"ledger entry {_entry_id(row[0])!r} bills correlation id {row[1]!r} a second time"
+                    )
                 self._rows.append(row)
                 self._metered_correlations.add(row[1])
+            # The next metering takes the number after entry_seq, so an
+            # entry_seq below a saved number would write that id again.
+            highest = max((row[0] for row in self._rows), default=0)
+            if state["entry_seq"] < highest:
+                raise StateRuleViolation(
+                    f"entry_seq {state['entry_seq']} is below the highest saved entry number {highest}"
+                )
             self._entry_seq = state["entry_seq"]
 
 

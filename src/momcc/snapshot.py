@@ -8,8 +8,10 @@ a payload the decoders reject ("snapshot payload does not decode"), and
 one that decodes but breaks a rule ("snapshot breaks a rule"): a service
 whose share billing could never settle under the snapshot's commission,
 a status map that names other ids than the catalog, a billing
-agreement other than the one its catalogued service's terms settle, and
-a ledger entry that no ledger row reproduces byte for byte.
+agreement other than the one its catalogued service's terms settle, a
+ledger entry that no ledger row reproduces byte for byte, two ledger
+entries that bill one correlation id, and an entry sequence number
+below the highest saved entry's, which the next metering would reuse.
 """
 from __future__ import annotations
 
@@ -76,7 +78,8 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
     except StateRuleViolation as exc:
         # The registry rejects a service billing could never settle, a
         # status for other ids and an agreement its service would not
-        # settle; billing rejects a ledger entry no row reproduces.
+        # settle; billing rejects a ledger entry no row reproduces, a
+        # correlation id billed twice and an entry_seq a saved id exceeds.
         raise SnapshotIntegrityError(f"snapshot breaks a rule: {exc}") from None
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A matching checksum does not make a payload well formed: the

@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from xml.etree import ElementTree
 
 from .domain import PlatformRequirement, ResourceVector, VersionError
@@ -152,7 +153,15 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-class MessageKind(Enum):
+class _WireEnum(Enum):
+    """An enum whose members keep their value as JSON text (`json`), so a
+    trace line reads a plain attribute, not the `value` property."""
+
+    def __init__(self, value: str):
+        self.json = encode_basestring_ascii(value)
+
+
+class MessageKind(_WireEnum):
     """Every message kind the marketplace protocol exchanges."""
 
     LIST_SERVICES_REQUEST = "ListServicesRequest"
@@ -172,7 +181,7 @@ class MessageKind(Enum):
     RATE_SERVICE = "RateService"
 
 
-class Role(Enum):
+class Role(_WireEnum):
     DEVELOPER = "developer"
     HOST = "host"
     REQUESTER = "requester"

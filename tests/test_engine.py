@@ -59,6 +59,16 @@ class TestCausality:
                 low, high = scenario.latency.wlan_ms
             assert low <= delay <= high, (record.sender, record.recipient, delay)
 
+    def test_each_latency_class_answers_its_own_range(self):
+        """The ranges are looked up in a table built with the model, so a
+        copy with one range replaced answers the new range."""
+        model = replace(LatencyModel(), wan_ms=(1.0, 2.0))
+        assert [model.range_for(cls) for cls in ("wlan", "wan", "governor")] == [
+            model.wlan_ms, (1.0, 2.0), model.governor_ms,
+        ]
+        with pytest.raises(KeyError):
+            model.range_for("lte")
+
     def test_wan_class_applies_to_cloud_deliveries(self):
         scenario = scenario_from_dict(scenario_dict(seed=5, mode=MODE_WAN_CLOUD))
         result = run_scenario(scenario)
@@ -568,8 +578,8 @@ class TestCollectorPause:
 
 
 class TestStreamedTrace:
-    """The writer writes each trace line as it is encoded, so what it holds
-    does not grow with the trace."""
+    """The writer writes the trace in chunks of lines as they are encoded,
+    so what it holds does not grow with the trace."""
 
     def test_the_writer_never_holds_the_whole_trace(self, tmp_path):
         result = Simulation(scenario_from_dict(scenario_dict(

@@ -234,6 +234,36 @@ class TestIntegrity:
             "paid to a developer, a host and the governor"
         )
 
+    def test_two_entries_billing_one_correlation_id_are_rejected(self, governor_after_run):
+        """A copy of an entry under a new id would bill one report twice."""
+        snap = snapshot_governor(governor_after_run)
+        billing = snap["payload"]["billing"]
+        first = billing["entries"][0]
+        assert first["entry_id"] == "led-000001"
+        billing["entry_seq"] += 1
+        billing["entries"].append({**first, "entry_id": f"led-{billing['entry_seq']:06d}"})
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == (
+            f"snapshot breaks a rule: ledger entry 'led-{billing['entry_seq']:06d}' bills "
+            f"correlation id {first['correlation_id']!r} a second time"
+        )
+
+    def test_an_entry_seq_below_the_highest_saved_entry_is_rejected(self, governor_after_run):
+        """The next metering would reuse a saved entry's id."""
+        snap = snapshot_governor(governor_after_run)
+        billing = snap["payload"]["billing"]
+        highest = len(billing["entries"])
+        assert highest > 1 and billing["entry_seq"] == highest
+        billing["entry_seq"] = 1
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == (
+            f"snapshot breaks a rule: entry_seq 1 is below the highest saved entry number {highest}"
+        )
+
     def test_a_payload_that_does_not_decode_keeps_its_message(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
         del snap["payload"]["registry"]["services"]["svc-resize"]["developer_id"]

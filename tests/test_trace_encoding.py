@@ -4,14 +4,21 @@
 the shared per-service dicts of discovery and listing replies, the
 shared host lists of discovery replies, and whole discovery and listing
 payloads that several replies share, from a memo; `MetricsReport.to_json_bytes`
-indents without json's pure-Python encoder. Both must produce exactly what the straightforward encodings
-produce, which the tests keep as their oracles.
+indents without json's pure-Python encoder. Both encode through one kept
+encoder (`_COMPACT`), and `trace.log` is written in chunks of lines. All
+must produce exactly what the straightforward encodings produce, which
+the tests keep as their oracles.
 """
 import json
+import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from momcc.engine import TraceRecord, _indented
+from conftest import scenario_dict
+from momcc import cli, engine
+from momcc.engine import _COMPACT, Simulation, TraceRecord, _indented
+from momcc.scenario import scenario_from_dict
 from momcc.wire import MessageKind, ProtocolMessage, Role, envelope_dict
 
 
@@ -160,3 +167,65 @@ class TestIndented:
     @given(json_values)
     def test_equals_json_dumps_with_indent(self, value):
         assert _indented(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def compact_dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class TestCompact:
+    @settings(max_examples=200, deadline=None)
+    @given(json_values)
+    def test_equals_json_dumps(self, value):
+        assert _COMPACT(value) == compact_dumps(value)
+
+    @pytest.mark.parametrize("value", [
+        "", "é€😀\"\\\n", 0.1 + 0.2, -0.0, 1e16, math.nan, math.inf, -math.inf, None, True, 7,
+    ])
+    def test_a_top_level_scalar_equals_json_dumps(self, value):
+        assert _COMPACT(value) == json.dumps(value)
+
+    def test_without_the_accelerator_it_is_json_encoder_encode(self, monkeypatch):
+        monkeypatch.setattr(engine, "c_make_encoder", None)
+        compact = engine._compact_encoder()
+        value = {"b": [1.5, "é", None], "a": {"z": math.nan}}
+        assert compact.__self__.__class__ is json.JSONEncoder
+        assert compact(value) == _COMPACT(value) == compact_dumps(value)
+
+    def test_an_unencodable_payload_raises_and_the_next_record_still_encodes(self):
+        """The encoder is kept for the whole process, so a failed encode
+        must leave nothing behind: encoding the same payload again fails
+        the same way, and once fixed it encodes."""
+        payload = {"ok": {"n": 1}, "bad": {1}}
+        failing, fixed = (
+            TraceRecord(float(n), float(n) + 1, "req-000", "governor", ProtocolMessage(
+                MessageKind.RATE_SERVICE, Role.REQUESTER, f"rate-{n}", payload,
+            ))
+            for n in range(2)
+        )
+        memo = {}
+        for _ in range(2):
+            with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+                failing.to_line(memo)
+        del payload["bad"]
+        assert fixed.to_line(memo) == oracle_line(fixed)
+
+
+class TestTraceFile:
+    """`_write_outputs` writes `trace.log` in chunks of whole lines."""
+
+    @pytest.mark.parametrize("chunk_chars", [1, 300, cli.TRACE_CHUNK_CHARS])
+    def test_trace_log_is_the_oracle_lines_whatever_the_chunk_size(
+        self, chunk_chars, monkeypatch, tmp_path
+    ):
+        result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
+        monkeypatch.setattr(cli, "TRACE_CHUNK_CHARS", chunk_chars)
+        cli._write_outputs(result, tmp_path)
+        expected = "".join(oracle_line(record) + "\n" for record in result.trace)
+        assert (tmp_path / "trace.log").read_bytes() == expected.encode("utf-8")
+
+    def test_an_empty_trace_writes_an_empty_file(self, tmp_path):
+        result = Simulation(scenario_from_dict(scenario_dict(seed=3, requesters=[], hosts=[]))).run()
+        assert result.trace == []
+        cli._write_outputs(result, tmp_path)
+        assert (tmp_path / "trace.log").read_bytes() == b""
