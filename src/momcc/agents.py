@@ -14,6 +14,11 @@ governor meters, and one way to leave (churn, or a battery that no
 hosted service can run on). An aggregator is a device whose one Service
 is a composite: it consumes the dependencies like a requester before
 running its own step.
+
+Each agent's `handle` finds a message's handler in one dict keyed by
+kind, built with its class, and the message builders read kinds and
+roles bound once here: on CPython 3.11 each read of `MessageKind.X` or
+`Role.X` goes through `EnumType.__getattr__`.
 """
 from __future__ import annotations
 
@@ -27,6 +32,16 @@ from .wire import MessageKind, Outbound, ProtocolMessage, Role
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
 _RATINGS = (1, 2, 3, 4, 5)
+
+_LIST_SERVICES_REQUEST = MessageKind.LIST_SERVICES_REQUEST
+_HOSTING_REQUEST = MessageKind.HOSTING_REQUEST
+_DISCOVERY_QUERY = MessageKind.DISCOVERY_QUERY
+_INVOKE = MessageKind.INVOKE
+_INVOKE_RESULT = MessageKind.INVOKE_RESULT
+_EXECUTION_REPORT = MessageKind.EXECUTION_REPORT
+_RATE_SERVICE = MessageKind.RATE_SERVICE
+_HOST = Role.HOST
+_REQUESTER = Role.REQUESTER
 
 
 @dataclass(frozen=True)
@@ -109,22 +124,22 @@ def _to_governor(kind: MessageKind, role: Role, correlation: str, payload: dict,
 
 def _invoke_result(correlation: str, service_id: str, outcome: Outcome) -> ProtocolMessage:
     return ProtocolMessage(
-        kind=MessageKind.INVOKE_RESULT,
-        sender_role=Role.HOST,
+        kind=_INVOKE_RESULT,
+        sender_role=_HOST,
         correlation_id=correlation,
         payload={"service_id": service_id, "ok": outcome.ok, "reason": outcome.reason},
     )
 
 
 def _discovery_query(correlation: str, query: str, pseudonym: str) -> Outbound:
-    return _to_governor(MessageKind.DISCOVERY_QUERY, Role.REQUESTER, correlation,
+    return _to_governor(_DISCOVERY_QUERY, _REQUESTER, correlation,
                         {"query": query, "requester_pseudonym": pseudonym})
 
 
 def _invoke(host_id: str, correlation: str, service_id: str, pseudonym: str) -> Outbound:
     message = ProtocolMessage(
-        kind=MessageKind.INVOKE,
-        sender_role=Role.REQUESTER,
+        kind=_INVOKE,
+        sender_role=_REQUESTER,
         correlation_id=correlation,
         payload={"service_id": service_id, "requester_pseudonym": pseudonym},
     )
@@ -132,7 +147,7 @@ def _invoke(host_id: str, correlation: str, service_id: str, pseudonym: str) -> 
 
 
 def _rating(correlation: str, service_id: str, rating: int | None, pseudonym: str) -> Outbound:
-    return _to_governor(MessageKind.RATE_SERVICE, Role.REQUESTER, correlation, {
+    return _to_governor(_RATE_SERVICE, _REQUESTER, correlation, {
         "service_id": service_id, "rating": rating, "requester_pseudonym": pseudonym,
     })
 
@@ -212,11 +227,11 @@ class DeviceAgent:
         return [
             Outbound(to=to, latency_class="wlan", delay_ms=duration,
                      message=_invoke_result(correlation, service_id, outcome)),
-            _to_governor(MessageKind.EXECUTION_REPORT, Role.HOST, correlation, report, duration),
+            _to_governor(_EXECUTION_REPORT, _HOST, correlation, report, duration),
         ]
 
     def _hosting_request(self, service_id: str) -> Outbound:
-        return _to_governor(MessageKind.HOSTING_REQUEST, Role.HOST, self.next_id("alloc"), {
+        return _to_governor(_HOSTING_REQUEST, _HOST, self.next_id("alloc"), {
             "host_id": self.agent_id,
             "service_id": service_id,
             "identity_verified": self.config.identity_verified,
@@ -238,7 +253,7 @@ class HostAgent(DeviceAgent):
         """Browse the catalog once on arrival."""
         if not self.alive:
             return []
-        return [_to_governor(MessageKind.LIST_SERVICES_REQUEST, Role.HOST, self.next_id("list"), {
+        return [_to_governor(_LIST_SERVICES_REQUEST, _HOST, self.next_id("list"), {
             "host_id": self.agent_id,
             "free": self.free.as_dict(),
             "platform_os": self.config.platform_os,
@@ -257,15 +272,10 @@ class HostAgent(DeviceAgent):
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         if not self.alive:
             return []
-        if msg.kind == MessageKind.LIST_SERVICES_REPLY:
-            return self._on_listing(msg)
-        if msg.kind == MessageKind.ALLOCATION_CONFIRM:
-            return self._on_confirm(msg)
-        if msg.kind == MessageKind.INVOKE:
-            return self._on_invoke(msg, sender, now)
-        return []
+        handler = self._HANDLERS.get(msg.kind)
+        return [] if handler is None else handler(self, msg, sender, now)
 
-    def _on_listing(self, msg: ProtocolMessage) -> list[Outbound]:
+    def _on_listing(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         offered = msg.payload.get("services", [])
         out = []
         for raw in select_services(offered, self.free, self.config.greediness, self.rng):
@@ -274,7 +284,7 @@ class HostAgent(DeviceAgent):
             self._pending[desc.service_id] = desc
         return out
 
-    def _on_confirm(self, msg: ProtocolMessage) -> list[Outbound]:
+    def _on_confirm(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
         desc = self._pending.pop(service_id, None)
         if desc is not None:
@@ -291,6 +301,13 @@ class HostAgent(DeviceAgent):
         return self._result_and_report(msg.correlation_id, sender, service_id,
                                        msg.payload["requester_pseudonym"], now, now,
                                        outcome, energy, duration)
+
+    # Each handler takes (message, sender, receive time) and returns the replies.
+    _HANDLERS = {
+        MessageKind.LIST_SERVICES_REPLY: _on_listing,
+        MessageKind.ALLOCATION_CONFIRM: _on_confirm,
+        MessageKind.INVOKE: _on_invoke,
+    }
 
 
 class RequesterAgent:
@@ -323,13 +340,10 @@ class RequesterAgent:
         return [_discovery_query(self.next_id("disc"), query, self.pseudonym)]
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
-        if msg.kind == MessageKind.DISCOVERY_REPLY:
-            return self._on_discovery(msg)
-        if msg.kind == MessageKind.INVOKE_RESULT:
-            return self._on_result(msg)
-        return []
+        handler = self._HANDLERS.get(msg.kind)
+        return [] if handler is None else handler(self, msg, sender, now)
 
-    def _on_discovery(self, msg: ProtocolMessage) -> list[Outbound]:
+    def _on_discovery(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         found = _first_live_host(msg)
         if found is None:
             self.unavailable_events += 1
@@ -337,13 +351,18 @@ class RequesterAgent:
         service_id, host_id = found
         return [_invoke(host_id, self.next_id("inv"), service_id, self.pseudonym)]
 
-    def _on_result(self, msg: ProtocolMessage) -> list[Outbound]:
+    def _on_result(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         if not msg.payload.get("ok"):
             return []
         rating: int | None = None
         if self.rng.random() < self.config.rating_prob:
             rating = self.rng.choices(_RATINGS, cum_weights=self._rating_cum_weights)[0]
         return [_rating(msg.correlation_id, msg.payload["service_id"], rating, self.pseudonym)]
+
+    _HANDLERS = {
+        MessageKind.DISCOVERY_REPLY: _on_discovery,
+        MessageKind.INVOKE_RESULT: _on_result,
+    }
 
 
 @dataclass
@@ -386,13 +405,8 @@ class AggregatorAgent(DeviceAgent):
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         if not self.alive:
             return []
-        if msg.kind == MessageKind.INVOKE:
-            return self._on_composite_invoke(msg, sender, now)
-        if msg.kind == MessageKind.DISCOVERY_REPLY:
-            return self._on_discovery(msg, now)
-        if msg.kind == MessageKind.INVOKE_RESULT:
-            return self._on_dep_result(msg, now)
-        return []
+        handler = self._HANDLERS.get(msg.kind)
+        return [] if handler is None else handler(self, msg, sender, now)
 
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
@@ -424,7 +438,7 @@ class AggregatorAgent(DeviceAgent):
                                         self.pseudonym))
         return out
 
-    def _on_discovery(self, msg: ProtocolMessage, now: float) -> list[Outbound]:
+    def _on_discovery(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         entry = self._calls.pop(msg.correlation_id, None)
         if entry is None or entry[0].done:
             return []
@@ -436,7 +450,7 @@ class AggregatorAgent(DeviceAgent):
         self._calls[correlation] = (call, dep_id)
         return [_invoke(found[1], correlation, dep_id, self.pseudonym)]
 
-    def _on_dep_result(self, msg: ProtocolMessage, now: float) -> list[Outbound]:
+    def _on_dep_result(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         entry = self._calls.pop(msg.correlation_id, None)
         if entry is None:
             return []
@@ -460,3 +474,9 @@ class AggregatorAgent(DeviceAgent):
         call.done = True
         return self._result_and_report(call.correlation, call.sender, self.composite.service_id,
                                        call.pseudonym, call.started, now, outcome, energy, duration)
+
+    _HANDLERS = {
+        MessageKind.INVOKE: _on_composite_invoke,
+        MessageKind.DISCOVERY_REPLY: _on_discovery,
+        MessageKind.INVOKE_RESULT: _on_dep_result,
+    }

@@ -9,6 +9,14 @@ governor pay the governor-class delay, so discovery cost is visible.
 The engine only schedules and routes: messages to the governor go to its
 protocol endpoint (`governor.endpoint`), everything else to an agent.
 
+Each message makes one hop: `_send` draws its delay and pushes one heap
+entry holding a slotted `TraceRecord`, and `_on_deliver` finds the
+recipient in one dict and calls its `handle`, which finds the handler in
+one dict keyed by kind. No step of the hop reads an Enum class attribute
+(on CPython 3.11, `EnumType.__getattr__` makes each such read cost about
+200 ns): kinds are bound once at module level and compared with `is`,
+and members hash by identity (`wire._WireEnum`).
+
 Two modes:
 
     momcc       the marketplace: mobile hosts, churn, admission, trust.
@@ -59,6 +67,12 @@ GOVERNOR_ID = "governor"
 
 _CLOUD_CAPACITY = ResourceVector(10**9, 10**9, 10**9, 10**9)
 _CLOUD_BATTERY = 10**15
+
+_INVOKE = MessageKind.INVOKE
+_INVOKE_RESULT = MessageKind.INVOKE_RESULT
+_DISCOVERY_REPLY = MessageKind.DISCOVERY_REPLY
+_LIST_SERVICES_REPLY = MessageKind.LIST_SERVICES_REPLY
+_HOST = Role.HOST
 
 
 def _unencodable(obj: Any) -> NoReturn:
@@ -202,7 +216,7 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     sent_at: float
     received_at: float
@@ -250,9 +264,9 @@ def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str
     object itself, so no id is reused while it lives."""
     payload = msg.payload
     kind = msg.kind
-    if kind is MessageKind.DISCOVERY_REPLY:
+    if kind is _DISCOVERY_REPLY:
         return _shared_json(payload, memo, _discovery_json)
-    if kind is MessageKind.LIST_SERVICES_REPLY:
+    if kind is _LIST_SERVICES_REPLY:
         return _shared_json(payload, memo, _listing_json)
     return _COMPACT(payload)
 
@@ -345,6 +359,8 @@ class Simulation:
         self._seq = 0
         self._id_seq = 0
         self.latency_rng = random.Random(f"{scenario.seed}/latency")
+        # latency class -> (low, high) ms, built once: read on every send
+        self._ranges = {cls: scenario.latency.range_for(cls) for cls in ("wlan", "wan", "governor")}
         self.master_rng = random.Random(f"{scenario.seed}/master")
         self.governor = ServiceGovernor(scenario.governor_config)
         self.endpoint = GovernorEndpoint(self.governor)
@@ -357,6 +373,10 @@ class Simulation:
         self.host_assessments: list = []  # latest periodic efficiency scores
         self.devices: dict[str, DeviceAgent] = {}  # hosts, aggregators, the cloud host
         self.requesters: dict[str, RequesterAgent] = {}
+        # Every recipient by id: the governor's endpoint, the devices, the requesters.
+        self.agents: dict[str, GovernorEndpoint | DeviceAgent | RequesterAgent] = {
+            GOVERNOR_ID: self.endpoint,
+        }
         self._setup()
 
     # -- identifiers ------------------------------------------------------
@@ -410,7 +430,7 @@ class Simulation:
         for agent_id, config, rng in self._population("req", sc.requesters):
             agent = RequesterAgent(agent_id, config, rng, self.next_id,
                                    pseudonym=self._pseudonym(taken_pseudonyms))
-            self.requesters[agent_id] = agent
+            self.requesters[agent_id] = self.agents[agent_id] = agent
             delay = agent.next_demand_delay_ms()
             if delay is not None:
                 self._schedule(delay, self._on_demand, agent_id)
@@ -430,7 +450,7 @@ class Simulation:
     def _add_device(self, agent: DeviceAgent, joins: bool = True) -> None:
         """Register a device with the governor and schedule its join."""
         config = agent.config
-        self.devices[agent.agent_id] = agent
+        self.devices[agent.agent_id] = self.agents[agent.agent_id] = agent
         self.governor.hosts.register_host(
             agent.agent_id, config.platform_os, config.platform_version,
             config.capacity, config.battery_mwh,
@@ -463,25 +483,26 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._queue, (at, self._seq, handler, arg))
 
-    def _latency_class(self, sender: str, recipient: str, requested: str) -> str:
-        if requested == "wlan" and CLOUD_HOST_ID in (sender, recipient):
-            return "wan"
-        return requested
-
     def _send(self, sender: str, outbound: Outbound) -> None:
-        cls = self._latency_class(sender, outbound.to, outbound.latency_class)
-        low, high = self.scenario.latency.range_for(cls)
-        transport = self.latency_rng.uniform(low, high)
+        """Schedule one message's delivery after its sampled transport delay.
+        A wlan hop to or from the cloud host travels the WAN."""
+        to = outbound.to
+        cls = outbound.latency_class
+        if cls == "wlan" and (sender == CLOUD_HOST_ID or to == CLOUD_HOST_ID):
+            cls = "wan"
+        low, high = self._ranges[cls]
+        # `Random.uniform(low, high)`'s own arithmetic, so the stream is
+        # unchanged (a test compares the two, draw for draw).
+        transport = low + (high - low) * self.latency_rng.random()
         sent_at = self.now + outbound.delay_ms
         received_at = sent_at + transport
-        if outbound.message.kind == MessageKind.INVOKE:
+        message = outbound.message
+        if message.kind is _INVOKE:
             self.invocations_total += 1
             self.latencies.append(transport)
-        self._schedule(
-            received_at,
-            self._on_deliver,
-            TraceRecord(sent_at, received_at, sender, outbound.to, outbound.message),
-        )
+        self._seq += 1
+        heapq.heappush(self._queue, (received_at, self._seq, self._on_deliver,
+                                     TraceRecord(sent_at, received_at, sender, to, message)))
 
     # -- the event loop -------------------------------------------------------
 
@@ -543,23 +564,18 @@ class Simulation:
         recipient = record.recipient
         msg = record.message
 
-        if msg.kind == MessageKind.INVOKE_RESULT:
+        if msg.kind is _INVOKE_RESULT:
             if msg.payload.get("ok"):
                 self.invocations_succeeded += 1
             else:
                 self.invocations_failed += 1
 
-        if recipient == GOVERNOR_ID:
-            for outbound in self.endpoint.handle(msg, record.sender, self.now):
-                self._send(GOVERNOR_ID, outbound)
-            return
-
-        agent = self.devices.get(recipient) or self.requesters.get(recipient)
+        agent = self.agents.get(recipient)
         if agent is None:
             return
-        device = isinstance(agent, DeviceAgent)
+        device = recipient in self.devices
         if device and not agent.alive:
-            if msg.kind == MessageKind.INVOKE:
+            if msg.kind is _INVOKE:
                 self._bounce_invoke(record)
             return
         for outbound in agent.handle(msg, record.sender, self.now):
@@ -570,8 +586,8 @@ class Simulation:
     def _bounce_invoke(self, record: TraceRecord) -> None:
         # Transport-level failure reply for a departed endpoint.
         reply = ProtocolMessage(
-            kind=MessageKind.INVOKE_RESULT,
-            sender_role=Role.HOST,
+            kind=_INVOKE_RESULT,
+            sender_role=_HOST,
             correlation_id=record.message.correlation_id,
             payload={
                 "service_id": record.message.payload["service_id"],

@@ -164,4 +164,5 @@ class ServiceGovernor:
             balance_sum = sum(self.billing.balances().values())
             if balance_sum != self.billing.total_metered():
                 problems.append("ledger: party balances do not sum to metered totals")
+            problems += self.billing.ledger_problems()
         return problems

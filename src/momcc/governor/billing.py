@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -369,6 +370,23 @@ class BillingUnit:
                 governor += row[8]
             return {"developer": developer, "host": host, "governor": governor}
 
+    def ledger_problems(self) -> list[str]:
+        """The ledger's id rules, as `check_invariants` lines: each
+        correlation id and each entry number on one row, no number above
+        `entry_seq`, and the metered set equal to the rows' correlation ids."""
+        with self._lock:
+            correlations = [row[1] for row in self._rows]
+            numbers = [row[0] for row in self._rows]
+            problems = [
+                f"ledger: correlation id {cid!r} is on more than one row" for cid in _repeated(correlations)
+            ]
+            problems += [f"ledger: entry number {n} is on more than one row" for n in _repeated(numbers)]
+            problems += [f"ledger: entry number {n} is above entry_seq {self._entry_seq}"
+                         for n in sorted(set(numbers)) if n > self._entry_seq]
+            if set(correlations) != self._metered_correlations:
+                problems.append("ledger: correlation ids differ from the metered set")
+            return problems
+
     def parties(self) -> set[str]:
         return set(self.balances())
 
@@ -434,6 +452,11 @@ class BillingUnit:
                     f"entry_seq {state['entry_seq']} is below the highest saved entry number {highest}"
                 )
             self._entry_seq = state["entry_seq"]
+
+
+def _repeated(values: list) -> list:
+    """The values that occur more than once, each once, in sorted order."""
+    return sorted(value for value, count in Counter(values).items() if count > 1)
 
 
 def format_money(cents: int) -> str:

@@ -16,6 +16,11 @@ that answer, and the trace encodes it once. Listing replies are kept
 per host platform the same way: while the registry returns the same
 kept listing, every host of that platform gets the one payload built
 from it.
+
+`handle` finds a message's handler in one dict keyed by kind, built with
+the class, and the reply builders read kinds and the governor role bound
+once here: on CPython 3.11 each read of `MessageKind.X` goes through
+`EnumType.__getattr__`.
 """
 from __future__ import annotations
 
@@ -29,6 +34,12 @@ from .serialize import report_from_dict
 if TYPE_CHECKING:
     from . import ServiceGovernor
 
+_LIST_SERVICES_REPLY = MessageKind.LIST_SERVICES_REPLY
+_ALLOCATION_CONFIRM = MessageKind.ALLOCATION_CONFIRM
+_ALLOCATION_DENIED = MessageKind.ALLOCATION_DENIED
+_DISCOVERY_REPLY = MessageKind.DISCOVERY_REPLY
+_GOVERNOR = Role.GOVERNOR
+
 
 class GovernorEndpoint:
     def __init__(self, governor: ServiceGovernor):
@@ -38,20 +49,10 @@ class GovernorEndpoint:
         self.listings: dict[tuple[str, str], tuple[list, dict]] = {}  # (os, version) -> (last listing, its payload)
 
     def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
-        """The replies to one message from `sender` received at `now`."""
-        # An == chain, not a dict: hashing an Enum member runs in Python.
-        kind = msg.kind
-        if kind == MessageKind.LIST_SERVICES_REQUEST:
-            return self._list_services(msg, sender)
-        if kind == MessageKind.HOSTING_REQUEST:
-            return self._hosting(msg, sender, now)
-        if kind == MessageKind.DISCOVERY_QUERY:
-            return self._discovery(msg, sender)
-        if kind == MessageKind.EXECUTION_REPORT:
-            self._report(msg, now)
-        elif kind == MessageKind.RATE_SERVICE:
-            self._rating(msg)
-        return []
+        """The replies to one message from `sender` received at `now`;
+        a kind the governor does not serve gets none."""
+        handler = self._HANDLERS.get(msg.kind)
+        return [] if handler is None else handler(self, msg, sender, now)
 
     def flush(self) -> None:
         """Ingest reports still waiting for a rating, unrated, in
@@ -69,7 +70,7 @@ class GovernorEndpoint:
     # Repeated discovery answers and repeated kept listings share their
     # whole payload. Nothing downstream may mutate a payload.
 
-    def _list_services(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
+    def _list_services(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         p = msg.payload
         registry = self.governor.registry
         platform = (p["platform_os"], p["platform_version"])
@@ -81,7 +82,7 @@ class GovernorEndpoint:
         else:
             payload = {"services": [registry.wire_dict(d.service_id) for d in services]}
             self.listings[platform] = (services, payload)
-        return _reply(MessageKind.LIST_SERVICES_REPLY, msg, sender, payload)
+        return _reply(_LIST_SERVICES_REPLY, msg, sender, payload)
 
     def _hosting(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         p = msg.payload
@@ -92,11 +93,11 @@ class GovernorEndpoint:
         )
         payload = {"host_id": p["host_id"], "service_id": p["service_id"]}
         if decision.confirmed:
-            return _reply(MessageKind.ALLOCATION_CONFIRM, msg, sender, payload)
+            return _reply(_ALLOCATION_CONFIRM, msg, sender, payload)
         payload["reason"] = decision.reason
-        return _reply(MessageKind.ALLOCATION_DENIED, msg, sender, payload)
+        return _reply(_ALLOCATION_DENIED, msg, sender, payload)
 
-    def _discovery(self, msg: ProtocolMessage, sender: str) -> list[Outbound]:
+    def _discovery(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         registry = self.governor.registry
         query = msg.payload["query"]
         results = registry.discover(query, msg.payload["requester_pseudonym"])
@@ -110,9 +111,9 @@ class GovernorEndpoint:
                 for r in results
             ]}
             self.replies[query] = (results, payload)
-        return _reply(MessageKind.DISCOVERY_REPLY, msg, sender, payload)
+        return _reply(_DISCOVERY_REPLY, msg, sender, payload)
 
-    def _report(self, msg: ProtocolMessage, now: float) -> None:
+    def _report(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         p = msg.payload
         if p["ok"]:
             pending = self.pending.get(msg.correlation_id)
@@ -121,15 +122,16 @@ class GovernorEndpoint:
                 del self.pending[msg.correlation_id]
             else:
                 self.pending[msg.correlation_id] = {"report": p}
-            return
+            return []
         self._ingest(p, None)
         self.governor.profiler.report_malfunction(
             p["service_id"],
             detail=f"invocation failed: {p.get('failure_reason') or 'unknown'}",
             at=now,
         )
+        return []
 
-    def _rating(self, msg: ProtocolMessage) -> None:
+    def _rating(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         pending = self.pending.get(msg.correlation_id)
         rating = msg.payload.get("rating")
         if pending is not None and "report" in pending:
@@ -137,6 +139,7 @@ class GovernorEndpoint:
             del self.pending[msg.correlation_id]
         else:
             self.pending[msg.correlation_id] = {"rating": rating}
+        return []
 
     def _ingest(self, report_payload: dict, rating: int | None) -> None:
         try:
@@ -144,11 +147,20 @@ class GovernorEndpoint:
         except UnknownEntityError:
             pass  # report raced a deregistration; nothing to update
 
+    # Each handler takes (message, sender, receive time) and returns the replies.
+    _HANDLERS = {
+        MessageKind.LIST_SERVICES_REQUEST: _list_services,
+        MessageKind.HOSTING_REQUEST: _hosting,
+        MessageKind.DISCOVERY_QUERY: _discovery,
+        MessageKind.EXECUTION_REPORT: _report,
+        MessageKind.RATE_SERVICE: _rating,
+    }
+
 
 def _reply(kind: MessageKind, request: ProtocolMessage, to: str, payload: dict) -> list[Outbound]:
     reply = ProtocolMessage(
         kind=kind,
-        sender_role=Role.GOVERNOR,
+        sender_role=_GOVERNOR,
         correlation_id=request.correlation_id,
         payload=payload,
     )

@@ -64,16 +64,8 @@ class LatencyModel:
     wan_ms: tuple[float, float] = (100.0, 300.0)
     governor_ms: tuple[float, float] = (20.0, 60.0)
 
-    def __post_init__(self) -> None:
-        # Built once: the engine asks for a range on every message it sends.
-        object.__setattr__(self, "_ranges", {
-            "wlan": self.wlan_ms,
-            "wan": self.wan_ms,
-            "governor": self.governor_ms,
-        })
-
     def range_for(self, latency_class: str) -> tuple[float, float]:
-        return self._ranges[latency_class]
+        return {"wlan": self.wlan_ms, "wan": self.wan_ms, "governor": self.governor_ms}[latency_class]
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,14 @@ def _escape(text: str) -> str:
 
 class _WireEnum(Enum):
     """An enum whose members keep their value as JSON text (`json`), so a
-    trace line reads a plain attribute, not the `value` property."""
+    trace line reads a plain attribute, not the `value` property.
+
+    Members hash by identity, in C: `Enum.__hash__` hashes the name in
+    Python, and every dict keyed by kind would pay for it. Members are
+    singletons, so identity hashing agrees with equality.
+    """
+
+    __hash__ = object.__hash__
 
     def __init__(self, value: str):
         self.json = encode_basestring_ascii(value)
@@ -192,9 +199,14 @@ _KIND_BY_VALUE = {k.value: k for k in MessageKind}
 _ROLE_BY_VALUE = {r.value: r for r in Role}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProtocolMessage:
-    """One protocol message; replies reuse the correlation_id of their request."""
+    """One protocol message; replies reuse the correlation_id of their request.
+
+    Slotted and not frozen: every hop builds one, and a frozen `__init__`
+    sets each field through `object.__setattr__`. Nothing assigns to a
+    message once it is built, or hashes one.
+    """
 
     kind: MessageKind
     sender_role: Role
@@ -206,9 +218,10 @@ class ProtocolMessage:
             raise ValueError("correlation_id must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Outbound:
-    """A message to be delivered: the engine adds latency and routing."""
+    """A message to be delivered: the engine adds latency and routing.
+    Slotted and not frozen, like `ProtocolMessage`."""
 
     to: str
     latency_class: str

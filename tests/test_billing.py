@@ -7,10 +7,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_service
+from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.errors import (
     DuplicateCorrelationError,
     NegotiationRejected,
 )
+from momcc.governor import ServiceGovernor
 from momcc.governor.billing import (
     Agreement,
     BillingUnit,
@@ -304,3 +306,64 @@ class TestCachedShareParsing:
         assert _frac(0) == _frac(0.0) == 0
         with pytest.raises(ValueError):
             _frac(True)  # "True" is no decimal, even after 1 is cached
+
+
+class TestLedgerInvariants:
+    """`check_invariants()` reports a ledger that breaks the id rules that
+    metering keeps: one row per correlation id, one row per entry number,
+    no number above `entry_seq`, and the metered set equal to the rows'
+    correlation ids."""
+
+    @pytest.fixture
+    def governor(self):
+        governor = ServiceGovernor()
+        governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
+        governor.registry.register_service(make_service())
+        governor.hosts.register_host("host-a", "Android", "4.0", ResourceVector(2048, 32, 64, 2000), 20000)
+        assert governor.request_hosting("host-a", "svc-resize").confirmed
+        for i in (1, 2):
+            assert governor.ingest_report(ExecutionReport(
+                report_id=f"rpt-{i}", host_id="host-a", service_id="svc-resize",
+                requester_pseudonym="anon-1", started_at=float(i), duration_ms=5.0,
+                energy_used_mwh=1, outcome=Outcome.success(), rating=4,
+            ))
+        assert governor.billing.entry_count() == 2
+        assert governor.check_invariants() == []
+        return governor
+
+    @staticmethod
+    def ledger_lines(governor) -> list[str]:
+        return [line for line in governor.check_invariants() if line.startswith("ledger:")]
+
+    def test_a_copied_row_is_reported_twice(self, governor):
+        billing = governor.billing
+        billing._rows.append(billing._rows[0])
+        assert self.ledger_lines(governor) == [
+            "ledger: correlation id 'rpt-1' is on more than one row",
+            "ledger: entry number 1 is on more than one row",
+        ]
+
+    def test_a_second_row_for_one_correlation_id_is_reported(self, governor):
+        billing = governor.billing
+        billing._entry_seq += 1
+        billing._rows.append((billing._entry_seq, *billing._rows[0][1:]))
+        assert self.ledger_lines(governor) == [
+            "ledger: correlation id 'rpt-1' is on more than one row",
+        ]
+
+    def test_a_row_number_above_entry_seq_is_reported(self, governor):
+        governor.billing._entry_seq = 1
+        assert self.ledger_lines(governor) == [
+            "ledger: entry number 2 is above entry_seq 1",
+        ]
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_a_metered_set_that_differs_from_the_rows_is_reported(self, governor, change):
+        metered = governor.billing._metered_correlations
+        if change == "drop":
+            metered.discard("rpt-2")
+        else:
+            metered.add("rpt-9")
+        assert self.ledger_lines(governor) == [
+            "ledger: correlation ids differ from the metered set",
+        ]

@@ -1,11 +1,13 @@
 """Engine determinism, causality, baseline comparison, trace checking."""
 import gc
+import random
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import composite_scenario, drop_sc_query, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
@@ -22,7 +24,11 @@ from momcc.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from momcc.wire import MessageKind, decode_envelope
+from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role, decode_envelope
+
+
+_MS = st.floats(0.0, 1e5)
+_EMPTY = scenario_from_dict(scenario_dict(hosts=[], requesters=[]))
 
 
 class TestDeterminism:
@@ -60,14 +66,39 @@ class TestCausality:
             assert low <= delay <= high, (record.sender, record.recipient, delay)
 
     def test_each_latency_class_answers_its_own_range(self):
-        """The ranges are looked up in a table built with the model, so a
-        copy with one range replaced answers the new range."""
+        """A copy of the model with one range replaced answers the new
+        range, and an unknown class is an error."""
         model = replace(LatencyModel(), wan_ms=(1.0, 2.0))
         assert [model.range_for(cls) for cls in ("wlan", "wan", "governor")] == [
             model.wlan_ms, (1.0, 2.0), model.governor_ms,
         ]
         with pytest.raises(KeyError):
             model.range_for("lte")
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(_MS, _MS).map(sorted), min_size=3, max_size=3),
+        st.integers(0, 2**64),
+        st.lists(st.tuples(st.sampled_from(("wlan", "wan", "governor")),
+                           st.sampled_from(("host-000", CLOUD_HOST_ID))), min_size=1, max_size=30),
+    )
+    def test_each_draw_is_the_draw_of_random_uniform(self, ranges, seed, sends):
+        """`_send` inlines `Random.uniform`'s arithmetic, so each transport
+        delay must equal `random.Random(seed).uniform(low, high)`, draw
+        for draw; a wlan hop to the cloud host draws from the wan range."""
+        wlan, wan, governor = (tuple(r) for r in ranges)
+        sim = Simulation(replace(_EMPTY, latency=LatencyModel(wlan, wan, governor)))
+        sim.latency_rng = random.Random(seed)
+        reference = random.Random(seed)
+        expected = []
+        for n, (cls, to) in enumerate(sends):
+            sim._send("req-000", Outbound(to=to, latency_class=cls, message=ProtocolMessage(
+                MessageKind.INVOKE, Role.REQUESTER, f"inv-{n}", {})))
+            if cls == "wlan" and to == CLOUD_HOST_ID:
+                cls = "wan"
+            low, high = {"wlan": wlan, "wan": wan, "governor": governor}[cls]
+            expected.append(reference.uniform(low, high))
+        assert sim.latencies == expected
 
     def test_wan_class_applies_to_cloud_deliveries(self):
         scenario = scenario_from_dict(scenario_dict(seed=5, mode=MODE_WAN_CLOUD))
