@@ -58,7 +58,6 @@ class SnapshotIntegrityError(MarketplaceError):
 
 
 class StateRuleViolation(MarketplaceError):
-    """A decoded state breaks a rule the governor keeps: a share billing
-    could never settle, a status map naming other ids than the catalog,
-    an agreement its service's terms would not settle, or a ledger entry
-    that no ledger row reproduces."""
+    """A saved ledger entry that no ledger row reproduces, so it cannot be
+    decoded into a row. Every other rule a decoded state keeps is a line
+    of `ServiceGovernor.check_invariants()`."""

@@ -15,7 +15,8 @@ import threading
 from dataclasses import dataclass, field
 
 from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
-from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit
+from ..errors import NegotiationRejected
+from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit, check_developer_share
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
 from .profiler import ProfilerPolicy, ServiceProfiler
 from .registry import DEFAULT_FOOTPRINT_CEILING, DiscoveryResult, ServiceRegistry
@@ -111,35 +112,92 @@ class ServiceGovernor:
                 if service_id not in self.host_db.get(host_id).hosted:
                     self.hosts.place(host_id, desc)
 
-    # -- invariants (used by tests and the stress harness) -----------------
+    # -- invariants (every rule a state keeps) --------------------------------
 
     def check_invariants(self) -> list[str]:
-        """Cross-module consistency: empty list means all good."""
+        """Cross-module consistency: empty list means all good. A restore
+        refuses a state on which this reports anything. The shape rules
+        come first and alone: the scans after them read a host share, a
+        status and a description for every service they meet."""
         problems = []
         with self.lock:
-            for host_id, profile in self.host_db.hosts.items():
+            hosts, catalog = self.host_db.hosts, self.registry.db
+            for desc in catalog.services.values():
+                try:
+                    check_developer_share(desc.developer_share, self.billing.governor_commission)
+                except NegotiationRejected as exc:
+                    problems.append(f"service {desc.service_id!r}: {exc}")
+            unmatched = catalog.services.keys() ^ catalog.status.keys()
+            if unmatched:
+                problems.append(f"status and services name different ids: {sorted(unmatched)}")
+            for host_id, profile in hosts.items():
+                uncatalogued = sorted(sid for sid in profile.hosted if sid not in catalog.services)
+                if uncatalogued:
+                    problems.append(f"host {host_id}: hosts uncatalogued services {uncatalogued}")
+            if problems:
+                return problems
+            # One fold over the report history: per host, [attempts,
+            # successes, rating count, rating sum]; the ids, and those paid.
+            folds: dict[str, list[int]] = {}
+            report_ids: set[str] = set()
+            paid: set[str] = set()
+            repeated: set[str] = set()
+            report_problems = []
+            for report in self.host_db.reports:
+                report_id, host_id = report.report_id, report.host_id
+                if report_id in report_ids:
+                    repeated.add(report_id)
+                report_ids.add(report_id)
+                fold = folds.get(host_id)
+                if fold is None:
+                    fold = folds[host_id] = [0, 0, 0, 0]
+                fold[0] += 1
+                if report.outcome.ok:
+                    fold[1] += 1
+                    paid.add(report_id)
+                if report.rating is not None:
+                    fold[2] += 1
+                    fold[3] += report.rating
+                if host_id not in hosts:
+                    report_problems.append(f"hosts: report {report_id!r} names unknown host {host_id!r}")
+                if report.service_id not in catalog.services:
+                    report_problems.append(
+                        f"hosts: report {report_id!r} names unknown service {report.service_id!r}"
+                    )
+            no_reports = [0, 0, 0, 0]
+            for host_id, profile in hosts.items():
+                if profile.host_id != host_id:
+                    problems.append(f"host {host_id}: profile names host {profile.host_id}")
                 if not profile.capacity.covers(profile.committed):
                     problems.append(f"host {host_id}: committed exceeds capacity")
                 held = ZERO_RESOURCES
                 for service_id in profile.hosted:
-                    held = held.plus(self.registry.get(service_id).min_resources)
+                    held = held.plus(catalog.services[service_id].min_resources)
                     if self.billing.agreement_for(service_id) is None:
                         problems.append(f"host {host_id}: service {service_id} hosted without an agreement")
                 if profile.committed != held:
                     problems.append(f"host {host_id}: committed differs from its hosted services")
+                fold = folds.get(host_id, no_reports)
+                if [profile.attempts, profile.successes, profile.rating_count, profile.rating_sum] != fold:
+                    problems.append(f"host {host_id}: attempts, successes and ratings differ from its reports")
                 cert = profile.certificate
                 if cert is not None:
+                    if cert.host_id != host_id:
+                        problems.append(f"host {host_id}: certificate names host {cert.host_id}")
                     if not 0.0 <= cert.trust_score <= 1.0:
                         problems.append(f"host {host_id}: trust score out of bounds")
                     if cert.successes > cert.attempts:
                         problems.append(f"host {host_id}: successes exceed attempts")
+                    if [cert.attempts, cert.successes] != fold[:2]:
+                        problems.append(
+                            f"host {host_id}: certificate attempts and successes differ from its reports"
+                        )
             if self.host_db.ranked != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
             ranked = self.host_db.ranked
             if any(kept != [host_id for _, _, host_id in ranked.get(service_id, ())]
                    for service_id, kept in self.host_db.ranked_ids.items()):
                 problems.append("hosts: kept holder list differs from the ranking")
-            catalog = self.registry.db
             if sorted(catalog.by_bit) != catalog.indexed_ids() or catalog.grams != catalog.scan_grams():
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
@@ -157,12 +215,16 @@ class ServiceGovernor:
                 problems.append("hosts: per-host report index differs from the report history")
             if self.host_db.service_reports != by_service:
                 problems.append("hosts: per-service report index differs from the report history")
-            if self.host_db.seen_report_ids != {r.report_id for r in self.host_db.reports}:
+            if self.host_db.seen_report_ids != report_ids:
                 problems.append("hosts: seen report ids differ from the report history")
+            problems += [f"hosts: report id {report_id!r} is in the history more than once"
+                         for report_id in sorted(repeated)]
+            problems += report_problems
             if self.billing.total_credited() != self.billing.total_metered():
                 problems.append("ledger: credits do not sum to metered totals")
             balance_sum = sum(self.billing.balances().values())
             if balance_sum != self.billing.total_metered():
                 problems.append("ledger: party balances do not sum to metered totals")
-            problems += self.billing.ledger_problems()
+            problems += self.billing.agreement_problems(catalog.services)
+            problems += self.billing.ledger_problems(paid)
         return problems

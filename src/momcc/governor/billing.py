@@ -267,18 +267,6 @@ class BillingUnit:
                 agreement = self._agreements[desc.service_id] = self._settle(desc)
             return agreement
 
-    def check_agreements(self, services: Mapping[str, ServiceDescription]) -> None:
-        """Raise `StateRuleViolation` unless every agreement is the one
-        its catalogued service in `services` settles: a restored agreement
-        must not bill by other terms than the description lists."""
-        with self._lock:
-            for sid, agreement in self._agreements.items():
-                desc = services.get(sid)
-                if desc is None:
-                    raise StateRuleViolation(f"agreement for {sid!r} names no catalogued service")
-                if agreement != self._settle(desc):
-                    raise StateRuleViolation(f"agreement for {sid!r} is not what its service's terms settle")
-
     def agreement_for(self, service_id: str) -> Agreement | None:
         with self._lock:
             return self._agreements.get(service_id)
@@ -370,10 +358,25 @@ class BillingUnit:
                 governor += row[8]
             return {"developer": developer, "host": host, "governor": governor}
 
-    def ledger_problems(self) -> list[str]:
+    def agreement_problems(self, services: Mapping[str, ServiceDescription]) -> list[str]:
+        """`check_invariants` lines for each agreement that is not the one
+        its catalogued service in `services` settles: it must not bill by
+        other terms than the description lists. Vet each share first."""
+        with self._lock:
+            problems = []
+            for sid, agreement in self._agreements.items():
+                desc = services.get(sid)
+                if desc is None:
+                    problems.append(f"agreement for {sid!r} names no catalogued service")
+                elif agreement != self._settle(desc):
+                    problems.append(f"agreement for {sid!r} is not what its service's terms settle")
+            return problems
+
+    def ledger_problems(self, paid: set[str]) -> list[str]:
         """The ledger's id rules, as `check_invariants` lines: each
         correlation id and each entry number on one row, no number above
-        `entry_seq`, and the metered set equal to the rows' correlation ids."""
+        `entry_seq`, and the rows' correlation ids equal both to the
+        metered set and to `paid`, the ids of the successful reports."""
         with self._lock:
             correlations = [row[1] for row in self._rows]
             numbers = [row[0] for row in self._rows]
@@ -381,10 +384,14 @@ class BillingUnit:
                 f"ledger: correlation id {cid!r} is on more than one row" for cid in _repeated(correlations)
             ]
             problems += [f"ledger: entry number {n} is on more than one row" for n in _repeated(numbers)]
-            problems += [f"ledger: entry number {n} is above entry_seq {self._entry_seq}"
-                         for n in sorted(set(numbers)) if n > self._entry_seq]
-            if set(correlations) != self._metered_correlations:
+            highest = max(numbers, default=0)
+            if highest > self._entry_seq:
+                problems.append(f"ledger: entry number {highest} is above entry_seq {self._entry_seq}")
+            billed = set(correlations)
+            if billed != self._metered_correlations:
                 problems.append("ledger: correlation ids differ from the metered set")
+            if billed != paid:
+                problems.append("ledger: correlation ids differ from the successful report ids")
             return problems
 
     def parties(self) -> set[str]:
@@ -426,32 +433,22 @@ class BillingUnit:
             }
 
     def restore_state(self, state: dict) -> None:
+        """Replace the unit's state with a snapshot's; the rules a decoded
+        ledger keeps are `check_invariants` lines."""
+        commission, entry_seq = state["governor_commission"], state["entry_seq"]
+        if not 0.0 <= commission <= 1.0:
+            raise ValueError("governor_commission must be in [0, 1]")
+        if type(entry_seq) is not int or entry_seq < 0:
+            raise ValueError(f"entry_seq must be a non-negative integer, got {entry_seq!r}")
         with self._lock:
-            self.governor_commission = state["governor_commission"]
+            self.governor_commission = commission
             # Older state files map each id to that developer's terms; a
             # set of either form is the ids, so both still restore.
             self._developers = set(state["developers"])
-            self._agreements.clear()
-            self._rows.clear()
-            self._metered_correlations.clear()
-            for sid, raw in state["agreements"].items():
-                self._agreements[sid] = Agreement(**raw)
-            for raw in state["entries"]:
-                row = _row_of(raw)
-                if row[1] in self._metered_correlations:
-                    raise StateRuleViolation(
-                        f"ledger entry {_entry_id(row[0])!r} bills correlation id {row[1]!r} a second time"
-                    )
-                self._rows.append(row)
-                self._metered_correlations.add(row[1])
-            # The next metering takes the number after entry_seq, so an
-            # entry_seq below a saved number would write that id again.
-            highest = max((row[0] for row in self._rows), default=0)
-            if state["entry_seq"] < highest:
-                raise StateRuleViolation(
-                    f"entry_seq {state['entry_seq']} is below the highest saved entry number {highest}"
-                )
-            self._entry_seq = state["entry_seq"]
+            self._agreements = {sid: Agreement(**raw) for sid, raw in state["agreements"].items()}
+            self._rows = [_row_of(raw) for raw in state["entries"]]
+            self._metered_correlations = {row[1] for row in self._rows}
+            self._entry_seq = entry_seq
 
 
 def _repeated(values: list) -> list:

@@ -5,13 +5,9 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 serialization of the payload. Restores verify the digest before
 touching anything, so a truncated or edited file fails loudly; so does
 a payload the decoders reject ("snapshot payload does not decode"), and
-one that decodes but breaks a rule ("snapshot breaks a rule"): a service
-whose share billing could never settle under the snapshot's commission,
-a status map that names other ids than the catalog, a billing
-agreement other than the one its catalogued service's terms settle, a
-ledger entry that no ledger row reproduces byte for byte, two ledger
-entries that bill one correlation id, and an entry sequence number
-below the highest saved entry's, which the next metering would reuse.
+one that decodes but breaks a rule ("snapshot breaks a rule"): a ledger
+entry that no ledger row reproduces, or any line that
+`ServiceGovernor.check_invariants()` reports on the decoded state.
 """
 from __future__ import annotations
 
@@ -69,17 +65,12 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
     governor = ServiceGovernor(config)
     try:
         with governor.lock:
-            # Billing first: the registry vets each service's share
-            # against the commission the snapshot carries.
-            governor.billing.restore_state(payload["billing"])
             governor.registry.restore_state(payload["registry"])
             governor.hosts.restore_state(payload["hosts"])
+            governor.billing.restore_state(payload["billing"])
             governor.profiler.restore_state(payload["profiler"])
     except StateRuleViolation as exc:
-        # The registry rejects a service billing could never settle, a
-        # status for other ids and an agreement its service would not
-        # settle; billing rejects a ledger entry no row reproduces, a
-        # correlation id billed twice and an entry_seq a saved id exceeds.
+        # A ledger entry no row reproduces cannot be decoded into a row.
         raise SnapshotIntegrityError(f"snapshot breaks a rule: {exc}") from None
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         # A matching checksum does not make a payload well formed: the
@@ -87,6 +78,9 @@ def restore_governor(snapshot: dict, config: GovernorConfig | None = None) -> Se
         raise SnapshotIntegrityError(
             f"snapshot payload does not decode: {type(exc).__name__}: {exc}"
         ) from None
+    problems = governor.check_invariants()
+    if problems:
+        raise SnapshotIntegrityError("snapshot breaks a rule: " + "; ".join(problems))
     return governor
 
 

@@ -262,6 +262,23 @@ class TestSnapshotRestore:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "alive" in err
 
+    def test_a_host_holding_an_uncatalogued_service_is_refused_without_a_traceback(
+        self, tmp_path, capsys
+    ):
+        state = tmp_path / "state.json"
+        main(["--no-banner", "snapshot", str(SCENARIOS / "default.json"), "--out", str(state)])
+        snapshot = json.loads(state.read_text(encoding="utf-8"))
+        payload = snapshot["payload"]
+        payload["hosts"]["hosts"]["host-000"]["hosted"].append("svc-nope")
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        snapshot["sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        state.write_text(json.dumps(snapshot), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["--no-banner", "restore", str(state)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "error: snapshot breaks a rule: host host-000: hosts uncatalogued services ['svc-nope']\n"
+        assert "Traceback" not in err
+
     def test_restore_missing_file_exits_one(self, tmp_path):
         assert main(["--no-banner", "restore", str(tmp_path / "nope.json")]) == EXIT_INVALID
 

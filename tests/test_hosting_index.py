@@ -94,8 +94,10 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
         ))
     elif kind == "restore":
         governor = restore_governor(snapshot_governor(governor), CONFIG)
-    else:  # restore the hosts in place, back to before any placement
-        governor.hosts.restore_state(build_governor().hosts.snapshot_state())
+    else:  # restore the hosts in place, back to before any placement, and the ledger with them
+        fresh = build_governor()
+        governor.hosts.restore_state(fresh.hosts.snapshot_state())
+        governor.billing.restore_state(fresh.billing.snapshot_state())
     return governor
 
 

@@ -10,7 +10,6 @@ from momcc.errors import (
     DuplicateHostError,
     MissingAgreementError,
     NotHostedError,
-    StateRuleViolation,
     UnknownEntityError,
 )
 from momcc.governor.registry import ServiceStatus, service_to_dict
@@ -158,18 +157,19 @@ class TestRequestHosting:
 
 class TestUnsettleableAgreement:
     """A service whose developer share plus the commission exceeds 1 leaves
-    no host share to agree on. Registration and a restore both reject one,
-    so every stored service can be settled when it is placed."""
+    no host share to agree on. Registration rejects one and
+    `check_invariants()` reports one, which a restore refuses, so every
+    stored service can be settled when it is placed."""
 
     def test_a_restore_rejects_it_and_keeps_the_catalog(self):
         gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
         state = gov.registry.snapshot_state()
         state["services"]["svc-resize"] = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
         state["status"]["svc-resize"] = ServiceStatus.ACTIVE.value
-        with pytest.raises(StateRuleViolation, match="service 'svc-resize': developer share 0.9"):
-            gov.registry.restore_state(state)
-        assert list(gov.registry.db.services) == ["svc-fair"]
-        assert gov.check_invariants() == []
+        gov.registry.restore_state(state)
+        assert gov.check_invariants() == [
+            "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
+        ]
 
     def test_invariant_reports_a_hosted_service_without_an_agreement(self, governor):
         profile = governor.host_db.get("host-a")

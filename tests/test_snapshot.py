@@ -1,4 +1,6 @@
 """Snapshot/restore round trips and integrity checking."""
+import copy
+import itertools
 import json
 
 import pytest
@@ -246,8 +248,7 @@ class TestIntegrity:
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
         assert str(err.value) == (
-            f"snapshot breaks a rule: ledger entry 'led-{billing['entry_seq']:06d}' bills "
-            f"correlation id {first['correlation_id']!r} a second time"
+            f"snapshot breaks a rule: ledger: correlation id {first['correlation_id']!r} is on more than one row"
         )
 
     def test_an_entry_seq_below_the_highest_saved_entry_is_rejected(self, governor_after_run):
@@ -261,8 +262,27 @@ class TestIntegrity:
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
         assert str(err.value) == (
-            f"snapshot breaks a rule: entry_seq 1 is below the highest saved entry number {highest}"
+            f"snapshot breaks a rule: ledger: entry number {highest} is above entry_seq 1"
         )
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("governor_commission", -0.1, "governor_commission must be in [0, 1]"),
+        ("governor_commission", 1.5, "governor_commission must be in [0, 1]"),
+        ("entry_seq", -1, "entry_seq must be a non-negative integer, got -1"),
+        ("entry_seq", 26.0, "entry_seq must be a non-negative integer, got 26.0"),
+    ])
+    def test_a_commission_or_entry_seq_out_of_range_does_not_decode(
+        self, governor_after_run, key, value, message
+    ):
+        """`check_invariants()` compares entry numbers with `entry_seq` and
+        settles agreements under the commission, so neither may reach it
+        out of range."""
+        snap = snapshot_governor(governor_after_run)
+        snap["payload"]["billing"][key] = value
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == f"snapshot payload does not decode: ValueError: {message}"
 
     def test_a_payload_that_does_not_decode_keeps_its_message(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
@@ -281,3 +301,151 @@ class TestIntegrity:
         path.write_text("not json at all{{{")
         with pytest.raises(SnapshotIntegrityError):
             read_snapshot(path)
+
+
+def decoded(payload: dict, units=("registry", "hosts", "billing", "profiler")) -> ServiceGovernor:
+    """A governor whose units are restored from `payload` in the order
+    given, with no rule checked."""
+    governor = ServiceGovernor()
+    for unit in units:
+        getattr(governor, unit).restore_state(payload[unit])
+    return governor
+
+
+def _unsettleable_share(payload):
+    payload["registry"]["services"]["svc-resize"]["developer_share"] = 0.9
+    return ["service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"]
+
+
+def _status_dropped(payload):
+    del payload["registry"]["status"]["svc-resize"]
+    return ["status and services name different ids: ['svc-resize']"]
+
+
+def _status_added(payload):
+    payload["registry"]["status"]["svc-ghost"] = "Active"
+    return ["status and services name different ids: ['svc-ghost']"]
+
+
+def _agreement_on_other_terms(payload):
+    payload["billing"]["agreements"]["svc-resize"].update(
+        price_per_invocation=5, developer_share=0.7, host_share=0.1
+    )
+    return ["agreement for 'svc-resize' is not what its service's terms settle"]
+
+
+def _agreement_for_no_service(payload):
+    agreements = payload["billing"]["agreements"]
+    agreements["svc-ghost"] = {**agreements["svc-resize"], "service_id": "svc-ghost"}
+    return ["agreement for 'svc-ghost' names no catalogued service"]
+
+
+def _correlation_billed_twice(payload):
+    billing = payload["billing"]
+    first = billing["entries"][0]
+    billing["entry_seq"] += 1
+    billing["entries"].append({**first, "entry_id": f"led-{billing['entry_seq']:06d}"})
+    return [f"ledger: correlation id {first['correlation_id']!r} is on more than one row"]
+
+
+def _entry_seq_below_saved(payload):
+    billing = payload["billing"]
+    billing["entry_seq"] = 1
+    return [f"ledger: entry number {len(billing['entries'])} is above entry_seq 1"]
+
+
+def _uncatalogued_hosted(payload):
+    payload["hosts"]["hosts"]["host-000"]["hosted"].append("svc-nope")
+    return ["host host-000: hosts uncatalogued services ['svc-nope']"]
+
+
+def _profile_of_another_host(payload):
+    payload["hosts"]["hosts"]["host-001"]["host_id"] = "host-009"
+    return ["host host-001: profile names host host-009"]
+
+
+def _certificate_of_another_host(payload):
+    payload["hosts"]["hosts"]["host-001"]["certificate"]["host_id"] = "host-000"
+    return ["host host-001: certificate names host host-000"]
+
+
+def _report_repeated(payload):
+    reports = payload["hosts"]["reports"]
+    reports.append(reports[0])
+    return [
+        "host host-000: attempts, successes and ratings differ from its reports",
+        "host host-000: certificate attempts and successes differ from its reports",
+        f"hosts: report id {reports[0]['report_id']!r} is in the history more than once",
+    ]
+
+
+def _report_of_unknown_host(payload):
+    reports = payload["hosts"]["reports"]
+    reports.append({**reports[0], "report_id": "rpt-ghost", "host_id": "host-ghost",
+                    "ok": False, "failure_reason": "crash", "rating": None})
+    return ["hosts: report 'rpt-ghost' names unknown host 'host-ghost'"]
+
+
+def _report_of_unknown_service(payload):
+    first = payload["hosts"]["reports"][0]
+    first["service_id"] = "svc-ghost"
+    return [f"hosts: report {first['report_id']!r} names unknown service 'svc-ghost'"]
+
+
+def _profile_counters_off(payload):
+    payload["hosts"]["hosts"]["host-000"]["rating_sum"] += 1
+    return ["host host-000: attempts, successes and ratings differ from its reports"]
+
+
+def _certificate_counters_off(payload):
+    payload["hosts"]["hosts"]["host-001"]["certificate"]["attempts"] = 1
+    return ["host host-001: certificate attempts and successes differ from its reports"]
+
+
+def _metered_id_of_no_report(payload):
+    payload["billing"]["entries"][0]["correlation_id"] = "rpt-ghost"
+    return ["ledger: correlation ids differ from the successful report ids"]
+
+
+BROKEN_STATES = [
+    _unsettleable_share,
+    _status_dropped,
+    _status_added,
+    _agreement_on_other_terms,
+    _agreement_for_no_service,
+    _correlation_billed_twice,
+    _entry_seq_below_saved,
+    _uncatalogued_hosted,
+    _profile_of_another_host,
+    _certificate_of_another_host,
+    _report_repeated,
+    _report_of_unknown_host,
+    _report_of_unknown_service,
+    _profile_counters_off,
+    _certificate_counters_off,
+    _metered_id_of_no_report,
+]
+
+
+class TestStateRules:
+    """`check_invariants()` is the one list of the rules a state keeps: a
+    restore decodes the four units, then refuses a state on which it
+    reports anything, with exactly its lines."""
+
+    @pytest.mark.parametrize("edit", BROKEN_STATES, ids=lambda edit: edit.__name__.strip("_"))
+    def test_a_restore_refuses_exactly_what_check_invariants_reports(self, governor_after_run, edit):
+        snap = snapshot_governor(governor_after_run)
+        lines = edit(snap["payload"])
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == "snapshot breaks a rule: " + "; ".join(lines)
+        assert decoded(snap["payload"]).check_invariants() == lines
+
+    def test_the_units_restore_in_any_order(self, governor_after_run):
+        payload = snapshot_governor(governor_after_run)["payload"]
+        broken = copy.deepcopy(payload)
+        lines = _unsettleable_share(broken)
+        for units in itertools.permutations(("registry", "hosts", "billing", "profiler")):
+            assert snapshot_governor(decoded(payload, units))["payload"] == payload
+            assert decoded(broken, units).check_invariants() == lines
