@@ -175,21 +175,31 @@ class DeviceAgent:
         self.exec_ms = exec_ms
         self.alive = True
         self.battery = config.battery_mwh
+        # `host_service` and `depart` are the only writes to `hosted`, and
+        # keep `least_need` the smallest energy need in it (None when empty),
+        # so the check after every message reads one number.
         self.hosted: dict[str, ServiceDescription] = {}
+        self.least_need: int | None = None
+
+    def host_service(self, desc: ServiceDescription) -> None:
+        """Start hosting `desc`. A device adds a few services in its life
+        and handles many messages, so the minimum is taken here."""
+        self.hosted[desc.service_id] = desc
+        self.least_need = min(d.min_resources.energy for d in self.hosted.values())
 
     def depart(self) -> list[str]:
         """Leave the pool; returns the service ids that must be unhosted."""
         self.alive = False
         released = sorted(self.hosted)
         self.hosted.clear()
+        self.least_need = None
         return released
 
     @property
     def battery_exhausted(self) -> bool:
         """No hosted service can run on the remaining charge."""
-        if not self.hosted:
-            return False
-        return self.battery < min(d.min_resources.energy for d in self.hosted.values())
+        least = self.least_need
+        return least is not None and self.battery < least
 
     def _execute(self, desc: ServiceDescription) -> tuple[Outcome, int, float]:
         """Run one invocation of `desc`: (outcome, energy used, duration ms).
@@ -288,7 +298,7 @@ class HostAgent(DeviceAgent):
         service_id = msg.payload["service_id"]
         desc = self._pending.pop(service_id, None)
         if desc is not None:
-            self.hosted[service_id] = desc
+            self.host_service(desc)
             self.free = self.free.minus(desc.min_resources)
         return []
 
@@ -393,7 +403,7 @@ class AggregatorAgent(DeviceAgent):
                  pseudonym: str, dependency_names: dict[str, str]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
         self.composite = composite
-        self.hosted[composite.service_id] = composite
+        self.host_service(composite)
         self.pseudonym = pseudonym
         self.dependency_names = dependency_names
         # In-flight correlation -> (call, dependency id it concerns).

@@ -1,9 +1,20 @@
 """Core value types for the mobile service marketplace.
 
 Security levels, resource vectors, platform requirements, and the record
-types shared by the governor, the simulated agents, and the engine. All
-types here are immutable values: they can be handed across threads and
-compared structurally without surprises.
+types shared by the governor, the simulated agents, and the engine.
+
+Two kinds of record live here:
+
+- Frozen: `ResourceVector`, `PlatformRequirement`, `ServiceDescription`
+  and `Outcome`. `ResourceVector` is a dataclass default, which must
+  hash; the others are built at set-up or per listing decode, not per
+  report, and `Outcome.success()` is one shared instance.
+- Slotted and not frozen: `SecurityCertificate`, `ExecutionReport` and
+  `HostProfile`, which every execution report builds. A frozen
+  `__init__` sets each field through `object.__setattr__`, which costs
+  several times a slotted one. Nothing assigns to one of these after it
+  is built, or hashes one: a change is a new record, stored whole.
+  `tests/test_records.py` checks this over whole runs.
 
 Units, fixed in one place:
     CPU      MHz
@@ -212,13 +223,16 @@ class ServiceDescription:
         return bool(self.dependencies)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SecurityCertificate:
     """Per-host trust artifact: ordered level plus a continuous score.
 
     The level is maintained by the security governor's promotion/demotion
     rule; the score is an exponentially weighted average of execution
     observations in [0, 1].
+
+    Slotted and not frozen: every report builds one. Nothing assigns to
+    a certificate once it is built, or hashes one.
     """
 
     host_id: str
@@ -247,7 +261,8 @@ class Outcome:
 
     @classmethod
     def success(cls) -> "Outcome":
-        return cls(True, None)
+        """The one shared successful outcome."""
+        return _SUCCESS
 
     @classmethod
     def failure(cls, reason: str) -> "Outcome":
@@ -260,13 +275,19 @@ class Outcome:
             raise ValueError("a failed outcome needs a reason")
 
 
-@dataclass(frozen=True)
+_SUCCESS = Outcome(True, None)
+
+
+@dataclass(slots=True)
 class ExecutionReport:
     """One invocation outcome, as reported to the governor by the host.
 
     `requester_pseudonym` is an opaque session token; it never equals a
     registered requester identity, so downstream consumers of the report
     cannot link executions back to consumers.
+
+    Slotted and not frozen: every report builds one. Nothing assigns to
+    a report once it is built, or hashes one.
     """
 
     report_id: str
@@ -288,13 +309,17 @@ class ExecutionReport:
             raise ValueError("duration_ms must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HostProfile:
     """A mobile host as the governor sees it.
 
     `committed` is the sum of min_resources of currently hosted services;
     `capacity.covers(committed)` holds at all times. `battery_mwh` is the
     governor's running view, decremented by reported energy use.
+
+    Slotted and not frozen: every report builds one. Nothing assigns to
+    a profile once it is built, or hashes one; a change is a new profile
+    stored with `HostDatabase.put`.
     """
 
     host_id: str

@@ -474,7 +474,7 @@ class Simulation:
         service_ids = [d.service_id for d in sc.services]
         self.governor.preprovision_host(CLOUD_HOST_ID, service_ids, identity_verified=True)
         for desc in sc.services:
-            agent.hosted[desc.service_id] = desc
+            agent.host_service(desc)
 
     # -- scheduling ---------------------------------------------------------
 

@@ -143,7 +143,7 @@ class GovernorEndpoint:
 
     def _ingest(self, report_payload: dict, rating: int | None) -> None:
         try:
-            self.governor.ingest_report(report_from_dict({**report_payload, "rating": rating}))
+            self.governor.ingest_report(report_from_dict(report_payload, rating))
         except UnknownEntityError:
             pass  # report raced a deregistration; nothing to update
 

@@ -34,10 +34,26 @@ CONFIRMED_TRACE_PATTERN = re.compile(
 
 DEFAULT_ASSESSMENT_WEIGHTS = (0.5, 0.3, 0.2)  # availability, rating, trust
 
+# The handshake reads kinds and the active status bound once here: on
+# CPython 3.11 each read of `MessageKind.X` goes through
+# `EnumType.__getattr__`.
+_HOSTING_REQUEST = MessageKind.HOSTING_REQUEST
+_SC_QUERY = MessageKind.SC_QUERY
+_SC_REPLY = MessageKind.SC_REPLY
+_TRUST_ESTABLISH = MessageKind.TRUST_ESTABLISH
+_SC_ISSUED = MessageKind.SC_ISSUED
+_ALLOCATION_CONFIRM = MessageKind.ALLOCATION_CONFIRM
+_ALLOCATION_DENIED = MessageKind.ALLOCATION_DENIED
+_ACTIVE = ServiceStatus.ACTIVE
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class AllocationDecision:
-    """Outcome of one hosting request plus the messages exchanged."""
+    """Outcome of one hosting request plus the messages exchanged.
+
+    Slotted and not frozen: every hosting request builds one. Nothing
+    assigns to a decision once it is built, or hashes one.
+    """
 
     host_id: str
     service_id: str
@@ -117,11 +133,11 @@ class HostRegistry:
         with self._lock:
             profile = self.host_db.get(host_id)
             desc = self.registry.get(service_id)
-            trace: list[MessageKind] = [MessageKind.HOSTING_REQUEST]
+            trace: list[MessageKind] = [_HOSTING_REQUEST]
 
             if not profile.alive:
                 return self._deny(profile, desc, trace, "departed")
-            if self.registry.status_of(service_id) != ServiceStatus.ACTIVE:
+            if self.registry.status_of(service_id) is not _ACTIVE:
                 return self._deny(profile, desc, trace, "deprecated")
             if service_id in profile.hosted:
                 return self._deny(profile, desc, trace, "duplicate")
@@ -130,18 +146,18 @@ class HostRegistry:
             if not profile.free.covers(desc.min_resources):
                 return self._deny(profile, desc, trace, "resources")
 
-            trace.append(MessageKind.SC_QUERY)
+            trace.append(_SC_QUERY)
             cert = profile.certificate
             if cert is None:
-                trace.append(MessageKind.TRUST_ESTABLISH)
+                trace.append(_TRUST_ESTABLISH)
                 cert = self.security.issue_certificate(host_id, identity_verified, at=at)
-                trace.append(MessageKind.SC_ISSUED)
+                trace.append(_SC_ISSUED)
             else:
-                trace.append(MessageKind.SC_REPLY)
+                trace.append(_SC_REPLY)
             if not level_admits(cert.level, desc.security_level):
                 return self._deny(profile, desc, trace, "security")
 
-            trace.append(MessageKind.ALLOCATION_CONFIRM)
+            trace.append(_ALLOCATION_CONFIRM)
             self.place(host_id, desc)
             decision = AllocationDecision(
                 host_id=host_id,
@@ -159,7 +175,7 @@ class HostRegistry:
             service_id=desc.service_id,
             confirmed=False,
             reason=reason,
-            trace=(*trace, MessageKind.ALLOCATION_DENIED),
+            trace=(*trace, _ALLOCATION_DENIED),
         )
         self.decisions.append(decision)
         return decision
@@ -208,20 +224,26 @@ class HostRegistry:
         the first write, so a rejected report leaves no trace and a retry
         is judged afresh: `BillingUnit.meter_report` checks the service's
         agreement before it meters, and nothing after it can fail.
+
+        One report is the hottest profile write, so the checks read the
+        host and service dicts directly (the lock held here is the one
+        the registry's getters take), and the new profile is built with
+        positional fields in declaration order, not `dataclasses.replace`
+        or keywords; `__post_init__` still checks it.
         """
         with self._lock:
-            if report.report_id in self.host_db.seen_report_ids:
+            host_db = self.host_db
+            if report.report_id in host_db.seen_report_ids:
                 return False
-            profile = self.host_db.get(report.host_id)
-            if not self.registry.is_known(report.service_id):
+            profile = host_db.hosts.get(report.host_id)
+            if profile is None:
+                raise UnknownEntityError(f"unknown host: {report.host_id!r}")
+            if report.service_id not in self.registry.db.services:
                 raise UnknownEntityError(f"unknown service: {report.service_id!r}")
             if profile.certificate is None:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
 
             ok = report.outcome.ok
-            # The constructor with positional fields in declaration order,
-            # not `dataclasses.replace` or keywords: one report is the
-            # hottest profile write, and `__post_init__` still checks it.
             updated = HostProfile(
                 profile.host_id,
                 profile.os_name,
@@ -239,8 +261,8 @@ class HostRegistry:
             )
             if ok:
                 self.billing.meter_report(report)
-            self.host_db.add_report(report)
-            self.host_db.put(updated)
+            host_db.add_report(report)
+            host_db.put(updated)
             return True
 
     # -- periodic assessment ---------------------------------------------------
@@ -303,6 +325,6 @@ class HostRegistry:
             for host_id, raw in state["hosts"].items():
                 self.host_db.hosts[host_id] = host_profile_from_dict(raw)
             for raw in state["reports"]:
-                self.host_db.add_report(report_from_dict(raw))
+                self.host_db.add_report(report_from_dict(raw, raw["rating"]))
             self.host_db.ranked = self.host_db.scan_ranked()
             self.host_db.ranked_ids.clear()

@@ -46,23 +46,30 @@ class TrustPolicy:
             raise ValueError("rating_weight must be in [0, 1]")
 
 
+# Levels bound once: on CPython 3.11 each read of `SecurityLevel.X` goes
+# through `EnumType.__getattr__`, and every report takes one trust step.
+_LOW = SecurityLevel.LOW
+_MEDIUM = SecurityLevel.MEDIUM
+_HIGH = SecurityLevel.HIGH
+
+
 def next_level(current: SecurityLevel, score: float, attempts: int, policy: TrustPolicy) -> SecurityLevel:
     """One promotion/demotion step at most; never a two-level jump."""
     med_score, med_attempts = policy.promote_medium
     high_score, high_attempts = policy.promote_high
-    if current == SecurityLevel.LOW:
+    if current is _LOW:
         if score >= med_score and attempts >= med_attempts:
-            return SecurityLevel.MEDIUM
+            return _MEDIUM
         return current
-    if current == SecurityLevel.MEDIUM:
+    if current is _MEDIUM:
         if score >= high_score and attempts >= high_attempts:
-            return SecurityLevel.HIGH
+            return _HIGH
         if score < med_score - policy.hysteresis:
-            return SecurityLevel.LOW
+            return _LOW
         return current
     # HIGH
     if score < high_score - policy.hysteresis:
-        return SecurityLevel.MEDIUM
+        return _MEDIUM
     return current
 
 
@@ -124,7 +131,7 @@ class SecurityGovernor:
             score = min(1.0, self.policy.verified_bonus) if identity_verified else 0.0
             cert = SecurityCertificate(
                 host_id=host_id,
-                level=SecurityLevel.LOW,
+                level=_LOW,
                 trust_score=score,
                 attempts=0,
                 successes=0,

@@ -93,16 +93,19 @@ def report_to_dict(report: ExecutionReport) -> dict:
     }
 
 
-def report_from_dict(raw: dict) -> ExecutionReport:
+def report_from_dict(raw: dict, rating: int | None) -> ExecutionReport:
+    """A report from its dict and its rating, passed apart: a wire report
+    carries no rating (the consumer's arrives in its own message), and a
+    saved one carries it as `raw["rating"]`."""
     outcome = Outcome.success() if raw["ok"] else Outcome.failure(raw["failure_reason"])
     return ExecutionReport(
-        report_id=raw["report_id"],
-        host_id=raw["host_id"],
-        service_id=raw["service_id"],
-        requester_pseudonym=raw["requester_pseudonym"],
-        started_at=raw["started_at"],
-        duration_ms=raw["duration_ms"],
-        energy_used_mwh=raw["energy_used_mwh"],
-        outcome=outcome,
-        rating=raw["rating"],
+        raw["report_id"],
+        raw["host_id"],
+        raw["service_id"],
+        raw["requester_pseudonym"],
+        raw["started_at"],
+        raw["duration_ms"],
+        raw["energy_used_mwh"],
+        outcome,
+        rating,
     )

@@ -2,7 +2,9 @@
 and security governor all read and write.
 
 Mutation happens only under the owning governor's lock; the values held
-are immutable, so readers always see complete records.
+are never assigned after they are built (a change is a new record stored
+whole, which `tests/test_records.py` checks over whole runs), so readers
+always see complete records.
 
 `put` is the one profile write, and it keeps one index in step:
 `ranked` maps each service to a sorted list of `(-level, -trust,

@@ -99,7 +99,7 @@ class TestHostExecution:
             failure_prob=0.0,
         )
         agent = HostAgent("host-000", config, random.Random("x"), ids(), EXEC_MS)
-        agent.hosted["svc-resize"] = make_service()  # needs 500 mWh
+        agent.host_service(make_service())  # needs 500 mWh
         return agent
 
     def test_execution_consumes_energy_and_reports(self):
@@ -139,6 +139,36 @@ class TestHostExecution:
         assert not agent.battery_exhausted
         agent.handle(invoke_message(agent.next_id), "req-000", 2.0)  # 0 left
         assert agent.battery_exhausted
+
+    def test_kept_least_need_is_the_min_over_hosted(self):
+        """Seeded confirm/depart sequences: after every step the kept
+        `least_need` equals a fresh min over `hosted`, and the exhaustion
+        check agrees with that min at any charge."""
+        config = HostAgentConfig(capacity=ResourceVector(10**6, 10**6, 10**6, 10**6), battery_mwh=500,
+                                 platform_os="Android", platform_version="4.0")
+
+        def check(agent):
+            needs = [d.min_resources.energy for d in agent.hosted.values()]
+            assert agent.least_need == (min(needs) if needs else None)
+            for battery in (0, 1, 250, 499, 500, 501, 10**6):
+                agent.battery = battery
+                assert agent.battery_exhausted == (bool(needs) and battery < min(needs))
+
+        for seed in range(20):
+            rng = random.Random(seed)
+            agent = HostAgent("host-000", config, random.Random(seed), ids(), EXEC_MS)
+            check(agent)
+            for step in range(rng.randint(0, 12)):
+                desc = make_service(service_id=f"svc-{rng.randrange(8)}",
+                                    min_resources=ResourceVector(1, 1, 1, rng.randint(0, 800)))
+                agent._pending[desc.service_id] = desc
+                confirm = ProtocolMessage(kind=MessageKind.ALLOCATION_CONFIRM, sender_role=Role.GOVERNOR,
+                                          correlation_id=f"alloc-{step}",
+                                          payload={"host_id": "host-000", "service_id": desc.service_id})
+                agent.handle(confirm, "governor", float(step))
+                check(agent)
+            agent.depart()
+            check(agent)
 
 
 class TestRequesterProtocol:

@@ -90,7 +90,7 @@ def host():
     config = HostAgentConfig(capacity=AMPLE, battery_mwh=20000, platform_os="Android",
                              platform_version="4.0")
     agent = HostAgent("host-000", config, random.Random("h"), Ids(), EXEC_MS)
-    agent.hosted["svc-resize"] = make_service()
+    agent.host_service(make_service())
     return agent
 
 
