@@ -198,7 +198,7 @@ class ServiceGovernor:
             if any(kept != [host_id for _, _, host_id in ranked.get(service_id, ())]
                    for service_id, kept in self.host_db.ranked_ids.items()):
                 problems.append("hosts: kept holder list differs from the ranking")
-            if sorted(catalog.by_bit) != catalog.indexed_ids() or catalog.grams != catalog.scan_grams():
+            if sorted(catalog.by_bit) != catalog.sorted_ids or catalog.grams != catalog.scan_grams():
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
                 problems.append("registry: listing order differs from a full sort of the catalog")

@@ -5,6 +5,12 @@ deprecates services whose windowed failure rate exceeds the policy
 threshold, and points at the healthiest same-functionality replacement.
 Malfunctions are escalated to the responsible developer without ever
 naming a requester.
+
+A sweep judges only services with a full window of reports, so it
+walks the host database's per-service report lists, not the catalog:
+it visits the services that have reports and judges, in id order, the
+Active ones whose list holds at least `window` of them. Its cost grows
+with the services reported on, not with the services registered.
 """
 from __future__ import annotations
 
@@ -13,17 +19,30 @@ from dataclasses import asdict, dataclass
 
 from ..domain import ExecutionReport
 from ..errors import UnknownEntityError
-from .registry import ServiceRegistry
+from .registry import ServiceRegistry, ServiceStatus
 from .store import HostDatabase
 
 DEFAULT_FAILURE_THRESHOLD = 0.3
 DEFAULT_WINDOW = 20
+_ACTIVE = ServiceStatus.ACTIVE
 
 
 @dataclass(frozen=True)
 class ProfilerPolicy:
+    """Knobs for the substitution sweep.
+
+    failure_threshold  windowed failure rate a service must exceed to be deprecated, in [0, 1]
+    window             reports a service needs before it is judged, an int >= 1
+    """
+
     failure_threshold: float = DEFAULT_FAILURE_THRESHOLD
     window: int = DEFAULT_WINDOW
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
+            raise ValueError("window must be an int >= 1")
+        if not 0.0 <= self.failure_threshold <= 1.0:
+            raise ValueError("failure_threshold must be in [0, 1]")
 
 
 def failure_rate(recent: list[ExecutionReport]) -> float:
@@ -95,14 +114,20 @@ class ServiceProfiler:
         same state deprecates nothing the second time.
         """
         with self._lock:
+            window, threshold = self.policy.window, self.policy.failure_threshold
+            status = self.registry.db.status
+            judged = sorted(
+                service_id for service_id, reports in self.host_db.service_reports.items()
+                if len(reports) >= window and status.get(service_id) is _ACTIVE
+            )
             actions: list[SweepAction] = []
-            for desc in self.registry.active_services():
-                recent = self.host_db.reports_for_service(desc.service_id, self.policy.window)
-                if len(recent) < self.policy.window or failure_rate(recent) <= self.policy.failure_threshold:
+            for service_id in judged:
+                if failure_rate(self.host_db.reports_for_service(service_id, window)) <= threshold:
                     continue
-                self.registry.deprecate_service(desc.service_id, reason="failure rate above threshold")
-                replacement = self._best_replacement(desc.functionality_tag, desc.service_id)
-                actions.append(SweepAction(desc.service_id, replacement))
+                self.registry.deprecate_service(service_id, reason="failure rate above threshold")
+                desc = self.registry.get(service_id)
+                replacement = self._best_replacement(desc.functionality_tag, service_id)
+                actions.append(SweepAction(service_id, replacement))
             return actions
 
     def _best_replacement(self, functionality_tag: str, exclude: str) -> str | None:

@@ -13,16 +13,25 @@ built once and kept in the service database. The reply encodings are
 built on first use and shared by every reply that carries them: readers
 must never mutate them.
 
-Discovery looks up the trigram postings of its query (each 3-character
-substring of a service's lowercased name and description maps to the
-ids containing it) and tests only the services holding all of them;
-queries shorter than 3 characters still scan. Listings read one list
-kept in host-revenue order, so no call sorts the catalog or parses a
-service's version. Host revenue is the price times billing's host
-share, so listings rank by the split billing settles. Both indexes
-cover every registered service whatever its status, which is checked
-when a query reads them; registration only queues a service, and the
-next query indexes the queue.
+Discovery reads trigram postings: a posting maps a trigram (a
+3-character substring) to the services whose lowercased name and
+description hold it. A query tests only the services holding both its
+first and its last trigram, a superset of its matches; queries shorter
+than 3 characters still scan. A posting is built on the first query
+that needs it, with one scan of the catalog texts, and then kept; a
+registration sets its service's bit in each kept posting its text
+holds. So a registration builds no posting, and the database keeps
+only the postings of the first and last trigrams of the queries asked.
+Postings cover every registered service whatever its status, which is
+checked when a query reads them.
+
+Listings read one list kept in host-revenue order, so no call sorts the
+catalog or parses a service's version. Host revenue is the price times
+billing's host share, so listings rank by the split billing settles.
+That order covers every registered service whatever its status;
+registration only queues a service (`pending`), and the next listing
+indexes the queue: it enters each queued service into that order, the
+largest need and the kept listings.
 
 A listing does no work between changes. The database keeps, per host
 platform (OS and parsed version), the Active services that platform can
@@ -52,7 +61,7 @@ import threading
 from bisect import bisect, bisect_left, insort
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..domain import (
     PlatformRequirement,
@@ -78,23 +87,24 @@ class ServiceDatabase:
     """Registered services, their ids in sorted order, per-service caches,
     and the two query indexes.
 
-    `grams` maps each trigram of a service's `search_text` to the ids
-    containing it, as a bitset: bit i stands for `by_bit[i]`, the i-th
-    service indexed. On a 2000-service catalog an int per trigram takes
-    about a sixteenth of the memory of a set of ids, and a search
-    intersects two postings in one operation. `by_revenue` holds one
-    `RevenueEntry` per service in `(-host revenue, service_id)` order,
-    and `largest_need` the component-wise max of their needs (cpu,
-    memory, storage, energy); a deprecation leaves both, so the max only
-    grows. `listings` keeps, per `Platform`, its Active `by_revenue`
-    entries and, as a second list, their descriptions: the entries are
-    updated in place, the descriptions are handed out and so replaced,
-    never mutated. `pending` lists the ids that `add` stored and `index`
-    has not yet entered into the indexes. `answers` keeps each searched
-    needle's Active matches in id order, and `results` each service's
-    last discovery result. A restore replaces the whole database, which
-    drops the caches, the indexes, the kept answers and listings and the
-    queue with it.
+    `by_bit` lists the ids in registration order, and `grams` maps each
+    trigram a query has needed to the ids whose `search_text` holds it,
+    as a bitset: bit i stands for `by_bit[i]`. An int per trigram takes
+    about a sixteenth of the memory of a set of ids on a 2000-service
+    catalog, and a search intersects two postings in one operation.
+    `by_revenue` holds one `RevenueEntry` per service in `(-host revenue,
+    service_id)` order, and `largest_need` the component-wise max of
+    their needs (cpu, memory, storage, energy); a deprecation leaves
+    both, so the max only grows. `listings` keeps, per `Platform`, its
+    Active `by_revenue` entries and, as a second list, their
+    descriptions: the entries are updated in place, the descriptions are
+    handed out and so replaced, never mutated. `pending` lists the ids
+    that `add` stored and `index` has not yet entered into `by_revenue`,
+    `largest_need` and `listings`. `answers` keeps each searched needle's
+    Active matches in id order, and `results` each service's last
+    discovery result. A restore replaces the whole database, which drops
+    the caches, the indexes, the kept answers and listings and the queue
+    with it.
     """
 
     services: dict[str, ServiceDescription] = field(default_factory=dict)
@@ -115,10 +125,18 @@ class ServiceDatabase:
     results: dict[str, DiscoveryResult] = field(default_factory=dict)
 
     def add(self, desc: ServiceDescription) -> None:
+        """Store a service, set its bit in each kept posting its text holds
+        and queue it for the listing order."""
         text = f"{desc.name} {desc.description}".lower()
         self.services[desc.service_id] = desc
         self.search_text[desc.service_id] = text
         insort(self.sorted_ids, desc.service_id)
+        bit = 1 << len(self.by_bit)
+        self.by_bit.append(desc.service_id)
+        grams = self.grams
+        for gram in grams:
+            if gram in text:
+                grams[gram] |= bit
         self.pending.append(desc.service_id)
         self.forget_answers(text)
 
@@ -130,15 +148,11 @@ class ServiceDatabase:
             del answers[needle]
 
     def index(self, host_revenue: Callable[[ServiceDescription], int]) -> None:
-        """Enter every pending service into both indexes, the largest need
-        and, if Active, the kept listings of the platforms that run it."""
-        grams, largest, active = self.grams, self.largest_need, ServiceStatus.ACTIVE
+        """Enter every pending service into the listing order, the largest
+        need and, if Active, the kept listings of the platforms that run it."""
+        largest, active = self.largest_need, ServiceStatus.ACTIVE
         entered = []
         for sid in self.pending:
-            bit = 1 << len(self.by_bit)
-            self.by_bit.append(sid)
-            for gram in trigrams(self.search_text[sid]):
-                grams[gram] = grams.get(gram, 0) | bit
             entry = revenue_entry(self.services[sid], host_revenue)
             insort(self.by_revenue, entry)
             largest = tuple(map(max, largest, entry[4:8]))
@@ -189,16 +203,14 @@ class ServiceDatabase:
         return largest
 
     def candidates(self, needle: str) -> list[str]:
-        """Indexed ids, in sorted order, whose text holds every trigram of
-        `needle`: a superset of those whose text holds `needle`, and all of
-        them when `needle` is shorter than 3 characters."""
-        grams, by_bit = self.grams, self.by_bit
-        bits = (1 << len(by_bit)) - 1
-        # Slicing in place costs less than `trigrams` on a query's few characters.
-        for i in range(len(needle) - 2):
-            bits &= grams.get(needle[i:i + 3], 0)
-            if not bits:
-                return []
+        """Ids, in sorted order, whose text holds the first and the last
+        trigram of `needle`: a superset of those whose text holds `needle`,
+        and all of them (`sorted_ids`) when `needle` is shorter than 3
+        characters."""
+        if len(needle) < 3:
+            return self.sorted_ids
+        bits = self.posting(needle[:3]) & self.posting(needle[-3:])
+        by_bit = self.by_bit
         found = []
         while bits:
             low = bits & -bits
@@ -216,27 +228,33 @@ class ServiceDatabase:
             if needle in search_text[sid] and status[sid] is active
         ]
 
+    def posting(self, gram: str) -> int:
+        """The kept posting of `gram`, built on its first call."""
+        bits = self.grams.get(gram)
+        if bits is None:
+            bits = self.grams[gram] = self.scan_posting(gram)
+        return bits
+
+    def scan_posting(self, gram: str) -> int:
+        """The posting of `gram`, from one scan of the texts in `by_bit`."""
+        search_text, bits = self.search_text, 0
+        for position, sid in enumerate(self.by_bit):
+            if gram in search_text[sid]:
+                bits |= 1 << position
+        return bits
+
+    def scan_grams(self) -> dict[str, int]:
+        """Every kept posting, rebuilt with `scan_posting`."""
+        return {gram: self.scan_posting(gram) for gram in self.grams}
+
     def indexed_ids(self) -> list[str]:
         """Ids of the services no longer pending, in sorted order."""
         pending = set(self.pending)
         return [sid for sid in self.sorted_ids if sid not in pending]
 
-    def scan_grams(self) -> dict[str, int]:
-        """`grams` rebuilt from the text of every service in `by_bit`."""
-        grams: dict[str, int] = {}
-        for position, sid in enumerate(self.by_bit):
-            for gram in trigrams(self.search_text[sid]):
-                grams[gram] = grams.get(gram, 0) | 1 << position
-        return grams
-
     def scan_by_revenue(self, host_revenue: Callable[[ServiceDescription], int]) -> list[RevenueEntry]:
         """`by_revenue` rebuilt by sorting every indexed service."""
         return sorted(revenue_entry(self.services[sid], host_revenue) for sid in self.indexed_ids())
-
-
-def trigrams(text: str) -> Iterator[str]:
-    """Every 3-character substring of `text`, repeats included."""
-    return map("".join, zip(text, text[1:], text[2:]))
 
 
 # (-host revenue, service_id, platform os, parsed min version, cpu,
@@ -264,9 +282,15 @@ def revenue_entry(desc: ServiceDescription,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ServiceListing:
-    """A discovery result record: the description minus the developer identity."""
+    """A discovery result record: the description minus the developer identity.
+
+    Slotted and not frozen: each service's first discovery builds one,
+    and a frozen `__init__` costs several times a slotted one. Nothing
+    assigns to a listing once it is built, or hashes one; equality is
+    kept.
+    """
 
     service_id: str
     name: str
@@ -283,14 +307,24 @@ class ServiceListing:
     dependencies: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DiscoveryResult:
     """A match and its live hosts, best first. `hosts` is the host
     database's kept list for the service. The registry keeps one per
-    service and returns it while that list lasts. Shared: do not mutate."""
+    service and returns it while that list lasts. Shared: do not mutate.
+
+    Slotted and not frozen, like `ServiceListing`: nothing assigns to a
+    result once it is built, or hashes one. The endpoint compares a
+    query's results with its last ones by equality.
+    """
 
     listing: ServiceListing
     hosts: list[str]
+
+
+# Each level's label, indexed by the level: `SecurityLevel.label` goes
+# through the Enum's `name`, which runs in Python.
+_LABELS = tuple(level.label for level in sorted(SecurityLevel))
 
 
 def _listing_of(desc: ServiceDescription) -> ServiceListing:
@@ -302,7 +336,7 @@ def _listing_of(desc: ServiceDescription) -> ServiceListing:
         input_spec=desc.input_spec,
         output_spec=desc.output_spec,
         binding_method=desc.binding_method,
-        security_level=desc.security_level.label,
+        security_level=_LABELS[desc.security_level],
         platform_os=desc.platform.os_name,
         platform_min_version=desc.platform.min_version,
         min_resources=desc.min_resources,
@@ -432,13 +466,11 @@ class ServiceRegistry:
         id order. The list is the kept answer: shared, do not mutate."""
         needle = query.lower()
         with self._lock:
-            kept = self.db.answers.get(needle)
+            db = self.db
+            kept = db.answers.get(needle)
             if kept is not None:
                 return kept
-            db = self._indexed()
-            kept = db.answers[needle] = db.matches(
-                needle, db.sorted_ids if len(needle) < 3 else db.candidates(needle)
-            )
+            kept = db.answers[needle] = db.matches(needle, db.candidates(needle))
             return kept
 
     def _indexed(self) -> ServiceDatabase:

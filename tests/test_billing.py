@@ -224,6 +224,12 @@ def exact_split(price: int, agreement: Agreement) -> dict[str, int]:
 
 prices = st.integers(0, 10**6)
 decimal_shares = st.integers(0, 100).map(lambda k: k / 100)
+# (developer share, commission a, commission b) in hundredths: two
+# distinct commissions, then a developer share both leave room for. Drawn
+# in range rather than filtered, so the filter health check never trips.
+settleable_shares = st.lists(st.integers(0, 100), min_size=2, max_size=2, unique=True).flatmap(
+    lambda ks: st.tuples(st.integers(0, 100 - max(ks)), st.just(ks[0]), st.just(ks[1]))
+).map(lambda hundredths: tuple(k / 100 for k in hundredths))
 
 
 class TestCachedSplit:
@@ -231,10 +237,9 @@ class TestCachedSplit:
     exact per-invocation formula for every agreement and every unit."""
 
     @settings(max_examples=300, deadline=None)
-    @given(prices, decimal_shares, decimal_shares, decimal_shares)
-    def test_split_matches_the_exact_formula_in_two_units(self, price, dev, commission_a, commission_b):
-        assume(commission_a != commission_b)
-        assume(Fraction(str(dev)) + Fraction(str(max(commission_a, commission_b))) <= 1)
+    @given(prices, settleable_shares)
+    def test_split_matches_the_exact_formula_in_two_units(self, price, shares):
+        dev, commission_a, commission_b = shares
         for n, commission in enumerate((commission_a, commission_b)):
             billing = unit(commission)
             agmt = billing.negotiate_host(make_service(price=price, developer_share=dev))

@@ -137,6 +137,10 @@ operations = st.one_of(
               st.booleans(), st.one_of(st.none(), st.integers(1, 5))),
     st.tuples(st.just("depart"), st.sampled_from(HOST_IDS)),
 )
+changes = st.one_of(
+    st.tuples(st.just("register"), services),
+    st.tuples(st.just("deprecate"), st.sampled_from(SERVICE_IDS)),
+)
 
 
 def needle_of(spec, model: dict[str, ServiceDescription]) -> str:
@@ -237,6 +241,12 @@ class Catalog:
         assert listed == scan_listing(self.governor, self.model, self.deprecated, free, host_os, version)
         self.handed.append((listed, list(listed)))
 
+    def check_after_a_step(self) -> None:
+        for query in self.queries:
+            self.check_discover(query)
+        self.check_listings_at_the_largest_need()
+        assert self.governor.check_invariants() == []
+
     def check_listings_at_the_largest_need(self) -> None:
         """Listings for free resources at the largest need, which get the
         kept list, and one unit below it, which get it filtered; then
@@ -250,19 +260,24 @@ class Catalog:
 
 class TestCatalogIndex:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(operations, max_size=40))
-    def test_queries_match_a_full_scan_after_every_step(self, ops):
+    @given(st.lists(operations, max_size=40), st.lists(changes, max_size=8))
+    def test_queries_match_a_full_scan_after_every_step(self, ops, later):
+        """Any steps; then, with a posting kept for every word's first and
+        last trigram, registrations and deprecations, each of which must
+        keep every posting in step."""
         catalog = Catalog()
         for op in ops:
             catalog.apply(op)
-            for query in catalog.queries:
-                catalog.check_discover(query)
-            catalog.check_listings_at_the_largest_need()
-            assert catalog.governor.check_invariants() == []
+            catalog.check_after_a_step()
         catalog.check_listing(ResourceVector(1024, 64, 64, 1000), "Android", "10.1")
         for word in WORDS + ABSENT:
             catalog.check_search(word)
             catalog.check_discover(word)
+        assert catalog.governor.registry.db.grams
+        catalog.queries.update(WORDS)
+        for op in later:
+            catalog.apply(op)
+            catalog.check_after_a_step()
 
     def test_short_and_length_changing_needles(self):
         catalog = Catalog()
@@ -278,14 +293,23 @@ class TestCatalogIndex:
         assert catalog.governor.registry.db.candidates("ok") == sorted(catalog.model)
 
     def test_registration_waits_for_the_next_query(self):
+        """A registration builds no posting and only queues the listing
+        order; a query keeps the postings of its first and last trigram,
+        and a listing indexes the queue."""
         catalog = Catalog()
         catalog.apply(("register", make_service(developer_id=DEVELOPER)))
         db = catalog.governor.registry.db
-        assert db.pending == ["svc-resize"] and db.grams == {} and db.by_revenue == []
+        assert db.by_bit == ["svc-resize"] and db.grams == {}
+        assert db.pending == ["svc-resize"] and db.by_revenue == []
         assert catalog.governor.check_invariants() == []
         catalog.check_search("resize")
-        assert db.pending == [] and db.by_bit == ["svc-resize"] and db.grams["res"] == 1
-        assert len(db.by_revenue) == 1
+        assert db.grams == {"res": 1, "ize": 1} and db.pending == ["svc-resize"]
+        catalog.apply(("register", make_service(service_id="svc-size", name="size", description="x",
+                                                developer_id=DEVELOPER)))
+        assert db.grams == {"res": 1, "ize": 0b11}  # "size x" holds "ize", not "res"
+        assert catalog.governor.check_invariants() == []
+        catalog.check_listing(HOST_CAPACITY, "Android", "4.0")
+        assert db.pending == [] and len(db.by_revenue) == 2
 
 
 def indexed_governor() -> ServiceGovernor:
@@ -294,7 +318,9 @@ def indexed_governor() -> ServiceGovernor:
         governor.registry.register_service(
             make_service(service_id=sid, developer_id=DEVELOPER, name=name, developer_share=share)
         )
-    governor.registry.search_active("image")
+    governor.registry.search_active("image")  # keeps the postings of "ima" and "age"
+    # What a listing does first, without keeping a listing.
+    governor.registry.db.index(governor.registry.host_revenue)
     assert governor.check_invariants() == []
     return governor
 
@@ -303,6 +329,7 @@ class TestIndexInvariants:
     def test_invariant_reports_a_stale_search_index(self):
         governor = indexed_governor()
         db = governor.registry.db
+        governor.registry.search_active("route")  # keeps the posting of "rou"
         db.grams["rou"] ^= 1 << db.by_bit.index("svc-b")
         assert governor.check_invariants() == [
             "registry: search index differs from a full scan of the catalog"
@@ -310,12 +337,18 @@ class TestIndexInvariants:
 
     def test_invariant_reports_a_service_indexed_twice(self):
         governor = indexed_governor()
+        governor.registry.db.by_bit.append("svc-a")
+        assert governor.check_invariants() == [
+            "registry: search index differs from a full scan of the catalog"
+        ]
+
+    def test_invariant_reports_a_service_queued_twice(self):
+        governor = indexed_governor()
         db = governor.registry.db
         db.pending.append("svc-a")
         db.index(governor.registry.host_revenue)
         assert governor.check_invariants() == [
-            "registry: search index differs from a full scan of the catalog",
-            "registry: listing order differs from a full sort of the catalog",
+            "registry: listing order differs from a full sort of the catalog"
         ]
 
     def test_invariant_reports_a_stale_listing_order(self):

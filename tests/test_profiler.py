@@ -1,11 +1,15 @@
 """Service quality stats, substitution sweeps, malfunction escalation."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import governor_with, make_service
+from conftest import governor_with, make_service, scenario_dict
 from momcc.domain import ResourceVector
 from momcc.errors import UnknownEntityError
-from momcc.governor.profiler import ProfilerPolicy
+from momcc.governor import GovernorConfig, ServiceGovernor
+from momcc.governor.profiler import ProfilerPolicy, SweepAction, failure_rate
 from momcc.governor.registry import ServiceStatus
+from momcc.scenario import validate_scenario
+from momcc.snapshot import restore_governor, snapshot_governor
 from test_hosts import make_report
 
 AMPLE = ResourceVector(4096, 64, 64, 4000)
@@ -59,6 +63,28 @@ class TestServiceStats:
         governor.ingest_report(make_report(ok=False, reason="fault", report_id="r2"))
         stats = governor.profiler.service_stats("svc-resize", window=10)
         assert stats.security_failures == 1
+
+
+class TestProfilerPolicy:
+    """The policy refuses what the scenario schema refuses, so every sweep
+    judges at least one report."""
+
+    @pytest.mark.parametrize("window", [0, -1, 2.0, True, "5", None])
+    def test_window_must_be_an_int_of_at_least_one(self, window):
+        with pytest.raises(ValueError, match="window"):
+            ProfilerPolicy(window=window)
+
+    @pytest.mark.parametrize("threshold", [-0.05, 1.05, float("nan"), float("inf")])
+    def test_failure_threshold_must_be_in_the_unit_interval(self, threshold):
+        with pytest.raises(ValueError, match="failure_threshold"):
+            ProfilerPolicy(failure_threshold=threshold)
+
+    def test_the_schema_reports_a_bad_policy_before_the_constructor_runs(self):
+        data = scenario_dict(policies={"profiler": {"failure_threshold": 1.5, "window": 0}})
+        assert validate_scenario(data) == [
+            "/policies/profiler/failure_threshold: 1.5 is greater than the maximum of 1",
+            "/policies/profiler/window: 0 is less than the minimum of 1",
+        ]
 
 
 class TestSubstitutionSweep:
@@ -127,6 +153,82 @@ class TestSubstitutionSweep:
         (action,) = governor.profiler.substitution_sweep()
         # No failure evidence on either candidate: footprint total breaks the tie.
         assert action.replacement_id == "svc-lean"
+
+
+SWEEP_IDS = [f"svc-{i}" for i in range(6)]
+
+
+def full_catalog_sweep(governor: ServiceGovernor) -> list[SweepAction]:
+    """The sweep as it walked every Active service of the catalog: the
+    oracle of the sweep that judges only full windows."""
+    profiler = governor.profiler
+    actions = []
+    for desc in governor.registry.active_services():
+        recent = governor.host_db.reports_for_service(desc.service_id, profiler.policy.window)
+        if len(recent) < profiler.policy.window or failure_rate(recent) <= profiler.policy.failure_threshold:
+            continue
+        governor.registry.deprecate_service(desc.service_id, reason="failure rate above threshold")
+        replacement = profiler._best_replacement(desc.functionality_tag, desc.service_id)
+        actions.append(SweepAction(desc.service_id, replacement))
+    return actions
+
+
+def statuses(governor: ServiceGovernor) -> dict[str, ServiceStatus]:
+    return {sid: governor.registry.status_of(sid) for sid in SWEEP_IDS if governor.registry.is_known(sid)}
+
+
+# A catalog: per service, its tag and cpu need; which of them are
+# deprecated before any sweep; and two rounds of reports, each followed by
+# a sweep, as (service index, ok).
+sweep_catalogs = st.lists(st.tuples(st.sampled_from(["tag-a", "tag-b"]), st.integers(0, 3)),
+                          min_size=1, max_size=len(SWEEP_IDS))
+report_rounds = st.lists(st.tuples(st.integers(0, len(SWEEP_IDS) - 1), st.booleans()), max_size=30)
+
+
+def sweep_governor(catalog, deprecated, policy: ProfilerPolicy) -> ServiceGovernor:
+    governor = ServiceGovernor(GovernorConfig(profiler_policy=policy))
+    governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
+    governor.hosts.register_host("host-a", "Android", "10.1", ResourceVector(8192, 64, 64, 8000), 10**9)
+    for sid, (tag, cpu) in zip(SWEEP_IDS, catalog):
+        governor.registry.register_service(make_service(
+            service_id=sid, name=f"{tag} {sid}", functionality_tag=tag,
+            min_resources=ResourceVector(128 * cpu, 1, 1, 100),
+        ))
+        assert governor.request_hosting("host-a", sid).confirmed
+    for index in sorted(deprecated):
+        if index < len(catalog):
+            governor.registry.deprecate_service(SWEEP_IDS[index])
+    return governor
+
+
+def ingest_round(governor: ServiceGovernor, reports, catalog, round_no: int) -> None:
+    for n, (index, ok) in enumerate(reports):
+        governor.ingest_report(make_report(
+            service_id=SWEEP_IDS[index % len(catalog)], ok=ok, report_id=f"r-{round_no}-{n}",
+        ))
+
+
+class TestSweepAgainstTheFullCatalogLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_catalogs, st.sets(st.integers(0, len(SWEEP_IDS) - 1), max_size=3),
+           report_rounds, report_rounds, st.integers(1, 6), st.integers(0, 20).map(lambda k: k / 20),
+           st.booleans())
+    def test_actions_and_statuses_equal_the_full_catalog_loop(
+        self, catalog, deprecated, first, second, window, threshold, restore
+    ):
+        policy = ProfilerPolicy(failure_threshold=threshold, window=window)
+        oracle = sweep_governor(catalog, deprecated, policy)
+        governor = sweep_governor(catalog, deprecated, policy)
+        for round_no, reports in enumerate((first, second)):
+            ingest_round(oracle, reports, catalog, round_no)
+            ingest_round(governor, reports, catalog, round_no)
+            if restore:
+                governor = restore_governor(snapshot_governor(governor), GovernorConfig(profiler_policy=policy))
+            expected = full_catalog_sweep(oracle)
+            assert governor.profiler.substitution_sweep() == expected
+            assert statuses(governor) == statuses(oracle)
+            assert governor.profiler.substitution_sweep() == []
+            assert governor.check_invariants() == []
 
 
 class TestMalfunctionEscalation:

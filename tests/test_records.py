@@ -3,10 +3,12 @@
 `SecurityCertificate`, `ExecutionReport`, `HostProfile` and
 `AllocationDecision` are slotted and not frozen, because every report
 or hosting request builds them and a frozen `__init__` costs several
-times a slotted one. The code relies on each one staying as it was
-built: a profile is replaced whole through `HostDatabase.put`, which
-moves its ranking entries, and reports and decisions are shared by the
-history, its indexes and the state file. Here a guard stands in for
+times a slotted one; so are `ServiceListing` and `DiscoveryResult`,
+which discovery builds per service. The code relies on each one staying
+as it was built: a profile is replaced whole through `HostDatabase.put`,
+which moves its ranking entries, reports and decisions are shared by the
+history, its indexes and the state file, and the registry hands its kept
+discovery results to every caller. Here a guard stands in for
 `frozen=True`: it lets `__init__` set each field once and raises
 `FrozenInstanceError` on any later assignment, while whole runs, a
 snapshot round trip and a benchmark round execute under it.
@@ -27,12 +29,14 @@ from bench.workloads import scenario_json  # noqa: E402
 from momcc.cli import _write_outputs  # noqa: E402
 from momcc.domain import ExecutionReport, HostProfile, ResourceVector, SecurityCertificate  # noqa: E402
 from momcc.engine import run_scenario  # noqa: E402
-from momcc.governor import AllocationDecision, ServiceGovernor  # noqa: E402
+from momcc.governor import AllocationDecision, DiscoveryResult, ServiceGovernor  # noqa: E402
+from momcc.governor.registry import ServiceListing  # noqa: E402
 from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario, scenario_from_dict  # noqa: E402
 from momcc.snapshot import load_governor, snapshot_governor, write_snapshot  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
-RECORDS = (SecurityCertificate, ExecutionReport, HostProfile, AllocationDecision)
+RECORDS = (SecurityCertificate, ExecutionReport, HostProfile, AllocationDecision,
+           ServiceListing, DiscoveryResult)
 
 
 def _set_once(self, name, value):
