@@ -36,7 +36,12 @@ The shared per-service dicts that discovery and listing replies carry,
 the shared host lists of discovery replies, and the one payload that
 repeated discovery answers or repeated kept listings share are encoded
 once per `iter_trace_lines()` pass and spliced into every line that
-names them.
+names them; so is each agent id's text (`from`, `to`), since a run has
+a few hundred distinct ids. Nothing encoded outlives its pass. The
+times (`ts`, `tr`) are written by `_ms_text`: `'%.3f'` with trailing
+zeros trimmed to one below 1e12, which is the text of
+`repr(round(x, 3))` at less than half its cost, and `repr(round(x, 3))`
+itself for NaN, the infinities and larger values.
 The pass yields one line at a time, and the writer (`cli._write_outputs`)
 gathers them into 64 KiB chunks, so it holds at most one chunk of the
 trace plus the pass's memo, never the whole file; the trace records
@@ -224,26 +229,57 @@ class TraceRecord:
     recipient: str
     message: ProtocolMessage
 
-    def to_line(self, memo: dict[int, tuple[Any, str]] | None = None) -> str:
+    def to_line(self, memo: dict[int, tuple[Any, str]] | None = None,
+                ids: dict[str, str] | None = None) -> str:
         """The message's envelope plus routing keys (`from`, `to`) and
         send/receive times (`ts`, `tr`, in ms to 3 places), as one JSON
         object with sorted keys and no spaces.
 
         The line is built directly in sorted key order. The shared
         payloads of discovery and listing replies, and the per-service
-        dicts they carry, are encoded once per `memo` (see `_payload_json`).
+        dicts they carry, are encoded once per `memo` (see `_payload_json`),
+        and each agent id's JSON text once per `ids`; `iter_trace_lines`
+        keeps one of each for its pass. Times are written by `_ms_text`:
+        fixed-point with trailing zeros trimmed below 1e12 in magnitude,
+        `repr(round(x, 3))` from there on and for NaN and the infinities.
         """
         msg = self.message
+        if ids is None:
+            ids = {}
         return (
             f'{{"correlation_id":{encode_basestring_ascii(msg.correlation_id)}'
-            f',"from":{encode_basestring_ascii(self.sender)}'
+            f',"from":{ids.get(self.sender) or _id_json(ids, self.sender)}'
             f',"kind":{msg.kind.json}'
             f',"payload":{_payload_json(msg, {} if memo is None else memo)}'
             f',"sender_role":{msg.sender_role.json}'
-            f',"to":{encode_basestring_ascii(self.recipient)}'
-            f',"tr":{round(self.received_at, 3)!r}'
-            f',"ts":{round(self.sent_at, 3)!r}}}'
+            f',"to":{ids.get(self.recipient) or _id_json(ids, self.recipient)}'
+            f',"tr":{_ms_text(self.received_at)}'
+            f',"ts":{_ms_text(self.sent_at)}}}'
         )
+
+
+def _ms_text(ms: float) -> str:
+    """`repr(round(ms, 3))`, the JSON text of a time to 3 places, at less
+    than half its cost.
+
+    Below 1e12 in magnitude this is `'%.3f' % ms` with its trailing zeros
+    trimmed to one (`"12.500"` -> `"12.5"`, `"3.000"` -> `"3.0"`). Both
+    roundings are CPython's correctly rounded `_Py_dg_dtoa` mode 3, and a
+    decimal of at most 15 significant digits, which a value below 1e12
+    keeps to 3 places, reads back as the same float, so `repr` writes the
+    same digits (this breaks near 1.2e14). NaN, the infinities and larger
+    times, which an unbounded `duration_hours` allows, keep `repr(round())`.
+    """
+    if -1e12 < ms < 1e12:
+        text = ("%.3f" % ms).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(ms, 3))
+
+
+def _id_json(ids: dict[str, str], agent_id: str) -> str:
+    """`agent_id`'s JSON text, kept in `ids`."""
+    text = ids[agent_id] = encode_basestring_ascii(agent_id)
+    return text
 
 
 _RESULT_KEYS = {"hosts", "service"}
@@ -340,10 +376,12 @@ class SimulationResult:
 
     def iter_trace_lines(self) -> Iterator[str]:
         """The trace's lines in order, each encoded as it is taken, with
-        one memo for the whole pass."""
+        one payload memo and one agent id memo for the whole pass. Both
+        are dropped with the pass, so every pass encodes its own texts."""
         memo: dict[int, tuple[Any, str]] = {}
+        ids: dict[str, str] = {}
         for record in self.trace:
-            yield record.to_line(memo)
+            yield record.to_line(memo, ids)
 
     def trace_lines(self) -> list[str]:
         return list(self.iter_trace_lines())

@@ -401,21 +401,25 @@ class BillingUnit:
 
     def ledger_csv_rows(self) -> Iterator[list[str]]:
         """Rows for the ledger export, one column per party class, each
-        built as it is taken."""
+        built as it is taken. A run's rows repeat a small set of amounts
+        (a price and its split per agreement), so each distinct amount's
+        text is formatted once per export (`_MoneyTexts`) and dropped
+        with it."""
         yield ["entry_id", "correlation_id", "payer", "total",
                "developer", "host", "governor", "format_version"]
         version = str(self.LEDGER_CSV_VERSION)
         with self._lock:
             rows = _in_audit_order(self._rows)
+        money = _MoneyTexts()
         for seq, correlation_id, payer, price, _, _, dev_credit, host_credit, governor_credit, _ in rows:
             yield [
                 _entry_id(seq),
                 correlation_id,
                 payer,
-                format_money(price),
-                format_money(dev_credit),
-                format_money(host_credit),
-                format_money(governor_credit),
+                money[price],
+                money[dev_credit],
+                money[host_credit],
+                money[governor_credit],
                 version,
             ]
 
@@ -454,6 +458,16 @@ class BillingUnit:
 def _repeated(values: list) -> list:
     """The values that occur more than once, each once, in sorted order."""
     return sorted(value for value, count in Counter(values).items() if count > 1)
+
+
+class _MoneyTexts(dict):
+    """Minor units -> `format_money` text, each formatted on first lookup."""
+
+    __slots__ = ()
+
+    def __missing__(self, cents: int) -> str:
+        text = self[cents] = format_money(cents)
+        return text
 
 
 def format_money(cents: int) -> str:

@@ -150,16 +150,23 @@ class ServiceDatabase:
     def index(self, host_revenue: Callable[[ServiceDescription], int]) -> None:
         """Enter every pending service into the listing order, the largest
         need and, if Active, the kept listings of the platforms that run it."""
-        largest, active = self.largest_need, ServiceStatus.ACTIVE
-        entered = []
-        for sid in self.pending:
-            entry = revenue_entry(self.services[sid], host_revenue)
-            insort(self.by_revenue, entry)
-            largest = tuple(map(max, largest, entry[4:8]))
-            if self.status[sid] is active:
-                entered.append(entry)
-        self.largest_need = largest
+        if not self.pending:
+            return
+        queued = sorted(revenue_entry(self.services[sid], host_revenue) for sid in self.pending)
         self.pending.clear()
+        # One merge pass, each entry inserted after the last: the first
+        # listing's queue is the whole catalog, so each insert is an
+        # append, and later queues hold a few services. Sorting the
+        # merged list instead would compare every entry for each of them.
+        by_revenue, at = self.by_revenue, 0
+        for entry in queued:
+            at = bisect(by_revenue, entry, at)
+            by_revenue.insert(at, entry)
+            at += 1
+        columns = zip(*[entry[4:8] for entry in queued])
+        self.largest_need = tuple(map(max, self.largest_need, map(max, columns)))
+        status, active = self.status, ServiceStatus.ACTIVE
+        entered = [entry for entry in queued if status[entry[1]] is active]
         for platform, (entries, services) in list(self.listings.items()):
             added = [entry for entry in entered if runs_on(entry, platform)]
             if added:

@@ -10,6 +10,7 @@ scan of every service and every host profile would: the same services,
 in the same order, with the same hosts. A list already handed out must
 not change after it.
 """
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from momcc.snapshot import restore_governor, snapshot_governor
 
 DEVELOPER = "dev-alpha"
 SERVICE_IDS = [f"svc-{i:02d}" for i in range(10)]
+QUEUED_IDS = [f"svc-q{i}" for i in range(6)]
 # Mixed case, words that share trigrams, and letters whose lower() is
 # longer than themselves ("İ" -> "i̇") or differs from casefold ("ß").
 WORDS = ["Image", "image", "IMAGER", "resize", "İstanbul", "istanbul", "Straße", "ÉCLAIR",
@@ -143,6 +145,18 @@ changes = st.one_of(
 )
 
 
+@st.composite
+def queued_services(draw):
+    """Two to six settleable services with ids no other step uses, to be
+    registered back to back so that one listing enters them all. Their
+    drawn prices and shares put them in any revenue order, and the ids
+    are dealt in shuffled order, so equal revenues are not queued in id
+    order either."""
+    descs = draw(st.lists(services.filter(settleable), min_size=2, max_size=len(QUEUED_IDS)))
+    ids = draw(st.permutations(QUEUED_IDS))
+    return [replace(desc, service_id=sid) for desc, sid in zip(descs, ids)]
+
+
 def needle_of(spec, model: dict[str, ServiceDescription]) -> str:
     if isinstance(spec, str):
         return spec
@@ -260,16 +274,26 @@ class Catalog:
 
 class TestCatalogIndex:
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(operations, max_size=40), st.lists(changes, max_size=8))
-    def test_queries_match_a_full_scan_after_every_step(self, ops, later):
-        """Any steps; then, with a posting kept for every word's first and
-        last trigram, registrations and deprecations, each of which must
-        keep every posting in step."""
+    @given(st.lists(operations, max_size=40), queued_services(), st.lists(changes, max_size=8))
+    def test_queries_match_a_full_scan_after_every_step(self, ops, queued, later):
+        """Any steps; then a queue of several services that one listing
+        enters into the listing order and the kept listings at once; then,
+        with a posting kept for every word's first and last trigram,
+        registrations and deprecations, each of which must keep every
+        posting in step."""
         catalog = Catalog()
         for op in ops:
             catalog.apply(op)
             catalog.check_after_a_step()
+        catalog.check_listings_at_the_largest_need()  # so kept listings take the queue
+        for desc in queued:
+            catalog.apply(("register", desc))
+        registry = catalog.governor.registry
+        assert len(registry.db.pending) >= len(queued)
         catalog.check_listing(ResourceVector(1024, 64, 64, 1000), "Android", "10.1")
+        assert registry.db.pending == []
+        assert registry.db.by_revenue == registry.db.scan_by_revenue(registry.host_revenue)
+        catalog.check_after_a_step()
         for word in WORDS + ABSENT:
             catalog.check_search(word)
             catalog.check_discover(word)

@@ -80,14 +80,16 @@ class ReferenceLedger:
         ]
 
 
-def billing_with_terms(seq: int) -> BillingUnit:
+def billing_with_terms(seq: int, prices: list[int] | None = None) -> BillingUnit:
+    """A unit with an agreement per term, at the terms' prices or `prices`."""
     billing = BillingUnit(governor_commission=COMMISSION, lock=threading.RLock())
     state = billing.snapshot_state()
     state["entry_seq"] = seq
     billing.restore_state(state)
     for i, (developer, price, share) in enumerate(TERMS):
         billing.negotiate_host(make_service(
-            service_id=f"svc-{i}", developer_id=developer, price=price, developer_share=share,
+            service_id=f"svc-{i}", developer_id=developer,
+            price=price if prices is None else prices[i], developer_share=share,
         ))
     return billing
 
@@ -106,15 +108,27 @@ operations = st.lists(st.tuples(
     st.sampled_from([0.0, 1.5, 2.0, 1e9]),
 ), max_size=60)
 bounds = st.one_of(st.none(), st.sampled_from([0.0, 1.0, 1.5, 2.0, 5.0]))
+# A price per term: the terms' own, others near a whole unit, or any. Equal
+# prices on two terms repeat amounts across agreements.
+prices = st.lists(
+    st.one_of(st.sampled_from([price for _, price, _ in TERMS] + [99, 100, 101]), st.integers(0, 10**9)),
+    min_size=len(TERMS), max_size=len(TERMS),
+)
+# Metered after the drawn steps, so every export holds zero (the 0.0
+# share's developer credit), an amount on two rows (the same agreement
+# twice) and amounts on one row (another agreement).
+FIXED = [(4, "host-a", "fixed-1"), (4, "host-b", "fixed-2"), (2, "host-b", "fixed-3")]
 
 
 class TestRowLedgerMatchesTheEntryLedger:
     @settings(max_examples=200, deadline=None)
-    @given(operations, st.sampled_from([0, 999_990]), bounds, bounds)
-    def test_every_reader_and_the_state_match(self, ops, seq, start, end):
+    @given(operations, st.sampled_from([0, 999_990]), bounds, bounds, prices)
+    def test_every_reader_and_the_state_match(self, ops, seq, start, end, term_prices):
         """Starting at 999,990 crosses into seven-digit entry ids, which
-        order as text in `audit()`: led-1000000 before led-999999."""
-        billing = billing_with_terms(seq)
+        order as text in `audit()`: led-1000000 before led-999999. The
+        export formats each distinct amount once, so its rows must equal
+        the reference's, which formats every amount afresh."""
+        billing = billing_with_terms(seq, term_prices)
         reference = ReferenceLedger(seq)
         for kind, service, host, cid, payer, at in ops:
             agreement = billing.agreement_for(f"svc-{service}")
@@ -134,6 +148,10 @@ class TestRowLedgerMatchesTheEntryLedger:
             else:
                 billing.meter_invocation(agreement, payer, correlation_id, host, at)
                 reference.meter(agreement, payer, correlation_id, host, at)
+        for service, host, correlation_id in FIXED:
+            agreement = billing.agreement_for(f"svc-{service}")
+            billing.meter_invocation(agreement, "anon-1", correlation_id, host, 3.0)
+            reference.meter(agreement, "anon-1", correlation_id, host, 3.0)
 
         assert billing.audit() == reference.audit()
         assert billing.audit(start, end) == reference.audit(start, end)
@@ -157,6 +175,23 @@ class TestRowLedgerMatchesTheEntryLedger:
         restored.restore_state(json.loads(canonical(state)))
         assert canonical(restored.snapshot_state()) == canonical(state)
         assert restored.audit() == billing.audit()
+
+
+class TestLedgerExport:
+    def test_two_exports_from_one_unit_give_equal_rows(self):
+        """Each export keeps its own money texts: two exports taken in
+        turn, row by row, and a third after them are the same rows."""
+        billing = billing_with_terms(0)
+        for n in range(40):
+            service, host = n % len(TERMS), HOSTS[n % len(HOSTS)]
+            billing.meter_invocation(billing.agreement_for(f"svc-{service}"), "anon-1",
+                                     f"inv-{n}", host, float(n % 3))
+        first, second = billing.ledger_csv_rows(), billing.ledger_csv_rows()
+        pairs = list(zip(first, second, strict=True))
+        assert len(pairs) == 41
+        assert all(a == b for a, b in pairs)
+        assert list(billing.ledger_csv_rows()) == [a for a, _ in pairs]
+        assert {row[3] for _, row in pairs[1:]} == {format_money(price) for _, price, _ in TERMS}
 
 
 class TestReportPathBuildsNoEntries:

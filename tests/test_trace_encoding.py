@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import scenario_dict
 from momcc import cli, engine
-from momcc.engine import _COMPACT, Simulation, TraceRecord, _indented
+from momcc.engine import _COMPACT, Simulation, TraceRecord, _indented, _ms_text
 from momcc.scenario import scenario_from_dict
 from momcc.wire import MessageKind, ProtocolMessage, Role, envelope_dict
 
@@ -33,7 +33,12 @@ def oracle_line(record: TraceRecord) -> str:
     }, sort_keys=True, separators=(",", ":"))
 
 
-AWKWARD_FLOATS = st.sampled_from([0.0, -0.0, 0.1 + 0.2, 1e-7, 1e16, 123456.0005, 2.5e-308, 1e308])
+# Times at the text guard (1e12) and at half-way points of the third place
+# (`engine._ms_text`) as well as other awkward floats.
+TIME_CASES = [999999999999.9995, 1e12, -1e12, 0.0005, math.nextafter(0.0005, 0), 123.4565]
+AWKWARD_FLOATS = st.sampled_from(
+    [0.0, -0.0, 0.1 + 0.2, 1e-7, 1e16, 123456.0005, 2.5e-308, 1e308] + TIME_CASES
+)
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), AWKWARD_FLOATS)
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), AWKWARD_FLOATS,
@@ -85,6 +90,11 @@ def trace_records(draw):
         kind: draw(st.lists(payloads(kind, shared, shared_hosts), min_size=1, max_size=2))
         for kind in (MessageKind.DISCOVERY_REPLY, MessageKind.LIST_SERVICES_REPLY)
     }
+    # Agent ids that several records name, so a pass's kept id texts are reused.
+    agent_ids = st.one_of(
+        st.sampled_from(draw(st.lists(st.text(max_size=8), min_size=1, max_size=3))),
+        st.text(max_size=8),
+    )
     records = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(list(MessageKind)))
@@ -98,8 +108,8 @@ def trace_records(draw):
             correlation_id=draw(st.text(min_size=1, max_size=10)),
             payload=payload,
         )
-        records.append(TraceRecord(draw(finite), draw(finite), draw(st.text(max_size=8)),
-                                   draw(st.text(max_size=8)), message))
+        records.append(TraceRecord(draw(finite), draw(finite), draw(agent_ids),
+                                   draw(agent_ids), message))
     return records
 
 
@@ -107,10 +117,10 @@ class TestTraceLine:
     @settings(max_examples=200, deadline=None)
     @given(trace_records())
     def test_line_equals_one_json_dumps_of_the_record(self, records):
-        memo = {}
+        memo, ids = {}, {}
         for record in records:
             expected = oracle_line(record)
-            assert record.to_line(memo) == expected
+            assert record.to_line(memo, ids) == expected
             assert record.to_line() == expected
 
     def test_memo_is_keyed_by_the_object_not_only_its_id(self):
@@ -160,6 +170,22 @@ class TestTraceLine:
         # An entry whose object is another payload with the same id is not reused.
         memo = {id(payload): ({"services": []}, '{"services":[]}')}
         assert records[0].to_line(memo) == oracle_line(records[0])
+
+
+class TestTimeText:
+    """`_ms_text` writes a time as `repr(round(ms, 3))` does."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.one_of(st.floats(), AWKWARD_FLOATS))
+    def test_equals_repr_of_round_for_every_float(self, ms):
+        assert _ms_text(ms) == repr(round(ms, 3))
+
+    @pytest.mark.parametrize("ms", TIME_CASES + [
+        0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 3.0, 12.5, 0.001, -0.0004,
+        math.nextafter(1e12, 0), math.nextafter(-1e12, 0), 1.2e14, 1e300,
+    ])
+    def test_guard_half_way_and_special_values(self, ms):
+        assert _ms_text(ms) == repr(round(ms, 3))
 
 
 class TestIndented:
