@@ -18,11 +18,13 @@ running its own step.
 Each agent's `handle` finds a message's handler in one dict keyed by
 kind, built with its class, and the message builders read kinds and
 roles bound once here: on CPython 3.11 each read of `MessageKind.X` or
-`Role.X` goes through `EnumType.__getattr__`.
+`Role.X` goes through `EnumType.__getattr__`. The builders construct
+`ProtocolMessage` and `Outbound` positionally.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -118,17 +120,12 @@ def select_services(offered: list[dict], free: ResourceVector,
 
 def _to_governor(kind: MessageKind, role: Role, correlation: str, payload: dict,
                  delay_ms: float = 0.0) -> Outbound:
-    message = ProtocolMessage(kind=kind, sender_role=role, correlation_id=correlation, payload=payload)
-    return Outbound(to="governor", latency_class="governor", message=message, delay_ms=delay_ms)
+    return Outbound("governor", "governor", ProtocolMessage(kind, role, correlation, payload), delay_ms)
 
 
 def _invoke_result(correlation: str, service_id: str, outcome: Outcome) -> ProtocolMessage:
-    return ProtocolMessage(
-        kind=_INVOKE_RESULT,
-        sender_role=_HOST,
-        correlation_id=correlation,
-        payload={"service_id": service_id, "ok": outcome.ok, "reason": outcome.reason},
-    )
+    return ProtocolMessage(_INVOKE_RESULT, _HOST, correlation,
+                           {"service_id": service_id, "ok": outcome.ok, "reason": outcome.reason})
 
 
 def _discovery_query(correlation: str, query: str, pseudonym: str) -> Outbound:
@@ -137,13 +134,8 @@ def _discovery_query(correlation: str, query: str, pseudonym: str) -> Outbound:
 
 
 def _invoke(host_id: str, correlation: str, service_id: str, pseudonym: str) -> Outbound:
-    message = ProtocolMessage(
-        kind=_INVOKE,
-        sender_role=_REQUESTER,
-        correlation_id=correlation,
-        payload={"service_id": service_id, "requester_pseudonym": pseudonym},
-    )
-    return Outbound(to=host_id, latency_class="wlan", message=message)
+    return Outbound(host_id, "wlan", ProtocolMessage(
+        _INVOKE, _REQUESTER, correlation, {"service_id": service_id, "requester_pseudonym": pseudonym}))
 
 
 def _rating(correlation: str, service_id: str, rating: int | None, pseudonym: str) -> Outbound:
@@ -235,8 +227,7 @@ class DeviceAgent:
             "failure_reason": outcome.reason,
         }
         return [
-            Outbound(to=to, latency_class="wlan", delay_ms=duration,
-                     message=_invoke_result(correlation, service_id, outcome)),
+            Outbound(to, "wlan", _invoke_result(correlation, service_id, outcome), duration),
             _to_governor(_EXECUTION_REPORT, _HOST, correlation, report, duration),
         ]
 
@@ -334,8 +325,10 @@ class RequesterAgent:
         self.unavailable_events = 0
         self._query_index = 0
         # `choices(weights=...)` would accumulate the weights on every draw;
-        # these are the same sums, so the draws and the stream are unchanged.
+        # these are the same sums, and the total is the float `choices`
+        # divides by. `validate_scenario` refuses a zero total.
         self._rating_cum_weights = tuple(accumulate(config.rating_bias))
+        self._rating_total = self._rating_cum_weights[-1] + 0.0
 
     def next_demand_delay_ms(self) -> float | None:
         if self.config.demand_rate <= 0:
@@ -366,7 +359,9 @@ class RequesterAgent:
             return []
         rating: int | None = None
         if self.rng.random() < self.config.rating_prob:
-            rating = self.rng.choices(_RATINGS, cum_weights=self._rating_cum_weights)[0]
+            # `rng.choices(_RATINGS, cum_weights=...)[0]`'s own arithmetic,
+            # so the stream is unchanged (a test compares the two, draw for draw).
+            rating = _RATINGS[bisect(self._rating_cum_weights, self.rng.random() * self._rating_total, 0, 4)]
         return [_rating(msg.correlation_id, msg.payload["service_id"], rating, self.pseudonym)]
 
     _HANDLERS = {
@@ -422,7 +417,7 @@ class AggregatorAgent(DeviceAgent):
         service_id = msg.payload["service_id"]
         if service_id != self.composite.service_id:
             reply = _invoke_result(msg.correlation_id, service_id, Outcome.failure("not_hosted"))
-            return [Outbound(to=sender, latency_class="wlan", message=reply)]
+            return [Outbound(sender, "wlan", reply)]
         deps = self.composite.dependencies
         if self.config.parallel_dependencies:
             waiting, at_once = sorted(set(deps)), len(deps)

@@ -6,15 +6,22 @@ types shared by the governor, the simulated agents, and the engine.
 Two kinds of record live here:
 
 - Frozen: `ResourceVector`, `PlatformRequirement`, `ServiceDescription`
-  and `Outcome`. `ResourceVector` is a dataclass default, which must
-  hash; the others are built at set-up or per listing decode, not per
+  and `Outcome`. `ResourceVector` is a dataclass default
+  (`ZERO_RESOURCES`), which must hash, so it stays frozen even though a
+  run builds about ten thousand; its `__post_init__` instead tests all
+  four fields in one `type(x) is int and x >= 0` expression and walks
+  the fields one by one only when that fails, to word the error (an
+  `int` subclass such as an `IntEnum` member passes there; `bool` never
+  does). The others are built at set-up or per listing decode, not per
   report, and `Outcome.success()` is one shared instance.
 - Slotted and not frozen: `SecurityCertificate`, `ExecutionReport` and
   `HostProfile`, which every execution report builds. A frozen
   `__init__` sets each field through `object.__setattr__`, which costs
   several times a slotted one. Nothing assigns to one of these after it
   is built, or hashes one: a change is a new record, stored whole.
-  `tests/test_records.py` checks this over whole runs.
+  `tests/test_records.py` checks this over whole runs. A profile's
+  placement, certificate or liveness changes through `profile_with`,
+  which builds the new profile positionally.
 
 Units, fixed in one place:
     CPU      MHz
@@ -69,6 +76,11 @@ class ResourceVector:
     energy: int
 
     def __post_init__(self) -> None:
+        cpu, memory, storage, energy = self.cpu, self.memory, self.storage, self.energy
+        if (type(cpu) is int and cpu >= 0 and type(memory) is int and memory >= 0
+                and type(storage) is int and storage >= 0 and type(energy) is int and energy >= 0):
+            return
+        # Only a refused vector, or one holding an `int` subclass, gets here.
         for name in ("cpu", "memory", "storage", "energy"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -345,3 +357,35 @@ class HostProfile:
     @property
     def free(self) -> ResourceVector:
         return self.capacity.minus(self.committed)
+
+
+def profile_with(profile: HostProfile, *, committed: ResourceVector | None = None,
+                 hosted: frozenset[str] | None = None,
+                 certificate: SecurityCertificate | None = None,
+                 alive: bool | None = None) -> HostProfile:
+    """`profile` with its placement (`committed`, `hosted`), its certificate
+    or its liveness replaced; a field passed as None keeps its value (no
+    write takes a certificate away).
+
+    Placement, unhosting, departure and certificate issue write profiles
+    through here. It owns the field order: the new profile is built
+    positionally, in declaration order, at a fraction of the cost of
+    `dataclasses.replace`, and `__post_init__` still checks it. The
+    report path (`HostRegistry.ingest_report`) changes other fields and
+    keeps its own positional build.
+    """
+    return HostProfile(
+        profile.host_id,
+        profile.os_name,
+        profile.os_version,
+        profile.capacity,
+        profile.committed if committed is None else committed,
+        profile.battery_mwh,
+        profile.certificate if certificate is None else certificate,
+        profile.hosted if hosted is None else hosted,
+        profile.attempts,
+        profile.successes,
+        profile.rating_count,
+        profile.rating_sum,
+        profile.alive if alive is None else alive,
+    )

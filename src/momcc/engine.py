@@ -15,7 +15,11 @@ recipient in one dict and calls its `handle`, which finds the handler in
 one dict keyed by kind. No step of the hop reads an Enum class attribute
 (on CPython 3.11, `EnumType.__getattr__` makes each such read cost about
 200 ns): kinds are bound once at module level and compared with `is`,
-and members hash by identity (`wire._WireEnum`).
+and members hash by identity (`wire._WireEnum`). The heap functions are
+bound at module level, `run()` keeps the queue in a local, and each
+simulation binds its delivery handler once, when it is built, so a
+class-level wrapper of `_on_deliver` installed before then sees every
+delivery.
 
 Two modes:
 
@@ -51,12 +55,12 @@ collector off while a run executes and while its outputs are written.
 from __future__ import annotations
 
 import gc
-import heapq
 import json
 import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Callable, Iterator, NoReturn
 
@@ -271,7 +275,10 @@ def _ms_text(ms: float) -> str:
     times, which an unbounded `duration_hours` allows, keep `repr(round())`.
     """
     if -1e12 < ms < 1e12:
-        text = ("%.3f" % ms).rstrip("0")
+        text = "%.3f" % ms
+        if text[-1] != "0":  # no zeros to trim
+            return text
+        text = text.rstrip("0")
         return text + "0" if text[-1] == "." else text
     return repr(round(ms, 3))
 
@@ -395,6 +402,7 @@ class Simulation:
         self.now = 0.0
         self._queue: list[tuple[float, int, Callable[[Any], None], Any]] = []
         self._seq = 0
+        self._deliver = self._on_deliver  # bound once: every send pushes it
         self._id_seq = 0
         self.latency_rng = random.Random(f"{scenario.seed}/latency")
         # latency class -> (low, high) ms, built once: read on every send
@@ -519,7 +527,7 @@ class Simulation:
     def _schedule(self, at: float, handler: Callable[[Any], None], arg: Any) -> None:
         """Call handler(arg) at simulated time `at`; ties fire in scheduling order."""
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, handler, arg))
+        heappush(self._queue, (at, self._seq, handler, arg))
 
     def _send(self, sender: str, outbound: Outbound) -> None:
         """Schedule one message's delivery after its sampled transport delay.
@@ -539,16 +547,17 @@ class Simulation:
             self.invocations_total += 1
             self.latencies.append(transport)
         self._seq += 1
-        heapq.heappush(self._queue, (received_at, self._seq, self._on_deliver,
-                                     TraceRecord(sent_at, received_at, sender, to, message)))
+        heappush(self._queue, (received_at, self._seq, self._deliver,
+                               TraceRecord(sent_at, received_at, sender, to, message)))
 
     # -- the event loop -------------------------------------------------------
 
     def run(self) -> SimulationResult:
         with paused_collector():
             deadline = self.scenario.duration_ms
-            while self._queue:
-                at, _, handler, arg = heapq.heappop(self._queue)
+            queue = self._queue
+            while queue:
+                at, _, handler, arg = heappop(queue)
                 if at > deadline:
                     continue  # drains the queue; nothing fires past the horizon
                 self.now = at
@@ -623,17 +632,11 @@ class Simulation:
 
     def _bounce_invoke(self, record: TraceRecord) -> None:
         # Transport-level failure reply for a departed endpoint.
-        reply = ProtocolMessage(
-            kind=_INVOKE_RESULT,
-            sender_role=_HOST,
-            correlation_id=record.message.correlation_id,
-            payload={
-                "service_id": record.message.payload["service_id"],
-                "ok": False,
-                "reason": "host_unreachable",
-            },
-        )
-        self._send(record.recipient, Outbound(to=record.sender, latency_class="wlan", message=reply))
+        message = record.message
+        reply = ProtocolMessage(_INVOKE_RESULT, _HOST, message.correlation_id, {
+            "service_id": message.payload["service_id"], "ok": False, "reason": "host_unreachable",
+        })
+        self._send(record.recipient, Outbound(record.sender, "wlan", reply))
 
     # -- reporting ---------------------------------------------------------
 

@@ -168,7 +168,13 @@ def _entry_fields(row: Row) -> dict:
 
 def _in_audit_order(rows: list[Row]) -> list[Row]:
     """Rows by timestamp, then entry id (as text: led-1000000 comes
-    before led-999999)."""
+    before led-999999).
+
+    While every sequence number is below 1,000,000 each id has six
+    digits, so the ids' text order is their numbers' order and the key
+    takes the number without formatting an id."""
+    if max((row[0] for row in rows), default=0) < 1_000_000:
+        return sorted(rows, key=lambda row: (row[-1], row[0]))
     return sorted(rows, key=lambda row: (row[-1], _entry_id(row[0])))
 
 

@@ -158,10 +158,4 @@ class GovernorEndpoint:
 
 
 def _reply(kind: MessageKind, request: ProtocolMessage, to: str, payload: dict) -> list[Outbound]:
-    reply = ProtocolMessage(
-        kind=kind,
-        sender_role=_GOVERNOR,
-        correlation_id=request.correlation_id,
-        payload=payload,
-    )
-    return [Outbound(to=to, latency_class="governor", message=reply)]
+    return [Outbound(to, "governor", ProtocolMessage(kind, _GOVERNOR, request.correlation_id, payload))]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..domain import (
     ExecutionReport,
@@ -19,6 +19,7 @@ from ..domain import (
     ServiceDescription,
     ZERO_RESOURCES,
     level_admits,
+    profile_with,
 )
 from ..errors import DuplicateHostError, NotHostedError, UnknownEntityError
 from ..wire import MessageKind
@@ -129,15 +130,22 @@ class HostRegistry:
         Order: platform, resources, then the certificate exchange and the
         security-level check. A denied decision leaves the profile
         untouched.
+
+        Like `ingest_report`, the checks read the service database's
+        dicts directly: the lock held here is the one the registry's
+        getters take.
         """
         with self._lock:
             profile = self.host_db.get(host_id)
-            desc = self.registry.get(service_id)
+            db = self.registry.db
+            desc = db.services.get(service_id)
+            if desc is None:
+                raise UnknownEntityError(f"unknown service: {service_id!r}")
             trace: list[MessageKind] = [_HOSTING_REQUEST]
 
             if not profile.alive:
                 return self._deny(profile, desc, trace, "departed")
-            if self.registry.status_of(service_id) is not _ACTIVE:
+            if db.status[service_id] is not _ACTIVE:
                 return self._deny(profile, desc, trace, "deprecated")
             if service_id in profile.hosted:
                 return self._deny(profile, desc, trace, "duplicate")
@@ -159,24 +167,13 @@ class HostRegistry:
 
             trace.append(_ALLOCATION_CONFIRM)
             self.place(host_id, desc)
-            decision = AllocationDecision(
-                host_id=host_id,
-                service_id=service_id,
-                confirmed=True,
-                reason=None,
-                trace=tuple(trace),
-            )
+            decision = AllocationDecision(host_id, service_id, True, None, tuple(trace))
             self.decisions.append(decision)
             return decision
 
     def _deny(self, profile: HostProfile, desc, trace: list[MessageKind], reason: str) -> AllocationDecision:
-        decision = AllocationDecision(
-            host_id=profile.host_id,
-            service_id=desc.service_id,
-            confirmed=False,
-            reason=reason,
-            trace=(*trace, _ALLOCATION_DENIED),
-        )
+        decision = AllocationDecision(profile.host_id, desc.service_id, False, reason,
+                                      (*trace, _ALLOCATION_DENIED))
         self.decisions.append(decision)
         return decision
 
@@ -186,7 +183,7 @@ class HostRegistry:
         with self._lock:
             self.billing.negotiate_host(desc)
             profile = self.host_db.get(host_id)
-            self.host_db.put(replace(
+            self.host_db.put(profile_with(
                 profile,
                 committed=profile.committed.plus(desc.min_resources),
                 hosted=profile.hosted | {desc.service_id},
@@ -199,7 +196,7 @@ class HostRegistry:
             if service_id not in profile.hosted:
                 raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
             desc = self.registry.get(service_id)
-            self.host_db.put(replace(
+            self.host_db.put(profile_with(
                 profile,
                 committed=profile.committed.minus(desc.min_resources),
                 hosted=profile.hosted - {service_id},
@@ -211,7 +208,7 @@ class HostRegistry:
             profile = self.host_db.get(host_id)
             for service_id in list(profile.hosted):
                 self.unhost(host_id, service_id)
-            self.host_db.put(replace(self.host_db.hosts[host_id], alive=False))
+            self.host_db.put(profile_with(self.host_db.hosts[host_id], alive=False))
 
     # -- execution reports ---------------------------------------------------
 

@@ -605,21 +605,28 @@ def service_to_dict(desc: ServiceDescription) -> dict:
 
 
 def service_from_dict(raw: dict) -> ServiceDescription:
+    """The description `service_to_dict` wrote. Hosts decode each service
+    they choose from a listing here, so the records are built
+    positionally, in declaration order. A restore decodes saved services
+    here too, so `min_resources` must hold the four resource names and
+    nothing else."""
+    platform = raw["platform"]
+    need = raw["min_resources"]
+    if len(need) != 4:  # with the four names read below, no other key
+        raise ValueError(f"min_resources must hold cpu, memory, storage and energy, got {sorted(need)}")
     return ServiceDescription(
-        service_id=raw["service_id"],
-        developer_id=raw["developer_id"],
-        name=raw["name"],
-        description=raw["description"],
-        functionality_tag=raw["functionality_tag"],
-        input_spec=raw["input_spec"],
-        output_spec=raw["output_spec"],
-        binding_method=raw["binding_method"],
-        security_level=SecurityLevel.from_name(raw["security_level"]),
-        platform=PlatformRequirement(
-            os_name=raw["platform"]["os_name"], min_version=raw["platform"]["min_version"]
-        ),
-        min_resources=ResourceVector(**raw["min_resources"]),
-        price_per_invocation=raw["price_per_invocation"],
-        developer_share=raw["developer_share"],
-        dependencies=tuple(raw["dependencies"]),
+        raw["service_id"],
+        raw["developer_id"],
+        raw["name"],
+        raw["description"],
+        raw["functionality_tag"],
+        raw["input_spec"],
+        raw["output_spec"],
+        raw["binding_method"],
+        SecurityLevel.from_name(raw["security_level"]),
+        PlatformRequirement(platform["os_name"], platform["min_version"]),
+        ResourceVector(need["cpu"], need["memory"], need["storage"], need["energy"]),
+        raw["price_per_invocation"],
+        raw["developer_share"],
+        tuple(raw["dependencies"]),
     )

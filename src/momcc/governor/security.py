@@ -9,9 +9,9 @@ shared host database.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from ..domain import ExecutionReport, SecurityCertificate, SecurityLevel
+from ..domain import ExecutionReport, SecurityCertificate, SecurityLevel, profile_with
 from ..errors import CertificateExistsError, CertificateMismatchError
 from .store import HostDatabase
 
@@ -129,14 +129,7 @@ class SecurityGovernor:
             if profile.certificate is not None:
                 raise CertificateExistsError(f"host {host_id!r} already holds a certificate")
             score = min(1.0, self.policy.verified_bonus) if identity_verified else 0.0
-            cert = SecurityCertificate(
-                host_id=host_id,
-                level=_LOW,
-                trust_score=score,
-                attempts=0,
-                successes=0,
-                issued_at=at,
-                identity_verified=identity_verified,
-            )
-            self.host_db.put(replace(profile, certificate=cert))
+            # host_id, level, trust_score, attempts, successes, issued_at, identity_verified
+            cert = SecurityCertificate(host_id, _LOW, score, 0, 0, at, identity_verified)
+            self.host_db.put(profile_with(profile, certificate=cert))
             return cert

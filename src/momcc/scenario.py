@@ -330,6 +330,11 @@ def validate_scenario(data: dict) -> list[str]:
     exec_ms = data.get("exec_ms")
     if exec_ms and exec_ms[0] > exec_ms[1]:
         diagnostics.append("/exec_ms: low must be <= high")
+    for i, req in enumerate(data.get("requesters", [])):
+        # A rating draw divides by the weights' total.
+        if req.get("rating_prob", 1.0) > 0 and not sum(req.get("rating_bias", (1,))) > 0:
+            diagnostics.append(f"/requesters/{i}/rating_bias: weights must not all be zero "
+                               "while rating_prob is above zero")
     composite_ids = {s["service_id"] for s in data["services"] if s.get("dependencies")}
     for i, agg in enumerate(data.get("aggregators", [])):
         if agg["composite_service_id"] not in composite_ids:

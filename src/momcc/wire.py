@@ -205,7 +205,11 @@ class ProtocolMessage:
 
     Slotted and not frozen: every hop builds one, and a frozen `__init__`
     sets each field through `object.__setattr__`. Nothing assigns to a
-    message once it is built, or hashes one.
+    message once it is built, or hashes one (`tests/test_records.py`
+    checks this over whole runs). The builders that make a run's messages
+    (`agents`, `governor.endpoint`, the engine's bounce) pass the fields
+    positionally, in declaration order: keywords cost about two thirds
+    more per build.
     """
 
     kind: MessageKind
@@ -221,7 +225,8 @@ class ProtocolMessage:
 @dataclass(slots=True)
 class Outbound:
     """A message to be delivered: the engine adds latency and routing.
-    Slotted and not frozen, like `ProtocolMessage`."""
+    Slotted and not frozen, and built positionally by the message
+    builders, like `ProtocolMessage`."""
 
     to: str
     latency_class: str

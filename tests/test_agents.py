@@ -1,8 +1,12 @@
 """Agent strategies and protocol behavior, standalone and in small runs."""
 import random
+from itertools import accumulate
+
+from hypothesis import given, settings, strategies as st
 
 from conftest import composite_scenario, make_service, scenario_dict
 from momcc.agents import (
+    _RATINGS,
     HostAgent,
     HostAgentConfig,
     RequesterAgent,
@@ -220,6 +224,33 @@ class TestRequesterProtocol:
         (out,) = agent.handle(ok, "host-001", 2.0)
         assert out.message.kind == MessageKind.RATE_SERVICE
         assert out.message.payload["rating"] is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**64),
+        st.lists(st.one_of(st.just(0), st.just(0.0), st.integers(0, 50), st.floats(0, 1e6)),
+                 min_size=5, max_size=5).filter(lambda weights: sum(weights) > 0),
+        st.sampled_from([1.0, 0.5]),
+        st.integers(1, 40),
+    )
+    def test_each_rating_is_the_draw_of_random_choices(self, seed, bias, rating_prob, results):
+        """`_on_result` inlines `Random.choices`' arithmetic for one pick,
+        so each rating must equal `random.Random(seed).choices(_RATINGS,
+        cum_weights=...)[0]`, draw for draw, and leave the same stream."""
+        config = RequesterAgentConfig(demand_rate=10, query_pool=("image",),
+                                      rating_bias=tuple(bias), rating_prob=rating_prob)
+        agent = RequesterAgent("req-000", config, random.Random(seed), ids(), "anon-77")
+        reference = random.Random(seed)
+        cum_weights = list(accumulate(bias))
+        for n in range(results):
+            ok = ProtocolMessage(MessageKind.INVOKE_RESULT, Role.HOST, f"inv-{n}",
+                                 {"service_id": "svc-resize", "ok": True})
+            (out,) = agent.handle(ok, "host-001", 2.0)
+            expected = None
+            if reference.random() < rating_prob:
+                expected = reference.choices(_RATINGS, cum_weights=cum_weights)[0]
+            assert out.message.payload["rating"] == expected
+        assert agent.rng.getstate() == reference.getstate()
 
 
 class TestAggregation:

@@ -8,7 +8,9 @@ the test suite, not only the benchmark. The round's own check never
 lists, so after it every host's listing is compared here with a full
 scan of the catalog. The benchmark's modules are imported as they are.
 Seed 11's sweeps deprecate nothing; seed 13's deprecate one service that
-a kept query matches, and that kept listings must drop.
+a kept query matches, and that kept listings must drop. Seed 11's round
+digest is pinned in `tests/fixtures/governor_mixed_seed11.sha256`, the
+`metrics_sha256=` line the benchmark prints for it.
 """
 import json
 import sys
@@ -68,3 +70,14 @@ def test_a_governor_mixed_round_answers_every_query_as_the_client_models_it(seed
         for host_id, profile in result.governor.host_db.hosts.items()
     }
     assert listings == scan_listings(result.governor)
+
+
+def test_the_seed_11_round_digest_is_the_pinned_one():
+    """The benchmark's closed-loop digest covers the round's discovery
+    answers, listings, hosting decisions, accepted reports, sweeps and
+    assessments; a benchmark change to bench/closed_loop.py or
+    bench/workloads.py re-pins it."""
+    pinned = (ROOT / "tests" / "fixtures" / "governor_mixed_seed11.sha256").read_text().strip()
+    scenario = scenario_from_dict(json.loads(scenario_json("governor_mixed", 11)))
+    result = run_round(scenario, build_governor(scenario), 11)
+    assert f"metrics_sha256={result.digest}" == pinned

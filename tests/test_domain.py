@@ -1,17 +1,21 @@
 """Core type behavior: dominance, level ordering, version comparison."""
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from momcc.domain import (
+    HostProfile,
     PlatformRequirement,
     ResourceVector,
+    SecurityCertificate,
     SecurityLevel,
     VersionError,
     covers,
     level_admits,
     parse_version,
+    profile_with,
     version_at_least,
 )
 
@@ -69,13 +73,29 @@ class TestCovers:
         if covers(a, b) and covers(b, c):
             assert covers(a, c)
 
-    def test_negative_component_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceVector(-1, 0, 0, 0)
+    @pytest.mark.parametrize("index, name", enumerate(("cpu", "memory", "storage", "energy")))
+    @pytest.mark.parametrize("value, message", [
+        (-1, "resource {} must be >= 0, got -1"),
+        (1.5, "resource {} must be an integer, got 1.5"),
+        (True, "resource {} must be an integer, got True"),
+        (False, "resource {} must be an integer, got False"),
+    ])
+    def test_a_refused_component_is_named(self, index, name, value, message):
+        fields = [7, 7, 7, 7]
+        fields[index] = value
+        with pytest.raises(ValueError) as err:
+            ResourceVector(*fields)
+        assert str(err.value) == message.format(name)
 
-    def test_non_integer_component_rejected(self):
-        with pytest.raises(ValueError):
-            ResourceVector(1.5, 0, 0, 0)
+    def test_the_first_refused_component_is_the_one_named(self):
+        with pytest.raises(ValueError, match=r"^resource memory must be an integer, got 'x'$"):
+            ResourceVector(0, "x", -1, 0.5)
+
+    def test_an_int_subclass_component_is_accepted(self):
+        vector = ResourceVector(SecurityLevel.HIGH, 0, 1, SecurityLevel.LOW)
+        assert vector.cpu is SecurityLevel.HIGH
+        assert vector.covers(ResourceVector(2, 0, 1, 0))
+        assert hash(vector) == hash(ResourceVector(2, 0, 1, 0))
 
     def test_minus_underflow_rejected(self):
         with pytest.raises(ValueError):
@@ -162,3 +182,31 @@ class TestPlatformRequirement:
     def test_invalid_min_version_rejected_at_construction(self):
         with pytest.raises(VersionError):
             PlatformRequirement("Android", "3.x")
+
+
+class TestProfileWith:
+    """`profile_with` builds positionally, so its field order must be
+    `HostProfile`'s: every other field keeps its value, as with `replace`."""
+
+    PROFILE = HostProfile(
+        "host-a", "Android", "4.2", ResourceVector(4096, 64, 128, 5000),
+        ResourceVector(512, 2, 5, 500), 8123,
+        SecurityCertificate("host-a", SecurityLevel.MEDIUM, 0.6, 12, 10, 3.5, True),
+        frozenset({"svc-a"}), 12, 10, 4, 17, True,
+    )
+    CHANGES = {
+        "committed": ResourceVector(1024, 4, 10, 1000),
+        "hosted": frozenset({"svc-a", "svc-b"}),
+        "certificate": SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 39, 3.5, True),
+        "alive": False,
+    }
+
+    @pytest.mark.parametrize("fields", [(), ("committed",), ("hosted",), ("certificate",),
+                                        ("alive",), ("committed", "hosted")])
+    def test_equals_replace(self, fields):
+        changes = {name: self.CHANGES[name] for name in fields}
+        assert profile_with(self.PROFILE, **changes) == replace(self.PROFILE, **changes)
+
+    def test_the_new_profile_is_still_checked(self):
+        with pytest.raises(ValueError, match="capacity must cover committed"):
+            profile_with(self.PROFILE, committed=ResourceVector(5000, 0, 0, 0))

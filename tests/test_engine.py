@@ -217,6 +217,20 @@ class TestScenarioValidationSurface:
             scenario_from_dict(data)
         assert any("svc-ghost" in d for d in err.value.diagnostics)
 
+    def test_all_zero_rating_weights_are_refused_while_ratings_are_drawn(self):
+        """A rating draw divides by the weights' total: a zero total was a
+        `ValueError` at the first rating, mid-run. With no rating drawn
+        (`rating_prob` 0) the weights are never read, and the scenario runs."""
+        data = scenario_dict(seed=5)
+        data["requesters"][0]["rating_bias"] = [0, 0, 0, 0.0, 0]
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(data)
+        assert err.value.diagnostics == [
+            "/requesters/0/rating_bias: weights must not all be zero while rating_prob is above zero"
+        ]
+        data["requesters"][0]["rating_prob"] = 0
+        assert run_scenario(scenario_from_dict(data)).report.invocations_succeeded > 0
+
     def test_aggregator_must_reference_composite(self):
         data = scenario_dict(
             aggregators=[{

@@ -1,15 +1,18 @@
-"""No governor record is assigned after it is built.
+"""No governor or wire record is assigned after it is built.
 
 `SecurityCertificate`, `ExecutionReport`, `HostProfile` and
 `AllocationDecision` are slotted and not frozen, because every report
 or hosting request builds them and a frozen `__init__` costs several
 times a slotted one; so are `ServiceListing` and `DiscoveryResult`,
-which discovery builds per service. The code relies on each one staying
-as it was built: a profile is replaced whole through `HostDatabase.put`,
-which moves its ranking entries, reports and decisions are shared by the
-history, its indexes and the state file, and the registry hands its kept
-discovery results to every caller. Here a guard stands in for
-`frozen=True`: it lets `__init__` set each field once and raises
+which discovery builds per service, and the message records
+`ProtocolMessage`, `Outbound` and `TraceRecord`, which every hop builds.
+The code relies on each one staying as it was built: a profile is
+replaced whole through `HostDatabase.put`, which moves its ranking
+entries, reports and decisions are shared by the history, its indexes
+and the state file, the registry hands its kept discovery results to
+every caller, and a trace record holds the very message its recipient
+handled, so the trace shows what was delivered. Here a guard stands in
+for `frozen=True`: it lets `__init__` set each field once and raises
 `FrozenInstanceError` on any later assignment, while whole runs, a
 snapshot round trip and a benchmark round execute under it.
 """
@@ -28,15 +31,16 @@ from bench.closed_loop import build_governor, run_round  # noqa: E402
 from bench.workloads import scenario_json  # noqa: E402
 from momcc.cli import _write_outputs  # noqa: E402
 from momcc.domain import ExecutionReport, HostProfile, ResourceVector, SecurityCertificate  # noqa: E402
-from momcc.engine import run_scenario  # noqa: E402
+from momcc.engine import TraceRecord, run_scenario  # noqa: E402
 from momcc.governor import AllocationDecision, DiscoveryResult, ServiceGovernor  # noqa: E402
 from momcc.governor.registry import ServiceListing  # noqa: E402
 from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario, scenario_from_dict  # noqa: E402
 from momcc.snapshot import load_governor, snapshot_governor, write_snapshot  # noqa: E402
+from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 RECORDS = (SecurityCertificate, ExecutionReport, HostProfile, AllocationDecision,
-           ServiceListing, DiscoveryResult)
+           ServiceListing, DiscoveryResult, ProtocolMessage, Outbound, TraceRecord)
 
 
 def _set_once(self, name, value):
@@ -61,6 +65,15 @@ def test_the_guard_refuses_an_assignment_after_init(set_once):
         profile.alive = False
     assert profile.alive is True
     assert replace(profile, alive=False).alive is False
+
+
+def test_the_guard_covers_the_message_records(set_once):
+    message = ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "inv-1", {})
+    outbound = Outbound("host-a", "wlan", message)
+    record = TraceRecord(0.0, 1.0, "req-000", "host-a", message)
+    for built, name in ((message, "payload"), (outbound, "delay_ms"), (record, "received_at")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(built, name, None)
 
 
 @pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])

@@ -292,6 +292,21 @@ class TestIntegrity:
             restore_governor(snap)
         assert str(err.value) == "snapshot payload does not decode: KeyError: 'developer_id'"
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda need: need.update(gpu=1), "ValueError: min_resources must hold cpu, memory, storage "
+                                          "and energy, got ['cpu', 'energy', 'gpu', 'memory', 'storage']"),
+        (lambda need: need.pop("energy"), "ValueError: min_resources must hold cpu, memory, storage "
+                                          "and energy, got ['cpu', 'memory', 'storage']"),
+        (lambda need: need.update(gpu=need.pop("energy")), "KeyError: 'energy'"),
+    ], ids=["extra", "missing", "renamed"])
+    def test_a_service_need_of_other_resources_does_not_decode(self, governor_after_run, edit, message):
+        snap = snapshot_governor(governor_after_run)
+        edit(snap["payload"]["registry"]["services"]["svc-resize"]["min_resources"])
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == f"snapshot payload does not decode: {message}"
+
     def test_missing_field_rejected(self):
         with pytest.raises(SnapshotIntegrityError):
             restore_governor({"format_version": 1, "kind": "governor-state"})
