@@ -230,10 +230,6 @@ class ServiceDescription:
         if not isinstance(self.dependencies, tuple):
             object.__setattr__(self, "dependencies", tuple(self.dependencies))
 
-    @property
-    def is_composite(self) -> bool:
-        return bool(self.dependencies)
-
 
 @dataclass(slots=True)
 class SecurityCertificate:

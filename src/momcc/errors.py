@@ -56,8 +56,3 @@ class MissingAgreementError(MarketplaceError):
 class SnapshotIntegrityError(MarketplaceError):
     """A state snapshot failed its checksum or structural checks."""
 
-
-class StateRuleViolation(MarketplaceError):
-    """A saved ledger entry that no ledger row reproduces, so it cannot be
-    decoded into a row. Every other rule a decoded state keeps is a line
-    of `ServiceGovernor.check_invariants()`."""

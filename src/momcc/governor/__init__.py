@@ -8,6 +8,16 @@ reads the host database's ranking, and the host registry settles each
 placed service's agreement and meters each successful report with
 billing. `GovernorConfig` is the one home of every unit's defaults; the
 units' constructors take no defaults.
+
+`journal` lists, in order, every call from outside that changed the
+governor's state: a tuple of the call's name (`"unit.method"`, or the
+governor's own method) and its arguments as passed, each appended by
+the unit's public method once it has returned. Calls one unit makes on
+another (placing, issuing a certificate, metering, unhosting on
+departure, deprecating in a sweep) go to unrecorded private bodies that
+run under the lock their caller holds, so the journal never holds a
+call twice. Replaying it into a governor of the same config through the
+same methods rebuilds the same state (`momcc.snapshot`).
 """
 from __future__ import annotations
 
@@ -54,18 +64,20 @@ class ServiceGovernor:
     def __init__(self, config: GovernorConfig | None = None):
         self.config = config or GovernorConfig()
         self.lock = threading.RLock()
+        self.journal: list[tuple] = []
         self.host_db = HostDatabase()
         self.billing = BillingUnit(
-            governor_commission=self.config.governor_commission, lock=self.lock
+            governor_commission=self.config.governor_commission, lock=self.lock, journal=self.journal
         )
         self.registry = ServiceRegistry(
             billing=self.billing,
             host_db=self.host_db,
             footprint_ceiling=self.config.footprint_ceiling,
             lock=self.lock,
+            journal=self.journal,
         )
         self.security = SecurityGovernor(
-            host_db=self.host_db, policy=self.config.trust_policy, lock=self.lock
+            host_db=self.host_db, policy=self.config.trust_policy, lock=self.lock, journal=self.journal
         )
         self.hosts = HostRegistry(
             host_db=self.host_db,
@@ -74,12 +86,14 @@ class ServiceGovernor:
             billing=self.billing,
             assessment_weights=self.config.assessment_weights,
             lock=self.lock,
+            journal=self.journal,
         )
         self.profiler = ServiceProfiler(
             registry=self.registry,
             host_db=self.host_db,
             policy=self.config.profiler_policy,
             lock=self.lock,
+            journal=self.journal,
         )
 
     # -- cross-unit flows -------------------------------------------------
@@ -105,18 +119,19 @@ class ServiceGovernor:
         as admission does.
         """
         with self.lock:
+            descs = [self.registry.get(service_id) for service_id in service_ids]
             if self.host_db.get(host_id).certificate is None:
-                self.security.issue_certificate(host_id, identity_verified, at=at)
-            for service_id in service_ids:
-                desc = self.registry.get(service_id)
-                if service_id not in self.host_db.get(host_id).hosted:
-                    self.hosts.place(host_id, desc)
+                self.security._issue(host_id, identity_verified, at)
+            for desc in descs:
+                if desc.service_id not in self.host_db.hosts[host_id].hosted:
+                    self.hosts._place(host_id, desc)
+            self.journal.append(("preprovision_host", host_id, tuple(service_ids), identity_verified, at))
 
     # -- invariants (every rule a state keeps) --------------------------------
 
     def check_invariants(self) -> list[str]:
         """Cross-module consistency: empty list means all good. A restore
-        refuses a state on which this reports anything. The shape rules
+        refuses a replayed state on which this reports anything. The shape rules
         come first and alone: the scans after them read a host share, a
         status and a description for every service they meet."""
         problems = []

@@ -16,15 +16,14 @@ The ledger keeps one flat row per metered invocation (`Row`): its
 sequence number, correlation id, payer, price, developer and host ids,
 the three class credits and its timestamp. Metering, the hottest
 billing write, only appends a row. A `LedgerEntry` is a view of a row,
-built by `audit()` when asked; balances, totals, the CSV export and the
-state file read the rows directly.
+built by `audit()` when asked; balances, totals and the CSV export read
+the rows directly.
 """
 from __future__ import annotations
 
-import re
 import threading
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
@@ -34,7 +33,6 @@ from ..errors import (
     DuplicateCorrelationError,
     MissingAgreementError,
     NegotiationRejected,
-    StateRuleViolation,
 )
 
 GOVERNOR_PARTY = "governor"
@@ -134,9 +132,6 @@ class LedgerEntry:
 # timestamp).
 Row = tuple[int, str, str, int, str, str, int, int, int, float]
 
-_ENTRY_ID = re.compile(r"led-([0-9]+)")
-_CLASSES = {"developer", "host", "governor"}
-
 
 def _entry_id(seq: int) -> str:
     return f"led-{seq:06d}"
@@ -153,7 +148,7 @@ def _credits(row: Row) -> dict[str, int]:
 
 
 def _entry_fields(row: Row) -> dict:
-    """A row as its `LedgerEntry`'s fields: the state file's form of an entry."""
+    """A row as its `LedgerEntry`'s fields."""
     seq, correlation_id, payer, price, _, _, dev_credit, host_credit, governor_credit, at = row
     return {
         "entry_id": _entry_id(seq),
@@ -178,49 +173,13 @@ def _in_audit_order(rows: list[Row]) -> list[Row]:
     return sorted(rows, key=lambda row: (row[-1], _entry_id(row[0])))
 
 
-def _row_of(raw: dict) -> Row:
-    """The row that reproduces a saved entry byte for byte.
-
-    `LedgerEntry` checks the entry's fields and sum as it always did. Every
-    field but the credits is kept as saved, so the row reproduces the entry
-    exactly when its id is a sequence number, its money is integer minor
-    units, and its credits are its class totals paid to one developer, one
-    host and the governor. An entry that breaks one of those breaks a rule;
-    it is never reshaped to fit.
-    """
-    entry = LedgerEntry(**raw)
-    match = _ENTRY_ID.fullmatch(entry.entry_id)
-    seq = int(match[1]) if match else None
-    if seq is None or _entry_id(seq) != entry.entry_id:
-        raise StateRuleViolation(f"ledger entry id {entry.entry_id!r} is not 'led-' and a sequence number")
-    totals = entry.class_totals
-    if (totals.keys() != _CLASSES
-            or not all(type(amount) is int for amount in (entry.total, *totals.values()))):
-        raise StateRuleViolation(
-            f"ledger entry {entry.entry_id!r}: total and class totals are not "
-            "integer minor units of the developer, host and governor classes"
-        )
-    candidates = (
-        (seq, entry.correlation_id, entry.payer, entry.total, developer, host,
-         totals["developer"], totals["host"], totals["governor"], entry.timestamp)
-        for developer in entry.credits
-        for host in entry.credits
-    )
-    row = next((row for row in candidates if _credits(row) == entry.credits), None)
-    if row is None or not all(type(amount) is int for amount in entry.credits.values()):
-        raise StateRuleViolation(
-            f"ledger entry {entry.entry_id!r}: credits are not its class totals "
-            "paid to a developer, a host and the governor"
-        )
-    return row
-
-
 class BillingUnit:
-    def __init__(self, governor_commission: float, lock: threading.RLock):
+    def __init__(self, governor_commission: float, lock: threading.RLock, journal: list):
         if not 0.0 <= governor_commission <= 1.0:
             raise ValueError("governor_commission must be in [0, 1]")
         self.governor_commission = governor_commission
         self._lock = lock
+        self._journal = journal
         self._developers: set[str] = set()
         self._agreements: dict[str, Agreement] = {}
         self._rows: list[Row] = []
@@ -239,6 +198,7 @@ class BillingUnit:
         check_developer_share(requested_share, self.governor_commission)
         with self._lock:
             self._developers.add(developer_id)
+            self._journal.append(("billing.negotiate_developer", developer_id, price, requested_share))
 
     def developer_registered(self, developer_id: str) -> bool:
         with self._lock:
@@ -268,10 +228,15 @@ class BillingUnit:
         """The service's agreement, settled on the first call. Later hosts
         take the same agreement."""
         with self._lock:
-            agreement = self._agreements.get(desc.service_id)
-            if agreement is None:
-                agreement = self._agreements[desc.service_id] = self._settle(desc)
+            agreement = self._negotiate_host(desc)
+            self._journal.append(("billing.negotiate_host", desc))
             return agreement
+
+    def _negotiate_host(self, desc: ServiceDescription) -> Agreement:
+        agreement = self._agreements.get(desc.service_id)
+        if agreement is None:
+            agreement = self._agreements[desc.service_id] = self._settle(desc)
+        return agreement
 
     def agreement_for(self, service_id: str) -> Agreement | None:
         with self._lock:
@@ -287,35 +252,49 @@ class BillingUnit:
         to the governor, so credits always sum to the price exactly.
         """
         with self._lock:
-            if correlation_id in self._metered_correlations:
-                raise DuplicateCorrelationError(
-                    f"correlation {correlation_id!r} already metered"
-                )
-            price = agreement.price_per_invocation
-            dev_credit, host_credit, governor_credit = split_price(
-                price, agreement.developer_share, agreement.host_share
-            )
-            self._entry_seq += 1
-            self._rows.append((
-                self._entry_seq, correlation_id, requester_pseudonym, price,
-                agreement.developer_id, host_id, dev_credit, host_credit, governor_credit, at,
+            self._meter(agreement, requester_pseudonym, correlation_id, host_id, at)
+            self._journal.append((
+                "billing.meter_invocation", agreement, requester_pseudonym, correlation_id, host_id, at,
             ))
-            self._metered_correlations.add(correlation_id)
+
+    def _meter(self, agreement: Agreement, requester_pseudonym: str,
+               correlation_id: str, host_id: str, at: float) -> None:
+        if correlation_id in self._metered_correlations:
+            raise DuplicateCorrelationError(
+                f"correlation {correlation_id!r} already metered"
+            )
+        price = agreement.price_per_invocation
+        dev_credit, host_credit, governor_credit = split_price(
+            price, agreement.developer_share, agreement.host_share
+        )
+        self._entry_seq += 1
+        self._rows.append((
+            self._entry_seq, correlation_id, requester_pseudonym, price,
+            agreement.developer_id, host_id, dev_credit, host_credit, governor_credit, at,
+        ))
+        self._metered_correlations.add(correlation_id)
 
     def meter_report(self, report: ExecutionReport) -> None:
         """Meter a successful execution report under its service's
         agreement, once: a report id already metered is skipped."""
         with self._lock:
-            agreement = self._agreements.get(report.service_id)
-            if agreement is None:
-                raise MissingAgreementError(
-                    f"no billing agreement for service {report.service_id!r}"
-                )
-            if report.report_id not in self._metered_correlations:
-                self.meter_invocation(
-                    agreement, report.requester_pseudonym, report.report_id,
-                    report.host_id, report.started_at + report.duration_ms,
-                )
+            if self._meter_report(report):
+                self._journal.append(("billing.meter_report", report))
+
+    def _meter_report(self, report: ExecutionReport) -> bool:
+        """`meter_report`'s body; whether it metered the report."""
+        agreement = self._agreements.get(report.service_id)
+        if agreement is None:
+            raise MissingAgreementError(
+                f"no billing agreement for service {report.service_id!r}"
+            )
+        if report.report_id in self._metered_correlations:
+            return False
+        self._meter(
+            agreement, report.requester_pseudonym, report.report_id,
+            report.host_id, report.started_at + report.duration_ms,
+        )
+        return True
 
     # -- accounts and audit -------------------------------------------
 
@@ -428,37 +407,6 @@ class BillingUnit:
                 money[governor_credit],
                 version,
             ]
-
-    # -- persistence ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        # The state file is written with sorted keys, so asdict's field order is free.
-        with self._lock:
-            return {
-                "governor_commission": self.governor_commission,
-                "developers": sorted(self._developers),
-                "agreements": {sid: asdict(a) for sid, a in sorted(self._agreements.items())},
-                "entries": [_entry_fields(row) for row in self._rows],
-                "entry_seq": self._entry_seq,
-            }
-
-    def restore_state(self, state: dict) -> None:
-        """Replace the unit's state with a snapshot's; the rules a decoded
-        ledger keeps are `check_invariants` lines."""
-        commission, entry_seq = state["governor_commission"], state["entry_seq"]
-        if not 0.0 <= commission <= 1.0:
-            raise ValueError("governor_commission must be in [0, 1]")
-        if type(entry_seq) is not int or entry_seq < 0:
-            raise ValueError(f"entry_seq must be a non-negative integer, got {entry_seq!r}")
-        with self._lock:
-            self.governor_commission = commission
-            # Older state files map each id to that developer's terms; a
-            # set of either form is the ids, so both still restore.
-            self._developers = set(state["developers"])
-            self._agreements = {sid: Agreement(**raw) for sid, raw in state["agreements"].items()}
-            self._rows = [_row_of(raw) for raw in state["entries"]]
-            self._metered_correlations = {row[1] for row in self._rows}
-            self._entry_seq = entry_seq
 
 
 def _repeated(values: list) -> list:

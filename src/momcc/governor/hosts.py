@@ -71,6 +71,10 @@ class AllocationDecision:
         return CONFIRMED_TRACE_PATTERN.fullmatch(self.trace_names()) is not None
 
 
+def _denied(host_id: str, service_id: str, trace: list[MessageKind], reason: str) -> AllocationDecision:
+    return AllocationDecision(host_id, service_id, False, reason, (*trace, _ALLOCATION_DENIED))
+
+
 @dataclass(frozen=True)
 class HostAssessment:
     host_id: str
@@ -89,6 +93,7 @@ class HostRegistry:
         billing: BillingUnit,
         assessment_weights: tuple[float, float, float],
         lock: threading.RLock,
+        journal: list,
     ):
         self.host_db = host_db
         self.registry = registry
@@ -96,6 +101,7 @@ class HostRegistry:
         self.billing = billing
         self.assessment_weights = assessment_weights
         self._lock = lock
+        self._journal = journal
         self.decisions: list[AllocationDecision] = []
 
     # -- host lifecycle -------------------------------------------------
@@ -119,6 +125,7 @@ class HostRegistry:
                 battery_mwh=battery_mwh,
             )
             self.host_db.put(profile)
+            self._journal.append(("hosts.register_host", host_id, os_name, os_version, capacity, battery_mwh))
             return profile
 
     # -- allocation -------------------------------------------------------
@@ -133,82 +140,88 @@ class HostRegistry:
 
         Like `ingest_report`, the checks read the service database's
         dicts directly: the lock held here is the one the registry's
-        getters take.
+        getters take. The resource check compares the need with capacity
+        minus committed component by component, building no vector.
         """
         with self._lock:
-            profile = self.host_db.get(host_id)
-            db = self.registry.db
-            desc = db.services.get(service_id)
-            if desc is None:
-                raise UnknownEntityError(f"unknown service: {service_id!r}")
-            trace: list[MessageKind] = [_HOSTING_REQUEST]
-
-            if not profile.alive:
-                return self._deny(profile, desc, trace, "departed")
-            if db.status[service_id] is not _ACTIVE:
-                return self._deny(profile, desc, trace, "deprecated")
-            if service_id in profile.hosted:
-                return self._deny(profile, desc, trace, "duplicate")
-            if not desc.platform.matches(profile.os_name, profile.os_version):
-                return self._deny(profile, desc, trace, "platform")
-            if not profile.free.covers(desc.min_resources):
-                return self._deny(profile, desc, trace, "resources")
-
-            trace.append(_SC_QUERY)
-            cert = profile.certificate
-            if cert is None:
-                trace.append(_TRUST_ESTABLISH)
-                cert = self.security.issue_certificate(host_id, identity_verified, at=at)
-                trace.append(_SC_ISSUED)
-            else:
-                trace.append(_SC_REPLY)
-            if not level_admits(cert.level, desc.security_level):
-                return self._deny(profile, desc, trace, "security")
-
-            trace.append(_ALLOCATION_CONFIRM)
-            self.place(host_id, desc)
-            decision = AllocationDecision(host_id, service_id, True, None, tuple(trace))
+            decision = self._admit(host_id, service_id, identity_verified, at)
             self.decisions.append(decision)
+            self._journal.append(("hosts.request_hosting", host_id, service_id, identity_verified, at))
             return decision
 
-    def _deny(self, profile: HostProfile, desc, trace: list[MessageKind], reason: str) -> AllocationDecision:
-        decision = AllocationDecision(profile.host_id, desc.service_id, False, reason,
-                                      (*trace, _ALLOCATION_DENIED))
-        self.decisions.append(decision)
-        return decision
+    def _admit(self, host_id: str, service_id: str, identity_verified: bool, at: float) -> AllocationDecision:
+        profile = self.host_db.get(host_id)
+        desc = self.registry.db.services.get(service_id)
+        if desc is None:
+            raise UnknownEntityError(f"unknown service: {service_id!r}")
+        trace: list[MessageKind] = [_HOSTING_REQUEST]
 
-    def place(self, host_id: str, desc: ServiceDescription) -> None:
+        if not profile.alive:
+            return _denied(host_id, service_id, trace, "departed")
+        if self.registry.db.status[service_id] is not _ACTIVE:
+            return _denied(host_id, service_id, trace, "deprecated")
+        if service_id in profile.hosted:
+            return _denied(host_id, service_id, trace, "duplicate")
+        if not desc.platform.matches(profile.os_name, profile.os_version):
+            return _denied(host_id, service_id, trace, "platform")
+        capacity, committed, need = profile.capacity, profile.committed, desc.min_resources
+        if not (capacity.cpu - committed.cpu >= need.cpu
+                and capacity.memory - committed.memory >= need.memory
+                and capacity.storage - committed.storage >= need.storage
+                and capacity.energy - committed.energy >= need.energy):
+            return _denied(host_id, service_id, trace, "resources")
+
+        trace.append(_SC_QUERY)
+        cert = profile.certificate
+        if cert is None:
+            trace.append(_TRUST_ESTABLISH)
+            cert = self.security._issue(host_id, identity_verified, at)
+            trace.append(_SC_ISSUED)
+        else:
+            trace.append(_SC_REPLY)
+        if not level_admits(cert.level, desc.security_level):
+            return _denied(host_id, service_id, trace, "security")
+
+        trace.append(_ALLOCATION_CONFIRM)
+        self._place(host_id, desc)
+        return AllocationDecision(host_id, service_id, True, None, tuple(trace))
+
+    def _place(self, host_id: str, desc: ServiceDescription) -> None:
         """Settle the service's agreement, reserve its resources on a host
         and add it to `hosted`; no admission checks."""
-        with self._lock:
-            self.billing.negotiate_host(desc)
-            profile = self.host_db.get(host_id)
-            self.host_db.put(profile_with(
-                profile,
-                committed=profile.committed.plus(desc.min_resources),
-                hosted=profile.hosted | {desc.service_id},
-            ))
+        self.billing._negotiate_host(desc)
+        profile = self.host_db.get(host_id)
+        self.host_db.put(profile_with(
+            profile,
+            committed=profile.committed.plus(desc.min_resources),
+            hosted=profile.hosted | {desc.service_id},
+        ))
 
     def unhost(self, host_id: str, service_id: str) -> None:
         """Release a hosted service and return its reserved resources."""
         with self._lock:
-            profile = self.host_db.get(host_id)
-            if service_id not in profile.hosted:
-                raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
-            desc = self.registry.get(service_id)
-            self.host_db.put(profile_with(
-                profile,
-                committed=profile.committed.minus(desc.min_resources),
-                hosted=profile.hosted - {service_id},
-            ))
+            self._unhost(host_id, service_id)
+            self._journal.append(("hosts.unhost", host_id, service_id))
+
+    def _unhost(self, host_id: str, service_id: str) -> None:
+        profile = self.host_db.get(host_id)
+        if service_id not in profile.hosted:
+            raise NotHostedError(f"host {host_id!r} does not hold service {service_id!r}")
+        desc = self.registry.get(service_id)
+        self.host_db.put(profile_with(
+            profile,
+            committed=profile.committed.minus(desc.min_resources),
+            hosted=profile.hosted - {service_id},
+        ))
 
     def mark_departed(self, host_id: str) -> None:
         """Churn exit: the host stops serving and all its services free up."""
         with self._lock:
             profile = self.host_db.get(host_id)
             for service_id in list(profile.hosted):
-                self.unhost(host_id, service_id)
+                self._unhost(host_id, service_id)
             self.host_db.put(profile_with(self.host_db.hosts[host_id], alive=False))
+            self._journal.append(("hosts.mark_departed", host_id))
 
     # -- execution reports ---------------------------------------------------
 
@@ -219,7 +232,7 @@ class HostRegistry:
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
-        is judged afresh: `BillingUnit.meter_report` checks the service's
+        is judged afresh: billing's `_meter_report` checks the service's
         agreement before it meters, and nothing after it can fail.
 
         One report is the hottest profile write, so the checks read the
@@ -257,9 +270,10 @@ class HostRegistry:
                 profile.alive,
             )
             if ok:
-                self.billing.meter_report(report)
+                self.billing._meter_report(report)
             host_db.add_report(report)
             host_db.put(updated)
+            self._journal.append(("hosts.ingest_report", report))
             return True
 
     # -- periodic assessment ---------------------------------------------------
@@ -295,33 +309,3 @@ class HostRegistry:
     def count_trace_violations(self) -> int:
         with self._lock:
             return sum(1 for d in self.decisions if not d.conforms())
-
-    # -- persistence ---------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        from .serialize import host_profile_to_dict, report_to_dict
-
-        with self._lock:
-            return {
-                "hosts": {
-                    host_id: host_profile_to_dict(profile)
-                    for host_id, profile in sorted(self.host_db.hosts.items())
-                },
-                "reports": [report_to_dict(r) for r in self.host_db.reports],
-            }
-
-    def restore_state(self, state: dict) -> None:
-        from .serialize import host_profile_from_dict, report_from_dict
-
-        with self._lock:
-            self.host_db.hosts.clear()
-            self.host_db.reports.clear()
-            self.host_db.seen_report_ids.clear()
-            self.host_db.host_reports.clear()
-            self.host_db.service_reports.clear()
-            for host_id, raw in state["hosts"].items():
-                self.host_db.hosts[host_id] = host_profile_from_dict(raw)
-            for raw in state["reports"]:
-                self.host_db.add_report(report_from_dict(raw, raw["rating"]))
-            self.host_db.ranked = self.host_db.scan_ranked()
-            self.host_db.ranked_ids.clear()

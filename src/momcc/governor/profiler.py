@@ -15,7 +15,7 @@ with the services reported on, not with the services registered.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..domain import ExecutionReport
 from ..errors import UnknownEntityError
@@ -78,11 +78,12 @@ class Escalation:
 
 class ServiceProfiler:
     def __init__(self, registry: ServiceRegistry, host_db: HostDatabase,
-                 policy: ProfilerPolicy, lock: threading.RLock):
+                 policy: ProfilerPolicy, lock: threading.RLock, journal: list):
         self.registry = registry
         self.host_db = host_db
         self.policy = policy
         self._lock = lock
+        self._journal = journal
         self.escalations: list[Escalation] = []
         self._escalation_seq = 0
 
@@ -124,10 +125,12 @@ class ServiceProfiler:
             for service_id in judged:
                 if failure_rate(self.host_db.reports_for_service(service_id, window)) <= threshold:
                     continue
-                self.registry.deprecate_service(service_id, reason="failure rate above threshold")
+                self.registry._deprecate(service_id)
                 desc = self.registry.get(service_id)
                 replacement = self._best_replacement(desc.functionality_tag, service_id)
                 actions.append(SweepAction(service_id, replacement))
+            if actions:
+                self._journal.append(("profiler.substitution_sweep",))
             return actions
 
     def _best_replacement(self, functionality_tag: str, exclude: str) -> str | None:
@@ -158,17 +161,5 @@ class ServiceProfiler:
                 at=at,
             )
             self.escalations.append(escalation)
+            self._journal.append(("profiler.report_malfunction", service_id, detail, at))
             return escalation
-
-    # -- persistence ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        with self._lock:
-            return {"escalations": [asdict(e) for e in self.escalations]}
-
-    def restore_state(self, state: dict) -> None:
-        with self._lock:
-            self.escalations.clear()
-            for raw in state["escalations"]:
-                self.escalations.append(Escalation(**raw))
-            self._escalation_seq = len(self.escalations)

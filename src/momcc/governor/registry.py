@@ -46,11 +46,10 @@ lists are shared: readers must never mutate them.
 A query's answer is kept until a service that can change it does: the
 database maps each lowercased query to its Active matches, and a
 registration or a deprecation drops exactly the kept queries that the
-service's text contains (a restore starts a fresh database). A kept
-answer is shared by every caller that asks the same query: readers must
-never mutate it. There is no cap: the kept queries are the distinct
-queries asked, and a scenario's requesters draw theirs from fixed
-pools. Discovery likewise
+service's text contains. A kept answer is shared by every caller that
+asks the same query: readers must never mutate it. There is no cap: the
+kept queries are the distinct queries asked, and a scenario's
+requesters draw theirs from fixed pools. Discovery likewise
 keeps one `DiscoveryResult` per service and reuses it while the host
 database still returns the same kept ranking list, so between two
 changes a repeated query builds nothing.
@@ -102,9 +101,7 @@ class ServiceDatabase:
     that `add` stored and `index` has not yet entered into `by_revenue`,
     `largest_need` and `listings`. `answers` keeps each searched needle's
     Active matches in id order, and `results` each service's last
-    discovery result. A restore replaces the whole database, which drops
-    the caches, the indexes, the kept answers and listings and the queue
-    with it.
+    discovery result.
     """
 
     services: dict[str, ServiceDescription] = field(default_factory=dict)
@@ -362,12 +359,13 @@ class ServiceRegistry:
     """Linearizable service store: concurrent reads, serialized writes."""
 
     def __init__(self, billing: BillingUnit, host_db: HostDatabase,
-                 footprint_ceiling: ResourceVector, lock: threading.RLock):
+                 footprint_ceiling: ResourceVector, lock: threading.RLock, journal: list):
         self.db = ServiceDatabase()
         self.footprint_ceiling = footprint_ceiling
         self._billing = billing
         self._host_db = host_db
         self._lock = lock
+        self._journal = journal
 
     # -- registration ---------------------------------------------------
 
@@ -402,6 +400,7 @@ class ServiceRegistry:
                 raise RegistrationRejected("cycle", f"service {desc.service_id!r} would close a dependency cycle")
             self.db.add(desc)
             self.db.status[desc.service_id] = ServiceStatus.ACTIVE
+            self._journal.append(("registry.register_service", desc, scan_attestation))
             return desc.service_id
 
     def _closes_cycle(self, desc: ServiceDescription) -> bool:
@@ -432,13 +431,17 @@ class ServiceRegistry:
         There is no reinstatement path.
         """
         with self._lock:
-            if service_id not in self.db.services:
-                raise UnknownEntityError(f"unknown service: {service_id!r}")
-            if self.db.status[service_id] != ServiceStatus.ACTIVE:
-                raise UnknownEntityError(f"service {service_id!r} is not Active")
-            self.db.status[service_id] = ServiceStatus.DEPRECATED
-            self.db.forget_answers(self.db.search_text[service_id])
-            self.db.delist(revenue_entry(self.db.services[service_id], self.host_revenue))
+            self._deprecate(service_id)
+            self._journal.append(("registry.deprecate_service", service_id, reason))
+
+    def _deprecate(self, service_id: str) -> None:
+        if service_id not in self.db.services:
+            raise UnknownEntityError(f"unknown service: {service_id!r}")
+        if self.db.status[service_id] != ServiceStatus.ACTIVE:
+            raise UnknownEntityError(f"service {service_id!r} is not Active")
+        self.db.status[service_id] = ServiceStatus.DEPRECATED
+        self.db.forget_answers(self.db.search_text[service_id])
+        self.db.delist(revenue_entry(self.db.services[service_id], self.host_revenue))
 
     # -- lookup ----------------------------------------------------------
 
@@ -548,8 +551,7 @@ class ServiceRegistry:
 
     def host_revenue(self, desc: ServiceDescription) -> int:
         """Expected per-invocation host earnings: price x host share, rounded
-        down. The share is never negative: registration vets it, and a
-        restore refuses a catalog that `check_invariants` finds one in."""
+        down. The share is never negative: registration vets it."""
         share = self._billing.host_share(desc.developer_share)
         return share.numerator * desc.price_per_invocation // share.denominator
 
@@ -560,29 +562,6 @@ class ServiceRegistry:
                 for desc in self.active_services()
                 if desc.functionality_tag == functionality_tag and desc.service_id != exclude
             ]
-
-    # -- persistence -------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        with self._lock:
-            return {
-                "services": {
-                    sid: service_to_dict(desc) for sid, desc in sorted(self.db.services.items())
-                },
-                "status": {sid: status.value for sid, status in sorted(self.db.status.items())},
-            }
-
-    def restore_state(self, state: dict) -> None:
-        """Replace the catalog with a snapshot's. One that does not decode
-        leaves the catalog as it was; the rules a decoded catalog keeps are
-        `check_invariants` lines."""
-        with self._lock:
-            db = ServiceDatabase()
-            for raw in state["services"].values():
-                db.add(service_from_dict(raw))
-            for sid, status in state["status"].items():
-                db.status[sid] = ServiceStatus(status)
-            self.db = db
 
 
 def service_to_dict(desc: ServiceDescription) -> dict:
@@ -607,9 +586,9 @@ def service_to_dict(desc: ServiceDescription) -> dict:
 def service_from_dict(raw: dict) -> ServiceDescription:
     """The description `service_to_dict` wrote. Hosts decode each service
     they choose from a listing here, so the records are built
-    positionally, in declaration order. A restore decodes saved services
-    here too, so `min_resources` must hold the four resource names and
-    nothing else."""
+    positionally, in declaration order. A restore decodes the services of
+    saved calls here too, so `min_resources` must hold the four resource
+    names and nothing else."""
     platform = raw["platform"]
     need = raw["min_resources"]
     if len(need) != 4:  # with the four names read below, no other key

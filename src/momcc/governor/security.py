@@ -25,7 +25,6 @@ class TrustPolicy:
     promote_high     (min score, min attempts) to reach HIGH
     hysteresis       score slack below a level's threshold before demotion
     rating_weight    blend weight of a consumer rating into one observation
-    verified_bonus   one-time score credit for identity-verified hosts
     """
 
     alpha: float = 0.1
@@ -33,7 +32,6 @@ class TrustPolicy:
     promote_high: tuple[float, int] = (0.8, 30)
     hysteresis: float = 0.05
     rating_weight: float = 0.3
-    verified_bonus: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -45,6 +43,9 @@ class TrustPolicy:
         if not 0.0 <= self.rating_weight <= 1.0:
             raise ValueError("rating_weight must be in [0, 1]")
 
+
+# The one-time score credit of an identity-verified host's certificate.
+VERIFIED_BONUS = 0.1
 
 # Levels bound once: on CPython 3.11 each read of `SecurityLevel.X` goes
 # through `EnumType.__getattr__`, and every report takes one trust step.
@@ -113,10 +114,11 @@ class SecurityGovernor:
     policy; the host registry applies `update_trust` with it on each report,
     in the same profile write as the report's counters."""
 
-    def __init__(self, host_db: HostDatabase, policy: TrustPolicy, lock: threading.RLock):
+    def __init__(self, host_db: HostDatabase, policy: TrustPolicy, lock: threading.RLock, journal: list):
         self.host_db = host_db
         self.policy = policy
         self._lock = lock
+        self._journal = journal
 
     def issue_certificate(self, host_id: str, identity_verified: bool, at: float = 0.0) -> SecurityCertificate:
         """Issue the lowest certificate to a registered host without one.
@@ -125,11 +127,16 @@ class SecurityGovernor:
         level jump.
         """
         with self._lock:
-            profile = self.host_db.get(host_id)
-            if profile.certificate is not None:
-                raise CertificateExistsError(f"host {host_id!r} already holds a certificate")
-            score = min(1.0, self.policy.verified_bonus) if identity_verified else 0.0
-            # host_id, level, trust_score, attempts, successes, issued_at, identity_verified
-            cert = SecurityCertificate(host_id, _LOW, score, 0, 0, at, identity_verified)
-            self.host_db.put(profile_with(profile, certificate=cert))
+            cert = self._issue(host_id, identity_verified, at)
+            self._journal.append(("security.issue_certificate", host_id, identity_verified, at))
             return cert
+
+    def _issue(self, host_id: str, identity_verified: bool, at: float) -> SecurityCertificate:
+        profile = self.host_db.get(host_id)
+        if profile.certificate is not None:
+            raise CertificateExistsError(f"host {host_id!r} already holds a certificate")
+        score = VERIFIED_BONUS if identity_verified else 0.0
+        # host_id, level, trust_score, attempts, successes, issued_at, identity_verified
+        cert = SecurityCertificate(host_id, _LOW, score, 0, 0, at, identity_verified)
+        self.host_db.put(profile_with(profile, certificate=cert))
+        return cert

@@ -1,81 +1,22 @@
-"""Dict conversions for governor state snapshots and execution reports.
+"""JSON forms of the governor's records: execution reports and journal entries.
 
-The snapshot schema is plain JSON-compatible dicts with stable key
-order; see the snapshot module for the file envelope and checksum.
-These are the records a generic dataclass codec cannot encode: level
-labels, frozensets and the flattened `Outcome`. Plain records are
-encoded with `dataclasses.asdict` where they are snapshotted.
+The protocol endpoint decodes each execution report with
+`report_from_dict`. A state file saves the governor's journal (see
+`ServiceGovernor.journal` and `momcc.snapshot`), one JSON array per
+entry: the call's name, then its arguments in the order the method
+takes them, each encoded by its type (`encode_entry`). A restore reads
+an entry back with `decode_entry`, which knows only the names in
+`REPLAYED` and checks every argument against that method's decoder, so
+a state file never names an arbitrary attribute and an argument of the
+wrong shape is refused before any unit sees it.
 """
 from __future__ import annotations
 
-from ..domain import (
-    ExecutionReport,
-    HostProfile,
-    Outcome,
-    ResourceVector,
-    SecurityCertificate,
-    SecurityLevel,
-)
+from dataclasses import asdict
 
-
-def certificate_to_dict(cert: SecurityCertificate) -> dict:
-    return {
-        "host_id": cert.host_id,
-        "level": cert.level.label,
-        "trust_score": cert.trust_score,
-        "attempts": cert.attempts,
-        "successes": cert.successes,
-        "issued_at": cert.issued_at,
-        "identity_verified": cert.identity_verified,
-    }
-
-
-def certificate_from_dict(raw: dict) -> SecurityCertificate:
-    return SecurityCertificate(
-        host_id=raw["host_id"],
-        level=SecurityLevel.from_name(raw["level"]),
-        trust_score=raw["trust_score"],
-        attempts=raw["attempts"],
-        successes=raw["successes"],
-        issued_at=raw["issued_at"],
-        identity_verified=raw["identity_verified"],
-    )
-
-
-def host_profile_to_dict(profile: HostProfile) -> dict:
-    return {
-        "host_id": profile.host_id,
-        "os_name": profile.os_name,
-        "os_version": profile.os_version,
-        "capacity": profile.capacity.as_dict(),
-        "committed": profile.committed.as_dict(),
-        "battery_mwh": profile.battery_mwh,
-        "certificate": certificate_to_dict(profile.certificate) if profile.certificate else None,
-        "hosted": sorted(profile.hosted),
-        "attempts": profile.attempts,
-        "successes": profile.successes,
-        "rating_count": profile.rating_count,
-        "rating_sum": profile.rating_sum,
-        "alive": profile.alive,
-    }
-
-
-def host_profile_from_dict(raw: dict) -> HostProfile:
-    return HostProfile(
-        host_id=raw["host_id"],
-        os_name=raw["os_name"],
-        os_version=raw["os_version"],
-        capacity=ResourceVector(**raw["capacity"]),
-        committed=ResourceVector(**raw["committed"]),
-        battery_mwh=raw["battery_mwh"],
-        certificate=certificate_from_dict(raw["certificate"]) if raw["certificate"] else None,
-        hosted=frozenset(raw["hosted"]),
-        attempts=raw["attempts"],
-        successes=raw["successes"],
-        rating_count=raw["rating_count"],
-        rating_sum=raw["rating_sum"],
-        alive=raw["alive"],
-    )
+from ..domain import ExecutionReport, Outcome, ResourceVector, ServiceDescription
+from .billing import Agreement
+from .registry import service_from_dict, service_to_dict
 
 
 def report_to_dict(report: ExecutionReport) -> dict:
@@ -109,3 +50,95 @@ def report_from_dict(raw: dict, rating: int | None) -> ExecutionReport:
         outcome,
         rating,
     )
+
+
+# -- journal entries ----------------------------------------------------------
+
+_ENCODERS = {
+    ServiceDescription: service_to_dict,
+    ResourceVector: ResourceVector.as_dict,
+    ExecutionReport: report_to_dict,
+    Agreement: asdict,
+    tuple: list,
+}
+
+
+def encode_entry(entry: tuple) -> list:
+    """A journal entry as a JSON array; names, ids, flags and numbers stay as they are."""
+    encoders = _ENCODERS
+    return [value if (encode := encoders.get(type(value))) is None else encode(value) for value in entry]
+
+
+def _typed(*types: type):
+    """A decoder passing only a value of exactly one of `types` (no bool for an int)."""
+    def decode(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        return value
+    return decode
+
+
+def _object(build):
+    """A decoder passing only a JSON object to `build`."""
+    def decode(value):
+        if type(value) is not dict:
+            raise TypeError(f"expected an object, got {value!r}")
+        return build(value)
+    return decode
+
+
+def _strs(value) -> list[str]:
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise TypeError(f"expected a list of str, got {value!r}")
+    return value
+
+
+_REPORT_FIELDS = frozenset((
+    "report_id", "host_id", "service_id", "requester_pseudonym", "started_at",
+    "duration_ms", "energy_used_mwh", "ok", "failure_reason", "rating",
+))
+
+
+def _report(raw) -> ExecutionReport:
+    if type(raw) is not dict or raw.keys() != _REPORT_FIELDS:
+        raise ValueError(f"a report holds exactly the fields {sorted(_REPORT_FIELDS)}, got {raw!r}")
+    return report_from_dict(raw, raw["rating"])
+
+
+_str, _int, _bool, _number = _typed(str), _typed(int), _typed(bool), _typed(int, float)
+_service = _object(service_from_dict)
+_resources = _object(lambda raw: ResourceVector(**raw))
+_agreement = _object(lambda raw: Agreement(**raw))
+
+# Every call a journal may hold: its name and one decoder per argument,
+# in the order the method takes them.
+REPLAYED = {
+    "billing.negotiate_developer": (_str, _int, _number),
+    "billing.negotiate_host": (_service,),
+    "billing.meter_invocation": (_agreement, _str, _str, _str, _number),
+    "billing.meter_report": (_report,),
+    "registry.register_service": (_service, _bool),
+    "registry.deprecate_service": (_str, _str),
+    "security.issue_certificate": (_str, _bool, _number),
+    "hosts.register_host": (_str, _str, _str, _resources, _int),
+    "hosts.request_hosting": (_str, _str, _bool, _number),
+    "hosts.unhost": (_str, _str),
+    "hosts.mark_departed": (_str,),
+    "hosts.ingest_report": (_report,),
+    "profiler.substitution_sweep": (),
+    "profiler.report_malfunction": (_str, _str, _number),
+    "preprovision_host": (_str, _strs, _bool, _number),
+}
+
+
+def decode_entry(raw) -> tuple[str, list]:
+    """The name and the decoded arguments of a saved journal entry."""
+    if type(raw) is not list or not raw or type(raw[0]) is not str:
+        raise TypeError(f"a journal entry is an array that starts with a call's name, got {raw!r}")
+    name = raw[0]
+    decoders = REPLAYED.get(name)
+    if decoders is None:
+        raise LookupError(f"{name!r} is not a call a journal replays")
+    if len(raw) != len(decoders) + 1:
+        raise TypeError(f"{name} takes {len(decoders)} arguments, got {len(raw) - 1}")
+    return name, [decode(value) for decode, value in zip(decoders, raw[1:])]

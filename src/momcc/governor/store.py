@@ -19,9 +19,6 @@ place keeps the list; an insert, a removal or a reinsert drops it. A
 kept list is never mutated, so every discovery reply (and the trace
 record that holds it) shares the list its ranking produced.
 
-A bulk load rebuilds the ranking with `scan_ranked` and drops every
-kept list.
-
 `reports` is the append-only execution history. `add_report` is its one
 write: it also records the report id and appends the report to its host's
 and its service's lists, so a window over one host or one service slices

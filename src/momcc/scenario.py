@@ -199,7 +199,7 @@ _AGGREGATOR = {
     "additionalProperties": False,
 }
 
-_POLICIES = {
+POLICIES_SCHEMA = {
     "type": "object",
     "properties": {
         "trust": {
@@ -278,7 +278,7 @@ SCENARIO_SCHEMA = {
         "hosts": {"type": "array", "items": _HOST},
         "requesters": {"type": "array", "items": _REQUESTER},
         "aggregators": {"type": "array", "items": _AGGREGATOR},
-        "policies": _POLICIES,
+        "policies": POLICIES_SCHEMA,
     },
     "required": ["format_version", "seed", "duration_hours", "services"],
     "additionalProperties": False,
@@ -387,6 +387,25 @@ def governor_config_from(policies: dict) -> GovernorConfig:
         "profiler_policy": _build(ProfilerPolicy, policies.get("profiler", {}),
                                   skip=("sweep_interval_hours",)),
     })
+
+
+def policies_of(config: GovernorConfig) -> dict:
+    """The `policies` section `governor_config_from` builds `config` from:
+    the inverse of `governor_config_from`, as JSON values."""
+    trust, profiler = config.trust_policy, config.profiler_policy
+    return {
+        "trust": {
+            "alpha": trust.alpha,
+            "promote_medium": list(trust.promote_medium),
+            "promote_high": list(trust.promote_high),
+            "hysteresis": trust.hysteresis,
+            "rating_weight": trust.rating_weight,
+        },
+        "billing": {"governor_commission": config.governor_commission},
+        "profiler": {"failure_threshold": profiler.failure_threshold, "window": profiler.window},
+        "registry": {"footprint_ceiling": config.footprint_ceiling.as_dict()},
+        "assessment_weights": list(config.assessment_weights),
+    }
 
 
 def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario:

@@ -2,12 +2,14 @@
 pass/fail line per acceptance criterion."""
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
 
 from momcc.domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
 from momcc.governor import HostRegistry, ServiceGovernor
+from momcc.governor.serialize import decode_entry, encode_entry
 from momcc.wire import MessageKind
 
 
@@ -52,6 +54,15 @@ def governor_with(services: list[ServiceDescription]) -> ServiceGovernor:
             )
         governor.registry.register_service(desc)
     return governor
+
+
+def replayed(unit, journal: list):
+    """`unit` after the calls of `journal`, each saved to JSON and read back
+    as a state file holds it."""
+    for entry in journal:
+        name, args = decode_entry(json.loads(json.dumps(encode_entry(entry))))
+        getattr(unit, name.partition(".")[2])(*args)
+    return unit
 
 
 def drop_sc_query(monkeypatch) -> None:

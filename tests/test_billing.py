@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_service
+from conftest import make_service, replayed
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.errors import (
     DuplicateCorrelationError,
@@ -24,8 +24,9 @@ from momcc.governor.billing import (
 )
 
 
-def unit(commission=0.2) -> BillingUnit:
-    return BillingUnit(governor_commission=commission, lock=threading.RLock())
+def unit(commission=0.2, journal=None) -> BillingUnit:
+    return BillingUnit(governor_commission=commission, lock=threading.RLock(),
+                       journal=[] if journal is None else journal)
 
 
 def metered(billing: BillingUnit, agmt: Agreement, correlation_id: str):
@@ -254,17 +255,18 @@ class TestCachedSplit:
             assert sum(entry.credits.values()) == entry.total == price
 
     def test_restored_unit_meters_the_restored_agreement(self):
-        original = unit(0.15)
+        journal = []
+        original = unit(0.15, journal)
         agmt = original.negotiate_host(make_service(price=997, developer_share=0.33))
         original.meter_invocation(agmt, "anon-1", "inv-1", "host-a")
-        restored = unit(0.3)  # metering something else first warms the cache with other shares
-        restored.meter_invocation(
-            restored.negotiate_host(make_service(
+        other = unit(0.3)  # metering something else first warms the cache with other shares
+        other.meter_invocation(
+            other.negotiate_host(make_service(
                 service_id="svc-other", developer_id="dev-beta", price=997, developer_share=0.33,
             )),
             "anon-2", "inv-0", "host-b",
         )
-        restored.restore_state(original.snapshot_state())
+        restored = replayed(unit(0.15), journal)
         entry = metered(restored, restored.agreement_for("svc-resize"), "inv-2")
         assert restored.agreement_for("svc-resize") == agmt
         assert entry.class_totals == exact_split(997, agmt)

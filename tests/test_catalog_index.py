@@ -130,7 +130,6 @@ operations = st.one_of(
     st.tuples(st.just("register"), services),
     st.tuples(st.just("deprecate"), st.sampled_from(SERVICE_IDS)),
     st.tuples(st.just("restore")),
-    st.tuples(st.just("restore_registry")),
     st.tuples(st.just("search"), needles),
     st.tuples(st.just("discover"), needles),
     st.tuples(st.just("list"), free_resources, st.sampled_from(OSES), st.sampled_from(HOST_VERSIONS)),
@@ -200,11 +199,7 @@ class Catalog:
                 with pytest.raises(UnknownEntityError):
                     registry.deprecate_service(sid)
         elif kind == "restore":
-            self.governor = restore_governor(snapshot_governor(governor), CONFIG)
-        elif kind == "restore_registry":
-            # Into the registry that took the snapshot, with its indexes and
-            # queue in whatever state the steps so far left them.
-            registry.restore_state(registry.snapshot_state())
+            self.governor = restore_governor(snapshot_governor(governor))
         elif kind == "search":
             self.check_search(needle_of(op[1], self.model))
         elif kind == "discover":

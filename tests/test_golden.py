@@ -3,7 +3,8 @@
 The digests are those of the bundled scenarios' outputs (`momcc run`
 files and the `momcc snapshot` state file) in both modes, and of one
 parallel composite run, at earlier commits; a change that moves any of them
-changes what a run computes or writes.
+changes what a run computes or writes. The state files are those of
+format 2 (the governor's config and journal).
 """
 import hashlib
 from dataclasses import asdict, replace
@@ -26,14 +27,14 @@ GOLDEN = {
         "trace.log": "3fa344bdb41dfceba4997d4a2ab7986c02a6f7790d11fcbc07dc69a18b8bc6b9",
         "metrics.csv": "f5a4823e339d451314f28e26f7724a15803a564468da7abb4d2deb6bbe52c4fd",
         "ledger.csv": "75a3fb7032a49bbc9f046737edc8394122c0f802e2145855b046b4efc4f681ca",
-        "state.json": "92b232204fd9b83256a225e798b6fd32a1471e729bec4c1a3f7ca22e25a91430",
+        "state.json": "8181fe057f2212bac1421898c2442935a64a5100a9ec871e5fefbd36daa67beb",
     },
     "composite.json": {
         "metrics.json": "c0d3ac1c3f11af055714eac2d564957a73255e2b070dcda07467645c4bb24e04",
         "trace.log": "9db176be49f5e42689ad3aa176b9eb416bcea70149d518928a0ee649eb1c895f",
         "metrics.csv": "cfed24fd6464b17e3de96451f6c62f2b770016aceebad477933fafb9ca37f117",
         "ledger.csv": "263d10d365ad62e878bcfaf711936281816eaff06596581cb228fc7ff5330ef1",
-        "state.json": "8341b73ee7a9eb6fc2ae64cad869618b98d86af6f8b1d055f5aeed9615b28f8d",
+        "state.json": "8317c5c943d1d739107920e022ce32706c85aa04290273cd48eb93e2243f93f3",
     },
 }
 
@@ -51,13 +52,13 @@ WAN_CLOUD = {
         "metrics.json": "1f54937fc45018f528b6480349f52486d1148be6e7e5392e8ea319bd1a3786c0",
         "trace.log": "9f4c62988a5162a053124f4d78ac4d123ab3cbc9624e4a7eb176be4ab183dec6",
         "ledger.csv": "2d19e3dc935007b1329cb4803f8191b6799a583198ccfcad473db1380c1433c9",
-        "state.json": "b7c72674d77d75d8957231eadf528a9503767245f9ec18a568864429ef51e382",
+        "state.json": "f31e672a843a77df74acb1f120e3533c0be700093e660d5f492a972738265ac6",
     },
     "composite.json": {
         "metrics.json": "54ef533c86fe8bd644d97922b2995e766855b03db592945ec2499b7021d73713",
         "trace.log": "43bd00c3e86785ba4aa9fedfd19f8305b45f136922e0bb13b82525e9f067f6ed",
         "ledger.csv": "12375f566004995e3225fe7e4cdd54b51a09a78d73093471e191a3fe18f21701",
-        "state.json": "e7d2b20ea707f261d51f8d4c26c0d06c28208acef2a2560a0f46f9332b94413e",
+        "state.json": "cb3294d21c0819491393740200fdeec2da9d54a03100d27d9def02fb7c8dfbc2",
     },
 }
 

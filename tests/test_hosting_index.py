@@ -93,11 +93,9 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
             rating=rating,
         ))
     elif kind == "restore":
-        governor = restore_governor(snapshot_governor(governor), CONFIG)
-    else:  # restore the hosts in place, back to before any placement, and the ledger with them
-        fresh = build_governor()
-        governor.hosts.restore_state(fresh.hosts.snapshot_state())
-        governor.billing.restore_state(fresh.billing.snapshot_state())
+        governor = restore_governor(snapshot_governor(governor))
+    else:  # back to the snapshot taken before any placement
+        governor = restore_governor(snapshot_governor(build_governor()))
     return governor
 
 

@@ -10,9 +10,11 @@ from momcc.errors import (
     DuplicateHostError,
     MissingAgreementError,
     NotHostedError,
+    SnapshotIntegrityError,
     UnknownEntityError,
 )
 from momcc.governor.registry import ServiceStatus, service_to_dict
+from momcc.snapshot import _digest, restore_governor, snapshot_governor
 from momcc.wire import MessageKind
 
 AMPLE = ResourceVector(2048, 32, 64, 2000)
@@ -59,9 +61,9 @@ class TestRegisterHost:
             governor.hosts.register_host("host-a", "Android", "4.0", AMPLE, 1)
 
     def test_registered_host_appears_in_snapshot(self, governor):
-        state = governor.hosts.snapshot_state()
-        assert "host-a" in state["hosts"]
-        assert state["hosts"]["host-a"]["capacity"] == AMPLE.as_dict()
+        assert governor.journal[-1] == ("hosts.register_host", "host-a", "Android", "4.0", AMPLE, 20000)
+        saved = snapshot_governor(governor)["payload"]["journal"][-1]
+        assert saved == ["hosts.register_host", "host-a", "Android", "4.0", AMPLE.as_dict(), 20000]
 
 
 class TestRequestHosting:
@@ -157,16 +159,28 @@ class TestRequestHosting:
 
 class TestUnsettleableAgreement:
     """A service whose developer share plus the commission exceeds 1 leaves
-    no host share to agree on. Registration rejects one and
-    `check_invariants()` reports one, which a restore refuses, so every
-    stored service can be settled when it is placed."""
+    no host share to agree on. Registration rejects one, so a restore
+    replaying its registration refuses it, and `check_invariants()`
+    reports one stored by other means, so every stored service can be
+    settled when it is placed."""
 
-    def test_a_restore_rejects_it_and_keeps_the_catalog(self):
+    def test_a_restore_rejects_it(self):
         gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
-        state = gov.registry.snapshot_state()
-        state["services"]["svc-resize"] = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
-        state["status"]["svc-resize"] = ServiceStatus.ACTIVE.value
-        gov.registry.restore_state(state)
+        snap = snapshot_governor(gov)
+        saved = service_to_dict(make_service(developer_share=0.9))  # 0.9 + 0.2 > 1
+        snap["payload"]["journal"].append(["registry.register_service", saved, True])
+        snap["sha256"] = _digest(snap["payload"])
+        with pytest.raises(SnapshotIntegrityError) as err:
+            restore_governor(snap)
+        assert str(err.value) == (
+            "snapshot journal entry 2 does not replay: RegistrationRejected: "
+            "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
+        )
+
+    def test_invariant_reports_a_stored_one(self):
+        gov = governor_with([make_service(service_id="svc-fair")])
+        gov.registry.db.add(make_service(developer_share=0.9))  # stored without registration's vetting
+        gov.registry.db.status["svc-resize"] = ServiceStatus.ACTIVE
         assert gov.check_invariants() == [
             "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
         ]

@@ -223,7 +223,7 @@ class TestSweepAgainstTheFullCatalogLoop:
             ingest_round(oracle, reports, catalog, round_no)
             ingest_round(governor, reports, catalog, round_no)
             if restore:
-                governor = restore_governor(snapshot_governor(governor), GovernorConfig(profiler_policy=policy))
+                governor = restore_governor(snapshot_governor(governor))
             expected = full_catalog_sweep(oracle)
             assert governor.profiler.substitution_sweep() == expected
             assert statuses(governor) == statuses(oracle)

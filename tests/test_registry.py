@@ -17,10 +17,10 @@ def bare_registry(footprint_ceiling=DEFAULT_FOOTPRINT_CEILING,
                   developers=("dev-alpha",)) -> ServiceRegistry:
     """A registry alone, over a billing unit that knows `developers`."""
     lock = threading.RLock()
-    billing = BillingUnit(DEFAULT_COMMISSION, lock)
+    billing = BillingUnit(DEFAULT_COMMISSION, lock, [])
     for developer_id in developers:
         billing.negotiate_developer(developer_id, 1000, 0.4)
-    return ServiceRegistry(billing, HostDatabase(), footprint_ceiling, lock)
+    return ServiceRegistry(billing, HostDatabase(), footprint_ceiling, lock, [])
 
 
 def kahn_has_cycle(edges: dict) -> bool:

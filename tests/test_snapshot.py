@@ -1,16 +1,19 @@
-"""Snapshot/restore round trips and integrity checking."""
-import copy
-import itertools
+"""Snapshot/restore round trips, replay of the journal, and integrity checking."""
 import json
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from conftest import make_service, scenario_dict
-from momcc.domain import ResourceVector
+from momcc.domain import Outcome, ResourceVector
 from momcc.engine import run_scenario
-from momcc.errors import SnapshotIntegrityError
-from momcc.governor import GovernorConfig, ServiceGovernor
-from momcc.scenario import scenario_from_dict
+from momcc.errors import SnapshotIntegrityError, UnknownEntityError
+from momcc.governor import GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
+from momcc.governor.registry import ServiceStatus
+from momcc.governor.serialize import REPLAYED
+from momcc.scenario import load_scenario, scenario_from_dict
 from momcc.snapshot import (
     _digest,
     load_governor,
@@ -20,10 +23,42 @@ from momcc.snapshot import (
     write_snapshot,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench.closed_loop import MIX, SWEEP_EVERY, RoundResult, _Client, build_governor  # noqa: E402
+from bench.workloads import scenario_json  # noqa: E402
+
+SCENARIOS = ROOT / "scenarios"
+
+# A config other than the defaults in every unit that reads one.
+OTHER_CONFIG = GovernorConfig(
+    governor_commission=0.1,
+    trust_policy=TrustPolicy(alpha=0.5),
+    profiler_policy=ProfilerPolicy(window=5),
+)
+
+# The calls a unit makes on another: never recorded, so never in a journal.
+NESTED = {"billing.negotiate_host", "billing.meter_invocation", "billing.meter_report",
+          "security.issue_certificate", "registry.deprecate_service"}
+
 
 @pytest.fixture
 def governor_after_run():
     return run_scenario(scenario_from_dict(scenario_dict(seed=3, duration_hours=1.0))).governor
+
+
+def resealed(snap: dict) -> dict:
+    """`snap` with its checksum recomputed after an edit."""
+    snap["sha256"] = _digest(snap["payload"])
+    return snap
+
+
+def refusal(snap: dict) -> str:
+    with pytest.raises(SnapshotIntegrityError) as err:
+        restore_governor(resealed(snap))
+    return str(err.value)
 
 
 class TestRoundTrip:
@@ -31,14 +66,17 @@ class TestRoundTrip:
         snap = snapshot_governor(governor_after_run)
         restored = restore_governor(snap)
         assert snapshot_governor(restored) == snap
+        assert restored.journal == governor_after_run.journal
 
     def test_round_trip_preserves_behavioral_state(self, governor_after_run):
         restored = restore_governor(snapshot_governor(governor_after_run))
         original = governor_after_run
+        assert restored.config == original.config
         assert restored.registry.db.services == original.registry.db.services
         assert restored.registry.db.status == original.registry.db.status
         assert restored.host_db.hosts == original.host_db.hosts
         assert restored.host_db.reports == original.host_db.reports
+        assert restored.hosts.decisions == original.hosts.decisions
         assert restored.billing.audit() == original.billing.audit()
         assert restored.billing.total_metered() == original.billing.total_metered()
         assert restored.profiler.escalations == original.profiler.escalations
@@ -47,11 +85,24 @@ class TestRoundTrip:
     def test_restored_ledger_still_rejects_replay(self, governor_after_run):
         restored = restore_governor(snapshot_governor(governor_after_run))
         entries = restored.billing.audit()
+        journal = list(restored.journal)
         assert entries
         for report in restored.host_db.reports:
             if report.outcome.ok:
                 restored.billing.meter_report(report)  # each one already metered
         assert restored.billing.audit() == entries
+        assert restored.journal == journal  # a call that changes nothing is not recorded
+
+    def test_a_restore_keeps_the_config_and_the_hosting_decisions(self):
+        """A restored governor runs by the saved config and holds every
+        hosting decision, not only the state they left behind."""
+        scenario = replace(load_scenario(SCENARIOS / "default.json"), governor_config=OTHER_CONFIG)
+        original = run_scenario(scenario).governor
+        assert len(original.hosts.decisions) == 16
+        restored = restore_governor(snapshot_governor(original))
+        assert restored.config == original.config
+        assert restored.hosts.decisions == original.hosts.decisions
+        assert restored.hosts.count_trace_violations() == original.hosts.count_trace_violations()
 
     def test_file_round_trip_is_byte_stable(self, governor_after_run, tmp_path):
         first = tmp_path / "state.json"
@@ -82,24 +133,62 @@ class TestRoundTrip:
         assert listed(governor) == ["a", "b"]  # host earns 50 on a, 9 on b
         assert listed(restore_governor(snapshot_governor(governor))) == ["a", "b"]
 
-    def test_a_state_holding_developer_terms_restores(self, governor_after_run):
-        """State files once kept each developer's price and share beside the
-        id; a restore takes the ids from that form too."""
-        snap = snapshot_governor(governor_after_run)
-        payload = snap["payload"]
-        payload["billing"]["developers"] = {
-            raw["developer_id"]: {
-                "developer_id": raw["developer_id"],
-                "price_per_invocation": raw["price_per_invocation"],
-                "developer_share": raw["developer_share"],
-            }
-            for raw in payload["registry"]["services"].values()
-        }
-        snap["sha256"] = _digest(payload)
-        restored = restore_governor(snap)
-        assert all(restored.billing.developer_registered(developer) for developer in payload["billing"]["developers"])
-        assert snapshot_governor(restored) == snapshot_governor(governor_after_run)
-        assert restored.check_invariants() == []
+
+class TestJournal:
+    def test_a_run_records_its_calls_from_outside_once_each(self, governor_after_run):
+        journal = governor_after_run.journal
+        names = {entry[0] for entry in journal}
+        assert names <= REPLAYED.keys() and not names & NESTED
+        assert sum(name == "hosts.ingest_report" for name, *_ in journal) == len(governor_after_run.host_db.reports)
+        assert sum(name == "hosts.request_hosting" for name, *_ in journal) == len(governor_after_run.hosts.decisions)
+
+    def test_calls_that_raise_or_change_nothing_are_not_recorded(self, governor_after_run):
+        governor = governor_after_run
+        journal = list(governor.journal)
+        assert governor.ingest_report(governor.host_db.reports[0]) is False  # a re-delivery
+        with pytest.raises(UnknownEntityError):
+            governor.request_hosting("host-000", "svc-ghost")
+        with pytest.raises(UnknownEntityError):
+            governor.hosts.unhost("host-ghost", "svc-resize")
+        assert governor.profiler.substitution_sweep() == []
+        assert governor.journal == journal
+
+    def test_the_wan_baseline_replays_its_preprovisioned_host(self):
+        scenario = replace(scenario_from_dict(scenario_dict(seed=3, duration_hours=0.5)), baseline_mode="wan_cloud")
+        governor = run_scenario(scenario).governor
+        assert [entry[0] for entry in governor.journal].count("preprovision_host") == 1
+        restored = restore_governor(snapshot_governor(governor))
+        assert restored.host_db.hosts == governor.host_db.hosts
+        assert restored.journal == governor.journal
+
+
+def _drive(scenario, seed: int, split: int | None = None):
+    """One closed-loop round on a fresh governor; after step `split`, the
+    client goes on with a governor restored from a snapshot."""
+    client = _Client(build_governor(scenario), scenario, seed, clock=lambda: 0)
+    result = RoundResult()
+    for index, kind in enumerate(client.kinds, start=1):
+        client.step(kind, result)
+        if index % SWEEP_EVERY == 0:
+            client.sweep(result)
+        if index == split:
+            client.gov = restore_governor(snapshot_governor(client.gov))
+    client.check(result)
+    return client.hash.hexdigest(), result, snapshot_governor(client.gov)
+
+
+class TestContinuation:
+    """A governor restored at any point answers the rest of a sequence as
+    the uninterrupted governor does, under a config other than the defaults."""
+
+    def test_a_restore_anywhere_continues_as_the_uninterrupted_run(self):
+        scenario = scenario_from_dict(json.loads(scenario_json("governor_mixed", 13)))
+        scenario = replace(scenario, governor_config=OTHER_CONFIG)
+        digest, result, final = _drive(scenario, 13)
+        assert result.unexpected == [] and result.problems == []
+        steps = sum(MIX.values())
+        for split in (1, steps // 2 + 7, steps):
+            assert _drive(scenario, 13, split) == (digest, result, final), split
 
 
 class TestIntegrity:
@@ -115,7 +204,7 @@ class TestIntegrity:
         path = tmp_path / "state.json"
         write_snapshot(path, governor_after_run)
         snap = json.loads(path.read_text())
-        snap["payload"]["billing"]["entry_seq"] += 1
+        snap["payload"]["config"]["billing"]["governor_commission"] = 0.1
         path.write_text(json.dumps(snap))
         with pytest.raises(SnapshotIntegrityError) as err:
             load_governor(path)
@@ -127,170 +216,101 @@ class TestIntegrity:
         with pytest.raises(SnapshotIntegrityError):
             restore_governor(snap)
 
-    def test_a_service_billing_could_never_settle_is_rejected(self):
-        """A restore vets each service's share against the snapshot's own
-        commission, as registration does: 0.9 plus 0.2 leaves no host share."""
-        governor = ServiceGovernor()
-        governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
-        governor.registry.register_service(make_service())
-        snap = snapshot_governor(governor)
-        assert snap["payload"]["billing"]["governor_commission"] == 0.2
-        snap["payload"]["registry"]["services"]["svc-resize"]["developer_share"] = 0.9
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == (
-            "snapshot breaks a rule: service 'svc-resize': "
-            "developer share 0.9 plus commission 0.2 exceeds 1"
-        )
-
-    @pytest.mark.parametrize("edit", ["drop", "extra"])
-    def test_a_status_that_names_other_ids_than_the_services_is_rejected(
-        self, governor_after_run, edit
-    ):
-        """Discovery reads a status for every catalogued service; a state
-        whose two maps disagree is refused, not restored to fail later."""
+    def test_a_version_1_file_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
-        status = snap["payload"]["registry"]["status"]
-        if edit == "drop":
-            del status["svc-resize"]
-        else:
-            status["svc-ghost"] = "Active"
-        snap["sha256"] = _digest(snap["payload"])
+        snap["format_version"] = 1
         with pytest.raises(SnapshotIntegrityError) as err:
             restore_governor(snap)
-        named = "svc-resize" if edit == "drop" else "svc-ghost"
-        assert str(err.value) == (
-            f"snapshot breaks a rule: status and services name different ids: ['{named}']"
-        )
+        assert str(err.value).startswith("unsupported snapshot version 1: ")
 
-    def test_an_agreement_other_than_its_service_would_settle_is_rejected(
-        self, governor_after_run
-    ):
-        """The agreement must split by the description's terms, or metering
-        and the listings would read two different prices."""
+    def test_missing_field_rejected(self):
+        with pytest.raises(SnapshotIntegrityError):
+            restore_governor({"format_version": 2, "kind": "governor-state"})
+
+    def test_non_json_file_rejected(self, tmp_path):
+        path = tmp_path / "junk.json"
+        path.write_text("not json at all{{{")
+        with pytest.raises(SnapshotIntegrityError):
+            read_snapshot(path)
+
+    def test_a_payload_of_other_parts_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
-        agreement = snap["payload"]["billing"]["agreements"]["svc-resize"]
-        agreement.update(price_per_invocation=5, developer_share=0.7, host_share=0.1)
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == (
-            "snapshot breaks a rule: agreement for 'svc-resize' is not what its service's terms settle"
-        )
+        snap["payload"]["hosts"] = {}
+        assert refusal(snap) == "snapshot payload must hold exactly 'config' and 'journal'"
 
-    def test_an_agreement_for_no_catalogued_service_is_rejected(self, governor_after_run):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config["billing"].update(governor_commission=1.5),
+         "/billing/governor_commission: 1.5 is greater than the maximum of 1"),
+        (lambda config: config["trust"].update(verified_bonus=0.2),
+         "/trust: Additional properties are not allowed ('verified_bonus' was unexpected)"),
+        (lambda config: config["profiler"].update(window=0), "/profiler/window: 0 is less than the minimum of 1"),
+        (lambda config: config["trust"].update(promote_high=[0.4, 30]),
+         "promote_high thresholds must strictly dominate promote_medium"),
+    ], ids=["commission", "unknown field", "window", "thresholds"])
+    def test_a_config_a_scenario_would_refuse_is_refused(self, governor_after_run, edit, message):
         snap = snapshot_governor(governor_after_run)
-        agreements = snap["payload"]["billing"]["agreements"]
-        agreements["svc-ghost"] = {**agreements["svc-resize"], "service_id": "svc-ghost"}
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == (
-            "snapshot breaks a rule: agreement for 'svc-ghost' names no catalogued service"
-        )
+        edit(snap["payload"]["config"])
+        assert refusal(snap) == f"snapshot config breaks a rule: {message}"
 
-    @staticmethod
-    def _restore_with_first_entry_edited(governor, edit):
-        snap = snapshot_governor(governor)
-        edit(snap["payload"]["billing"]["entries"][0])
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        return str(err.value)
 
-    @pytest.mark.parametrize("entry_id", ["led-1", "led-0000001", "entry-000001"])
-    def test_a_ledger_entry_id_that_is_no_sequence_number_is_rejected(self, governor_after_run, entry_id):
-        """The ledger keeps a sequence number and writes the id from it, so
-        an id it would write differently is refused, not rewritten."""
-        message = self._restore_with_first_entry_edited(
-            governor_after_run, lambda entry: entry.update(entry_id=entry_id)
-        )
-        assert message == f"snapshot breaks a rule: ledger entry id {entry_id!r} is not 'led-' and a sequence number"
+def _entry(snap: dict, name: str) -> tuple[int, list]:
+    """The index and the entry of the first call named `name`."""
+    journal = snap["payload"]["journal"]
+    index = next(i for i, entry in enumerate(journal) if entry[0] == name)
+    return index, journal[index]
 
-    @pytest.mark.parametrize("edit", [
-        lambda entry: entry.update(total=float(entry["total"])),
-        lambda entry: entry["class_totals"].update(governor=float(entry["class_totals"]["governor"])),
-        lambda entry: entry["class_totals"].update(broker=0),
-    ], ids=["float total", "float class total", "extra class"])
-    def test_ledger_money_other_than_minor_units_of_the_three_classes_is_rejected(
-        self, governor_after_run, edit
-    ):
-        message = self._restore_with_first_entry_edited(governor_after_run, edit)
-        assert message == (
-            "snapshot breaks a rule: ledger entry 'led-000001': total and class totals are not "
-            "integer minor units of the developer, host and governor classes"
-        )
 
-    @pytest.mark.parametrize("edit", [
-        lambda entry: entry["credits"].update({"host-ghost": 0}),
-        lambda entry: entry["credits"].update({"dev-alpha": entry["credits"].pop("governor") + 400}),
-        lambda entry: entry["credits"].update({"dev-alpha": 400.0}),
-    ], ids=["extra party", "no governor", "float credit"])
-    def test_ledger_credits_other_than_the_class_totals_are_rejected(self, governor_after_run, edit):
-        """Each credit must be a class total paid to the developer, the host
-        or the governor; the row keeps those three and rebuilds the credits."""
-        message = self._restore_with_first_entry_edited(governor_after_run, edit)
-        assert message == (
-            "snapshot breaks a rule: ledger entry 'led-000001': credits are not its class totals "
-            "paid to a developer, a host and the governor"
-        )
+class TestEditedJournal:
+    """A saved call that does not decode, or that raises on replay, means
+    the file was edited: the restore names the entry."""
 
-    def test_two_entries_billing_one_correlation_id_are_rejected(self, governor_after_run):
-        """A copy of an entry under a new id would bill one report twice."""
+    @pytest.mark.parametrize("name", ["hosts._place", "registry.restore_state", "__class__", "journal.clear"])
+    def test_a_call_outside_the_replayed_set_is_refused(self, governor_after_run, name):
         snap = snapshot_governor(governor_after_run)
-        billing = snap["payload"]["billing"]
-        first = billing["entries"][0]
-        assert first["entry_id"] == "led-000001"
-        billing["entry_seq"] += 1
-        billing["entries"].append({**first, "entry_id": f"led-{billing['entry_seq']:06d}"})
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == (
-            f"snapshot breaks a rule: ledger: correlation id {first['correlation_id']!r} is on more than one row"
+        snap["payload"]["journal"].insert(2, [name, "host-000"])
+        assert refusal(snap) == (
+            f"snapshot journal entry 2 does not replay: LookupError: {name!r} is not a call a journal replays"
         )
 
-    def test_an_entry_seq_below_the_highest_saved_entry_is_rejected(self, governor_after_run):
-        """The next metering would reuse a saved entry's id."""
+    def test_a_report_for_an_unknown_host_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
-        billing = snap["payload"]["billing"]
-        highest = len(billing["entries"])
-        assert highest > 1 and billing["entry_seq"] == highest
-        billing["entry_seq"] = 1
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == (
-            f"snapshot breaks a rule: ledger: entry number {highest} is above entry_seq 1"
+        index, entry = _entry(snap, "hosts.ingest_report")
+        entry[1]["host_id"] = "host-ghost"
+        assert refusal(snap) == (
+            f"snapshot journal entry {index} does not replay: UnknownEntityError: unknown host: 'host-ghost'"
         )
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("governor_commission", -0.1, "governor_commission must be in [0, 1]"),
-        ("governor_commission", 1.5, "governor_commission must be in [0, 1]"),
-        ("entry_seq", -1, "entry_seq must be a non-negative integer, got -1"),
-        ("entry_seq", 26.0, "entry_seq must be a non-negative integer, got 26.0"),
-    ])
-    def test_a_commission_or_entry_seq_out_of_range_does_not_decode(
-        self, governor_after_run, key, value, message
-    ):
-        """`check_invariants()` compares entry numbers with `entry_seq` and
-        settles agreements under the commission, so neither may reach it
-        out of range."""
+    def test_a_service_that_leaves_no_room_for_the_commission_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
-        snap["payload"]["billing"][key] = value
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == f"snapshot payload does not decode: ValueError: {message}"
+        index, entry = _entry(snap, "registry.register_service")
+        entry[1]["developer_share"] = 0.9
+        assert refusal(snap) == (
+            f"snapshot journal entry {index} does not replay: RegistrationRejected: "
+            "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
+        )
 
-    def test_a_payload_that_does_not_decode_keeps_its_message(self, governor_after_run):
+    def test_a_hosting_request_for_an_uncatalogued_service_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
-        del snap["payload"]["registry"]["services"]["svc-resize"]["developer_id"]
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == "snapshot payload does not decode: KeyError: 'developer_id'"
+        index, entry = _entry(snap, "hosts.request_hosting")
+        entry[2] = "svc-nope"
+        assert refusal(snap) == (
+            f"snapshot journal entry {index} does not replay: UnknownEntityError: unknown service: 'svc-nope'"
+        )
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entry: entry.__setitem__(4, [2048, 32, 64, 1500]),
+         "TypeError: expected an object, got [2048, 32, 64, 1500]"),
+        (lambda entry: entry[4].pop("energy"),
+         "TypeError: ResourceVector.__init__() missing 1 required positional argument: 'energy'"),
+        (lambda entry: entry.__setitem__(5, 20000.0), "TypeError: expected int, got 20000.0"),
+        (lambda entry: entry.__setitem__(1, True), "TypeError: expected str, got True"),
+        (lambda entry: entry.pop(), "TypeError: hosts.register_host takes 5 arguments, got 4"),
+    ], ids=["capacity as a list", "capacity missing energy", "float battery", "bool id", "too few"])
+    def test_an_argument_of_the_wrong_shape_is_refused(self, governor_after_run, edit, message):
+        snap = snapshot_governor(governor_after_run)
+        index, entry = _entry(snap, "hosts.register_host")
+        edit(entry)
+        assert refusal(snap) == f"snapshot journal entry {index} does not replay: {message}"
 
     @pytest.mark.parametrize("edit, message", [
         (lambda need: need.update(gpu=1), "ValueError: min_resources must hold cpu, memory, storage "
@@ -299,127 +319,175 @@ class TestIntegrity:
                                           "and energy, got ['cpu', 'memory', 'storage']"),
         (lambda need: need.update(gpu=need.pop("energy")), "KeyError: 'energy'"),
     ], ids=["extra", "missing", "renamed"])
-    def test_a_service_need_of_other_resources_does_not_decode(self, governor_after_run, edit, message):
+    def test_a_service_need_of_other_resources_is_refused(self, governor_after_run, edit, message):
         snap = snapshot_governor(governor_after_run)
-        edit(snap["payload"]["registry"]["services"]["svc-resize"]["min_resources"])
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == f"snapshot payload does not decode: {message}"
+        index, entry = _entry(snap, "registry.register_service")
+        edit(entry[1]["min_resources"])
+        assert refusal(snap) == f"snapshot journal entry {index} does not replay: {message}"
 
-    def test_missing_field_rejected(self):
-        with pytest.raises(SnapshotIntegrityError):
-            restore_governor({"format_version": 1, "kind": "governor-state"})
+    def test_a_report_of_other_fields_is_refused(self, governor_after_run):
+        snap = snapshot_governor(governor_after_run)
+        index, entry = _entry(snap, "hosts.ingest_report")
+        del entry[1]["rating"]
+        assert refusal(snap).startswith(
+            f"snapshot journal entry {index} does not replay: ValueError: a report holds exactly the fields "
+        )
 
-    def test_non_json_file_rejected(self, tmp_path):
-        path = tmp_path / "junk.json"
-        path.write_text("not json at all{{{")
-        with pytest.raises(SnapshotIntegrityError):
-            read_snapshot(path)
+    def test_an_entry_that_is_no_array_is_refused(self, governor_after_run):
+        snap = snapshot_governor(governor_after_run)
+        snap["payload"]["journal"][0] = {"call": "billing.negotiate_developer"}
+        assert refusal(snap).startswith("snapshot journal entry 0 does not replay: TypeError: ")
+
+    def test_calls_that_replay_into_a_broken_state_are_refused_by_the_rules(self, governor_after_run):
+        """Billing meters any correlation id it is handed; a ledger row no
+        report paid for is a `check_invariants()` line, so the restore
+        refuses it after the replay."""
+        governor = governor_after_run
+        governor.billing.meter_invocation(governor.billing.agreement_for("svc-resize"), "anon-x", "inv-x", "host-000")
+        assert refusal(snapshot_governor(governor)) == (
+            "snapshot breaks a rule: ledger: correlation ids differ from the successful report ids"
+        )
 
 
-def decoded(payload: dict, units=("registry", "hosts", "billing", "profiler")) -> ServiceGovernor:
-    """A governor whose units are restored from `payload` in the order
-    given, with no rule checked."""
-    governor = ServiceGovernor()
-    for unit in units:
-        getattr(governor, unit).restore_state(payload[unit])
-    return governor
+# -- every rule `check_invariants()` keeps, broken in a live governor ----------
+
+def _stored(governor, host_id, profile):
+    """Store a profile under `host_id` bypassing `put`, and rebuild the ranking."""
+    governor.host_db.hosts[host_id] = profile
+    governor.host_db.ranked = governor.host_db.scan_ranked()
+    governor.host_db.ranked_ids.clear()
 
 
-def _unsettleable_share(payload):
-    payload["registry"]["services"]["svc-resize"]["developer_share"] = 0.9
+def _unsettleable_share(governor):
+    db = governor.registry.db
+    db.services["svc-resize"] = replace(db.services["svc-resize"], developer_share=0.9)
     return ["service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"]
 
 
-def _status_dropped(payload):
-    del payload["registry"]["status"]["svc-resize"]
+def _status_dropped(governor):
+    del governor.registry.db.status["svc-resize"]
     return ["status and services name different ids: ['svc-resize']"]
 
 
-def _status_added(payload):
-    payload["registry"]["status"]["svc-ghost"] = "Active"
+def _status_added(governor):
+    governor.registry.db.status["svc-ghost"] = ServiceStatus.ACTIVE
     return ["status and services name different ids: ['svc-ghost']"]
 
 
-def _agreement_on_other_terms(payload):
-    payload["billing"]["agreements"]["svc-resize"].update(
-        price_per_invocation=5, developer_share=0.7, host_share=0.1
+def _agreement_on_other_terms(governor):
+    agreements = governor.billing._agreements
+    agreements["svc-resize"] = replace(
+        agreements["svc-resize"], price_per_invocation=5, developer_share=0.7, host_share=0.1
     )
     return ["agreement for 'svc-resize' is not what its service's terms settle"]
 
 
-def _agreement_for_no_service(payload):
-    agreements = payload["billing"]["agreements"]
-    agreements["svc-ghost"] = {**agreements["svc-resize"], "service_id": "svc-ghost"}
+def _agreement_for_no_service(governor):
+    agreements = governor.billing._agreements
+    agreements["svc-ghost"] = replace(agreements["svc-resize"], service_id="svc-ghost")
     return ["agreement for 'svc-ghost' names no catalogued service"]
 
 
-def _correlation_billed_twice(payload):
-    billing = payload["billing"]
-    first = billing["entries"][0]
-    billing["entry_seq"] += 1
-    billing["entries"].append({**first, "entry_id": f"led-{billing['entry_seq']:06d}"})
-    return [f"ledger: correlation id {first['correlation_id']!r} is on more than one row"]
+def _correlation_billed_twice(governor):
+    billing = governor.billing
+    first = billing._rows[0]
+    billing._entry_seq += 1
+    billing._rows.append((billing._entry_seq, *first[1:]))
+    return [f"ledger: correlation id {first[1]!r} is on more than one row"]
 
 
-def _entry_seq_below_saved(payload):
-    billing = payload["billing"]
-    billing["entry_seq"] = 1
-    return [f"ledger: entry number {len(billing['entries'])} is above entry_seq 1"]
+def _entry_seq_below_saved(governor):
+    governor.billing._entry_seq = 1
+    return [f"ledger: entry number {len(governor.billing._rows)} is above entry_seq 1"]
 
 
-def _uncatalogued_hosted(payload):
-    payload["hosts"]["hosts"]["host-000"]["hosted"].append("svc-nope")
+def _uncatalogued_hosted(governor):
+    profile = governor.host_db.hosts["host-000"]
+    _stored(governor, "host-000", replace(profile, hosted=profile.hosted | {"svc-nope"}))
     return ["host host-000: hosts uncatalogued services ['svc-nope']"]
 
 
-def _profile_of_another_host(payload):
-    payload["hosts"]["hosts"]["host-001"]["host_id"] = "host-009"
+def _profile_of_another_host(governor):
+    _stored(governor, "host-001", replace(governor.host_db.hosts["host-001"], host_id="host-009"))
     return ["host host-001: profile names host host-009"]
 
 
-def _certificate_of_another_host(payload):
-    payload["hosts"]["hosts"]["host-001"]["certificate"]["host_id"] = "host-000"
+def _certificate_of_another_host(governor):
+    profile = governor.host_db.hosts["host-001"]
+    _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, host_id="host-000")))
     return ["host host-001: certificate names host host-000"]
 
 
-def _report_repeated(payload):
-    reports = payload["hosts"]["reports"]
-    reports.append(reports[0])
+def _report_repeated(governor):
+    first = governor.host_db.reports[0]
+    governor.host_db.add_report(first)
     return [
-        "host host-000: attempts, successes and ratings differ from its reports",
-        "host host-000: certificate attempts and successes differ from its reports",
-        f"hosts: report id {reports[0]['report_id']!r} is in the history more than once",
+        f"host {first.host_id}: attempts, successes and ratings differ from its reports",
+        f"host {first.host_id}: certificate attempts and successes differ from its reports",
+        f"hosts: report id {first.report_id!r} is in the history more than once",
     ]
 
 
-def _report_of_unknown_host(payload):
-    reports = payload["hosts"]["reports"]
-    reports.append({**reports[0], "report_id": "rpt-ghost", "host_id": "host-ghost",
-                    "ok": False, "failure_reason": "crash", "rating": None})
+def _report_of_unknown_host(governor):
+    governor.host_db.add_report(replace(
+        governor.host_db.reports[0], report_id="rpt-ghost", host_id="host-ghost",
+        outcome=Outcome.failure("crash"), rating=None,
+    ))
     return ["hosts: report 'rpt-ghost' names unknown host 'host-ghost'"]
 
 
-def _report_of_unknown_service(payload):
-    first = payload["hosts"]["reports"][0]
-    first["service_id"] = "svc-ghost"
-    return [f"hosts: report {first['report_id']!r} names unknown service 'svc-ghost'"]
+def _report_of_unknown_service(governor):
+    host_db = governor.host_db
+    first = host_db.reports[0] = replace(host_db.reports[0], service_id="svc-ghost")
+    host_db.host_reports, host_db.service_reports = host_db.scan_report_indexes()
+    return [f"hosts: report {first.report_id!r} names unknown service 'svc-ghost'"]
 
 
-def _profile_counters_off(payload):
-    payload["hosts"]["hosts"]["host-000"]["rating_sum"] += 1
+def _profile_counters_off(governor):
+    profile = governor.host_db.hosts["host-000"]
+    _stored(governor, "host-000", replace(profile, rating_sum=profile.rating_sum + 1))
     return ["host host-000: attempts, successes and ratings differ from its reports"]
 
 
-def _certificate_counters_off(payload):
-    payload["hosts"]["hosts"]["host-001"]["certificate"]["attempts"] = 1
+def _certificate_counters_off(governor):
+    profile = governor.host_db.hosts["host-001"]
+    _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, attempts=1)))
     return ["host host-001: certificate attempts and successes differ from its reports"]
 
 
-def _metered_id_of_no_report(payload):
-    payload["billing"]["entries"][0]["correlation_id"] = "rpt-ghost"
+def _metered_id_of_no_report(governor):
+    billing = governor.billing
+    first = billing._rows[0]
+    billing._rows[0] = (first[0], "rpt-ghost", *first[2:])
+    billing._metered_correlations = {row[1] for row in billing._rows}
     return ["ledger: correlation ids differ from the successful report ids"]
+
+
+def _credits_off(governor):
+    billing = governor.billing
+    first = billing._rows[0]
+    billing._rows[0] = (*first[:6], first[6] + 1, *first[7:])  # one more developer credit
+    return ["ledger: credits do not sum to metered totals",
+            "ledger: party balances do not sum to metered totals"]
+
+
+def _committed_beyond_capacity(governor):
+    profile = governor.host_db.hosts["host-001"]
+    profile.committed = profile.capacity.plus(ResourceVector(1, 0, 0, 0))  # past `__post_init__`
+    return ["host host-001: committed exceeds capacity",
+            "host host-001: committed differs from its hosted services"]
+
+
+def _trust_out_of_bounds(governor):
+    governor.host_db.hosts["host-001"].certificate.trust_score = 1.5  # past `__post_init__`
+    _stored(governor, "host-001", governor.host_db.hosts["host-001"])
+    return ["host host-001: trust score out of bounds"]
+
+
+def _certificate_successes_beyond_attempts(governor):
+    governor.host_db.hosts["host-001"].certificate.successes = 1  # past `__post_init__`
+    return ["host host-001: successes exceed attempts",
+            "host host-001: certificate attempts and successes differ from its reports"]
 
 
 BROKEN_STATES = [
@@ -439,28 +507,19 @@ BROKEN_STATES = [
     _profile_counters_off,
     _certificate_counters_off,
     _metered_id_of_no_report,
+    _credits_off,
+    _committed_beyond_capacity,
+    _trust_out_of_bounds,
+    _certificate_successes_beyond_attempts,
 ]
 
 
 class TestStateRules:
-    """`check_invariants()` is the one list of the rules a state keeps: a
-    restore decodes the four units, then refuses a state on which it
-    reports anything, with exactly its lines."""
+    """`check_invariants()` is the one list of the rules a state keeps, and
+    a restore refuses a replayed state on which it reports anything."""
 
     @pytest.mark.parametrize("edit", BROKEN_STATES, ids=lambda edit: edit.__name__.strip("_"))
-    def test_a_restore_refuses_exactly_what_check_invariants_reports(self, governor_after_run, edit):
-        snap = snapshot_governor(governor_after_run)
-        lines = edit(snap["payload"])
-        snap["sha256"] = _digest(snap["payload"])
-        with pytest.raises(SnapshotIntegrityError) as err:
-            restore_governor(snap)
-        assert str(err.value) == "snapshot breaks a rule: " + "; ".join(lines)
-        assert decoded(snap["payload"]).check_invariants() == lines
-
-    def test_the_units_restore_in_any_order(self, governor_after_run):
-        payload = snapshot_governor(governor_after_run)["payload"]
-        broken = copy.deepcopy(payload)
-        lines = _unsettleable_share(broken)
-        for units in itertools.permutations(("registry", "hosts", "billing", "profiler")):
-            assert snapshot_governor(decoded(payload, units))["payload"] == payload
-            assert decoded(broken, units).check_invariants() == lines
+    def test_check_invariants_reports_exactly_each_broken_rule(self, governor_after_run, edit):
+        assert governor_after_run.check_invariants() == []
+        lines = edit(governor_after_run)
+        assert governor_after_run.check_invariants() == lines
