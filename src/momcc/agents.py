@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .domain import Outcome, ResourceVector, ServiceDescription
-from .governor.registry import service_from_dict
-from .wire import MessageKind, Outbound, ProtocolMessage, Role
+from .wire import MessageKind, Outbound, ProtocolMessage, Role, service_from_dict
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
 _RATINGS = (1, 2, 3, 4, 5)

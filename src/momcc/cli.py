@@ -25,7 +25,6 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import BinaryIO, Iterable
 
 from . import __version__
 from .engine import SimulationResult, paused_collector, run_scenario
@@ -40,14 +39,12 @@ from .scenario import (
     validate_scenario,
 )
 from .snapshot import load_governor, write_snapshot
+from .wire import write_trace
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_TRACE_VIOLATIONS = 2
 EXIT_INVARIANTS = 3
-
-# Trace lines are ASCII, so this many characters is 64 KiB of trace.log.
-TRACE_CHUNK_CHARS = 64 * 1024
 
 
 def _banner(enabled: bool) -> None:
@@ -63,28 +60,9 @@ def _write_outputs(result: SimulationResult, out_dir: Path) -> None:
         with _fresh(out_dir / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(result.report.to_csv_rows())
         with _fresh(out_dir / "trace.log").open("wb") as fh:
-            _write_lines(fh, result.iter_trace_lines())
+            write_trace(fh, result.trace)
         with _fresh(out_dir / "ledger.csv").open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(result.governor.billing.ledger_csv_rows())
-
-
-def _write_lines(fh: BinaryIO, lines: Iterable[str]) -> None:
-    """Write each line and a newline to `fh`, gathered into chunks of
-    about `TRACE_CHUNK_CHARS` characters, each joined, encoded and written
-    at once. The writer holds one chunk of the lines, never all of them."""
-    chunk: list[str] = []
-    size = 0
-    for line in lines:
-        chunk.append(line)
-        size += len(line) + 1
-        if size >= TRACE_CHUNK_CHARS:
-            chunk.append("")  # the chunk's last newline
-            fh.write("\n".join(chunk).encode("utf-8"))
-            chunk.clear()
-            size = 0
-    if chunk:
-        chunk.append("")
-        fh.write("\n".join(chunk).encode("utf-8"))
 
 
 def _fresh(path: Path) -> Path:

@@ -32,25 +32,10 @@ The recorded per-invocation latency is the sampled network transport
 delay of the Invoke hop (the distance-to-service cost the two modes
 differ in); execution time is tracked separately in reports.
 
-A run's trace is written one JSON line per delivered message
-(`TraceRecord.to_line`). Lines are built directly in sorted key order,
-through one C encoder kept for the whole process (`_COMPACT`), with each
-message kind's and role's JSON text kept on its enum member.
-The shared per-service dicts that discovery and listing replies carry,
-the shared host lists of discovery replies, and the one payload that
-repeated discovery answers or repeated kept listings share are encoded
-once per `iter_trace_lines()` pass and spliced into every line that
-names them; so is each agent id's text (`from`, `to`), since a run has
-a few hundred distinct ids. Nothing encoded outlives its pass. The
-times (`ts`, `tr`) are written by `_ms_text`: `'%.3f'` with trailing
-zeros trimmed to one below 1e12, which is the text of
-`repr(round(x, 3))` at less than half its cost, and `repr(round(x, 3))`
-itself for NaN, the infinities and larger values.
-The pass yields one line at a time, and the writer (`cli._write_outputs`)
-gathers them into 64 KiB chunks, so it holds at most one chunk of the
-trace plus the pass's memo, never the whole file; the trace records
-themselves stay in memory. `paused_collector()` keeps the cyclic
-collector off while a run executes and while its outputs are written.
+A run's trace is the list of delivered messages (`wire.TraceRecord`),
+in delivery order; `wire.write_trace` writes it as `trace.log`.
+`paused_collector()` keeps the cyclic collector off while a run executes
+and while its outputs are written.
 """
 from __future__ import annotations
 
@@ -61,15 +46,14 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Any, Callable, Iterator, NoReturn
+from typing import Any, Callable, Iterator
 
 from .agents import AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent
 from .domain import ResourceVector
 from .governor import ServiceGovernor
 from .governor.endpoint import GovernorEndpoint
 from .scenario import MODE_WAN_CLOUD, Scenario
-from .wire import MessageKind, Outbound, ProtocolMessage, Role
+from .wire import MessageKind, Outbound, ProtocolMessage, Role, TraceRecord, compact_json
 
 CLOUD_HOST_ID = "cloud-host"
 GOVERNOR_ID = "governor"
@@ -79,36 +63,7 @@ _CLOUD_BATTERY = 10**15
 
 _INVOKE = MessageKind.INVOKE
 _INVOKE_RESULT = MessageKind.INVOKE_RESULT
-_DISCOVERY_REPLY = MessageKind.DISCOVERY_REPLY
-_LIST_SERVICES_REPLY = MessageKind.LIST_SERVICES_REPLY
 _HOST = Role.HOST
-
-
-def _unencodable(obj: Any) -> NoReturn:
-    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-
-
-def _compact_encoder() -> Callable[[Any], str]:
-    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))`.
-
-    `JSONEncoder.encode` builds a new C encoder and markers dict on every
-    call; this builds the C encoder once, for the whole process. It keeps
-    no markers: a shared markers dict keeps the containers of a failed
-    encode, so encoding one of them again, even once it is fixed, would
-    report a circular reference. A cyclic object therefore raises
-    `RecursionError`, not `ValueError`; no payload is cyclic. Without the
-    `_json` accelerator this is `JSONEncoder.encode`.
-    """
-    if c_make_encoder is None:
-        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    # markers, default, string encoder, indent, key and item separators,
-    # sort_keys, skipkeys, allow_nan
-    encoder = c_make_encoder(None, _unencodable, encode_basestring_ascii, None,
-                             ":", ",", True, False, True)
-    return lambda obj: "".join(encoder(obj, 0))
-
-
-_COMPACT = _compact_encoder()
 
 
 @dataclass
@@ -207,10 +162,10 @@ def _indented(obj, depth: int = 0) -> str:
     cyclic garbage (see `paused_collector`).
     """
     if not obj or not isinstance(obj, (dict, list, tuple)):
-        return _COMPACT(obj)
+        return compact_json(obj)
     inner = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
-        items = [f"{_COMPACT(key)}: {_indented(value, depth + 1)}" for key, value in sorted(obj.items())]
+        items = [f"{compact_json(key)}: {_indented(value, depth + 1)}" for key, value in sorted(obj.items())]
         opening, closing = "{", "}"
     else:
         items = [_indented(value, depth + 1) for value in obj]
@@ -223,124 +178,6 @@ def percentile(values: list[float], q: float) -> float:
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[rank - 1]
-
-
-@dataclass(slots=True)
-class TraceRecord:
-    sent_at: float
-    received_at: float
-    sender: str
-    recipient: str
-    message: ProtocolMessage
-
-    def to_line(self, memo: dict[int, tuple[Any, str]] | None = None,
-                ids: dict[str, str] | None = None) -> str:
-        """The message's envelope plus routing keys (`from`, `to`) and
-        send/receive times (`ts`, `tr`, in ms to 3 places), as one JSON
-        object with sorted keys and no spaces.
-
-        The line is built directly in sorted key order. The shared
-        payloads of discovery and listing replies, and the per-service
-        dicts they carry, are encoded once per `memo` (see `_payload_json`),
-        and each agent id's JSON text once per `ids`; `iter_trace_lines`
-        keeps one of each for its pass. Times are written by `_ms_text`:
-        fixed-point with trailing zeros trimmed below 1e12 in magnitude,
-        `repr(round(x, 3))` from there on and for NaN and the infinities.
-        """
-        msg = self.message
-        if ids is None:
-            ids = {}
-        return (
-            f'{{"correlation_id":{encode_basestring_ascii(msg.correlation_id)}'
-            f',"from":{ids.get(self.sender) or _id_json(ids, self.sender)}'
-            f',"kind":{msg.kind.json}'
-            f',"payload":{_payload_json(msg, {} if memo is None else memo)}'
-            f',"sender_role":{msg.sender_role.json}'
-            f',"to":{ids.get(self.recipient) or _id_json(ids, self.recipient)}'
-            f',"tr":{_ms_text(self.received_at)}'
-            f',"ts":{_ms_text(self.sent_at)}}}'
-        )
-
-
-def _ms_text(ms: float) -> str:
-    """`repr(round(ms, 3))`, the JSON text of a time to 3 places, at less
-    than half its cost.
-
-    Below 1e12 in magnitude this is `'%.3f' % ms` with its trailing zeros
-    trimmed to one (`"12.500"` -> `"12.5"`, `"3.000"` -> `"3.0"`). Both
-    roundings are CPython's correctly rounded `_Py_dg_dtoa` mode 3, and a
-    decimal of at most 15 significant digits, which a value below 1e12
-    keeps to 3 places, reads back as the same float, so `repr` writes the
-    same digits (this breaks near 1.2e14). NaN, the infinities and larger
-    times, which an unbounded `duration_hours` allows, keep `repr(round())`.
-    """
-    if -1e12 < ms < 1e12:
-        text = "%.3f" % ms
-        if text[-1] != "0":  # no zeros to trim
-            return text
-        text = text.rstrip("0")
-        return text + "0" if text[-1] == "." else text
-    return repr(round(ms, 3))
-
-
-def _id_json(ids: dict[str, str], agent_id: str) -> str:
-    """`agent_id`'s JSON text, kept in `ids`."""
-    text = ids[agent_id] = encode_basestring_ascii(agent_id)
-    return text
-
-
-_RESULT_KEYS = {"hosts", "service"}
-
-
-def _sole_list(payload: dict, key: str) -> bool:
-    """Whether `key`, holding a list, is the payload's only key."""
-    return len(payload) == 1 and type(payload.get(key)) in (list, tuple)
-
-
-def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str:
-    """A payload's compact JSON. Discovery and listing replies carry the
-    registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
-    `wire_dict`) and discovery replies the host database's kept holder
-    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer and
-    a repeated kept listing are one shared payload (`GovernorEndpoint`).
-    Each is encoded once per memo: the memo keys by `id()` and holds the
-    object itself, so no id is reused while it lives."""
-    payload = msg.payload
-    kind = msg.kind
-    if kind is _DISCOVERY_REPLY:
-        return _shared_json(payload, memo, _discovery_json)
-    if kind is _LIST_SERVICES_REPLY:
-        return _shared_json(payload, memo, _listing_json)
-    return _COMPACT(payload)
-
-
-def _discovery_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
-    if not _sole_list(payload, "results"):
-        return _COMPACT(payload)
-    entries = ",".join(
-        f'{{"hosts":{_shared_json(entry["hosts"], memo)},"service":{_shared_json(entry["service"], memo)}}}'
-        if type(entry) is dict and entry.keys() == _RESULT_KEYS else _COMPACT(entry)
-        for entry in payload["results"]
-    )
-    return f'{{"results":[{entries}]}}'
-
-
-def _listing_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
-    if not _sole_list(payload, "services"):
-        return _COMPACT(payload)
-    services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
-    return f'{{"services":[{services}]}}'
-
-
-def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]],
-                 encode: Callable[[Any, dict], str] | None = None) -> str:
-    """`obj`'s compact JSON, or `encode(obj, memo)`, kept in `memo` for `obj`."""
-    hit = memo.get(id(obj))
-    if hit is not None and hit[0] is obj:
-        return hit[1]
-    text = _COMPACT(obj) if encode is None else encode(obj, memo)
-    memo[id(obj)] = (obj, text)
-    return text
 
 
 @contextmanager
@@ -380,18 +217,6 @@ class SimulationResult:
     trace: list[TraceRecord]
     requester_ids: tuple[str, ...]
     host_assessments: list
-
-    def iter_trace_lines(self) -> Iterator[str]:
-        """The trace's lines in order, each encoded as it is taken, with
-        one payload memo and one agent id memo for the whole pass. Both
-        are dropped with the pass, so every pass encodes its own texts."""
-        memo: dict[int, tuple[Any, str]] = {}
-        ids: dict[str, str] = {}
-        for record in self.trace:
-            yield record.to_line(memo, ids)
-
-    def trace_lines(self) -> list[str]:
-        return list(self.iter_trace_lines())
 
 
 class Simulation:

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..domain import ResourceVector
 from ..errors import UnknownEntityError
-from ..wire import MessageKind, Outbound, ProtocolMessage, Role
-from .serialize import report_from_dict
+from ..wire import MessageKind, Outbound, ProtocolMessage, Role, report_from_dict
 
 if TYPE_CHECKING:
     from . import ServiceGovernor

@@ -63,13 +63,13 @@ from enum import Enum
 from typing import Callable
 
 from ..domain import (
-    PlatformRequirement,
     ResourceVector,
     SecurityLevel,
     ServiceDescription,
     parse_version,
 )
 from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
+from ..wire import service_to_dict
 from .billing import BillingUnit, check_developer_share
 from .store import HostDatabase
 
@@ -562,50 +562,3 @@ class ServiceRegistry:
                 for desc in self.active_services()
                 if desc.functionality_tag == functionality_tag and desc.service_id != exclude
             ]
-
-
-def service_to_dict(desc: ServiceDescription) -> dict:
-    return {
-        "service_id": desc.service_id,
-        "developer_id": desc.developer_id,
-        "name": desc.name,
-        "description": desc.description,
-        "functionality_tag": desc.functionality_tag,
-        "input_spec": desc.input_spec,
-        "output_spec": desc.output_spec,
-        "binding_method": desc.binding_method,
-        "security_level": desc.security_level.label,
-        "platform": {"os_name": desc.platform.os_name, "min_version": desc.platform.min_version},
-        "min_resources": desc.min_resources.as_dict(),
-        "price_per_invocation": desc.price_per_invocation,
-        "developer_share": desc.developer_share,
-        "dependencies": list(desc.dependencies),
-    }
-
-
-def service_from_dict(raw: dict) -> ServiceDescription:
-    """The description `service_to_dict` wrote. Hosts decode each service
-    they choose from a listing here, so the records are built
-    positionally, in declaration order. A restore decodes the services of
-    saved calls here too, so `min_resources` must hold the four resource
-    names and nothing else."""
-    platform = raw["platform"]
-    need = raw["min_resources"]
-    if len(need) != 4:  # with the four names read below, no other key
-        raise ValueError(f"min_resources must hold cpu, memory, storage and energy, got {sorted(need)}")
-    return ServiceDescription(
-        raw["service_id"],
-        raw["developer_id"],
-        raw["name"],
-        raw["description"],
-        raw["functionality_tag"],
-        raw["input_spec"],
-        raw["output_spec"],
-        raw["binding_method"],
-        SecurityLevel.from_name(raw["security_level"]),
-        PlatformRequirement(platform["os_name"], platform["min_version"]),
-        ResourceVector(need["cpu"], need["memory"], need["storage"], need["energy"]),
-        raw["price_per_invocation"],
-        raw["developer_share"],
-        tuple(raw["dependencies"]),
-    )

@@ -47,8 +47,8 @@ from .domain import ResourceVector, ServiceDescription
 from .errors import NegotiationRejected
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .governor.billing import check_developer_share
-from .governor.registry import service_from_dict
 from .schema import compile_schema
+from .wire import service_from_dict
 
 FORMAT_VERSION = 1
 

@@ -4,7 +4,9 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
 serialization of the payload. The payload is {"config", "journal"}: the
 config as a scenario's `policies` section, and `ServiceGovernor.journal`
-with each call a JSON array (`governor.serialize`). All other state is a
+with each call a JSON array: the call's name, then its arguments in the
+order the method takes them, each encoded by its type (`encode_entry`;
+services and reports in their `wire` dict forms). All other state is a
 function of those two.
 
 A restore verifies the digest, builds a governor from the config (checked
@@ -13,21 +15,26 @@ by the scenario's own `policies` schema, built by
 public methods, so the restored journal equals the saved one. Only calls
 that returned are recorded and each call checks before it writes, so an
 entry that does not decode or raises on replay means the file was edited:
-it is refused by index. Last, a restore refuses a state on which
-`ServiceGovernor.check_invariants()` reports anything. A version-1 file
-held derived state without the config or the calls, and is refused.
+it is refused by index; `decode_entry` knows only the calls in `REPLAYED`
+and checks each argument's shape before any unit sees it. Last, a restore
+refuses a state on which `ServiceGovernor.check_invariants()` reports
+anything. A version-1 file held derived state without the config or the
+calls, and is refused.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import asdict
 from pathlib import Path
 
+from .domain import ExecutionReport, ResourceVector, ServiceDescription
 from .errors import MarketplaceError, SnapshotIntegrityError
 from .governor import ServiceGovernor
-from .governor.serialize import REPLAYED, decode_entry, encode_entry
+from .governor.billing import Agreement
 from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
+from .wire import report_from_dict, report_to_dict, service_from_dict, service_to_dict
 
 FORMAT_VERSION = 2
 SNAPSHOT_KIND = "governor-state"
@@ -134,3 +141,95 @@ def read_snapshot(path: str | Path) -> dict:
 
 def load_governor(path: str | Path) -> ServiceGovernor:
     return restore_governor(read_snapshot(path))
+
+
+# -- journal entries ----------------------------------------------------------
+
+_ENCODERS = {
+    ServiceDescription: service_to_dict,
+    ResourceVector: ResourceVector.as_dict,
+    ExecutionReport: report_to_dict,
+    Agreement: asdict,
+    tuple: list,
+}
+
+
+def encode_entry(entry: tuple) -> list:
+    """A journal entry as a JSON array; names, ids, flags and numbers stay as they are."""
+    encoders = _ENCODERS
+    return [value if (encode := encoders.get(type(value))) is None else encode(value) for value in entry]
+
+
+def _typed(*types: type):
+    """A decoder passing only a value of exactly one of `types` (no bool for an int)."""
+    def decode(value):
+        if type(value) not in types:
+            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+        return value
+    return decode
+
+
+def _object(build):
+    """A decoder passing only a JSON object to `build`."""
+    def decode(value):
+        if type(value) is not dict:
+            raise TypeError(f"expected an object, got {value!r}")
+        return build(value)
+    return decode
+
+
+def _strs(value) -> list[str]:
+    if type(value) is not list or not all(type(item) is str for item in value):
+        raise TypeError(f"expected a list of str, got {value!r}")
+    return value
+
+
+_REPORT_FIELDS = frozenset((
+    "report_id", "host_id", "service_id", "requester_pseudonym", "started_at",
+    "duration_ms", "energy_used_mwh", "ok", "failure_reason", "rating",
+))
+
+
+def _report(raw) -> ExecutionReport:
+    if type(raw) is not dict or raw.keys() != _REPORT_FIELDS:
+        raise ValueError(f"a report holds exactly the fields {sorted(_REPORT_FIELDS)}, got {raw!r}")
+    return report_from_dict(raw, raw["rating"])
+
+
+_str, _int, _bool, _number = _typed(str), _typed(int), _typed(bool), _typed(int, float)
+_service = _object(service_from_dict)
+_resources = _object(lambda raw: ResourceVector(**raw))
+_agreement = _object(lambda raw: Agreement(**raw))
+
+# Every call a journal may hold: its name and one decoder per argument,
+# in the order the method takes them.
+REPLAYED = {
+    "billing.negotiate_developer": (_str, _int, _number),
+    "billing.negotiate_host": (_service,),
+    "billing.meter_invocation": (_agreement, _str, _str, _str, _number),
+    "billing.meter_report": (_report,),
+    "registry.register_service": (_service, _bool),
+    "registry.deprecate_service": (_str, _str),
+    "security.issue_certificate": (_str, _bool, _number),
+    "hosts.register_host": (_str, _str, _str, _resources, _int),
+    "hosts.request_hosting": (_str, _str, _bool, _number),
+    "hosts.unhost": (_str, _str),
+    "hosts.mark_departed": (_str,),
+    "hosts.ingest_report": (_report,),
+    "profiler.substitution_sweep": (),
+    "profiler.report_malfunction": (_str, _str, _number),
+    "preprovision_host": (_str, _strs, _bool, _number),
+}
+
+
+def decode_entry(raw) -> tuple[str, list]:
+    """The name and the decoded arguments of a saved journal entry."""
+    if type(raw) is not list or not raw or type(raw[0]) is not str:
+        raise TypeError(f"a journal entry is an array that starts with a call's name, got {raw!r}")
+    name = raw[0]
+    decoders = REPLAYED.get(name)
+    if decoders is None:
+        raise LookupError(f"{name!r} is not a call a journal replays")
+    if len(raw) != len(decoders) + 1:
+        raise TypeError(f"{name} takes {len(decoders)} arguments, got {len(raw) - 1}")
+    return name, [decode(value) for decode, value in zip(decoders, raw[1:])]

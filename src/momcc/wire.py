@@ -1,4 +1,5 @@
-"""Wire formats: the XML requirements codec and the line-delimited envelope.
+"""Wire formats: the XML requirements document, the trace line, and the
+dict forms of services and execution reports.
 
 The host-requirements document is the one externally fixed format in the
 system. Its canonical serialized form is pinned byte for byte: UTF-8,
@@ -23,20 +24,50 @@ The decoder is liberal: it accepts ``HostRequirements`` as a root alias,
 tolerates ignorable whitespace and element reordering, and skips lines
 consisting solely of ``...`` so excerpted documents parse unchanged.
 
-All other protocol traffic travels in a newline-delimited JSON envelope:
-one object per line with keys kind / sender_role / correlation_id /
-payload. Unknown top-level keys are ignored on decode (trace dumps add
-routing metadata); unknown kinds are rejected.
+All other traffic is a `ProtocolMessage`: a kind, the sender's role, a
+correlation id (a reply reuses its request's) and a JSON-object payload.
+A run's trace, `trace.log`, holds one line per delivered message: one
+compact JSON object (no spaces, non-ASCII escaped, keys sorted at every
+depth) and a newline. Its keys, in order: `correlation_id`, `from` (the
+sender's agent id), `kind`, `payload`, `sender_role`, `to` (the
+recipient's id), `tr` and `ts` (receive and send times in ms). A time's
+text is `repr(round(x, 3))`. `write_trace` writes lines and `read_trace`
+reads them back as its exact inverse. Each line is built in sorted key
+order through one C encoder kept for the process (`compact_json`), each
+kind's and role's JSON text kept on its member, and times written by
+`_ms_text`. The per-service dicts and host lists that discovery and
+listing replies share, and whole reply payloads that several replies
+share, are encoded once per pass (`trace_lines`), like each agent id's
+text; nothing encoded outlives its pass. The writer joins lines into
+64 KiB chunks, so it never holds the whole file.
+
+A service travels as `service_to_dict` writes it: its fields by name,
+`security_level` as its label, `platform` as {os_name, min_version},
+`min_resources` as {cpu, memory, storage, energy}, `dependencies` as a
+list. An execution report travels as `report_to_dict` writes it: its
+fields by name, the outcome as `ok` and `failure_reason`, and `rating`;
+`report_from_dict` takes the rating apart, since on the wire it arrives
+in its own message.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from json.encoder import encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from os.path import commonprefix
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, NoReturn
 from xml.etree import ElementTree
 
-from .domain import PlatformRequirement, ResourceVector, VersionError
+from .domain import (
+    ExecutionReport,
+    Outcome,
+    PlatformRequirement,
+    ResourceVector,
+    SecurityLevel,
+    ServiceDescription,
+    VersionError,
+)
 
 
 class RequirementsParseError(ValueError):
@@ -49,7 +80,7 @@ class RequirementsParseError(ValueError):
 
 
 class EnvelopeError(ValueError):
-    """A protocol envelope record failed to decode."""
+    """A trace line failed to read back; names the line and the key."""
 
 
 @dataclass(frozen=True)
@@ -234,71 +265,321 @@ class Outbound:
     delay_ms: float = 0.0  # extra local delay before the message leaves
 
 
-def envelope_dict(msg: ProtocolMessage) -> dict:
-    """The JSON object form of a message, suitable for extension with metadata."""
+@dataclass(slots=True)
+class TraceRecord:
+    """One delivered message with its routing: the sender's and recipient's
+    ids and the send and receive times in ms. One trace line each."""
+
+    sent_at: float
+    received_at: float
+    sender: str
+    recipient: str
+    message: ProtocolMessage
+
+
+# -- services and execution reports -------------------------------------------
+
+def service_to_dict(desc: ServiceDescription) -> dict:
     return {
-        "kind": msg.kind.value,
-        "sender_role": msg.sender_role.value,
-        "correlation_id": msg.correlation_id,
-        "payload": msg.payload,
+        "service_id": desc.service_id,
+        "developer_id": desc.developer_id,
+        "name": desc.name,
+        "description": desc.description,
+        "functionality_tag": desc.functionality_tag,
+        "input_spec": desc.input_spec,
+        "output_spec": desc.output_spec,
+        "binding_method": desc.binding_method,
+        "security_level": desc.security_level.label,
+        "platform": {"os_name": desc.platform.os_name, "min_version": desc.platform.min_version},
+        "min_resources": desc.min_resources.as_dict(),
+        "price_per_invocation": desc.price_per_invocation,
+        "developer_share": desc.developer_share,
+        "dependencies": list(desc.dependencies),
     }
 
 
-def encode_envelope(msg: ProtocolMessage) -> bytes:
-    """One newline-terminated JSON record."""
+def service_from_dict(raw: dict) -> ServiceDescription:
+    """The description `service_to_dict` wrote. Hosts decode each service
+    they choose from a listing here, so the records are built
+    positionally, in declaration order. A restore decodes the services of
+    saved calls here too, so `min_resources` must hold the four resource
+    names and nothing else."""
+    platform = raw["platform"]
+    need = raw["min_resources"]
+    if len(need) != 4:  # with the four names read below, no other key
+        raise ValueError(f"min_resources must hold cpu, memory, storage and energy, got {sorted(need)}")
+    return ServiceDescription(
+        raw["service_id"], raw["developer_id"], raw["name"], raw["description"],
+        raw["functionality_tag"], raw["input_spec"], raw["output_spec"], raw["binding_method"],
+        SecurityLevel.from_name(raw["security_level"]),
+        PlatformRequirement(platform["os_name"], platform["min_version"]),
+        ResourceVector(need["cpu"], need["memory"], need["storage"], need["energy"]),
+        raw["price_per_invocation"], raw["developer_share"], tuple(raw["dependencies"]),
+    )
+
+
+def report_to_dict(report: ExecutionReport) -> dict:
+    return {
+        "report_id": report.report_id,
+        "host_id": report.host_id,
+        "service_id": report.service_id,
+        "requester_pseudonym": report.requester_pseudonym,
+        "started_at": report.started_at,
+        "duration_ms": report.duration_ms,
+        "energy_used_mwh": report.energy_used_mwh,
+        "ok": report.outcome.ok,
+        "failure_reason": report.outcome.reason,
+        "rating": report.rating,
+    }
+
+
+def report_from_dict(raw: dict, rating: int | None) -> ExecutionReport:
+    """A report from its dict and its rating, passed apart: a wire report
+    carries no rating (the consumer's arrives in its own message), and a
+    saved one carries it as `raw["rating"]`."""
+    outcome = Outcome.success() if raw["ok"] else Outcome.failure(raw["failure_reason"])
+    return ExecutionReport(
+        raw["report_id"], raw["host_id"], raw["service_id"], raw["requester_pseudonym"],
+        raw["started_at"], raw["duration_ms"], raw["energy_used_mwh"], outcome, rating,
+    )
+
+
+# -- the trace ----------------------------------------------------------------
+
+def _unencodable(obj: Any) -> NoReturn:
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _compact_encoder() -> Callable[[Any], str]:
+    """`json.dumps(obj, sort_keys=True, separators=(",", ":"))`.
+
+    `JSONEncoder.encode` builds a new C encoder and markers dict on every
+    call; this builds the C encoder once, for the whole process. It keeps
+    no markers: a shared markers dict keeps the containers of a failed
+    encode, so encoding one of them again, even once it is fixed, would
+    report a circular reference. A cyclic object therefore raises
+    `RecursionError`, not `ValueError`; no payload is cyclic. Without the
+    `_json` accelerator this is `JSONEncoder.encode`.
+    """
+    if c_make_encoder is None:
+        return json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # markers, default, string encoder, indent, key and item separators,
+    # sort_keys, skipkeys, allow_nan
+    encoder = c_make_encoder(None, _unencodable, encode_basestring_ascii, None,
+                             ":", ",", True, False, True)
+    return lambda obj: "".join(encoder(obj, 0))
+
+
+compact_json = _compact_encoder()
+
+# Trace lines are ASCII, so this many characters is 64 KiB of trace.log.
+TRACE_CHUNK_CHARS = 64 * 1024
+
+_DISCOVERY_REPLY = MessageKind.DISCOVERY_REPLY
+_LIST_SERVICES_REPLY = MessageKind.LIST_SERVICES_REPLY
+
+
+def trace_lines(records: Iterable[TraceRecord]) -> Iterator[str]:
+    """The records' trace lines in order, without their newlines, each
+    encoded as it is taken. One payload memo and one agent id memo serve
+    the whole pass and are dropped with it."""
+    memo: dict[int, tuple[Any, str]] = {}
+    ids: dict[str, str] = {}
+    return (_line(record, memo, ids) for record in records)
+
+
+def write_trace(fh: BinaryIO, records: Iterable[TraceRecord]) -> None:
+    """Write the records' trace lines, each with its newline, to `fh`,
+    gathered into chunks of about `TRACE_CHUNK_CHARS` characters, each
+    joined, encoded and written at once. The writer holds one chunk of the
+    lines, never all of them."""
+    chunk: list[str] = []
+    size = 0
+    for line in trace_lines(records):
+        chunk.append(line)
+        size += len(line) + 1
+        if size >= TRACE_CHUNK_CHARS:
+            chunk.append("")  # the chunk's last newline
+            fh.write("\n".join(chunk).encode("utf-8"))
+            chunk.clear()
+            size = 0
+    if chunk:
+        chunk.append("")
+        fh.write("\n".join(chunk).encode("utf-8"))
+
+
+def _line(record: TraceRecord, memo: dict[int, tuple[Any, str]], ids: dict[str, str]) -> str:
+    """One trace line, built directly in sorted key order (see the module
+    docstring): shared payloads come from `memo`, id texts from `ids`."""
+    msg = record.message
+    sender = record.sender
+    recipient = record.recipient
+    return (
+        f'{{"correlation_id":{encode_basestring_ascii(msg.correlation_id)}'
+        f',"from":{ids.get(sender) or _id_json(ids, sender)}'
+        f',"kind":{msg.kind.json}'
+        f',"payload":{_payload_json(msg, memo)}'
+        f',"sender_role":{msg.sender_role.json}'
+        f',"to":{ids.get(recipient) or _id_json(ids, recipient)}'
+        f',"tr":{_ms_text(record.received_at)}'
+        f',"ts":{_ms_text(record.sent_at)}}}'
+    )
+
+
+def _ms_text(ms: float) -> str:
+    """`repr(round(ms, 3))`, the JSON text of a time to 3 places, at less
+    than half its cost.
+
+    Below 1e12 in magnitude this is `'%.3f' % ms` with its trailing zeros
+    trimmed to one (`"12.500"` -> `"12.5"`, `"3.000"` -> `"3.0"`). Both
+    roundings are CPython's correctly rounded `_Py_dg_dtoa` mode 3, and a
+    decimal of at most 15 significant digits, which a value below 1e12
+    keeps to 3 places, reads back as the same float, so `repr` writes the
+    same digits (this breaks near 1.2e14). NaN, the infinities and larger
+    times, which an unbounded `duration_hours` allows, keep `repr(round())`.
+    """
+    if -1e12 < ms < 1e12:
+        text = "%.3f" % ms
+        if text[-1] != "0":  # no zeros to trim
+            return text
+        text = text.rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(ms, 3))
+
+
+def _id_json(ids: dict[str, str], agent_id: str) -> str:
+    """`agent_id`'s JSON text, kept in `ids`."""
+    text = ids[agent_id] = encode_basestring_ascii(agent_id)
+    return text
+
+
+_RESULT_KEYS = {"hosts", "service"}
+
+
+def _sole_list(payload: dict, key: str) -> bool:
+    """Whether `key`, holding a list, is the payload's only key."""
+    return len(payload) == 1 and type(payload.get(key)) in (list, tuple)
+
+
+def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str:
+    """A payload's compact JSON. Discovery and listing replies carry the
+    registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
+    `wire_dict`) and discovery replies the host database's kept holder
+    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer and
+    a repeated kept listing are one shared payload (`GovernorEndpoint`).
+    Each is encoded once per memo: the memo keys by `id()` and holds the
+    object itself, so no id is reused while it lives."""
+    payload = msg.payload
+    kind = msg.kind
+    if kind is _DISCOVERY_REPLY:
+        return _shared_json(payload, memo, _discovery_json)
+    if kind is _LIST_SERVICES_REPLY:
+        return _shared_json(payload, memo, _listing_json)
+    return compact_json(payload)
+
+
+def _discovery_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
+    if not _sole_list(payload, "results"):
+        return compact_json(payload)
+    entries = ",".join(
+        f'{{"hosts":{_shared_json(entry["hosts"], memo)},"service":{_shared_json(entry["service"], memo)}}}'
+        if type(entry) is dict and entry.keys() == _RESULT_KEYS else compact_json(entry)
+        for entry in payload["results"]
+    )
+    return f'{{"results":[{entries}]}}'
+
+
+def _listing_json(payload: dict, memo: dict[int, tuple[Any, str]]) -> str:
+    if not _sole_list(payload, "services"):
+        return compact_json(payload)
+    services = ",".join(_shared_json(raw, memo) for raw in payload["services"])
+    return f'{{"services":[{services}]}}'
+
+
+def _shared_json(obj: Any, memo: dict[int, tuple[Any, str]],
+                 encode: Callable[[Any, dict], str] | None = None) -> str:
+    """`obj`'s compact JSON, or `encode(obj, memo)`, kept in `memo` for `obj`."""
+    hit = memo.get(id(obj))
+    if hit is not None and hit[0] is obj:
+        return hit[1]
+    text = compact_json(obj) if encode is None else encode(obj, memo)
+    memo[id(obj)] = (obj, text)
+    return text
+
+
+_TRACE_KEYS = frozenset(("correlation_id", "from", "kind", "payload", "sender_role", "to", "tr", "ts"))
+
+
+def read_trace(data: bytes) -> Iterator[TraceRecord]:
+    """The records of a trace, in order: the exact inverse of `write_trace`.
+
+    A line is read only if the writer, given its record, writes it again
+    byte for byte. Anything else raises `EnvelopeError` naming the line
+    (from 1) and, where there is one, the key. Times read back as written,
+    rounded to 3 places; a NaN or infinite time's line is not JSON, so it
+    is refused.
+    """
     try:
-        line = json.dumps(envelope_dict(msg), sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError) as exc:
-        raise EnvelopeError(f"payload is not JSON-serializable: {exc}") from None
-    return (line + "\n").encode("utf-8")
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise EnvelopeError(f"line {line}: not UTF-8: {exc.reason}") from None
+    lines = text.split("\n")
+    if lines.pop():
+        raise EnvelopeError(f"line {len(lines) + 1}: no newline at the end")
+    ids: dict[str, str] = {}
+    for number, line in enumerate(lines, 1):
+        record = _record(number, line)
+        written = _line(record, {}, ids)
+        if written != line:
+            index = len(commonprefix((written, line)))
+            raise EnvelopeError(f"line {number}: {_key_at(written, index)!r} is not "
+                                f"as the writer writes it (column {index + 1})")
+        yield record
 
 
-def message_from_dict(obj: dict) -> ProtocolMessage:
-    if not isinstance(obj, dict):
-        raise EnvelopeError(f"envelope record must be an object, got {type(obj).__name__}")
-    for key in ("kind", "sender_role", "correlation_id"):
-        if key not in obj:
-            raise EnvelopeError(f"envelope record missing {key!r}")
-    kind = _KIND_BY_VALUE.get(obj["kind"])
-    if kind is None:
-        raise EnvelopeError(f"unknown message kind: {obj['kind']!r}")
-    role = _ROLE_BY_VALUE.get(obj["sender_role"])
-    if role is None:
-        raise EnvelopeError(f"unknown sender role: {obj['sender_role']!r}")
-    correlation_id = obj["correlation_id"]
-    if not isinstance(correlation_id, str) or not correlation_id:
-        raise EnvelopeError("correlation_id must be a non-empty string")
-    payload = obj.get("payload", {})
-    if not isinstance(payload, dict):
-        raise EnvelopeError("payload must be an object")
-    return ProtocolMessage(kind=kind, sender_role=role, correlation_id=correlation_id, payload=payload)
-
-
-def decode_envelope(data: bytes | str) -> ProtocolMessage:
-    """Inverse of encode_envelope for a single record."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EnvelopeError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data
-    text = text.strip()
-    if not text:
-        raise EnvelopeError("empty envelope record")
-    if "\n" in text:
-        raise EnvelopeError("decode_envelope takes a single record; use iter_envelopes")
+def _record(number: int, line: str) -> TraceRecord:
+    """The record a trace line holds, its keys and their types checked."""
+    if not line:
+        raise EnvelopeError(f"line {number}: blank")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise EnvelopeError(f"malformed envelope record: {exc}") from None
-    return message_from_dict(obj)
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:  # too deep a nesting recurses
+        raise EnvelopeError(f"line {number}: not JSON: {exc}") from None
+    if type(obj) is not dict:
+        raise EnvelopeError(f"line {number}: not a JSON object")
+    if obj.keys() != _TRACE_KEYS:
+        missing = sorted(_TRACE_KEYS - obj.keys())
+        if missing:
+            raise EnvelopeError(f"line {number}: {missing[0]!r} is missing")
+        raise EnvelopeError(f"line {number}: {sorted(obj.keys() - _TRACE_KEYS)[0]!r} is not a trace key")
+
+    kind, role, correlation_id = obj["kind"], obj["sender_role"], obj["correlation_id"]
+    for key, ok, expected in (
+        ("kind", type(kind) is str and kind in _KIND_BY_VALUE, "a message kind"),
+        ("sender_role", type(role) is str and role in _ROLE_BY_VALUE, "a role"),
+        ("correlation_id", type(correlation_id) is str and correlation_id != "", "a non-empty string"),
+        ("from", type(obj["from"]) is str, "a string"),
+        ("to", type(obj["to"]) is str, "a string"),
+        ("tr", type(obj["tr"]) is float, "a float"),
+        ("ts", type(obj["ts"]) is float, "a float"),
+        ("payload", type(obj["payload"]) is dict, "an object"),
+    ):
+        if not ok:
+            raise EnvelopeError(f"line {number}: {key!r} must be {expected}, got {obj[key]!r}")
+    message = ProtocolMessage(_KIND_BY_VALUE[kind], _ROLE_BY_VALUE[role], correlation_id, obj["payload"])
+    return TraceRecord(obj["ts"], obj["tr"], obj["from"], obj["to"], message)
 
 
-def iter_envelopes(data: bytes | str):
-    """Yield messages from a newline-delimited envelope stream."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    for line in data.splitlines():
-        if line.strip():
-            yield decode_envelope(line)
+def _key_at(line: str, index: int) -> str:
+    """The top-level key whose value's text holds `index` in a line the
+    writer wrote. Only the payload can hold a key's text, so the first
+    match of each key before it and the last of each after it is the key."""
+    key = "correlation_id"
+    for name in ("from", "kind", "payload"):
+        if line.find(f',"{name}":') < index:
+            key = name
+    for name in ("sender_role", "to", "tr", "ts"):
+        if line.rfind(f',"{name}":') < index:
+            key = name
+    return key

@@ -2,6 +2,7 @@
 pass/fail line per acceptance criterion."""
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ import pytest
 
 from momcc.domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
 from momcc.governor import HostRegistry, ServiceGovernor
-from momcc.governor.serialize import decode_entry, encode_entry
-from momcc.wire import MessageKind
+from momcc.snapshot import decode_entry, encode_entry
+from momcc.wire import MessageKind, write_trace
 
 
 def make_service(
@@ -54,6 +55,13 @@ def governor_with(services: list[ServiceDescription]) -> ServiceGovernor:
             )
         governor.registry.register_service(desc)
     return governor
+
+
+def written(records) -> bytes:
+    """What `write_trace` writes for `records`."""
+    fh = io.BytesIO()
+    write_trace(fh, records)
+    return fh.getvalue()
 
 
 def replayed(unit, journal: list):

@@ -34,6 +34,7 @@ from momcc.wire import (
     HostRequirementsMessage,
     decode_requirements,
     encode_requirements,
+    trace_lines,
 )
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -262,10 +263,9 @@ def test_criterion_09_anonymity():
 
     requester_recipients = set(result.requester_ids)
     deliveries_to_requesters = 0
-    for record in result.trace:
+    for record, line in zip(result.trace, trace_lines(result.trace)):
         if record.recipient in requester_recipients:
             deliveries_to_requesters += 1
-            line = record.to_line()
             for developer_id in developer_ids:
                 assert developer_id not in line, line
     assert deliveries_to_requesters > 0

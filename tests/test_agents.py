@@ -15,9 +15,8 @@ from momcc.agents import (
 )
 from momcc.domain import ResourceVector
 from momcc.engine import run_scenario
-from momcc.governor.registry import service_to_dict
 from momcc.scenario import Scenario, scenario_from_dict
-from momcc.wire import MessageKind, ProtocolMessage, Role
+from momcc.wire import MessageKind, ProtocolMessage, Role, service_to_dict
 
 
 def ids(prefix="t"):

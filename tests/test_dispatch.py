@@ -21,9 +21,8 @@ from momcc.agents import (
 )
 from momcc.domain import ResourceVector
 from momcc.governor.endpoint import GovernorEndpoint
-from momcc.governor.registry import service_to_dict
 from momcc.snapshot import snapshot_governor
-from momcc.wire import MessageKind, ProtocolMessage, Role
+from momcc.wire import MessageKind, ProtocolMessage, Role, service_to_dict
 
 K = MessageKind
 AMPLE = ResourceVector(2048, 32, 64, 2000)

@@ -24,7 +24,7 @@ from momcc.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role, decode_envelope
+from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role, trace_lines
 
 
 _MS = st.floats(0.0, 1e5)
@@ -36,7 +36,7 @@ class TestDeterminism:
         a = run_scenario(scenario_from_dict(scenario_dict(seed=9)))
         b = run_scenario(scenario_from_dict(scenario_dict(seed=9)))
         assert a.report.to_json_bytes() == b.report.to_json_bytes()
-        assert a.trace_lines() == b.trace_lines()
+        assert list(trace_lines(a.trace)) == list(trace_lines(b.trace))
 
     def test_different_seeds_diverge(self):
         a = run_scenario(scenario_from_dict(scenario_dict(seed=1)))
@@ -186,13 +186,6 @@ class TestTraceConformance:
         drop_sc_query(monkeypatch)
         result = run_scenario(scenario_from_dict(scenario_dict(seed=6)))
         assert result.report.trace_violations > 0
-
-    def test_trace_log_lines_decode_as_envelopes(self):
-        result = run_scenario(scenario_from_dict(scenario_dict(seed=6)))
-        lines = result.trace_lines()
-        assert lines
-        for line in lines[:50]:
-            decode_envelope(line)
 
 
 class TestScenarioValidationSurface:
@@ -558,18 +551,18 @@ class TestCollectorPause:
         """Lines are encoded as the writer takes them, so the collector is
         checked at every line, not only when the writer asks for them."""
         result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
-        encode = result.iter_trace_lines
+        records = result.trace
         collecting = []
 
-        def iter_trace_lines():
-            for line in encode():
+        def taken():
+            for record in records:
                 collecting.append(gc.isenabled())
-                yield line
+                yield record
 
-        result.iter_trace_lines = iter_trace_lines
+        result.trace = taken()
         with collector(True):
             _write_outputs(result, tmp_path)
-        assert len(collecting) == len(result.trace) > 0
+        assert len(collecting) == len(records) > 0
         assert not any(collecting)
 
     @pytest.mark.parametrize("frozen", [False, True])
@@ -639,4 +632,4 @@ class TestStreamedTrace:
             tracemalloc.stop()
         written = (tmp_path / "trace.log").read_bytes()
         assert peak < len(written) / 4
-        assert written == "".join(line + "\n" for line in result.trace_lines()).encode("utf-8")
+        assert written == "".join(line + "\n" for line in trace_lines(result.trace)).encode("utf-8")

@@ -15,9 +15,9 @@ import pytest
 from conftest import composite_scenario
 from momcc.cli import EXIT_OK, _write_outputs, main
 from momcc.engine import run_scenario
-from momcc.governor.registry import service_to_dict
 from momcc.scenario import MODE_WAN_CLOUD, load_scenario, scenario_from_dict
 from momcc.snapshot import load_governor, write_snapshot
+from momcc.wire import service_to_dict
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 

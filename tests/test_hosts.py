@@ -13,9 +13,9 @@ from momcc.errors import (
     SnapshotIntegrityError,
     UnknownEntityError,
 )
-from momcc.governor.registry import ServiceStatus, service_to_dict
+from momcc.governor.registry import ServiceStatus
 from momcc.snapshot import _digest, restore_governor, snapshot_governor
-from momcc.wire import MessageKind
+from momcc.wire import MessageKind, service_to_dict
 
 AMPLE = ResourceVector(2048, 32, 64, 2000)
 

@@ -2,14 +2,18 @@
 
 Hosts and requesters reach the governor only through messages, so the
 governor (its protocol endpoint included) must be usable with no engine,
-agents, scenario loader or command line.
+agents, scenario loader or command line; and the simulated devices
+import nothing of the governor, since every form they read travels on
+the wire. The wire formats (`momcc.wire`) build on the domain records
+alone, so every side can share them.
 """
 import ast
 from pathlib import Path
 
 import pytest
 
-GOVERNOR = Path(__file__).parent.parent / "src" / "momcc" / "governor"
+PACKAGE = Path(__file__).parent.parent / "src" / "momcc"
+GOVERNOR = PACKAGE / "governor"
 FORBIDDEN = ("momcc.engine", "momcc.agents", "momcc.scenario", "momcc.cli")
 
 
@@ -59,3 +63,21 @@ def test_governor_package_never_imports_the_simulator():
         for path in files
     }
     assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def momcc_imports(module: str) -> set[str]:
+    """The `momcc` modules (and names in them) that `momcc.<module>` imports."""
+    source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+    return {m for m in imported_modules(source, "momcc") if m == "momcc" or m.startswith("momcc.")}
+
+
+def test_wire_imports_only_the_domain_records():
+    found = momcc_imports("wire")
+    assert found
+    assert {m for m in found if not m.startswith("momcc.domain")} == set()
+
+
+def test_agents_never_import_the_governor():
+    found = momcc_imports("agents")
+    assert "momcc.wire" in found
+    assert {m for m in found if m == "momcc.governor" or m.startswith("momcc.governor.")} == set()

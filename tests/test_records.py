@@ -31,12 +31,12 @@ from bench.closed_loop import build_governor, run_round  # noqa: E402
 from bench.workloads import scenario_json  # noqa: E402
 from momcc.cli import _write_outputs  # noqa: E402
 from momcc.domain import ExecutionReport, HostProfile, ResourceVector, SecurityCertificate  # noqa: E402
-from momcc.engine import TraceRecord, run_scenario  # noqa: E402
+from momcc.engine import run_scenario  # noqa: E402
 from momcc.governor import AllocationDecision, DiscoveryResult, ServiceGovernor  # noqa: E402
 from momcc.governor.registry import ServiceListing  # noqa: E402
 from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario, scenario_from_dict  # noqa: E402
 from momcc.snapshot import load_governor, snapshot_governor, write_snapshot  # noqa: E402
-from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role  # noqa: E402
+from momcc.wire import MessageKind, Outbound, ProtocolMessage, Role, TraceRecord  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
 RECORDS = (SecurityCertificate, ExecutionReport, HostProfile, AllocationDecision,

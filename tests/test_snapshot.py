@@ -12,9 +12,9 @@ from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError, UnknownEntityError
 from momcc.governor import GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
 from momcc.governor.registry import ServiceStatus
-from momcc.governor.serialize import REPLAYED
 from momcc.scenario import load_scenario, scenario_from_dict
 from momcc.snapshot import (
+    REPLAYED,
     _digest,
     load_governor,
     read_snapshot,

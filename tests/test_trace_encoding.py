@@ -1,31 +1,51 @@
-"""The trace writer and the metrics writer against plain `json.dumps`.
+"""The trace writer and the metrics writer against plain `json.dumps`,
+and the trace reader against the writer.
 
-`TraceRecord.to_line` builds each line in sorted key order and splices
+`wire.trace_lines` builds each line in sorted key order and splices
 the shared per-service dicts of discovery and listing replies, the
 shared host lists of discovery replies, and whole discovery and listing
 payloads that several replies share, from a memo; `MetricsReport.to_json_bytes`
 indents without json's pure-Python encoder. Both encode through one kept
-encoder (`_COMPACT`), and `trace.log` is written in chunks of lines. All
-must produce exactly what the straightforward encodings produce, which
-the tests keep as their oracles.
+encoder (`wire.compact_json`), and `trace.log` is written in chunks of
+lines. All must produce exactly what the straightforward encodings
+produce, which the tests keep as their oracles. `wire.read_trace` is the
+writer's exact inverse: what it reads, written again, is the same bytes.
 """
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import scenario_dict
-from momcc import cli, engine
-from momcc.engine import _COMPACT, Simulation, TraceRecord, _indented, _ms_text
-from momcc.scenario import scenario_from_dict
-from momcc.wire import MessageKind, ProtocolMessage, Role, envelope_dict
+from conftest import composite_scenario, scenario_dict, written
+from momcc import cli, wire
+from momcc.engine import Simulation, _indented
+from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario, scenario_from_dict
+from momcc.wire import (
+    MessageKind,
+    ProtocolMessage,
+    Role,
+    TraceRecord,
+    _line,
+    _ms_text,
+    compact_json,
+    read_trace,
+    trace_lines,
+)
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def oracle_line(record: TraceRecord) -> str:
-    """The trace line as one `json.dumps` of the envelope plus routing keys."""
+    """The trace line as one `json.dumps` of the message plus routing keys."""
+    msg = record.message
     return json.dumps({
-        **envelope_dict(record.message),
+        "kind": msg.kind.value,
+        "sender_role": msg.sender_role.value,
+        "correlation_id": msg.correlation_id,
+        "payload": msg.payload,
         "ts": round(record.sent_at, 3),
         "tr": round(record.received_at, 3),
         "from": record.sender,
@@ -34,7 +54,7 @@ def oracle_line(record: TraceRecord) -> str:
 
 
 # Times at the text guard (1e12) and at half-way points of the third place
-# (`engine._ms_text`) as well as other awkward floats.
+# (`wire._ms_text`) as well as other awkward floats.
 TIME_CASES = [999999999999.9995, 1e12, -1e12, 0.0005, math.nextafter(0.0005, 0), 123.4565]
 AWKWARD_FLOATS = st.sampled_from(
     [0.0, -0.0, 0.1 + 0.2, 1e-7, 1e16, 123456.0005, 2.5e-308, 1e308] + TIME_CASES
@@ -117,11 +137,9 @@ class TestTraceLine:
     @settings(max_examples=200, deadline=None)
     @given(trace_records())
     def test_line_equals_one_json_dumps_of_the_record(self, records):
-        memo, ids = {}, {}
-        for record in records:
-            expected = oracle_line(record)
-            assert record.to_line(memo, ids) == expected
-            assert record.to_line() == expected
+        expected = [oracle_line(record) for record in records]
+        assert list(trace_lines(records)) == expected
+        assert [_line(record, {}, {}) for record in records] == expected
 
     def test_memo_is_keyed_by_the_object_not_only_its_id(self):
         """An entry whose object is another one with the same id is not reused."""
@@ -130,7 +148,7 @@ class TestTraceLine:
             MessageKind.LIST_SERVICES_REPLY, Role.GOVERNOR, "list-1", {"services": [service]},
         ))
         memo = {id(service): ({"service_id": "stale"}, '{"service_id":"stale"}')}
-        assert record.to_line(memo) == oracle_line(record)
+        assert _line(record, memo, {}) == oracle_line(record)
 
     def test_a_host_list_memo_entry_for_another_object_is_not_reused(self):
         hosts = ["host-a", "host-b"]
@@ -139,7 +157,7 @@ class TestTraceLine:
             {"results": [{"service": {"service_id": "svc-a"}, "hosts": hosts}]},
         ))
         memo = {id(hosts): (["host-stale"], '["host-stale"]')}
-        assert record.to_line(memo) == oracle_line(record)
+        assert _line(record, memo, {}) == oracle_line(record)
 
     def test_a_shared_discovery_payload_is_encoded_once_per_memo(self):
         payload = {"results": [{"service": {"service_id": "svc-a"}, "hosts": ["host-a"]}]}
@@ -150,11 +168,11 @@ class TestTraceLine:
             for n in range(2)
         ]
         memo = {}
-        assert [record.to_line(memo) for record in records] == [oracle_line(r) for r in records]
+        assert [_line(record, memo, {}) for record in records] == [oracle_line(r) for r in records]
         assert memo[id(payload)] == (payload, '{"results":[{"hosts":["host-a"],"service":{"service_id":"svc-a"}}]}')
         # An entry whose object is another payload with the same id is not reused.
         memo = {id(payload): ({"results": []}, '{"results":[]}')}
-        assert records[0].to_line(memo) == oracle_line(records[0])
+        assert _line(records[0], memo, {}) == oracle_line(records[0])
 
     def test_a_shared_listing_payload_is_encoded_once_per_memo(self):
         payload = {"services": [{"service_id": "svc-a"}, {"service_id": "svc-b"}]}
@@ -165,11 +183,11 @@ class TestTraceLine:
             for n in range(2)
         ]
         memo = {}
-        assert [record.to_line(memo) for record in records] == [oracle_line(r) for r in records]
+        assert [_line(record, memo, {}) for record in records] == [oracle_line(r) for r in records]
         assert memo[id(payload)] == (payload, '{"services":[{"service_id":"svc-a"},{"service_id":"svc-b"}]}')
         # An entry whose object is another payload with the same id is not reused.
         memo = {id(payload): ({"services": []}, '{"services":[]}')}
-        assert records[0].to_line(memo) == oracle_line(records[0])
+        assert _line(records[0], memo, {}) == oracle_line(records[0])
 
 
 class TestTimeText:
@@ -203,20 +221,20 @@ class TestCompact:
     @settings(max_examples=200, deadline=None)
     @given(json_values)
     def test_equals_json_dumps(self, value):
-        assert _COMPACT(value) == compact_dumps(value)
+        assert compact_json(value) == compact_dumps(value)
 
     @pytest.mark.parametrize("value", [
         "", "é€😀\"\\\n", 0.1 + 0.2, -0.0, 1e16, math.nan, math.inf, -math.inf, None, True, 7,
     ])
     def test_a_top_level_scalar_equals_json_dumps(self, value):
-        assert _COMPACT(value) == json.dumps(value)
+        assert compact_json(value) == json.dumps(value)
 
     def test_without_the_accelerator_it_is_json_encoder_encode(self, monkeypatch):
-        monkeypatch.setattr(engine, "c_make_encoder", None)
-        compact = engine._compact_encoder()
+        monkeypatch.setattr(wire, "c_make_encoder", None)
+        compact = wire._compact_encoder()
         value = {"b": [1.5, "é", None], "a": {"z": math.nan}}
         assert compact.__self__.__class__ is json.JSONEncoder
-        assert compact(value) == _COMPACT(value) == compact_dumps(value)
+        assert compact(value) == compact_json(value) == compact_dumps(value)
 
     def test_an_unencodable_payload_raises_and_the_next_record_still_encodes(self):
         """The encoder is kept for the whole process, so a failed encode
@@ -232,20 +250,20 @@ class TestCompact:
         memo = {}
         for _ in range(2):
             with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
-                failing.to_line(memo)
+                _line(failing, memo, {})
         del payload["bad"]
-        assert fixed.to_line(memo) == oracle_line(fixed)
+        assert _line(fixed, memo, {}) == oracle_line(fixed)
 
 
 class TestTraceFile:
     """`_write_outputs` writes `trace.log` in chunks of whole lines."""
 
-    @pytest.mark.parametrize("chunk_chars", [1, 300, cli.TRACE_CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk_chars", [1, 300, wire.TRACE_CHUNK_CHARS])
     def test_trace_log_is_the_oracle_lines_whatever_the_chunk_size(
         self, chunk_chars, monkeypatch, tmp_path
     ):
         result = Simulation(scenario_from_dict(scenario_dict(seed=3))).run()
-        monkeypatch.setattr(cli, "TRACE_CHUNK_CHARS", chunk_chars)
+        monkeypatch.setattr(wire, "TRACE_CHUNK_CHARS", chunk_chars)
         cli._write_outputs(result, tmp_path)
         expected = "".join(oracle_line(record) + "\n" for record in result.trace)
         assert (tmp_path / "trace.log").read_bytes() == expected.encode("utf-8")
@@ -255,3 +273,50 @@ class TestTraceFile:
         assert result.trace == []
         cli._write_outputs(result, tmp_path)
         assert (tmp_path / "trace.log").read_bytes() == b""
+
+
+def _bundled_runs():
+    runs = {}
+    for name in ("default.json", "composite.json"):
+        for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
+            runs[f"{name}-{mode}"] = lambda name=name, mode=mode: replace(
+                load_scenario(SCENARIOS / name), baseline_mode=mode)
+    runs["composite-parallel"] = lambda: scenario_from_dict(composite_scenario(parallel=True))
+    return runs
+
+
+BUNDLED_RUNS = _bundled_runs()
+
+
+class TestReadBack:
+    """`read_trace` then `write_trace` gives back the very bytes."""
+
+    @pytest.mark.parametrize("case", sorted(BUNDLED_RUNS))
+    def test_a_runs_trace_log_reads_back_byte_for_byte(self, case, tmp_path):
+        result = Simulation(BUNDLED_RUNS[case]()).run()
+        cli._write_outputs(result, tmp_path)
+        data = (tmp_path / "trace.log").read_bytes()
+        records = list(read_trace(data))
+        assert written(records) == data
+        assert len(records) == len(result.trace) > 0
+        for back, sent in zip(records, result.trace):
+            assert (back.sender, back.recipient) == (sent.sender, sent.recipient)
+            assert back.sent_at == round(sent.sent_at, 3)
+            assert back.received_at == round(sent.received_at, 3)
+            assert back.message.kind is sent.message.kind
+            assert back.message.sender_role is sent.message.sender_role
+            assert back.message.correlation_id == sent.message.correlation_id
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace_records())
+    def test_any_written_trace_reads_back_byte_for_byte(self, records):
+        data = written(records)
+        back = list(read_trace(data))
+        assert written(back) == data
+        for record, sent in zip(back, records):
+            assert record.sent_at == round(sent.sent_at, 3)
+            assert record.received_at == round(sent.received_at, 3)
+            assert (record.sender, record.recipient) == (sent.sender, sent.recipient)
+
+    def test_an_empty_trace_reads_back_as_no_records(self):
+        assert list(read_trace(b"")) == []

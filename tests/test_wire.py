@@ -1,12 +1,15 @@
-"""Codec round-trips, golden-file fidelity, and decoder robustness."""
+"""Codec round-trips, golden-file fidelity, and decoder robustness: the
+requirements document and the trace reader."""
+import json
+import math
 import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import written
 from momcc.domain import PlatformRequirement, ResourceVector
-from momcc.engine import TraceRecord
 from momcc.wire import (
     EnvelopeError,
     HostRequirementsMessage,
@@ -15,11 +18,10 @@ from momcc.wire import (
     ProtocolMessage,
     RequirementsParseError,
     Role,
-    decode_envelope,
+    TraceRecord,
     decode_requirements,
-    encode_envelope,
     encode_requirements,
-    iter_envelopes,
+    read_trace,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -156,72 +158,154 @@ def random_message(rng: random.Random) -> ProtocolMessage:
     )
 
 
-class TestEnvelope:
-    def test_list_services_request_round_trips(self):
-        msg = ProtocolMessage(
-            kind=MessageKind.LIST_SERVICES_REQUEST,
-            sender_role=Role.HOST,
-            correlation_id="list-000001",
-            payload={"host_id": "host-000"},
-        )
-        assert decode_envelope(encode_envelope(msg)) == msg
+def random_trace(rng: random.Random, count: int) -> list[TraceRecord]:
+    records = []
+    for _ in range(count):
+        sent = rng.uniform(0.0, 1e7)
+        records.append(TraceRecord(sent, sent + rng.uniform(0.5, 300.0), f"req-{rng.randint(0, 9):03d}",
+                                   rng.choice(["governor", "host-001", "cloud-host"]), random_message(rng)))
+    return records
 
-    def test_truncated_record_is_an_error(self):
-        data = encode_envelope(ProtocolMessage(
-            kind=MessageKind.INVOKE, sender_role=Role.REQUESTER,
-            correlation_id="inv-1", payload={"service_id": "s"},
-        ))
+
+VALID = {
+    "correlation_id": "inv-9", "from": "req-000", "kind": "Invoke", "payload": {"service_id": "s"},
+    "sender_role": "requester", "to": "host-001", "tr": 20.25, "ts": 1.5,
+}
+
+
+def line_of(**changes) -> bytes:
+    """A trace line holding VALID with `changes`; a change to None drops the key."""
+    obj = {key: value for key, value in {**VALID, **changes}.items() if value is not None}
+    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def refusal(data) -> str:
+    with pytest.raises(EnvelopeError) as err:
+        list(read_trace(data))
+    return str(err.value)
+
+
+class TestReadTrace:
+    def test_a_valid_line_reads_back_with_its_routing_and_times(self):
+        [record] = read_trace(line_of())
+        assert (record.sender, record.recipient, record.sent_at, record.received_at) == (
+            "req-000", "host-001", 1.5, 20.25)
+        assert record.message == ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "inv-9", {"service_id": "s"})
+        assert written([record]) == line_of()
+
+    def test_1000_random_messages_of_every_kind_read_back(self):
+        records = random_trace(random.Random(31), 1000)
+        assert {record.message.kind for record in records} == set(MessageKind)
+        back = list(read_trace(written(records)))
+        assert [record.message for record in back] == [record.message for record in records]
+        assert [record.sent_at for record in back] == [round(record.sent_at, 3) for record in records]
+        assert written(back) == written(records)
+
+    def test_bytes_that_are_not_utf8_are_refused_with_their_line(self):
+        assert refusal(b"\xff\n").startswith("line 1: not UTF-8")
+        assert refusal(line_of() + b"\xff\n").startswith("line 2: not UTF-8")
+
+    def test_a_missing_payload_is_refused(self):
+        assert refusal(line_of(payload=None)) == "line 1: 'payload' is missing"
+
+    def test_a_time_that_is_not_a_number_and_an_id_that_is_not_a_string_are_refused(self):
+        assert "'from'" in refusal(line_of(ts="soon", **{"from": 7}))
+        assert refusal(line_of(ts="soon")) == "line 1: 'ts' must be a float, got 'soon'"
+        assert refusal(line_of(**{"from": 7})) == "line 1: 'from' must be a string, got 7"
+
+    @pytest.mark.parametrize("changes, key", [
+        ({"to": None}, "to"),
+        ({"correlation_id": None}, "correlation_id"),
+        ({"routing": "x"}, "routing"),
+        ({"kind": "Teleport"}, "kind"),
+        ({"kind": ["Invoke"]}, "kind"),
+        ({"sender_role": "wizard"}, "sender_role"),
+        ({"payload": ["service_id"]}, "payload"),
+        ({"payload": "s"}, "payload"),
+        ({"correlation_id": ""}, "correlation_id"),
+        ({"correlation_id": 5}, "correlation_id"),
+        ({"to": None, "routing": "x"}, "to"),
+        ({"tr": True}, "tr"),
+        ({"ts": False}, "ts"),
+        ({"ts": 5}, "ts"),
+        ({"tr": None, "tr_ms": 20.25}, "tr"),
+    ])
+    def test_a_line_the_writer_cannot_write_is_refused_naming_its_key(self, changes, key):
+        message = refusal(line_of(**changes))
+        assert message.startswith(f"line 1: {key!r} "), message
+
+    def test_an_unknown_kind_is_named(self):
+        assert "Teleport" in refusal(line_of(kind="Teleport"))
+
+    @pytest.mark.parametrize("text, key", [
+        ('"ts":1.5', '"ts":1.50'),
+        ('"ts":1.5', '"ts":15e-1'),
+        ('"tr":20.25', '"tr":20.250'),
+        ('"correlation_id":"inv-9"', '"correlation_id":"inv-\\u0039"'),
+        ('"correlation_id":"inv-9"', '"correlation_id":"inv-\u00e9"'),
+        ('"payload":{"service_id":"s"}', '"payload":{"service_id": "s"}'),
+        ('"payload":{"service_id":"s"}', '"payload":{"service_id":"s","a":1}'),
+        ('"to":"host-001"', '"to" :"host-001"'),
+    ])
+    def test_a_value_not_in_the_writers_text_is_refused_naming_its_key(self, text, key):
+        line = line_of().decode("utf-8")
+        assert text in line
+        changed = line.replace(text, key)
+        name = text.split('"')[1]
+        message = refusal(changed.encode("utf-8"))
+        assert message.startswith(f"line 1: {name!r} is not as the writer writes it"), message
+
+    def test_keys_out_of_order_are_refused(self):
+        reordered = dict(reversed(VALID.items()))
+        line = json.dumps(reordered, separators=(",", ":")).encode("utf-8") + b"\n"
+        assert line != line_of()
+        assert "is not as the writer writes it" in refusal(line)
+
+    def test_a_blank_line_is_refused(self):
+        assert refusal(b"\n") == "line 1: blank"
+        assert refusal(line_of() + b"\n" + line_of()) == "line 2: blank"
+
+    def test_a_last_line_without_its_newline_is_refused(self):
+        assert refusal(line_of() + line_of()[:-1]) == "line 2: no newline at the end"
+        assert refusal(line_of()[:-1]) == "line 1: no newline at the end"
+
+    @pytest.mark.parametrize("line", [
+        b"[1]\n", b"null\n", b"{\n", b'{"kind":"Invoke"} x\n', b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    ])
+    def test_a_line_that_is_not_one_json_object_is_refused(self, line):
+        assert refusal(line).startswith("line 1: not ")
+
+    def test_a_truncated_trace_is_refused(self):
+        data = written(random_trace(random.Random(5), 3))
         with pytest.raises(EnvelopeError):
-            decode_envelope(data[: len(data) // 2])
+            list(read_trace(data[: len(data) // 2]))
 
-    def test_unknown_kind_rejected(self):
-        line = '{"kind":"Teleport","sender_role":"host","correlation_id":"x","payload":{}}'
-        with pytest.raises(EnvelopeError) as err:
-            decode_envelope(line)
-        assert "Teleport" in str(err.value)
+    def test_a_nan_time_writes_a_line_that_does_not_read_back(self):
+        record = TraceRecord(math.nan, 1.0, "req-000", "governor",
+                             ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "inv-1", {}))
+        assert refusal(written([record])).startswith("line 1: not JSON")
 
-    def test_unknown_role_rejected(self):
-        line = '{"kind":"Invoke","sender_role":"wizard","correlation_id":"x","payload":{}}'
-        with pytest.raises(EnvelopeError):
-            decode_envelope(line)
-
-    def test_missing_correlation_rejected(self):
-        line = '{"kind":"Invoke","sender_role":"host","payload":{}}'
-        with pytest.raises(EnvelopeError):
-            decode_envelope(line)
-
-    def test_extra_top_level_keys_ignored(self):
-        # Trace dumps extend records with routing metadata.
-        line = ('{"kind":"Invoke","sender_role":"requester","correlation_id":"inv-9",'
-                '"payload":{"service_id":"s"},"ts":1.5,"tr":20.25,"from":"req-000","to":"host-001"}')
-        msg = decode_envelope(line)
-        assert msg.kind == MessageKind.INVOKE
-        assert msg.payload == {"service_id": "s"}
-
-    def test_round_trip_1000_random_messages_all_kinds(self):
-        rng = random.Random(31)
-        seen_kinds = set()
-        for _ in range(1000):
-            msg = random_message(rng)
-            seen_kinds.add(msg.kind)
-            assert decode_envelope(encode_envelope(msg)) == msg
-        assert seen_kinds == set(MessageKind)
-
-    def test_stream_iteration(self):
-        rng = random.Random(5)
-        messages = [random_message(rng) for _ in range(20)]
-        blob = b"".join(encode_envelope(m) for m in messages)
-        assert list(iter_envelopes(blob)) == messages
+    def test_mutated_traces_read_back_exactly_or_are_refused(self):
+        """Random byte changes to a written trace either read back to a
+        trace the writer writes as the same bytes, or raise `EnvelopeError`."""
+        rng = random.Random(2024)
+        base = written(random_trace(rng, 4))
+        for _ in range(500):
+            mutated = bytearray(base)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            try:
+                records = list(read_trace(bytes(mutated)))
+            except EnvelopeError:
+                continue
+            assert written(records) == bytes(mutated)
 
     @given(st.dictionaries(st.text(max_size=8), st.integers(), max_size=4))
-    def test_envelope_round_trip_property(self, payload):
-        msg = ProtocolMessage(
-            kind=MessageKind.DISCOVERY_QUERY,
-            sender_role=Role.REQUESTER,
-            correlation_id="q-1",
-            payload=payload,
-        )
-        assert decode_envelope(encode_envelope(msg)) == msg
+    def test_any_payload_reads_back(self, payload):
+        record = TraceRecord(1.0, 2.0, "req-000", "governor",
+                             ProtocolMessage(MessageKind.DISCOVERY_QUERY, Role.REQUESTER, "q-1", payload))
+        [back] = read_trace(written([record]))
+        assert back.message == record.message
 
 
 class TestRecords:
