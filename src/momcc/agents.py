@@ -186,6 +186,14 @@ class DeviceAgent:
         self.least_need = None
         return released
 
+    def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
+        """The replies to one message, from the subclass's handler for its
+        kind; a departed device answers nothing."""
+        if not self.alive:
+            return []
+        handler = self._HANDLERS.get(msg.kind)
+        return [] if handler is None else handler(self, msg, sender, now)
+
     @property
     def battery_exhausted(self) -> bool:
         """No hosted service can run on the remaining charge."""
@@ -268,12 +276,6 @@ class HostAgent(DeviceAgent):
         return self.rng.expovariate(per_ms)
 
     # -- message handling -------------------------------------------------
-
-    def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
-        if not self.alive:
-            return []
-        handler = self._HANDLERS.get(msg.kind)
-        return [] if handler is None else handler(self, msg, sender, now)
 
     def _on_listing(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         offered = msg.payload.get("services", [])
@@ -405,12 +407,6 @@ class AggregatorAgent(DeviceAgent):
 
     def join(self, now: float) -> list[Outbound]:
         return [self._hosting_request(self.config.composite_service_id)]
-
-    def handle(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
-        if not self.alive:
-            return []
-        handler = self._HANDLERS.get(msg.kind)
-        return [] if handler is None else handler(self, msg, sender, now)
 
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]

@@ -96,20 +96,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = run_scenario(scenario)
     out_dir = Path(args.out)
     _write_outputs(result, out_dir)
-    report = result.report
-    print(f"mode={report.mode} seed={report.seed}")
-    availability = "no demand" if report.demand_events == 0 else f"{report.availability:.4f}"
-    print(f"demand={report.demand_events} availability={availability}")
-    latency = "n/a" if report.latency_mean_ms is None else f"{report.latency_mean_ms:.3f}"
-    print(f"invocations={report.invocations_total} mean_latency_ms={latency}")
-    print(f"trace_violations={report.trace_violations}")
+    data = result.report.data
+    availability, mean = _printed(data)
+    print(f"mode={data['mode']} seed={data['seed']}")
+    print(f"demand={data['demand_events']} availability={availability}")
+    print(f"invocations={data['invocations']['total']} mean_latency_ms={mean}")
+    print(f"trace_violations={data['trace_violations']}")
     print(f"outputs: {out_dir}/metrics.json metrics.csv trace.log ledger.csv")
     problems = result.governor.check_invariants()
     for problem in problems:
         print(f"error: invariant: {problem}", file=sys.stderr)
     if problems:
         return EXIT_INVARIANTS
-    if report.trace_violations > 0:
+    if data["trace_violations"] > 0:
         return EXIT_TRACE_VIOLATIONS
     return EXIT_OK
 
@@ -125,33 +124,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for offset in range(args.seeds):
         seed = base.seed + offset
-        per_mode = {}
         for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
             scenario = replace(base, seed=seed, baseline_mode=mode)
-            report = run_scenario(scenario).report
-            per_mode[mode] = report
-        rows.append((seed, per_mode))
+            rows.append((seed, mode, run_scenario(scenario).report.data))
 
     header = f"{'seed':>6} {'mode':>10} {'mean_ms':>9} {'availability':>13} {'energy_mwh':>11}"
     print(header)
     print("-" * len(header))
-    summary: dict[str, list[float]] = {MODE_MARKETPLACE: [], MODE_WAN_CLOUD: []}
-    for seed, per_mode in rows:
-        for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
-            report = per_mode[mode]
-            mean = report.latency_mean_ms
-            summary[mode].append(mean if mean is not None else float("nan"))
-            availability = "no demand" if report.demand_events == 0 else f"{report.availability:.4f}"
-            mean_text = "n/a" if mean is None else f"{mean:9.3f}"
-            print(f"{seed:>6} {mode:>10} {mean_text:>9} {availability:>13} {report.energy_mwh:>11}")
-    for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
-        values = [v for v in summary[mode] if v == v]
+    means: dict[str, list[float]] = {MODE_MARKETPLACE: [], MODE_WAN_CLOUD: []}
+    for seed, mode, data in rows:
+        availability, mean = _printed(data)
+        if data["latency_ms"] is not None:
+            means[mode].append(data["latency_ms"]["mean"])
+        print(f"{seed:>6} {mode:>10} {mean:>9} {availability:>13} {data['energy_mwh']:>11}")
+    for mode, values in means.items():
         if values:
             print(
                 f"{mode}: mean latency min={min(values):.3f} "
                 f"max={max(values):.3f} over {len(values)} seeds"
             )
     return EXIT_OK
+
+
+def _printed(data: dict) -> tuple[str, str]:
+    """A report's availability and mean latency as `run` and `compare`
+    print them: a run without demand holds its availability as text, and
+    one without invocations no latency."""
+    availability, latency = data["availability"], data["latency_ms"]
+    return (availability if isinstance(availability, str) else f"{availability:.4f}",
+            "n/a" if latency is None else f"{latency['mean']:.3f}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -48,12 +48,13 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterator
 
-from .agents import AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent
-from .domain import ResourceVector
+from .agents import (AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent,
+                     _invoke_result)
+from .domain import Outcome, ResourceVector
 from .governor import ServiceGovernor
 from .governor.endpoint import GovernorEndpoint
 from .scenario import MODE_WAN_CLOUD, Scenario
-from .wire import MessageKind, Outbound, ProtocolMessage, Role, TraceRecord, compact_json
+from .wire import MessageKind, Outbound, TraceRecord, compact_json
 
 CLOUD_HOST_ID = "cloud-host"
 GOVERNOR_ID = "governor"
@@ -63,82 +64,36 @@ _CLOUD_BATTERY = 10**15
 
 _INVOKE = MessageKind.INVOKE
 _INVOKE_RESULT = MessageKind.INVOKE_RESULT
-_HOST = Role.HOST
 
 
 @dataclass
 class MetricsReport:
-    """Everything one run measured, serializable byte-identically."""
+    """Everything one run measured. `data` is metrics.json's object: one
+    nested dict, built once by `Simulation._build_report`, which writes
+    each key once. metrics.json is `data` with sorted keys, indented;
+    metrics.csv holds its flattened keys (`invocations.total`), one row
+    each, in sorted order."""
 
-    format_version: int
-    mode: str
-    seed: int
-    duration_hours: float
-    demand_events: int
-    unavailable_events: int
-    availability: float | None
-    invocations_total: int
-    invocations_succeeded: int
-    invocations_failed: int
-    latency_mean_ms: float | None
-    latency_p50_ms: float | None
-    latency_p95_ms: float | None
-    energy_mwh: int
-    revenue: dict[str, int]
-    trust_levels: dict[str, int]
-    allocations_confirmed: int
-    allocations_denied: int
-    trace_violations: int
-    sweeps: list[dict]
-    escalations: int
+    data: dict
 
-    def to_json_dict(self) -> dict:
-        availability: float | str | None = self.availability
-        if self.demand_events == 0:
-            availability = "no demand"
-        return {
-            "format_version": self.format_version,
-            "mode": self.mode,
-            "seed": self.seed,
-            "duration_hours": self.duration_hours,
-            "demand_events": self.demand_events,
-            "unavailable_events": self.unavailable_events,
-            "availability": availability,
-            "invocations": {
-                "total": self.invocations_total,
-                "succeeded": self.invocations_succeeded,
-                "failed": self.invocations_failed,
-            },
-            "latency_ms": (
-                None
-                if self.latency_mean_ms is None
-                else {
-                    "mean": self.latency_mean_ms,
-                    "p50": self.latency_p50_ms,
-                    "p95": self.latency_p95_ms,
-                }
-            ),
-            "energy_mwh": self.energy_mwh,
-            "revenue": self.revenue,
-            "trust_levels": self.trust_levels,
-            "allocations": {
-                "confirmed": self.allocations_confirmed,
-                "denied": self.allocations_denied,
-            },
-            "trace_violations": self.trace_violations,
-            "sweeps": self.sweeps,
-            "escalations": self.escalations,
-        }
+    # `bench/run.py` checks every market pass with these three.
+    @property
+    def trace_violations(self) -> int:
+        return self.data["trace_violations"]
+
+    @property
+    def demand_events(self) -> int:
+        return self.data["demand_events"]
+
+    @property
+    def invocations_succeeded(self) -> int:
+        return self.data["invocations"]["succeeded"]
 
     def to_json_bytes(self) -> bytes:
-        return (_indented(self.to_json_dict()) + "\n").encode("utf-8")
+        return (_indented(self.data) + "\n").encode("utf-8")
 
     def to_csv_rows(self) -> list[list[str]]:
-        flat = _flatten(self.to_json_dict())
-        rows = [["key", "value"]]
-        for key in sorted(flat):
-            rows.append([key, str(flat[key])])
-        return rows
+        return [["key", "value"]] + [[key, str(value)] for key, value in sorted(_flatten(self.data).items())]
 
 
 def _flatten(obj, prefix: str = "") -> dict[str, object]:
@@ -173,11 +128,9 @@ def _indented(obj, depth: int = 0) -> str:
     return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
 
 
-def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile over a non-empty list."""
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
+def percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile over a non-empty sorted list."""
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 @contextmanager
@@ -458,53 +411,57 @@ class Simulation:
     def _bounce_invoke(self, record: TraceRecord) -> None:
         # Transport-level failure reply for a departed endpoint.
         message = record.message
-        reply = ProtocolMessage(_INVOKE_RESULT, _HOST, message.correlation_id, {
-            "service_id": message.payload["service_id"], "ok": False, "reason": "host_unreachable",
-        })
+        reply = _invoke_result(message.correlation_id, message.payload["service_id"],
+                               Outcome.failure("host_unreachable"))
         self._send(record.recipient, Outbound(record.sender, "wlan", reply))
 
     # -- reporting ---------------------------------------------------------
 
     def _build_report(self) -> MetricsReport:
+        governor = self.governor
         demand = sum(r.demand_events for r in self.requesters.values())
         unavailable = sum(r.unavailable_events for r in self.requesters.values())
-        availability = None if demand == 0 else (demand - unavailable) / demand
 
         trust_levels = {"none": 0, "Low": 0, "Medium": 0, "High": 0}
-        for profile in self.governor.host_db.hosts.values():
-            if profile.certificate is None:
-                trust_levels["none"] += 1
-            else:
-                trust_levels[profile.certificate.level.label] += 1
+        for profile in governor.host_db.hosts.values():
+            certificate = profile.certificate
+            trust_levels["none" if certificate is None else certificate.level.label] += 1
 
-        confirmed = sum(1 for d in self.governor.hosts.decisions if d.confirmed)
-        denied = len(self.governor.hosts.decisions) - confirmed
+        confirmed = sum(1 for d in governor.hosts.decisions if d.confirmed)
+        latencies = self.latencies
+        # Sorted once for both percentiles; the mean sums in send order,
+        # as float addition's rounding depends on the order.
+        ordered = sorted(latencies)
 
-        return MetricsReport(
-            format_version=1,
-            mode=self.scenario.baseline_mode,
-            seed=self.scenario.seed,
-            duration_hours=self.scenario.duration_hours,
-            demand_events=demand,
-            unavailable_events=unavailable,
-            availability=None if availability is None else round(availability, 6),
-            invocations_total=self.invocations_total,
-            invocations_succeeded=self.invocations_succeeded,
-            invocations_failed=self.invocations_failed,
-            latency_mean_ms=(
-                round(sum(self.latencies) / len(self.latencies), 3) if self.latencies else None
-            ),
-            latency_p50_ms=round(percentile(self.latencies, 0.50), 3) if self.latencies else None,
-            latency_p95_ms=round(percentile(self.latencies, 0.95), 3) if self.latencies else None,
-            energy_mwh=sum(r.energy_used_mwh for r in self.governor.host_db.reports),
-            revenue=self.governor.billing.class_revenue(),
-            trust_levels=trust_levels,
-            allocations_confirmed=confirmed,
-            allocations_denied=denied,
-            trace_violations=self.governor.hosts.count_trace_violations(),
-            sweeps=self.sweep_actions,
-            escalations=len(self.governor.profiler.escalations),
-        )
+        return MetricsReport({
+            "format_version": 1,
+            "mode": self.scenario.baseline_mode,
+            "seed": self.scenario.seed,
+            "duration_hours": self.scenario.duration_hours,
+            "demand_events": demand,
+            "unavailable_events": unavailable,
+            "availability": "no demand" if demand == 0 else round((demand - unavailable) / demand, 6),
+            "invocations": {
+                "total": self.invocations_total,
+                "succeeded": self.invocations_succeeded,
+                "failed": self.invocations_failed,
+            },
+            "latency_ms": {
+                "mean": round(sum(latencies) / len(latencies), 3),
+                "p50": round(percentile(ordered, 0.50), 3),
+                "p95": round(percentile(ordered, 0.95), 3),
+            } if latencies else None,
+            "energy_mwh": sum(r.energy_used_mwh for r in governor.host_db.reports),
+            "revenue": governor.billing.class_revenue(),
+            "trust_levels": trust_levels,
+            "allocations": {
+                "confirmed": confirmed,
+                "denied": len(governor.hosts.decisions) - confirmed,
+            },
+            "trace_violations": governor.hosts.count_trace_violations(),
+            "sweeps": self.sweep_actions,
+            "escalations": len(governor.profiler.escalations),
+        })
 
 
 def run_scenario(scenario: Scenario) -> SimulationResult:

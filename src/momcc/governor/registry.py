@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect, bisect_left, insort
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -69,7 +69,7 @@ from ..domain import (
     parse_version,
 )
 from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
-from ..wire import service_to_dict
+from ..wire import listing_to_dict, service_to_dict
 from .billing import BillingUnit, check_developer_share
 from .store import HostDatabase
 
@@ -332,27 +332,12 @@ _LABELS = tuple(level.label for level in sorted(SecurityLevel))
 
 
 def _listing_of(desc: ServiceDescription) -> ServiceListing:
-    return ServiceListing(
-        service_id=desc.service_id,
-        name=desc.name,
-        description=desc.description,
-        functionality_tag=desc.functionality_tag,
-        input_spec=desc.input_spec,
-        output_spec=desc.output_spec,
-        binding_method=desc.binding_method,
-        security_level=_LABELS[desc.security_level],
-        platform_os=desc.platform.os_name,
-        platform_min_version=desc.platform.min_version,
-        min_resources=desc.min_resources,
-        price_per_invocation=desc.price_per_invocation,
-        dependencies=desc.dependencies,
-    )
-
-
-def listing_to_dict(listing: ServiceListing) -> dict:
-    encoded = asdict(listing)
-    encoded["dependencies"] = list(listing.dependencies)
-    return encoded
+    """`desc`'s listing, built positionally, in declaration order."""
+    platform = desc.platform
+    return ServiceListing(desc.service_id, desc.name, desc.description, desc.functionality_tag,
+                          desc.input_spec, desc.output_spec, desc.binding_method,
+                          _LABELS[desc.security_level], platform.os_name, platform.min_version,
+                          desc.min_resources, desc.price_per_invocation, desc.dependencies)
 
 
 class ServiceRegistry:
@@ -513,7 +498,7 @@ class ServiceRegistry:
         with self._lock:
             encoded = self.db.listing_dicts.get(service_id)
             if encoded is None:
-                encoded = listing_to_dict(_listing_of(self.get(service_id)))
+                encoded = listing_to_dict(self.get(service_id))
                 self.db.listing_dicts[service_id] = encoded
             return encoded
 

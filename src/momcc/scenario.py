@@ -34,7 +34,7 @@ The semantic rules the schema cannot express follow it in
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .agents import (
@@ -391,21 +391,29 @@ def governor_config_from(policies: dict) -> GovernorConfig:
 
 def policies_of(config: GovernorConfig) -> dict:
     """The `policies` section `governor_config_from` builds `config` from:
-    the inverse of `governor_config_from`, as JSON values."""
-    trust, profiler = config.trust_policy, config.profiler_policy
+    the inverse of `governor_config_from`, as JSON values. The `trust`
+    and `profiler` sections hold every field of their policies."""
     return {
-        "trust": {
-            "alpha": trust.alpha,
-            "promote_medium": list(trust.promote_medium),
-            "promote_high": list(trust.promote_high),
-            "hysteresis": trust.hysteresis,
-            "rating_weight": trust.rating_weight,
-        },
+        "trust": _section(config.trust_policy),
         "billing": {"governor_commission": config.governor_commission},
-        "profiler": {"failure_threshold": profiler.failure_threshold, "window": profiler.window},
-        "registry": {"footprint_ceiling": config.footprint_ceiling.as_dict()},
-        "assessment_weights": list(config.assessment_weights),
+        "profiler": _section(config.profiler_policy),
+        "registry": {"footprint_ceiling": _json(config.footprint_ceiling)},
+        "assessment_weights": _json(config.assessment_weights),
     }
+
+
+def _section(policy) -> dict:
+    """A policy dataclass as a `policies` section, by field name."""
+    return {f.name: _json(getattr(policy, f.name)) for f in fields(policy)}
+
+
+def _json(value):
+    """A config field's value as JSON holds it: the inverse of `_value`."""
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, ResourceVector):
+        return value.as_dict()
+    return value
 
 
 def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario:

@@ -34,7 +34,7 @@ from .governor import ServiceGovernor
 from .governor.billing import Agreement
 from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
-from .wire import report_from_dict, report_to_dict, service_from_dict, service_to_dict
+from .wire import REPORT_KEYS, report_from_dict, report_to_dict, service_from_dict, service_to_dict
 
 FORMAT_VERSION = 2
 SNAPSHOT_KIND = "governor-state"
@@ -184,15 +184,9 @@ def _strs(value) -> list[str]:
     return value
 
 
-_REPORT_FIELDS = frozenset((
-    "report_id", "host_id", "service_id", "requester_pseudonym", "started_at",
-    "duration_ms", "energy_used_mwh", "ok", "failure_reason", "rating",
-))
-
-
 def _report(raw) -> ExecutionReport:
-    if type(raw) is not dict or raw.keys() != _REPORT_FIELDS:
-        raise ValueError(f"a report holds exactly the fields {sorted(_REPORT_FIELDS)}, got {raw!r}")
+    if type(raw) is not dict or raw.keys() != REPORT_KEYS:
+        raise ValueError(f"a report holds exactly the fields {sorted(REPORT_KEYS)}, got {raw!r}")
     return report_from_dict(raw, raw["rating"])
 
 

@@ -44,8 +44,10 @@ text; nothing encoded outlives its pass. The writer joins lines into
 A service travels as `service_to_dict` writes it: its fields by name,
 `security_level` as its label, `platform` as {os_name, min_version},
 `min_resources` as {cpu, memory, storage, energy}, `dependencies` as a
-list. An execution report travels as `report_to_dict` writes it: its
-fields by name, the outcome as `ok` and `failure_reason`, and `rating`;
+list. A discovery reply lists a service as `listing_to_dict` writes it:
+that form without the developer, the platform flattened. An execution
+report travels as `report_to_dict` writes it: its fields by name
+(`REPORT_KEYS`), the outcome as `ok` and `failure_reason`, and `rating`;
 `report_from_dict` takes the rating apart, since on the wire it arrives
 in its own message.
 """
@@ -238,9 +240,8 @@ class ProtocolMessage:
     sets each field through `object.__setattr__`. Nothing assigns to a
     message once it is built, or hashes one (`tests/test_records.py`
     checks this over whole runs). The builders that make a run's messages
-    (`agents`, `governor.endpoint`, the engine's bounce) pass the fields
-    positionally, in declaration order: keywords cost about two thirds
-    more per build.
+    (`agents`, `governor.endpoint`) pass the fields positionally, in
+    declaration order: keywords cost about two thirds more per build.
     """
 
     kind: MessageKind
@@ -298,6 +299,17 @@ def service_to_dict(desc: ServiceDescription) -> dict:
     }
 
 
+def listing_to_dict(desc: ServiceDescription) -> dict:
+    """A discovery reply's form of a service: `service_to_dict` without
+    the developer's id and share, the platform flattened into
+    `platform_os` and `platform_min_version`."""
+    encoded = service_to_dict(desc)
+    del encoded["developer_id"], encoded["developer_share"]
+    platform = encoded.pop("platform")
+    encoded["platform_os"], encoded["platform_min_version"] = platform["os_name"], platform["min_version"]
+    return encoded
+
+
 def service_from_dict(raw: dict) -> ServiceDescription:
     """The description `service_to_dict` wrote. Hosts decode each service
     they choose from a listing here, so the records are built
@@ -331,6 +343,10 @@ def report_to_dict(report: ExecutionReport) -> dict:
         "failure_reason": report.outcome.reason,
         "rating": report.rating,
     }
+
+
+# The keys `report_to_dict` writes, read off one report.
+REPORT_KEYS = frozenset(report_to_dict(ExecutionReport("", "", "", "", 0.0, 0.0, 0, Outcome.success())))
 
 
 def report_from_dict(raw: dict, rating: int | None) -> ExecutionReport:

@@ -210,9 +210,10 @@ def test_criterion_07_latency_claim():
         seed = base.seed + offset
         momcc_run = run_scenario(replace(base, seed=seed))
         wan_run = run_scenario(replace(base, seed=seed, baseline_mode=MODE_WAN_CLOUD))
-        momcc_mean = momcc_run.report.latency_mean_ms
-        wan_mean = wan_run.report.latency_mean_ms
-        assert momcc_mean is not None and wan_mean is not None
+        momcc_latency = momcc_run.report.data["latency_ms"]
+        wan_latency = wan_run.report.data["latency_ms"]
+        assert momcc_latency is not None and wan_latency is not None
+        momcc_mean, wan_mean = momcc_latency["mean"], wan_latency["mean"]
         assert momcc_mean < wan_mean, f"seed {seed}: {momcc_mean} !< {wan_mean}"
     assert time.monotonic() - started < 30.0
 
@@ -245,7 +246,7 @@ def test_criterion_08_availability_scaling():
                 scenario_from_dict(availability_scaling_scenario(n, seed))
             ).report
             assert report.demand_events > 0
-            values.append(report.availability)
+            values.append(report.data["availability"])
         means.append(sum(values) / len(values))
     for smaller, larger in zip(means, means[1:]):
         assert larger >= smaller - 0.02, f"availability regressed: {means}"

@@ -284,7 +284,7 @@ class TestAggregation:
         """Leaf services flow through the plain host path untouched."""
         data = scenario_dict(seed=3, duration_hours=0.5)
         result = run_scenario(scenario_from_dict(data))
-        assert result.report.invocations_total > 0
+        assert result.report.data["invocations"]["total"] > 0
         assert result.governor.check_invariants() == []
 
     def test_parallel_mode_fans_out_dependency_discoveries_together(self):

@@ -1,0 +1,41 @@
+"""The program names the benchmark reads, used the way it uses them.
+
+`bench/run.py` builds a `Simulation`, runs it, writes its outputs with
+`cli._write_outputs` and checks the pass through the report's three
+properties, `to_json_bytes()`, the trace records' `recipient` and
+`billing.audit()`; `bench/closed_loop.py` reads each discovery result's
+`listing.service_id` and `hosts`. A rename of any of them fails here, in
+the tier-1 tests, and not only in a benchmark run.
+"""
+from pathlib import Path
+
+from conftest import governor_with, make_service
+from momcc.cli import _write_outputs
+from momcc.domain import ResourceVector
+from momcc.engine import Simulation
+from momcc.scenario import load_scenario
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
+
+
+def test_a_market_pass_reads_what_the_benchmark_reads(tmp_path):
+    result = Simulation(load_scenario(SCENARIOS / "default.json")).run()
+    _write_outputs(result, tmp_path)
+    report = result.report
+    assert report.trace_violations == report.data["trace_violations"] == 0
+    assert report.demand_events == report.data["demand_events"] > 0
+    assert report.invocations_succeeded == report.data["invocations"]["succeeded"] > 0
+    assert (tmp_path / "metrics.json").read_bytes() == report.to_json_bytes()
+    with (tmp_path / "trace.log").open("rb") as fh:
+        assert sum(1 for _ in fh) == len(result.trace)
+    assert any(record.recipient == "governor" for record in result.trace)
+    with (tmp_path / "ledger.csv").open("rb") as fh:
+        assert sum(1 for _ in fh) == len(result.governor.billing.audit()) + 1
+
+
+def test_a_discovery_result_carries_the_listing_id_and_hosts():
+    governor = governor_with([make_service()])
+    governor.hosts.register_host("host-000", "Android", "4.0", ResourceVector(2048, 32, 64, 1000), 9000)
+    assert governor.request_hosting("host-000", "svc-resize", identity_verified=True).confirmed
+    found = governor.registry.discover("image", "anon-bench-client")
+    assert [(r.listing.service_id, r.hosts) for r in found] == [("svc-resize", ["host-000"])]

@@ -121,6 +121,127 @@ class TestRun:
         assert (out / "metrics.json").exists()  # the outputs are written first
 
 
+# The zero-requester run's outputs: availability reads "no demand" and
+# the latency object is null.
+ZERO_DEMAND_METRICS_JSON = """{
+  "allocations": {
+    "confirmed": 3,
+    "denied": 0
+  },
+  "availability": "no demand",
+  "demand_events": 0,
+  "duration_hours": 1.0,
+  "energy_mwh": 0,
+  "escalations": 0,
+  "format_version": 1,
+  "invocations": {
+    "failed": 0,
+    "succeeded": 0,
+    "total": 0
+  },
+  "latency_ms": null,
+  "mode": "momcc",
+  "revenue": {
+    "developer": 0,
+    "governor": 0,
+    "host": 0
+  },
+  "seed": 42,
+  "sweeps": [],
+  "trace_violations": 0,
+  "trust_levels": {
+    "High": 0,
+    "Low": 3,
+    "Medium": 0,
+    "none": 0
+  },
+  "unavailable_events": 0
+}
+"""
+
+ZERO_DEMAND_METRICS_CSV = (
+    "key,value\r\n"
+    "allocations.confirmed,3\r\n"
+    "allocations.denied,0\r\n"
+    "availability,no demand\r\n"
+    "demand_events,0\r\n"
+    "duration_hours,1.0\r\n"
+    "energy_mwh,0\r\n"
+    "escalations,0\r\n"
+    "format_version,1\r\n"
+    "invocations.failed,0\r\n"
+    "invocations.succeeded,0\r\n"
+    "invocations.total,0\r\n"
+    "latency_ms,None\r\n"
+    "mode,momcc\r\n"
+    "revenue.developer,0\r\n"
+    "revenue.governor,0\r\n"
+    "revenue.host,0\r\n"
+    "seed,42\r\n"
+    "sweeps,[]\r\n"
+    "trace_violations,0\r\n"
+    "trust_levels.High,0\r\n"
+    "trust_levels.Low,3\r\n"
+    "trust_levels.Medium,0\r\n"
+    "trust_levels.none,0\r\n"
+    "unavailable_events,0\r\n"
+)
+
+
+class TestPinnedOutput:
+    """What `run` and `compare` print, and the metrics files of a run
+    without demand, pinned exactly."""
+
+    @pytest.mark.parametrize("name, lines", [
+        ("default.json", ["mode=momcc seed=42", "demand=31 availability=1.0000",
+                          "invocations=31 mean_latency_ms=16.578", "trace_violations=0"]),
+        ("composite.json", ["mode=momcc seed=11", "demand=9 availability=1.0000",
+                            "invocations=27 mean_latency_ms=16.626", "trace_violations=0"]),
+    ])
+    def test_run_stdout_on_the_bundled_scenarios(self, name, lines, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--no-banner", "run", str(SCENARIOS / name), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(
+            lines + [f"outputs: {out}/metrics.json metrics.csv trace.log ledger.csv", ""])
+
+    def test_run_without_demand_prints_and_writes_no_demand(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, scenario_dict(requesters=[]))
+        out = tmp_path / "out"
+        assert main(["--no-banner", "run", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "mode=momcc seed=42\n"
+            "demand=0 availability=no demand\n"
+            "invocations=0 mean_latency_ms=n/a\n"
+            "trace_violations=0\n"
+            f"outputs: {out}/metrics.json metrics.csv trace.log ledger.csv\n"
+        )
+        assert (out / "metrics.json").read_bytes() == ZERO_DEMAND_METRICS_JSON.encode()
+        assert (out / "metrics.csv").read_bytes() == ZERO_DEMAND_METRICS_CSV.encode()
+
+    def test_compare_stdout_on_the_default_scenario(self, capsys):
+        assert main(["--no-banner", "compare", str(SCENARIOS / "default.json"), "--seeds", "2"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "  seed       mode   mean_ms  availability  energy_mwh\n"
+            "-----------------------------------------------------\n"
+            "    42      momcc    16.578        1.0000       10200\n"
+            "    42  wan_cloud   187.648        1.0000        9600\n"
+            "    43      momcc    17.125        1.0000       14500\n"
+            "    43  wan_cloud   197.938        1.0000       12600\n"
+            "momcc: mean latency min=16.578 max=17.125 over 2 seeds\n"
+            "wan_cloud: mean latency min=187.648 max=197.938 over 2 seeds\n"
+        )
+
+    def test_compare_stdout_without_demand(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, scenario_dict(requesters=[]))
+        assert main(["--no-banner", "compare", str(path), "--seeds", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "  seed       mode   mean_ms  availability  energy_mwh\n"
+            "-----------------------------------------------------\n"
+            "    42      momcc       n/a     no demand           0\n"
+            "    42  wan_cloud       n/a     no demand           0\n"
+        )
+
+
 class TestCompare:
     def test_zero_seeds_is_usage_error(self, tmp_path, capsys):
         path = write_scenario(tmp_path, scenario_dict())

@@ -5,6 +5,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import make_service, scenario_dict
 from momcc.domain import Outcome, ResourceVector
@@ -12,7 +13,14 @@ from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError, UnknownEntityError
 from momcc.governor import GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
 from momcc.governor.registry import ServiceStatus
-from momcc.scenario import load_scenario, scenario_from_dict
+from momcc.scenario import (
+    POLICIES_SCHEMA,
+    governor_config_from,
+    load_scenario,
+    policies_of,
+    scenario_from_dict,
+)
+from momcc.schema import compile_schema
 from momcc.snapshot import (
     REPLAYED,
     _digest,
@@ -59,6 +67,52 @@ def refusal(snap: dict) -> str:
     with pytest.raises(SnapshotIntegrityError) as err:
         restore_governor(resealed(snap))
     return str(err.value)
+
+
+def _optional(**sections) -> st.SearchStrategy[dict]:
+    """Dicts holding any subset of `sections`, each drawn from its strategy."""
+    return st.fixed_dictionaries({}, optional=sections)
+
+
+_UNIT = st.floats(0, 1) | st.integers(0, 1)
+_NONNEGATIVE = st.floats(0, 1e6) | st.integers(0, 10**6)
+_COUNT = st.integers(0, 10**4)
+
+# `policies` sections the scenario schema admits; some break a rule the
+# policies' own checks hold (promote_high must dominate promote_medium).
+POLICIES = _optional(
+    trust=_optional(
+        alpha=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        promote_medium=st.tuples(_UNIT, _COUNT).map(list),
+        promote_high=st.tuples(_UNIT, _COUNT).map(list),
+        hysteresis=_NONNEGATIVE,
+        rating_weight=_UNIT,
+    ),
+    billing=_optional(governor_commission=_UNIT),
+    profiler=_optional(failure_threshold=_UNIT, window=st.integers(1, 10**4),
+                       sweep_interval_hours=st.floats(0, 100, exclude_min=True)),
+    registry=_optional(footprint_ceiling=st.fixed_dictionaries(
+        {name: _COUNT for name in ("cpu", "memory", "storage", "energy")})),
+    assessment_weights=st.lists(_NONNEGATIVE, min_size=3, max_size=3),
+)
+
+_policies_diagnostics = compile_schema(POLICIES_SCHEMA)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLICIES)
+def test_policies_of_is_the_inverse_of_governor_config_from(policies):
+    """A state file saves a config as `policies_of` writes it and a restore
+    builds it back with `governor_config_from`: the config comes back equal,
+    and its section passes the scenario's own `policies` rules."""
+    assert _policies_diagnostics(policies) == []
+    try:
+        config = governor_config_from(policies)
+    except ValueError:
+        assume(False)
+    saved = policies_of(config)
+    assert _policies_diagnostics(saved) == []
+    assert governor_config_from(saved) == config
 
 
 class TestRoundTrip:
