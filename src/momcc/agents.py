@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .domain import Outcome, ResourceVector, ServiceDescription
-from .wire import MessageKind, Outbound, ProtocolMessage, Role, service_from_dict
+from .wire import MessageKind, Outbound, ProtocolMessage, Role, report_dict, service_from_dict
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
 _RATINGS = (1, 2, 3, 4, 5)
@@ -222,17 +222,8 @@ class DeviceAgent:
         governor, both leaving when the execution step ends. The report
         spans the whole call from `started`: for a composite, its
         dependencies as well as its own step."""
-        report = {
-            "report_id": f"rpt-{correlation}",
-            "host_id": self.agent_id,
-            "service_id": service_id,
-            "requester_pseudonym": pseudonym,
-            "started_at": started,
-            "duration_ms": (now - started) + duration,
-            "energy_used_mwh": energy,
-            "ok": outcome.ok,
-            "failure_reason": outcome.reason,
-        }
+        report = report_dict(f"rpt-{correlation}", self.agent_id, service_id, pseudonym, started,
+                             (now - started) + duration, energy, outcome.ok, outcome.reason)
         return [
             Outbound(to, "wlan", _invoke_result(correlation, service_id, outcome), duration),
             _to_governor(_EXECUTION_REPORT, _HOST, correlation, report, duration),

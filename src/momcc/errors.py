@@ -34,7 +34,7 @@ class NotHostedError(MarketplaceError):
 
 
 class CertificateExistsError(MarketplaceError):
-    """issue_certificate() was called for a host that already has one."""
+    """A certificate was to be issued to a host that already has one."""
 
 
 class CertificateMismatchError(MarketplaceError):
@@ -43,10 +43,6 @@ class CertificateMismatchError(MarketplaceError):
 
 class NegotiationRejected(MarketplaceError):
     """Billing negotiation failed: the requested share split is infeasible."""
-
-
-class DuplicateCorrelationError(MarketplaceError):
-    """An invocation was metered twice under the same correlation_id."""
 
 
 class MissingAgreementError(MarketplaceError):

@@ -12,12 +12,14 @@ units' constructors take no defaults.
 `journal` lists, in order, every call from outside that changed the
 governor's state: a tuple of the call's name (`"unit.method"`, or the
 governor's own method) and its arguments as passed, each appended by
-the unit's public method once it has returned. Calls one unit makes on
-another (placing, issuing a certificate, metering, unhosting on
-departure, deprecating in a sweep) go to unrecorded private bodies that
-run under the lock their caller holds, so the journal never holds a
-call twice. Replaying it into a governor of the same config through the
-same methods rebuilds the same state (`momcc.snapshot`).
+the unit's public method once it has returned. Each write has one door.
+What one unit does for another (settling an agreement on placement,
+issuing a certificate in the handshake or on preprovisioning, metering
+an accepted report, unhosting on departure, deprecating in a sweep) has
+no public twin: it is a private body that runs under the lock its
+caller holds, so the journal holds each write once, under the call that
+made it. Replaying the journal into a governor of the same config
+through the same methods rebuilds the same state (`momcc.snapshot`).
 """
 from __future__ import annotations
 
@@ -76,9 +78,7 @@ class ServiceGovernor:
             lock=self.lock,
             journal=self.journal,
         )
-        self.security = SecurityGovernor(
-            host_db=self.host_db, policy=self.config.trust_policy, lock=self.lock, journal=self.journal
-        )
+        self.security = SecurityGovernor(host_db=self.host_db, policy=self.config.trust_policy)
         self.hosts = HostRegistry(
             host_db=self.host_db,
             registry=self.registry,

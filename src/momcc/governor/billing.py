@@ -3,7 +3,8 @@
 Money is integer minor units throughout, so conservation is exact: each
 metered invocation splits its price by the agreed shares, rounds each
 credit down, and hands the remainder to the governor. Failed executions
-are never billed, and a correlation_id can be metered at most once.
+are never billed, and a report is metered at most once, its report id
+the row's correlation id.
 
 Negotiation is two-stage and always with the governor: a developer
 registers with billing, and a service's first placement settles its
@@ -11,6 +12,12 @@ agreement, in which the host takes whatever share remains after the
 developer share and the governor commission. A service's price and
 share live only on its description. Hosts never negotiate with
 developers or requesters directly.
+
+Only the developer's registration is a public write. The host registry
+settles an agreement when it places a service (`_negotiate_host`) and
+meters a successful report when it accepts one (`_meter_report`), under
+the lock it holds; so every ledger row is paid for by a report in the
+host database's history.
 
 The ledger keeps one flat row per metered invocation (`Row`): its
 sequence number, correlation id, payer, price, developer and host ids,
@@ -29,11 +36,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from ..domain import ExecutionReport, ServiceDescription
-from ..errors import (
-    DuplicateCorrelationError,
-    MissingAgreementError,
-    NegotiationRejected,
-)
+from ..errors import MissingAgreementError, NegotiationRejected
 
 GOVERNOR_PARTY = "governor"
 
@@ -224,15 +227,9 @@ class BillingUnit:
             governor_commission=self.governor_commission,
         )
 
-    def negotiate_host(self, desc: ServiceDescription) -> Agreement:
-        """The service's agreement, settled on the first call. Later hosts
-        take the same agreement."""
-        with self._lock:
-            agreement = self._negotiate_host(desc)
-            self._journal.append(("billing.negotiate_host", desc))
-            return agreement
-
     def _negotiate_host(self, desc: ServiceDescription) -> Agreement:
+        """The service's agreement, settled on its first placement. Later
+        hosts take the same agreement."""
         agreement = self._agreements.get(desc.service_id)
         if agreement is None:
             agreement = self._agreements[desc.service_id] = self._settle(desc)
@@ -244,56 +241,32 @@ class BillingUnit:
 
     # -- metering -----------------------------------------------------
 
-    def meter_invocation(self, agreement: Agreement, requester_pseudonym: str,
-                         correlation_id: str, host_id: str, at: float = 0.0) -> None:
-        """Record one successful paid invocation as one ledger row.
+    def _meter_report(self, report: ExecutionReport) -> bool:
+        """Meter a successful execution report under its service's
+        agreement as one ledger row, once: a report id already metered is
+        skipped. Whether it metered the report.
 
         Each share is rounded down to minor units and the remainder goes
         to the governor, so credits always sum to the price exactly.
         """
-        with self._lock:
-            self._meter(agreement, requester_pseudonym, correlation_id, host_id, at)
-            self._journal.append((
-                "billing.meter_invocation", agreement, requester_pseudonym, correlation_id, host_id, at,
-            ))
-
-    def _meter(self, agreement: Agreement, requester_pseudonym: str,
-               correlation_id: str, host_id: str, at: float) -> None:
-        if correlation_id in self._metered_correlations:
-            raise DuplicateCorrelationError(
-                f"correlation {correlation_id!r} already metered"
+        agreement = self._agreements.get(report.service_id)
+        if agreement is None:
+            raise MissingAgreementError(
+                f"no billing agreement for service {report.service_id!r}"
             )
+        correlation_id = report.report_id
+        if correlation_id in self._metered_correlations:
+            return False
         price = agreement.price_per_invocation
         dev_credit, host_credit, governor_credit = split_price(
             price, agreement.developer_share, agreement.host_share
         )
         self._entry_seq += 1
         self._rows.append((
-            self._entry_seq, correlation_id, requester_pseudonym, price,
-            agreement.developer_id, host_id, dev_credit, host_credit, governor_credit, at,
+            self._entry_seq, correlation_id, report.requester_pseudonym, price, agreement.developer_id,
+            report.host_id, dev_credit, host_credit, governor_credit, report.started_at + report.duration_ms,
         ))
         self._metered_correlations.add(correlation_id)
-
-    def meter_report(self, report: ExecutionReport) -> None:
-        """Meter a successful execution report under its service's
-        agreement, once: a report id already metered is skipped."""
-        with self._lock:
-            if self._meter_report(report):
-                self._journal.append(("billing.meter_report", report))
-
-    def _meter_report(self, report: ExecutionReport) -> bool:
-        """`meter_report`'s body; whether it metered the report."""
-        agreement = self._agreements.get(report.service_id)
-        if agreement is None:
-            raise MissingAgreementError(
-                f"no billing agreement for service {report.service_id!r}"
-            )
-        if report.report_id in self._metered_correlations:
-            return False
-        self._meter(
-            agreement, report.requester_pseudonym, report.report_id,
-            report.host_id, report.started_at + report.duration_ms,
-        )
         return True
 
     # -- accounts and audit -------------------------------------------

@@ -122,12 +122,12 @@ class GovernorEndpoint:
             else:
                 self.pending[msg.correlation_id] = {"report": p}
             return []
-        self._ingest(p, None)
-        self.governor.profiler.report_malfunction(
-            p["service_id"],
-            detail=f"invocation failed: {p.get('failure_reason') or 'unknown'}",
-            at=now,
-        )
+        if self._ingest(p, None):
+            self.governor.profiler.report_malfunction(
+                p["service_id"],
+                detail=f"invocation failed: {p.get('failure_reason') or 'unknown'}",
+                at=now,
+            )
         return []
 
     def _rating(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
@@ -140,11 +140,13 @@ class GovernorEndpoint:
             self.pending[msg.correlation_id] = {"rating": rating}
         return []
 
-    def _ingest(self, report_payload: dict, rating: int | None) -> None:
+    def _ingest(self, report_payload: dict, rating: int | None) -> bool:
+        """Whether the governor accepted the report: not a re-delivery,
+        and naming a host and service it knows."""
         try:
-            self.governor.ingest_report(report_from_dict(report_payload, rating))
+            return self.governor.ingest_report(report_from_dict(report_payload, rating))
         except UnknownEntityError:
-            pass  # report raced a deregistration; nothing to update
+            return False  # report raced a deregistration; nothing to update
 
     # Each handler takes (message, sender, receive time) and returns the replies.
     _HANDLERS = {

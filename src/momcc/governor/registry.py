@@ -409,17 +409,13 @@ class ServiceRegistry:
             stack.extend(services[node].dependencies)
         return False
 
-    def deprecate_service(self, service_id: str, reason: str = "") -> None:
+    def _deprecate(self, service_id: str) -> None:
         """Mark Deprecated: hidden from discovery and hosting listings.
 
-        Hosts already running the service keep it until they unhost.
-        There is no reinstatement path.
+        The service profiler's sweep is the one caller, under the lock it
+        holds. Hosts already running the service keep it until they
+        unhost. There is no reinstatement path.
         """
-        with self._lock:
-            self._deprecate(service_id)
-            self._journal.append(("registry.deprecate_service", service_id, reason))
-
-    def _deprecate(self, service_id: str) -> None:
         if service_id not in self.db.services:
             raise UnknownEntityError(f"unknown service: {service_id!r}")
         if self.db.status[service_id] != ServiceStatus.ACTIVE:

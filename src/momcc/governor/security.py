@@ -1,14 +1,16 @@
 """Security governor: certificate issue and reputation-trust maintenance.
 
-A nascent host gets the lowest certificate; every execution report moves
-its trust score by an exponentially weighted average, and the level is
-promoted or demoted one step at a time against configured thresholds
-with hysteresis. Certificates live on the host profiles inside the
-shared host database.
+A nascent host gets the lowest certificate, in its first admission
+handshake or when the governor preprovisions it; every execution report
+moves its trust score by an exponentially weighted average, and the
+level is promoted or demoted one step at a time against configured
+thresholds with hysteresis. Certificates live on the host profiles
+inside the shared host database. The unit has no public write: its
+callers issue under the governor's lock, and their calls are the ones
+journaled.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..domain import ExecutionReport, SecurityCertificate, SecurityLevel, profile_with
@@ -114,24 +116,16 @@ class SecurityGovernor:
     policy; the host registry applies `update_trust` with it on each report,
     in the same profile write as the report's counters."""
 
-    def __init__(self, host_db: HostDatabase, policy: TrustPolicy, lock: threading.RLock, journal: list):
+    def __init__(self, host_db: HostDatabase, policy: TrustPolicy):
         self.host_db = host_db
         self.policy = policy
-        self._lock = lock
-        self._journal = journal
 
-    def issue_certificate(self, host_id: str, identity_verified: bool, at: float = 0.0) -> SecurityCertificate:
+    def _issue(self, host_id: str, identity_verified: bool, at: float) -> SecurityCertificate:
         """Issue the lowest certificate to a registered host without one.
 
         Identity verification grants a one-time score bonus, never a
-        level jump.
+        level jump. A host that already holds a certificate is refused.
         """
-        with self._lock:
-            cert = self._issue(host_id, identity_verified, at)
-            self._journal.append(("security.issue_certificate", host_id, identity_verified, at))
-            return cert
-
-    def _issue(self, host_id: str, identity_verified: bool, at: float) -> SecurityCertificate:
         profile = self.host_db.get(host_id)
         if profile.certificate is not None:
             raise CertificateExistsError(f"host {host_id!r} already holds a certificate")

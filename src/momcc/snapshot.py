@@ -15,23 +15,24 @@ by the scenario's own `policies` schema, built by
 public methods, so the restored journal equals the saved one. Only calls
 that returned are recorded and each call checks before it writes, so an
 entry that does not decode or raises on replay means the file was edited:
-it is refused by index; `decode_entry` knows only the calls in `REPLAYED`
-and checks each argument's shape before any unit sees it. Last, a restore
-refuses a state on which `ServiceGovernor.check_invariants()` reports
-anything. A version-1 file held derived state without the config or the
-calls, and is refused.
+it is refused by index; `decode_entry` knows only the calls in `REPLAYED`,
+the governor's public writes, and checks each argument's shape before
+any unit sees it. Writes one unit makes for another (metering, a
+certificate, a deprecation) are no calls of their own: the replayed
+call that made them makes them again. Last, a restore refuses a state
+on which `ServiceGovernor.check_invariants()` reports anything. A
+version-1 file held derived state without the config or the calls, and
+is refused.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 from .domain import ExecutionReport, ResourceVector, ServiceDescription
 from .errors import MarketplaceError, SnapshotIntegrityError
 from .governor import ServiceGovernor
-from .governor.billing import Agreement
 from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
 from .wire import REPORT_KEYS, report_from_dict, report_to_dict, service_from_dict, service_to_dict
@@ -149,7 +150,6 @@ _ENCODERS = {
     ServiceDescription: service_to_dict,
     ResourceVector: ResourceVector.as_dict,
     ExecutionReport: report_to_dict,
-    Agreement: asdict,
     tuple: list,
 }
 
@@ -193,18 +193,13 @@ def _report(raw) -> ExecutionReport:
 _str, _int, _bool, _number = _typed(str), _typed(int), _typed(bool), _typed(int, float)
 _service = _object(service_from_dict)
 _resources = _object(lambda raw: ResourceVector(**raw))
-_agreement = _object(lambda raw: Agreement(**raw))
 
-# Every call a journal may hold: its name and one decoder per argument,
-# in the order the method takes them.
+# Every call a journal may hold, which is every public write of the
+# governor: its name and one decoder per argument, in the order the
+# method takes them.
 REPLAYED = {
     "billing.negotiate_developer": (_str, _int, _number),
-    "billing.negotiate_host": (_service,),
-    "billing.meter_invocation": (_agreement, _str, _str, _str, _number),
-    "billing.meter_report": (_report,),
     "registry.register_service": (_service, _bool),
-    "registry.deprecate_service": (_str, _str),
-    "security.issue_certificate": (_str, _bool, _number),
     "hosts.register_host": (_str, _str, _str, _resources, _int),
     "hosts.request_hosting": (_str, _str, _bool, _number),
     "hosts.unhost": (_str, _str),

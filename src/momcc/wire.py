@@ -46,10 +46,11 @@ A service travels as `service_to_dict` writes it: its fields by name,
 `min_resources` as {cpu, memory, storage, energy}, `dependencies` as a
 list. A discovery reply lists a service as `listing_to_dict` writes it:
 that form without the developer, the platform flattened. An execution
-report travels as `report_to_dict` writes it: its fields by name
-(`REPORT_KEYS`), the outcome as `ok` and `failure_reason`, and `rating`;
-`report_from_dict` takes the rating apart, since on the wire it arrives
-in its own message.
+report travels as `report_dict` writes it: its fields by name, the
+outcome as `ok` and `failure_reason`, and no rating, which arrives in
+its own message. `report_to_dict` adds `rating` to that form (together
+`REPORT_KEYS`), as a state file saves a report; `report_from_dict` takes
+the rating apart.
 """
 from __future__ import annotations
 
@@ -330,19 +331,33 @@ def service_from_dict(raw: dict) -> ServiceDescription:
     )
 
 
-def report_to_dict(report: ExecutionReport) -> dict:
+def report_dict(report_id: str, host_id: str, service_id: str, requester_pseudonym: str,
+                started_at: float, duration_ms: float, energy_used_mwh: int,
+                ok: bool, failure_reason: str | None) -> dict:
+    """An execution report as a host sends it: no rating, which reaches
+    the governor in the consumer's own message."""
     return {
-        "report_id": report.report_id,
-        "host_id": report.host_id,
-        "service_id": report.service_id,
-        "requester_pseudonym": report.requester_pseudonym,
-        "started_at": report.started_at,
-        "duration_ms": report.duration_ms,
-        "energy_used_mwh": report.energy_used_mwh,
-        "ok": report.outcome.ok,
-        "failure_reason": report.outcome.reason,
-        "rating": report.rating,
+        "report_id": report_id,
+        "host_id": host_id,
+        "service_id": service_id,
+        "requester_pseudonym": requester_pseudonym,
+        "started_at": started_at,
+        "duration_ms": duration_ms,
+        "energy_used_mwh": energy_used_mwh,
+        "ok": ok,
+        "failure_reason": failure_reason,
     }
+
+
+def report_to_dict(report: ExecutionReport) -> dict:
+    """`report_dict`'s form of `report`, with its rating."""
+    raw = report_dict(
+        report.report_id, report.host_id, report.service_id, report.requester_pseudonym,
+        report.started_at, report.duration_ms, report.energy_used_mwh,
+        report.outcome.ok, report.outcome.reason,
+    )
+    raw["rating"] = report.rating
+    return raw
 
 
 # The keys `report_to_dict` writes, read off one report.

@@ -3,15 +3,24 @@ pass/fail line per acceptance criterion."""
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import replace
 
 import pytest
 
-from momcc.domain import PlatformRequirement, ResourceVector, SecurityLevel, ServiceDescription
-from momcc.governor import HostRegistry, ServiceGovernor
-from momcc.snapshot import decode_entry, encode_entry
+from momcc.domain import (
+    ExecutionReport,
+    Outcome,
+    PlatformRequirement,
+    ResourceVector,
+    SecurityLevel,
+    ServiceDescription,
+)
+from momcc.governor import GovernorConfig, HostRegistry, ServiceGovernor
+from momcc.governor.billing import DEFAULT_COMMISSION
 from momcc.wire import MessageKind, write_trace
+
+# Room for any number of the services tests build.
+ROOMY = ResourceVector(10**9, 10**9, 10**9, 10**9)
 
 
 def make_service(
@@ -46,8 +55,8 @@ def make_service(
     )
 
 
-def governor_with(services: list[ServiceDescription]) -> ServiceGovernor:
-    governor = ServiceGovernor()
+def governor_with(services: list[ServiceDescription], config: GovernorConfig | None = None) -> ServiceGovernor:
+    governor = ServiceGovernor(config)
     for desc in services:
         if not governor.billing.developer_registered(desc.developer_id):
             governor.billing.negotiate_developer(
@@ -57,20 +66,50 @@ def governor_with(services: list[ServiceDescription]) -> ServiceGovernor:
     return governor
 
 
+def placed(services: list[ServiceDescription], commission: float = DEFAULT_COMMISSION,
+           hosts: tuple[str, ...] = ("host-a",)) -> ServiceGovernor:
+    """A governor with `services` registered and placed on the first of
+    `hosts`, each of which holds a certificate: placement settles every
+    agreement, so a successful report of any of the hosts is metered."""
+    governor = governor_with(services, GovernorConfig(governor_commission=commission))
+    for host_id in hosts:
+        governor.hosts.register_host(host_id, "Android", "4.0", ROOMY, 10**9)
+    governor.preprovision_host(hosts[0], [desc.service_id for desc in services])
+    for host_id in hosts[1:]:
+        governor.preprovision_host(host_id, [])
+    return governor
+
+
+def paid_report(report_id: str, service_id: str = "svc-resize", host_id: str = "host-a",
+                payer: str = "anon-1", at: float = 0.0) -> ExecutionReport:
+    """A successful invocation's report, which billing meters at `at`."""
+    return ExecutionReport(report_id, host_id, service_id, payer, at, 0.0, 0, Outcome.success())
+
+
+SWEEP_HOST = "host-sweep"
+
+
+def deprecate(governor: ServiceGovernor, service_id: str) -> list[str]:
+    """Deprecate `service_id` the one way a governor does: a full window of
+    failed reports on it, then a substitution sweep. The reports come from
+    a host of their own that holds a certificate and hosts nothing, so no
+    ranking moves. The ids the sweep deprecated, in its order."""
+    if SWEEP_HOST not in governor.host_db.hosts:
+        governor.hosts.register_host(SWEEP_HOST, "Android", "4.0", ROOMY, 10**9)
+        governor.preprovision_host(SWEEP_HOST, [])
+    for _ in range(governor.profiler.policy.window):
+        n = len(governor.host_db.reports)
+        governor.ingest_report(ExecutionReport(
+            f"sweep-{n}", SWEEP_HOST, service_id, "anon-sweep", float(n), 0.0, 0, Outcome.failure("fault"),
+        ))
+    return [action.deprecated_id for action in governor.profiler.substitution_sweep()]
+
+
 def written(records) -> bytes:
     """What `write_trace` writes for `records`."""
     fh = io.BytesIO()
     write_trace(fh, records)
     return fh.getvalue()
-
-
-def replayed(unit, journal: list):
-    """`unit` after the calls of `journal`, each saved to JSON and read back
-    as a state file holds it."""
-    for entry in journal:
-        name, args = decode_entry(json.loads(json.dumps(encode_entry(entry))))
-        getattr(unit, name.partition(".")[2])(*args)
-    return unit
 
 
 def drop_sc_query(monkeypatch) -> None:

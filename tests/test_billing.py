@@ -1,4 +1,8 @@
-"""Negotiation feasibility, metering arithmetic, ledger conservation."""
+"""Negotiation feasibility, metering arithmetic, ledger conservation.
+
+Agreements are settled by placing a service and rows are metered by
+ingesting a successful report, as a run does.
+"""
 import random
 import threading
 from fractions import Fraction
@@ -6,12 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_service, replayed
+from conftest import make_service, paid_report, placed
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
-from momcc.errors import (
-    DuplicateCorrelationError,
-    NegotiationRejected,
-)
+from momcc.errors import NegotiationRejected
 from momcc.governor import ServiceGovernor
 from momcc.governor.billing import (
     Agreement,
@@ -22,28 +23,18 @@ from momcc.governor.billing import (
     share_of,
     split_price,
 )
+from momcc.snapshot import restore_governor, snapshot_governor
 
 
-def unit(commission=0.2, journal=None) -> BillingUnit:
-    return BillingUnit(governor_commission=commission, lock=threading.RLock(),
-                       journal=[] if journal is None else journal)
+def unit(commission=0.2) -> BillingUnit:
+    return BillingUnit(governor_commission=commission, lock=threading.RLock(), journal=[])
 
 
-def metered(billing: BillingUnit, agmt: Agreement, correlation_id: str):
-    """Meter one invocation and read its entry back through `audit()`."""
-    billing.meter_invocation(agmt, "anon-1", correlation_id, "host-a")
-    return next(entry for entry in billing.audit() if entry.correlation_id == correlation_id)
-
-
-def agreement(price=1000, dev=0.4, host=0.4, commission=0.2) -> Agreement:
-    return Agreement(
-        service_id="svc-resize",
-        developer_id="dev-alpha",
-        price_per_invocation=price,
-        developer_share=dev,
-        host_share=host,
-        governor_commission=commission,
-    )
+def metered(governor: ServiceGovernor, correlation_id: str, service_id: str = "svc-resize"):
+    """Meter one invocation through its report and read its entry back
+    through `audit()`."""
+    assert governor.ingest_report(paid_report(correlation_id, service_id))
+    return next(entry for entry in governor.billing.audit() if entry.correlation_id == correlation_id)
 
 
 class TestNegotiateDeveloper:
@@ -72,72 +63,71 @@ class TestNegotiateDeveloper:
 
 
 class TestNegotiateHost:
-    def test_first_call_settles_the_remainder_for_every_later_host(self):
-        billing = unit()
-        desc = make_service(price=1000, developer_share=0.4)
-        result = billing.negotiate_host(desc)
+    def test_the_first_placement_settles_the_remainder_for_every_later_host(self):
+        governor = placed([make_service(price=1000, developer_share=0.4)])
+        result = governor.billing.agreement_for("svc-resize")
         assert (result.service_id, result.developer_id, result.price_per_invocation) == \
             ("svc-resize", "dev-alpha", 1000)
         assert (result.developer_share, result.host_share, result.governor_commission) == \
             (0.4, 0.4, 0.2)
-        assert billing.negotiate_host(desc) is result
-        assert billing.agreement_for("svc-resize") is result
+        governor.hosts.register_host("host-b", "Android", "4.0", ResourceVector(2048, 32, 64, 2000), 9000)
+        assert governor.request_hosting("host-b", "svc-resize").confirmed
+        assert governor.billing.agreement_for("svc-resize") is result
 
     def test_zero_developer_share_leaves_full_remainder(self):
-        result = unit().negotiate_host(make_service(service_id="svc-free", developer_share=0.0))
-        assert result.host_share == 0.8
+        governor = placed([make_service(service_id="svc-free", developer_share=0.0)])
+        assert governor.billing.agreement_for("svc-free").host_share == 0.8
 
     def test_shares_always_sum_to_one(self):
         rng = random.Random(3)
         for _ in range(200):
             commission = rng.choice([0.0, 0.1, 0.2, 0.25])
             dev = round(rng.uniform(0, 1 - commission), 2)
-            billing = unit(commission)
-            result = billing.negotiate_host(
-                make_service(service_id="s", developer_id="d", price=100, developer_share=dev)
+            governor = placed(
+                [make_service(service_id="s", developer_id="d", price=100, developer_share=dev)], commission
             )
             # Agreement construction enforces the exact-sum invariant.
-            assert isinstance(result, Agreement)
+            assert isinstance(governor.billing.agreement_for("s"), Agreement)
 
 
-class TestMeterInvocation:
+class TestMetering:
     def test_even_split_on_round_price(self):
-        billing = unit()
-        entry = metered(billing, agreement(price=1000), "inv-1")
+        entry = metered(placed([make_service(price=1000)]), "inv-1")
         assert entry.class_totals == {"developer": 400, "host": 400, "governor": 200}
         assert entry.total == 1000
         assert sum(entry.credits.values()) == 1000
 
     def test_zero_price_gives_all_zero_entry(self):
-        billing = unit()
-        entry = metered(billing, agreement(price=0), "inv-1")
+        entry = metered(placed([make_service(price=0)]), "inv-1")
         assert entry.total == 0
         assert all(v == 0 for v in entry.credits.values())
 
     def test_one_cent_rounding_remainder_goes_to_governor(self):
-        billing = unit()
-        entry = metered(billing, agreement(price=1), "inv-1")
+        entry = metered(placed([make_service(price=1)]), "inv-1")
         assert entry.class_totals == {"developer": 0, "host": 0, "governor": 1}
         assert sum(entry.credits.values()) == 1
 
-    def test_duplicate_correlation_errors(self):
-        billing = unit()
-        billing.meter_invocation(agreement(), "anon-1", "inv-1", "host-a")
-        with pytest.raises(DuplicateCorrelationError):
-            billing.meter_invocation(agreement(), "anon-1", "inv-1", "host-b")
-        assert billing.total_metered() == 1000
+    def test_a_report_id_is_metered_once(self):
+        governor = placed([make_service()], hosts=("host-a", "host-b"))
+        metered(governor, "inv-1")
+        again = paid_report("inv-1", host_id="host-b")
+        assert governor.ingest_report(again) is False
+        assert governor.billing._meter_report(again) is False  # billing's own skip, behind the registry's
+        assert governor.billing.total_metered() == 1000
 
     def test_rounding_conserves_on_awkward_shares(self):
         rng = random.Random(12)
-        billing = unit(0.15)
-        prices = []
+        services = []
         for i in range(500):
             dev = round(rng.uniform(0, 0.85), 2)
-            agmt = billing.negotiate_host(make_service(
+            services.append(make_service(
                 service_id=f"s{i}", developer_id="d", price=rng.randint(0, 999), developer_share=dev,
             ))
-            billing.meter_invocation(agmt, "anon", f"inv-{i}", "host-a")
-            prices.append(agmt.price_per_invocation)
+        governor = placed(services, 0.15)
+        for i, desc in enumerate(services):
+            assert governor.ingest_report(paid_report(f"inv-{i}", desc.service_id))
+        prices = [desc.price_per_invocation for desc in services]
+        billing = governor.billing
         entries = billing.audit()
         assert [entry.total for entry in entries] == prices
         for entry in entries:
@@ -152,38 +142,43 @@ class TestAccounts:
         assert unit().account_balance("dev-alpha") == 0
 
     def test_two_invocations_at_ten_units(self):
-        billing = unit()
-        billing.meter_invocation(agreement(price=1000), "anon-1", "inv-1", "host-a")
-        billing.meter_invocation(agreement(price=1000), "anon-2", "inv-2", "host-a")
+        governor = placed([make_service(price=1000)])
+        governor.ingest_report(paid_report("inv-1", payer="anon-1"))
+        governor.ingest_report(paid_report("inv-2", payer="anon-2"))
+        billing = governor.billing
         assert billing.account_balance("dev-alpha") == 800
         assert billing.account_balance("host-a") == 800
         assert billing.account_balance(GOVERNOR_PARTY) == 400
 
     def test_audit_orders_by_timestamp(self):
-        billing = unit()
+        governor = placed([make_service(price=100)])
         rng = random.Random(6)
         stamps = [rng.uniform(0, 1000) for _ in range(50)]
         for i, at in enumerate(stamps):
-            billing.meter_invocation(agreement(price=100), "anon", f"inv-{i}", "h", at=at)
-        audited = billing.audit()
+            governor.ingest_report(paid_report(f"inv-{i}", payer="anon", at=at))
+        audited = governor.billing.audit()
         assert [e.timestamp for e in audited] == sorted(stamps)
 
     def test_audit_range_filter(self):
-        billing = unit()
+        governor = placed([make_service(price=100)])
         for i in range(10):
-            billing.meter_invocation(agreement(price=100), "anon", f"inv-{i}", "h", at=float(i))
-        window = billing.audit(start=3.0, end=6.0)
+            governor.ingest_report(paid_report(f"inv-{i}", payer="anon", at=float(i)))
+        window = governor.billing.audit(start=3.0, end=6.0)
         assert [e.timestamp for e in window] == [3.0, 4.0, 5.0, 6.0]
 
     def test_conservation_over_random_activity(self):
-        billing = unit()
         rng = random.Random(10)
-        for i in range(300):
-            agmt = billing.negotiate_host(make_service(
+        services = [
+            make_service(
                 service_id=f"s{i % 11}-{i}", developer_id=f"d{i % 3}",
                 price=rng.randint(0, 5000), developer_share=round(rng.uniform(0, 0.8), 2),
-            ))
-            billing.meter_invocation(agmt, "anon", f"inv-{i}", f"h{i % 7}")
+            )
+            for i in range(300)
+        ]
+        governor = placed(services, hosts=tuple(f"h{k}" for k in range(7)))
+        for i, desc in enumerate(services):
+            governor.ingest_report(paid_report(f"inv-{i}", desc.service_id, host_id=f"h{i % 7}", payer="anon"))
+        billing = governor.billing
         balance_sum = sum(billing.account_balance(p) for p in billing.parties())
         assert balance_sum == billing.total_metered()
 
@@ -206,9 +201,9 @@ class TestHelpers:
             Agreement("s", "d", 100, 0.5, 0.5, 0.2)
 
     def test_ledger_csv_header_has_party_class_columns(self):
-        billing = unit()
-        billing.meter_invocation(agreement(), "anon-1", "inv-1", "host-a")
-        rows = list(billing.ledger_csv_rows())
+        governor = placed([make_service()])
+        governor.ingest_report(paid_report("inv-1"))
+        rows = list(governor.billing.ledger_csv_rows())
         assert rows[0] == ["entry_id", "correlation_id", "payer", "total",
                            "developer", "host", "governor", "format_version"]
         assert rows[1][2] == "anon-1"
@@ -242,36 +237,32 @@ class TestCachedSplit:
     def test_split_matches_the_exact_formula_in_two_units(self, price, shares):
         dev, commission_a, commission_b = shares
         for n, commission in enumerate((commission_a, commission_b)):
-            billing = unit(commission)
-            agmt = billing.negotiate_host(make_service(price=price, developer_share=dev))
+            governor = placed([make_service(price=price, developer_share=dev)], commission)
+            agmt = governor.billing.agreement_for("svc-resize")
             expected = exact_split(price, agmt)
             assert split_price(price, agmt.developer_share, agmt.host_share) == (
                 share_of(price, agmt.developer_share),
                 share_of(price, agmt.host_share),
                 expected["governor"],
             )
-            entry = metered(billing, agmt, f"inv-{n}")
+            entry = metered(governor, f"inv-{n}")
             assert entry.class_totals == expected
             assert sum(entry.credits.values()) == entry.total == price
 
-    def test_restored_unit_meters_the_restored_agreement(self):
-        journal = []
-        original = unit(0.15, journal)
-        agmt = original.negotiate_host(make_service(price=997, developer_share=0.33))
-        original.meter_invocation(agmt, "anon-1", "inv-1", "host-a")
-        other = unit(0.3)  # metering something else first warms the cache with other shares
-        other.meter_invocation(
-            other.negotiate_host(make_service(
-                service_id="svc-other", developer_id="dev-beta", price=997, developer_share=0.33,
-            )),
-            "anon-2", "inv-0", "host-b",
-        )
-        restored = replayed(unit(0.15), journal)
-        entry = metered(restored, restored.agreement_for("svc-resize"), "inv-2")
-        assert restored.agreement_for("svc-resize") == agmt
+    def test_a_restored_governor_meters_by_the_restored_agreement(self):
+        original = placed([make_service(price=997, developer_share=0.33)], 0.15)
+        agmt = original.billing.agreement_for("svc-resize")
+        metered(original, "inv-1")
+        # Metering something else first warms the cache with other shares.
+        other = placed([make_service(service_id="svc-other", developer_id="dev-beta", price=997,
+                                     developer_share=0.33)], 0.3)
+        metered(other, "inv-0", "svc-other")
+        restored = restore_governor(snapshot_governor(original))
+        entry = metered(restored, "inv-2")
+        assert restored.billing.agreement_for("svc-resize") == agmt
         assert entry.class_totals == exact_split(997, agmt)
-        assert entry.class_totals == metered(original, agmt, "inv-2").class_totals
-        assert restored.total_credited() == restored.total_metered() == 2 * 997
+        assert entry.class_totals == metered(original, "inv-2").class_totals
+        assert restored.billing.total_credited() == restored.billing.total_metered() == 2 * 997
 
 
 cacheable_shares = st.one_of(decimal_shares, st.sampled_from([0, 1, 1.0, 0.0]))

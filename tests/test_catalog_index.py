@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_service
+from conftest import deprecate, make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, ServiceDescription
 from momcc.errors import RegistrationRejected, UnknownEntityError
 from momcc.governor import GovernorConfig, ServiceGovernor, TrustPolicy
@@ -192,12 +192,12 @@ class Catalog:
                 self.model[desc.service_id] = desc
         elif kind == "deprecate":
             sid = op[1]
-            if sid in self.model and sid not in self.deprecated:
-                registry.deprecate_service(sid)
-                self.deprecated.add(sid)
+            if sid in self.model:
+                self.deprecated.update(deprecate(governor, sid))
+                assert sid in self.deprecated
             else:
                 with pytest.raises(UnknownEntityError):
-                    registry.deprecate_service(sid)
+                    deprecate(governor, sid)
         elif kind == "restore":
             self.governor = restore_governor(snapshot_governor(governor))
         elif kind == "search":
@@ -429,7 +429,7 @@ class TestKeptAnswers:
         )
         assert set(db.answers) == {"route"}  # only "image" is in "image tiles x"
         assert [d.service_id for d in registry.search_active("image")] == ["svc-a", "svc-b", "svc-d"]
-        registry.deprecate_service("svc-b")  # "image route ...": both needles
+        assert deprecate(governor, "svc-b") == ["svc-b"]  # "image route ...": both needles
         assert db.answers == {}
         assert [d.service_id for d in registry.search_active("image")] == ["svc-a", "svc-d"]
         assert registry.search_active("route") == []
@@ -471,7 +471,7 @@ class TestKeptListings:
         registry.register_service(make_service(service_id="svc-d", developer_id=DEVELOPER, developer_share=0.2))
         second = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
         assert [d.service_id for d in second] == ["svc-a", "svc-d", "svc-b"]
-        registry.deprecate_service("svc-a")
+        assert deprecate(governor, "svc-a") == ["svc-a"]
         third = registry.list_available_services(HOST_CAPACITY, "Android", "4.0")
         assert [d.service_id for d in third] == ["svc-d", "svc-b"]
         assert [d.service_id for d in first] == ["svc-a", "svc-b"]

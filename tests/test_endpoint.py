@@ -1,7 +1,7 @@
 """The governor's protocol endpoint, driven directly with no simulation."""
 import pytest
 
-from conftest import governor_with, make_service
+from conftest import deprecate, governor_with, make_service
 from momcc.domain import ResourceVector
 from momcc.governor.endpoint import GovernorEndpoint
 from momcc.wire import MessageKind, ProtocolMessage, Role
@@ -79,6 +79,22 @@ def test_failed_report_is_ingested_at_once_and_files_an_escalation(endpoint):
     assert (escalation.service_id, escalation.detail, escalation.at) == (
         "svc-resize", "invocation failed: fault", 70.0
     )
+
+
+def test_a_failed_report_delivered_twice_is_escalated_once(endpoint):
+    journal = endpoint.governor.journal
+    before = len(journal)
+    for _ in range(2):
+        assert endpoint.handle(report("inv-1", ok=False), "host-a", 70.0) == []
+    assert ingested(endpoint) == [("rpt-inv-1", None)]
+    assert len(endpoint.governor.profiler.escalations) == 1
+    assert [entry[0] for entry in journal[before:]] == ["hosts.ingest_report", "profiler.report_malfunction"]
+
+
+def test_a_refused_failed_report_files_no_escalation(endpoint):
+    assert endpoint.handle(report("inv-1", ok=False, host_id="host-ghost"), "host-ghost", 70.0) == []
+    assert ingested(endpoint) == []
+    assert endpoint.governor.profiler.escalations == []
 
 
 def test_flush_ingests_waiting_reports_unrated_in_correlation_order(endpoint):
@@ -178,7 +194,7 @@ class TestSharedDiscoveryReplies:
 
     def test_a_deprecation_gives_a_new_payload(self, market):
         first = discovered(market, "disc-1")
-        market.governor.registry.deprecate_service("svc-blur")
+        assert deprecate(market.governor, "svc-blur") == ["svc-blur"]
         second = discovered(market, "disc-2")
         assert second is not first
         assert content(second) == [("svc-resize", ["host-a", "host-b"])]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import drop_sc_query, governor_with, make_service
+from conftest import deprecate, drop_sc_query, governor_with, make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import (
     DuplicateHostError,
@@ -139,7 +139,7 @@ class TestRequestHosting:
             governor.request_hosting("host-a", "svc-ghost")
 
     def test_deprecated_service_denied(self, governor):
-        governor.registry.deprecate_service("svc-resize", "quality")
+        assert deprecate(governor, "svc-resize") == ["svc-resize"]
         decision = governor.request_hosting("host-a", "svc-resize")
         assert not decision.confirmed
         assert decision.reason == "deprecated"

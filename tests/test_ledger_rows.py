@@ -1,16 +1,15 @@
 """The ledger kept as flat rows, against a reference that builds one
-`LedgerEntry` per metered invocation, as the ledger once stored them."""
-import threading
+`LedgerEntry` per metered invocation, as the ledger once stored them.
+Rows are metered as a run meters them: by ingesting successful reports."""
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_service, replayed
+from conftest import make_service, paid_report, placed
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
-from momcc.errors import DuplicateCorrelationError
 from momcc.governor import ServiceGovernor
-from momcc.governor.billing import GOVERNOR_PARTY, BillingUnit, LedgerEntry, format_money
+from momcc.governor.billing import GOVERNOR_PARTY, LedgerEntry, format_money
+from momcc.snapshot import restore_governor, snapshot_governor
 
 COMMISSION = 0.15
 # (developer id, price, developer share): prices 0 and 1, awkward shares, and
@@ -35,7 +34,7 @@ class ReferenceLedger:
 
     def meter(self, agreement, payer, correlation_id, host_id, at):
         if correlation_id in self.metered:
-            raise DuplicateCorrelationError(correlation_id)
+            return
         price = agreement.price_per_invocation
         dev = int(Fraction(str(agreement.developer_share)) * price)
         host = int(Fraction(str(agreement.host_share)) * price)
@@ -78,21 +77,21 @@ class ReferenceLedger:
         ]
 
 
-def billing_with_terms(seq: int, prices: list[int] | None = None) -> BillingUnit:
-    """A unit with an agreement per term, at the terms' prices or `prices`."""
-    billing = BillingUnit(governor_commission=COMMISSION, lock=threading.RLock(), journal=[])
-    billing._entry_seq = seq
-    for i, (developer, price, share) in enumerate(TERMS):
-        billing.negotiate_host(make_service(
-            service_id=f"svc-{i}", developer_id=developer,
-            price=price if prices is None else prices[i], developer_share=share,
-        ))
-    return billing
+def governor_with_terms(seq: int, prices: list[int] | None = None) -> ServiceGovernor:
+    """A governor with a placed service per term, at the terms' prices or
+    `prices`, whose every host in `HOSTS` may report; its ledger numbers
+    rows from `seq` on."""
+    governor = placed([
+        make_service(service_id=f"svc-{i}", developer_id=developer,
+                     price=price if prices is None else prices[i], developer_share=share)
+        for i, (developer, price, share) in enumerate(TERMS)
+    ], COMMISSION, tuple(HOSTS))
+    governor.billing._entry_seq = seq
+    return governor
 
 
 # Few ids and few timestamps, so duplicates and tied timestamps are common.
 operations = st.lists(st.tuples(
-    st.sampled_from(["report", "invocation"]),
     st.integers(0, len(TERMS) - 1),
     st.sampled_from(HOSTS),
     st.integers(0, 24),  # correlation id
@@ -120,30 +119,14 @@ class TestRowLedgerMatchesTheEntryLedger:
         order as text in `audit()`: led-1000000 before led-999999. The
         export formats each distinct amount once, so its rows must equal
         the reference's, which formats every amount afresh."""
-        billing = billing_with_terms(seq, term_prices)
+        governor = governor_with_terms(seq, term_prices)
+        billing = governor.billing
         reference = ReferenceLedger(seq)
-        for kind, service, host, cid, payer, at in ops:
+        steps = [(service, host, f"rpt-{cid}", payer, at) for service, host, cid, payer, at in ops]
+        for service, host, correlation_id, payer, at in steps + [(*fixed, "anon-1", 3.0) for fixed in FIXED]:
             agreement = billing.agreement_for(f"svc-{service}")
-            correlation_id = f"rpt-{cid}"
-            if kind == "report":
-                report = ExecutionReport(
-                    report_id=correlation_id, host_id=host, service_id=agreement.service_id,
-                    requester_pseudonym=payer, started_at=at, duration_ms=0.0,
-                    energy_used_mwh=0, outcome=Outcome.success(),
-                )
-                billing.meter_report(report)
-                if correlation_id not in reference.metered:
-                    reference.meter(agreement, payer, correlation_id, host, at)
-            elif correlation_id in reference.metered:
-                with pytest.raises(DuplicateCorrelationError):
-                    billing.meter_invocation(agreement, payer, correlation_id, host, at)
-            else:
-                billing.meter_invocation(agreement, payer, correlation_id, host, at)
-                reference.meter(agreement, payer, correlation_id, host, at)
-        for service, host, correlation_id in FIXED:
-            agreement = billing.agreement_for(f"svc-{service}")
-            billing.meter_invocation(agreement, "anon-1", correlation_id, host, 3.0)
-            reference.meter(agreement, "anon-1", correlation_id, host, 3.0)
+            governor.ingest_report(paid_report(correlation_id, agreement.service_id, host, payer, at))
+            reference.meter(agreement, payer, correlation_id, host, at)
 
         assert billing.audit() == reference.audit()
         assert billing.audit(start, end) == reference.audit(start, end)
@@ -157,22 +140,23 @@ class TestRowLedgerMatchesTheEntryLedger:
         assert billing.total_metered() == billing.total_credited() == total
         assert list(billing.ledger_csv_rows()) == reference.csv_rows()
 
-        # The unit's journal, saved and read back, meters the same rows again.
-        restored = replayed(billing_with_terms(seq, term_prices), billing._journal[len(TERMS):])
-        assert restored._rows == billing._rows
-        assert restored._journal == billing._journal
-        assert restored.audit() == billing.audit()
+        assert governor.check_invariants() == []
+
+        # The journal, saved and replayed, meters the same rows again,
+        # numbered from 1 on.
+        restored = restore_governor(snapshot_governor(governor)).billing
+        assert [row[1:] for row in restored._rows] == [row[1:] for row in billing._rows]
 
 
 class TestLedgerExport:
     def test_two_exports_from_one_unit_give_equal_rows(self):
         """Each export keeps its own money texts: two exports taken in
         turn, row by row, and a third after them are the same rows."""
-        billing = billing_with_terms(0)
+        governor = governor_with_terms(0)
         for n in range(40):
             service, host = n % len(TERMS), HOSTS[n % len(HOSTS)]
-            billing.meter_invocation(billing.agreement_for(f"svc-{service}"), "anon-1",
-                                     f"inv-{n}", host, float(n % 3))
+            governor.ingest_report(paid_report(f"inv-{n}", f"svc-{service}", host, "anon-1", float(n % 3)))
+        billing = governor.billing
         first, second = billing.ledger_csv_rows(), billing.ledger_csv_rows()
         pairs = list(zip(first, second, strict=True))
         assert len(pairs) == 41

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import governor_with, make_service, scenario_dict
+from conftest import deprecate, governor_with, make_service, scenario_dict
 from momcc.domain import ResourceVector
 from momcc.errors import UnknownEntityError
 from momcc.governor import GovernorConfig, ServiceGovernor
@@ -167,7 +167,7 @@ def full_catalog_sweep(governor: ServiceGovernor) -> list[SweepAction]:
         recent = governor.host_db.reports_for_service(desc.service_id, profiler.policy.window)
         if len(recent) < profiler.policy.window or failure_rate(recent) <= profiler.policy.failure_threshold:
             continue
-        governor.registry.deprecate_service(desc.service_id, reason="failure rate above threshold")
+        governor.registry._deprecate(desc.service_id)
         replacement = profiler._best_replacement(desc.functionality_tag, desc.service_id)
         actions.append(SweepAction(desc.service_id, replacement))
     return actions
@@ -197,7 +197,7 @@ def sweep_governor(catalog, deprecated, policy: ProfilerPolicy) -> ServiceGovern
         assert governor.request_hosting("host-a", sid).confirmed
     for index in sorted(deprecated):
         if index < len(catalog):
-            governor.registry.deprecate_service(SWEEP_IDS[index])
+            deprecate(governor, SWEEP_IDS[index])  # a sweep over a threshold of 1 deprecates nothing
     return governor
 
 

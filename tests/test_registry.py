@@ -5,7 +5,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from conftest import governor_with, make_service
+from conftest import deprecate, governor_with, make_service
 from momcc.domain import ResourceVector, SecurityCertificate, SecurityLevel, VersionError
 from momcc.errors import RegistrationRejected, UnknownEntityError
 from momcc.governor.billing import DEFAULT_COMMISSION, BillingUnit
@@ -309,23 +309,23 @@ class TestListAvailable:
 class TestDeprecation:
     def test_deprecated_absent_from_discovery_and_listing(self):
         governor = governor_with([make_service()])
-        governor.registry.deprecate_service("svc-resize", "slow")
+        assert deprecate(governor, "svc-resize") == ["svc-resize"]
         assert governor.registry.discover("image", "anon") == []
         assert governor.registry.list_available_services(
             ResourceVector(4096, 64, 64, 5000), "Android", "4.0"
         ) == []
 
     def test_deprecate_unknown_id_errors(self):
-        registry = bare_registry()
+        governor = governor_with([make_service()])
         with pytest.raises(UnknownEntityError):
-            registry.deprecate_service("svc-ghost", "x")
+            deprecate(governor, "svc-ghost")  # its reports are refused
 
     def test_substitution_query_finds_same_tag_active_service(self):
         governor = governor_with([
             make_service(service_id="old", functionality_tag="ocr"),
             make_service(service_id="new", name="better ocr", functionality_tag="ocr"),
         ])
-        governor.registry.deprecate_service("old", "quality")
+        assert deprecate(governor, "old") == ["old"]
         candidates = governor.registry.substitution_candidates("ocr", exclude="old")
         assert [d.service_id for d in candidates] == ["new"]
 
@@ -334,5 +334,5 @@ class TestDeprecation:
         governor.hosts.register_host("host-a", "Android", "4.0",
                                      ResourceVector(2048, 32, 64, 1000), 9000)
         governor.request_hosting("host-a", "svc-resize")
-        governor.registry.deprecate_service("svc-resize", "quality")
+        assert deprecate(governor, "svc-resize") == ["svc-resize"]
         assert "svc-resize" in governor.host_db.hosts["host-a"].hosted

@@ -46,26 +46,41 @@ def governor():
     return gov
 
 
+def certified(governor, host_id: str, identity_verified: bool = False):
+    """The certificate a host is first issued, here by preprovisioning it
+    with no services."""
+    governor.preprovision_host(host_id, [], identity_verified=identity_verified)
+    return governor.host_db.get(host_id).certificate
+
+
 class TestIssue:
     def test_fresh_unverified_host_gets_lowest_level_zero_score(self, governor):
-        cert = governor.security.issue_certificate("host-a", identity_verified=False)
+        cert = certified(governor, "host-a", identity_verified=False)
         assert cert.level == SecurityLevel.LOW
         assert cert.trust_score == 0.0
         assert cert.attempts == 0
 
     def test_verified_host_gets_score_bonus_not_level(self, governor):
-        cert = governor.security.issue_certificate("host-a", identity_verified=True)
+        cert = certified(governor, "host-a", identity_verified=True)
         assert cert.level == SecurityLevel.LOW
         assert cert.trust_score == pytest.approx(0.1)
 
+    def test_the_handshake_issues_the_same_first_certificate(self, governor):
+        decision = governor.request_hosting("host-a", "svc-resize", identity_verified=True, at=5.0)
+        assert decision.trace_names() == "HostingRequest,ScQuery,TrustEstablish,ScIssued,AllocationConfirm"
+        cert = governor.host_db.get("host-a").certificate
+        assert (cert.level, cert.trust_score, cert.issued_at) == (SecurityLevel.LOW, pytest.approx(0.1), 5.0)
+
     def test_double_issue_errors(self, governor):
-        governor.security.issue_certificate("host-a", False)
+        first = certified(governor, "host-a")
+        certified(governor, "host-a", identity_verified=True)  # a held certificate is kept
+        assert governor.host_db.get("host-a").certificate is first
         with pytest.raises(CertificateExistsError):
-            governor.security.issue_certificate("host-a", False)
+            governor.security._issue("host-a", False, 0.0)
 
     def test_issue_for_unknown_host_errors(self, governor):
         with pytest.raises(UnknownEntityError):
-            governor.security.issue_certificate("host-ghost", False)
+            certified(governor, "host-ghost")
 
 
 class TestGet:
@@ -74,7 +89,7 @@ class TestGet:
             governor.host_db.get("host-ghost")
 
     def test_present_after_issue(self, governor):
-        governor.security.issue_certificate("host-a", False)
+        certified(governor, "host-a")
         cert = governor.host_db.get("host-a").certificate
         assert cert is not None and cert.level == SecurityLevel.LOW
 
@@ -89,7 +104,7 @@ class TestGet:
         def issuer():
             for i in range(64):
                 try:
-                    governor.security.issue_certificate(f"h{i:02d}", i % 2 == 0)
+                    certified(governor, f"h{i:02d}", i % 2 == 0)
                 except Exception as exc:  # pragma: no cover - failure diagnostics
                     errors.append(exc)
 
@@ -221,7 +236,7 @@ class TestCrossModuleAdmission:
         for desc in services.values():
             if not governor.registry.is_known(desc.service_id):
                 governor.registry.register_service(desc)
-        governor.security.issue_certificate("host-a", False)
+        certified(governor, "host-a")
         for cert_level in SecurityLevel:
             db = governor.host_db
             db.hosts["host-a"] = replace(

@@ -11,9 +11,11 @@ from conftest import make_service, scenario_dict
 from momcc.domain import Outcome, ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError, UnknownEntityError
-from momcc.governor import GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
+from momcc.governor import BillingUnit, GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
 from momcc.governor.registry import ServiceStatus
 from momcc.scenario import (
+    MODE_MARKETPLACE,
+    MODE_WAN_CLOUD,
     POLICIES_SCHEMA,
     governor_config_from,
     load_scenario,
@@ -35,7 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from bench.closed_loop import MIX, SWEEP_EVERY, RoundResult, _Client, build_governor  # noqa: E402
+from bench.closed_loop import MIX, SWEEP_EVERY, RoundResult, _Client, build_governor, run_round  # noqa: E402
 from bench.workloads import scenario_json  # noqa: E402
 
 SCENARIOS = ROOT / "scenarios"
@@ -46,10 +48,6 @@ OTHER_CONFIG = GovernorConfig(
     trust_policy=TrustPolicy(alpha=0.5),
     profiler_policy=ProfilerPolicy(window=5),
 )
-
-# The calls a unit makes on another: never recorded, so never in a journal.
-NESTED = {"billing.negotiate_host", "billing.meter_invocation", "billing.meter_report",
-          "security.issue_certificate", "registry.deprecate_service"}
 
 
 @pytest.fixture
@@ -142,8 +140,7 @@ class TestRoundTrip:
         journal = list(restored.journal)
         assert entries
         for report in restored.host_db.reports:
-            if report.outcome.ok:
-                restored.billing.meter_report(report)  # each one already metered
+            assert restored.ingest_report(report) is False  # each one already ingested and metered
         assert restored.billing.audit() == entries
         assert restored.journal == journal  # a call that changes nothing is not recorded
 
@@ -189,10 +186,26 @@ class TestRoundTrip:
 
 
 class TestJournal:
+    def test_the_replayed_calls_are_the_calls_a_run_makes(self):
+        """Every public write is one a run or the closed-loop benchmark
+        makes, so no write has a second, test-only door: the journal
+        names of both bundled scenarios in both modes and of one
+        `governor_mixed` round are exactly `REPLAYED`."""
+        names = set()
+        for name in ("default.json", "composite.json"):
+            scenario = load_scenario(SCENARIOS / name)
+            for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
+                governor = run_scenario(replace(scenario, baseline_mode=mode)).governor
+                names |= {entry[0] for entry in governor.journal}
+        scenario = scenario_from_dict(json.loads(scenario_json("governor_mixed", 13)))
+        result = run_round(scenario, build_governor(scenario), 13)
+        assert result.unexpected == []
+        names |= {entry[0] for entry in result.governor.journal}
+        assert names == REPLAYED.keys()
+
     def test_a_run_records_its_calls_from_outside_once_each(self, governor_after_run):
         journal = governor_after_run.journal
-        names = {entry[0] for entry in journal}
-        assert names <= REPLAYED.keys() and not names & NESTED
+        assert {entry[0] for entry in journal} <= REPLAYED.keys()
         assert sum(name == "hosts.ingest_report" for name, *_ in journal) == len(governor_after_run.host_db.reports)
         assert sum(name == "hosts.request_hosting" for name, *_ in journal) == len(governor_after_run.hosts.decisions)
 
@@ -392,13 +405,16 @@ class TestEditedJournal:
         snap["payload"]["journal"][0] = {"call": "billing.negotiate_developer"}
         assert refusal(snap).startswith("snapshot journal entry 0 does not replay: TypeError: ")
 
-    def test_calls_that_replay_into_a_broken_state_are_refused_by_the_rules(self, governor_after_run):
-        """Billing meters any correlation id it is handed; a ledger row no
-        report paid for is a `check_invariants()` line, so the restore
-        refuses it after the replay."""
-        governor = governor_after_run
-        governor.billing.meter_invocation(governor.billing.agreement_for("svc-resize"), "anon-x", "inv-x", "host-000")
-        assert refusal(snapshot_governor(governor)) == (
+    def test_calls_that_replay_into_a_broken_state_are_refused_by_the_rules(self, governor_after_run,
+                                                                               monkeypatch):
+        """Each saved call checks before it writes, so a replay breaks a
+        rule only when a unit writes wrongly: here billing meters nothing,
+        so no successful report is on the ledger. That is a
+        `check_invariants()` line, so the restore refuses it after the
+        replay."""
+        snap = snapshot_governor(governor_after_run)
+        monkeypatch.setattr(BillingUnit, "_meter_report", lambda self, report: False)
+        assert refusal(snap) == (
             "snapshot breaks a rule: ledger: correlation ids differ from the successful report ids"
         )
 

@@ -3,6 +3,7 @@ requirements document and the trace reader."""
 import json
 import math
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,10 @@ from hypothesis import given, strategies as st
 
 from conftest import written
 from momcc.domain import PlatformRequirement, ResourceVector
+from momcc.engine import run_scenario
+from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario
 from momcc.wire import (
+    REPORT_KEYS,
     EnvelopeError,
     HostRequirementsMessage,
     MessageKind,
@@ -25,6 +29,7 @@ from momcc.wire import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 REFERENCE = HostRequirementsMessage(
     platform=PlatformRequirement("Android", "3.2"),
@@ -322,3 +327,14 @@ class TestRecords:
     def test_an_empty_correlation_id_is_refused(self):
         with pytest.raises(ValueError, match="correlation_id"):
             ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "", {})
+
+
+@pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])
+@pytest.mark.parametrize("name", ["default.json", "composite.json"])
+def test_a_run_sends_every_report_in_the_saved_form_without_its_rating(name, mode):
+    """Hosts send reports as `report_dict` writes them, and a state file
+    saves one as `report_to_dict` does: the same keys, plus `rating`."""
+    trace = run_scenario(replace(load_scenario(SCENARIOS / name), baseline_mode=mode)).trace
+    payloads = [r.message.payload for r in trace if r.message.kind is MessageKind.EXECUTION_REPORT]
+    assert payloads
+    assert all(payload.keys() == REPORT_KEYS - {"rating"} for payload in payloads)
