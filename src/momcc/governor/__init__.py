@@ -207,12 +207,8 @@ class ServiceGovernor:
                         problems.append(
                             f"host {host_id}: certificate attempts and successes differ from its reports"
                         )
-            if self.host_db.ranked != self.host_db.scan_ranked():
+            if (self.host_db.keys, self.host_db.ranked) != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
-            ranked = self.host_db.ranked
-            if any(kept != [host_id for _, _, host_id in ranked.get(service_id, ())]
-                   for service_id, kept in self.host_db.ranked_ids.items()):
-                problems.append("hosts: kept holder list differs from the ranking")
             if sorted(catalog.by_bit) != catalog.sorted_ids or catalog.grams != catalog.scan_grams():
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):

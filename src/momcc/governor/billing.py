@@ -186,7 +186,6 @@ class BillingUnit:
         self._developers: set[str] = set()
         self._agreements: dict[str, Agreement] = {}
         self._rows: list[Row] = []
-        self._metered_correlations: set[str] = set()
         self._entry_seq = 0
 
     # -- negotiation --------------------------------------------------
@@ -241,10 +240,10 @@ class BillingUnit:
 
     # -- metering -----------------------------------------------------
 
-    def _meter_report(self, report: ExecutionReport) -> bool:
+    def _meter_report(self, report: ExecutionReport) -> None:
         """Meter a successful execution report under its service's
-        agreement as one ledger row, once: a report id already metered is
-        skipped. Whether it metered the report.
+        agreement as one ledger row. The host registry calls it once per
+        report id: it refuses a seen id under the same lock first.
 
         Each share is rounded down to minor units and the remainder goes
         to the governor, so credits always sum to the price exactly.
@@ -254,20 +253,15 @@ class BillingUnit:
             raise MissingAgreementError(
                 f"no billing agreement for service {report.service_id!r}"
             )
-        correlation_id = report.report_id
-        if correlation_id in self._metered_correlations:
-            return False
         price = agreement.price_per_invocation
         dev_credit, host_credit, governor_credit = split_price(
             price, agreement.developer_share, agreement.host_share
         )
         self._entry_seq += 1
         self._rows.append((
-            self._entry_seq, correlation_id, report.requester_pseudonym, price, agreement.developer_id,
+            self._entry_seq, report.report_id, report.requester_pseudonym, price, agreement.developer_id,
             report.host_id, dev_credit, host_credit, governor_credit, report.started_at + report.duration_ms,
         ))
-        self._metered_correlations.add(correlation_id)
-        return True
 
     # -- accounts and audit -------------------------------------------
 
@@ -333,8 +327,8 @@ class BillingUnit:
     def ledger_problems(self, paid: set[str]) -> list[str]:
         """The ledger's id rules, as `check_invariants` lines: each
         correlation id and each entry number on one row, no number above
-        `entry_seq`, and the rows' correlation ids equal both to the
-        metered set and to `paid`, the ids of the successful reports."""
+        `entry_seq`, and the rows' correlation ids equal to `paid`, the ids
+        of the successful reports."""
         with self._lock:
             correlations = [row[1] for row in self._rows]
             numbers = [row[0] for row in self._rows]
@@ -345,10 +339,7 @@ class BillingUnit:
             highest = max(numbers, default=0)
             if highest > self._entry_seq:
                 problems.append(f"ledger: entry number {highest} is above entry_seq {self._entry_seq}")
-            billed = set(correlations)
-            if billed != self._metered_correlations:
-                problems.append("ledger: correlation ids differ from the metered set")
-            if billed != paid:
+            if set(correlations) != paid:
                 problems.append("ledger: correlation ids differ from the successful report ids")
             return problems
 

@@ -103,6 +103,7 @@ class HostRegistry:
         self._lock = lock
         self._journal = journal
         self.decisions: list[AllocationDecision] = []
+        self._placed: set[tuple[str, str]] = set()  # every (host, service) `_place` placed
 
     # -- host lifecycle -------------------------------------------------
 
@@ -188,8 +189,10 @@ class HostRegistry:
 
     def _place(self, host_id: str, desc: ServiceDescription) -> None:
         """Settle the service's agreement, reserve its resources on a host
-        and add it to `hosted`; no admission checks."""
+        and add it to `hosted`; no admission checks. The pair stays
+        placed for `ingest_report` after an unhost or a departure."""
         self.billing._negotiate_host(desc)
+        self._placed.add((host_id, desc.service_id))
         profile = self.host_db.get(host_id)
         self.host_db.put(profile_with(
             profile,
@@ -230,7 +233,9 @@ class HostRegistry:
         host's counters and trust in one profile write.
 
         Re-delivery of a report_id is absorbed silently (returns False)
-        so retries never double-count anything. Every check runs before
+        so retries never double-count anything: billing meters each id
+        once because it is refused here first. A report on a service its
+        host was never placed on is refused. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
         is judged afresh: billing's `_meter_report` checks the service's
         agreement before it meters, and nothing after it can fail.
@@ -252,6 +257,11 @@ class HostRegistry:
                 raise UnknownEntityError(f"unknown service: {report.service_id!r}")
             if profile.certificate is None:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
+            if (report.service_id not in profile.hosted
+                    and (report.host_id, report.service_id) not in self._placed):
+                raise UnknownEntityError(
+                    f"host {report.host_id!r} never held service {report.service_id!r}"
+                )
 
             ok = report.outcome.ok
             updated = HostProfile(

@@ -6,18 +6,16 @@ are never assigned after they are built (a change is a new record stored
 whole, which `tests/test_records.py` checks over whole runs), so readers
 always see complete records.
 
-`put` is the one profile write, and it keeps one index in step:
-`ranked` maps each service to a sorted list of `(-level, -trust,
-host_id)`, one entry per live, certified holder, so discovery reads a
-kept ranking instead of sorting every holder on every query. A report
-moves its host's entry in each service it holds.
-
-`ranked_ids` keeps, per service, the host ids of its `ranked` entries as
-one list, built by `ranked_hosts` on the first read after the ranking's
-order or membership changes. A report that moves its host's entry in
-place keeps the list; an insert, a removal or a reinsert drops it. A
-kept list is never mutated, so every discovery reply (and the trace
-record that holds it) shares the list its ranking produced.
+`put` is the one profile write, and it keeps the discovery ranking in
+step: `keys` maps each live, certified host to its rank key
+`(-level, -trust, host_id)`, and `ranked` maps each service to the ids
+of its live, certified holders in key order, so discovery reads a kept
+ranking instead of sorting every holder on every query. A report
+finds its host in each list it is in and writes nothing there while its
+neighbours' keys still bracket its new key; a change of order or of
+membership stores a new list (copy on write). A list once stored is
+never mutated, so `ranked_hosts`, every discovery reply and the trace
+record that holds it share the list its ranking produced.
 
 `reports` is the append-only execution history. `add_report` is its one
 write: it also records the report id and appends the report to its host's
@@ -26,7 +24,7 @@ a short list instead of scanning the whole history.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 
 from ..domain import ExecutionReport, HostProfile
@@ -34,6 +32,9 @@ from ..errors import UnknownEntityError
 
 
 RankKey = tuple[int, float, str]
+
+_NO_HOLDERS: list[str] = []  # every unranked service's kept list; never mutated
+_NOTHING: frozenset[str] = frozenset()
 
 
 def rank_key(profile: HostProfile) -> RankKey | None:
@@ -50,8 +51,8 @@ class HostDatabase:
     hosts: dict[str, HostProfile] = field(default_factory=dict)
     reports: list[ExecutionReport] = field(default_factory=list)
     seen_report_ids: set[str] = field(default_factory=set)
-    ranked: dict[str, list[RankKey]] = field(default_factory=dict)  # service_id -> live, certified holders
-    ranked_ids: dict[str, list[str]] = field(default_factory=dict)  # service_id -> host ids of `ranked`, kept
+    keys: dict[str, RankKey] = field(default_factory=dict)  # live, certified host -> its rank key
+    ranked: dict[str, list[str]] = field(default_factory=dict)  # service_id -> its holders by key, kept
     host_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
     service_reports: dict[str, list[ExecutionReport]] = field(default_factory=dict)
 
@@ -62,64 +63,61 @@ class HostDatabase:
         return profile
 
     def put(self, profile: HostProfile) -> None:
-        """Store a profile and move it in the ranking."""
-        old = self.hosts.get(profile.host_id)
-        self.hosts[profile.host_id] = profile
-        before = old.hosted if old is not None else frozenset()
-        after = profile.hosted
-        old_key = rank_key(old) if old is not None else None
+        """Store a profile and move its host in the rankings. A list that
+        changes is replaced, never mutated."""
+        host_id = profile.host_id
+        old = self.hosts.get(host_id)
+        self.hosts[host_id] = profile
+        keys, ranked = self.keys, self.ranked
+        old_key = keys.pop(host_id, None)
         new_key = rank_key(profile)
-        if before is after:  # a report, a certificate or a departure: no set arithmetic
-            kept = after
-        else:
-            if old_key is not None:
-                for service_id in before - after:
-                    self._unrank(service_id, old_key)
-            if new_key is not None:
-                for service_id in after - before:
-                    self._rank(service_id, new_key)
-            kept = before & after
+        if new_key is not None:
+            keys[host_id] = new_key
+        was = old.hosted if old_key is not None else _NOTHING
+        now = profile.hosted if new_key is not None else _NOTHING
+        if was is not now:  # a report keeps its host's set: no set arithmetic
+            for service_id in was - now:
+                holders = ranked[service_id]
+                i = holders.index(host_id)
+                if len(holders) == 1:
+                    del ranked[service_id]
+                else:
+                    ranked[service_id] = holders[:i] + holders[i + 1:]
+            for service_id in now - was:
+                holders = ranked.get(service_id, _NO_HOLDERS)[:]
+                insort(holders, host_id, key=keys.__getitem__)
+                ranked[service_id] = holders
+            now = was & now
         if old_key == new_key:
             return
-        for service_id in kept:
-            if old_key is None:
-                self._rank(service_id, new_key)
-            elif new_key is None:
-                self._unrank(service_id, old_key)
-            elif not _move(self.ranked[service_id], old_key, new_key):
-                self.ranked_ids.pop(service_id, None)
-
-    def _rank(self, service_id: str, key: RankKey) -> None:
-        insort(self.ranked.setdefault(service_id, []), key)
-        self.ranked_ids.pop(service_id, None)
-
-    def _unrank(self, service_id: str, key: RankKey) -> None:
-        entries = self.ranked[service_id]
-        del entries[_index(entries, key)]
-        if not entries:
-            del self.ranked[service_id]
-        self.ranked_ids.pop(service_id, None)
+        for service_id in now:
+            holders = ranked[service_id]
+            i = holders.index(host_id)
+            if (i == 0 or keys[holders[i - 1]] < new_key) and (
+                    i + 1 == len(holders) or new_key < keys[holders[i + 1]]):
+                continue
+            holders = holders[:i] + holders[i + 1:]
+            insort(holders, host_id, key=keys.__getitem__)
+            ranked[service_id] = holders
 
     def ranked_hosts(self, service_id: str) -> list[str]:
-        """The host ids of a service's ranking, best first, as one kept
+        """A service's live, certified holders, best first, as its kept
         list. Shared: do not mutate."""
-        kept = self.ranked_ids.get(service_id)
-        if kept is None:
-            kept = [host_id for _, _, host_id in self.ranked.get(service_id, ())]
-            self.ranked_ids[service_id] = kept
-        return kept
+        return self.ranked.get(service_id, _NO_HOLDERS)
 
-    def scan_ranked(self) -> dict[str, list[RankKey]]:
-        """The ranking index as a full scan of the profiles computes it."""
-        index: dict[str, list[RankKey]] = {}
+    def scan_ranked(self) -> tuple[dict[str, RankKey], dict[str, list[str]]]:
+        """`keys` and `ranked` as a full scan of the profiles computes them."""
+        keys: dict[str, RankKey] = {}
+        ranked: dict[str, list[str]] = {}
         for profile in self.hosts.values():
             key = rank_key(profile)
             if key is not None:
+                keys[profile.host_id] = key
                 for service_id in profile.hosted:
-                    index.setdefault(service_id, []).append(key)
-        for entries in index.values():
-            entries.sort()
-        return index
+                    ranked.setdefault(service_id, []).append(profile.host_id)
+        for holders in ranked.values():
+            holders.sort(key=keys.__getitem__)
+        return keys, ranked
 
     def add_report(self, report: ExecutionReport) -> None:
         """Append a report to the history, its id set and both indexes."""
@@ -143,25 +141,6 @@ class HostDatabase:
 
     def reports_for_service(self, service_id: str, window: int | None = None) -> list[ExecutionReport]:
         return _windowed(self.service_reports.get(service_id, []), window)
-
-
-def _index(entries: list[RankKey], key: RankKey) -> int:
-    i = bisect_left(entries, key)
-    if i == len(entries) or entries[i] != key:
-        raise LookupError(f"ranking has no entry {key!r}: a profile was stored without `put`")
-    return i
-
-
-def _move(entries: list[RankKey], old: RankKey, new: RankKey) -> bool:
-    """Replace `old` with `new`, in place while the order still holds;
-    whether it did (the order of the entries' hosts is then unchanged)."""
-    i = _index(entries, old)
-    if (i == 0 or entries[i - 1] < new) and (i + 1 == len(entries) or new < entries[i + 1]):
-        entries[i] = new
-        return True
-    del entries[i]
-    insort(entries, new)
-    return False
 
 
 def _windowed(reports: list[ExecutionReport], window: int | None) -> list[ExecutionReport]:

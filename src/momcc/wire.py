@@ -495,9 +495,11 @@ def _sole_list(payload: dict, key: str) -> bool:
 def _payload_json(msg: ProtocolMessage, memo: dict[int, tuple[Any, str]]) -> str:
     """A payload's compact JSON. Discovery and listing replies carry the
     registry's shared per-service dicts (`ServiceRegistry.listing_dict`,
-    `wire_dict`) and discovery replies the host database's kept holder
-    lists (`HostDatabase.ranked_hosts`); a repeated discovery answer and
-    a repeated kept listing are one shared payload (`GovernorEndpoint`).
+    `wire_dict`) and discovery replies the host database's holder lists
+    (`HostDatabase.ranked_hosts`), each kept until a change of its
+    ranking replaces it, so a service's hosts between two such changes
+    are one list; a repeated discovery answer and a repeated kept
+    listing are one shared payload (`GovernorEndpoint`).
     Each is encoded once per memo: the memo keys by `id()` and holds the
     object itself, so no id is reused while it lives."""
     payload = msg.payload

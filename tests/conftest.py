@@ -68,15 +68,13 @@ def governor_with(services: list[ServiceDescription], config: GovernorConfig | N
 
 def placed(services: list[ServiceDescription], commission: float = DEFAULT_COMMISSION,
            hosts: tuple[str, ...] = ("host-a",)) -> ServiceGovernor:
-    """A governor with `services` registered and placed on the first of
-    `hosts`, each of which holds a certificate: placement settles every
-    agreement, so a successful report of any of the hosts is metered."""
+    """A governor with `services` registered and placed on each of
+    `hosts`: placement settles every agreement, so a successful report of
+    any of the hosts on any of the services is metered."""
     governor = governor_with(services, GovernorConfig(governor_commission=commission))
     for host_id in hosts:
         governor.hosts.register_host(host_id, "Android", "4.0", ROOMY, 10**9)
-    governor.preprovision_host(hosts[0], [desc.service_id for desc in services])
-    for host_id in hosts[1:]:
-        governor.preprovision_host(host_id, [])
+        governor.preprovision_host(host_id, [desc.service_id for desc in services])
     return governor
 
 
@@ -86,17 +84,27 @@ def paid_report(report_id: str, service_id: str = "svc-resize", host_id: str = "
     return ExecutionReport(report_id, host_id, service_id, payer, at, 0.0, 0, Outcome.success())
 
 
+def may_report(governor: ServiceGovernor, host_id: str, service_id: str) -> None:
+    """Let `host_id` report on `service_id`: the governor takes a report
+    only from a host that was placed on its service. A host that does not
+    hold the service is placed on it and unhosts it again, so it holds
+    what it held, like a host whose report is in flight after an unhost."""
+    if service_id not in governor.host_db.hosts[host_id].hosted:
+        governor.preprovision_host(host_id, [service_id])
+        governor.hosts.unhost(host_id, service_id)
+
+
 SWEEP_HOST = "host-sweep"
 
 
 def deprecate(governor: ServiceGovernor, service_id: str) -> list[str]:
     """Deprecate `service_id` the one way a governor does: a full window of
     failed reports on it, then a substitution sweep. The reports come from
-    a host of their own that holds a certificate and hosts nothing, so no
-    ranking moves. The ids the sweep deprecated, in its order."""
+    a host of their own that holds nothing (`may_report`), so its reports
+    move no ranking. The ids the sweep deprecated, in its order."""
     if SWEEP_HOST not in governor.host_db.hosts:
         governor.hosts.register_host(SWEEP_HOST, "Android", "4.0", ROOMY, 10**9)
-        governor.preprovision_host(SWEEP_HOST, [])
+    may_report(governor, SWEEP_HOST, service_id)
     for _ in range(governor.profiler.policy.window):
         n = len(governor.host_db.reports)
         governor.ingest_report(ExecutionReport(

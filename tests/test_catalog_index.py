@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import deprecate, make_service
+from conftest import deprecate, make_service, may_report
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, ServiceDescription
 from momcc.errors import RegistrationRejected, UnknownEntityError
 from momcc.governor import GovernorConfig, ServiceGovernor, TrustPolicy
@@ -217,7 +217,7 @@ class Catalog:
             if service_id not in self.model or governor.host_db.hosts[host_id].certificate is None:
                 return  # no such report reaches the governor
             self.reports += 1
-            ok = ok and governor.billing.agreement_for(service_id) is not None
+            may_report(governor, host_id, service_id)
             governor.ingest_report(ExecutionReport(
                 report_id=f"rpt-{self.reports:04d}", host_id=host_id, service_id=service_id,
                 requester_pseudonym="anon-catalog", started_at=float(self.reports),

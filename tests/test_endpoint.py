@@ -97,6 +97,19 @@ def test_a_refused_failed_report_files_no_escalation(endpoint):
     assert endpoint.governor.profiler.escalations == []
 
 
+def test_a_report_on_a_service_its_host_never_held_is_neither_metered_nor_escalated(endpoint):
+    governor = endpoint.governor
+    governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
+    governor.preprovision_host("host-b", [])  # a certificate, and no placement
+    assert endpoint.handle(report("inv-1", ok=False, host_id="host-b"), "host-b", 70.0) == []
+    for msg in (report("inv-2", host_id="host-b"), rating("inv-2")):
+        assert endpoint.handle(msg, "host-b", 70.0) == []
+    assert ingested(endpoint) == []
+    assert governor.profiler.escalations == []
+    assert governor.billing.audit() == []
+    assert endpoint.pending == {}
+
+
 def test_flush_ingests_waiting_reports_unrated_in_correlation_order(endpoint):
     for msg in (report("inv-2"), report("inv-1"), rating("inv-3")):
         endpoint.handle(msg, "sender", 50.0)

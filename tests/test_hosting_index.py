@@ -1,20 +1,27 @@
 """The host database's discovery ranking against a full scan.
 
-`HostDatabase.ranked_hosts` returns the kept host list of the ranking,
-so every path that changes a profile's hosted set, liveness or
-certificate must keep the ranking and the kept lists in step. A list
-once returned is never mutated: earlier discovery replies and their
-trace records hold it.
+`HostDatabase.ranked_hosts` returns a service's kept holder list, so
+every path that changes a profile's hosted set, liveness or certificate
+must keep the lists and the hosts' rank keys in step. A list once
+returned is never mutated: earlier discovery replies and their trace
+records hold it.
 """
 from dataclasses import replace
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_service
+from conftest import composite_scenario, make_service, may_report
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
+from momcc.engine import run_scenario
 from momcc.errors import NotHostedError
 from momcc.governor import GovernorConfig, ServiceGovernor, TrustPolicy
+from momcc.governor.store import HostDatabase
+from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario, scenario_from_dict
 from momcc.snapshot import restore_governor, snapshot_governor
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # Levels move within a few reports, so ranking sees promotions and demotions.
 CONFIG = GovernorConfig(
@@ -54,6 +61,15 @@ def scan_ranked(governor: ServiceGovernor, service_id: str) -> list[str]:
     return [p.host_id for p in hosting]
 
 
+def scan_keys(governor: ServiceGovernor) -> dict[str, tuple[int, float, str]]:
+    """Every live, certified host's rank key as a scan over every host computes it."""
+    return {
+        p.host_id: (-p.certificate.level, -p.certificate.trust_score, p.host_id)
+        for p in governor.host_db.hosts.values()
+        if p.alive and p.certificate is not None
+    }
+
+
 hosts = st.sampled_from(HOST_IDS)
 services = st.sampled_from(SERVICE_IDS)
 operations = st.one_of(
@@ -85,7 +101,7 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
         _, host_id, service_id, ok, rating = op
         if governor.host_db.hosts[host_id].certificate is None:
             return governor  # trust lives on the certificate; the engine never reports here
-        ok = ok and governor.billing.agreement_for(service_id) is not None
+        may_report(governor, host_id, service_id)
         governor.ingest_report(ExecutionReport(
             report_id=f"rpt-{seq:04d}", host_id=host_id, service_id=service_id,
             requester_pseudonym="anon-index", started_at=float(seq), duration_ms=10.0,
@@ -108,6 +124,7 @@ class TestHostingIndex:
         for seq, op in enumerate(ops):
             governor = apply(governor, op, seq)
             assert all(ranked == contents for ranked, contents in returned)
+            assert governor.host_db.keys == scan_keys(governor)
             for service_id in SERVICE_IDS:
                 ranked = governor.host_db.ranked_hosts(service_id)
                 assert ranked == scan_ranked(governor, service_id)
@@ -140,8 +157,41 @@ class TestHostingIndex:
     def test_invariant_reports_a_stale_holder_list(self):
         governor = build_governor()
         governor.request_hosting("host-0", "svc-a")
-        stale = governor.host_db.ranked_hosts("svc-a")
         governor.request_hosting("host-1", "svc-a")
         assert governor.check_invariants() == []
-        governor.host_db.ranked_ids["svc-a"] = stale  # kept across a change that drops it
-        assert governor.check_invariants() == ["hosts: kept holder list differs from the ranking"]
+        governor.host_db.ranked_hosts("svc-a").reverse()  # a handed-out list, mutated
+        assert governor.check_invariants() == ["hosts: ranking differs from a full scan of the profiles"]
+
+
+@pytest.fixture
+def handed_out(monkeypatch) -> dict[int, tuple[list[str], list[str]]]:
+    """Each distinct list `ranked_hosts` returns, with a copy of its
+    contents when it was first returned. Holding the list keeps its id."""
+    kept: dict[int, tuple[list[str], list[str]]] = {}
+    ranked_hosts = HostDatabase.ranked_hosts
+
+    def keeping(self, service_id):
+        holders = ranked_hosts(self, service_id)
+        kept.setdefault(id(holders), (holders, list(holders)))
+        return holders
+
+    monkeypatch.setattr(HostDatabase, "ranked_hosts", keeping)
+    return kept
+
+
+def changed(handed_out) -> list[list[str]]:
+    return [holders for holders, contents in handed_out.values() if holders != contents]
+
+
+class TestWholeRunsMutateNoHandedOutList:
+    @pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])
+    @pytest.mark.parametrize("name", ["default.json", "composite.json"])
+    def test_a_bundled_run(self, handed_out, name, mode):
+        run_scenario(replace(load_scenario(SCENARIOS / name), baseline_mode=mode))
+        assert handed_out
+        assert changed(handed_out) == []
+
+    def test_a_parallel_composite_run(self, handed_out):
+        run_scenario(scenario_from_dict(composite_scenario(parallel=True)))
+        assert handed_out
+        assert changed(handed_out) == []

@@ -8,7 +8,6 @@ from conftest import deprecate, drop_sc_query, governor_with, make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import (
     DuplicateHostError,
-    MissingAgreementError,
     NotHostedError,
     SnapshotIntegrityError,
     UnknownEntityError,
@@ -313,26 +312,39 @@ class TestIngestReport:
         assert governor.ingest_report(report) is True
         assert governor.host_db.get("host-a").attempts == 1
 
-    def test_report_for_a_service_without_agreement_changes_nothing(self, governor):
-        """A success for a service never placed has no agreement to meter:
-        it is rejected before any write, and the retry is judged afresh."""
-        governor.request_hosting("host-a", "svc-resize")  # certificate; svc-secure stays unplaced
+    def test_report_on_a_service_its_host_never_held_changes_nothing(self, governor):
+        """A report on a service its host was never placed on is refused
+        before any write, even though another host's placement settled the
+        service's agreement; the retry is judged afresh."""
+        governor.request_hosting("host-a", "svc-resize")  # certificate; host-a never holds svc-secure
+        governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
+        governor.preprovision_host("host-b", ["svc-secure"])  # settles svc-secure's agreement
         before = governor.host_db.get("host-a")
-        ranked_before = {sid: list(keys) for sid, keys in governor.host_db.ranked.items()}
+        ranked_before = {sid: list(holders) for sid, holders in governor.host_db.ranked.items()}
         report = make_report(service_id="svc-secure", report_id="rpt-unplaced")
-        with pytest.raises(MissingAgreementError):
+        with pytest.raises(UnknownEntityError):
             governor.ingest_report(report)
         assert governor.host_db.reports == []
         assert governor.host_db.seen_report_ids == set()
         assert governor.host_db.get("host-a") == before
         assert governor.host_db.ranked == ranked_before
         assert governor.billing.audit() == []
-        # Once the service is placed, its agreement exists and the retry is metered.
-        governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
-        governor.preprovision_host("host-b", ["svc-secure"])
+        # Once host-a is placed on the service, the retry is metered.
+        governor.preprovision_host("host-a", ["svc-secure"])
         assert governor.ingest_report(report) is True
         assert [entry.correlation_id for entry in governor.billing.audit()] == ["rpt-unplaced"]
         assert governor.host_db.get("host-a").attempts == 1
+        assert governor.check_invariants() == []
+
+    def test_a_report_in_flight_after_an_unhost_or_a_departure_still_counts(self, governor):
+        governor.request_hosting("host-a", "svc-resize")
+        governor.hosts.unhost("host-a", "svc-resize")
+        assert governor.ingest_report(make_report(report_id="rpt-after-unhost")) is True
+        governor.hosts.mark_departed("host-a")
+        assert governor.ingest_report(make_report(report_id="rpt-after-departure")) is True
+        assert [entry.correlation_id for entry in governor.billing.audit()] == [
+            "rpt-after-unhost", "rpt-after-departure",
+        ]
         assert governor.check_invariants() == []
 
 

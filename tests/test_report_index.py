@@ -10,7 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_service
+from conftest import make_service, may_report
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.errors import UnknownEntityError
 from momcc.governor import ServiceGovernor
@@ -81,7 +81,7 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
         _, host_id, service_id, ok, rating = op
         if db.hosts[host_id].certificate is None:
             return governor  # covered by "no_certificate"
-        ok = ok and governor.billing.agreement_for(service_id) is not None
+        may_report(governor, host_id, service_id)
         assert governor.ingest_report(make_report(seq, host_id, service_id, ok, rating))
     elif kind == "duplicate":
         if db.reports:

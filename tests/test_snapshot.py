@@ -424,8 +424,7 @@ class TestEditedJournal:
 def _stored(governor, host_id, profile):
     """Store a profile under `host_id` bypassing `put`, and rebuild the ranking."""
     governor.host_db.hosts[host_id] = profile
-    governor.host_db.ranked = governor.host_db.scan_ranked()
-    governor.host_db.ranked_ids.clear()
+    governor.host_db.keys, governor.host_db.ranked = governor.host_db.scan_ranked()
 
 
 def _unsettleable_share(governor):
@@ -529,7 +528,6 @@ def _metered_id_of_no_report(governor):
     billing = governor.billing
     first = billing._rows[0]
     billing._rows[0] = (first[0], "rpt-ghost", *first[2:])
-    billing._metered_correlations = {row[1] for row in billing._rows}
     return ["ledger: correlation ids differ from the successful report ids"]
 
 
