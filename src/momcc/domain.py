@@ -20,8 +20,10 @@ Two kinds of record live here:
   several times a slotted one. Nothing assigns to one of these after it
   is built, or hashes one: a change is a new record, stored whole.
   `tests/test_records.py` checks this over whole runs. A profile's
-  placement, certificate or liveness changes through `profile_with`,
-  which builds the new profile positionally.
+  placement, battery view, certificate or liveness changes through
+  `profile_with`, the one positional build of a profile. A profile
+  keeps no report counters: the certificate's `attempts` and
+  `successes` and the governor's report history hold them.
 
 Units, fixed in one place:
     CPU      MHz
@@ -323,7 +325,9 @@ class HostProfile:
 
     `committed` is the sum of min_resources of currently hosted services;
     `capacity.covers(committed)` holds at all times. `battery_mwh` is the
-    governor's running view, decremented by reported energy use.
+    governor's running view, decremented by reported energy use. The
+    host's execution counts are its certificate's `attempts` and
+    `successes`, and its ratings are in the report history.
 
     Slotted and not frozen: every report builds one. Nothing assigns to
     a profile once it is built, or hashes one; a change is a new profile
@@ -338,17 +342,11 @@ class HostProfile:
     battery_mwh: int = 0
     certificate: SecurityCertificate | None = None
     hosted: frozenset[str] = field(default_factory=frozenset)
-    attempts: int = 0
-    successes: int = 0
-    rating_count: int = 0
-    rating_sum: int = 0
     alive: bool = True
 
     def __post_init__(self) -> None:
         if not self.capacity.covers(self.committed):
             raise ValueError("capacity must cover committed resources")
-        if self.successes > self.attempts:
-            raise ValueError("successes cannot exceed attempts")
 
     @property
     def free(self) -> ResourceVector:
@@ -356,19 +354,19 @@ class HostProfile:
 
 
 def profile_with(profile: HostProfile, *, committed: ResourceVector | None = None,
-                 hosted: frozenset[str] | None = None,
+                 battery_mwh: int | None = None,
                  certificate: SecurityCertificate | None = None,
+                 hosted: frozenset[str] | None = None,
                  alive: bool | None = None) -> HostProfile:
-    """`profile` with its placement (`committed`, `hosted`), its certificate
-    or its liveness replaced; a field passed as None keeps its value (no
-    write takes a certificate away).
+    """`profile` with its placement (`committed`, `hosted`), its battery
+    view, its certificate or its liveness replaced; a field passed as
+    None keeps its value (no write takes a certificate away).
 
-    Placement, unhosting, departure and certificate issue write profiles
-    through here. It owns the field order: the new profile is built
-    positionally, in declaration order, at a fraction of the cost of
-    `dataclasses.replace`, and `__post_init__` still checks it. The
-    report path (`HostRegistry.ingest_report`) changes other fields and
-    keeps its own positional build.
+    Every profile write after registration goes through here: placement,
+    unhosting, departure, certificate issue and each execution report.
+    It owns the field order: the new profile is built positionally, in
+    declaration order, at a fraction of the cost of `dataclasses.replace`,
+    and `__post_init__` still checks it.
     """
     return HostProfile(
         profile.host_id,
@@ -376,12 +374,8 @@ def profile_with(profile: HostProfile, *, committed: ResourceVector | None = Non
         profile.os_version,
         profile.capacity,
         profile.committed if committed is None else committed,
-        profile.battery_mwh,
+        profile.battery_mwh if battery_mwh is None else battery_mwh,
         profile.certificate if certificate is None else certificate,
         profile.hosted if hosted is None else hosted,
-        profile.attempts,
-        profile.successes,
-        profile.rating_count,
-        profile.rating_sum,
         profile.alive if alive is None else alive,
     )

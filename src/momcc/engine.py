@@ -190,7 +190,6 @@ class Simulation:
         self.endpoint = GovernorEndpoint(self.governor)
         self.trace: list[TraceRecord] = []
         self.latencies: list[float] = []
-        self.invocations_total = 0
         self.invocations_succeeded = 0
         self.invocations_failed = 0
         self.sweep_actions: list[dict] = []
@@ -322,7 +321,6 @@ class Simulation:
         received_at = sent_at + transport
         message = outbound.message
         if message.kind is _INVOKE:
-            self.invocations_total += 1
             self.latencies.append(transport)
         self._seq += 1
         heappush(self._queue, (received_at, self._seq, self._deliver,
@@ -442,7 +440,7 @@ class Simulation:
             "unavailable_events": unavailable,
             "availability": "no demand" if demand == 0 else round((demand - unavailable) / demand, 6),
             "invocations": {
-                "total": self.invocations_total,
+                "total": len(latencies),
                 "succeeded": self.invocations_succeeded,
                 "failed": self.invocations_failed,
             },

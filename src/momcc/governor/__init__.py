@@ -152,7 +152,7 @@ class ServiceGovernor:
             if problems:
                 return problems
             # One fold over the report history: per host, [attempts,
-            # successes, rating count, rating sum]; the ids, and those paid.
+            # successes]; the ids, and those paid.
             folds: dict[str, list[int]] = {}
             report_ids: set[str] = set()
             paid: set[str] = set()
@@ -165,21 +165,18 @@ class ServiceGovernor:
                 report_ids.add(report_id)
                 fold = folds.get(host_id)
                 if fold is None:
-                    fold = folds[host_id] = [0, 0, 0, 0]
+                    fold = folds[host_id] = [0, 0]
                 fold[0] += 1
                 if report.outcome.ok:
                     fold[1] += 1
                     paid.add(report_id)
-                if report.rating is not None:
-                    fold[2] += 1
-                    fold[3] += report.rating
                 if host_id not in hosts:
                     report_problems.append(f"hosts: report {report_id!r} names unknown host {host_id!r}")
                 if report.service_id not in catalog.services:
                     report_problems.append(
                         f"hosts: report {report_id!r} names unknown service {report.service_id!r}"
                     )
-            no_reports = [0, 0, 0, 0]
+            no_reports = [0, 0]
             for host_id, profile in hosts.items():
                 if profile.host_id != host_id:
                     problems.append(f"host {host_id}: profile names host {profile.host_id}")
@@ -193,23 +190,24 @@ class ServiceGovernor:
                 if profile.committed != held:
                     problems.append(f"host {host_id}: committed differs from its hosted services")
                 fold = folds.get(host_id, no_reports)
-                if [profile.attempts, profile.successes, profile.rating_count, profile.rating_sum] != fold:
-                    problems.append(f"host {host_id}: attempts, successes and ratings differ from its reports")
                 cert = profile.certificate
-                if cert is not None:
+                if cert is None:
+                    if host_id in folds:
+                        problems.append(f"host {host_id}: reports in the history but no certificate")
+                else:
                     if cert.host_id != host_id:
                         problems.append(f"host {host_id}: certificate names host {cert.host_id}")
                     if not 0.0 <= cert.trust_score <= 1.0:
                         problems.append(f"host {host_id}: trust score out of bounds")
                     if cert.successes > cert.attempts:
                         problems.append(f"host {host_id}: successes exceed attempts")
-                    if [cert.attempts, cert.successes] != fold[:2]:
+                    if [cert.attempts, cert.successes] != fold:
                         problems.append(
                             f"host {host_id}: certificate attempts and successes differ from its reports"
                         )
             if (self.host_db.keys, self.host_db.ranked) != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
-            if sorted(catalog.by_bit) != catalog.sorted_ids or catalog.grams != catalog.scan_grams():
+            if catalog.by_bit != list(catalog.services) or catalog.grams != catalog.scan_grams():
                 problems.append("registry: search index differs from a full scan of the catalog")
             if catalog.by_revenue != catalog.scan_by_revenue(self.registry.host_revenue):
                 problems.append("registry: listing order differs from a full sort of the catalog")
@@ -218,8 +216,8 @@ class ServiceGovernor:
                 problems.append("registry: kept platform listing differs from a filter of the listing order")
             if catalog.largest_need != catalog.scan_largest_need():
                 problems.append("registry: largest need differs from the max over the listing order")
-            if any(kept != catalog.matches(needle, catalog.sorted_ids)
-                   for needle, kept in catalog.answers.items()):
+            every_id = sorted(catalog.services)
+            if any(kept != catalog.matches(needle, every_id) for needle, kept in catalog.answers.items()):
                 problems.append("registry: kept search answer differs from a full scan of the catalog")
             by_host, by_service = self.host_db.scan_report_indexes()
             if self.host_db.host_reports != by_host:

@@ -230,7 +230,8 @@ class HostRegistry:
 
     def ingest_report(self, report: ExecutionReport) -> bool:
         """Meter a success with billing, append the report, and update its
-        host's counters and trust in one profile write.
+        host's battery view and certificate (trust, attempts, successes)
+        in one profile write.
 
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything: billing meters each id
@@ -242,9 +243,8 @@ class HostRegistry:
 
         One report is the hottest profile write, so the checks read the
         host and service dicts directly (the lock held here is the one
-        the registry's getters take), and the new profile is built with
-        positional fields in declaration order, not `dataclasses.replace`
-        or keywords; `__post_init__` still checks it.
+        the registry's getters take), and the new profile is built by
+        `profile_with`, positionally, not by `dataclasses.replace`.
         """
         with self._lock:
             host_db = self.host_db
@@ -263,23 +263,12 @@ class HostRegistry:
                     f"host {report.host_id!r} never held service {report.service_id!r}"
                 )
 
-            ok = report.outcome.ok
-            updated = HostProfile(
-                profile.host_id,
-                profile.os_name,
-                profile.os_version,
-                profile.capacity,
-                profile.committed,
-                max(0, profile.battery_mwh - report.energy_used_mwh),  # battery_mwh
-                update_trust(profile.certificate, report, self.security.policy),
-                profile.hosted,
-                profile.attempts + 1,
-                profile.successes + (1 if ok else 0),
-                profile.rating_count + (1 if report.rating is not None else 0),
-                profile.rating_sum + (report.rating or 0),
-                profile.alive,
+            updated = profile_with(
+                profile,
+                battery_mwh=max(0, profile.battery_mwh - report.energy_used_mwh),
+                certificate=update_trust(profile.certificate, report, self.security.policy),
             )
-            if ok:
+            if report.outcome.ok:
                 self.billing._meter_report(report)
             host_db.add_report(report)
             host_db.put(updated)

@@ -85,7 +85,6 @@ class ServiceProfiler:
         self._lock = lock
         self._journal = journal
         self.escalations: list[Escalation] = []
-        self._escalation_seq = 0
 
     def service_stats(self, service_id: str, window: int | None = None) -> ServiceStats | None:
         """Windowed quality figures; None means no evidence yet."""
@@ -152,9 +151,8 @@ class ServiceProfiler:
         """
         with self._lock:
             desc = self.registry.get(service_id)
-            self._escalation_seq += 1
             escalation = Escalation(
-                escalation_id=f"esc-{self._escalation_seq:06d}",
+                escalation_id=f"esc-{len(self.escalations) + 1:06d}",
                 service_id=service_id,
                 developer_id=desc.developer_id,
                 detail=detail,

@@ -57,7 +57,7 @@ changes a repeated query builds nothing.
 from __future__ import annotations
 
 import threading
-from bisect import bisect, bisect_left, insort
+from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -83,8 +83,11 @@ class ServiceStatus(Enum):
 
 @dataclass
 class ServiceDatabase:
-    """Registered services, their ids in sorted order, per-service caches,
-    and the two query indexes.
+    """Registered services in registration order, per-service caches, and
+    the two query indexes. No id list is kept in sorted order: the rare
+    reader that needs one (a needle shorter than 3 characters, a
+    deprecation's substitution candidates, `check_invariants()`) sorts
+    `services`.
 
     `by_bit` lists the ids in registration order, and `grams` maps each
     trigram a query has needed to the ids whose `search_text` holds it,
@@ -107,7 +110,6 @@ class ServiceDatabase:
     services: dict[str, ServiceDescription] = field(default_factory=dict)
     status: dict[str, ServiceStatus] = field(default_factory=dict)
     search_text: dict[str, str] = field(default_factory=dict)
-    sorted_ids: list[str] = field(default_factory=list)
     listing_dicts: dict[str, dict] = field(default_factory=dict)
     wire_dicts: dict[str, dict] = field(default_factory=dict)
     grams: dict[str, int] = field(default_factory=dict)
@@ -127,7 +129,6 @@ class ServiceDatabase:
         text = f"{desc.name} {desc.description}".lower()
         self.services[desc.service_id] = desc
         self.search_text[desc.service_id] = text
-        insort(self.sorted_ids, desc.service_id)
         bit = 1 << len(self.by_bit)
         self.by_bit.append(desc.service_id)
         grams = self.grams
@@ -209,10 +210,10 @@ class ServiceDatabase:
     def candidates(self, needle: str) -> list[str]:
         """Ids, in sorted order, whose text holds the first and the last
         trigram of `needle`: a superset of those whose text holds `needle`,
-        and all of them (`sorted_ids`) when `needle` is shorter than 3
+        and every registered id, sorted, when `needle` is shorter than 3
         characters."""
         if len(needle) < 3:
-            return self.sorted_ids
+            return sorted(self.services)
         bits = self.posting(needle[:3]) & self.posting(needle[-3:])
         by_bit = self.by_bit
         found = []
@@ -225,7 +226,8 @@ class ServiceDatabase:
 
     def matches(self, needle: str, ids: list[str]) -> list[ServiceDescription]:
         """The Active services among `ids` whose text holds `needle`, in
-        the order of `ids`; `sorted_ids` makes it a full scan."""
+        the order of `ids`; every registered id, sorted, makes it a full
+        scan."""
         search_text, status, active = self.search_text, self.status, ServiceStatus.ACTIVE
         return [
             self.services[sid] for sid in ids
@@ -254,7 +256,7 @@ class ServiceDatabase:
     def indexed_ids(self) -> list[str]:
         """Ids of the services no longer pending, in sorted order."""
         pending = set(self.pending)
-        return [sid for sid in self.sorted_ids if sid not in pending]
+        return [sid for sid in sorted(self.services) if sid not in pending]
 
     def scan_by_revenue(self, host_revenue: Callable[[ServiceDescription], int]) -> list[RevenueEntry]:
         """`by_revenue` rebuilt by sorting every indexed service."""
@@ -448,7 +450,7 @@ class ServiceRegistry:
         with self._lock:
             return [
                 self.db.services[sid]
-                for sid in self.db.sorted_ids
+                for sid in sorted(self.db.services)
                 if self.db.status[sid] == ServiceStatus.ACTIVE
             ]
 

@@ -114,7 +114,7 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
 class SecurityGovernor:
     """Issues certificates on the shared host database and holds the trust
     policy; the host registry applies `update_trust` with it on each report,
-    in the same profile write as the report's counters."""
+    in the same profile write as the report's battery drain."""
 
     def __init__(self, host_db: HostDatabase, policy: TrustPolicy):
         self.host_db = host_db

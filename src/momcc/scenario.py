@@ -323,10 +323,9 @@ def validate_scenario(data: dict) -> list[str]:
         for dep in svc.get("dependencies", []):
             if dep not in seen:
                 diagnostics.append(f"/services/{i}/dependencies: unknown service {dep!r}")
-    for name in ("latency", ):
-        for key, rng in (data.get(name) or {}).items():
-            if rng[0] > rng[1]:
-                diagnostics.append(f"/{name}/{key}: low must be <= high")
+    for key, rng in (data.get("latency") or {}).items():
+        if rng[0] > rng[1]:
+            diagnostics.append(f"/latency/{key}: low must be <= high")
     exec_ms = data.get("exec_ms")
     if exec_ms and exec_ms[0] > exec_ms[1]:
         diagnostics.append("/exec_ms: low must be <= high")

@@ -8,7 +8,10 @@ properties, `to_json_bytes()`, the trace records' `recipient` and
 the governor `bench/run.py::_probe_governor` builds) reads the hosts'
 profiles, discovers, ingests reports and prices them. A rename of any of
 them fails here, in the tier-1 tests, and not only in a benchmark run.
+The per-layer tracer's hooks that find no target are pinned too, so a
+rename that empties one more hook fails here as well.
 """
+import sys
 from pathlib import Path
 
 from conftest import governor_with, make_service
@@ -17,7 +20,13 @@ from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.engine import Simulation
 from momcc.scenario import load_scenario
 
-SCENARIOS = Path(__file__).parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from bench.tracer import Tracer  # noqa: E402
+
+SCENARIOS = ROOT / "scenarios"
 
 
 def test_a_market_pass_reads_what_the_benchmark_reads(tmp_path):
@@ -72,3 +81,27 @@ def test_the_latency_probe_reads_what_the_benchmark_reads():
     price = governor.registry.get("svc-resize").price_per_invocation
     assert governor.billing.total_metered() - metered_before == price > 0
     assert governor.check_invariants() == []
+
+
+def test_the_tracer_finds_every_hook_but_the_known_absent_ones():
+    """The twelve hooks that find no target today, in table order; the
+    ROADMAP's per-layer tracing item points them at live code."""
+    tracer = Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == [
+            "momcc.engine:Simulation._governor_handle",
+            "momcc.engine:Simulation._gov_list_services",
+            "momcc.engine:Simulation._gov_hosting",
+            "momcc.engine:Simulation._gov_discovery",
+            "momcc.engine:Simulation._gov_report",
+            "momcc.engine:Simulation._gov_rating",
+            "momcc.engine:Simulation._ingest",
+            "momcc.engine:service_to_dict",
+            "momcc.governor.hosts:HostRegistry.live_hosts_ranked",
+            "momcc.governor.security:SecurityGovernor.apply_report",
+            "momcc.governor.billing:BillingUnit.meter_invocation",
+            "momcc.engine:envelope_dict",
+        ]
+    finally:
+        tracer.uninstall()

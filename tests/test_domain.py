@@ -192,17 +192,19 @@ class TestProfileWith:
         "host-a", "Android", "4.2", ResourceVector(4096, 64, 128, 5000),
         ResourceVector(512, 2, 5, 500), 8123,
         SecurityCertificate("host-a", SecurityLevel.MEDIUM, 0.6, 12, 10, 3.5, True),
-        frozenset({"svc-a"}), 12, 10, 4, 17, True,
+        frozenset({"svc-a"}), True,
     )
     CHANGES = {
         "committed": ResourceVector(1024, 4, 10, 1000),
+        "battery_mwh": 7000,
         "hosted": frozenset({"svc-a", "svc-b"}),
         "certificate": SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 39, 3.5, True),
         "alive": False,
     }
 
-    @pytest.mark.parametrize("fields", [(), ("committed",), ("hosted",), ("certificate",),
-                                        ("alive",), ("committed", "hosted")])
+    @pytest.mark.parametrize("fields", [(), ("committed",), ("battery_mwh",), ("hosted",),
+                                        ("certificate",), ("alive",), ("committed", "hosted"),
+                                        ("battery_mwh", "certificate")])
     def test_equals_replace(self, fields):
         changes = {name: self.CHANGES[name] for name in fields}
         assert profile_with(self.PROFILE, **changes) == replace(self.PROFILE, **changes)

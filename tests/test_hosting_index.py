@@ -4,7 +4,8 @@
 every path that changes a profile's hosted set, liveness or certificate
 must keep the lists and the hosts' rank keys in step. A list once
 returned is never mutated: earlier discovery replies and their trace
-records hold it.
+records hold it. The machine's `overtake` step makes reports reorder
+rankings it has already handed out.
 """
 from dataclasses import replace
 from pathlib import Path
@@ -79,6 +80,8 @@ operations = st.one_of(
     st.tuples(st.just("preprovision"), hosts, st.lists(services, max_size=3, unique=True)),
     st.tuples(st.just("report"), hosts, services, st.booleans(),
               st.one_of(st.none(), st.integers(1, 5))),
+    st.tuples(st.just("overtake"), st.lists(hosts, min_size=2, max_size=2, unique=True), services,
+              st.integers(3, 6)),
     st.tuples(st.just("restore")),
     st.tuples(st.just("rewind")),
 )
@@ -99,20 +102,35 @@ def apply(governor: ServiceGovernor, op: tuple, seq: int) -> ServiceGovernor:
         governor.preprovision_host(op[1], op[2])  # held services included: they are skipped
     elif kind == "report":
         _, host_id, service_id, ok, rating = op
-        if governor.host_db.hosts[host_id].certificate is None:
-            return governor  # trust lives on the certificate; the engine never reports here
-        may_report(governor, host_id, service_id)
-        governor.ingest_report(ExecutionReport(
-            report_id=f"rpt-{seq:04d}", host_id=host_id, service_id=service_id,
-            requester_pseudonym="anon-index", started_at=float(seq), duration_ms=10.0,
-            energy_used_mwh=1, outcome=Outcome.success() if ok else Outcome.failure("fault"),
-            rating=rating,
-        ))
+        report(governor, f"rpt-{seq:04d}", seq, host_id, service_id, ok, rating)
+    elif kind == "overtake":
+        # Several reports of one outcome carry the host past its rival in
+        # the service's ranking: successes from behind, failures from ahead.
+        _, (host_id, rival_id), service_id, count = op
+        governor.preprovision_host(host_id, [service_id])
+        governor.preprovision_host(rival_id, [service_id])
+        holders = governor.host_db.ranked_hosts(service_id)
+        ahead = host_id in holders and rival_id in holders and holders.index(host_id) < holders.index(rival_id)
+        for i in range(count):
+            report(governor, f"rpt-{seq:04d}-{i}", seq, host_id, service_id, not ahead, None)
     elif kind == "restore":
         governor = restore_governor(snapshot_governor(governor))
     else:  # back to the snapshot taken before any placement
         governor = restore_governor(snapshot_governor(build_governor()))
     return governor
+
+
+def report(governor: ServiceGovernor, report_id: str, seq: int, host_id: str, service_id: str,
+           ok: bool, rating: int | None) -> None:
+    if governor.host_db.hosts[host_id].certificate is None:
+        return  # trust lives on the certificate; the engine never reports here
+    may_report(governor, host_id, service_id)
+    governor.ingest_report(ExecutionReport(
+        report_id=report_id, host_id=host_id, service_id=service_id,
+        requester_pseudonym="anon-index", started_at=float(seq), duration_ms=10.0,
+        energy_used_mwh=1, outcome=Outcome.success() if ok else Outcome.failure("fault"),
+        rating=rating,
+    ))
 
 
 class TestHostingIndex:

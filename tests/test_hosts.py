@@ -262,24 +262,24 @@ class TestIngestReport:
     def test_single_success_gives_availability_one(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report())
-        profile = governor.host_db.get("host-a")
-        assert profile.successes / profile.attempts == 1.0
+        cert = governor.host_db.get("host-a").certificate
+        assert cert.successes / cert.attempts == 1.0
 
     def test_sfss_stream_gives_three_quarters(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         pattern = [True, False, True, True]
         for ok in pattern:
             governor.ingest_report(make_report(ok=ok))
-        profile = governor.host_db.get("host-a")
+        cert = governor.host_db.get("host-a").certificate
         # Counting oracle.
-        assert profile.successes / profile.attempts == sum(pattern) / len(pattern)
-        assert profile.successes / profile.attempts == 0.75
+        assert cert.successes / cert.attempts == sum(pattern) / len(pattern)
+        assert cert.successes / cert.attempts == 0.75
 
     def test_first_rated_report_sets_mean_rating(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report(rating=5))
-        profile = governor.host_db.get("host-a")
-        assert profile.rating_sum / profile.rating_count == 5.0
+        ratings = [r.rating for r in governor.host_db.reports_for_host("host-a") if r.rating is not None]
+        assert sum(ratings) / len(ratings) == 5.0
 
     def test_unknown_host_or_service_errors(self, governor):
         with pytest.raises(UnknownEntityError):
@@ -292,7 +292,7 @@ class TestIngestReport:
         report = make_report(report_id="rpt-fixed")
         assert governor.ingest_report(report) is True
         assert governor.ingest_report(report) is False
-        assert governor.host_db.get("host-a").attempts == 1
+        assert governor.host_db.get("host-a").certificate.attempts == 1
 
     def test_battery_view_decreases_with_reported_energy(self, governor):
         governor.request_hosting("host-a", "svc-resize")
@@ -306,11 +306,12 @@ class TestIngestReport:
         assert governor.host_db.reports == []
         assert governor.host_db.seen_report_ids == set()
         profile = governor.host_db.get("host-a")
-        assert (profile.attempts, profile.battery_mwh) == (0, 20000)
+        assert (profile.certificate, profile.battery_mwh) == (None, 20000)
+        assert governor.host_db.reports_for_host("host-a") == []
         # Once the host holds a certificate, the same report is taken.
         governor.request_hosting("host-a", "svc-resize")
         assert governor.ingest_report(report) is True
-        assert governor.host_db.get("host-a").attempts == 1
+        assert governor.host_db.get("host-a").certificate.attempts == 1
 
     def test_report_on_a_service_its_host_never_held_changes_nothing(self, governor):
         """A report on a service its host was never placed on is refused
@@ -333,7 +334,7 @@ class TestIngestReport:
         governor.preprovision_host("host-a", ["svc-secure"])
         assert governor.ingest_report(report) is True
         assert [entry.correlation_id for entry in governor.billing.audit()] == ["rpt-unplaced"]
-        assert governor.host_db.get("host-a").attempts == 1
+        assert governor.host_db.get("host-a").certificate.attempts == 1
         assert governor.check_invariants() == []
 
     def test_a_report_in_flight_after_an_unhost_or_a_departure_still_counts(self, governor):

@@ -491,7 +491,6 @@ def _report_repeated(governor):
     first = governor.host_db.reports[0]
     governor.host_db.add_report(first)
     return [
-        f"host {first.host_id}: attempts, successes and ratings differ from its reports",
         f"host {first.host_id}: certificate attempts and successes differ from its reports",
         f"hosts: report id {first.report_id!r} is in the history more than once",
     ]
@@ -512,10 +511,10 @@ def _report_of_unknown_service(governor):
     return [f"hosts: report {first.report_id!r} names unknown service 'svc-ghost'"]
 
 
-def _profile_counters_off(governor):
-    profile = governor.host_db.hosts["host-000"]
-    _stored(governor, "host-000", replace(profile, rating_sum=profile.rating_sum + 1))
-    return ["host host-000: attempts, successes and ratings differ from its reports"]
+def _reported_host_without_certificate(governor):
+    host_id = governor.host_db.reports[0].host_id
+    _stored(governor, host_id, replace(governor.host_db.hosts[host_id], certificate=None))
+    return [f"host {host_id}: reports in the history but no certificate"]
 
 
 def _certificate_counters_off(governor):
@@ -572,7 +571,7 @@ BROKEN_STATES = [
     _report_repeated,
     _report_of_unknown_host,
     _report_of_unknown_service,
-    _profile_counters_off,
+    _reported_host_without_certificate,
     _certificate_counters_off,
     _metered_id_of_no_report,
     _credits_off,
