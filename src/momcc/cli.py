@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 import time
 from dataclasses import replace
@@ -36,7 +35,6 @@ from .scenario import (
     Scenario,
     ScenarioValidationError,
     load_scenario,
-    validate_scenario,
 )
 from .snapshot import load_governor, write_snapshot
 from .wire import write_trace
@@ -156,18 +154,7 @@ def _printed(data: dict) -> tuple[str, str]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        data = json.loads(Path(args.scenario).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
-        return EXIT_INVALID
-    except json.JSONDecodeError as exc:
-        print(f"error: /: not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    diagnostics = validate_scenario(data)
-    if diagnostics:
-        for diagnostic in diagnostics:
-            print(f"error: {diagnostic}", file=sys.stderr)
+    if _load(args.scenario) is None:
         return EXIT_INVALID
     print("scenario is valid")
     return EXIT_OK

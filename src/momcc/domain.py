@@ -25,6 +25,13 @@ Two kinds of record live here:
   keeps no report counters: the certificate's `attempts` and
   `successes` and the governor's report history hold them.
 
+A record that carries outside input checks itself: every one above but
+`SecurityCertificate` and `HostProfile`. Those two are built only by the
+governor, from state it has checked, and check nothing: the rules they
+keep (a trust score in [0, 1], no more successes than attempts,
+committed resources within capacity) are checked at the door that can
+break them, admission or preprovisioning, and by `check_invariants()`.
+
 Units, fixed in one place:
     CPU      MHz
     Memory   MB
@@ -242,7 +249,8 @@ class SecurityCertificate:
     observations in [0, 1].
 
     Slotted and not frozen: every report builds one. Nothing assigns to
-    a certificate once it is built, or hashes one.
+    a certificate once it is built, or hashes one. Only the security
+    governor builds one, so it checks nothing itself.
     """
 
     host_id: str
@@ -252,14 +260,6 @@ class SecurityCertificate:
     successes: int
     issued_at: float
     identity_verified: bool
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.trust_score <= 1.0:
-            raise ValueError(f"trust_score must be in [0, 1], got {self.trust_score}")
-        if self.successes > self.attempts:
-            raise ValueError("successes cannot exceed attempts")
-        if self.attempts < 0:
-            raise ValueError("attempts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -324,7 +324,8 @@ class HostProfile:
     """A mobile host as the governor sees it.
 
     `committed` is the sum of min_resources of currently hosted services;
-    `capacity.covers(committed)` holds at all times. `battery_mwh` is the
+    `capacity.covers(committed)` holds at all times: admission and
+    `preprovision_host` check it before they place. `battery_mwh` is the
     governor's running view, decremented by reported energy use. The
     host's execution counts are its certificate's `attempts` and
     `successes`, and its ratings are in the report history.
@@ -344,10 +345,6 @@ class HostProfile:
     hosted: frozenset[str] = field(default_factory=frozenset)
     alive: bool = True
 
-    def __post_init__(self) -> None:
-        if not self.capacity.covers(self.committed):
-            raise ValueError("capacity must cover committed resources")
-
     @property
     def free(self) -> ResourceVector:
         return self.capacity.minus(self.committed)
@@ -366,7 +363,7 @@ def profile_with(profile: HostProfile, *, committed: ResourceVector | None = Non
     unhosting, departure, certificate issue and each execution report.
     It owns the field order: the new profile is built positionally, in
     declaration order, at a fraction of the cost of `dataclasses.replace`,
-    and `__post_init__` still checks it.
+    and not checked: its callers pass values that keep the profile's rules.
     """
     return HostProfile(
         profile.host_id,

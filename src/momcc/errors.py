@@ -33,20 +33,8 @@ class NotHostedError(MarketplaceError):
     """unhost() was called for a service the host does not hold."""
 
 
-class CertificateExistsError(MarketplaceError):
-    """A certificate was to be issued to a host that already has one."""
-
-
-class CertificateMismatchError(MarketplaceError):
-    """A trust update was applied against the wrong host's certificate."""
-
-
 class NegotiationRejected(MarketplaceError):
     """Billing negotiation failed: the requested share split is infeasible."""
-
-
-class MissingAgreementError(MarketplaceError):
-    """A successful execution arrived for a service with no billing agreement."""
 
 
 class SnapshotIntegrityError(MarketplaceError):

@@ -116,15 +116,21 @@ class ServiceGovernor:
         Exists for the always-on cloud endpoint of the WAN baseline; the
         marketplace path never uses it. Services the host already holds
         are left as they are; placing the others settles their agreements,
-        as admission does.
+        as admission does. The host's capacity must cover what it holds
+        and the others together, or nothing is written.
         """
         with self.lock:
-            descs = [self.registry.get(service_id) for service_id in service_ids]
-            if self.host_db.get(host_id).certificate is None:
+            profile = self.host_db.get(host_id)
+            descs = {sid: self.registry.get(sid) for sid in service_ids if sid not in profile.hosted}
+            committed = profile.committed
+            for desc in descs.values():
+                committed = committed.plus(desc.min_resources)
+            if not profile.capacity.covers(committed):
+                raise ValueError("capacity must cover committed resources")
+            if profile.certificate is None:
                 self.security._issue(host_id, identity_verified, at)
-            for desc in descs:
-                if desc.service_id not in self.host_db.hosts[host_id].hosted:
-                    self.hosts._place(host_id, desc)
+            for desc in descs.values():
+                self.hosts._place(host_id, desc)
             self.journal.append(("preprovision_host", host_id, tuple(service_ids), identity_verified, at))
 
     # -- invariants (every rule a state keeps) --------------------------------

@@ -19,6 +19,13 @@ meters a successful report when it accepts one (`_meter_report`), under
 the lock it holds; so every ledger row is paid for by a report in the
 host database's history.
 
+Billing's rules are checked at their doors, a share at registration and
+a placement before its reports are metered, and by `check_invariants()`;
+its records check nothing. A host share is the float nearest the exact
+remainder, so the three shares need not sum to 1 as floats: the
+governor takes what the rounded-down credits leave, so each row's
+credits still sum to its price.
+
 The ledger keeps one flat row per metered invocation (`Row`): its
 sequence number, correlation id, payer, price, developer and host ids,
 the three class credits and its timestamp. Metering, the hottest
@@ -36,7 +43,7 @@ from functools import lru_cache
 from typing import Iterator, Mapping
 
 from ..domain import ExecutionReport, ServiceDescription
-from ..errors import MissingAgreementError, NegotiationRejected
+from ..errors import NegotiationRejected
 
 GOVERNOR_PARTY = "governor"
 
@@ -90,7 +97,8 @@ def check_developer_share(developer_share: float, commission: float) -> None:
 
 @dataclass(frozen=True)
 class Agreement:
-    """The settled split for one service; shares sum to exactly 1."""
+    """The settled split for one service: the host takes the remainder
+    share, as a float."""
 
     service_id: str
     developer_id: str
@@ -99,19 +107,10 @@ class Agreement:
     host_share: float
     governor_commission: float
 
-    def __post_init__(self) -> None:
-        total = _frac(self.developer_share) + _frac(self.host_share) + _frac(self.governor_commission)
-        if total != 1:
-            raise ValueError(f"shares must sum to 1, got {float(total)}")
-        for name in ("developer_share", "host_share", "governor_commission"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-
 
 @dataclass(frozen=True, slots=True)
 class LedgerEntry:
-    """One metered invocation's money flow; sum(credits) == total.
+    """One metered invocation's money flow; its credits sum to its total.
 
     A view of one ledger row, built by `audit()`. Slotted, so a full audit
     holds less at once.
@@ -124,10 +123,6 @@ class LedgerEntry:
     credits: dict[str, int]
     class_totals: dict[str, int]
     timestamp: float
-
-    def __post_init__(self) -> None:
-        if sum(self.credits.values()) != self.total:
-            raise ValueError("credits must sum to total")
 
 
 # One metered invocation: (sequence number, correlation id, payer, price,
@@ -248,11 +243,7 @@ class BillingUnit:
         Each share is rounded down to minor units and the remainder goes
         to the governor, so credits always sum to the price exactly.
         """
-        agreement = self._agreements.get(report.service_id)
-        if agreement is None:
-            raise MissingAgreementError(
-                f"no billing agreement for service {report.service_id!r}"
-            )
+        agreement = self._agreements[report.service_id]
         price = agreement.price_per_invocation
         dev_credit, host_credit, governor_credit = split_price(
             price, agreement.developer_share, agreement.host_share

@@ -238,8 +238,8 @@ class HostRegistry:
         once because it is refused here first. A report on a service its
         host was never placed on is refused. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
-        is judged afresh: billing's `_meter_report` checks the service's
-        agreement before it meters, and nothing after it can fail.
+        is judged afresh. Nothing after them can fail: a placed pair's
+        service has the agreement `_place` settled, which metering reads.
 
         One report is the hottest profile write, so the checks read the
         host and service dicts directly (the lock held here is the one

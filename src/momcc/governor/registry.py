@@ -60,7 +60,7 @@ import threading
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..domain import (
     ResourceVector,
@@ -273,6 +273,29 @@ Platform = tuple[str, tuple[int, int, int]]
 Need = tuple[int, int, int, int]
 
 
+def closes_cycle(service_id: str, dependencies: Iterable[str],
+                 dependencies_of: Callable[[str], Iterable[str]]) -> bool:
+    """Whether adding `service_id` with `dependencies` to an acyclic
+    dependency graph closes a cycle; `dependencies_of` maps each id in
+    the graph to its dependencies, and an id not in it to none.
+
+    A new cycle must pass through the new node: it closes exactly when
+    the new id is reachable from one of its own dependencies. Edges to
+    ids not in the graph yet lead nowhere. Registration and scenario
+    validation both judge each service against those before it.
+    """
+    stack = list(dependencies)
+    seen: set[str] = set()
+    while stack:
+        node = stack.pop()
+        if node == service_id:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(dependencies_of(node))
+    return False
+
+
 def runs_on(entry: RevenueEntry, platform: Platform) -> bool:
     """Whether a host of `platform` meets the entry's platform requirement."""
     return entry[2] == platform[0] and entry[3] <= platform[1]
@@ -383,33 +406,14 @@ class ServiceRegistry:
                     f"service {desc.service_id!r} exceeds the footprint ceiling "
                     f"{self.footprint_ceiling.as_dict()}",
                 )
-            if self._closes_cycle(desc):
+            services = self.db.services
+            if closes_cycle(desc.service_id, desc.dependencies,
+                            lambda sid: services[sid].dependencies if sid in services else ()):
                 raise RegistrationRejected("cycle", f"service {desc.service_id!r} would close a dependency cycle")
             self.db.add(desc)
             self.db.status[desc.service_id] = ServiceStatus.ACTIVE
             self._journal.append(("registry.register_service", desc, scan_attestation))
             return desc.service_id
-
-    def _closes_cycle(self, desc: ServiceDescription) -> bool:
-        """Whether registering `desc` would close a dependency cycle.
-
-        The registered graph is acyclic, so a new cycle must pass through
-        the new node: it closes exactly when the new id is reachable from
-        one of its own dependencies. Edges to ids not registered yet lead
-        nowhere.
-        """
-        services = self.db.services
-        stack = list(desc.dependencies)
-        seen: set[str] = set()
-        while stack:
-            node = stack.pop()
-            if node == desc.service_id:
-                return True
-            if node in seen or node not in services:
-                continue
-            seen.add(node)
-            stack.extend(services[node].dependencies)
-        return False
 
     def _deprecate(self, service_id: str) -> None:
         """Mark Deprecated: hidden from discovery and hosting listings.

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..domain import ExecutionReport, SecurityCertificate, SecurityLevel, profile_with
-from ..errors import CertificateExistsError, CertificateMismatchError
 from .store import HostDatabase
 
 
@@ -87,11 +86,9 @@ def observation_value(report: ExecutionReport, policy: TrustPolicy) -> float:
 
 
 def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: TrustPolicy) -> SecurityCertificate:
-    """Pure trust update: new certificate from one execution report."""
-    if report.host_id != cert.host_id:
-        raise CertificateMismatchError(
-            f"report for {report.host_id!r} applied to certificate of {cert.host_id!r}"
-        )
+    """Pure trust update: new certificate from one execution report on
+    the certificate's host (`ingest_report`, the one caller, passes the
+    reporting host's own)."""
     o = observation_value(report, policy)
     score = (1.0 - policy.alpha) * cert.trust_score + policy.alpha * o
     score = min(1.0, max(0.0, score))
@@ -99,7 +96,8 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
     successes = cert.successes + (1 if report.outcome.ok else 0)
     # The constructor with positional fields in declaration order, not
     # `dataclasses.replace` or keywords, which cost more on the report
-    # path; `__post_init__` still checks the result.
+    # path. The score is clamped to [0, 1] above and `successes` never
+    # passes `attempts`, so the result needs no check.
     return SecurityCertificate(
         cert.host_id,
         next_level(cert.level, score, attempts, policy),
@@ -124,11 +122,11 @@ class SecurityGovernor:
         """Issue the lowest certificate to a registered host without one.
 
         Identity verification grants a one-time score bonus, never a
-        level jump. A host that already holds a certificate is refused.
+        level jump. Both callers, the admission handshake and
+        `preprovision_host`, issue only to a host that holds none, so
+        a held certificate is never replaced.
         """
         profile = self.host_db.get(host_id)
-        if profile.certificate is not None:
-            raise CertificateExistsError(f"host {host_id!r} already holds a certificate")
         score = VERIFIED_BONUS if identity_verified else 0.0
         # host_id, level, trust_score, attempts, successes, issued_at, identity_verified
         cert = SecurityCertificate(host_id, _LOW, score, 0, 0, at, identity_verified)

@@ -47,6 +47,7 @@ from .domain import ResourceVector, ServiceDescription
 from .errors import NegotiationRejected
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .governor.billing import check_developer_share
+from .governor.registry import closes_cycle
 from .schema import compile_schema
 from .wire import service_from_dict
 
@@ -319,10 +320,20 @@ def validate_scenario(data: dict) -> list[str]:
         if sid in seen:
             diagnostics.append(f"/services/{i}/service_id: duplicate id {sid!r}")
         seen.add(sid)
+    # The registry's cycle rule, judged in file order as the services
+    # register: each against the ones registered before it.
+    registered: dict[str, list[str]] = {}
     for i, svc in enumerate(data["services"]):
-        for dep in svc.get("dependencies", []):
+        sid, dependencies = svc["service_id"], svc.get("dependencies", [])
+        for dep in dependencies:
             if dep not in seen:
                 diagnostics.append(f"/services/{i}/dependencies: unknown service {dep!r}")
+        if sid in registered:
+            continue  # a duplicate id, reported above
+        if closes_cycle(sid, dependencies, lambda node: registered.get(node, ())):
+            diagnostics.append(f"/services/{i}/dependencies: service {sid!r} would close a dependency cycle")
+        else:
+            registered[sid] = dependencies
     for key, rng in (data.get("latency") or {}).items():
         if rng[0] > rng[1]:
             diagnostics.append(f"/latency/{key}: low must be <= high")
@@ -348,12 +359,17 @@ def validate_scenario(data: dict) -> list[str]:
     except ValueError as exc:
         diagnostics.append(f"/policies: {exc}")
     else:
-        # Billing's rule: each developer share leaves room for the commission.
+        # Billing's rule: each developer share leaves room for the
+        # commission; the registry's: no need beyond the footprint ceiling.
+        ceiling = config.footprint_ceiling
         for i, svc in enumerate(data["services"]):
             try:
                 check_developer_share(svc["developer_share"], config.governor_commission)
             except NegotiationRejected as exc:
                 diagnostics.append(f"/services/{i}/developer_share: {exc}")
+            if not ceiling.covers(ResourceVector(**svc["min_resources"])):
+                diagnostics.append(f"/services/{i}/min_resources: service {svc['service_id']!r} "
+                                   f"exceeds the footprint ceiling {ceiling.as_dict()}")
     return diagnostics
 
 

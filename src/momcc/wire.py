@@ -250,10 +250,6 @@ class ProtocolMessage:
     correlation_id: str
     payload: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if not self.correlation_id:
-            raise ValueError("correlation_id must be non-empty")
-
 
 @dataclass(slots=True)
 class Outbound:

@@ -1,6 +1,8 @@
 """CLI exit codes, output files, and diffable determinism."""
+import csv
 import hashlib
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -320,6 +322,62 @@ class TestValidate:
         assert code == EXIT_INVALID
         err = capsys.readouterr().err
         assert err == "error: /services/0/developer_share: developer share 0.9 plus commission 0.2 exceeds 1\n"
+
+    def test_a_share_whose_host_share_has_no_short_decimal_runs(self, tmp_path, capsys):
+        """A share `validate` accepts is one `run` can settle and pay: the
+        float host share 1 - 0.20405522059153736 - 0.2 is not that
+        difference to the last digit, and each row still pays its price."""
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        for service in data["services"]:
+            service["developer_share"] = 0.20405522059153736
+        path = write_scenario(tmp_path, data)
+        assert main(["--no-banner", "validate", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["--no-banner", "run", str(path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        with (out / "ledger.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        credited = sum(Decimal(row[party]) for row in rows for party in ("developer", "host", "governor"))
+        assert credited == sum(Decimal(row["total"]) for row in rows)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("edit, line", [
+        (lambda d: d["services"][0].update(dependencies=["svc-resize"]),
+         "/services/0/dependencies: service 'svc-resize' would close a dependency cycle"),
+        (lambda d: (d["services"][0].update(dependencies=["svc-ocr"]),
+                    d["services"][1].update(dependencies=["svc-resize"])),
+         "/services/1/dependencies: service 'svc-ocr' would close a dependency cycle"),
+        (lambda d: d["services"][0]["min_resources"].update(cpu=5000),
+         "/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling "
+         "{'cpu': 1024, 'memory': 64, 'storage': 64, 'energy': 1000}"),
+    ], ids=["self-dependency", "two-service-cycle", "beyond-the-footprint-ceiling"])
+    def test_a_service_the_registry_refuses_is_a_service_diagnostic(
+        self, command, edit, line, tmp_path, capsys
+    ):
+        """validate and run apply the registry's rules: no dependency cycle
+        (judged in file order, as services register) and no need beyond
+        the footprint ceiling."""
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        edit(data)
+        path = write_scenario(tmp_path, data)
+        args = ["--no-banner", command, str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_need_is_judged_against_the_scenario_footprint_ceiling(self, command, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        data["services"][0]["min_resources"]["cpu"] = 5000
+        data["policies"]["registry"] = {"footprint_ceiling": {"cpu": 8192, "memory": 64, "storage": 64,
+                                                              "energy": 1000}}
+        args = ["--no-banner", command, str(write_scenario(tmp_path, data))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_developer_share_is_judged_against_the_scenario_commission(self, tmp_path, capsys):
         data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))

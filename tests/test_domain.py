@@ -208,7 +208,3 @@ class TestProfileWith:
     def test_equals_replace(self, fields):
         changes = {name: self.CHANGES[name] for name in fields}
         assert profile_with(self.PROFILE, **changes) == replace(self.PROFILE, **changes)
-
-    def test_the_new_profile_is_still_checked(self):
-        with pytest.raises(ValueError, match="capacity must cover committed"):
-            profile_with(self.PROFILE, committed=ResourceVector(5000, 0, 0, 0))

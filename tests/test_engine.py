@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import composite_scenario, drop_sc_query, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
 from momcc.cli import _write_outputs
+from momcc.domain import ResourceVector
 from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
+from momcc.errors import RegistrationRejected
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from momcc.governor.registry import ServiceStatus
 from momcc.scenario import (
@@ -444,14 +446,19 @@ class TestPolicyPlumbing:
         assert agreement.governor_commission == 0.1
         assert agreement.host_share == pytest.approx(0.5)
 
-    def test_footprint_ceiling_rejects_oversized_service_at_setup(self):
-        data = scenario_dict(
-            policies={"registry": {"footprint_ceiling": {"cpu": 100, "memory": 1, "storage": 1, "energy": 100}}}
-        )
-        from momcc.errors import RegistrationRejected
-
-        with pytest.raises(RegistrationRejected):
-            run_scenario(scenario_from_dict(data))
+    def test_footprint_ceiling_rejects_oversized_service(self):
+        """Validation refuses the scenario, and the registry a service the
+        config's ceiling does not cover."""
+        small = {"cpu": 100, "memory": 1, "storage": 1, "energy": 100}
+        with pytest.raises(ScenarioValidationError) as err:
+            scenario_from_dict(scenario_dict(policies={"registry": {"footprint_ceiling": small}}))
+        assert err.value.diagnostics == [
+            f"/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling {small}"
+        ]
+        scenario = replace(scenario_from_dict(scenario_dict()),
+                           governor_config=GovernorConfig(footprint_ceiling=ResourceVector(**small)))
+        with pytest.raises(RegistrationRejected, match="exceeds the footprint ceiling"):
+            run_scenario(scenario)
 
 
 class TestPercentile:

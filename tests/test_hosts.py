@@ -219,6 +219,23 @@ class TestUnhost:
         assert (profile.hosted, profile.committed) == (frozenset(), ResourceVector(0, 0, 0, 0))
         assert governor.check_invariants() == []
 
+    @pytest.mark.parametrize("service_ids", [["svc-greedy"], ["svc-resize", "svc-secure"]],
+                             ids=["one-need-too-large", "two-needs-too-large-together"])
+    def test_preprovisioning_beyond_free_capacity_writes_nothing(self, governor, service_ids):
+        """The capacity check runs before the first write: no certificate,
+        no agreement, no placed pair and no journal entry are left behind."""
+        governor.hosts.register_host("host-small", "Android", "4.0", ResourceVector(1000, 4, 10, 1000), 1)
+        journal = list(governor.journal)
+        with pytest.raises(ValueError, match="capacity must cover committed resources"):
+            governor.preprovision_host("host-small", service_ids)
+        profile = governor.host_db.get("host-small")
+        assert (profile.certificate, profile.hosted) == (None, frozenset())
+        assert profile.committed == ResourceVector(0, 0, 0, 0)
+        assert all(governor.billing.agreement_for(sid) is None for sid in service_ids)
+        assert governor.hosts._placed == set()
+        assert governor.journal == journal
+        assert governor.check_invariants() == []
+
     def test_invariants_catch_committed_that_differs_from_hosted(self, governor):
         governor.request_hosting("host-a", "svc-resize")
         profile = governor.host_db.get("host-a")

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_service, paid_report, placed
+import momcc.governor.billing as billing_module
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.governor import ServiceGovernor
 from momcc.governor.billing import GOVERNOR_PARTY, LedgerEntry, format_money
@@ -168,14 +169,13 @@ class TestLedgerExport:
 class TestReportPathBuildsNoEntries:
     def test_a_few_hundred_reports_construct_no_ledger_entry(self, monkeypatch):
         built = []
-        check = LedgerEntry.__post_init__
 
-        def counting(self):
-            built.append(self.entry_id)
-            check(self)
+        def counting(**entry):
+            built.append(entry["entry_id"])
+            return LedgerEntry(**entry)
 
-        # Every construction runs `__post_init__`, whichever module builds it.
-        monkeypatch.setattr(LedgerEntry, "__post_init__", counting)
+        # Billing is the one module that builds a `LedgerEntry`.
+        monkeypatch.setattr(billing_module, "LedgerEntry", counting)
         governor = ServiceGovernor()
         governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
         governor.registry.register_service(make_service())

@@ -14,17 +14,17 @@ from momcc.domain import (
     SecurityCertificate,
     SecurityLevel,
 )
-from momcc.errors import CertificateExistsError, CertificateMismatchError, UnknownEntityError
+from momcc.errors import UnknownEntityError
 from momcc.governor.security import TrustPolicy, next_level, observation_value, update_trust
 
 POLICY = TrustPolicy()
 AMPLE = ResourceVector(2048, 32, 64, 2000)
 
 
-def report_for(host_id="host-a", ok=True, rating=None):
+def report_for(ok=True, rating=None):
     return ExecutionReport(
         report_id=f"rpt-{random.getrandbits(40):010x}",
-        host_id=host_id,
+        host_id="host-a",
         service_id="svc-resize",
         requester_pseudonym="anon-42",
         started_at=0.0,
@@ -71,12 +71,10 @@ class TestIssue:
         cert = governor.host_db.get("host-a").certificate
         assert (cert.level, cert.trust_score, cert.issued_at) == (SecurityLevel.LOW, pytest.approx(0.1), 5.0)
 
-    def test_double_issue_errors(self, governor):
+    def test_a_held_certificate_is_kept(self, governor):
         first = certified(governor, "host-a")
-        certified(governor, "host-a", identity_verified=True)  # a held certificate is kept
+        certified(governor, "host-a", identity_verified=True)
         assert governor.host_db.get("host-a").certificate is first
-        with pytest.raises(CertificateExistsError):
-            governor.security._issue("host-a", False, 0.0)
 
     def test_issue_for_unknown_host_errors(self, governor):
         with pytest.raises(UnknownEntityError):
@@ -161,10 +159,6 @@ class TestUpdateFormula:
             assert cert.trust_score <= previous
             previous = cert.trust_score
         assert cert.trust_score < 0.01
-
-    def test_host_mismatch_rejected(self):
-        with pytest.raises(CertificateMismatchError):
-            update_trust(cert_with(), report_for(host_id="host-b"), POLICY)
 
     @given(st.lists(st.tuples(st.booleans(), st.one_of(st.none(), st.integers(1, 5))),
                     max_size=60))

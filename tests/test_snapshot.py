@@ -540,19 +540,20 @@ def _credits_off(governor):
 
 def _committed_beyond_capacity(governor):
     profile = governor.host_db.hosts["host-001"]
-    profile.committed = profile.capacity.plus(ResourceVector(1, 0, 0, 0))  # past `__post_init__`
+    _stored(governor, "host-001", replace(profile, committed=profile.capacity.plus(ResourceVector(1, 0, 0, 0))))
     return ["host host-001: committed exceeds capacity",
             "host host-001: committed differs from its hosted services"]
 
 
 def _trust_out_of_bounds(governor):
-    governor.host_db.hosts["host-001"].certificate.trust_score = 1.5  # past `__post_init__`
-    _stored(governor, "host-001", governor.host_db.hosts["host-001"])
+    profile = governor.host_db.hosts["host-001"]
+    _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, trust_score=1.5)))
     return ["host host-001: trust score out of bounds"]
 
 
 def _certificate_successes_beyond_attempts(governor):
-    governor.host_db.hosts["host-001"].certificate.successes = 1  # past `__post_init__`
+    profile = governor.host_db.hosts["host-001"]
+    _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, successes=1)))
     return ["host host-001: successes exceed attempts",
             "host host-001: certificate attempts and successes differ from its reports"]
 

@@ -315,18 +315,13 @@ class TestReadTrace:
 
 class TestRecords:
     """Every hop builds a `ProtocolMessage`, an `Outbound` and a
-    `TraceRecord`; each is slotted, and a message still needs its
-    correlation id."""
+    `TraceRecord`; each is slotted."""
 
     def test_hop_records_have_no_instance_dict(self):
         msg = ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "inv-1", {})
         records = [msg, Outbound("host-000", "wlan", msg), TraceRecord(1.0, 2.0, "req-000", "host-000", msg)]
         for record in records:
             assert not hasattr(record, "__dict__"), type(record).__name__
-
-    def test_an_empty_correlation_id_is_refused(self):
-        with pytest.raises(ValueError, match="correlation_id"):
-            ProtocolMessage(MessageKind.INVOKE, Role.REQUESTER, "", {})
 
 
 @pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])
