@@ -3,7 +3,8 @@
 Subcommands:
     run        execute one scenario, write metrics/trace/ledger outputs
     compare    marketplace vs WAN-cloud baseline over several seeds
-    validate   report every scenario schema violation at once
+    validate   report every scenario violation at once: the file's own
+               rules, then the governor's refusals at set-up
     snapshot   run a scenario and persist the governor end state
     restore    verify and summarize a persisted governor state
 
@@ -26,7 +27,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .engine import SimulationResult, paused_collector, run_scenario
+from .engine import SimulationResult, paused_collector, run_scenario, set_up_governor
 from .errors import SnapshotIntegrityError
 from .governor.billing import format_money
 from .scenario import (
@@ -76,14 +77,11 @@ def _fresh(path: Path) -> Path:
 
 
 def _load(path: str, seed: int | None = None) -> Scenario | None:
-    """The scenario at `path`, or None after printing why it cannot be run."""
+    """The scenario at `path`, or None after printing that it is missing."""
     try:
         return load_scenario(path, seed_override=seed)
     except FileNotFoundError:
         print(f"error: scenario file not found: {path}", file=sys.stderr)
-    except ScenarioValidationError as exc:
-        for diagnostic in exc.diagnostics:
-            print(f"error: {diagnostic}", file=sys.stderr)
     return None
 
 
@@ -154,8 +152,10 @@ def _printed(data: dict) -> tuple[str, str]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    if _load(args.scenario) is None:
+    scenario = _load(args.scenario)
+    if scenario is None:
         return EXIT_INVALID
+    set_up_governor(scenario)
     print("scenario is valid")
     return EXIT_OK
 
@@ -230,7 +230,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _banner(not args.no_banner)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioValidationError as exc:  # from loading, or from a set-up
+        for diagnostic in exc.diagnostics:
+            print(f"error: {diagnostic}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -51,16 +51,23 @@ from typing import Any, Callable, Iterator
 from .agents import (AggregatorAgent, DeviceAgent, HostAgent, HostAgentConfig, RequesterAgent,
                      _invoke_result)
 from .domain import Outcome, ResourceVector
+from .errors import NegotiationRejected, RegistrationRejected
 from .governor import ServiceGovernor
 from .governor.endpoint import GovernorEndpoint
-from .scenario import MODE_WAN_CLOUD, Scenario
+from .scenario import MODE_WAN_CLOUD, Scenario, ScenarioValidationError
 from .wire import MessageKind, Outbound, TraceRecord, compact_json
 
 CLOUD_HOST_ID = "cloud-host"
 GOVERNOR_ID = "governor"
 
-_CLOUD_CAPACITY = ResourceVector(10**9, 10**9, 10**9, 10**9)
-_CLOUD_BATTERY = 10**15
+# The WAN baseline's one always-on host: placed on every service
+# administratively, so it never joins or browses.
+_CLOUD_CONFIG = HostAgentConfig(
+    capacity=ResourceVector(10**9, 10**9, 10**9, 10**9),
+    battery_mwh=10**15,
+    platform_os="cloud",
+    platform_version="1",
+)
 
 _INVOKE = MessageKind.INVOKE
 _INVOKE_RESULT = MessageKind.INVOKE_RESULT
@@ -186,7 +193,7 @@ class Simulation:
         # latency class -> (low, high) ms, built once: read on every send
         self._ranges = {cls: scenario.latency.range_for(cls) for cls in ("wlan", "wan", "governor")}
         self.master_rng = random.Random(f"{scenario.seed}/master")
-        self.governor = ServiceGovernor(scenario.governor_config)
+        self.governor = set_up_governor(scenario)
         self.endpoint = GovernorEndpoint(self.governor)
         self.trace: list[TraceRecord] = []
         self.latencies: list[float] = []
@@ -220,19 +227,17 @@ class Simulation:
     # -- setup ------------------------------------------------------------
 
     def _setup(self) -> None:
+        """The agents, which `set_up_governor` registered, and their first events."""
         sc = self.scenario
         wan_mode = sc.baseline_mode == MODE_WAN_CLOUD
-
-        for desc in sc.services:
-            self.governor.billing.negotiate_developer(
-                desc.developer_id, desc.price_per_invocation, desc.developer_share
-            )
-            self.governor.registry.register_service(desc)
-
         taken_pseudonyms: set[str] = set()
 
         if wan_mode:
-            self._setup_cloud()
+            agent = HostAgent(CLOUD_HOST_ID, _CLOUD_CONFIG, random.Random(f"{sc.seed}/cloud"),
+                              self.next_id, sc.exec_ms)
+            self._add_device(agent, joins=False)
+            for desc in sc.services:
+                agent.host_service(desc)
         else:
             for agent_id, config, rng in self._population("host", sc.hosts):
                 agent = HostAgent(agent_id, config, rng, self.next_id, sc.exec_ms)
@@ -263,41 +268,15 @@ class Simulation:
             self._schedule(sweep_ms, self._on_sweep, sweep_ms)
 
     def _population(self, prefix: str, entries) -> Iterator[tuple[str, Any, random.Random]]:
-        """(agent id, config, random stream) of each member of a population,
-        numbered from 0 across its entries."""
-        configs = [entry.config for entry in entries for _ in range(entry.count)]
-        for index, config in enumerate(configs):
-            agent_id = f"{prefix}-{index:03d}"
+        """(agent id, config, random stream) of each member of a population."""
+        for agent_id, config in _members(prefix, entries):
             yield agent_id, config, random.Random(f"{self.scenario.seed}/{prefix}/{agent_id}")
 
     def _add_device(self, agent: DeviceAgent, joins: bool = True) -> None:
-        """Register a device with the governor and schedule its join."""
-        config = agent.config
+        """Add a device, and schedule its join."""
         self.devices[agent.agent_id] = self.agents[agent.agent_id] = agent
-        self.governor.hosts.register_host(
-            agent.agent_id, config.platform_os, config.platform_version,
-            config.capacity, config.battery_mwh,
-        )
         if joins:
             self._schedule(0.0, self._on_join, agent.agent_id)
-
-    def _setup_cloud(self) -> None:
-        """The WAN baseline's one always-on host: placed on every service
-        administratively, so it never joins or browses."""
-        sc = self.scenario
-        config = HostAgentConfig(
-            capacity=_CLOUD_CAPACITY,
-            battery_mwh=_CLOUD_BATTERY,
-            platform_os="cloud",
-            platform_version="1",
-        )
-        agent = HostAgent(CLOUD_HOST_ID, config, random.Random(f"{sc.seed}/cloud"),
-                          self.next_id, sc.exec_ms)
-        self._add_device(agent, joins=False)
-        service_ids = [d.service_id for d in sc.services]
-        self.governor.preprovision_host(CLOUD_HOST_ID, service_ids, identity_verified=True)
-        for desc in sc.services:
-            agent.host_service(desc)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -462,6 +441,56 @@ class Simulation:
         })
 
 
+def _members(prefix: str, entries) -> list[tuple[str, Any]]:
+    """(agent id, config) of each member of a population, numbered from 0
+    across its entries."""
+    configs = [entry.config for entry in entries for _ in range(entry.count)]
+    return [(f"{prefix}-{index:03d}", config) for index, config in enumerate(configs)]
+
+
+# The field of a scenario's service that each registration refusal the
+# set-up can meet is about: negotiation refuses a share first.
+_REFUSED_FIELD = {"duplicate": "service_id", "footprint": "min_resources", "dependency": "dependencies"}
+
+
+def set_up_governor(scenario: Scenario) -> ServiceGovernor:
+    """The governor a run of `scenario` starts from, where a scenario
+    meets the governor's rules: each service's developer negotiated and
+    the service registered, in file order, then the hosts and the
+    aggregators, or in wan_cloud mode the cloud host, preprovisioned with
+    every service. A refusal is a diagnostic worded as the refusal, and
+    the set-up goes on; `ScenarioValidationError` carries them all."""
+    governor = ServiceGovernor(scenario.governor_config)
+    diagnostics: list[str] = []
+    registered: list[str] = []
+    for i, desc in enumerate(scenario.services):
+        try:
+            governor.billing.negotiate_developer(desc.developer_id, desc.price_per_invocation,
+                                                 desc.developer_share)
+            registered.append(governor.registry.register_service(desc))
+        except NegotiationRejected as exc:
+            diagnostics.append(f"/services/{i}/developer_share: {exc}")
+        except RegistrationRejected as exc:
+            diagnostics.append(f"/services/{i}/{_REFUSED_FIELD[exc.reason]}: {exc}")
+    wan_mode = scenario.baseline_mode == MODE_WAN_CLOUD
+    if wan_mode:
+        devices = [(CLOUD_HOST_ID, _CLOUD_CONFIG)]
+    else:
+        devices = _members("host", scenario.hosts) + _members("agg", scenario.aggregators)
+    for host_id, config in devices:
+        governor.hosts.register_host(host_id, config.platform_os, config.platform_version,
+                                     config.capacity, config.battery_mwh)
+    if wan_mode:
+        try:
+            governor.preprovision_host(CLOUD_HOST_ID, registered, identity_verified=True)
+        except ValueError as exc:
+            diagnostics.append(f"/services: the wan_cloud host {CLOUD_HOST_ID!r} "
+                               f"of capacity {_CLOUD_CONFIG.capacity.as_dict()}: {exc}")
+    if diagnostics:
+        raise ScenarioValidationError(diagnostics)
+    return governor
+
+
 def run_scenario(scenario: Scenario) -> SimulationResult:
-    """Build and run one simulation; the only public entry point."""
+    """Build and run one simulation."""
     return Simulation(scenario).run()

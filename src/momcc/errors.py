@@ -17,7 +17,8 @@ class UnknownEntityError(MarketplaceError):
 class RegistrationRejected(MarketplaceError):
     """Service registration failed vetting.
 
-    `reason` is one of: developer, share, duplicate, scan, footprint, cycle.
+    `reason` is one of: developer, share, duplicate, scan, footprint,
+    dependency.
     """
 
     def __init__(self, reason: str, message: str):

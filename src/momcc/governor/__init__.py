@@ -143,11 +143,17 @@ class ServiceGovernor:
         problems = []
         with self.lock:
             hosts, catalog = self.host_db.hosts, self.registry.db
-            for desc in catalog.services.values():
+            # Each dependency registered before its dependant: so no cycle.
+            earlier: set[str] = set()
+            for service_id, desc in catalog.services.items():
                 try:
                     check_developer_share(desc.developer_share, self.billing.governor_commission)
                 except NegotiationRejected as exc:
-                    problems.append(f"service {desc.service_id!r}: {exc}")
+                    problems.append(f"service {service_id!r}: {exc}")
+                later = [dep for dep in desc.dependencies if dep not in earlier]
+                if later:
+                    problems.append(f"service {service_id!r}: dependencies {later} not registered before it")
+                earlier.add(service_id)
             unmatched = catalog.services.keys() ^ catalog.status.keys()
             if unmatched:
                 problems.append(f"status and services name different ids: {sorted(unmatched)}")

@@ -1,11 +1,13 @@
 """Service registry: the public service repository and discovery point.
 
 Registration vets each service (developer registered with billing,
-malware-scan attestation, footprint ceiling, dependency acyclicity)
-before it becomes Active. Discovery answers requesters with developer
-identity stripped, pairing each match with the live hosts currently
-running it; hosts browse the full descriptions instead, filtered to
-what they can run.
+malware-scan attestation, footprint ceiling, every dependency already
+registered) before it becomes Active. A composite is built from
+services that exist, so every dependency edge points to an earlier
+registration and the dependency graph never has a cycle. Discovery
+answers requesters with developer identity stripped, pairing each match
+with the live hosts currently running it; hosts browse the full
+descriptions instead, filtered to what they can run.
 
 Descriptions never change after registration, so everything derived
 from one (its listing, its two reply encodings, its index entries) is
@@ -60,7 +62,7 @@ import threading
 from bisect import bisect, bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..domain import (
     ResourceVector,
@@ -273,29 +275,6 @@ Platform = tuple[str, tuple[int, int, int]]
 Need = tuple[int, int, int, int]
 
 
-def closes_cycle(service_id: str, dependencies: Iterable[str],
-                 dependencies_of: Callable[[str], Iterable[str]]) -> bool:
-    """Whether adding `service_id` with `dependencies` to an acyclic
-    dependency graph closes a cycle; `dependencies_of` maps each id in
-    the graph to its dependencies, and an id not in it to none.
-
-    A new cycle must pass through the new node: it closes exactly when
-    the new id is reachable from one of its own dependencies. Edges to
-    ids not in the graph yet lead nowhere. Registration and scenario
-    validation both judge each service against those before it.
-    """
-    stack = list(dependencies)
-    seen: set[str] = set()
-    while stack:
-        node = stack.pop()
-        if node == service_id:
-            return True
-        if node not in seen:
-            seen.add(node)
-            stack.extend(dependencies_of(node))
-    return False
-
-
 def runs_on(entry: RevenueEntry, platform: Platform) -> bool:
     """Whether a host of `platform` meets the entry's platform requirement."""
     return entry[2] == platform[0] and entry[3] <= platform[1]
@@ -385,7 +364,8 @@ class ServiceRegistry:
         `scan_attestation` is the verdict of the malware scan the code
         went through. Rejection reasons, in check order: developer,
         share (billing could never settle the service's split), duplicate,
-        scan, footprint, cycle.
+        scan, footprint, dependency (one not registered, whatever its
+        status).
         """
         with self._lock:
             if not self._billing.developer_registered(desc.developer_id):
@@ -407,9 +387,10 @@ class ServiceRegistry:
                     f"{self.footprint_ceiling.as_dict()}",
                 )
             services = self.db.services
-            if closes_cycle(desc.service_id, desc.dependencies,
-                            lambda sid: services[sid].dependencies if sid in services else ()):
-                raise RegistrationRejected("cycle", f"service {desc.service_id!r} would close a dependency cycle")
+            unknown = [dep for dep in desc.dependencies if dep not in services]
+            if unknown:
+                raise RegistrationRejected("dependency", f"service {desc.service_id!r} "
+                                           f"depends on unregistered services {unknown}")
             self.db.add(desc)
             self.db.status[desc.service_id] = ServiceStatus.ACTIVE
             self._journal.append(("registry.register_service", desc, scan_attestation))

@@ -28,8 +28,11 @@ JSON-pointer-style path into the document. `SCENARIO_SCHEMA` is the one
 home of the structural rules; `momcc.schema` compiles it once, at
 import, into the checker `schema_diagnostics`. Integers are JSON
 integers (no `512.0`) and numbers are finite (no NaN or infinity).
-The semantic rules the schema cannot express follow it in
-`validate_scenario`.
+`validate_scenario` adds the document's rules the schema cannot
+express and builds the governor's config. The governor's own rules
+(shares, ids, the footprint ceiling, each dependency listed before the
+services that need it) are met at its doors by `engine.set_up_governor`
+once the document passes these checks, and reported in the same form.
 """
 from __future__ import annotations
 
@@ -44,10 +47,7 @@ from .agents import (
     RequesterAgentConfig,
 )
 from .domain import ResourceVector, ServiceDescription
-from .errors import NegotiationRejected
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
-from .governor.billing import check_developer_share
-from .governor.registry import closes_cycle
 from .schema import compile_schema
 from .wire import service_from_dict
 
@@ -308,32 +308,13 @@ class ScenarioValidationError(ValueError):
 
 
 def validate_scenario(data: dict) -> list[str]:
-    """All schema and semantic diagnostics for a scenario document."""
+    """All schema and document-level diagnostics for a scenario document;
+    the governor's rules are `engine.set_up_governor`'s."""
     diagnostics = schema_diagnostics(data)
     if diagnostics:
         return diagnostics
 
     # Semantic checks the schema cannot express.
-    service_ids = [s["service_id"] for s in data["services"]]
-    seen = set()
-    for i, sid in enumerate(service_ids):
-        if sid in seen:
-            diagnostics.append(f"/services/{i}/service_id: duplicate id {sid!r}")
-        seen.add(sid)
-    # The registry's cycle rule, judged in file order as the services
-    # register: each against the ones registered before it.
-    registered: dict[str, list[str]] = {}
-    for i, svc in enumerate(data["services"]):
-        sid, dependencies = svc["service_id"], svc.get("dependencies", [])
-        for dep in dependencies:
-            if dep not in seen:
-                diagnostics.append(f"/services/{i}/dependencies: unknown service {dep!r}")
-        if sid in registered:
-            continue  # a duplicate id, reported above
-        if closes_cycle(sid, dependencies, lambda node: registered.get(node, ())):
-            diagnostics.append(f"/services/{i}/dependencies: service {sid!r} would close a dependency cycle")
-        else:
-            registered[sid] = dependencies
     for key, rng in (data.get("latency") or {}).items():
         if rng[0] > rng[1]:
             diagnostics.append(f"/latency/{key}: low must be <= high")
@@ -355,21 +336,9 @@ def validate_scenario(data: dict) -> list[str]:
     # Rules between policy values (such as the trust thresholds' order)
     # live in the governor's config types; build the config to apply them.
     try:
-        config = governor_config_from(data.get("policies", {}))
+        governor_config_from(data.get("policies", {}))
     except ValueError as exc:
         diagnostics.append(f"/policies: {exc}")
-    else:
-        # Billing's rule: each developer share leaves room for the
-        # commission; the registry's: no need beyond the footprint ceiling.
-        ceiling = config.footprint_ceiling
-        for i, svc in enumerate(data["services"]):
-            try:
-                check_developer_share(svc["developer_share"], config.governor_commission)
-            except NegotiationRejected as exc:
-                diagnostics.append(f"/services/{i}/developer_share: {exc}")
-            if not ceiling.covers(ResourceVector(**svc["min_resources"])):
-                diagnostics.append(f"/services/{i}/min_resources: service {svc['service_id']!r} "
-                                   f"exceeds the footprint ceiling {ceiling.as_dict()}")
     return diagnostics
 
 

@@ -342,22 +342,25 @@ class TestValidate:
         assert credited == sum(Decimal(row["total"]) for row in rows)
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    @pytest.mark.parametrize("edit, line", [
+    @pytest.mark.parametrize("edit, lines", [
         (lambda d: d["services"][0].update(dependencies=["svc-resize"]),
-         "/services/0/dependencies: service 'svc-resize' would close a dependency cycle"),
+         ["/services/0/dependencies: service 'svc-resize' depends on unregistered services ['svc-resize']"]),
         (lambda d: (d["services"][0].update(dependencies=["svc-ocr"]),
                     d["services"][1].update(dependencies=["svc-resize"])),
-         "/services/1/dependencies: service 'svc-ocr' would close a dependency cycle"),
+         ["/services/0/dependencies: service 'svc-resize' depends on unregistered services ['svc-ocr']",
+          "/services/1/dependencies: service 'svc-ocr' depends on unregistered services ['svc-resize']"]),
         (lambda d: d["services"][0]["min_resources"].update(cpu=5000),
-         "/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling "
-         "{'cpu': 1024, 'memory': 64, 'storage': 64, 'energy': 1000}"),
-    ], ids=["self-dependency", "two-service-cycle", "beyond-the-footprint-ceiling"])
+         ["/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling "
+          "{'cpu': 1024, 'memory': 64, 'storage': 64, 'energy': 1000}"]),
+        (lambda d: d["services"][1].update(service_id="svc-resize"),
+         ["/services/1/service_id: service id 'svc-resize' already registered"]),
+    ], ids=["self-dependency", "two-service-cycle", "beyond-the-footprint-ceiling", "duplicate-id"])
     def test_a_service_the_registry_refuses_is_a_service_diagnostic(
-        self, command, edit, line, tmp_path, capsys
+        self, command, edit, lines, tmp_path, capsys
     ):
-        """validate and run apply the registry's rules: no dependency cycle
-        (judged in file order, as services register) and no need beyond
-        the footprint ceiling."""
+        """validate and run apply the registry's rules as the services
+        register, in file order: each dependency already registered (so
+        no cycle), no need beyond the footprint ceiling, no id twice."""
         data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
         edit(data)
         path = write_scenario(tmp_path, data)
@@ -365,7 +368,47 @@ class TestValidate:
         if command == "run":
             args += ["--out", str(tmp_path / "out")]
         assert main(args) == EXIT_INVALID
-        assert capsys.readouterr().err == f"error: {line}\n"
+        assert capsys.readouterr().err == "".join(f"error: {line}\n" for line in lines)
+
+    @staticmethod
+    def beyond_the_cloud_host(mode: str) -> dict:
+        """The default scenario with one service whose need no cloud host
+        (10^9 of each resource) can hold, under a ceiling that admits it."""
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        data["baseline_mode"] = mode
+        data["services"][0]["min_resources"]["cpu"] = 2 * 10**9
+        data["policies"]["registry"] = {"footprint_ceiling": {"cpu": 4 * 10**9, "memory": 64, "storage": 64,
+                                                              "energy": 1000}}
+        return data
+
+    CLOUD_LINE = ("error: /services: the wan_cloud host 'cloud-host' of capacity {'cpu': 1000000000, "
+                  "'memory': 1000000000, 'storage': 1000000000, 'energy': 1000000000}: "
+                  "capacity must cover committed resources\n")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "snapshot", "compare"])
+    def test_needs_beyond_the_cloud_host_are_a_diagnostic(self, command, tmp_path, capsys):
+        """The cloud host's capacity is the governor's rule too: each
+        command refuses the scenario at set-up, before any output."""
+        path = write_scenario(tmp_path, self.beyond_the_cloud_host("wan_cloud"))
+        args = ["--no-banner", command, str(path)]
+        if command in ("run", "snapshot"):
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == self.CLOUD_LINE
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_refuses_a_marketplace_scenario_whose_cloud_set_up_fails(self, tmp_path, capsys):
+        """The marketplace runs, and the same scenario in wan_cloud mode,
+        which compare also runs, cannot set up."""
+        path = write_scenario(tmp_path, self.beyond_the_cloud_host("momcc"))
+        assert main(["--no-banner", "validate", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["--no-banner", "compare", str(path), "--seeds", "1"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == self.CLOUD_LINE
+        assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_a_need_is_judged_against_the_scenario_footprint_ceiling(self, command, tmp_path, capsys):

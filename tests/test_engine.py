@@ -14,9 +14,8 @@ from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
 from momcc.cli import _write_outputs
 from momcc.domain import ResourceVector
 from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
-from momcc.errors import RegistrationRejected
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
-from momcc.governor.registry import ServiceStatus
+from momcc.governor.registry import ServiceRegistry, ServiceStatus
 from momcc.scenario import (
     MODE_MARKETPLACE,
     MODE_WAN_CLOUD,
@@ -207,10 +206,13 @@ class TestScenarioValidationSurface:
         assert len(err.value.diagnostics) == 2
 
     def test_unknown_dependency_rejected(self):
-        data = scenario_dict(services=[service_dict(dependencies=["svc-ghost"])])
+        """The registry refuses it as the run's set-up registers the service."""
+        scenario = scenario_from_dict(scenario_dict(services=[service_dict(dependencies=["svc-ghost"])]))
         with pytest.raises(ScenarioValidationError) as err:
-            scenario_from_dict(data)
-        assert any("svc-ghost" in d for d in err.value.diagnostics)
+            Simulation(scenario)
+        assert err.value.diagnostics == [
+            "/services/0/dependencies: service 'svc-resize' depends on unregistered services ['svc-ghost']"
+        ]
 
     def test_all_zero_rating_weights_are_refused_while_ratings_are_drawn(self):
         """A rating draw divides by the weights' total: a zero total was a
@@ -447,18 +449,32 @@ class TestPolicyPlumbing:
         assert agreement.host_share == pytest.approx(0.5)
 
     def test_footprint_ceiling_rejects_oversized_service(self):
-        """Validation refuses the scenario, and the registry a service the
-        config's ceiling does not cover."""
+        """The run's set-up refuses a service the config's ceiling does not
+        cover, whether the ceiling comes from the file or the config."""
         small = {"cpu": 100, "memory": 1, "storage": 1, "energy": 100}
+        line = f"/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling {small}"
         with pytest.raises(ScenarioValidationError) as err:
-            scenario_from_dict(scenario_dict(policies={"registry": {"footprint_ceiling": small}}))
-        assert err.value.diagnostics == [
-            f"/services/0/min_resources: service 'svc-resize' exceeds the footprint ceiling {small}"
-        ]
+            Simulation(scenario_from_dict(scenario_dict(policies={"registry": {"footprint_ceiling": small}})))
+        assert err.value.diagnostics == [line]
         scenario = replace(scenario_from_dict(scenario_dict()),
                            governor_config=GovernorConfig(footprint_ceiling=ResourceVector(**small)))
-        with pytest.raises(RegistrationRejected, match="exceeds the footprint ceiling"):
+        with pytest.raises(ScenarioValidationError) as err:
             run_scenario(scenario)
+        assert err.value.diagnostics == [line]
+
+    def test_the_set_up_runs_once_per_simulation_and_loading_runs_none(self, monkeypatch):
+        registered = []
+        real = ServiceRegistry.register_service
+
+        def counted(self, desc, *args):
+            registered.append(desc.service_id)
+            return real(self, desc, *args)
+
+        monkeypatch.setattr(ServiceRegistry, "register_service", counted)
+        scenario = load_scenario(SCENARIOS / "default.json")
+        assert registered == []
+        Simulation(scenario)
+        assert registered == [desc.service_id for desc in scenario.services]
 
 
 class TestPercentile:

@@ -3,7 +3,7 @@
 Random sequences of the governor's public writes (every call a journal
 replays), drawn from small pools so that many of them are refused:
 unknown ids, duplicates, unsettleable shares, a need beyond the footprint
-ceiling, a dependency cycle, preprovisioning beyond a host's free
+ceiling, a dependency not yet registered, preprovisioning beyond a host's free
 capacity, reports on pairs never placed. After every call the live
 governor must equal a restore of its own snapshot, and a call that
 leaves the journal as it was must leave the state as it was too.
@@ -45,7 +45,7 @@ REGISTRATIONS = st.sampled_from([
     ({"developer_share": 0.9}, True),  # no room for the commission
     ({}, False),  # the code scan failed
     ({"min_resources": ResourceVector(2000, 1, 1, 1)}, True),  # beyond the footprint ceiling
-    ({"dependencies": ("svc-d",)}, True),  # a cycle
+    ({"dependencies": ("svc-d",)}, True),  # a dependency not yet registered: itself
 ]).map(svc_d)
 HOST = st.sampled_from(HOSTS)
 SERVICE = st.sampled_from(SERVICE_IDS)

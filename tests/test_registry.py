@@ -77,17 +77,20 @@ class TestRegistration:
         assert err.value.reason == "developer"
 
     def test_two_service_cycle_rejected(self):
+        """A's dependency on B is refused while B is unregistered, so B's
+        dependency on A never closes a cycle: it is refused too."""
         registry = bare_registry()
-        registry.register_service(make_service(service_id="A", dependencies=("B",)))
-        with pytest.raises(RegistrationRejected) as err:
-            registry.register_service(make_service(service_id="B", dependencies=("A",)))
-        assert err.value.reason == "cycle"
-        # The rejected service left no trace.
-        assert not registry.is_known("B")
+        for node, dep in (("A", "B"), ("B", "A")):
+            with pytest.raises(RegistrationRejected) as err:
+                registry.register_service(make_service(service_id=node, dependencies=(dep,)))
+            assert err.value.reason == "dependency"
+            # The rejected service left no trace.
+            assert not registry.is_known(node)
 
-    def test_cycle_detector_matches_kahn_oracle_on_random_graphs(self):
-        """Each registration in a random sequence is rejected as a cycle
-        exactly when the graph of the accepted services plus it has one."""
+    def test_refusals_match_the_accepted_graph_and_it_never_has_a_cycle(self):
+        """Each registration in a random sequence is refused exactly when
+        one of its dependencies is not yet accepted, and the graph of the
+        accepted services never has a cycle (a Kahn topological sort)."""
         rng = random.Random(17)
         for _ in range(300):
             n = rng.randint(1, 8)
@@ -96,26 +99,63 @@ class TestRegistration:
             accepted: dict[str, tuple[str, ...]] = {}
             for node in rng.sample(nodes, n):
                 deps = tuple(rng.sample(nodes, rng.randint(0, n - 1)))
-                closes = kahn_has_cycle({**accepted, node: deps})
+                unaccepted = [dep for dep in deps if dep not in accepted]
                 try:
                     registry.register_service(make_service(service_id=node, dependencies=deps))
                 except RegistrationRejected as err:
-                    assert err.reason == "cycle" and closes
+                    assert err.reason == "dependency" and unaccepted
                     assert not registry.is_known(node)
                 else:
-                    assert not closes
+                    assert not unaccepted
                     accepted[node] = deps
+                assert not kahn_has_cycle(accepted)
 
     def test_self_dependency_rejected(self):
         registry = bare_registry()
-        with pytest.raises(RegistrationRejected):
+        with pytest.raises(RegistrationRejected) as err:
             registry.register_service(make_service(service_id="loop", dependencies=("loop",)))
+        assert err.value.reason == "dependency"
 
-    def test_forward_reference_to_unregistered_dependency_allowed(self):
-        registry = bare_registry()
-        registry.register_service(make_service(service_id="top", dependencies=("leaf",)))
-        registry.register_service(make_service(service_id="leaf"))
-        assert registry.status_of("top") is ServiceStatus.ACTIVE
+    def test_unknown_dependency_refused_and_nothing_written(self):
+        """A composite is built from services that exist: a dependency on an
+        unregistered one is refused, and neither the catalog nor the journal
+        changes."""
+        governor = governor_with([make_service(service_id="leaf")])
+        journal, services = list(governor.journal), dict(governor.registry.db.services)
+        with pytest.raises(RegistrationRejected) as err:
+            governor.registry.register_service(make_service(service_id="top", dependencies=("leaf", "ghost")))
+        assert err.value.reason == "dependency"
+        assert str(err.value) == "service 'top' depends on unregistered services ['ghost']"
+        assert governor.journal == journal and governor.registry.db.services == services
+        assert governor.registry.db.pending == ["leaf"] and governor.check_invariants() == []
+
+    def test_a_deprecated_dependency_is_allowed(self):
+        governor = governor_with([make_service(service_id="leaf")])
+        assert deprecate(governor, "leaf") == ["leaf"]
+        governor.registry.register_service(make_service(service_id="top", dependencies=("leaf",)))
+        assert governor.registry.status_of("top") is ServiceStatus.ACTIVE
+
+    @pytest.mark.parametrize("dependencies, line", [
+        (("top",), "service 'leaf': dependencies ['top'] not registered before it"),
+        (("ghost", "leaf"), "service 'leaf': dependencies ['ghost', 'leaf'] not registered before it"),
+    ], ids=["a-cycle", "unknown-and-self"])
+    def test_invariants_report_a_dependency_not_registered_before_its_dependant(self, dependencies, line):
+        """A stored state edited so that a service depends on a later one
+        (here closing a cycle), on one never registered or on itself."""
+        governor = governor_with([make_service(service_id="leaf"),
+                                  make_service(service_id="top", dependencies=("leaf",))])
+        assert governor.check_invariants() == []
+        services = governor.registry.db.services
+        services["leaf"] = replace(services["leaf"], dependencies=dependencies)
+        assert governor.check_invariants() == [line]
+
+    def test_refusal_order_ends_with_the_dependency(self):
+        """A service failing the footprint and the dependency rule is
+        refused for the footprint: the dependency check comes last."""
+        registry = bare_registry(ResourceVector(1, 1, 1, 1))
+        with pytest.raises(RegistrationRejected) as err:
+            registry.register_service(make_service(dependencies=("ghost",)))
+        assert err.value.reason == "footprint"
 
     def test_governor_wires_billing_gate_into_registration(self):
         """Through the governor, registration requires a negotiated developer."""

@@ -356,6 +356,17 @@ class TestEditedJournal:
             "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
         )
 
+    def test_a_forward_dependency_is_refused(self, governor_after_run):
+        """A service registered before one of its dependencies: a state the
+        registry no longer accepts."""
+        snap = snapshot_governor(governor_after_run)
+        index, entry = _entry(snap, "registry.register_service")
+        entry[1]["dependencies"] = ["svc-route"]
+        assert refusal(snap) == (
+            f"snapshot journal entry {index} does not replay: RegistrationRejected: "
+            "service 'svc-resize' depends on unregistered services ['svc-route']"
+        )
+
     def test_a_hosting_request_for_an_uncatalogued_service_is_refused(self, governor_after_run):
         snap = snapshot_governor(governor_after_run)
         index, entry = _entry(snap, "hosts.request_hosting")
