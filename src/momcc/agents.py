@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .domain import Outcome, ResourceVector, ServiceDescription
-from .wire import MessageKind, Outbound, ProtocolMessage, Role, report_dict, service_from_dict
+from .wire import MessageKind, Outbound, ProtocolMessage, Role, report_dict
 
 GREEDINESS_STRATEGIES = ("max_revenue", "min_energy", "random")
 _RATINGS = (1, 2, 3, 4, 5)
@@ -95,7 +95,7 @@ def select_services(offered: list[dict], free: ResourceVector,
     Composites are skipped (plain hosts cannot drive dependency chains),
     and a service is taken only while the remaining free resources cover
     its `min_resources`, mirroring the governor's own admission check.
-    Only the chosen services need decoding, so the rest are read raw.
+    No service is decoded: a host keeps only each chosen one's id and need.
     """
     candidates = [raw for raw in offered if not raw["dependencies"]]
     if strategy == "min_energy":
@@ -166,17 +166,19 @@ class DeviceAgent:
         self.exec_ms = exec_ms
         self.alive = True
         self.battery = config.battery_mwh
-        # `host_service` and `depart` are the only writes to `hosted`, and
-        # keep `least_need` the smallest energy need in it (None when empty),
-        # so the check after every message reads one number.
-        self.hosted: dict[str, ServiceDescription] = {}
+        # Each hosted service's need, by service id: all a device reads of
+        # a service. `host_service` and `depart` are the only writes to
+        # `hosted`, and keep `least_need` the smallest energy need in it
+        # (None when empty), so the check after every message reads one number.
+        self.hosted: dict[str, ResourceVector] = {}
         self.least_need: int | None = None
 
-    def host_service(self, desc: ServiceDescription) -> None:
-        """Start hosting `desc`. A device adds a few services in its life
-        and handles many messages, so the minimum is taken here."""
-        self.hosted[desc.service_id] = desc
-        self.least_need = min(d.min_resources.energy for d in self.hosted.values())
+    def host_service(self, service_id: str, need: ResourceVector) -> None:
+        """Start hosting `service_id`, which needs `need`. A device adds a
+        few services in its life and handles many messages, so the
+        minimum is taken here."""
+        self.hosted[service_id] = need
+        self.least_need = min(n.energy for n in self.hosted.values())
 
     def depart(self) -> list[str]:
         """Leave the pool; returns the service ids that must be unhosted."""
@@ -200,13 +202,14 @@ class DeviceAgent:
         least = self.least_need
         return least is not None and self.battery < least
 
-    def _execute(self, desc: ServiceDescription) -> tuple[Outcome, int, float]:
-        """Run one invocation of `desc`: (outcome, energy used, duration ms).
+    def _execute(self, need: ResourceVector) -> tuple[Outcome, int, float]:
+        """Run one invocation of a service that needs `need`: (outcome,
+        energy used, duration ms).
 
         Refused without a draw when the battery cannot cover it; otherwise
         the energy is spent, then the duration and the fault are drawn.
         """
-        energy = desc.min_resources.energy
+        energy = need.energy
         if self.battery < energy:
             return Outcome.failure("energy"), 0, 0.0
         self.battery -= energy
@@ -244,7 +247,7 @@ class HostAgent(DeviceAgent):
                  next_id, exec_ms: tuple[float, float]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
         self.free = config.capacity
-        self._pending: dict[str, ServiceDescription] = {}
+        self._pending: dict[str, ResourceVector] = {}  # requested, not yet confirmed
 
     # -- lifecycle ------------------------------------------------------
 
@@ -272,24 +275,26 @@ class HostAgent(DeviceAgent):
         offered = msg.payload.get("services", [])
         out = []
         for raw in select_services(offered, self.free, self.config.greediness, self.rng):
-            desc = service_from_dict(raw)
-            out.append(self._hosting_request(desc.service_id))
-            self._pending[desc.service_id] = desc
+            service_id = raw["service_id"]
+            need = raw["min_resources"]
+            out.append(self._hosting_request(service_id))
+            self._pending[service_id] = ResourceVector(need["cpu"], need["memory"],
+                                                       need["storage"], need["energy"])
         return out
 
     def _on_confirm(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
-        desc = self._pending.pop(service_id, None)
-        if desc is not None:
-            self.host_service(desc)
-            self.free = self.free.minus(desc.min_resources)
+        need = self._pending.pop(service_id, None)
+        if need is not None:
+            self.host_service(service_id, need)
+            self.free = self.free.minus(need)
         return []
 
     def _on_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
-        desc = self.hosted.get(service_id)
+        need = self.hosted.get(service_id)
         outcome, energy, duration = (
-            (Outcome.failure("not_hosted"), 0, 0.0) if desc is None else self._execute(desc)
+            (Outcome.failure("not_hosted"), 0, 0.0) if need is None else self._execute(need)
         )
         return self._result_and_report(msg.correlation_id, sender, service_id,
                                        msg.payload["requester_pseudonym"], now, now,
@@ -389,8 +394,9 @@ class AggregatorAgent(DeviceAgent):
                  next_id, exec_ms: tuple[float, float], composite: ServiceDescription,
                  pseudonym: str, dependency_names: dict[str, str]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
-        self.composite = composite
-        self.host_service(composite)
+        self.service_id = composite.service_id
+        self.dependencies = composite.dependencies
+        self.host_service(composite.service_id, composite.min_resources)
         self.pseudonym = pseudonym
         self.dependency_names = dependency_names
         # In-flight correlation -> (call, dependency id it concerns).
@@ -401,10 +407,10 @@ class AggregatorAgent(DeviceAgent):
 
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
-        if service_id != self.composite.service_id:
+        if service_id != self.service_id:
             reply = _invoke_result(msg.correlation_id, service_id, Outcome.failure("not_hosted"))
             return [Outbound(sender, "wlan", reply)]
-        deps = self.composite.dependencies
+        deps = self.dependencies
         if self.config.parallel_dependencies:
             waiting, at_once = sorted(set(deps)), len(deps)
         else:
@@ -417,7 +423,7 @@ class AggregatorAgent(DeviceAgent):
         """Start what the call may start now; run the composite's own
         step once no dependency is waiting or in flight."""
         if not call.waiting and not call.in_flight:
-            outcome, energy, duration = self._execute(self.composite)
+            outcome, energy, duration = self._execute(self.hosted[self.service_id])
             return self._finish(call, now, outcome, energy, duration)
         out = []
         while call.waiting and len(call.in_flight) < call.at_once:
@@ -463,7 +469,7 @@ class AggregatorAgent(DeviceAgent):
     def _finish(self, call: _CompositeCall, now: float, outcome: Outcome,
                 energy: int = 0, duration: float = 0.0) -> list[Outbound]:
         call.done = True
-        return self._result_and_report(call.correlation, call.sender, self.composite.service_id,
+        return self._result_and_report(call.correlation, call.sender, self.service_id,
                                        call.pseudonym, call.started, now, outcome, energy, duration)
 
     _HANDLERS = {

@@ -237,7 +237,7 @@ class Simulation:
                               self.next_id, sc.exec_ms)
             self._add_device(agent, joins=False)
             for desc in sc.services:
-                agent.host_service(desc)
+                agent.host_service(desc.service_id, desc.min_resources)
         else:
             for agent_id, config, rng in self._population("host", sc.hosts):
                 agent = HostAgent(agent_id, config, rng, self.next_id, sc.exec_ms)

@@ -102,7 +102,8 @@ class TestHostExecution:
             failure_prob=0.0,
         )
         agent = HostAgent("host-000", config, random.Random("x"), ids(), EXEC_MS)
-        agent.host_service(make_service())  # needs 500 mWh
+        desc = make_service()  # needs 500 mWh
+        agent.host_service(desc.service_id, desc.min_resources)
         return agent
 
     def test_execution_consumes_energy_and_reports(self):
@@ -151,7 +152,7 @@ class TestHostExecution:
                                  platform_os="Android", platform_version="4.0")
 
         def check(agent):
-            needs = [d.min_resources.energy for d in agent.hosted.values()]
+            needs = [need.energy for need in agent.hosted.values()]
             assert agent.least_need == (min(needs) if needs else None)
             for battery in (0, 1, 250, 499, 500, 501, 10**6):
                 agent.battery = battery
@@ -162,12 +163,11 @@ class TestHostExecution:
             agent = HostAgent("host-000", config, random.Random(seed), ids(), EXEC_MS)
             check(agent)
             for step in range(rng.randint(0, 12)):
-                desc = make_service(service_id=f"svc-{rng.randrange(8)}",
-                                    min_resources=ResourceVector(1, 1, 1, rng.randint(0, 800)))
-                agent._pending[desc.service_id] = desc
+                service_id = f"svc-{rng.randrange(8)}"
+                agent._pending[service_id] = ResourceVector(1, 1, 1, rng.randint(0, 800))
                 confirm = ProtocolMessage(kind=MessageKind.ALLOCATION_CONFIRM, sender_role=Role.GOVERNOR,
                                           correlation_id=f"alloc-{step}",
-                                          payload={"host_id": "host-000", "service_id": desc.service_id})
+                                          payload={"host_id": "host-000", "service_id": service_id})
                 agent.handle(confirm, "governor", float(step))
                 check(agent)
             agent.depart()

@@ -89,7 +89,8 @@ def host():
     config = HostAgentConfig(capacity=AMPLE, battery_mwh=20000, platform_os="Android",
                              platform_version="4.0")
     agent = HostAgent("host-000", config, random.Random("h"), Ids(), EXEC_MS)
-    agent.host_service(make_service())
+    desc = make_service()
+    agent.host_service(desc.service_id, desc.min_resources)
     return agent
 
 
