@@ -176,7 +176,6 @@ class SimulationResult:
     governor: ServiceGovernor
     trace: list[TraceRecord]
     requester_ids: tuple[str, ...]
-    host_assessments: list
 
 
 class Simulation:
@@ -200,7 +199,6 @@ class Simulation:
         self.invocations_succeeded = 0
         self.invocations_failed = 0
         self.sweep_actions: list[dict] = []
-        self.host_assessments: list = []  # latest periodic efficiency scores
         self.devices: dict[str, DeviceAgent] = {}  # hosts, aggregators, the cloud host
         self.requesters: dict[str, RequesterAgent] = {}
         # Every recipient by id: the governor's endpoint, the devices, the requesters.
@@ -323,7 +321,6 @@ class Simulation:
             governor=self.governor,
             trace=self.trace,
             requester_ids=tuple(sorted(self.requesters)),
-            host_assessments=self.host_assessments,
         )
 
     def _on_join(self, agent_id: str) -> None:
@@ -355,10 +352,6 @@ class Simulation:
                 "deprecated": action.deprecated_id,
                 "replacement": action.replacement_id,
             })
-        # The periodic efficiency assessment rides the same cadence.
-        self.host_assessments = self.governor.hosts.assess_hosts(
-            self.scenario.governor_config.profiler_policy.window
-        )
         self._schedule(self.now + interval_ms, self._on_sweep, interval_ms)
 
     def _on_deliver(self, record: TraceRecord) -> None:

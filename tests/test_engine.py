@@ -368,15 +368,17 @@ class TestSubstitutionInFlight:
         assert result.governor.registry.status_of("svc-solid") is ServiceStatus.ACTIVE
         assert result.governor.registry.status_of("svc-aa-doomed") is not ServiceStatus.ACTIVE
 
-    def test_periodic_assessment_rides_the_sweep_cadence(self):
-        result = run_scenario(scenario_from_dict(self.substitution_scenario()))
-        assert result.host_assessments
-        assessed = [a for a in result.host_assessments if a.assessed]
+    def test_assessment_after_a_run_scores_the_failing_host_lower(self):
+        scenario = scenario_from_dict(self.substitution_scenario())
+        result = run_scenario(scenario)
+        assessments = result.governor.hosts.assess_hosts(scenario.governor_config.profiler_policy.window)
+        assert assessments
+        assessed = [a for a in assessments if a.assessed]
         assert assessed
         for assessment in assessed:
             assert 0.0 <= assessment.score <= 1.0
         # The always-failing host scores strictly below the reliable ones.
-        by_host = {a.host_id: a for a in result.host_assessments}
+        by_host = {a.host_id: a for a in assessments}
         if by_host["host-000"].assessed and by_host["host-001"].assessed:
             assert by_host["host-000"].score < by_host["host-001"].score
 
