@@ -13,7 +13,6 @@ from .domain import (
     SecurityCertificate,
     SecurityLevel,
     ServiceDescription,
-    covers,
     level_admits,
     version_at_least,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "SecurityLevel",
     "ServiceDescription",
     "ServiceGovernor",
-    "covers",
     "level_admits",
     "version_at_least",
     "__version__",

@@ -138,11 +138,6 @@ class ResourceVector:
 ZERO_RESOURCES = ResourceVector(0, 0, 0, 0)
 
 
-def covers(a: ResourceVector, b: ResourceVector) -> bool:
-    """Module-level alias for ResourceVector.covers."""
-    return a.covers(b)
-
-
 class VersionError(ValueError):
     """A dotted version string did not parse."""
 

@@ -266,23 +266,15 @@ class BillingUnit:
                 totals[GOVERNOR_PARTY] = totals.get(GOVERNOR_PARTY, 0) + governor_credit
             return totals
 
-    def account_balance(self, party_id: str) -> int:
-        """Credits minus withdrawals; withdrawals are out of scope (always 0)."""
-        return self.balances().get(party_id, 0)
-
     def entry_count(self) -> int:
         with self._lock:
             return len(self._rows)
 
-    def audit(self, start: float | None = None, end: float | None = None) -> list[LedgerEntry]:
-        """Entries in timestamp order, optionally restricted to [start, end],
-        each built from its row."""
+    def audit(self) -> list[LedgerEntry]:
+        """Every entry in timestamp order, each built from its row."""
         with self._lock:
-            rows = [
-                row for row in self._rows
-                if (start is None or row[-1] >= start) and (end is None or row[-1] <= end)
-            ]
-        return [LedgerEntry(**_entry_fields(row)) for row in _in_audit_order(rows)]
+            rows = _in_audit_order(self._rows)
+        return [LedgerEntry(**_entry_fields(row)) for row in rows]
 
     def total_metered(self) -> int:
         with self._lock:
@@ -333,9 +325,6 @@ class BillingUnit:
             if set(correlations) != paid:
                 problems.append("ledger: correlation ids differ from the successful report ids")
             return problems
-
-    def parties(self) -> set[str]:
-        return set(self.balances())
 
     LEDGER_CSV_VERSION = 1
 

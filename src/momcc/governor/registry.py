@@ -420,13 +420,6 @@ class ServiceRegistry:
                 raise UnknownEntityError(f"unknown service: {service_id!r}")
             return desc
 
-    def status_of(self, service_id: str) -> ServiceStatus:
-        with self._lock:
-            status = self.db.status.get(service_id)
-            if status is None:
-                raise UnknownEntityError(f"unknown service: {service_id!r}")
-            return status
-
     def is_known(self, service_id: str) -> bool:
         with self._lock:
             return service_id in self.db.services

@@ -18,7 +18,6 @@ from momcc.domain import (
     PlatformRequirement,
     ResourceVector,
     SecurityLevel,
-    covers,
     level_admits,
 )
 from momcc.engine import run_scenario
@@ -74,7 +73,7 @@ def test_criterion_02_resource_rule():
             getattr(host_free, c) >= getattr(need, c)
             for c in ("cpu", "memory", "storage", "energy")
         )
-        assert covers(host_free, need) == oracle
+        assert host_free.covers(need) == oracle
 
 
 def test_criterion_03_requirements_document_fidelity():
@@ -179,7 +178,7 @@ def test_criterion_06_billing_conservation():
     result = run_scenario(scenario)
     billing = result.governor.billing
 
-    balance_sum = sum(billing.account_balance(p) for p in billing.parties())
+    balance_sum = sum(billing.balances().values())
     assert balance_sum == billing.total_metered()
 
     reports = result.governor.host_db.reports
@@ -187,10 +186,10 @@ def test_criterion_06_billing_conservation():
     metered_ids = {entry.correlation_id for entry in billing.audit()}
     assert metered_ids == {r.report_id for r in reports if r.outcome.ok}
 
-    before = {p: billing.account_balance(p) for p in billing.parties()}
+    before = billing.balances()
     for report in reports:
         assert result.governor.ingest_report(report) is False  # absorbed
-    after = {p: billing.account_balance(p) for p in billing.parties()}
+    after = billing.balances()
     assert before == after
 
 
@@ -337,7 +336,7 @@ def test_criterion_11_concurrency_stress():
                 if cert is not None:
                     assert 0.0 <= cert.trust_score <= 1.0
                     assert cert.successes <= cert.attempts
-                governor.billing.account_balance(f"dev-{wid}")
+                governor.billing.balances().get(f"dev-{wid}", 0)
                 governor.registry.discover("svc", f"anon-{wid:04d}")
                 if rng.random() < 0.1:
                     governor.hosts.unhost(f"host-{wid}", sid)
@@ -356,7 +355,5 @@ def test_criterion_11_concurrency_stress():
     assert unexpected == []
     assert governor.check_invariants() == []
     assert governor.hosts.count_trace_violations() == 0
-    balance_sum = sum(
-        governor.billing.account_balance(p) for p in governor.billing.parties()
-    )
+    balance_sum = sum(governor.billing.balances().values())
     assert balance_sum == governor.billing.total_metered()

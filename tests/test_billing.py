@@ -139,17 +139,15 @@ class TestMetering:
 
 
 class TestAccounts:
-    def test_empty_ledger_zero_balance(self):
-        assert unit().account_balance("dev-alpha") == 0
+    def test_empty_ledger_has_no_balance(self):
+        assert unit().balances() == {}
 
     def test_two_invocations_at_ten_units(self):
         governor = placed([make_service(price=1000)])
         governor.ingest_report(paid_report("inv-1", payer="anon-1"))
         governor.ingest_report(paid_report("inv-2", payer="anon-2"))
         billing = governor.billing
-        assert billing.account_balance("dev-alpha") == 800
-        assert billing.account_balance("host-a") == 800
-        assert billing.account_balance(GOVERNOR_PARTY) == 400
+        assert billing.balances() == {"dev-alpha": 800, "host-a": 800, GOVERNOR_PARTY: 400}
 
     def test_audit_orders_by_timestamp(self):
         governor = placed([make_service(price=100)])
@@ -159,13 +157,6 @@ class TestAccounts:
             governor.ingest_report(paid_report(f"inv-{i}", payer="anon", at=at))
         audited = governor.billing.audit()
         assert [e.timestamp for e in audited] == sorted(stamps)
-
-    def test_audit_range_filter(self):
-        governor = placed([make_service(price=100)])
-        for i in range(10):
-            governor.ingest_report(paid_report(f"inv-{i}", payer="anon", at=float(i)))
-        window = governor.billing.audit(start=3.0, end=6.0)
-        assert [e.timestamp for e in window] == [3.0, 4.0, 5.0, 6.0]
 
     def test_conservation_over_random_activity(self):
         rng = random.Random(10)
@@ -180,7 +171,7 @@ class TestAccounts:
         for i, desc in enumerate(services):
             governor.ingest_report(paid_report(f"inv-{i}", desc.service_id, host_id=f"h{i % 7}", payer="anon"))
         billing = governor.billing
-        balance_sum = sum(billing.account_balance(p) for p in billing.parties())
+        balance_sum = sum(billing.balances().values())
         assert balance_sum == billing.total_metered()
 
 

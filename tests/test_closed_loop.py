@@ -35,7 +35,7 @@ def scan_listings(governor) -> dict[str, list[str]]:
     registry = governor.registry
     by_revenue = sorted(
         (desc for sid, desc in registry.db.services.items()
-         if registry.status_of(sid) is ServiceStatus.ACTIVE),
+         if registry.db.status[sid] is ServiceStatus.ACTIVE),
         key=lambda desc: (-registry.host_revenue(desc), desc.service_id),
     )
     runnable: dict[tuple[str, str], list] = {}  # (os, version) -> what it runs

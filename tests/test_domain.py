@@ -12,7 +12,6 @@ from momcc.domain import (
     SecurityCertificate,
     SecurityLevel,
     VersionError,
-    covers,
     level_admits,
     parse_version,
     profile_with,
@@ -48,13 +47,13 @@ vectors = st.builds(
 class TestCovers:
     def test_reflexive_on_reference_vector(self):
         v = ResourceVector(512, 2, 5, 500)
-        assert covers(v, v)
+        assert v.covers(v)
 
     def test_small_memory_host_cannot_take_larger_need(self):
         # A service needing 2 MB memory cannot go on a 1 MB-free host.
         host_free = ResourceVector(1024, 1, 64, 1000)
         need = ResourceVector(512, 2, 5, 500)
-        assert not covers(host_free, need)
+        assert not host_free.covers(need)
 
     def test_matches_component_loop_oracle_on_10k_random_pairs(self):
         rng = random.Random(1234)
@@ -63,15 +62,15 @@ class TestCovers:
                                rng.randint(0, 8), rng.randint(0, 8))
             b = ResourceVector(rng.randint(0, 8), rng.randint(0, 8),
                                rng.randint(0, 8), rng.randint(0, 8))
-            assert covers(a, b) == loop_covers(a, b)
+            assert a.covers(b) == loop_covers(a, b)
 
     @given(vectors, vectors, vectors)
     def test_partial_order(self, a, b, c):
-        assert covers(a, a)
-        if covers(a, b) and covers(b, a):
+        assert a.covers(a)
+        if a.covers(b) and b.covers(a):
             assert a == b
-        if covers(a, b) and covers(b, c):
-            assert covers(a, c)
+        if a.covers(b) and b.covers(c):
+            assert a.covers(c)
 
     @pytest.mark.parametrize("index, name", enumerate(("cpu", "memory", "storage", "energy")))
     @pytest.mark.parametrize("value, message", [

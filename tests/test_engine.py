@@ -365,8 +365,8 @@ class TestSubstitutionInFlight:
         assert all(r.outcome.ok for r in after)
         # The replacement stayed available throughout.
         assert report.data["availability"] == 1.0
-        assert result.governor.registry.status_of("svc-solid") is ServiceStatus.ACTIVE
-        assert result.governor.registry.status_of("svc-aa-doomed") is not ServiceStatus.ACTIVE
+        assert result.governor.registry.db.status["svc-solid"] is ServiceStatus.ACTIVE
+        assert result.governor.registry.db.status["svc-aa-doomed"] is not ServiceStatus.ACTIVE
 
     def test_assessment_after_a_run_scores_the_failing_host_lower(self):
         scenario = scenario_from_dict(self.substitution_scenario())

@@ -104,8 +104,8 @@ class TestSubstitutionSweep:
         governor = self.two_tag_governor([False, False, True, True, True])  # 0.4 > 0.3
         actions = governor.profiler.substitution_sweep()
         assert [(a.deprecated_id, a.replacement_id) for a in actions] == [("svc-resize", "svc-alt")]
-        assert governor.registry.status_of("svc-resize") == ServiceStatus.DEPRECATED
-        assert governor.registry.status_of("svc-alt") is ServiceStatus.ACTIVE
+        assert governor.registry.db.status["svc-resize"] == ServiceStatus.DEPRECATED
+        assert governor.registry.db.status["svc-alt"] is ServiceStatus.ACTIVE
 
     def test_threshold_is_strict_inequality(self):
         # window 10, exactly 3 failures in 10 = 0.30: not deprecated
@@ -114,7 +114,7 @@ class TestSubstitutionSweep:
             policy=ProfilerPolicy(failure_threshold=0.3, window=10),
         )
         assert governor.profiler.substitution_sweep() == []
-        assert governor.registry.status_of("svc-resize") is ServiceStatus.ACTIVE
+        assert governor.registry.db.status["svc-resize"] is ServiceStatus.ACTIVE
 
     def test_no_same_tag_alternative_yields_none(self):
         governor = governor_with([make_service()])
@@ -174,7 +174,7 @@ def full_catalog_sweep(governor: ServiceGovernor) -> list[SweepAction]:
 
 
 def statuses(governor: ServiceGovernor) -> dict[str, ServiceStatus]:
-    return {sid: governor.registry.status_of(sid) for sid in SWEEP_IDS if governor.registry.is_known(sid)}
+    return {sid: governor.registry.db.status[sid] for sid in SWEEP_IDS if governor.registry.is_known(sid)}
 
 
 # A catalog: per service, its tag and cpu need; which of them are

@@ -47,7 +47,7 @@ class TestRegistration:
     def test_reference_requirements_accepted_under_default_ceiling(self):
         registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
         sid = registry.register_service(make_service())
-        assert registry.status_of(sid) is ServiceStatus.ACTIVE
+        assert registry.db.status[sid] is ServiceStatus.ACTIVE
 
     def test_memory_one_over_ceiling_rejected(self):
         registry = bare_registry(ResourceVector(1024, 64, 64, 1000))
@@ -133,7 +133,7 @@ class TestRegistration:
         governor = governor_with([make_service(service_id="leaf")])
         assert deprecate(governor, "leaf") == ["leaf"]
         governor.registry.register_service(make_service(service_id="top", dependencies=("leaf",)))
-        assert governor.registry.status_of("top") is ServiceStatus.ACTIVE
+        assert governor.registry.db.status["top"] is ServiceStatus.ACTIVE
 
     @pytest.mark.parametrize("dependencies, line", [
         (("top",), "service 'leaf': dependencies ['top'] not registered before it"),
@@ -167,7 +167,7 @@ class TestRegistration:
         assert err.value.reason == "developer"
         governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
         governor.registry.register_service(make_service())
-        assert governor.registry.status_of("svc-resize") is ServiceStatus.ACTIVE
+        assert governor.registry.db.status["svc-resize"] is ServiceStatus.ACTIVE
 
     def test_share_that_billing_could_never_settle_rejected(self):
         """A developer share plus the commission above 1 leaves no host
@@ -181,7 +181,7 @@ class TestRegistration:
         assert not registry.is_known("svc-greedy")
         assert registry.search_active("image") == []
         registry.register_service(make_service(service_id="svc-even", developer_share=0.8))
-        assert registry.status_of("svc-even") is ServiceStatus.ACTIVE
+        assert registry.db.status["svc-even"] is ServiceStatus.ACTIVE
 
     def test_share_is_checked_after_the_developer_and_before_the_rest(self):
         registry = bare_registry(developers=("dev-known",))
