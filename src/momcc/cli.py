@@ -8,8 +8,9 @@ Subcommands:
     snapshot   run a scenario and persist the governor end state
     restore    verify and summarize a persisted governor state
 
-Exit codes: 0 success, 1 invalid input (bad scenario, bad flags,
-corrupt snapshot), 2 protocol trace violations in a run, 3 a run that
+Exit codes: 0 success, 1 invalid input (a missing or unreadable file,
+bad scenario, bad flags, corrupt snapshot), each on one `error:` line,
+2 protocol trace violations in a run, 3 a run that
 leaves the governor's state inconsistent (`check_invariants`); 3 wins
 over 2, since an inconsistent state makes the violation count
 untrustworthy.
@@ -77,11 +78,13 @@ def _fresh(path: Path) -> Path:
 
 
 def _load(path: str, seed: int | None = None) -> Scenario | None:
-    """The scenario at `path`, or None after printing that it is missing."""
+    """The scenario at `path`, or None after printing why it cannot be read."""
     try:
         return load_scenario(path, seed_override=seed)
     except FileNotFoundError:
         print(f"error: scenario file not found: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read scenario file {path}: {exc.strerror or exc}", file=sys.stderr)
     return None
 
 
@@ -116,6 +119,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     base = _load(args.scenario)
     if base is None:
         return EXIT_INVALID
+    # A set-up reads no seed, so one per mode refuses a scenario before any pass runs.
+    for mode in (MODE_MARKETPLACE, MODE_WAN_CLOUD):
+        set_up_governor(replace(base, baseline_mode=mode))
 
     rows = []
     for offset in range(args.seeds):
@@ -175,6 +181,9 @@ def cmd_restore(args: argparse.Namespace) -> int:
         governor = load_governor(args.state)
     except FileNotFoundError:
         print(f"error: snapshot file not found: {args.state}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:
+        print(f"error: cannot read snapshot file {args.state}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_INVALID
     except SnapshotIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)

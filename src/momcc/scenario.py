@@ -432,7 +432,10 @@ def _populations(cls, entries: list[dict]) -> tuple[PopulationEntry, ...]:
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
-    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioValidationError([f"/: not UTF-8 text: {exc}"]) from None
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:

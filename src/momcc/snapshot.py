@@ -130,7 +130,10 @@ def write_snapshot(path: str | Path, governor: ServiceGovernor) -> None:
 
 
 def read_snapshot(path: str | Path) -> dict:
-    raw = Path(path).read_text(encoding="utf-8")
+    try:
+        raw = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotIntegrityError(f"snapshot is not UTF-8 text: {exc}") from None
     try:
         snapshot = json.loads(raw)
     except json.JSONDecodeError as exc:

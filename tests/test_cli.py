@@ -9,6 +9,7 @@ import pytest
 
 from conftest import drop_sc_query, scenario_dict
 from momcc.cli import EXIT_INVALID, EXIT_INVARIANTS, EXIT_OK, EXIT_TRACE_VIOLATIONS, main
+from momcc.engine import Simulation
 from momcc.governor import ServiceGovernor
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
@@ -37,6 +38,30 @@ class TestScenarioLoading:
         assert main(["--no-banner", command, str(path)]) == EXIT_INVALID
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("error: /") for line in err)
+
+
+def unreadable_file(path: Path, kind: str) -> str:
+    """Make `path` a directory or a file that is not UTF-8 text; returns
+    the decode error's text for the second."""
+    if kind == "directory":
+        path.mkdir()
+        return ""
+    path.write_bytes(b'{"seed": "\xff"}')
+    return "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare", "snapshot"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_an_unreadable_scenario_file_is_one_line_and_exits_one(command, kind, tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    decode_error = unreadable_file(path, kind)
+    assert main(["--no-banner", command, str(path)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if kind == "directory":
+        assert err == f"error: cannot read scenario file {path}: Is a directory\n"
+    else:
+        assert err == f"error: /: not UTF-8 text: {decode_error}\n"
 
 
 class TestRun:
@@ -399,16 +424,23 @@ class TestValidate:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    def test_compare_refuses_a_marketplace_scenario_whose_cloud_set_up_fails(self, tmp_path, capsys):
+    def test_compare_refuses_a_marketplace_scenario_whose_cloud_set_up_fails(
+        self, tmp_path, capsys, monkeypatch
+    ):
         """The marketplace runs, and the same scenario in wan_cloud mode,
-        which compare also runs, cannot set up."""
+        which compare also runs, cannot set up; compare refuses it before
+        running any pass."""
         path = write_scenario(tmp_path, self.beyond_the_cloud_host("momcc"))
         assert main(["--no-banner", "validate", str(path)]) == EXIT_OK
         capsys.readouterr()
+        runs = []
+        real_run = Simulation.run
+        monkeypatch.setattr(Simulation, "run", lambda sim: runs.append(sim) or real_run(sim))
         assert main(["--no-banner", "compare", str(path), "--seeds", "1"]) == EXIT_INVALID
         captured = capsys.readouterr()
         assert captured.err == self.CLOUD_LINE
         assert captured.out == ""
+        assert runs == []
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_a_need_is_judged_against_the_scenario_footprint_ceiling(self, command, tmp_path, capsys):
@@ -508,6 +540,18 @@ class TestSnapshotRestore:
 
     def test_restore_missing_file_exits_one(self, tmp_path):
         assert main(["--no-banner", "restore", str(tmp_path / "nope.json")]) == EXIT_INVALID
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_restore_unreadable_file_is_one_line_and_exits_one(self, kind, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        decode_error = unreadable_file(path, kind)
+        assert main(["--no-banner", "restore", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if kind == "directory":
+            assert err == f"error: cannot read snapshot file {path}: Is a directory\n"
+        else:
+            assert err == f"error: snapshot is not UTF-8 text: {decode_error}\n"
 
 
 class TestBanner:
