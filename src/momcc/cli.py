@@ -10,10 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 invalid input (a missing or unreadable file,
 bad scenario, bad flags, corrupt snapshot), each on one `error:` line,
-2 protocol trace violations in a run, 3 a run that
-leaves the governor's state inconsistent (`check_invariants`); 3 wins
-over 2, since an inconsistent state makes the violation count
-untrustworthy.
+2 protocol trace violations in a run, 3 a run that leaves the
+governor's state inconsistent (`check_invariants`); 3 wins over 2,
+since an inconsistent state makes the violation count untrustworthy.
 
 Everything printed is deterministic except the banner, which carries a
 wall-clock timestamp; pass --no-banner for diffable output.
