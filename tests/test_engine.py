@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import composite_scenario, drop_sc_query, scenario_dict, service_dict
 from momcc.agents import AggregatorConfig, HostAgentConfig, RequesterAgentConfig
 from momcc.cli import _write_outputs
-from momcc.domain import ResourceVector
+from momcc.domain import ResourceVector, ServiceDescription
 from momcc.engine import CLOUD_HOST_ID, Simulation, percentile, run_scenario
 from momcc.governor import GovernorConfig, ProfilerPolicy, TrustPolicy
+from momcc.governor.hosts import HostRegistry
 from momcc.governor.registry import ServiceRegistry, ServiceStatus
 from momcc.scenario import (
     MODE_MARKETPLACE,
@@ -381,6 +382,35 @@ class TestSubstitutionInFlight:
         by_host = {a.host_id: a for a in assessments}
         if by_host["host-000"].assessed and by_host["host-001"].assessed:
             assert by_host["host-000"].score < by_host["host-001"].score
+
+
+class TestARunBuildsOnlyWhatIsRead:
+    """A device reads only a listed service's id and need, and no output
+    shows a host assessment, so a run builds neither a service
+    description nor an assessment."""
+
+    @pytest.mark.parametrize("name", ["default.json", "composite.json"])
+    def test_no_service_description_is_built_after_the_set_up(self, name, monkeypatch):
+        simulation = Simulation(load_scenario(SCENARIOS / name))
+        built = []
+        real = ServiceDescription.__post_init__
+        monkeypatch.setattr(ServiceDescription, "__post_init__",
+                            lambda desc: built.append(desc.service_id) or real(desc))
+        result = simulation.run()
+        assert any(decision.confirmed for decision in result.governor.hosts.decisions)
+        assert built == []
+
+    @pytest.mark.parametrize("name", ["default.json", "composite.json"])
+    def test_no_host_is_assessed_during_a_run(self, name, monkeypatch):
+        sweeps, assessed = [], []
+        real_sweep, real_assess = Simulation._on_sweep, HostRegistry.assess_hosts
+        monkeypatch.setattr(Simulation, "_on_sweep",
+                            lambda sim, interval: sweeps.append(sim.now) or real_sweep(sim, interval))
+        monkeypatch.setattr(HostRegistry, "assess_hosts",
+                            lambda hosts, window: assessed.append(window) or real_assess(hosts, window))
+        run_scenario(load_scenario(SCENARIOS / name))
+        assert sweeps
+        assert assessed == []
 
 
 def field_names(cls) -> set[str]:
