@@ -346,6 +346,8 @@ class Simulation:
         self.governor.hosts.mark_departed(agent_id)
 
     def _on_sweep(self, interval_ms: float) -> None:
+        """The profiler's substitution sweep, every `interval_ms`; each
+        deprecation is one entry of metrics.json's `sweeps`."""
         for action in self.governor.profiler.substitution_sweep():
             self.sweep_actions.append({
                 "at_ms": round(self.now, 3),

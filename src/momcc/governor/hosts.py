@@ -275,7 +275,7 @@ class HostRegistry:
             self._journal.append(("hosts.ingest_report", report))
             return True
 
-    # -- periodic assessment ---------------------------------------------------
+    # -- assessment -------------------------------------------------------
 
     def assess_hosts(self, window: int) -> list[HostAssessment]:
         """Efficiency score per host over its last `window` reports.

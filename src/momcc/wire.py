@@ -308,11 +308,11 @@ def listing_to_dict(desc: ServiceDescription) -> dict:
 
 
 def service_from_dict(raw: dict) -> ServiceDescription:
-    """The description `service_to_dict` wrote. Hosts decode each service
-    they choose from a listing here, so the records are built
-    positionally, in declaration order. A restore decodes the services of
-    saved calls here too, so `min_resources` must hold the four resource
-    names and nothing else."""
+    """The description `service_to_dict` wrote. A scenario's services are
+    decoded here, and a restore's saved calls, so the records are built
+    positionally, in declaration order, and `min_resources` must hold the
+    four resource names and nothing else. A host decodes nothing: it
+    reads a listed service's id and need from the dict."""
     platform = raw["platform"]
     need = raw["min_resources"]
     if len(need) != 4:  # with the four names read below, no other key
