@@ -394,7 +394,6 @@ class AggregatorAgent(DeviceAgent):
                  next_id, exec_ms: tuple[float, float], composite: ServiceDescription,
                  pseudonym: str, dependency_names: dict[str, str]):
         super().__init__(agent_id, config, rng, next_id, exec_ms)
-        self.service_id = composite.service_id
         self.dependencies = composite.dependencies
         self.host_service(composite.service_id, composite.min_resources)
         self.pseudonym = pseudonym
@@ -407,7 +406,7 @@ class AggregatorAgent(DeviceAgent):
 
     def _on_composite_invoke(self, msg: ProtocolMessage, sender: str, now: float) -> list[Outbound]:
         service_id = msg.payload["service_id"]
-        if service_id != self.service_id:
+        if service_id != self.config.composite_service_id:
             reply = _invoke_result(msg.correlation_id, service_id, Outcome.failure("not_hosted"))
             return [Outbound(sender, "wlan", reply)]
         deps = self.dependencies
@@ -423,7 +422,7 @@ class AggregatorAgent(DeviceAgent):
         """Start what the call may start now; run the composite's own
         step once no dependency is waiting or in flight."""
         if not call.waiting and not call.in_flight:
-            outcome, energy, duration = self._execute(self.hosted[self.service_id])
+            outcome, energy, duration = self._execute(self.hosted[self.config.composite_service_id])
             return self._finish(call, now, outcome, energy, duration)
         out = []
         while call.waiting and len(call.in_flight) < call.at_once:
@@ -469,7 +468,7 @@ class AggregatorAgent(DeviceAgent):
     def _finish(self, call: _CompositeCall, now: float, outcome: Outcome,
                 energy: int = 0, duration: float = 0.0) -> list[Outbound]:
         call.done = True
-        return self._result_and_report(call.correlation, call.sender, self.service_id,
+        return self._result_and_report(call.correlation, call.sender, self.config.composite_service_id,
                                        call.pseudonym, call.started, now, outcome, energy, duration)
 
     _HANDLERS = {
