@@ -12,8 +12,8 @@ Two kinds of record live here:
   four fields in one `type(x) is int and x >= 0` expression and walks
   the fields one by one only when that fails, to word the error (an
   `int` subclass such as an `IntEnum` member passes there; `bool` never
-  does). The others are built at set-up or per listing decode, not per
-  report, and `Outcome.success()` is one shared instance.
+  does). The others are built at set-up, not per report, and
+  `Outcome.success()` is one shared instance.
 - Slotted and not frozen: `SecurityCertificate`, `ExecutionReport` and
   `HostProfile`, which every execution report builds. A frozen
   `__init__` sets each field through `object.__setattr__`, which costs
@@ -25,12 +25,15 @@ Two kinds of record live here:
   keeps no report counters: the certificate's `attempts` and
   `successes` and the governor's report history hold them.
 
-A record that carries outside input checks itself: every one above but
-`SecurityCertificate` and `HostProfile`. Those two are built only by the
-governor, from state it has checked, and check nothing: the rules they
-keep (a trust score in [0, 1], no more successes than attempts,
-committed resources within capacity) are checked at the door that can
-break them, admission or preprovisioning, and by `check_invariants()`.
+Each rule is checked once, at the door a value enters by: a service and
+its platform check nothing, since the scenario and state file schemas
+and the requirements decoder hold their rules. `ExecutionReport` keeps
+its ranges (the endpoint's report door runs no schema), `ResourceVector`
+its own check (it guards the endpoint's `free` and `minus` on a host's
+`free`) and `Outcome` its rule between two fields. `SecurityCertificate`
+and `HostProfile` are built only by the governor from checked state:
+their rules are checked at admission or preprovisioning, and by
+`check_invariants()`.
 
 Units, fixed in one place:
     CPU      MHz
@@ -53,13 +56,6 @@ class SecurityLevel(IntEnum):
     LOW = 0
     MEDIUM = 1
     HIGH = 2
-
-    @classmethod
-    def from_name(cls, name: str) -> "SecurityLevel":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown security level: {name!r}") from None
 
     @property
     def label(self) -> str:
@@ -182,11 +178,6 @@ class PlatformRequirement:
     os_name: str
     min_version: str
 
-    def __post_init__(self) -> None:
-        if not self.os_name:
-            raise ValueError("os_name must be non-empty")
-        parse_version(self.min_version)
-
     def matches(self, host_os: str, host_version: str) -> bool:
         return host_os == self.os_name and version_at_least(host_version, self.min_version)
 
@@ -215,24 +206,6 @@ class ServiceDescription:
     price_per_invocation: int
     developer_share: float
     dependencies: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.service_id:
-            raise ValueError("service_id must be non-empty")
-        if not self.developer_id:
-            raise ValueError("developer_id must be non-empty")
-        if not isinstance(self.security_level, SecurityLevel):
-            raise ValueError("security_level must be a SecurityLevel")
-        if not isinstance(self.platform, PlatformRequirement):
-            raise ValueError("platform must be a PlatformRequirement")
-        if not isinstance(self.min_resources, ResourceVector):
-            raise ValueError("min_resources must be a ResourceVector")
-        if self.price_per_invocation < 0:
-            raise ValueError("price_per_invocation must be >= 0")
-        if not 0.0 <= self.developer_share <= 1.0:
-            raise ValueError("developer_share must be in [0, 1]")
-        if not isinstance(self.dependencies, tuple):
-            object.__setattr__(self, "dependencies", tuple(self.dependencies))
 
 
 @dataclass(slots=True)

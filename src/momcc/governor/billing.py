@@ -173,8 +173,6 @@ def _in_audit_order(rows: list[Row]) -> list[Row]:
 
 class BillingUnit:
     def __init__(self, governor_commission: float, lock: threading.RLock, journal: list):
-        if not 0.0 <= governor_commission <= 1.0:
-            raise ValueError("governor_commission must be in [0, 1]")
         self.governor_commission = governor_commission
         self._lock = lock
         self._journal = journal
@@ -188,10 +186,6 @@ class BillingUnit:
     def negotiate_developer(self, developer_id: str, price: int, requested_share: float) -> None:
         """Register a developer whose terms are feasible (share + commission
         <= 1). Only the id is kept: each service carries its own terms."""
-        if price < 0:
-            raise NegotiationRejected("price must be >= 0")
-        if not 0.0 <= requested_share <= 1.0:
-            raise NegotiationRejected("requested share must be in [0, 1]")
         check_developer_share(requested_share, self.governor_commission)
         with self._lock:
             self._developers.add(developer_id)

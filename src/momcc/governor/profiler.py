@@ -38,12 +38,6 @@ class ProfilerPolicy:
     failure_threshold: float = DEFAULT_FAILURE_THRESHOLD
     window: int = DEFAULT_WINDOW
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 1:
-            raise ValueError("window must be an int >= 1")
-        if not 0.0 <= self.failure_threshold <= 1.0:
-            raise ValueError("failure_threshold must be in [0, 1]")
-
 
 def failure_rate(recent: list[ExecutionReport]) -> float:
     """The share of a service's recent reports that failed, 0.0 with none:

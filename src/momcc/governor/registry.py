@@ -68,6 +68,7 @@ from ..domain import (
     ResourceVector,
     SecurityLevel,
     ServiceDescription,
+    VersionError,
     parse_version,
 )
 from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
@@ -364,8 +365,9 @@ class ServiceRegistry:
         `scan_attestation` is the verdict of the malware scan the code
         went through. Rejection reasons, in check order: developer,
         share (billing could never settle the service's split), duplicate,
-        scan, footprint, dependency (one not registered, whatever its
-        status).
+        scan, version (one no listing could compare, such as "4.0\\n",
+        which the schemas' pattern lets through), footprint, dependency
+        (one not registered, whatever its status).
         """
         with self._lock:
             if not self._billing.developer_registered(desc.developer_id):
@@ -380,6 +382,10 @@ class ServiceRegistry:
                 raise RegistrationRejected("duplicate", f"service id {desc.service_id!r} already registered")
             if not scan_attestation:
                 raise RegistrationRejected("scan", f"service {desc.service_id!r} failed the code scan")
+            try:
+                parse_version(desc.platform.min_version)
+            except VersionError as exc:
+                raise RegistrationRejected("version", f"service {desc.service_id!r}: {exc}") from None
             if not self.footprint_ceiling.covers(desc.min_resources):
                 raise RegistrationRejected(
                     "footprint",

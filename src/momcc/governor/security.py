@@ -35,14 +35,9 @@ class TrustPolicy:
     rating_weight: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+        # A rule between two fields; the `policies` schema holds each field's range.
         if not (self.promote_high[0] > self.promote_medium[0] and self.promote_high[1] > self.promote_medium[1]):
             raise ValueError("promote_high thresholds must strictly dominate promote_medium")
-        if self.hysteresis < 0:
-            raise ValueError("hysteresis must be >= 0")
-        if not 0.0 <= self.rating_weight <= 1.0:
-            raise ValueError("rating_weight must be in [0, 1]")
 
 
 # The one-time score credit of an identity-verified host's certificate.

@@ -24,10 +24,11 @@ Schema sketch (all money in integer minor units, rates per hour):
     }
 
 Validation reports every violation at once, each prefixed with a
-JSON-pointer-style path into the document. `SCENARIO_SCHEMA` is the one
-home of the structural rules; `momcc.schema` compiles it once, at
-import, into the checker `schema_diagnostics`. Integers are JSON
-integers (no `512.0`) and numbers are finite (no NaN or infinity).
+JSON-pointer-style path into the document. `SCENARIO_SCHEMA` holds the
+structural rules; `momcc.schema` compiles it once, at import, into the
+checker `schema_diagnostics`; its services and resources are `wire`'s
+schemas, which a state file meets too. Integers are JSON integers (no
+`512.0`) and numbers are finite (no NaN or infinity).
 `validate_scenario` adds the document's rules the schema cannot
 express and builds the governor's config. The governor's own rules
 (shares, ids, the footprint ceiling, each dependency listed before the
@@ -49,7 +50,7 @@ from .agents import (
 from .domain import ResourceVector, ServiceDescription
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .schema import compile_schema
-from .wire import service_from_dict
+from .wire import RESOURCES_SCHEMA, SERVICE_SCHEMA, service_from_dict
 
 FORMAT_VERSION = 1
 
@@ -101,57 +102,24 @@ _RANGE = {
     "maxItems": 2,
 }
 
-_RESOURCES = {
-    "type": "object",
-    "properties": {
-        "cpu": {"type": "integer", "minimum": 0},
-        "memory": {"type": "integer", "minimum": 0},
-        "storage": {"type": "integer", "minimum": 0},
-        "energy": {"type": "integer", "minimum": 0},
-    },
-    "required": ["cpu", "memory", "storage", "energy"],
-    "additionalProperties": False,
+# The optional service fields of a scenario; the wire form always carries them.
+_SERVICE_DEFAULTS = {
+    "description": "",
+    "input_spec": "",
+    "output_spec": "",
+    "binding_method": "local-call",
+    "dependencies": [],
 }
 
-_SERVICE = {
-    "type": "object",
-    "properties": {
-        "service_id": {"type": "string", "minLength": 1},
-        "developer_id": {"type": "string", "minLength": 1},
-        "name": {"type": "string", "minLength": 1},
-        "description": {"type": "string"},
-        "functionality_tag": {"type": "string", "minLength": 1},
-        "input_spec": {"type": "string"},
-        "output_spec": {"type": "string"},
-        "binding_method": {"type": "string"},
-        "security_level": {"enum": ["Low", "Medium", "High"]},
-        "platform": {
-            "type": "object",
-            "properties": {
-                "os_name": {"type": "string", "minLength": 1},
-                "min_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
-            },
-            "required": ["os_name", "min_version"],
-            "additionalProperties": False,
-        },
-        "min_resources": _RESOURCES,
-        "price_per_invocation": {"type": "integer", "minimum": 0},
-        "developer_share": {"type": "number", "minimum": 0, "maximum": 1},
-        "dependencies": {"type": "array", "items": {"type": "string"}},
-    },
-    "required": [
-        "service_id", "developer_id", "name", "functionality_tag",
-        "security_level", "platform", "min_resources",
-        "price_per_invocation", "developer_share",
-    ],
-    "additionalProperties": False,
-}
+# A scenario's service: the saved form, less the fields with defaults.
+_SERVICE = {**SERVICE_SCHEMA, "required": [key for key in SERVICE_SCHEMA["required"]
+                                            if key not in _SERVICE_DEFAULTS]}
 
 _HOST = {
     "type": "object",
     "properties": {
         "count": {"type": "integer", "minimum": 0},
-        "capacity": _RESOURCES,
+        "capacity": RESOURCES_SCHEMA,
         "battery_mwh": {"type": "integer", "minimum": 0},
         "platform_os": {"type": "string", "minLength": 1},
         "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
@@ -187,7 +155,7 @@ _AGGREGATOR = {
     "properties": {
         "count": {"type": "integer", "minimum": 0},
         "composite_service_id": {"type": "string", "minLength": 1},
-        "capacity": _RESOURCES,
+        "capacity": RESOURCES_SCHEMA,
         "battery_mwh": {"type": "integer", "minimum": 0},
         "platform_os": {"type": "string", "minLength": 1},
         "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
@@ -246,7 +214,7 @@ POLICIES_SCHEMA = {
         },
         "registry": {
             "type": "object",
-            "properties": {"footprint_ceiling": _RESOURCES},
+            "properties": {"footprint_ceiling": RESOURCES_SCHEMA},
             "additionalProperties": False,
         },
         "assessment_weights": {
@@ -288,15 +256,6 @@ SCENARIO_SCHEMA = {
 # The schema's diagnostics alone, without the semantic checks below.
 schema_diagnostics = compile_schema(SCENARIO_SCHEMA)
 
-
-# The optional service fields of a scenario; the wire form always carries them.
-_SERVICE_DEFAULTS = {
-    "description": "",
-    "input_spec": "",
-    "output_spec": "",
-    "binding_method": "local-call",
-    "dependencies": [],
-}
 
 
 class ScenarioValidationError(ValueError):
@@ -400,7 +359,7 @@ def _json(value):
     return value
 
 
-def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario:
+def scenario_from_dict(data: dict) -> Scenario:
     diagnostics = validate_scenario(data)
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
@@ -410,7 +369,7 @@ def scenario_from_dict(data: dict, seed_override: int | None = None) -> Scenario
     if "sweep_interval_hours" in profiler:
         optional["sweep_interval_hours"] = profiler["sweep_interval_hours"]
     return Scenario(
-        seed=seed_override if seed_override is not None else data["seed"],
+        seed=data["seed"],
         duration_hours=float(data["duration_hours"]),
         latency=_build(LatencyModel, data.get("latency", {})),
         services=tuple(
@@ -440,4 +399,6 @@ def load_scenario(path: str | Path, seed_override: int | None = None) -> Scenari
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"/: not valid JSON: {exc}"]) from None
-    return scenario_from_dict(data, seed_override=seed_override)
+    if seed_override is not None and isinstance(data, dict):
+        data["seed"] = seed_override  # so the file's own seed rule checks it
+    return scenario_from_dict(data)

@@ -10,6 +10,7 @@ the reference. Two types are stricter than the draft's:
 - a number is finite: NaN and the infinities, which `json.loads`
   accepts, are not numbers, so no bound can pass them.
 
+A `"type"` is one type's name or a list of them, `"null"` among them.
 Only the keywords listed in `_KEYWORDS` are implemented. A schema with
 any other keyword, or a keyword value this module does not implement,
 is refused with `ValueError` when it is compiled, so a schema edit
@@ -24,10 +25,10 @@ from typing import Callable
 
 # The kind of a JSON value decides which keywords apply to it. A float
 # is of kind "float" only when finite; NaN and the infinities are "other".
-OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, OTHER = (
-    "object", "array", "string", "integer", "float", "boolean", "other"
+OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, NULL, OTHER = (
+    "object", "array", "string", "integer", "float", "boolean", "null", "other"
 )
-_ALL = frozenset((OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, OTHER))
+_ALL = frozenset((OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, NULL, OTHER))
 _NUMBERS = frozenset((INTEGER, FLOAT))
 
 _TYPE_KINDS = {
@@ -37,9 +38,10 @@ _TYPE_KINDS = {
     "integer": {INTEGER},
     "number": _NUMBERS,
     "boolean": {BOOLEAN},
+    "null": {NULL},
 }
 
-_KIND_OF_CLASS = {dict: OBJECT, list: ARRAY, str: STRING, int: INTEGER, bool: BOOLEAN}
+_KIND_OF_CLASS = {dict: OBJECT, list: ARRAY, str: STRING, int: INTEGER, bool: BOOLEAN, type(None): NULL}
 
 # A check appends each error it finds to its list argument: the path of
 # the value at fault and the message.
@@ -119,14 +121,16 @@ def _compile(schema) -> Check:
 
 # Each keyword compiles to (the kinds it applies to, its check).
 
-def _type(name, schema):
-    if not isinstance(name, str) or name not in _TYPE_KINDS:
-        raise ValueError(f"unsupported schema type {name!r}")
+def _type(names, schema):
+    listed = names if isinstance(names, list) else [names]
+    if not listed or not all(isinstance(name, str) and name in _TYPE_KINDS for name in listed):
+        raise ValueError(f"unsupported schema type {names!r}")
+    words = ", ".join(repr(name) for name in listed)
 
     def check(instance, path, errors):
-        errors.append((path, f"{instance!r} is not of type {name!r}"))
+        errors.append((path, f"{instance!r} is not of type {words}"))
 
-    return _ALL - _TYPE_KINDS[name], check
+    return _ALL.difference(*(_TYPE_KINDS[name] for name in listed)), check
 
 
 def _enum(members, schema):
@@ -164,7 +168,11 @@ def _properties(properties, schema):
 
 
 def _required(names, schema):
+    every = frozenset(names)
+
     def check(instance, path, errors):
+        if instance.keys() >= every:
+            return
         for name in names:
             if name not in instance:
                 errors.append((path, f"{name!r} is a required property"))

@@ -12,15 +12,18 @@ function of those two.
 A restore verifies the digest, builds a governor from the config (checked
 by the scenario's own `policies` schema, built by
 `scenario.governor_config_from`) and replays the journal through the same
-public methods, so the restored journal equals the saved one. Only calls
-that returned are recorded and each call checks before it writes, so an
-entry that does not decode or raises on replay means the file was edited:
-it is refused by index; `decode_entry` knows only the calls in `REPLAYED`,
-the governor's public writes, and checks each argument's shape before
-any unit sees it. Writes one unit makes for another (metering, a
-certificate, a deprecation) are no calls of their own: the replayed
-call that made them makes them again. Last, a restore refuses a state
-on which `ServiceGovernor.check_invariants()` reports anything. A
+public methods, so the restored journal equals the saved one. Compiled
+schemas check every shape: the envelope, the payload, and each entry by
+its call's schema in `ENTRY_SCHEMAS` (the call's name in `REPLAYED`, the
+governor's public writes, then per argument the schema a scenario
+applies to the same field, or `wire`'s record schema). An entry that
+passes is built into its call's arguments with no second check. Only
+calls that returned are recorded and each call checks before it writes,
+so an entry that fails its schema or raises on replay means the file was
+edited: it is refused by index. Writes one unit makes for another
+(metering, a certificate, a deprecation) are no calls of their own: the
+replayed call that made them makes them again. Last, a restore refuses a
+state on which `ServiceGovernor.check_invariants()` reports anything. A
 version-1 file held derived state without the config or the calls, and
 is refused.
 """
@@ -28,18 +31,34 @@ from __future__ import annotations
 
 import hashlib
 import json
+from operator import attrgetter
 from pathlib import Path
 
 from .domain import ExecutionReport, ResourceVector, ServiceDescription
 from .errors import MarketplaceError, SnapshotIntegrityError
 from .governor import ServiceGovernor
-from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
+from .scenario import POLICIES_SCHEMA, SCENARIO_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
-from .wire import REPORT_KEYS, report_from_dict, report_to_dict, service_from_dict, service_to_dict
+from .wire import (
+    REPORT_SCHEMA,
+    RESOURCES_SCHEMA,
+    SERVICE_SCHEMA,
+    report_from_dict,
+    report_to_dict,
+    service_from_dict,
+    service_to_dict,
+)
 
 FORMAT_VERSION = 2
 SNAPSHOT_KIND = "governor-state"
 
+_envelope_diagnostics = compile_schema({
+    "type": "object", "required": ["format_version", "kind", "payload", "sha256"],
+})
+_payload_diagnostics = compile_schema({  # the config then meets the scenario's `policies` schema
+    "type": "object", "properties": {"config": {}, "journal": {"type": "array"}},
+    "required": ["config", "journal"], "additionalProperties": False,
+})
 _config_diagnostics = compile_schema(POLICIES_SCHEMA)
 
 
@@ -69,9 +88,7 @@ def snapshot_governor(governor: ServiceGovernor) -> dict:
 def restore_governor(snapshot: dict) -> ServiceGovernor:
     """Rebuild a governor from a snapshot dict: verify its checksum, build
     the governor from its config and replay its journal."""
-    for key in ("format_version", "kind", "payload", "sha256"):
-        if key not in snapshot:
-            raise SnapshotIntegrityError(f"snapshot missing {key!r}")
+    _refuse_unless_valid("snapshot envelope breaks a rule", _envelope_diagnostics(snapshot))
     if snapshot["kind"] != SNAPSHOT_KIND:
         raise SnapshotIntegrityError(f"not a governor snapshot: {snapshot['kind']!r}")
     version = snapshot["format_version"]
@@ -83,19 +100,22 @@ def restore_governor(snapshot: dict) -> ServiceGovernor:
     payload = snapshot["payload"]
     if _digest(payload) != snapshot["sha256"]:
         raise SnapshotIntegrityError("checksum mismatch: snapshot is corrupt or was edited")
-    if type(payload) is not dict or payload.keys() != {"config", "journal"}:
-        raise SnapshotIntegrityError("snapshot payload must hold exactly 'config' and 'journal'")
-    if type(payload["journal"]) is not list:
-        raise SnapshotIntegrityError("snapshot journal must be an array")
+    _refuse_unless_valid("snapshot payload breaks a rule", _payload_diagnostics(payload))
 
     governor = ServiceGovernor(_config(payload["config"]))
-    calls = {name: _method(governor, name) for name in REPLAYED}
+    calls = {name: (attrgetter(name)(governor), check, builders) for name, (check, builders) in _CALLS.items()}
     with governor.lock:
         for index, raw in enumerate(payload["journal"]):
             try:
-                name, args = decode_entry(raw)
-                calls[name](*args)
-            except (MarketplaceError, AttributeError, LookupError, TypeError, ValueError) as exc:
+                call, check, builders = calls[raw[0]]
+            except (LookupError, TypeError):  # no call's name first: the entry schema says why
+                diagnostics = _entry_diagnostics(raw)
+            else:
+                diagnostics = check(raw)
+            _refuse_unless_valid(f"snapshot journal entry {index} does not replay", diagnostics)
+            try:
+                call(*[value if build is None else build(value) for build, value in zip(builders, raw[1:])])
+            except (MarketplaceError, LookupError, TypeError, ValueError) as exc:
                 raise SnapshotIntegrityError(
                     f"snapshot journal entry {index} does not replay: {type(exc).__name__}: {exc}"
                 ) from None
@@ -105,21 +125,19 @@ def restore_governor(snapshot: dict) -> ServiceGovernor:
     return governor
 
 
+def _refuse_unless_valid(refusal: str, diagnostics: list[str]) -> None:
+    """Refuse the snapshot with `refusal` and every schema diagnostic, if any."""
+    if diagnostics:
+        raise SnapshotIntegrityError(f"{refusal}: " + "; ".join(diagnostics))
+
+
 def _config(policies):
     """The config a saved `policies` section builds, refused by exactly a scenario's rules."""
-    diagnostics = _config_diagnostics(policies)
-    if diagnostics:
-        raise SnapshotIntegrityError("snapshot config breaks a rule: " + "; ".join(diagnostics))
+    _refuse_unless_valid("snapshot config breaks a rule", _config_diagnostics(policies))
     try:
         return governor_config_from(policies)
     except ValueError as exc:
         raise SnapshotIntegrityError(f"snapshot config breaks a rule: {exc}") from None
-
-
-def _method(governor: ServiceGovernor, name: str):
-    """The bound method `name` calls: `unit.method`, or the governor's own."""
-    unit, _, method = name.rpartition(".")
-    return getattr(getattr(governor, unit) if unit else governor, method)
 
 
 def write_snapshot(path: str | Path, governor: ServiceGovernor) -> None:
@@ -130,17 +148,15 @@ def write_snapshot(path: str | Path, governor: ServiceGovernor) -> None:
 
 
 def read_snapshot(path: str | Path) -> dict:
+    """The file's JSON value; `restore_governor` checks its shape."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise SnapshotIntegrityError(f"snapshot is not UTF-8 text: {exc}") from None
     try:
-        snapshot = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SnapshotIntegrityError(f"snapshot is not valid JSON: {exc}") from None
-    if not isinstance(snapshot, dict):
-        raise SnapshotIntegrityError("snapshot must be a JSON object")
-    return snapshot
 
 
 def load_governor(path: str | Path) -> ServiceGovernor:
@@ -163,65 +179,51 @@ def encode_entry(entry: tuple) -> list:
     return [value if (encode := encoders.get(type(value))) is None else encode(value) for value in entry]
 
 
-def _typed(*types: type):
-    """A decoder passing only a value of exactly one of `types` (no bool for an int)."""
-    def decode(value):
-        if type(value) not in types:
-            raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
-        return value
-    return decode
-
-
-def _object(build):
-    """A decoder passing only a JSON object to `build`."""
-    def decode(value):
-        if type(value) is not dict:
-            raise TypeError(f"expected an object, got {value!r}")
-        return build(value)
-    return decode
-
-
-def _strs(value) -> list[str]:
-    if type(value) is not list or not all(type(item) is str for item in value):
-        raise TypeError(f"expected a list of str, got {value!r}")
-    return value
-
-
-def _report(raw) -> ExecutionReport:
-    if type(raw) is not dict or raw.keys() != REPORT_KEYS:
-        raise ValueError(f"a report holds exactly the fields {sorted(REPORT_KEYS)}, got {raw!r}")
-    return report_from_dict(raw, raw["rating"])
-
-
-_str, _int, _bool, _number = _typed(str), _typed(int), _typed(bool), _typed(int, float)
-_service = _object(service_from_dict)
-_resources = _object(lambda raw: ResourceVector(**raw))
+_SERVICE = SERVICE_SCHEMA["properties"]
+_HOST = SCENARIO_SCHEMA["properties"]["hosts"]["items"]["properties"]
+_TEXT = {"type": "string"}
+_FLAG = {"type": "boolean"}
+_TIME = {"type": "number"}
 
 # Every call a journal may hold, which is every public write of the
-# governor: its name and one decoder per argument, in the order the
+# governor: its name and the schema of each argument, in the order the
 # method takes them.
 REPLAYED = {
-    "billing.negotiate_developer": (_str, _int, _number),
-    "registry.register_service": (_service, _bool),
-    "hosts.register_host": (_str, _str, _str, _resources, _int),
-    "hosts.request_hosting": (_str, _str, _bool, _number),
-    "hosts.unhost": (_str, _str),
-    "hosts.mark_departed": (_str,),
-    "hosts.ingest_report": (_report,),
+    "billing.negotiate_developer": (_SERVICE["developer_id"], _SERVICE["price_per_invocation"],
+                                    _SERVICE["developer_share"]),
+    "registry.register_service": (SERVICE_SCHEMA, _FLAG),
+    "hosts.register_host": (_TEXT, _HOST["platform_os"], _HOST["platform_version"],
+                            _HOST["capacity"], _HOST["battery_mwh"]),
+    "hosts.request_hosting": (_TEXT, _SERVICE["service_id"], _HOST["identity_verified"], _TIME),
+    "hosts.unhost": (_TEXT, _SERVICE["service_id"]),
+    "hosts.mark_departed": (_TEXT,),
+    "hosts.ingest_report": (REPORT_SCHEMA,),
     "profiler.substitution_sweep": (),
-    "profiler.report_malfunction": (_str, _str, _number),
-    "preprovision_host": (_str, _strs, _bool, _number),
+    "profiler.report_malfunction": (_SERVICE["service_id"], _TEXT, _TIME),
+    "preprovision_host": (_TEXT, {"type": "array", "items": _SERVICE["service_id"]},
+                          _HOST["identity_verified"], _TIME),
 }
 
+# A saved entry: the call's name, then its arguments.
+ENTRY_SCHEMAS = {
+    name: {"type": "array", "prefixItems": [{"const": name}, *arguments],
+           "minItems": len(arguments) + 1, "maxItems": len(arguments) + 1}
+    for name, arguments in REPLAYED.items()
+}
 
-def decode_entry(raw) -> tuple[str, list]:
-    """The name and the decoded arguments of a saved journal entry."""
-    if type(raw) is not list or not raw or type(raw[0]) is not str:
-        raise TypeError(f"a journal entry is an array that starts with a call's name, got {raw!r}")
-    name = raw[0]
-    decoders = REPLAYED.get(name)
-    if decoders is None:
-        raise LookupError(f"{name!r} is not a call a journal replays")
-    if len(raw) != len(decoders) + 1:
-        raise TypeError(f"{name} takes {len(decoders)} arguments, got {len(raw) - 1}")
-    return name, [decode(value) for decode, value in zip(decoders, raw[1:])]
+# What an entry must be before its call's schema applies.
+_entry_diagnostics = compile_schema({"type": "array", "prefixItems": [{"enum": list(REPLAYED)}], "minItems": 1})
+
+# The record each record schema's saved value is built into; any other
+# argument is passed as saved.
+_RECORDS = {
+    id(SERVICE_SCHEMA): service_from_dict,
+    id(RESOURCES_SCHEMA): lambda raw: ResourceVector(**raw),
+    id(REPORT_SCHEMA): lambda raw: report_from_dict(raw, raw["rating"]),
+}
+
+# Per call: its compiled entry schema, and per argument its builder or None.
+_CALLS = {
+    name: (compile_schema(ENTRY_SCHEMAS[name]), tuple(_RECORDS.get(id(schema)) for schema in arguments))
+    for name, arguments in REPLAYED.items()
+}

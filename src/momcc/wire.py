@@ -48,9 +48,13 @@ list. A discovery reply lists a service as `listing_to_dict` writes it:
 that form without the developer, the platform flattened. An execution
 report travels as `report_dict` writes it: its fields by name, the
 outcome as `ok` and `failure_reason`, and no rating, which arrives in
-its own message. `report_to_dict` adds `rating` to that form (together
-`REPORT_KEYS`), as a state file saves a report; `report_from_dict` takes
-the rating apart.
+its own message. `report_to_dict` adds `rating` to that form, as a
+state file saves a report; `report_from_dict` takes the rating apart.
+
+Each saved form has one JSON Schema next to its codec (`SERVICE_SCHEMA`,
+`RESOURCES_SCHEMA`, `REPORT_SCHEMA`). Scenarios and state files are
+checked by them before a decoder builds a record, so the decoders check
+nothing again.
 """
 from __future__ import annotations
 
@@ -70,6 +74,7 @@ from .domain import (
     SecurityLevel,
     ServiceDescription,
     VersionError,
+    parse_version,
 )
 
 
@@ -146,10 +151,12 @@ def decode_requirements(data: bytes | str) -> HostRequirementsMessage:
     if platform_el is None:
         raise RequirementsParseError("Platform", "missing element")
     os_name = _required_text(platform_el, "OS")
+    if not os_name:
+        raise RequirementsParseError("OS", "must be non-empty")
     min_version = _required_text(platform_el, "MinVersion")
     try:
-        platform = PlatformRequirement(os_name=os_name, min_version=min_version)
-    except (VersionError, ValueError) as exc:
+        parse_version(min_version)
+    except VersionError as exc:
         raise RequirementsParseError("MinVersion", str(exc)) from None
 
     resources_el = root.find("MinRequiredResources")
@@ -166,7 +173,7 @@ def decode_requirements(data: bytes | str) -> HostRequirementsMessage:
             raise RequirementsParseError(tag, f"must be >= 0: {values[tag]}")
 
     return HostRequirementsMessage(
-        platform=platform,
+        platform=PlatformRequirement(os_name, min_version),
         min_resources=ResourceVector(
             cpu=values["CPU"],
             memory=values["Memory"],
@@ -277,6 +284,67 @@ class TraceRecord:
 
 # -- services and execution reports -------------------------------------------
 
+RESOURCES_SCHEMA = {
+    "type": "object",
+    "properties": dict.fromkeys(("cpu", "memory", "storage", "energy"), {"type": "integer", "minimum": 0}),
+    "required": ["cpu", "memory", "storage", "energy"],
+    "additionalProperties": False,
+}
+
+_SERVICE_FIELDS = {
+    "service_id": {"type": "string", "minLength": 1},
+    "developer_id": {"type": "string", "minLength": 1},
+    "name": {"type": "string", "minLength": 1},
+    "description": {"type": "string"},
+    "functionality_tag": {"type": "string", "minLength": 1},
+    "input_spec": {"type": "string"},
+    "output_spec": {"type": "string"},
+    "binding_method": {"type": "string"},
+    "security_level": {"enum": [level.label for level in SecurityLevel]},
+    "platform": {
+        "type": "object",
+        "properties": {
+            "os_name": {"type": "string", "minLength": 1},
+            "min_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+        },
+        "required": ["os_name", "min_version"],
+        "additionalProperties": False,
+    },
+    "min_resources": RESOURCES_SCHEMA,
+    "price_per_invocation": {"type": "integer", "minimum": 0},
+    "developer_share": {"type": "number", "minimum": 0, "maximum": 1},
+    "dependencies": {"type": "array", "items": {"type": "string"}},
+}
+
+# A service as `service_to_dict` writes it: every field required.
+SERVICE_SCHEMA = {
+    "type": "object",
+    "properties": _SERVICE_FIELDS,
+    "required": list(_SERVICE_FIELDS),
+    "additionalProperties": False,
+}
+
+_REPORT_FIELDS = {
+    **dict.fromkeys(("report_id", "host_id", "service_id", "requester_pseudonym"), {"type": "string"}),
+    **dict.fromkeys(("started_at", "duration_ms"), {"type": "number"}),
+    "energy_used_mwh": {"type": "integer"},
+    "ok": {"type": "boolean"},
+    "failure_reason": {"type": ["string", "null"]},
+    "rating": {"type": ["integer", "null"]},
+}
+
+# A report as `report_to_dict` writes it: each value's JSON type. Its ranges
+# are `ExecutionReport`'s own, since the endpoint's report door runs no schema.
+REPORT_SCHEMA = {
+    "type": "object",
+    "properties": _REPORT_FIELDS,
+    "required": list(_REPORT_FIELDS),
+    "additionalProperties": False,
+}
+
+_LEVELS = {level.label: level for level in SecurityLevel}
+
+
 def service_to_dict(desc: ServiceDescription) -> dict:
     return {
         "service_id": desc.service_id,
@@ -308,19 +376,17 @@ def listing_to_dict(desc: ServiceDescription) -> dict:
 
 
 def service_from_dict(raw: dict) -> ServiceDescription:
-    """The description `service_to_dict` wrote. A scenario's services are
-    decoded here, and a restore's saved calls, so the records are built
-    positionally, in declaration order, and `min_resources` must hold the
-    four resource names and nothing else. A host decodes nothing: it
-    reads a listed service's id and need from the dict."""
+    """The description `service_to_dict` wrote, from a dict that meets
+    `SERVICE_SCHEMA`: a scenario's service with its defaults filled in,
+    or a restore's saved call. It checks nothing again, and builds the
+    records positionally, in declaration order. A host decodes nothing:
+    it reads a listed service's id and need from the dict."""
     platform = raw["platform"]
     need = raw["min_resources"]
-    if len(need) != 4:  # with the four names read below, no other key
-        raise ValueError(f"min_resources must hold cpu, memory, storage and energy, got {sorted(need)}")
     return ServiceDescription(
         raw["service_id"], raw["developer_id"], raw["name"], raw["description"],
         raw["functionality_tag"], raw["input_spec"], raw["output_spec"], raw["binding_method"],
-        SecurityLevel.from_name(raw["security_level"]),
+        _LEVELS[raw["security_level"]],
         PlatformRequirement(platform["os_name"], platform["min_version"]),
         ResourceVector(need["cpu"], need["memory"], need["storage"], need["energy"]),
         raw["price_per_invocation"], raw["developer_share"], tuple(raw["dependencies"]),
@@ -354,10 +420,6 @@ def report_to_dict(report: ExecutionReport) -> dict:
     )
     raw["rating"] = report.rating
     return raw
-
-
-# The keys `report_to_dict` writes, read off one report.
-REPORT_KEYS = frozenset(report_to_dict(ExecutionReport("", "", "", "", 0.0, 0.0, 0, Outcome.success())))
 
 
 def report_from_dict(raw: dict, rating: int | None) -> ExecutionReport:

@@ -57,10 +57,6 @@ class TestNegotiateDeveloper:
         billing.negotiate_developer("dev-alpha", 0, 0.0)
         assert billing.developer_registered("dev-alpha")
 
-    def test_negative_price_rejected(self):
-        with pytest.raises(NegotiationRejected):
-            unit().negotiate_developer("dev-alpha", -1, 0.1)
-
 
 class TestNegotiateHost:
     def test_the_first_placement_settles_the_remainder_for_every_later_host(self):

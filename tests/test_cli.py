@@ -95,6 +95,17 @@ class TestRun:
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
         assert json.loads((out1 / "metrics.json").read_text())["seed"] == 7
 
+    @pytest.mark.parametrize("command", ["run", "snapshot"])
+    @pytest.mark.parametrize("seed", ["-1", "-7"])
+    def test_a_seed_flag_meets_the_file_seed_rule(self, command, seed, tmp_path, capsys):
+        """The override replaces the document's seed before it is checked,
+        so a seed the file may not hold is refused on the command line too."""
+        path = write_scenario(tmp_path, scenario_dict(seed=1))
+        out = tmp_path / ("out" if command == "run" else "state.json")
+        assert main(["--no-banner", command, str(path), "--seed", seed, "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: /seed: {seed} is less than the minimum of 0\n"
+        assert not out.exists()
+
     def test_rerun_replaces_each_output_instead_of_writing_through_it(self, tmp_path):
         path = write_scenario(tmp_path, scenario_dict(seed=1))
         out = tmp_path / "out"
@@ -379,7 +390,11 @@ class TestValidate:
           "{'cpu': 1024, 'memory': 64, 'storage': 64, 'energy': 1000}"]),
         (lambda d: d["services"][1].update(service_id="svc-resize"),
          ["/services/1/service_id: service id 'svc-resize' already registered"]),
-    ], ids=["self-dependency", "two-service-cycle", "beyond-the-footprint-ceiling", "duplicate-id"])
+        # The schema's pattern lets a trailing newline through; no listing could compare it.
+        (lambda d: d["services"][0]["platform"].update(min_version="4.0\n"),
+         ["/services/0/platform/min_version: service 'svc-resize': invalid version component '0\\n' in '4.0\\n'"]),
+    ], ids=["self-dependency", "two-service-cycle", "beyond-the-footprint-ceiling", "duplicate-id",
+            "unparsable-version"])
     def test_a_service_the_registry_refuses_is_a_service_diagnostic(
         self, command, edit, lines, tmp_path, capsys
     ):

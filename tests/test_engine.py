@@ -393,9 +393,9 @@ class TestARunBuildsOnlyWhatIsRead:
     def test_no_service_description_is_built_after_the_set_up(self, name, monkeypatch):
         simulation = Simulation(load_scenario(SCENARIOS / name))
         built = []
-        real = ServiceDescription.__post_init__
-        monkeypatch.setattr(ServiceDescription, "__post_init__",
-                            lambda desc: built.append(desc.service_id) or real(desc))
+        real = ServiceDescription.__init__
+        monkeypatch.setattr(ServiceDescription, "__init__",
+                            lambda desc, *args, **kwargs: built.append(args) or real(desc, *args, **kwargs))
         result = simulation.run()
         assert any(decision.confirmed for decision in result.governor.hosts.decisions)
         assert built == []

@@ -60,7 +60,7 @@ REPORTS = st.builds(
 )
 
 CALLS = {
-    "billing.negotiate_developer": st.tuples(st.sampled_from(["dev-a", "dev-b"]), st.sampled_from([-1, 100]),
+    "billing.negotiate_developer": st.tuples(st.sampled_from(["dev-a", "dev-b"]), st.just(100),
                                              st.sampled_from([0.4, 0.9])),
     "registry.register_service": REGISTRATIONS,
     "hosts.register_host": st.tuples(HOST, st.just("Android"), st.just("4.0"),

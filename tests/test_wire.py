@@ -9,12 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import written
-from momcc.domain import PlatformRequirement, ResourceVector
+from conftest import make_service, written
+from momcc.domain import ExecutionReport, Outcome, PlatformRequirement, ResourceVector
 from momcc.engine import run_scenario
 from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario
 from momcc.wire import (
-    REPORT_KEYS,
+    REPORT_SCHEMA,
+    SERVICE_SCHEMA,
     EnvelopeError,
     HostRequirementsMessage,
     MessageKind,
@@ -26,6 +27,8 @@ from momcc.wire import (
     decode_requirements,
     encode_requirements,
     read_trace,
+    report_to_dict,
+    service_to_dict,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,6 +135,20 @@ class TestRequirementsDecode:
         with pytest.raises(RequirementsParseError) as err:
             decode_requirements(doc)
         assert err.value.element == "CPU"
+
+    @pytest.mark.parametrize("element, text, message", [
+        ("OS", "  ", "OS: must be non-empty"),
+        ("MinVersion", "3.x", "MinVersion: invalid version component 'x' in '3.x'"),
+        ("MinVersion", "", "MinVersion: invalid version component '' in ''"),
+    ], ids=["blank OS", "letter in version", "blank version"])
+    def test_a_refused_platform_names_its_own_element(self, element, text, message):
+        original = {"OS": "Android", "MinVersion": "3.2"}[element]
+        doc = encode_requirements(REFERENCE).decode("utf-8").replace(
+            f"<{element}>{original}</{element}>", f"<{element}>{text}</{element}>"
+        )
+        with pytest.raises(RequirementsParseError) as err:
+            decode_requirements(doc)
+        assert (err.value.element, str(err.value)) == (element, message)
 
     def test_mutation_fuzzing_never_crashes(self):
         """Random single-byte mutations either decode or raise the parse error."""
@@ -332,4 +349,10 @@ def test_a_run_sends_every_report_in_the_saved_form_without_its_rating(name, mod
     trace = run_scenario(replace(load_scenario(SCENARIOS / name), baseline_mode=mode)).trace
     payloads = [r.message.payload for r in trace if r.message.kind is MessageKind.EXECUTION_REPORT]
     assert payloads
-    assert all(payload.keys() == REPORT_KEYS - {"rating"} for payload in payloads)
+    assert all(payload.keys() == REPORT_SCHEMA["properties"].keys() - {"rating"} for payload in payloads)
+
+
+def test_each_saved_form_schema_requires_exactly_the_keys_its_encoder_writes_in_order():
+    report = ExecutionReport("rep-1", "host-000", "svc-resize", "anon-1", 0.0, 1.0, 0, Outcome.success(), 4)
+    assert list(report_to_dict(report)) == REPORT_SCHEMA["required"] == list(REPORT_SCHEMA["properties"])
+    assert list(service_to_dict(make_service())) == SERVICE_SCHEMA["required"] == list(SERVICE_SCHEMA["properties"])
