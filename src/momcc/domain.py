@@ -25,15 +25,19 @@ Two kinds of record live here:
   keeps no report counters: the certificate's `attempts` and
   `successes` and the governor's report history hold them.
 
-Each rule is checked once, at the door a value enters by: a service and
-its platform check nothing, since the scenario and state file schemas
-and the requirements decoder hold their rules. `ExecutionReport` keeps
-its ranges (the endpoint's report door runs no schema), `ResourceVector`
-its own check (it guards the endpoint's `free` and `minus` on a host's
-`free`) and `Outcome` its rule between two fields. `SecurityCertificate`
-and `HostProfile` are built only by the governor from checked state:
-their rules are checked at admission or preprovisioning, and by
-`check_invariants()`.
+Each rule is checked once, at the door a value enters by. A service's
+fields are checked by the schemas (`wire.SERVICE_SCHEMA`) at each JSON
+door and by the governor's own writes (`governor.journal`), so a
+`ServiceDescription` checks nothing. `PlatformRequirement` parses its
+minimum version, the one rule no schema pattern holds whole: every
+door builds one, the requirements decoder included. `ExecutionReport`
+keeps its ranges (its types are checked where a report enters as
+JSON: `ingest_report`, the hottest write, checks no schema),
+`ResourceVector` its own check (it guards the endpoint's `free` and
+`minus` on a host's `free`) and `Outcome` its rule between two fields.
+`SecurityCertificate` and `HostProfile` are built only by the governor
+from checked state: their rules are checked at admission or
+preprovisioning, and by `check_invariants()`.
 
 Units, fixed in one place:
     CPU      MHz
@@ -177,6 +181,9 @@ class PlatformRequirement:
 
     os_name: str
     min_version: str
+
+    def __post_init__(self) -> None:
+        parse_version(self.min_version)
 
     def matches(self, host_os: str, host_version: str) -> bool:
         return host_os == self.os_name and version_at_least(host_version, self.min_version)

@@ -445,8 +445,7 @@ def _members(prefix: str, entries) -> list[tuple[str, Any]]:
 
 # The field of a scenario's service that each registration refusal the
 # set-up can meet is about: negotiation refuses a share first.
-_REFUSED_FIELD = {"duplicate": "service_id", "version": "platform/min_version", "footprint": "min_resources",
-                  "dependency": "dependencies"}
+_REFUSED_FIELD = {"duplicate": "service_id", "footprint": "min_resources", "dependency": "dependencies"}
 
 
 def set_up_governor(scenario: Scenario) -> ServiceGovernor:

@@ -17,8 +17,8 @@ class UnknownEntityError(MarketplaceError):
 class RegistrationRejected(MarketplaceError):
     """Service registration failed vetting.
 
-    `reason` is one of: developer, share, duplicate, scan, version,
-    footprint, dependency.
+    `reason` is one of: developer, share, duplicate, scan, footprint,
+    dependency.
     """
 
     def __init__(self, reason: str, message: str):

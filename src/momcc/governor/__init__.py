@@ -12,7 +12,9 @@ units' constructors take no defaults.
 `journal` lists, in order, every call from outside that changed the
 governor's state: a tuple of the call's name (`"unit.method"`, or the
 governor's own method) and its arguments as passed, each appended by
-the unit's public method once it has returned. Each write has one door.
+the unit's public method once it has returned; before it writes, a
+method that takes a value it does not look up checks its entry by the
+schema a restore checks it with (`journal`). Each write has one door.
 What one unit does for another (settling an agreement on placement,
 issuing a certificate in the handshake or on preprovisioning, metering
 an accepted report, unhosting on departure, deprecating in a sweep) has
@@ -30,6 +32,7 @@ from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
 from ..errors import NegotiationRejected
 from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit, check_developer_share
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
+from .journal import check_entry
 from .profiler import ProfilerPolicy, ServiceProfiler
 from .registry import DEFAULT_FOOTPRINT_CEILING, DiscoveryResult, ServiceRegistry
 from .security import SecurityGovernor, TrustPolicy
@@ -119,6 +122,8 @@ class ServiceGovernor:
         as admission does. The host's capacity must cover what it holds
         and the others together, or nothing is written.
         """
+        entry = ("preprovision_host", host_id, tuple(service_ids), identity_verified, at)
+        check_entry(entry)
         with self.lock:
             profile = self.host_db.get(host_id)
             descs = {sid: self.registry.get(sid) for sid in service_ids if sid not in profile.hosted}
@@ -131,7 +136,7 @@ class ServiceGovernor:
                 self.security._issue(host_id, identity_verified, at)
             for desc in descs.values():
                 self.hosts._place(host_id, desc)
-            self.journal.append(("preprovision_host", host_id, tuple(service_ids), identity_verified, at))
+            self.journal.append(entry)
 
     # -- invariants (every rule a state keeps) --------------------------------
 

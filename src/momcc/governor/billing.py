@@ -44,6 +44,7 @@ from typing import Iterator, Mapping
 
 from ..domain import ExecutionReport, ServiceDescription
 from ..errors import NegotiationRejected
+from .journal import check_entry
 
 GOVERNOR_PARTY = "governor"
 
@@ -186,10 +187,12 @@ class BillingUnit:
     def negotiate_developer(self, developer_id: str, price: int, requested_share: float) -> None:
         """Register a developer whose terms are feasible (share + commission
         <= 1). Only the id is kept: each service carries its own terms."""
+        entry = ("billing.negotiate_developer", developer_id, price, requested_share)
+        check_entry(entry)
         check_developer_share(requested_share, self.governor_commission)
         with self._lock:
             self._developers.add(developer_id)
-            self._journal.append(("billing.negotiate_developer", developer_id, price, requested_share))
+            self._journal.append(entry)
 
     def developer_registered(self, developer_id: str) -> bool:
         with self._lock:

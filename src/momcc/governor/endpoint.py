@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING
 
 from ..domain import ResourceVector
 from ..errors import UnknownEntityError
-from ..wire import MessageKind, Outbound, ProtocolMessage, Role, report_from_dict
+from ..schema import compile_schema
+from ..wire import REPORT_SCHEMA, MessageKind, Outbound, ProtocolMessage, Role, report_from_dict
 
 if TYPE_CHECKING:
     from . import ServiceGovernor
@@ -38,6 +39,7 @@ _ALLOCATION_CONFIRM = MessageKind.ALLOCATION_CONFIRM
 _ALLOCATION_DENIED = MessageKind.ALLOCATION_DENIED
 _DISCOVERY_REPLY = MessageKind.DISCOVERY_REPLY
 _GOVERNOR = Role.GOVERNOR
+_report_diagnostics = compile_schema(REPORT_SCHEMA)
 
 
 class GovernorEndpoint:
@@ -142,9 +144,14 @@ class GovernorEndpoint:
 
     def _ingest(self, report_payload: dict, rating: int | None) -> bool:
         """Whether the governor accepted the report: not a re-delivery,
-        and naming a host and service it knows."""
+        and naming a host and service it knows. A report and rating that
+        `REPORT_SCHEMA` refuses, as a restore would, raise `ValueError`."""
+        raw = {**report_payload, "rating": rating}
+        diagnostics = _report_diagnostics(raw)
+        if diagnostics:
+            raise ValueError("execution report breaks a rule: " + "; ".join(diagnostics))
         try:
-            return self.governor.ingest_report(report_from_dict(report_payload, rating))
+            return self.governor.ingest_report(report_from_dict(raw, rating))
         except UnknownEntityError:
             return False  # report raced a deregistration; nothing to update
 

@@ -24,6 +24,7 @@ from ..domain import (
 from ..errors import DuplicateHostError, NotHostedError, UnknownEntityError
 from ..wire import MessageKind
 from .billing import BillingUnit
+from .journal import check_entry
 from .registry import ServiceRegistry, ServiceStatus
 from .security import SecurityGovernor, update_trust
 from .store import HostDatabase
@@ -114,6 +115,8 @@ class HostRegistry:
         The certificate is issued lazily during the first allocation
         handshake.
         """
+        entry = ("hosts.register_host", host_id, os_name, os_version, capacity, battery_mwh)
+        check_entry(entry)
         with self._lock:
             if host_id in self.host_db.hosts:
                 raise DuplicateHostError(f"host id {host_id!r} already registered")
@@ -126,7 +129,7 @@ class HostRegistry:
                 battery_mwh=battery_mwh,
             )
             self.host_db.put(profile)
-            self._journal.append(("hosts.register_host", host_id, os_name, os_version, capacity, battery_mwh))
+            self._journal.append(entry)
             return profile
 
     # -- allocation -------------------------------------------------------
@@ -144,10 +147,12 @@ class HostRegistry:
         getters take. The resource check compares the need with capacity
         minus committed component by component, building no vector.
         """
+        entry = ("hosts.request_hosting", host_id, service_id, identity_verified, at)
+        check_entry(entry)
         with self._lock:
             decision = self._admit(host_id, service_id, identity_verified, at)
             self.decisions.append(decision)
-            self._journal.append(("hosts.request_hosting", host_id, service_id, identity_verified, at))
+            self._journal.append(entry)
             return decision
 
     def _admit(self, host_id: str, service_id: str, identity_verified: bool, at: float) -> AllocationDecision:
@@ -244,7 +249,10 @@ class HostRegistry:
         One report is the hottest profile write, so the checks read the
         host and service dicts directly (the lock held here is the one
         the registry's getters take), and the new profile is built by
-        `profile_with`, positionally, not by `dataclasses.replace`.
+        `profile_with`, positionally, not by `dataclasses.replace`. For
+        the same reason it checks no entry schema (`journal.check_entry`):
+        a report's types are checked where it enters as JSON, at the
+        endpoint and at a restore.
         """
         with self._lock:
             host_db = self.host_db

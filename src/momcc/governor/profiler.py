@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from ..domain import ExecutionReport
 from ..errors import UnknownEntityError
+from .journal import check_entry
 from .registry import ServiceRegistry, ServiceStatus
 from .store import HostDatabase
 
@@ -143,6 +144,8 @@ class ServiceProfiler:
         The detail travels verbatim; callers keep requester identities
         out of it, and the escalation record carries none.
         """
+        entry = ("profiler.report_malfunction", service_id, detail, at)
+        check_entry(entry)
         with self._lock:
             desc = self.registry.get(service_id)
             escalation = Escalation(
@@ -153,5 +156,5 @@ class ServiceProfiler:
                 at=at,
             )
             self.escalations.append(escalation)
-            self._journal.append(("profiler.report_malfunction", service_id, detail, at))
+            self._journal.append(entry)
             return escalation

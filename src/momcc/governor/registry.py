@@ -68,12 +68,12 @@ from ..domain import (
     ResourceVector,
     SecurityLevel,
     ServiceDescription,
-    VersionError,
     parse_version,
 )
 from ..errors import NegotiationRejected, RegistrationRejected, UnknownEntityError
 from ..wire import listing_to_dict, service_to_dict
 from .billing import BillingUnit, check_developer_share
+from .journal import check_entry
 from .store import HostDatabase
 
 DEFAULT_FOOTPRINT_CEILING = ResourceVector(cpu=1024, memory=64, storage=64, energy=1000)
@@ -363,12 +363,14 @@ class ServiceRegistry:
         """Vet and store a service as Active.
 
         `scan_attestation` is the verdict of the malware scan the code
-        went through. Rejection reasons, in check order: developer,
+        went through. A description its saved entry's schema refuses
+        raises `ValueError`. Rejection reasons, in check order: developer,
         share (billing could never settle the service's split), duplicate,
-        scan, version (one no listing could compare, such as "4.0\\n",
-        which the schemas' pattern lets through), footprint, dependency
-        (one not registered, whatever its status).
+        scan, footprint, dependency (one not registered, whatever its
+        status).
         """
+        entry = ("registry.register_service", desc, scan_attestation)
+        check_entry(entry)
         with self._lock:
             if not self._billing.developer_registered(desc.developer_id):
                 raise RegistrationRejected(
@@ -382,10 +384,6 @@ class ServiceRegistry:
                 raise RegistrationRejected("duplicate", f"service id {desc.service_id!r} already registered")
             if not scan_attestation:
                 raise RegistrationRejected("scan", f"service {desc.service_id!r} failed the code scan")
-            try:
-                parse_version(desc.platform.min_version)
-            except VersionError as exc:
-                raise RegistrationRejected("version", f"service {desc.service_id!r}: {exc}") from None
             if not self.footprint_ceiling.covers(desc.min_resources):
                 raise RegistrationRejected(
                     "footprint",
@@ -399,7 +397,7 @@ class ServiceRegistry:
                                            f"depends on unregistered services {unknown}")
             self.db.add(desc)
             self.db.status[desc.service_id] = ServiceStatus.ACTIVE
-            self._journal.append(("registry.register_service", desc, scan_attestation))
+            self._journal.append(entry)
             return desc.service_id
 
     def _deprecate(self, service_id: str) -> None:

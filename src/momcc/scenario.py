@@ -26,11 +26,13 @@ Schema sketch (all money in integer minor units, rates per hour):
 Validation reports every violation at once, each prefixed with a
 JSON-pointer-style path into the document. `SCENARIO_SCHEMA` holds the
 structural rules; `momcc.schema` compiles it once, at import, into the
-checker `schema_diagnostics`; its services and resources are `wire`'s
-schemas, which a state file meets too. Integers are JSON integers (no
-`512.0`) and numbers are finite (no NaN or infinity).
-`validate_scenario` adds the document's rules the schema cannot
-express and builds the governor's config. The governor's own rules
+checker `schema_diagnostics`; its services, resources and device
+fields are `wire`'s schemas, which a state file meets too. Integers
+are JSON integers (no `512.0`) and numbers are finite (no NaN or
+infinity). `validate_scenario` adds the document's rules the schema
+cannot express and builds the governor's config; building each
+service applies `PlatformRequirement`'s version rule, which the
+pattern lets a final newline through. The governor's own rules
 (shares, ids, the footprint ceiling, each dependency listed before the
 services that need it) are met at its doors by `engine.set_up_governor`
 once the document passes these checks, and reported in the same form.
@@ -47,10 +49,10 @@ from .agents import (
     HostAgentConfig,
     RequesterAgentConfig,
 )
-from .domain import ResourceVector, ServiceDescription
+from .domain import ResourceVector, ServiceDescription, VersionError
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .schema import compile_schema
-from .wire import RESOURCES_SCHEMA, SERVICE_SCHEMA, service_from_dict
+from .wire import DEVICE_FIELDS, RESOURCES_SCHEMA, SERVICE_SCHEMA, service_from_dict
 
 FORMAT_VERSION = 1
 
@@ -119,10 +121,7 @@ _HOST = {
     "type": "object",
     "properties": {
         "count": {"type": "integer", "minimum": 0},
-        "capacity": RESOURCES_SCHEMA,
-        "battery_mwh": {"type": "integer", "minimum": 0},
-        "platform_os": {"type": "string", "minLength": 1},
-        "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+        **DEVICE_FIELDS,
         "greediness": {"enum": list(GREEDINESS_STRATEGIES)},
         "departure_rate": {"type": "number", "minimum": 0},
         "failure_prob": {"type": "number", "minimum": 0, "maximum": 1},
@@ -155,10 +154,7 @@ _AGGREGATOR = {
     "properties": {
         "count": {"type": "integer", "minimum": 0},
         "composite_service_id": {"type": "string", "minLength": 1},
-        "capacity": RESOURCES_SCHEMA,
-        "battery_mwh": {"type": "integer", "minimum": 0},
-        "platform_os": {"type": "string", "minLength": 1},
-        "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+        **DEVICE_FIELDS,
         "failure_prob": {"type": "number", "minimum": 0, "maximum": 1},
         "identity_verified": {"type": "boolean"},
         "parallel_dependencies": {"type": "boolean"},
@@ -364,6 +360,15 @@ def scenario_from_dict(data: dict) -> Scenario:
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
 
+    services, diagnostics = [], []
+    for i, raw in enumerate(data["services"]):
+        try:
+            services.append(service_from_dict({**_SERVICE_DEFAULTS, **raw}))
+        except VersionError as exc:  # such as "4.0\n", which the schema's pattern lets through
+            diagnostics.append(f"/services/{i}/platform/min_version: {exc}")
+    if diagnostics:
+        raise ScenarioValidationError(diagnostics)
+
     optional = {key: _value(data[key]) for key in ("baseline_mode", "exec_ms") if key in data}
     profiler = data.get("policies", {}).get("profiler", {})
     if "sweep_interval_hours" in profiler:
@@ -372,9 +377,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed=data["seed"],
         duration_hours=float(data["duration_hours"]),
         latency=_build(LatencyModel, data.get("latency", {})),
-        services=tuple(
-            service_from_dict({**_SERVICE_DEFAULTS, **raw}) for raw in data["services"]
-        ),
+        services=tuple(services),
         hosts=_populations(HostAgentConfig, data.get("hosts", [])),
         requesters=_populations(RequesterAgentConfig, data.get("requesters", [])),
         aggregators=_populations(AggregatorConfig, data.get("aggregators", [])),

@@ -11,6 +11,10 @@ the reference. Two types are stricter than the draft's:
   accepts, are not numbers, so no bound can pass them.
 
 A `"type"` is one type's name or a list of them, `"null"` among them.
+A document the schema accepts is told apart first by one predicate
+generated from the schema as Python source (`_acceptor`), so the
+governor can check each of its writes' entries before it writes; only
+a refused document is walked keyword by keyword for its diagnostics.
 Only the keywords listed in `_KEYWORDS` are implemented. A schema with
 any other keyword, or a keyword value this module does not implement,
 is refused with `ValueError` when it is compiled, so a schema edit
@@ -41,8 +45,6 @@ _TYPE_KINDS = {
     "null": {NULL},
 }
 
-_KIND_OF_CLASS = {dict: OBJECT, list: ARRAY, str: STRING, int: INTEGER, bool: BOOLEAN, type(None): NULL}
-
 # A check appends each error it finds to its list argument: the path of
 # the value at fault and the message.
 Check = Callable[[object, tuple, list], None]
@@ -53,6 +55,8 @@ def _kind_of(value) -> str:
         return FLOAT if isfinite(value) else OTHER
     if isinstance(value, bool):
         return BOOLEAN
+    if value is None:
+        return NULL
     for cls, kind in ((int, INTEGER), (str, STRING), (list, ARRAY), (dict, OBJECT)):
         if isinstance(value, cls):
             return kind
@@ -84,9 +88,12 @@ def _equal(one, two) -> bool:
 def compile_schema(schema: dict) -> Callable[[object], list[str]]:
     """The checker of `schema`: a function from a document to all its diagnostics."""
     check = _compile(schema)
+    accepts = _acceptor(schema)
 
     def diagnostics(document) -> list[str]:
         """Every violation of the schema in `document`, as pointer-prefixed lines."""
+        if accepts(document):
+            return []
         errors: list[tuple[tuple, str]] = []
         check(document, (), errors)
         errors.sort(key=operator.itemgetter(0))  # stable: keyword order within a path
@@ -104,16 +111,11 @@ def _compile(schema) -> Check:
         if compile_keyword is None:
             raise ValueError(f"unsupported schema keyword {keyword!r}")
         compiled.append(compile_keyword(value, schema))
-    # Per kind, the keyword checks that apply to it, in schema order; also
-    # per exact class of the kinds that have one, so most values skip `_kind_of`.
+    # Per kind, the keyword checks that apply to it, in schema order.
     table = {kind: tuple(check for kinds, check in compiled if kind in kinds) for kind in _ALL}
-    by_class = {cls: table[kind] for cls, kind in _KIND_OF_CLASS.items()}
 
     def check(instance, path: tuple, errors: list) -> None:
-        checks = by_class.get(type(instance))
-        if checks is None:
-            checks = table[_kind_of(instance)]
-        for keyword_check in checks:
+        for keyword_check in table[_kind_of(instance)]:
             keyword_check(instance, path, errors)
 
     return check
@@ -134,15 +136,8 @@ def _type(names, schema):
 
 
 def _enum(members, schema):
-    strings = frozenset(m for m in members if isinstance(m, str))
-    others = [m for m in members if not isinstance(m, str)]
-
     def check(instance, path, errors):
-        if isinstance(instance, str):
-            found = instance in strings
-        else:
-            found = any(_equal(member, instance) for member in others)
-        if not found:
+        if not any(_equal(member, instance) for member in members):
             errors.append((path, f"{instance!r} is not one of {members!r}"))
 
     return _ALL, check
@@ -168,11 +163,7 @@ def _properties(properties, schema):
 
 
 def _required(names, schema):
-    every = frozenset(names)
-
     def check(instance, path, errors):
-        if instance.keys() >= every:
-            return
         for name in names:
             if name not in instance:
                 errors.append((path, f"{name!r} is a required property"))
@@ -270,3 +261,109 @@ _KEYWORDS = {
     "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
     "exclusiveMaximum": _bound(operator.ge, "is greater than or equal to the maximum of"),
 }
+
+
+# -- the valid path -------------------------------------------------------------
+
+# Per type name, the exact classes of its values and the expression true
+# when the value `{x}` is of one of them.
+_EXACT = {
+    "object": ({dict}, "type({x}) is dict"),
+    "array": ({list}, "type({x}) is list"),
+    "string": ({str}, "type({x}) is str"),
+    "integer": ({int}, "type({x}) is int"),
+    "number": ({int, float}, "(type({x}) is int or type({x}) is float and isfinite({x}))"),
+    "boolean": ({bool}, "type({x}) is bool"),
+    "null": ({type(None)}, "{x} is None"),
+}
+
+# The classes of the JSON values a `const` or `enum` member is compared
+# with by class and value: `True` is not `1`, and `1.0` is left to the
+# keyword check.
+_SCALARS = (str, int, float, bool, type(None))
+
+# Per keyword that needs a "type" beside it: the classes it applies to,
+# and its condition on the value `{x}` and the constant `{c}`.
+_CONDITIONS = {
+    "minItems": ({list}, "len({x}) >= {c}"),
+    "maxItems": ({list}, "len({x}) <= {c}"),
+    "minLength": ({str}, "len({x}) >= {c}"),
+    "pattern": ({str}, "{c}.search({x}) is not None"),
+    "minimum": ({int, float}, "{x} >= {c}"),
+    "maximum": ({int, float}, "{x} <= {c}"),
+    "exclusiveMinimum": ({int, float}, "{x} > {c}"),
+    "exclusiveMaximum": ({int, float}, "{x} < {c}"),
+    "required": ({dict}, "{x}.keys() >= {c}"),
+    "additionalProperties": ({dict}, "{x}.keys() <= {c}"),
+    "properties": ({dict}, None),
+    "prefixItems": ({list}, None),
+    "items": ({list}, None),
+}
+
+
+def _acceptor(schema: dict) -> Callable[[object], bool]:
+    """A predicate true only of documents that meet `schema`, so that a
+    valid document costs no keyword check: Python source generated from
+    the schema, one function per object or array schema, each leaf
+    inlined. It is false where it cannot tell cheaply (a subclass of a
+    JSON type, a `const` or `enum` member that is an array or object, a
+    keyword beside no "type"), and the keyword checks then decide. The
+    tests compare `compile_schema` with the reference on every document
+    they check, so a predicate true of an invalid one fails them."""
+    namespace: dict = {"isfinite": isfinite, "_SCALARS": _SCALARS}
+    sources: list[str] = []
+
+    def constant(value) -> str:
+        name = f"_c{len(namespace)}"
+        namespace[name] = value
+        return name
+
+    def function(node: dict) -> str:
+        index = len(sources)
+        sources.append("")  # the children's functions follow it
+        sources[index] = f"def _f{index}(v):\n    return {test(node, 'v')}\n"
+        return f"_f{index}"
+
+    def condition(keyword: str, value, node: dict, x: str) -> str:
+        if keyword == "properties":
+            return " and ".join(f"({key!r} not in {x} or {test(sub, f'{x}[{key!r}]')})"
+                                for key, sub in value.items()) or "True"
+        if keyword == "prefixItems":
+            return " and ".join(f"(len({x}) <= {i} or {test(sub, f'{x}[{i}]')})"
+                                for i, sub in enumerate(value)) or "True"
+        if keyword == "items":
+            return f"all({test(value, 'y')} for y in {x}[{len(node.get('prefixItems', ()))}:])"
+        limit = (frozenset(value) if keyword == "required" else
+                 frozenset(node.get("properties", ())) if keyword == "additionalProperties" else
+                 re.compile(value) if keyword == "pattern" else value)
+        return _CONDITIONS[keyword][1].format(x=x, c=constant(limit))
+
+    def test(node: dict, x: str) -> str:
+        """An expression true only if the value `x` meets `node`."""
+        if x != "v" and {"properties", "items", "prefixItems"} & node.keys():
+            return f"{function(node)}({x})"
+        names = node.get("type")
+        listed = [] if names is None else names if isinstance(names, list) else [names]
+        allowed = set().union(*(_EXACT[name][0] for name in listed))
+        parts = ["(" + " or ".join(_EXACT[name][1].format(x=x) for name in listed) + ")"] if listed else []
+        for keyword, value in node.items():
+            if keyword in ("const", "enum"):
+                members = [value] if keyword == "const" else value
+                if not all(type(member) in _SCALARS for member in members):
+                    return "False"
+                keyed = constant(frozenset((type(member), member) for member in members))
+                parts.append(f"(type({x}) in _SCALARS and (type({x}), {x}) in {keyed})")
+            elif keyword != "type":
+                if not listed:
+                    return "False"
+                classes = _CONDITIONS[keyword][0]
+                if allowed & classes:
+                    met = condition(keyword, value, node, x)
+                    guard = "" if allowed <= classes else \
+                        f"type({x}) not in ({', '.join(c.__name__ for c in classes)},) or "
+                    parts.append(f"({guard}{met})")
+        return " and ".join(parts) or "True"
+
+    root = function(schema)
+    exec("".join(sources), namespace)
+    return namespace[root]

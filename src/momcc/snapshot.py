@@ -5,27 +5,26 @@ The file is a JSON envelope: {"format_version", "kind", "payload",
 serialization of the payload. The payload is {"config", "journal"}: the
 config as a scenario's `policies` section, and `ServiceGovernor.journal`
 with each call a JSON array: the call's name, then its arguments in the
-order the method takes them, each encoded by its type (`encode_entry`;
-services and reports in their `wire` dict forms). All other state is a
-function of those two.
+order the method takes them, each in its saved form
+(`governor.journal.encode_entry`; services and reports in their `wire`
+dict forms). All other state is a function of those two.
 
 A restore verifies the digest, builds a governor from the config (checked
 by the scenario's own `policies` schema, built by
 `scenario.governor_config_from`) and replays the journal through the same
 public methods, so the restored journal equals the saved one. Compiled
 schemas check every shape: the envelope, the payload, and each entry by
-its call's schema in `ENTRY_SCHEMAS` (the call's name in `REPLAYED`, the
-governor's public writes, then per argument the schema a scenario
-applies to the same field, or `wire`'s record schema). An entry that
-passes is built into its call's arguments with no second check. Only
-calls that returned are recorded and each call checks before it writes,
-so an entry that fails its schema or raises on replay means the file was
-edited: it is refused by index. Writes one unit makes for another
-(metering, a certificate, a deprecation) are no calls of their own: the
-replayed call that made them makes them again. Last, a restore refuses a
-state on which `ServiceGovernor.check_invariants()` reports anything. A
-version-1 file held derived state without the config or the calls, and
-is refused.
+its call's schema in `governor.journal.ENTRY_SCHEMAS` (the call's name,
+then per argument the schema a scenario applies to the same field, or
+`wire`'s record schema), before the entry's arguments are built. Only
+calls that returned are recorded, and each call checks its entry by
+that schema and its own rules before it writes, so an entry that fails
+its schema or raises on replay means the file was edited: it is refused
+by index. Writes one unit makes for another (metering, a certificate, a
+deprecation) are no calls of their own: the replayed call that made
+them makes them again. Last, a restore refuses a state on which
+`ServiceGovernor.check_invariants()` reports anything. A version-1 file
+held derived state without the config or the calls, and is refused.
 """
 from __future__ import annotations
 
@@ -34,20 +33,11 @@ import json
 from operator import attrgetter
 from pathlib import Path
 
-from .domain import ExecutionReport, ResourceVector, ServiceDescription
 from .errors import MarketplaceError, SnapshotIntegrityError
 from .governor import ServiceGovernor
-from .scenario import POLICIES_SCHEMA, SCENARIO_SCHEMA, governor_config_from, policies_of
+from .governor.journal import BUILDERS, encode_entry, saved_entry_diagnostics
+from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
-from .wire import (
-    REPORT_SCHEMA,
-    RESOURCES_SCHEMA,
-    SERVICE_SCHEMA,
-    report_from_dict,
-    report_to_dict,
-    service_from_dict,
-    service_to_dict,
-)
 
 FORMAT_VERSION = 2
 SNAPSHOT_KIND = "governor-state"
@@ -103,16 +93,11 @@ def restore_governor(snapshot: dict) -> ServiceGovernor:
     _refuse_unless_valid("snapshot payload breaks a rule", _payload_diagnostics(payload))
 
     governor = ServiceGovernor(_config(payload["config"]))
-    calls = {name: (attrgetter(name)(governor), check, builders) for name, (check, builders) in _CALLS.items()}
+    calls = {name: (attrgetter(name)(governor), builders) for name, builders in BUILDERS.items()}
     with governor.lock:
         for index, raw in enumerate(payload["journal"]):
-            try:
-                call, check, builders = calls[raw[0]]
-            except (LookupError, TypeError):  # no call's name first: the entry schema says why
-                diagnostics = _entry_diagnostics(raw)
-            else:
-                diagnostics = check(raw)
-            _refuse_unless_valid(f"snapshot journal entry {index} does not replay", diagnostics)
+            _refuse_unless_valid(f"snapshot journal entry {index} does not replay", saved_entry_diagnostics(raw))
+            call, builders = calls[raw[0]]
             try:
                 call(*[value if build is None else build(value) for build, value in zip(builders, raw[1:])])
             except (MarketplaceError, LookupError, TypeError, ValueError) as exc:
@@ -161,69 +146,3 @@ def read_snapshot(path: str | Path) -> dict:
 
 def load_governor(path: str | Path) -> ServiceGovernor:
     return restore_governor(read_snapshot(path))
-
-
-# -- journal entries ----------------------------------------------------------
-
-_ENCODERS = {
-    ServiceDescription: service_to_dict,
-    ResourceVector: ResourceVector.as_dict,
-    ExecutionReport: report_to_dict,
-    tuple: list,
-}
-
-
-def encode_entry(entry: tuple) -> list:
-    """A journal entry as a JSON array; names, ids, flags and numbers stay as they are."""
-    encoders = _ENCODERS
-    return [value if (encode := encoders.get(type(value))) is None else encode(value) for value in entry]
-
-
-_SERVICE = SERVICE_SCHEMA["properties"]
-_HOST = SCENARIO_SCHEMA["properties"]["hosts"]["items"]["properties"]
-_TEXT = {"type": "string"}
-_FLAG = {"type": "boolean"}
-_TIME = {"type": "number"}
-
-# Every call a journal may hold, which is every public write of the
-# governor: its name and the schema of each argument, in the order the
-# method takes them.
-REPLAYED = {
-    "billing.negotiate_developer": (_SERVICE["developer_id"], _SERVICE["price_per_invocation"],
-                                    _SERVICE["developer_share"]),
-    "registry.register_service": (SERVICE_SCHEMA, _FLAG),
-    "hosts.register_host": (_TEXT, _HOST["platform_os"], _HOST["platform_version"],
-                            _HOST["capacity"], _HOST["battery_mwh"]),
-    "hosts.request_hosting": (_TEXT, _SERVICE["service_id"], _HOST["identity_verified"], _TIME),
-    "hosts.unhost": (_TEXT, _SERVICE["service_id"]),
-    "hosts.mark_departed": (_TEXT,),
-    "hosts.ingest_report": (REPORT_SCHEMA,),
-    "profiler.substitution_sweep": (),
-    "profiler.report_malfunction": (_SERVICE["service_id"], _TEXT, _TIME),
-    "preprovision_host": (_TEXT, {"type": "array", "items": _SERVICE["service_id"]},
-                          _HOST["identity_verified"], _TIME),
-}
-
-# A saved entry: the call's name, then its arguments.
-ENTRY_SCHEMAS = {
-    name: {"type": "array", "prefixItems": [{"const": name}, *arguments],
-           "minItems": len(arguments) + 1, "maxItems": len(arguments) + 1}
-    for name, arguments in REPLAYED.items()
-}
-
-# What an entry must be before its call's schema applies.
-_entry_diagnostics = compile_schema({"type": "array", "prefixItems": [{"enum": list(REPLAYED)}], "minItems": 1})
-
-# The record each record schema's saved value is built into; any other
-# argument is passed as saved.
-_RECORDS = {
-    id(SERVICE_SCHEMA): service_from_dict,
-    id(RESOURCES_SCHEMA): lambda raw: ResourceVector(**raw),
-    id(REPORT_SCHEMA): lambda raw: report_from_dict(raw, raw["rating"]),
-}
-
-# Per call: its compiled entry schema, and per argument its builder or None.
-_CALLS = {
-    name: (compile_schema(ENTRY_SCHEMAS[name]), tuple(_RECORDS.get(id(schema)) for schema in arguments))
-    for name, arguments in REPLAYED.items()
-}

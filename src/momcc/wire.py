@@ -52,9 +52,13 @@ its own message. `report_to_dict` adds `rating` to that form, as a
 state file saves a report; `report_from_dict` takes the rating apart.
 
 Each saved form has one JSON Schema next to its codec (`SERVICE_SCHEMA`,
-`RESOURCES_SCHEMA`, `REPORT_SCHEMA`). Scenarios and state files are
-checked by them before a decoder builds a record, so the decoders check
-nothing again.
+`RESOURCES_SCHEMA`, `REPORT_SCHEMA`), and a device's registration fields
+one each (`DEVICE_FIELDS`). Scenarios, state files and the governor's
+own writes (`governor.journal`) are checked by them, and a report
+message by `REPORT_SCHEMA` at the governor's endpoint, before a decoder
+builds a record, so the decoders check nothing again; the one rule a
+schema cannot hold whole, a minimum version that parses, is
+`PlatformRequirement`'s.
 """
 from __future__ import annotations
 
@@ -74,7 +78,6 @@ from .domain import (
     SecurityLevel,
     ServiceDescription,
     VersionError,
-    parse_version,
 )
 
 
@@ -153,9 +156,8 @@ def decode_requirements(data: bytes | str) -> HostRequirementsMessage:
     os_name = _required_text(platform_el, "OS")
     if not os_name:
         raise RequirementsParseError("OS", "must be non-empty")
-    min_version = _required_text(platform_el, "MinVersion")
     try:
-        parse_version(min_version)
+        platform = PlatformRequirement(os_name, _required_text(platform_el, "MinVersion"))
     except VersionError as exc:
         raise RequirementsParseError("MinVersion", str(exc)) from None
 
@@ -173,7 +175,7 @@ def decode_requirements(data: bytes | str) -> HostRequirementsMessage:
             raise RequirementsParseError(tag, f"must be >= 0: {values[tag]}")
 
     return HostRequirementsMessage(
-        platform=PlatformRequirement(os_name, min_version),
+        platform=platform,
         min_resources=ResourceVector(
             cpu=values["CPU"],
             memory=values["Memory"],
@@ -291,6 +293,16 @@ RESOURCES_SCHEMA = {
     "additionalProperties": False,
 }
 
+# A device's registration, as a scenario's host and aggregator entries
+# and a saved `register_host` give it. The platform's two fields are a
+# service's required platform's too.
+DEVICE_FIELDS = {
+    "capacity": RESOURCES_SCHEMA,
+    "battery_mwh": {"type": "integer", "minimum": 0},
+    "platform_os": {"type": "string", "minLength": 1},
+    "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+}
+
 _SERVICE_FIELDS = {
     "service_id": {"type": "string", "minLength": 1},
     "developer_id": {"type": "string", "minLength": 1},
@@ -304,8 +316,8 @@ _SERVICE_FIELDS = {
     "platform": {
         "type": "object",
         "properties": {
-            "os_name": {"type": "string", "minLength": 1},
-            "min_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+            "os_name": DEVICE_FIELDS["platform_os"],
+            "min_version": DEVICE_FIELDS["platform_version"],
         },
         "required": ["os_name", "min_version"],
         "additionalProperties": False,
@@ -333,8 +345,9 @@ _REPORT_FIELDS = {
     "rating": {"type": ["integer", "null"]},
 }
 
-# A report as `report_to_dict` writes it: each value's JSON type. Its ranges
-# are `ExecutionReport`'s own, since the endpoint's report door runs no schema.
+# A report as `report_to_dict` writes it: each value's JSON type, checked
+# at the endpoint's report door and at a restore. Its ranges are
+# `ExecutionReport`'s own, which also guard a report built in process.
 REPORT_SCHEMA = {
     "type": "object",
     "properties": _REPORT_FIELDS,

@@ -52,6 +52,21 @@ class TestNegotiateDeveloper:
     def test_boundary_share_accepted_exactly(self):
         unit().negotiate_developer("dev-alpha", 1000, 0.8)  # 0.8 + 0.2 = 1
 
+    @pytest.mark.parametrize("developer_id, price, share, line", [
+        ("dev-alpha", -1, 0.1, "/2: -1 is less than the minimum of 0"),
+        ("dev-alpha", 10.5, 0.1, "/2: 10.5 is not of type 'integer'"),
+        ("dev-alpha", 1000, 1.5, "/3: 1.5 is greater than the maximum of 1"),
+        ("", 1000, 0.1, "/1: '' should be non-empty"),
+    ])
+    def test_terms_a_restore_would_refuse_are_refused(self, developer_id, price, share, line):
+        """Refused by the service schema's fields, as a scenario and a
+        saved entry are, and nothing is written."""
+        billing = unit()
+        with pytest.raises(ValueError) as err:
+            billing.negotiate_developer(developer_id, price, share)
+        assert str(err.value) == f"billing.negotiate_developer refused: {line}"
+        assert billing._journal == [] and not billing.developer_registered(developer_id)
+
     def test_free_service_zero_share_accepted(self):
         billing = unit()
         billing.negotiate_developer("dev-alpha", 0, 0.0)

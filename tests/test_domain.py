@@ -178,6 +178,10 @@ class TestPlatformRequirement:
         req = PlatformRequirement("Android", "3.2")
         assert not req.matches("Android", "3.1")
 
+    def test_invalid_min_version_rejected_at_construction(self):
+        with pytest.raises(VersionError):
+            PlatformRequirement("Android", "3.x")
+
 
 class TestProfileWith:
     """`profile_with` builds positionally, so its field order must be

@@ -4,6 +4,7 @@ import pytest
 from conftest import deprecate, governor_with, make_service
 from momcc.domain import ResourceVector
 from momcc.governor.endpoint import GovernorEndpoint
+from momcc.snapshot import restore_governor, snapshot_governor
 from momcc.wire import MessageKind, ProtocolMessage, Role
 
 AMPLE = ResourceVector(2048, 32, 64, 2000)
@@ -121,6 +122,31 @@ def test_flush_ingests_waiting_reports_unrated_in_correlation_order(endpoint):
     endpoint.handle(report("inv-3"), "host-a", 60.0)
     assert list(endpoint.pending) == ["inv-3"]
     assert len(ingested(endpoint)) == 2
+
+
+@pytest.mark.parametrize("changes, value, line", [
+    ({}, 4.5, "/rating: 4.5 is not of type 'integer', 'null'"),
+    ({}, True, "/rating: True is not of type 'integer', 'null'"),
+    ({"requester_pseudonym": 5}, 5, "/requester_pseudonym: 5 is not of type 'string'"),
+    ({"energy_used_mwh": 1.5}, 5, "/energy_used_mwh: 1.5 is not of type 'integer'"),
+    ({"ok": "yes"}, 5, "/ok: 'yes' is not of type 'boolean'"),
+    ({"extra": 1}, 5, "/: Additional properties are not allowed ('extra' was unexpected)"),
+    ({"ok": False, "failure_reason": 7}, 5, "/failure_reason: 7 is not of type 'string', 'null'"),
+], ids=["float rating", "bool rating", "numeric pseudonym", "float energy", "string ok", "extra key",
+        "numeric reason"])
+def test_a_report_a_restore_would_refuse_is_refused_at_the_door(endpoint, changes, value, line):
+    """The report door checks a report and its rating by the schema a
+    restore checks a saved report with, so the governor behind it still
+    restores to itself."""
+    journal = list(endpoint.governor.journal)
+    bad = report("inv-1")
+    bad.payload.update(changes)
+    with pytest.raises(ValueError) as err:
+        for msg in (bad, rating("inv-1", value)):  # a failed report is ingested at once
+            endpoint.handle(msg, "host-a", 1.0)
+    assert str(err.value) == f"execution report breaks a rule: {line}"
+    assert endpoint.governor.journal == journal
+    assert restore_governor(snapshot_governor(endpoint.governor)).journal == journal
 
 
 def test_unknown_kind_gets_no_reply(endpoint):

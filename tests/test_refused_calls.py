@@ -4,9 +4,12 @@ Random sequences of the governor's public writes (every call a journal
 replays), drawn from small pools so that many of them are refused:
 unknown ids, duplicates, unsettleable shares, a need beyond the footprint
 ceiling, a dependency not yet registered, preprovisioning beyond a host's free
-capacity, reports on pairs never placed. After every call the live
-governor must equal a restore of its own snapshot, and a call that
-leaves the journal as it was must leave the state as it was too.
+capacity, reports on pairs never placed, and arguments whose saved entry
+a restore would refuse (an empty id, a negative price or share, an
+empty host OS, a version that does not parse, a flag that is no bool).
+After every call the live governor must equal a restore of its own
+snapshot, and a call that leaves the journal as it was must leave the
+state as it was too.
 """
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +17,8 @@ from conftest import make_service
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import MarketplaceError
 from momcc.governor import GovernorConfig, ProfilerPolicy, ServiceGovernor
-from momcc.snapshot import REPLAYED, restore_governor, snapshot_governor
+from momcc.governor.journal import REPLAYED
+from momcc.snapshot import restore_governor, snapshot_governor
 
 # A service whose last two reports failed is deprecated by the next sweep.
 CONFIG = GovernorConfig(profiler_policy=ProfilerPolicy(failure_threshold=0.5, window=2))
@@ -46,6 +50,11 @@ REGISTRATIONS = st.sampled_from([
     ({}, False),  # the code scan failed
     ({"min_resources": ResourceVector(2000, 1, 1, 1)}, True),  # beyond the footprint ceiling
     ({"dependencies": ("svc-d",)}, True),  # a dependency not yet registered: itself
+    ({"service_id": ""}, True),  # the entry's schema refuses the rest
+    ({"price": -1}, True),
+    ({"developer_share": -0.5}, True),
+    ({"os_name": ""}, True),
+    ({}, 1),
 ]).map(svc_d)
 HOST = st.sampled_from(HOSTS)
 SERVICE = st.sampled_from(SERVICE_IDS)
@@ -60,17 +69,17 @@ REPORTS = st.builds(
 )
 
 CALLS = {
-    "billing.negotiate_developer": st.tuples(st.sampled_from(["dev-a", "dev-b"]), st.just(100),
-                                             st.sampled_from([0.4, 0.9])),
+    "billing.negotiate_developer": st.tuples(st.sampled_from(["dev-a", "dev-b", ""]), st.sampled_from([-1, 100]),
+                                             st.sampled_from([0.4, 0.9, 1.5])),
     "registry.register_service": REGISTRATIONS,
-    "hosts.register_host": st.tuples(HOST, st.just("Android"), st.just("4.0"),
-                                     st.sampled_from([SMALL, ROOMY]), st.just(10**6)),
-    "hosts.request_hosting": st.tuples(HOST, SERVICE, st.booleans(), AT),
+    "hosts.register_host": st.tuples(HOST, st.sampled_from(["Android", ""]), st.sampled_from(["4.0", "4.x"]),
+                                     st.sampled_from([SMALL, ROOMY]), st.sampled_from([10**6, -1])),
+    "hosts.request_hosting": st.tuples(HOST, SERVICE, st.sampled_from([False, True, 1]), AT),
     "hosts.unhost": st.tuples(HOST, SERVICE),
     "hosts.mark_departed": st.tuples(HOST),
     "hosts.ingest_report": st.tuples(REPORTS),
     "profiler.substitution_sweep": st.just(()),
-    "profiler.report_malfunction": st.tuples(SERVICE, st.just("stalls"), AT),
+    "profiler.report_malfunction": st.tuples(SERVICE, st.sampled_from(["stalls", None]), AT),
     "preprovision_host": st.tuples(HOST, st.lists(st.sampled_from(SERVICE_IDS[:3]), min_size=1, max_size=3),
                                    st.booleans(), AT),
 }

@@ -22,9 +22,10 @@ from conftest import make_service, scenario_dict
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError
+from momcc.governor.journal import ENTRY_SCHEMAS, REPLAYED, encode_entry
 from momcc.scenario import SCENARIO_SCHEMA, scenario_from_dict, schema_diagnostics, validate_scenario
 from momcc.schema import compile_schema
-from momcc.snapshot import ENTRY_SCHEMAS, REPLAYED, _digest, encode_entry, restore_governor, snapshot_governor
+from momcc.snapshot import _digest, restore_governor, snapshot_governor
 from momcc.wire import REPORT_SCHEMA
 
 ROOT = Path(__file__).resolve().parent.parent

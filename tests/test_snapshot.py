@@ -12,6 +12,7 @@ from momcc.domain import Outcome, ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError, UnknownEntityError
 from momcc.governor import BillingUnit, GovernorConfig, ProfilerPolicy, ServiceGovernor, TrustPolicy
+from momcc.governor.journal import REPLAYED
 from momcc.governor.registry import ServiceStatus
 from momcc.scenario import (
     MODE_MARKETPLACE,
@@ -25,7 +26,6 @@ from momcc.scenario import (
 )
 from momcc.schema import compile_schema
 from momcc.snapshot import (
-    REPLAYED,
     _digest,
     load_governor,
     read_snapshot,
@@ -473,13 +473,14 @@ class TestEditedJournal:
 
     def test_a_minimum_version_no_listing_could_compare_is_refused(self, governor_after_run):
         """The schemas' pattern lets a trailing newline through; the
-        registry refuses the version on replay, as it does at set-up."""
+        service's platform refuses the version as it is built, as it
+        does in a scenario."""
         snap = snapshot_governor(governor_after_run)
         index, entry = _entry(snap, "registry.register_service")
         entry[1]["platform"]["min_version"] = "3.2\n"
         assert refusal(snap) == (
-            f"snapshot journal entry {index} does not replay: RegistrationRejected: "
-            "service 'svc-resize': invalid version component '2\\n' in '3.2\\n'"
+            f"snapshot journal entry {index} does not replay: VersionError: "
+            "invalid version component '2\\n' in '3.2\\n'"
         )
 
     def test_an_entry_that_is_no_array_is_refused(self, governor_after_run):
