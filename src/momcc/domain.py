@@ -29,8 +29,9 @@ Each rule is checked once, at the door a value enters by. A service's
 fields are checked by the schemas (`wire.SERVICE_SCHEMA`) at each JSON
 door and by the governor's own writes (`governor.journal`), so a
 `ServiceDescription` checks nothing. `PlatformRequirement` parses its
-minimum version, the one rule no schema pattern holds whole: every
-door builds one, the requirements decoder included. `ExecutionReport`
+minimum version: the schemas' version pattern admits only what
+`parse_version` parses, and the requirements decoder, whose XML no
+schema checks, builds one too. `ExecutionReport`
 keeps its ranges (its types are checked where a report enters as
 JSON: `ingest_report`, the hottest write, checks no schema),
 `ResourceVector` its own check (it guards the endpoint's `free` and
@@ -162,7 +163,7 @@ def _parse_dotted(text: str) -> tuple[int, int, int]:
         raise VersionError(f"version must have 1-3 components: {text!r}")
     numbers = []
     for part in parts:
-        if not part.isdigit():
+        if not part.isdecimal():  # exactly the digits `int` reads; `isdigit` takes "²" too
             raise VersionError(f"invalid version component {part!r} in {text!r}")
         numbers.append(int(part))
     while len(numbers) < 3:

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect, bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
@@ -369,8 +369,10 @@ class ServiceRegistry:
         scan, footprint, dependency (one not registered, whatever its
         status).
         """
+        check_entry(("registry.register_service", desc, scan_attestation))
+        if type(desc.dependencies) is not tuple:  # stored and journaled as a restore builds it
+            desc = replace(desc, dependencies=tuple(desc.dependencies))
         entry = ("registry.register_service", desc, scan_attestation)
-        check_entry(entry)
         with self._lock:
             if not self._billing.developer_registered(desc.developer_id):
                 raise RegistrationRejected(

@@ -30,12 +30,11 @@ checker `schema_diagnostics`; its services, resources and device
 fields are `wire`'s schemas, which a state file meets too. Integers
 are JSON integers (no `512.0`) and numbers are finite (no NaN or
 infinity). `validate_scenario` adds the document's rules the schema
-cannot express and builds the governor's config; building each
-service applies `PlatformRequirement`'s version rule, which the
-pattern lets a final newline through. The governor's own rules
-(shares, ids, the footprint ceiling, each dependency listed before the
-services that need it) are met at its doors by `engine.set_up_governor`
-once the document passes these checks, and reported in the same form.
+cannot express and builds the governor's config. The governor's own
+rules (shares, ids, the footprint ceiling, each dependency listed
+before the services that need it) are met at its doors by
+`engine.set_up_governor` once the document passes these checks, and
+reported in the same form.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ from .agents import (
     HostAgentConfig,
     RequesterAgentConfig,
 )
-from .domain import ResourceVector, ServiceDescription, VersionError
+from .domain import ResourceVector, ServiceDescription
 from .governor import GovernorConfig, ProfilerPolicy, TrustPolicy
 from .schema import compile_schema
 from .wire import DEVICE_FIELDS, RESOURCES_SCHEMA, SERVICE_SCHEMA, service_from_dict
@@ -360,15 +359,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     if diagnostics:
         raise ScenarioValidationError(diagnostics)
 
-    services, diagnostics = [], []
-    for i, raw in enumerate(data["services"]):
-        try:
-            services.append(service_from_dict({**_SERVICE_DEFAULTS, **raw}))
-        except VersionError as exc:  # such as "4.0\n", which the schema's pattern lets through
-            diagnostics.append(f"/services/{i}/platform/min_version: {exc}")
-    if diagnostics:
-        raise ScenarioValidationError(diagnostics)
-
     optional = {key: _value(data[key]) for key in ("baseline_mode", "exec_ms") if key in data}
     profiler = data.get("policies", {}).get("profiler", {})
     if "sweep_interval_hours" in profiler:
@@ -377,7 +367,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         seed=data["seed"],
         duration_hours=float(data["duration_hours"]),
         latency=_build(LatencyModel, data.get("latency", {})),
-        services=tuple(services),
+        services=tuple(service_from_dict({**_SERVICE_DEFAULTS, **raw}) for raw in data["services"]),
         hosts=_populations(HostAgentConfig, data.get("hosts", [])),
         requesters=_populations(RequesterAgentConfig, data.get("requesters", [])),
         aggregators=_populations(AggregatorConfig, data.get("aggregators", [])),

@@ -11,60 +11,50 @@ the reference. Two types are stricter than the draft's:
   accepts, are not numbers, so no bound can pass them.
 
 A `"type"` is one type's name or a list of them, `"null"` among them.
-A document the schema accepts is told apart first by one predicate
-generated from the schema as Python source (`_acceptor`), so the
-governor can check each of its writes' entries before it writes; only
-a refused document is walked keyword by keyword for its diagnostics.
-Only the keywords listed in `_KEYWORDS` are implemented. A schema with
-any other keyword, or a keyword value this module does not implement,
-is refused with `ValueError` when it is compiled, so a schema edit
-cannot drop a rule unnoticed.
+Each keyword's rule is written once, in `_RULES`: the classes of value
+it applies to, its condition as Python source, and jsonschema's words
+when it fails. A document the schema accepts is told apart first by
+one predicate generated from the schema as Python source (`_acceptor`),
+which inlines those conditions, so the governor can check each of its
+writes' entries before it writes; only a refused document is walked
+(`_walk`) for its diagnostics, by the same conditions, each compiled
+once. A schema with a keyword `_RULES` does not hold, or a keyword
+value this module does not implement, is refused with `ValueError`
+when it is compiled, so a schema edit cannot drop a rule unnoticed.
 """
 from __future__ import annotations
 
 import operator
 import re
 from math import isfinite
+from types import NoneType
 from typing import Callable
 
-# The kind of a JSON value decides which keywords apply to it. A float
-# is of kind "float" only when finite; NaN and the infinities are "other".
-OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, NULL, OTHER = (
-    "object", "array", "string", "integer", "float", "boolean", "null", "other"
-)
-_ALL = frozenset((OBJECT, ARRAY, STRING, INTEGER, FLOAT, BOOLEAN, NULL, OTHER))
-_NUMBERS = frozenset((INTEGER, FLOAT))
-
-_TYPE_KINDS = {
-    "object": {OBJECT},
-    "array": {ARRAY},
-    "string": {STRING},
-    "integer": {INTEGER},
-    "number": _NUMBERS,
-    "boolean": {BOOLEAN},
-    "null": {NULL},
+# Per type name, the classes of its values, in the order the valid path tests them.
+_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "integer": (int,),
+    "number": (int, float),
+    "boolean": (bool,),
+    "null": (NoneType,),
 }
 
-# A check appends each error it finds to its list argument: the path of
-# the value at fault and the message.
-Check = Callable[[object, tuple, list], None]
+
+def _listed(names) -> list:
+    return names if isinstance(names, list) else [names]
 
 
-def _kind_of(value) -> str:
+def _class_of(value):
+    """The JSON class of `value`, a subclass counting as its base: None
+    for NaN, the infinities and any value JSON does not hold."""
     if isinstance(value, float):
-        return FLOAT if isfinite(value) else OTHER
-    if isinstance(value, bool):
-        return BOOLEAN
-    if value is None:
-        return NULL
-    for cls, kind in ((int, INTEGER), (str, STRING), (list, ARRAY), (dict, OBJECT)):
+        return float if isfinite(value) else None
+    for cls in (bool, int, str, list, dict, NoneType):
         if isinstance(value, cls):
-            return kind
-    return OTHER
-
-
-def _pointer(path: tuple) -> str:
-    return "/" + "/".join(str(p) for p in path) if path else "/"
+            return cls
+    return None
 
 
 def _equal(one, two) -> bool:
@@ -85,9 +75,64 @@ def _equal(one, two) -> bool:
     return one == two
 
 
+def _unexpected(x, v, c) -> list[str]:
+    extras = sorted((key for key in x if key not in c), key=str)
+    verb = "was" if len(extras) == 1 else "were"
+    return [f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"]
+
+
+# Per keyword: the classes of value it applies to (None: every value);
+# its condition on the value `{x}` and the constant `{c}` (`_constant`),
+# None where it applies subschemas to the value's members; and the words
+# for a value `x` that fails it, given the keyword's value `v` and `c`.
+# The valid path tests "type", "enum" and "const" by exact class instead.
+_NUMBERS = frozenset((int, float))
+_SHORT = "should be non-empty"
+_RULES = {
+    "type": (None, "_class_of({x}) in {c}",
+             lambda x, v, c: [f"{x!r} is not of type {', '.join(map(repr, _listed(v)))}"]),
+    "enum": (None, "any(_equal(m, {x}) for m in {c})", lambda x, v, c: [f"{x!r} is not one of {v!r}"]),
+    "const": (None, "_equal({x}, {c})", lambda x, v, c: [f"{v!r} was expected"]),
+    "properties": ({dict}, None, None),
+    "required": ({dict}, "{x}.keys() >= {c}",
+                 lambda x, v, c: [f"{name!r} is a required property" for name in v if name not in x]),
+    "additionalProperties": ({dict}, "{x}.keys() <= {c}", _unexpected),
+    "items": ({list}, None, None),
+    "prefixItems": ({list}, None, None),
+    "minItems": ({list}, "len({x}) >= {c}", lambda x, v, c: [f"{x!r} {_SHORT if v == 1 else 'is too short'}"]),
+    "maxItems": ({list}, "len({x}) <= {c}",
+                 lambda x, v, c: [f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"]),
+    "minLength": ({str}, "len({x}) >= {c}", lambda x, v, c: [f"{x!r} {_SHORT if v == 1 else 'is too short'}"]),
+    "pattern": ({str}, "{c}.search({x}) is not None", lambda x, v, c: [f"{x!r} does not match {v!r}"]),
+    "minimum": (_NUMBERS, "{x} >= {c}", lambda x, v, c: [f"{x!r} is less than the minimum of {v!r}"]),
+    "maximum": (_NUMBERS, "{x} <= {c}", lambda x, v, c: [f"{x!r} is greater than the maximum of {v!r}"]),
+    "exclusiveMinimum": (_NUMBERS, "{x} > {c}",
+                         lambda x, v, c: [f"{x!r} is less than or equal to the minimum of {v!r}"]),
+    "exclusiveMaximum": (_NUMBERS, "{x} < {c}",
+                         lambda x, v, c: [f"{x!r} is greater than or equal to the maximum of {v!r}"]),
+}
+
+# Each condition compiled once, as a function of the value and the constant.
+_MET = {keyword: eval(f"lambda x, c: {condition.format(x='x', c='c')}")
+        for keyword, (_, condition, _) in _RULES.items() if condition}
+
+
+def _constant(keyword: str, value, schema: dict):
+    """The constant `{c}` of a keyword's condition, from its value in `schema`."""
+    if keyword == "type":
+        return frozenset(cls for name in _listed(value) for cls in _TYPES[name])
+    if keyword == "required":
+        return frozenset(value)
+    if keyword == "additionalProperties":
+        return frozenset(schema.get("properties", ()))
+    if keyword == "pattern":
+        return re.compile(value)
+    return value
+
+
 def compile_schema(schema: dict) -> Callable[[object], list[str]]:
     """The checker of `schema`: a function from a document to all its diagnostics."""
-    check = _compile(schema)
+    _refuse_unknown(schema)
     accepts = _acceptor(schema)
 
     def diagnostics(document) -> list[str]:
@@ -95,221 +140,64 @@ def compile_schema(schema: dict) -> Callable[[object], list[str]]:
         if accepts(document):
             return []
         errors: list[tuple[tuple, str]] = []
-        check(document, (), errors)
+        _walk(schema, document, (), errors)
         errors.sort(key=operator.itemgetter(0))  # stable: keyword order within a path
-        return [f"{_pointer(path)}: {message}" for path, message in errors]
+        return [f"/{'/'.join(map(str, path))}: {message}" for path, message in errors]
 
     return diagnostics
 
 
-def _compile(schema) -> Check:
+def _refuse_unknown(schema) -> None:
+    """Raise `ValueError` at a keyword or keyword value, in `schema` or below, not implemented here."""
     if not isinstance(schema, dict):
         raise ValueError(f"unsupported schema {schema!r}: only objects are implemented")
-    compiled = []
     for keyword, value in schema.items():
-        compile_keyword = _KEYWORDS.get(keyword)
-        if compile_keyword is None:
+        if keyword not in _RULES:
             raise ValueError(f"unsupported schema keyword {keyword!r}")
-        compiled.append(compile_keyword(value, schema))
-    # Per kind, the keyword checks that apply to it, in schema order.
-    table = {kind: tuple(check for kinds, check in compiled if kind in kinds) for kind in _ALL}
-
-    def check(instance, path: tuple, errors: list) -> None:
-        for keyword_check in table[_kind_of(instance)]:
-            keyword_check(instance, path, errors)
-
-    return check
-
-
-# Each keyword compiles to (the kinds it applies to, its check).
-
-def _type(names, schema):
-    listed = names if isinstance(names, list) else [names]
-    if not listed or not all(isinstance(name, str) and name in _TYPE_KINDS for name in listed):
-        raise ValueError(f"unsupported schema type {names!r}")
-    words = ", ".join(repr(name) for name in listed)
-
-    def check(instance, path, errors):
-        errors.append((path, f"{instance!r} is not of type {words}"))
-
-    return _ALL.difference(*(_TYPE_KINDS[name] for name in listed)), check
+        if keyword == "type" and not (value and all(isinstance(name, str) and name in _TYPES
+                                                    for name in _listed(value))):
+            raise ValueError(f"unsupported schema type {value!r}")
+        if keyword == "additionalProperties" and value is not False:
+            raise ValueError(f"unsupported schema additionalProperties {value!r}")
+        subschemas = (value.values() if keyword == "properties" else value if keyword == "prefixItems"
+                      else [value] if keyword == "items" else ())
+        for subschema in subschemas:
+            _refuse_unknown(subschema)
 
 
-def _enum(members, schema):
-    def check(instance, path, errors):
-        if not any(_equal(member, instance) for member in members):
-            errors.append((path, f"{instance!r} is not one of {members!r}"))
-
-    return _ALL, check
-
-
-def _const(const, schema):
-    def check(instance, path, errors):
-        if not _equal(instance, const):
-            errors.append((path, f"{const!r} was expected"))
-
-    return _ALL, check
-
-
-def _properties(properties, schema):
-    children = [(name, _compile(subschema)) for name, subschema in properties.items()]
-
-    def check(instance, path, errors):
-        for name, child in children:
-            if name in instance:
-                child(instance[name], path + (name,), errors)
-
-    return {OBJECT}, check
+def _walk(schema: dict, x, path: tuple, errors: list) -> None:
+    """Append each (path, message) by which the value `x` at `path` breaks `schema`, in keyword order."""
+    cls = _class_of(x)
+    for keyword, value in schema.items():
+        classes, _, words = _RULES[keyword]
+        if classes is not None and cls not in classes:
+            continue
+        if keyword == "properties":
+            for name, subschema in value.items():
+                if name in x:
+                    _walk(subschema, x[name], path + (name,), errors)
+        elif keyword == "prefixItems":
+            for index, (item, subschema) in enumerate(zip(x, value)):
+                _walk(subschema, item, path + (index,), errors)
+        elif keyword == "items":
+            for index in range(len(schema.get("prefixItems", ())), len(x)):
+                _walk(value, x[index], path + (index,), errors)
+        elif not _MET[keyword](x, c := _constant(keyword, value, schema)):
+            errors += [(path, message) for message in words(x, value, c)]
 
 
-def _required(names, schema):
-    def check(instance, path, errors):
-        for name in names:
-            if name not in instance:
-                errors.append((path, f"{name!r} is a required property"))
-
-    return {OBJECT}, check
-
-
-def _additional_properties(allowed, schema):
-    if allowed is not False:
-        raise ValueError(f"unsupported schema additionalProperties {allowed!r}")
-    known = frozenset(schema.get("properties", ()))
-
-    def check(instance, path, errors):
-        if instance.keys() <= known:
-            return
-        extras = sorted((key for key in instance if key not in known), key=str)
-        verb = "was" if len(extras) == 1 else "were"
-        listed = ", ".join(repr(extra) for extra in extras)
-        errors.append((path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
-
-    return {OBJECT}, check
-
-
-def _items(items, schema):
-    child = _compile(items)
-    start = len(schema.get("prefixItems", ()))
-
-    def check(instance, path, errors):
-        for index in range(start, len(instance)):
-            child(instance[index], path + (index,), errors)
-
-    return {ARRAY}, check
-
-
-def _prefix_items(prefix, schema):
-    children = [_compile(subschema) for subschema in prefix]
-
-    def check(instance, path, errors):
-        for index, (item, child) in enumerate(zip(instance, children)):
-            child(item, path + (index,), errors)
-
-    return {ARRAY}, check
-
-
-def _length(kinds, fails, special_limit, special, usual):
-    """A bound on `len`: `special` is jsonschema's wording at `special_limit`."""
-    def compile_length(limit, schema):
-        words = special if limit == special_limit else usual
-
-        def check(instance, path, errors):
-            if fails(len(instance), limit):
-                errors.append((path, f"{instance!r} {words}"))
-
-        return kinds, check
-
-    return compile_length
-
-
-def _pattern(pattern, schema):
-    regex = re.compile(pattern)
-
-    def check(instance, path, errors):
-        if not regex.search(instance):
-            errors.append((path, f"{instance!r} does not match {pattern!r}"))
-
-    return {STRING}, check
-
-
-def _bound(fails, words):
-    def compile_bound(limit, schema):
-        def check(instance, path, errors):
-            if fails(instance, limit):
-                errors.append((path, f"{instance!r} {words} {limit!r}"))
-
-        return _NUMBERS, check
-
-    return compile_bound
-
-
-_KEYWORDS = {
-    "type": _type,
-    "enum": _enum,
-    "const": _const,
-    "properties": _properties,
-    "required": _required,
-    "additionalProperties": _additional_properties,
-    "items": _items,
-    "prefixItems": _prefix_items,
-    "minItems": _length({ARRAY}, operator.lt, 1, "should be non-empty", "is too short"),
-    "maxItems": _length({ARRAY}, operator.gt, 0, "is expected to be empty", "is too long"),
-    "minLength": _length({STRING}, operator.lt, 1, "should be non-empty", "is too short"),
-    "pattern": _pattern,
-    "minimum": _bound(operator.lt, "is less than the minimum of"),
-    "maximum": _bound(operator.gt, "is greater than the maximum of"),
-    "exclusiveMinimum": _bound(operator.le, "is less than or equal to the minimum of"),
-    "exclusiveMaximum": _bound(operator.ge, "is greater than or equal to the maximum of"),
-}
-
-
-# -- the valid path -------------------------------------------------------------
-
-# Per type name, the exact classes of its values and the expression true
-# when the value `{x}` is of one of them.
-_EXACT = {
-    "object": ({dict}, "type({x}) is dict"),
-    "array": ({list}, "type({x}) is list"),
-    "string": ({str}, "type({x}) is str"),
-    "integer": ({int}, "type({x}) is int"),
-    "number": ({int, float}, "(type({x}) is int or type({x}) is float and isfinite({x}))"),
-    "boolean": ({bool}, "type({x}) is bool"),
-    "null": ({type(None)}, "{x} is None"),
-}
-
-# The classes of the JSON values a `const` or `enum` member is compared
-# with by class and value: `True` is not `1`, and `1.0` is left to the
-# keyword check.
-_SCALARS = (str, int, float, bool, type(None))
-
-# Per keyword that needs a "type" beside it: the classes it applies to,
-# and its condition on the value `{x}` and the constant `{c}`.
-_CONDITIONS = {
-    "minItems": ({list}, "len({x}) >= {c}"),
-    "maxItems": ({list}, "len({x}) <= {c}"),
-    "minLength": ({str}, "len({x}) >= {c}"),
-    "pattern": ({str}, "{c}.search({x}) is not None"),
-    "minimum": ({int, float}, "{x} >= {c}"),
-    "maximum": ({int, float}, "{x} <= {c}"),
-    "exclusiveMinimum": ({int, float}, "{x} > {c}"),
-    "exclusiveMaximum": ({int, float}, "{x} < {c}"),
-    "required": ({dict}, "{x}.keys() >= {c}"),
-    "additionalProperties": ({dict}, "{x}.keys() <= {c}"),
-    "properties": ({dict}, None),
-    "prefixItems": ({list}, None),
-    "items": ({list}, None),
-}
+# The classes of the values the valid path compares with a `const` or `enum`
+# member by class and value: `True` is not `1`, and `1.0` is left to the walk.
+_SCALARS = (str, int, float, bool, NoneType)
 
 
 def _acceptor(schema: dict) -> Callable[[object], bool]:
     """A predicate true only of documents that meet `schema`, so that a
-    valid document costs no keyword check: Python source generated from
-    the schema, one function per object or array schema, each leaf
-    inlined. It is false where it cannot tell cheaply (a subclass of a
-    JSON type, a `const` or `enum` member that is an array or object, a
-    keyword beside no "type"), and the keyword checks then decide. The
-    tests compare `compile_schema` with the reference on every document
-    they check, so a predicate true of an invalid one fails them."""
+    valid document costs no walk: Python source generated from the
+    schema, one function per object or array schema, each keyword's
+    condition inlined. It is false where it cannot tell cheaply (a
+    subclass of a JSON type, a `const` or `enum` member that is an array
+    or object, a keyword beside no "type"), and the walk then decides."""
     namespace: dict = {"isfinite": isfinite, "_SCALARS": _SCALARS}
     sources: list[str] = []
 
@@ -324,6 +212,12 @@ def _acceptor(schema: dict) -> Callable[[object], bool]:
         sources[index] = f"def _f{index}(v):\n    return {test(node, 'v')}\n"
         return f"_f{index}"
 
+    def is_of(name: str, x: str) -> str:
+        tests = [f"{x} is None" if cls is NoneType else
+                 f"type({x}) is float and isfinite({x})" if cls is float else
+                 f"type({x}) is {cls.__name__}" for cls in _TYPES[name]]
+        return tests[0] if len(tests) == 1 else f"({' or '.join(tests)})"
+
     def condition(keyword: str, value, node: dict, x: str) -> str:
         if keyword == "properties":
             return " and ".join(f"({key!r} not in {x} or {test(sub, f'{x}[{key!r}]')})"
@@ -333,19 +227,15 @@ def _acceptor(schema: dict) -> Callable[[object], bool]:
                                 for i, sub in enumerate(value)) or "True"
         if keyword == "items":
             return f"all({test(value, 'y')} for y in {x}[{len(node.get('prefixItems', ()))}:])"
-        limit = (frozenset(value) if keyword == "required" else
-                 frozenset(node.get("properties", ())) if keyword == "additionalProperties" else
-                 re.compile(value) if keyword == "pattern" else value)
-        return _CONDITIONS[keyword][1].format(x=x, c=constant(limit))
+        return _RULES[keyword][1].format(x=x, c=constant(_constant(keyword, value, node)))
 
     def test(node: dict, x: str) -> str:
         """An expression true only if the value `x` meets `node`."""
         if x != "v" and {"properties", "items", "prefixItems"} & node.keys():
             return f"{function(node)}({x})"
-        names = node.get("type")
-        listed = [] if names is None else names if isinstance(names, list) else [names]
-        allowed = set().union(*(_EXACT[name][0] for name in listed))
-        parts = ["(" + " or ".join(_EXACT[name][1].format(x=x) for name in listed) + ")"] if listed else []
+        listed = _listed(node["type"]) if "type" in node else []
+        allowed = {cls for name in listed for cls in _TYPES[name]}
+        parts = ["(" + " or ".join(is_of(name, x) for name in listed) + ")"] if listed else []
         for keyword, value in node.items():
             if keyword in ("const", "enum"):
                 members = [value] if keyword == "const" else value
@@ -356,7 +246,7 @@ def _acceptor(schema: dict) -> Callable[[object], bool]:
             elif keyword != "type":
                 if not listed:
                     return "False"
-                classes = _CONDITIONS[keyword][0]
+                classes = _RULES[keyword][0]
                 if allowed & classes:
                     met = condition(keyword, value, node, x)
                     guard = "" if allowed <= classes else \

@@ -56,9 +56,12 @@ Each saved form has one JSON Schema next to its codec (`SERVICE_SCHEMA`,
 one each (`DEVICE_FIELDS`). Scenarios, state files and the governor's
 own writes (`governor.journal`) are checked by them, and a report
 message by `REPORT_SCHEMA` at the governor's endpoint, before a decoder
-builds a record, so the decoders check nothing again; the one rule a
-schema cannot hold whole, a minimum version that parses, is
-`PlatformRequirement`'s.
+builds a record, so the decoders check nothing again. The version
+pattern (`DEVICE_FIELDS["platform_version"]`, a service's minimum
+version too) ends at `\\Z`, not `$`, which matches before a final
+newline, so it admits exactly what `parse_version` parses; the
+requirements decoder, which reads XML, leaves the minimum version to
+`PlatformRequirement`.
 """
 from __future__ import annotations
 
@@ -300,7 +303,7 @@ DEVICE_FIELDS = {
     "capacity": RESOURCES_SCHEMA,
     "battery_mwh": {"type": "integer", "minimum": 0},
     "platform_os": {"type": "string", "minLength": 1},
-    "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}$"},
+    "platform_version": {"type": "string", "pattern": r"^\d+(\.\d+){0,2}\Z"},
 }
 
 _SERVICE_FIELDS = {

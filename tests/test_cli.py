@@ -408,8 +408,8 @@ class TestValidate:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_a_minimum_version_that_does_not_parse_is_a_service_diagnostic(self, command, tmp_path, capsys):
-        """The schema's pattern lets a final newline through; the
-        service's platform, as it is built, refuses the version."""
+        """The schema's pattern refuses a final newline, which
+        `parse_version` would refuse as the service's platform is built."""
         data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
         data["services"][1]["platform"]["min_version"] = "4.0\n"
         args = ["--no-banner", command, str(write_scenario(tmp_path, data))]
@@ -417,7 +417,20 @@ class TestValidate:
             args += ["--out", str(tmp_path / "out")]
         assert main(args) == EXIT_INVALID
         assert capsys.readouterr().err == \
-            "error: /services/1/platform/min_version: invalid version component '0\\n' in '4.0\\n'\n"
+            r"error: /services/1/platform/min_version: '4.0\n' does not match '^\\d+(\\.\\d+){0,2}\\Z'" + "\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_host_version_with_a_final_newline_is_a_host_diagnostic(self, command, tmp_path, capsys):
+        """The version pattern ends at the end of the text, not before a
+        final newline, so `run` cannot die on a version `validate` passed."""
+        data = json.loads((SCENARIOS / "default.json").read_text(encoding="utf-8"))
+        data["hosts"][0]["platform_version"] = "4.1\n"
+        args = ["--no-banner", command, str(write_scenario(tmp_path, data))]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert main(args) == EXIT_INVALID
+        assert capsys.readouterr().err == \
+            r"error: /hosts/0/platform_version: '4.1\n' does not match '^\\d+(\\.\\d+){0,2}\\Z'" + "\n"
 
     @staticmethod
     def beyond_the_cloud_host(mode: str) -> dict:

@@ -151,7 +151,7 @@ class TestVersions:
             b = ".".join(str(rng.randint(0, 12)) for _ in range(rng.randint(1, 3)))
             assert version_at_least(a, b) == tuple_version_at_least(a, b)
 
-    @pytest.mark.parametrize("bad", ["", "1..2", "a.b", "1.2.3.4", "-1", "1.-2", " 1.2"])
+    @pytest.mark.parametrize("bad", ["", "1..2", "a.b", "1.2.3.4", "-1", "1.-2", " 1.2", "²", "3.¹"])
     def test_malformed_versions_rejected(self, bad):
         with pytest.raises(VersionError):
             parse_version(bad)
@@ -178,9 +178,10 @@ class TestPlatformRequirement:
         req = PlatformRequirement("Android", "3.2")
         assert not req.matches("Android", "3.1")
 
-    def test_invalid_min_version_rejected_at_construction(self):
+    @pytest.mark.parametrize("bad", ["3.x", "²"])  # `str.isdigit` accepts "²", which `int` cannot read
+    def test_invalid_min_version_rejected_at_construction(self, bad):
         with pytest.raises(VersionError):
-            PlatformRequirement("Android", "3.x")
+            PlatformRequirement("Android", bad)
 
 
 class TestProfileWith:

@@ -59,6 +59,13 @@ class TestRegisterHost:
         with pytest.raises(DuplicateHostError):
             governor.hosts.register_host("host-a", "Android", "4.0", AMPLE, 1)
 
+    def test_a_version_with_a_final_newline_is_refused_and_not_journaled(self, governor):
+        journal = list(governor.journal)
+        with pytest.raises(ValueError, match="does not match"):
+            governor.hosts.register_host("host-b", "Android", "4.0\n", AMPLE, 1)
+        assert governor.journal == journal
+        assert "host-b" not in governor.host_db.hosts
+
     def test_registered_host_appears_in_snapshot(self, governor):
         assert governor.journal[-1] == ("hosts.register_host", "host-a", "Android", "4.0", AMPLE, 20000)
         saved = snapshot_governor(governor)["payload"]["journal"][-1]

@@ -23,7 +23,14 @@ from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError
 from momcc.governor.journal import ENTRY_SCHEMAS, REPLAYED, encode_entry
-from momcc.scenario import SCENARIO_SCHEMA, scenario_from_dict, schema_diagnostics, validate_scenario
+from momcc.scenario import (
+    MODE_MARKETPLACE,
+    MODE_WAN_CLOUD,
+    SCENARIO_SCHEMA,
+    scenario_from_dict,
+    schema_diagnostics,
+    validate_scenario,
+)
 from momcc.schema import compile_schema
 from momcc.snapshot import _digest, restore_governor, snapshot_governor
 from momcc.wire import REPORT_SCHEMA
@@ -336,6 +343,25 @@ class TestCompiler:
     def test_a_keyword_it_does_not_implement_is_refused(self, schema):
         with pytest.raises(ValueError, match="unsupported schema"):
             compile_schema(schema)
+
+
+@pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])
+@pytest.mark.parametrize("name", ["default.json", "composite.json"])
+def test_a_valid_document_never_takes_the_slow_path(monkeypatch, name, mode):
+    """Every document a bundled run checks passes on the generated
+    predicate alone: the scenario, each governor write's entry, each
+    report at the endpoint, and each restored entry. A schema edit the
+    predicate cannot tell valid would only cost time, so the walk fails
+    the test instead."""
+    def walk(schema, document, path, errors):
+        pytest.fail(f"a valid document took the slow path: {document!r:.300}")
+
+    monkeypatch.setattr("momcc.schema._walk", walk)
+    data = json.loads((ROOT / "scenarios" / name).read_text(encoding="utf-8"))
+    data["baseline_mode"] = mode
+    governor = run_scenario(scenario_from_dict(data)).governor
+    restored = restore_governor(json.loads(json.dumps(snapshot_governor(governor))))
+    assert restored.journal == governor.journal
 
 
 def test_importing_the_command_line_leaves_jsonschema_unloaded():

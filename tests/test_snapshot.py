@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import make_service, scenario_dict
+from conftest import governor_with, make_service, scenario_dict
 from momcc.domain import Outcome, ResourceVector
 from momcc.engine import run_scenario
 from momcc.errors import SnapshotIntegrityError, UnknownEntityError
@@ -120,6 +120,14 @@ class TestRoundTrip:
         restored = restore_governor(snap)
         assert snapshot_governor(restored) == snap
         assert restored.journal == governor_after_run.journal
+
+    def test_a_service_registered_with_list_dependencies_restores_to_itself(self):
+        governor = governor_with([make_service(service_id="svc-a"),
+                                  make_service(service_id="svc-b", dependencies=["svc-a"])])
+        restored = restore_governor(snapshot_governor(governor))
+        assert governor.registry.get("svc-b").dependencies == ("svc-a",)
+        assert restored.registry.get("svc-b") == governor.registry.get("svc-b")
+        assert restored.journal == governor.journal
 
     def test_round_trip_preserves_behavioral_state(self, governor_after_run):
         restored = restore_governor(snapshot_governor(governor_after_run))
@@ -407,7 +415,7 @@ class TestEditedJournal:
          "/: ['hosts.register_host', 'host-000', 'Android', '4.0', "
          "{'cpu': 2048, 'memory': 32, 'storage': 64, 'energy': 1500}] is too short"),
         (lambda entry: entry.__setitem__(2, ""), "/2: '' should be non-empty"),
-        (lambda entry: entry.__setitem__(3, "4.x"), r"/3: '4.x' does not match '^\\d+(\\.\\d+){0,2}$'"),
+        (lambda entry: entry.__setitem__(3, "4.x"), r"/3: '4.x' does not match '^\\d+(\\.\\d+){0,2}\\Z'"),
     ], ids=["capacity as a list", "capacity missing energy", "float battery", "bool id", "too few",
             "empty OS", "letter in version"])
     def test_an_argument_of_the_wrong_shape_is_refused(self, governor_after_run, edit, message):
@@ -472,15 +480,14 @@ class TestEditedJournal:
         assert refusal(snap) == f"snapshot journal entry {index} does not replay: {message}"
 
     def test_a_minimum_version_no_listing_could_compare_is_refused(self, governor_after_run):
-        """The schemas' pattern lets a trailing newline through; the
-        service's platform refuses the version as it is built, as it
-        does in a scenario."""
+        """The schemas' pattern refuses a trailing newline, as it does
+        in a scenario."""
         snap = snapshot_governor(governor_after_run)
         index, entry = _entry(snap, "registry.register_service")
         entry[1]["platform"]["min_version"] = "3.2\n"
         assert refusal(snap) == (
-            f"snapshot journal entry {index} does not replay: VersionError: "
-            "invalid version component '2\\n' in '3.2\\n'"
+            f"snapshot journal entry {index} does not replay: "
+            r"/1/platform/min_version: '3.2\n' does not match '^\\d+(\\.\\d+){0,2}\\Z'"
         )
 
     def test_an_entry_that_is_no_array_is_refused(self, governor_after_run):
@@ -536,7 +543,7 @@ DOOR_RULES = [
     (("services", 0, "platform", "os_name"), "registry.register_service", (1, "platform", "os_name"), "",
      "'' should be non-empty"),
     (("services", 0, "platform", "min_version"), "registry.register_service", (1, "platform", "min_version"),
-     "3.x", r"'3.x' does not match '^\\d+(\\.\\d+){0,2}$'"),
+     "3.x", r"'3.x' does not match '^\\d+(\\.\\d+){0,2}\\Z'"),
     (("services", 0, "min_resources", "gpu"), "registry.register_service", (1, "min_resources", "gpu"), 1,
      "Additional properties are not allowed ('gpu' was unexpected)"),
     (("policies", "trust", "alpha"), None, ("trust", "alpha"), 1,

@@ -116,6 +116,14 @@ class TestRequirementsDecode:
             decode_requirements(doc)
         assert err.value.element == "Memory"
 
+    def test_a_superscript_minimum_version_names_the_element(self):
+        doc = encode_requirements(REFERENCE).decode("utf-8").replace(
+            "<MinVersion>3.2</MinVersion>", "<MinVersion>²</MinVersion>"
+        )
+        with pytest.raises(RequirementsParseError) as err:
+            decode_requirements(doc)
+        assert err.value.element == "MinVersion"
+
     def test_missing_element_named(self):
         doc = encode_requirements(REFERENCE).decode("utf-8").replace(
             "<Storage>5</Storage>", ""
