@@ -22,8 +22,8 @@ Two kinds of record live here:
   `tests/test_records.py` checks this over whole runs. A profile's
   placement, battery view, certificate or liveness changes through
   `profile_with`, the one positional build of a profile. A profile
-  keeps no report counters: the certificate's `attempts` and
-  `successes` and the governor's report history hold them.
+  keeps no report counters: the certificate's `attempts` (which the
+  promotion rule reads) and the governor's report history hold them.
 
 Each rule is checked once, at the door a value enters by. A service's
 fields are checked by the schemas (`wire.SERVICE_SCHEMA`) at each JSON
@@ -222,7 +222,8 @@ class SecurityCertificate:
 
     The level is maintained by the security governor's promotion/demotion
     rule; the score is an exponentially weighted average of execution
-    observations in [0, 1].
+    observations in [0, 1]. `attempts` counts the host's reports, which
+    promotion to High reads; its successes are in the report history.
 
     Slotted and not frozen: every report builds one. Nothing assigns to
     a certificate once it is built, or hashes one. Only the security
@@ -233,7 +234,6 @@ class SecurityCertificate:
     level: SecurityLevel
     trust_score: float
     attempts: int
-    successes: int
     issued_at: float
     identity_verified: bool
 
@@ -303,8 +303,8 @@ class HostProfile:
     `capacity.covers(committed)` holds at all times: admission and
     `preprovision_host` check it before they place. `battery_mwh` is the
     governor's running view, decremented by reported energy use. The
-    host's execution counts are its certificate's `attempts` and
-    `successes`, and its ratings are in the report history.
+    host's execution count is its certificate's `attempts`; its
+    outcomes and ratings are in the report history.
 
     Slotted and not frozen: every report builds one. Nothing assigns to
     a profile once it is built, or hashes one; a change is a new profile

@@ -189,8 +189,13 @@ class Simulation:
         self._deliver = self._on_deliver  # bound once: every send pushes it
         self._id_seq = 0
         self.latency_rng = random.Random(f"{scenario.seed}/latency")
-        # latency class -> (low, high) ms, built once: read on every send
+        # latency class -> (low, high) ms, built once: read on every send.
+        # In wan_cloud mode every wlan hop has the cloud host at one end,
+        # and in momcc mode none does, so a wlan hop in wan_cloud mode
+        # travels the WAN.
         self._ranges = {cls: scenario.latency.range_for(cls) for cls in ("wlan", "wan", "governor")}
+        if scenario.baseline_mode == MODE_WAN_CLOUD:
+            self._ranges["wlan"] = self._ranges["wan"]
         self.master_rng = random.Random(f"{scenario.seed}/master")
         self.governor = set_up_governor(scenario)
         self.endpoint = GovernorEndpoint(self.governor)
@@ -284,13 +289,9 @@ class Simulation:
         heappush(self._queue, (at, self._seq, handler, arg))
 
     def _send(self, sender: str, outbound: Outbound) -> None:
-        """Schedule one message's delivery after its sampled transport delay.
-        A wlan hop to or from the cloud host travels the WAN."""
-        to = outbound.to
-        cls = outbound.latency_class
-        if cls == "wlan" and (sender == CLOUD_HOST_ID or to == CLOUD_HOST_ID):
-            cls = "wan"
-        low, high = self._ranges[cls]
+        """Schedule one message's delivery after its sampled transport delay
+        (`_ranges`: a wlan hop to or from the cloud host travels the WAN)."""
+        low, high = self._ranges[outbound.latency_class]
         # `Random.uniform(low, high)`'s own arithmetic, so the stream is
         # unchanged (a test compares the two, draw for draw).
         transport = low + (high - low) * self.latency_rng.random()
@@ -301,7 +302,7 @@ class Simulation:
             self.latencies.append(transport)
         self._seq += 1
         heappush(self._queue, (received_at, self._seq, self._deliver,
-                               TraceRecord(sent_at, received_at, sender, to, message)))
+                               TraceRecord(sent_at, received_at, sender, outbound.to, message)))
 
     # -- the event loop -------------------------------------------------------
 

@@ -4,10 +4,10 @@ Wires the service registry, host registry/profiler, security governor,
 service profiler, and billing unit over shared stores, under a single
 re-entrant lock so every public operation is atomic (linearizable) with
 respect to governor state. Units that need a sibling hold it: discovery
-reads the host database's ranking, and the host registry settles each
-placed service's agreement and meters each successful report with
-billing. `GovernorConfig` is the one home of every unit's defaults; the
-units' constructors take no defaults.
+reads the host database's ranking, and the host registry meters each
+successful report with billing, by its service's terms. `GovernorConfig`
+is the one home of every unit's defaults; the units' constructors take
+no defaults.
 
 `journal` lists, in order, every call from outside that changed the
 governor's state: a tuple of the call's name (`"unit.method"`, or the
@@ -15,13 +15,13 @@ governor's own method) and its arguments as passed, each appended by
 the unit's public method once it has returned; before it writes, a
 method that takes a value it does not look up checks its entry by the
 schema a restore checks it with (`journal`). Each write has one door.
-What one unit does for another (settling an agreement on placement,
-issuing a certificate in the handshake or on preprovisioning, metering
-an accepted report, unhosting on departure, deprecating in a sweep) has
-no public twin: it is a private body that runs under the lock its
-caller holds, so the journal holds each write once, under the call that
-made it. Replaying the journal into a governor of the same config
-through the same methods rebuilds the same state (`momcc.snapshot`).
+What one unit does for another (issuing a certificate in the handshake
+or on preprovisioning, metering an accepted report, unhosting on
+departure, deprecating in a sweep) has no public twin: it is a
+private body that runs under the lock its caller holds, so the journal
+holds each write once, under the call that made it. Replaying the
+journal into a governor of the same config through the same methods
+rebuilds the same state (`momcc.snapshot`).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from ..domain import ZERO_RESOURCES, ExecutionReport, ResourceVector
 from ..errors import NegotiationRejected
-from .billing import DEFAULT_COMMISSION, Agreement, BillingUnit, check_developer_share
+from .billing import DEFAULT_COMMISSION, BillingUnit, check_developer_share
 from .hosts import DEFAULT_ASSESSMENT_WEIGHTS, AllocationDecision, HostRegistry
 from .journal import check_entry
 from .profiler import ProfilerPolicy, ServiceProfiler
@@ -39,7 +39,6 @@ from .security import SecurityGovernor, TrustPolicy
 from .store import HostDatabase
 
 __all__ = [
-    "Agreement",
     "AllocationDecision",
     "BillingUnit",
     "DiscoveryResult",
@@ -103,8 +102,7 @@ class ServiceGovernor:
 
     def request_hosting(self, host_id: str, service_id: str,
                         identity_verified: bool = False, at: float = 0.0) -> AllocationDecision:
-        """Full hosting flow: the admission handshake, whose placement
-        settles the service's revenue agreement on its first host."""
+        """Full hosting flow: the admission handshake, then the placement."""
         return self.hosts.request_hosting(
             host_id, service_id, identity_verified=identity_verified, at=at
         )
@@ -118,9 +116,9 @@ class ServiceGovernor:
 
         Exists for the always-on cloud endpoint of the WAN baseline; the
         marketplace path never uses it. Services the host already holds
-        are left as they are; placing the others settles their agreements,
-        as admission does. The host's capacity must cover what it holds
-        and the others together, or nothing is written.
+        are left as they are; the others are placed as admission places
+        them. The host's capacity must cover what it holds and the others
+        together, or nothing is written.
         """
         entry = ("preprovision_host", host_id, tuple(service_ids), identity_verified, at)
         check_entry(entry)
@@ -168,9 +166,9 @@ class ServiceGovernor:
                     problems.append(f"host {host_id}: hosts uncatalogued services {uncatalogued}")
             if problems:
                 return problems
-            # One fold over the report history: per host, [attempts,
-            # successes]; the ids, and those paid.
-            folds: dict[str, list[int]] = {}
+            # One fold over the report history: per host, its attempts;
+            # the ids, and those paid.
+            attempts: dict[str, int] = {}
             report_ids: set[str] = set()
             paid: set[str] = set()
             repeated: set[str] = set()
@@ -180,12 +178,8 @@ class ServiceGovernor:
                 if report_id in report_ids:
                     repeated.add(report_id)
                 report_ids.add(report_id)
-                fold = folds.get(host_id)
-                if fold is None:
-                    fold = folds[host_id] = [0, 0]
-                fold[0] += 1
+                attempts[host_id] = attempts.get(host_id, 0) + 1
                 if report.outcome.ok:
-                    fold[1] += 1
                     paid.add(report_id)
                 if host_id not in hosts:
                     report_problems.append(f"hosts: report {report_id!r} names unknown host {host_id!r}")
@@ -193,7 +187,6 @@ class ServiceGovernor:
                     report_problems.append(
                         f"hosts: report {report_id!r} names unknown service {report.service_id!r}"
                     )
-            no_reports = [0, 0]
             for host_id, profile in hosts.items():
                 if profile.host_id != host_id:
                     problems.append(f"host {host_id}: profile names host {profile.host_id}")
@@ -202,26 +195,19 @@ class ServiceGovernor:
                 held = ZERO_RESOURCES
                 for service_id in profile.hosted:
                     held = held.plus(catalog.services[service_id].min_resources)
-                    if self.billing.agreement_for(service_id) is None:
-                        problems.append(f"host {host_id}: service {service_id} hosted without an agreement")
                 if profile.committed != held:
                     problems.append(f"host {host_id}: committed differs from its hosted services")
-                fold = folds.get(host_id, no_reports)
                 cert = profile.certificate
                 if cert is None:
-                    if host_id in folds:
+                    if host_id in attempts:
                         problems.append(f"host {host_id}: reports in the history but no certificate")
                 else:
                     if cert.host_id != host_id:
                         problems.append(f"host {host_id}: certificate names host {cert.host_id}")
                     if not 0.0 <= cert.trust_score <= 1.0:
                         problems.append(f"host {host_id}: trust score out of bounds")
-                    if cert.successes > cert.attempts:
-                        problems.append(f"host {host_id}: successes exceed attempts")
-                    if [cert.attempts, cert.successes] != fold:
-                        problems.append(
-                            f"host {host_id}: certificate attempts and successes differ from its reports"
-                        )
+                    if cert.attempts != attempts.get(host_id, 0):
+                        problems.append(f"host {host_id}: certificate attempts differ from its reports")
             if (self.host_db.keys, self.host_db.ranked) != self.host_db.scan_ranked():
                 problems.append("hosts: ranking differs from a full scan of the profiles")
             if catalog.by_bit != list(catalog.services) or catalog.grams != catalog.scan_grams():
@@ -251,6 +237,5 @@ class ServiceGovernor:
             balance_sum = sum(self.billing.balances().values())
             if balance_sum != self.billing.total_metered():
                 problems.append("ledger: party balances do not sum to metered totals")
-            problems += self.billing.agreement_problems(catalog.services)
             problems += self.billing.ledger_problems(paid)
         return problems

@@ -193,10 +193,9 @@ class HostRegistry:
         return AllocationDecision(host_id, service_id, True, None, tuple(trace))
 
     def _place(self, host_id: str, desc: ServiceDescription) -> None:
-        """Settle the service's agreement, reserve its resources on a host
-        and add it to `hosted`; no admission checks. The pair stays
-        placed for `ingest_report` after an unhost or a departure."""
-        self.billing._negotiate_host(desc)
+        """Reserve a service's resources on a host and add it to `hosted`;
+        no admission checks. The pair stays placed for `ingest_report`
+        after an unhost or a departure."""
         self._placed.add((host_id, desc.service_id))
         profile = self.host_db.get(host_id)
         self.host_db.put(profile_with(
@@ -235,16 +234,16 @@ class HostRegistry:
 
     def ingest_report(self, report: ExecutionReport) -> bool:
         """Meter a success with billing, append the report, and update its
-        host's battery view and certificate (trust, attempts, successes)
-        in one profile write.
+        host's battery view and certificate (trust, attempts) in one
+        profile write.
 
         Re-delivery of a report_id is absorbed silently (returns False)
         so retries never double-count anything: billing meters each id
         once because it is refused here first. A report on a service its
         host was never placed on is refused. Every check runs before
         the first write, so a rejected report leaves no trace and a retry
-        is judged afresh. Nothing after them can fail: a placed pair's
-        service has the agreement `_place` settled, which metering reads.
+        is judged afresh. Nothing after them can fail: metering splits
+        the price by the terms of the service description looked up here.
 
         One report is the hottest profile write, so the checks read the
         host and service dicts directly (the lock held here is the one
@@ -261,7 +260,8 @@ class HostRegistry:
             profile = host_db.hosts.get(report.host_id)
             if profile is None:
                 raise UnknownEntityError(f"unknown host: {report.host_id!r}")
-            if report.service_id not in self.registry.db.services:
+            desc = self.registry.db.services.get(report.service_id)
+            if desc is None:
                 raise UnknownEntityError(f"unknown service: {report.service_id!r}")
             if profile.certificate is None:
                 raise UnknownEntityError(f"no certificate for host {report.host_id!r}")
@@ -277,7 +277,7 @@ class HostRegistry:
                 certificate=update_trust(profile.certificate, report, self.security.policy),
             )
             if report.outcome.ok:
-                self.billing._meter_report(report)
+                self.billing._meter_report(report, desc)
             host_db.add_report(report)
             host_db.put(updated)
             self._journal.append(("hosts.ingest_report", report))

@@ -29,7 +29,7 @@ checked when a query reads them.
 
 Listings read one list kept in host-revenue order, so no call sorts the
 catalog or parses a service's version. Host revenue is the price times
-billing's host share, so listings rank by the split billing settles.
+billing's exact host share, the remainder of the service's terms.
 That order covers every registered service whatever its status;
 registration only queues a service (`pending`), and the next listing
 indexes the queue: it enters each queued service into that order, the

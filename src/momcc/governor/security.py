@@ -88,17 +88,15 @@ def update_trust(cert: SecurityCertificate, report: ExecutionReport, policy: Tru
     score = (1.0 - policy.alpha) * cert.trust_score + policy.alpha * o
     score = min(1.0, max(0.0, score))
     attempts = cert.attempts + 1
-    successes = cert.successes + (1 if report.outcome.ok else 0)
     # The constructor with positional fields in declaration order, not
     # `dataclasses.replace` or keywords, which cost more on the report
-    # path. The score is clamped to [0, 1] above and `successes` never
-    # passes `attempts`, so the result needs no check.
+    # path. The score is clamped to [0, 1] above, so the result needs no
+    # check.
     return SecurityCertificate(
         cert.host_id,
         next_level(cert.level, score, attempts, policy),
         score,  # trust_score
         attempts,
-        successes,
         cert.issued_at,
         cert.identity_verified,
     )
@@ -123,7 +121,7 @@ class SecurityGovernor:
         """
         profile = self.host_db.get(host_id)
         score = VERIFIED_BONUS if identity_verified else 0.0
-        # host_id, level, trust_score, attempts, successes, issued_at, identity_verified
-        cert = SecurityCertificate(host_id, _LOW, score, 0, 0, at, identity_verified)
+        # host_id, level, trust_score, attempts, issued_at, identity_verified
+        cert = SecurityCertificate(host_id, _LOW, score, 0, at, identity_verified)
         self.host_db.put(profile_with(profile, certificate=cert))
         return cert

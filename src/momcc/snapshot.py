@@ -2,12 +2,13 @@
 
 The file is a JSON envelope: {"format_version", "kind", "payload",
 "sha256"} where the digest covers the canonical (sorted-keys, compact)
-serialization of the payload. The payload is {"config", "journal"}: the
-config as a scenario's `policies` section, and `ServiceGovernor.journal`
-with each call a JSON array: the call's name, then its arguments in the
-order the method takes them, each in its saved form
-(`governor.journal.encode_entry`; services and reports in their `wire`
-dict forms). All other state is a function of those two.
+serialization of the payload, the one `wire.compact_json` writes. The
+payload is {"config", "journal"}: the config as a scenario's `policies`
+section, and `ServiceGovernor.journal` with each call a JSON array: the
+call's name, then its arguments in the order the method takes them,
+each in its saved form (`governor.journal.encode_entry`; services and
+reports in their `wire` dict forms). All other state is a function of
+those two.
 
 A restore verifies the digest, builds a governor from the config (checked
 by the scenario's own `policies` schema, built by
@@ -38,6 +39,7 @@ from .governor import ServiceGovernor
 from .governor.journal import BUILDERS, encode_entry, saved_entry_diagnostics
 from .scenario import POLICIES_SCHEMA, governor_config_from, policies_of
 from .schema import compile_schema
+from .wire import compact_json
 
 FORMAT_VERSION = 2
 SNAPSHOT_KIND = "governor-state"
@@ -52,12 +54,8 @@ _payload_diagnostics = compile_schema({  # the config then meets the scenario's 
 _config_diagnostics = compile_schema(POLICIES_SCHEMA)
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def _digest(payload: dict) -> str:
-    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(compact_json(payload).encode("utf-8")).hexdigest()
 
 
 def snapshot_governor(governor: ServiceGovernor) -> dict:

@@ -69,8 +69,8 @@ def governor_with(services: list[ServiceDescription], config: GovernorConfig | N
 def placed(services: list[ServiceDescription], commission: float = DEFAULT_COMMISSION,
            hosts: tuple[str, ...] = ("host-a",)) -> ServiceGovernor:
     """A governor with `services` registered and placed on each of
-    `hosts`: placement settles every agreement, so a successful report of
-    any of the hosts on any of the services is metered."""
+    `hosts`, so a successful report of any of the hosts on any of the
+    services is metered."""
     governor = governor_with(services, GovernorConfig(governor_commission=commission))
     for host_id in hosts:
         governor.hosts.register_host(host_id, "Android", "4.0", ROOMY, 10**9)
@@ -82,6 +82,11 @@ def paid_report(report_id: str, service_id: str = "svc-resize", host_id: str = "
                 payer: str = "anon-1", at: float = 0.0) -> ExecutionReport:
     """A successful invocation's report, which billing meters at `at`."""
     return ExecutionReport(report_id, host_id, service_id, payer, at, 0.0, 0, Outcome.success())
+
+
+def metered_ids(governor: ServiceGovernor) -> list[str]:
+    """The correlation ids of the governor's ledger rows, in audit order."""
+    return [row[1] for row in governor.billing.audit()]
 
 
 def may_report(governor: ServiceGovernor, host_id: str, service_id: str) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import governor_with, make_service, scenario_dict, service_dict
+from conftest import governor_with, make_service, metered_ids, scenario_dict, service_dict
 from momcc.domain import (
     ExecutionReport,
     Outcome,
@@ -144,7 +144,7 @@ def test_criterion_05_trust_model():
 
     def fresh(score=0.0):
         from momcc.domain import SecurityCertificate
-        return SecurityCertificate("h", SecurityLevel.LOW, score, 0, 0, 0.0, False)
+        return SecurityCertificate("h", SecurityLevel.LOW, score, 0, 0.0, False)
 
     rng = random.Random(55_555)
     for _ in range(10_000):
@@ -183,8 +183,7 @@ def test_criterion_06_billing_conservation():
 
     reports = result.governor.host_db.reports
     assert reports
-    metered_ids = {entry.correlation_id for entry in billing.audit()}
-    assert metered_ids == {r.report_id for r in reports if r.outcome.ok}
+    assert set(metered_ids(result.governor)) == {r.report_id for r in reports if r.outcome.ok}
 
     before = billing.balances()
     for report in reports:
@@ -335,7 +334,7 @@ def test_criterion_11_concurrency_stress():
                 cert = governor.host_db.get(f"host-{wid}").certificate
                 if cert is not None:
                     assert 0.0 <= cert.trust_score <= 1.0
-                    assert cert.successes <= cert.attempts
+                    assert cert.attempts <= iteration  # one report of this host per iteration
                 governor.billing.balances().get(f"dev-{wid}", 0)
                 governor.registry.discover("svc", f"anon-{wid:04d}")
                 if rng.random() < 0.1:

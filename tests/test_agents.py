@@ -4,7 +4,7 @@ from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import composite_scenario, make_service, scenario_dict
+from conftest import composite_scenario, make_service, metered_ids, scenario_dict
 from momcc.agents import (
     _RATINGS,
     HostAgent,
@@ -256,7 +256,7 @@ class TestAggregation:
     def test_healthy_chain_bills_every_link(self):
         """A 2-dependency composite produces 3 ledger entries per invocation."""
         result = run_scenario(scenario_from_dict(composite_scenario()))
-        entries = result.governor.billing.audit()
+        rows = result.governor.billing.audit()
         by_service = {}
         for report in result.governor.host_db.reports:
             if report.outcome.ok:
@@ -266,8 +266,8 @@ class TestAggregation:
         # Each successful composite drove one svc-a and one svc-b execution.
         assert by_service.get("svc-a", 0) >= combos
         assert by_service.get("svc-b", 0) >= combos
-        assert len(entries) == sum(by_service.values())
-        assert len(entries) % 3 == 0
+        assert len(rows) == sum(by_service.values())
+        assert len(rows) % 3 == 0
 
     def test_failing_dependency_fails_composite_unbilled(self):
         result = run_scenario(scenario_from_dict(composite_scenario(dep_b_failure=1.0)))
@@ -277,8 +277,7 @@ class TestAggregation:
         assert all(not r.outcome.ok for r in combo_reports)
         assert all(r.outcome.reason == "dependency" for r in combo_reports)
         # No composite invocation was ever metered.
-        metered = {entry.correlation_id for entry in result.governor.billing.audit()}
-        assert not metered & {r.report_id for r in combo_reports}
+        assert not set(metered_ids(result.governor)) & {r.report_id for r in combo_reports}
 
     def test_zero_dependency_composite_is_ordinary_service(self):
         """Leaf services flow through the plain host path untouched."""

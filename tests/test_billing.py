@@ -1,7 +1,7 @@
 """Negotiation feasibility, metering arithmetic, ledger conservation.
 
-Agreements are settled by placing a service and rows are metered by
-ingesting a successful report, as a run does.
+Rows are metered by ingesting a successful report on a placed service,
+as a run does, and each is split by its service's terms.
 """
 import random
 import threading
@@ -15,7 +15,6 @@ from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.errors import NegotiationRejected
 from momcc.governor import ServiceGovernor
 from momcc.governor.billing import (
-    Agreement,
     BillingUnit,
     GOVERNOR_PARTY,
     _frac,
@@ -30,11 +29,26 @@ def unit(commission=0.2) -> BillingUnit:
     return BillingUnit(governor_commission=commission, lock=threading.RLock(), journal=[])
 
 
-def metered(governor: ServiceGovernor, correlation_id: str, service_id: str = "svc-resize"):
-    """Meter one invocation through its report and read its entry back
+def metered(governor: ServiceGovernor, correlation_id: str, service_id: str = "svc-resize",
+            host_id: str = "host-a"):
+    """Meter one invocation through its report and read its row back
     through `audit()`."""
-    assert governor.ingest_report(paid_report(correlation_id, service_id))
-    return next(entry for entry in governor.billing.audit() if entry.correlation_id == correlation_id)
+    assert governor.ingest_report(paid_report(correlation_id, service_id, host_id))
+    return next(row for row in governor.billing.audit() if row[1] == correlation_id)
+
+
+def class_totals(row) -> dict[str, int]:
+    """A row's credit per party class."""
+    return {"developer": row[6], "host": row[7], "governor": row[8]}
+
+
+def credits(row) -> dict[str, int]:
+    """A row's credit per party: a developer or host that is also the
+    governor, or each other, gets one summed credit."""
+    parties: dict[str, int] = {}
+    for party, amount in ((row[4], row[6]), (row[5], row[7]), (GOVERNOR_PARTY, row[8])):
+        parties[party] = parties.get(party, 0) + amount
+    return parties
 
 
 class TestNegotiateDeveloper:
@@ -73,23 +87,27 @@ class TestNegotiateDeveloper:
         assert billing.developer_registered("dev-alpha")
 
 
-class TestNegotiateHost:
-    def test_the_first_placement_settles_the_remainder_for_every_later_host(self):
+class TestHostShare:
+    def test_every_host_of_a_service_earns_the_remainder_share(self):
         governor = placed([make_service(price=1000, developer_share=0.4)])
-        result = governor.billing.agreement_for("svc-resize")
-        assert (result.service_id, result.developer_id, result.price_per_invocation) == \
-            ("svc-resize", "dev-alpha", 1000)
-        assert (result.developer_share, result.host_share, result.governor_commission) == \
-            (0.4, 0.4, 0.2)
+        assert float(governor.billing.host_share(0.4)) == 0.4
         governor.hosts.register_host("host-b", "Android", "4.0", ResourceVector(2048, 32, 64, 2000), 9000)
         assert governor.request_hosting("host-b", "svc-resize").confirmed
-        assert governor.billing.agreement_for("svc-resize") is result
+        rows = [metered(governor, "inv-a", host_id="host-a"), metered(governor, "inv-b", host_id="host-b")]
+        assert [(row[3], row[4], row[5]) for row in rows] == [
+            (1000, "dev-alpha", "host-a"), (1000, "dev-alpha", "host-b"),
+        ]
+        assert all(class_totals(row) == {"developer": 400, "host": 400, "governor": 200} for row in rows)
 
     def test_zero_developer_share_leaves_full_remainder(self):
-        governor = placed([make_service(service_id="svc-free", developer_share=0.0)])
-        assert governor.billing.agreement_for("svc-free").host_share == 0.8
+        governor = placed([make_service(service_id="svc-free", price=1000, developer_share=0.0)])
+        assert float(governor.billing.host_share(0.0)) == 0.8
+        row = metered(governor, "inv-1", "svc-free")
+        assert class_totals(row) == {"developer": 0, "host": 800, "governor": 200}
 
     def test_shares_always_sum_to_one(self):
+        """The developer share, the float host share metering splits by,
+        and the commission sum to exactly 1 on two-decimal terms."""
         rng = random.Random(3)
         for _ in range(200):
             commission = rng.choice([0.0, 0.1, 0.2, 0.25])
@@ -97,27 +115,26 @@ class TestNegotiateHost:
             governor = placed(
                 [make_service(service_id="s", developer_id="d", price=100, developer_share=dev)], commission
             )
-            agreement = governor.billing.agreement_for("s")
-            shares = (agreement.developer_share, agreement.host_share, agreement.governor_commission)
+            shares = (dev, float(governor.billing.host_share(dev)), commission)
             assert sum(Fraction(str(share)) for share in shares) == 1
 
 
 class TestMetering:
     def test_even_split_on_round_price(self):
-        entry = metered(placed([make_service(price=1000)]), "inv-1")
-        assert entry.class_totals == {"developer": 400, "host": 400, "governor": 200}
-        assert entry.total == 1000
-        assert sum(entry.credits.values()) == 1000
+        row = metered(placed([make_service(price=1000)]), "inv-1")
+        assert class_totals(row) == {"developer": 400, "host": 400, "governor": 200}
+        assert row[3] == 1000
+        assert sum(credits(row).values()) == 1000
 
     def test_zero_price_gives_all_zero_entry(self):
-        entry = metered(placed([make_service(price=0)]), "inv-1")
-        assert entry.total == 0
-        assert all(v == 0 for v in entry.credits.values())
+        row = metered(placed([make_service(price=0)]), "inv-1")
+        assert row[3] == 0
+        assert all(v == 0 for v in credits(row).values())
 
     def test_one_cent_rounding_remainder_goes_to_governor(self):
-        entry = metered(placed([make_service(price=1)]), "inv-1")
-        assert entry.class_totals == {"developer": 0, "host": 0, "governor": 1}
-        assert sum(entry.credits.values()) == 1
+        row = metered(placed([make_service(price=1)]), "inv-1")
+        assert class_totals(row) == {"developer": 0, "host": 0, "governor": 1}
+        assert sum(credits(row).values()) == 1
 
     def test_a_report_id_is_metered_once(self):
         governor = placed([make_service()], hosts=("host-a", "host-b"))
@@ -140,10 +157,10 @@ class TestMetering:
             assert governor.ingest_report(paid_report(f"inv-{i}", desc.service_id))
         prices = [desc.price_per_invocation for desc in services]
         billing = governor.billing
-        entries = billing.audit()
-        assert [entry.total for entry in entries] == prices
-        for entry in entries:
-            assert sum(entry.credits.values()) == entry.total
+        rows = billing.audit()
+        assert [row[3] for row in rows] == prices
+        for row in rows:
+            assert sum(credits(row).values()) == row[3]
         total = sum(prices)
         assert billing.total_metered() == total
         assert billing.total_credited() == total
@@ -167,7 +184,7 @@ class TestAccounts:
         for i, at in enumerate(stamps):
             governor.ingest_report(paid_report(f"inv-{i}", payer="anon", at=at))
         audited = governor.billing.audit()
-        assert [e.timestamp for e in audited] == sorted(stamps)
+        assert [row[-1] for row in audited] == sorted(stamps)
 
     def test_conservation_over_random_activity(self):
         rng = random.Random(10)
@@ -210,10 +227,12 @@ class TestHelpers:
         assert rows[1][-1] == "1"
 
 
-def exact_split(price: int, agreement: Agreement) -> dict[str, int]:
-    """Each share of the price rounded down, computed afresh; the rest to the governor."""
-    developer = int(Fraction(str(agreement.developer_share)) * price)
-    host = int(Fraction(str(agreement.host_share)) * price)
+def exact_split(price: int, developer_share: float, commission: float) -> dict[str, int]:
+    """Each share of the price rounded down, computed afresh: the host's is
+    the float nearest the exact remainder. The rest to the governor."""
+    developer = int(Fraction(str(developer_share)) * price)
+    host_share = float(1 - Fraction(str(developer_share)) - Fraction(str(commission)))
+    host = int(Fraction(str(host_share)) * price)
     return {"developer": developer, "host": host, "governor": price - developer - host}
 
 
@@ -228,8 +247,8 @@ settleable_shares = st.lists(st.integers(0, 100), min_size=2, max_size=2, unique
 
 
 class TestCachedSplit:
-    """Metering reads each agreement's split from a cache; it must be the
-    exact per-invocation formula for every agreement and every unit."""
+    """Metering reads each service's split from a cache; it must be the
+    exact per-invocation formula for every service and every unit."""
 
     @settings(max_examples=300, deadline=None)
     @given(prices, settleable_shares)
@@ -237,31 +256,86 @@ class TestCachedSplit:
         dev, commission_a, commission_b = shares
         for n, commission in enumerate((commission_a, commission_b)):
             governor = placed([make_service(price=price, developer_share=dev)], commission)
-            agmt = governor.billing.agreement_for("svc-resize")
-            expected = exact_split(price, agmt)
-            assert split_price(price, agmt.developer_share, agmt.host_share) == (
-                share_of(price, agmt.developer_share),
-                share_of(price, agmt.host_share),
+            expected = exact_split(price, dev, commission)
+            assert split_price(price, dev, commission) == (
+                share_of(price, dev),
+                share_of(price, float(governor.billing.host_share(dev))),
                 expected["governor"],
             )
-            entry = metered(governor, f"inv-{n}")
-            assert entry.class_totals == expected
-            assert sum(entry.credits.values()) == entry.total == price
+            row = metered(governor, f"inv-{n}")
+            assert class_totals(row) == expected
+            assert sum(credits(row).values()) == row[3] == price
 
-    def test_a_restored_governor_meters_by_the_restored_agreement(self):
+    def test_a_restored_governor_meters_by_the_restored_terms(self):
         original = placed([make_service(price=997, developer_share=0.33)], 0.15)
-        agmt = original.billing.agreement_for("svc-resize")
         metered(original, "inv-1")
         # Metering something else first warms the cache with other shares.
         other = placed([make_service(service_id="svc-other", developer_id="dev-beta", price=997,
                                      developer_share=0.33)], 0.3)
         metered(other, "inv-0", "svc-other")
         restored = restore_governor(snapshot_governor(original))
-        entry = metered(restored, "inv-2")
-        assert restored.billing.agreement_for("svc-resize") == agmt
-        assert entry.class_totals == exact_split(997, agmt)
-        assert entry.class_totals == metered(original, "inv-2").class_totals
+        row = metered(restored, "inv-2")
+        assert restored.registry.get("svc-resize") == original.registry.get("svc-resize")
+        assert restored.billing.governor_commission == 0.15
+        assert class_totals(row) == exact_split(997, 0.33, 0.15)
+        assert class_totals(row) == class_totals(metered(original, "inv-2"))
         assert restored.billing.total_credited() == restored.billing.total_metered() == 2 * 997
+
+
+# Terms where rounding bites: prices 0, 1 and 10^6, and shares whose float
+# host share is no short decimal (0.20405522059153736 with commission 0.2,
+# where the float shares do not sum to 1). Developers are also a host or
+# the governor, so their credits merge with another party's.
+ROW_COMMISSION = 0.2
+row_terms = st.lists(st.tuples(
+    st.sampled_from(["dev-x", "host-a", GOVERNOR_PARTY]),
+    st.one_of(st.sampled_from([0, 1, 10**6]), st.integers(0, 10**6)),
+    st.one_of(st.sampled_from([0.29, 0.0, 0.20405522059153736]), st.integers(0, 80).map(lambda k: k / 100)),
+), min_size=1, max_size=4)
+row_reports = st.lists(st.tuples(
+    st.integers(0, 3),  # the service, modulo the number drawn
+    st.sampled_from(["host-a", "host-b"]),
+    st.booleans(),  # success
+    st.sampled_from([0.0, 2.5, 1e9]),
+), max_size=20)
+
+
+def expected_row(desc, report: ExecutionReport, commission: float) -> tuple:
+    """A row but its entry number, from the service's terms alone: each
+    share of the price rounded down, exactly, the host's share being the
+    float nearest the exact remainder, and the rest to the governor."""
+    price = desc.price_per_invocation
+    developer_share = Fraction(str(desc.developer_share))
+    host_share = float(1 - developer_share - Fraction(str(commission)))
+    developer = int(developer_share * price)
+    host = int(Fraction(str(host_share)) * price)
+    return (report.report_id, report.requester_pseudonym, price, desc.developer_id, report.host_id,
+            developer, host, price - developer - host, report.started_at + report.duration_ms)
+
+
+class TestEveryRowIsItsServicesSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(row_terms, row_reports)
+    def test_each_audited_row_is_the_split_of_its_reports_service(self, terms, reports):
+        services = [
+            make_service(service_id=f"svc-{i}", developer_id=developer, price=price, developer_share=share)
+            for i, (developer, price, share) in enumerate(terms)
+        ]
+        governor = placed(services, ROW_COMMISSION, ("host-a", "host-b"))
+        expected = {}
+        for n, (index, host_id, ok, at) in enumerate(reports):
+            desc = services[index % len(services)]
+            report = ExecutionReport(f"rpt-{n}", host_id, desc.service_id, f"anon-{n % 3}", at, 0.5, 0,
+                                     Outcome.success() if ok else Outcome.failure("fault"))
+            assert governor.ingest_report(report)
+            if ok:
+                expected[report.report_id] = expected_row(
+                    governor.registry.get(report.service_id), report, ROW_COMMISSION)
+        rows = governor.billing.audit()
+        assert {row[1]: row[1:] for row in rows} == expected
+        assert len(rows) == len(expected)
+        assert [(row[-1], row[0]) for row in rows] == sorted((row[-1], row[0]) for row in rows)
+        assert governor.check_invariants() == []
 
 
 cacheable_shares = st.one_of(decimal_shares, st.sampled_from([0, 1, 1.0, 0.0]))
@@ -292,11 +366,10 @@ class TestCachedShareParsing:
         for share in (dev, host, commission):
             assert _frac(share) == Fraction(str(share))
             assert _frac(share) == Fraction(str(share))  # a cache hit
-        assume(Fraction(str(dev)) + Fraction(str(host)) <= 1)
-        developer = int(Fraction(str(dev)) * price)
-        host_credit = int(Fraction(str(host)) * price)
-        assert split_price(price, dev, host) == (developer, host_credit, price - developer - host_credit)
         assert unit(commission).host_share(dev) == 1 - Fraction(str(dev)) - Fraction(str(commission))
+        assume(Fraction(str(dev)) + Fraction(str(commission)) <= 1)
+        split = exact_split(price, dev, commission)
+        assert split_price(price, dev, commission) == (split["developer"], split["host"], split["governor"])
 
     def test_ints_and_floats_are_cached_apart(self):
         assert _frac(1) == _frac(1.0) == 1

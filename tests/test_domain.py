@@ -191,14 +191,14 @@ class TestProfileWith:
     PROFILE = HostProfile(
         "host-a", "Android", "4.2", ResourceVector(4096, 64, 128, 5000),
         ResourceVector(512, 2, 5, 500), 8123,
-        SecurityCertificate("host-a", SecurityLevel.MEDIUM, 0.6, 12, 10, 3.5, True),
+        SecurityCertificate("host-a", SecurityLevel.MEDIUM, 0.6, 12, 3.5, True),
         frozenset({"svc-a"}), True,
     )
     CHANGES = {
         "committed": ResourceVector(1024, 4, 10, 1000),
         "battery_mwh": 7000,
         "hosted": frozenset({"svc-a", "svc-b"}),
-        "certificate": SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 39, 3.5, True),
+        "certificate": SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 3.5, True),
         "alive": False,
     }
 

@@ -81,22 +81,25 @@ class TestCausality:
     @given(
         st.lists(st.tuples(_MS, _MS).map(sorted), min_size=3, max_size=3),
         st.integers(0, 2**64),
-        st.lists(st.tuples(st.sampled_from(("wlan", "wan", "governor")),
-                           st.sampled_from(("host-000", CLOUD_HOST_ID))), min_size=1, max_size=30),
+        st.sampled_from((MODE_MARKETPLACE, MODE_WAN_CLOUD)),
+        st.lists(st.sampled_from(("wlan", "wan", "governor")), min_size=1, max_size=30),
     )
-    def test_each_draw_is_the_draw_of_random_uniform(self, ranges, seed, sends):
+    def test_each_draw_is_the_draw_of_random_uniform(self, ranges, seed, mode, sends):
         """`_send` inlines `Random.uniform`'s arithmetic, so each transport
         delay must equal `random.Random(seed).uniform(low, high)`, draw
-        for draw; a wlan hop to the cloud host draws from the wan range."""
+        for draw. In wan_cloud mode every wlan hop has the cloud host at
+        one end, and draws from the wan range; in momcc mode no agent is
+        the cloud host."""
         wlan, wan, governor = (tuple(r) for r in ranges)
-        sim = Simulation(replace(_EMPTY, latency=LatencyModel(wlan, wan, governor)))
+        sim = Simulation(replace(_EMPTY, baseline_mode=mode, latency=LatencyModel(wlan, wan, governor)))
         sim.latency_rng = random.Random(seed)
         reference = random.Random(seed)
+        to = CLOUD_HOST_ID if mode == MODE_WAN_CLOUD else "host-000"
         expected = []
-        for n, (cls, to) in enumerate(sends):
+        for n, cls in enumerate(sends):
             sim._send("req-000", Outbound(to=to, latency_class=cls, message=ProtocolMessage(
                 MessageKind.INVOKE, Role.REQUESTER, f"inv-{n}", {})))
-            if cls == "wlan" and to == CLOUD_HOST_ID:
+            if cls == "wlan" and mode == MODE_WAN_CLOUD:
                 cls = "wan"
             low, high = {"wlan": wlan, "wan": wan, "governor": governor}[cls]
             expected.append(reference.uniform(low, high))
@@ -473,12 +476,16 @@ class TestPolicyPlumbing:
         assert config.profiler_policy.window == 7
         assert config.footprint_ceiling.cpu == 600
         assert config.assessment_weights == (0.6, 0.2, 0.2)
-        # Commission flows into the agreements the run establishes.
+        # Commission flows into the split of every row the run meters.
         result = run_scenario(scenario)
-        agreement = result.governor.billing.agreement_for("svc-resize")
-        assert agreement is not None
-        assert agreement.governor_commission == 0.1
-        assert agreement.host_share == pytest.approx(0.5)
+        billing = result.governor.billing
+        assert billing.governor_commission == 0.1
+        assert billing.host_share(0.4) == pytest.approx(0.5)
+        rows = billing.audit()
+        assert rows
+        for _, _, _, price, _, _, developer, host, governor, _ in rows:
+            assert (developer, host) == (price * 4 // 10, price // 2)  # shares 0.4 and 0.5
+            assert governor == price - developer - host
 
     def test_footprint_ceiling_rejects_oversized_service(self):
         """The run's set-up refuses a service the config's ceiling does not

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import deprecate, drop_sc_query, governor_with, make_service
+from conftest import deprecate, drop_sc_query, governor_with, make_service, metered_ids
 from momcc.domain import ExecutionReport, Outcome, ResourceVector, SecurityLevel
 from momcc.errors import (
     DuplicateHostError,
@@ -156,19 +156,18 @@ class TestRequestHosting:
         second = governor.request_hosting("host-a", "svc-secure")
         assert (first.confirmed, first.reason) == (second.confirmed, second.reason)
 
-    def test_confirmed_allocation_establishes_agreement(self, governor):
-        governor.request_hosting("host-a", "svc-resize")
-        agreement = governor.billing.agreement_for("svc-resize")
-        assert agreement is not None
-        assert agreement.host_share == pytest.approx(0.4)
+    def test_confirmed_allocation_lets_the_host_earn_its_share(self, governor):
+        assert governor.request_hosting("host-a", "svc-resize").confirmed
+        assert governor.ingest_report(make_report())
+        [row] = governor.billing.audit()
+        assert (row[3], row[5], row[7]) == (1000, "host-a", 400)  # the host's share is 0.4
 
 
-class TestUnsettleableAgreement:
+class TestUnsettleableShare:
     """A service whose developer share plus the commission exceeds 1 leaves
-    no host share to agree on. Registration rejects one, so a restore
-    replaying its registration refuses it, and `check_invariants()`
-    reports one stored by other means, so every stored service can be
-    settled when it is placed."""
+    no host share. Registration rejects one, so a restore replaying its
+    registration refuses it, and `check_invariants()` reports one stored
+    by other means, so every stored service's split can be metered."""
 
     def test_a_restore_rejects_it(self):
         gov = governor_with([make_service(service_id="svc-fair")])  # negotiates dev-alpha at 0.4
@@ -189,17 +188,6 @@ class TestUnsettleableAgreement:
         gov.registry.db.status["svc-resize"] = ServiceStatus.ACTIVE
         assert gov.check_invariants() == [
             "service 'svc-resize': developer share 0.9 plus commission 0.2 exceeds 1"
-        ]
-
-    def test_invariant_reports_a_hosted_service_without_an_agreement(self, governor):
-        profile = governor.host_db.get("host-a")
-        governor.host_db.put(replace(  # stored directly: `place` would settle the agreement
-            profile,
-            committed=profile.committed.plus(governor.registry.get("svc-resize").min_resources),
-            hosted=profile.hosted | {"svc-resize"},
-        ))
-        assert governor.check_invariants() == [
-            "host host-a: service svc-resize hosted without an agreement"
         ]
 
 
@@ -230,7 +218,7 @@ class TestUnhost:
                              ids=["one-need-too-large", "two-needs-too-large-together"])
     def test_preprovisioning_beyond_free_capacity_writes_nothing(self, governor, service_ids):
         """The capacity check runs before the first write: no certificate,
-        no agreement, no placed pair and no journal entry are left behind."""
+        no placed pair and no journal entry are left behind."""
         governor.hosts.register_host("host-small", "Android", "4.0", ResourceVector(1000, 4, 10, 1000), 1)
         journal = list(governor.journal)
         with pytest.raises(ValueError, match="capacity must cover committed resources"):
@@ -238,7 +226,6 @@ class TestUnhost:
         profile = governor.host_db.get("host-small")
         assert (profile.certificate, profile.hosted) == (None, frozenset())
         assert profile.committed == ResourceVector(0, 0, 0, 0)
-        assert all(governor.billing.agreement_for(sid) is None for sid in service_ids)
         assert governor.hosts._placed == set()
         assert governor.journal == journal
         assert governor.check_invariants() == []
@@ -287,7 +274,8 @@ class TestIngestReport:
         governor.request_hosting("host-a", "svc-resize")
         governor.ingest_report(make_report())
         cert = governor.host_db.get("host-a").certificate
-        assert cert.successes / cert.attempts == 1.0
+        successes = sum(r.outcome.ok for r in governor.host_db.reports_for_host("host-a"))
+        assert successes / cert.attempts == 1.0
 
     def test_sfss_stream_gives_three_quarters(self, governor):
         governor.request_hosting("host-a", "svc-resize")
@@ -295,9 +283,10 @@ class TestIngestReport:
         for ok in pattern:
             governor.ingest_report(make_report(ok=ok))
         cert = governor.host_db.get("host-a").certificate
+        successes = sum(r.outcome.ok for r in governor.host_db.reports_for_host("host-a"))
         # Counting oracle.
-        assert cert.successes / cert.attempts == sum(pattern) / len(pattern)
-        assert cert.successes / cert.attempts == 0.75
+        assert successes / cert.attempts == sum(pattern) / len(pattern)
+        assert successes / cert.attempts == 0.75
 
     def test_first_rated_report_sets_mean_rating(self, governor):
         governor.request_hosting("host-a", "svc-resize")
@@ -339,11 +328,11 @@ class TestIngestReport:
 
     def test_report_on_a_service_its_host_never_held_changes_nothing(self, governor):
         """A report on a service its host was never placed on is refused
-        before any write, even though another host's placement settled the
-        service's agreement; the retry is judged afresh."""
+        before any write, even though another host was placed on the
+        service; the retry is judged afresh."""
         governor.request_hosting("host-a", "svc-resize")  # certificate; host-a never holds svc-secure
         governor.hosts.register_host("host-b", "Android", "4.0", AMPLE, 20000)
-        governor.preprovision_host("host-b", ["svc-secure"])  # settles svc-secure's agreement
+        governor.preprovision_host("host-b", ["svc-secure"])  # svc-secure is placed, on host-b
         before = governor.host_db.get("host-a")
         ranked_before = {sid: list(holders) for sid, holders in governor.host_db.ranked.items()}
         report = make_report(service_id="svc-secure", report_id="rpt-unplaced")
@@ -357,7 +346,7 @@ class TestIngestReport:
         # Once host-a is placed on the service, the retry is metered.
         governor.preprovision_host("host-a", ["svc-secure"])
         assert governor.ingest_report(report) is True
-        assert [entry.correlation_id for entry in governor.billing.audit()] == ["rpt-unplaced"]
+        assert metered_ids(governor) == ["rpt-unplaced"]
         assert governor.host_db.get("host-a").certificate.attempts == 1
         assert governor.check_invariants() == []
 
@@ -367,7 +356,7 @@ class TestIngestReport:
         assert governor.ingest_report(make_report(report_id="rpt-after-unhost")) is True
         governor.hosts.mark_departed("host-a")
         assert governor.ingest_report(make_report(report_id="rpt-after-departure")) is True
-        assert [entry.correlation_id for entry in governor.billing.audit()] == [
+        assert metered_ids(governor) == [
             "rpt-after-unhost", "rpt-after-departure",
         ]
         assert governor.check_invariants() == []
@@ -385,7 +374,7 @@ class TestAssessHosts:
         db = governor.host_db
         db.hosts["host-a"] = replace(
             db.hosts["host-a"],
-            certificate=SecurityCertificate("host-a", SecurityLevel.LOW, 1.0, 5, 5, 0.0, False),
+            certificate=SecurityCertificate("host-a", SecurityLevel.LOW, 1.0, 5, 0.0, False),
         )
         (assessment,) = governor.hosts.assess_hosts(window=10)
         assert assessment.assessed

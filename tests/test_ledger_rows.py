@@ -1,16 +1,26 @@
-"""The ledger kept as flat rows, against a reference that builds one
-`LedgerEntry` per metered invocation, as the ledger once stored them.
-Rows are metered as a run meters them: by ingesting successful reports."""
+"""The ledger kept as flat rows, against a reference that keeps one row
+and one credit per party per metered invocation, each split computed
+afresh from its service's terms. Rows are metered as a run meters them:
+by ingesting successful reports."""
+import csv
+import json
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_service, paid_report, placed
-import momcc.governor.billing as billing_module
 from momcc.domain import ExecutionReport, Outcome, ResourceVector
 from momcc.governor import ServiceGovernor
-from momcc.governor.billing import GOVERNOR_PARTY, LedgerEntry, format_money
+from momcc.cli import _write_outputs
+from momcc.engine import run_scenario
+from momcc.governor.billing import GOVERNOR_PARTY, format_money
+from momcc.scenario import MODE_MARKETPLACE, MODE_WAN_CLOUD, load_scenario
 from momcc.snapshot import restore_governor, snapshot_governor
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 COMMISSION = 0.15
 # (developer id, price, developer share): prices 0 and 1, awkward shares, and
@@ -26,53 +36,50 @@ HOSTS = ["host-a", "host-b", "dev-x", "governor"]
 
 
 class ReferenceLedger:
-    """One `LedgerEntry` per metered invocation, each split computed afresh."""
+    """One row and one credit per party per metered invocation, each split
+    computed afresh from the service's terms."""
 
     def __init__(self, seq: int):
-        self.entries: list[LedgerEntry] = []
+        self.rows: list[tuple] = []
+        self.credits: list[dict[str, int]] = []
         self.metered: set[str] = set()
         self.seq = seq
 
-    def meter(self, agreement, payer, correlation_id, host_id, at):
+    def meter(self, desc, payer, correlation_id, host_id, at):
         if correlation_id in self.metered:
             return
-        price = agreement.price_per_invocation
-        dev = int(Fraction(str(agreement.developer_share)) * price)
-        host = int(Fraction(str(agreement.host_share)) * price)
+        price = desc.price_per_invocation
+        dev = int(Fraction(str(desc.developer_share)) * price)
+        host_share = float(1 - Fraction(str(desc.developer_share)) - Fraction(str(COMMISSION)))
+        host = int(Fraction(str(host_share)) * price)
         gov = price - dev - host
         credits: dict[str, int] = {}
-        for party, amount in ((agreement.developer_id, dev), (host_id, host), (GOVERNOR_PARTY, gov)):
+        for party, amount in ((desc.developer_id, dev), (host_id, host), (GOVERNOR_PARTY, gov)):
             credits[party] = credits.get(party, 0) + amount
         self.seq += 1
-        self.entries.append(LedgerEntry(
-            entry_id=f"led-{self.seq:06d}", correlation_id=correlation_id, payer=payer,
-            total=price, credits=credits,
-            class_totals={"developer": dev, "host": host, "governor": gov}, timestamp=at,
-        ))
+        self.rows.append((self.seq, correlation_id, payer, price, desc.developer_id, host_id, dev, host, gov, at))
+        self.credits.append(credits)
         self.metered.add(correlation_id)
 
     def audit(self):
-        return sorted(self.entries, key=lambda e: (e.timestamp, e.entry_id))
+        return sorted(self.rows, key=lambda row: (row[-1], f"led-{row[0]:06d}"))
 
     def balance(self, party):
-        return sum(e.credits.get(party, 0) for e in self.entries)
+        return sum(credits.get(party, 0) for credits in self.credits)
 
     def parties(self):
-        return {party for e in self.entries for party in e.credits}
+        return {party for credits in self.credits for party in credits}
 
     def class_revenue(self):
-        totals = {"developer": 0, "host": 0, "governor": 0}
-        for e in self.entries:
-            for cls, amount in e.class_totals.items():
-                totals[cls] += amount
-        return totals
+        classes = ("developer", "host", "governor")
+        return {cls: sum(row[6 + k] for row in self.rows) for k, cls in enumerate(classes)}
 
     def csv_rows(self):
         return [["entry_id", "correlation_id", "payer", "total",
                  "developer", "host", "governor", "format_version"]] + [
-            [e.entry_id, e.correlation_id, e.payer, format_money(e.total),
-             *(format_money(e.class_totals[c]) for c in ("developer", "host", "governor")), "1"]
-            for e in self.audit()
+            [f"led-{row[0]:06d}", row[1], row[2], format_money(row[3]),
+             *(format_money(amount) for amount in row[6:9]), "1"]
+            for row in self.audit()
         ]
 
 
@@ -98,14 +105,14 @@ operations = st.lists(st.tuples(
     st.sampled_from([0.0, 1.5, 2.0, 1e9]),
 ), max_size=60)
 # A price per term: the terms' own, others near a whole unit, or any. Equal
-# prices on two terms repeat amounts across agreements.
+# prices on two terms repeat amounts across services.
 prices = st.lists(
     st.one_of(st.sampled_from([price for _, price, _ in TERMS] + [99, 100, 101]), st.integers(0, 10**9)),
     min_size=len(TERMS), max_size=len(TERMS),
 )
 # Metered after the drawn steps, so every export holds zero (the 0.0
-# share's developer credit), an amount on two rows (the same agreement
-# twice) and amounts on one row (another agreement).
+# share's developer credit), an amount on two rows (the same service
+# twice) and amounts on one row (another service).
 FIXED = [(4, "host-a", "fixed-1"), (4, "host-b", "fixed-2"), (2, "host-b", "fixed-3")]
 
 
@@ -122,15 +129,15 @@ class TestRowLedgerMatchesTheEntryLedger:
         reference = ReferenceLedger(seq)
         steps = [(service, host, f"rpt-{cid}", payer, at) for service, host, cid, payer, at in ops]
         for service, host, correlation_id, payer, at in steps + [(*fixed, "anon-1", 3.0) for fixed in FIXED]:
-            agreement = billing.agreement_for(f"svc-{service}")
-            governor.ingest_report(paid_report(correlation_id, agreement.service_id, host, payer, at))
-            reference.meter(agreement, payer, correlation_id, host, at)
+            desc = governor.registry.get(f"svc-{service}")
+            governor.ingest_report(paid_report(correlation_id, desc.service_id, host, payer, at))
+            reference.meter(desc, payer, correlation_id, host, at)
 
         assert billing.audit() == reference.audit()
-        assert billing.entry_count() == len(reference.entries)
+        assert billing.entry_count() == len(reference.rows)
         assert billing.balances() == {p: reference.balance(p) for p in reference.parties()}
         assert billing.class_revenue() == reference.class_revenue()
-        total = sum(e.total for e in reference.entries)
+        total = sum(row[3] for row in reference.rows)
         assert billing.total_metered() == billing.total_credited() == total
         assert list(billing.ledger_csv_rows()) == reference.csv_rows()
 
@@ -159,16 +166,10 @@ class TestLedgerExport:
         assert {row[3] for _, row in pairs[1:]} == {format_money(price) for _, price, _ in TERMS}
 
 
-class TestReportPathBuildsNoEntries:
-    def test_a_few_hundred_reports_construct_no_ledger_entry(self, monkeypatch):
-        built = []
-
-        def counting(**entry):
-            built.append(entry["entry_id"])
-            return LedgerEntry(**entry)
-
-        # Billing is the one module that builds a `LedgerEntry`.
-        monkeypatch.setattr(billing_module, "LedgerEntry", counting)
+class TestAuditReturnsTheRows:
+    def test_a_few_hundred_reports_are_audited_as_their_own_rows(self):
+        """Metering only appends a row, and `audit()` hands back the
+        stored rows themselves, in audit order: no view is built."""
         governor = ServiceGovernor()
         governor.billing.negotiate_developer("dev-alpha", 1000, 0.4)
         governor.registry.register_service(make_service())
@@ -177,12 +178,38 @@ class TestReportPathBuildsNoEntries:
         for i in range(300):
             assert governor.ingest_report(ExecutionReport(
                 report_id=f"rpt-{i}", host_id="host-a", service_id="svc-resize",
-                requester_pseudonym="anon-1", started_at=float(i), duration_ms=5.0,
+                requester_pseudonym="anon-1", started_at=float(300 - i), duration_ms=5.0,
                 energy_used_mwh=1, outcome=Outcome.success(), rating=4,
             ))
-        assert built == []
         assert governor.billing.entry_count() == 300
         assert governor.check_invariants() == []
-        assert built == []
-        assert len(governor.billing.audit()) == 300
-        assert len(built) == 300  # the counter sees what `audit()` builds
+        audited = governor.billing.audit()
+        assert len(audited) == 300
+        assert all(row is stored for row, stored in zip(audited, reversed(governor.billing._rows), strict=True))
+
+
+def cents(text: str) -> int:
+    """A ledger.csv amount back in minor units: "12.34" -> 1234."""
+    whole, _, part = text.lstrip("-").partition(".")
+    value = int(whole) * 100 + int(part)
+    return -value if text.startswith("-") else value
+
+
+class TestRunLedgerAuditsAgainstItsMetrics:
+    @pytest.mark.parametrize("mode", [MODE_MARKETPLACE, MODE_WAN_CLOUD])
+    @pytest.mark.parametrize("name", ["default.json", "composite.json"])
+    def test_ledger_columns_sum_to_revenue_and_each_row_to_its_total(self, tmp_path, name, mode):
+        """A run's written ledger against its written metrics: the
+        developer, host and governor columns sum to `revenue`, each row's
+        credits sum to its total, and no correlation id repeats."""
+        result = run_scenario(replace(load_scenario(SCENARIOS / name), baseline_mode=mode))
+        _write_outputs(result, tmp_path)
+        revenue = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))["revenue"]
+        with (tmp_path / "ledger.csv").open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        parties = ("developer", "host", "governor")
+        assert {party: sum(cents(row[party]) for row in rows) for party in parties} == revenue
+        for row in rows:
+            assert sum(cents(row[party]) for party in parties) == cents(row["total"])
+        assert len({row["correlation_id"] for row in rows}) == len(rows)

@@ -224,11 +224,11 @@ class TestDiscovery:
         db = governor.host_db
         db.put(replace(
             db.hosts["host-a"],
-            certificate=SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 38, 0.0, False),
+            certificate=SecurityCertificate("host-a", SecurityLevel.HIGH, 0.9, 40, 0.0, False),
         ))
         db.put(replace(
             db.hosts["host-b"],
-            certificate=SecurityCertificate("host-b", SecurityLevel.MEDIUM, 0.95, 40, 39, 0.0, False),
+            certificate=SecurityCertificate("host-b", SecurityLevel.MEDIUM, 0.95, 40, 0.0, False),
         ))
         ranked = governor.host_db.ranked_hosts("svc-resize")
         assert ranked == ["host-a", "host-b"]
@@ -247,7 +247,7 @@ class TestDiscovery:
             db = governor.host_db
             db.put(replace(
                 db.hosts[host_id],
-                certificate=SecurityCertificate(host_id, level, score, 10, 5, 0.0, False),
+                certificate=SecurityCertificate(host_id, level, score, 10, 0.0, False),
             ))
             expected.append((host_id, level, score))
         oracle = [h for h, _, _ in sorted(expected, key=lambda t: (-int(t[1]), -t[2], t[0]))]

@@ -35,8 +35,8 @@ def report_for(ok=True, rating=None):
     )
 
 
-def cert_with(level=SecurityLevel.LOW, score=0.0, attempts=0, successes=0):
-    return SecurityCertificate("host-a", level, score, attempts, successes, 0.0, False)
+def cert_with(level=SecurityLevel.LOW, score=0.0, attempts=0):
+    return SecurityCertificate("host-a", level, score, attempts, 0.0, False)
 
 
 @pytest.fixture
@@ -133,7 +133,6 @@ class TestUpdateFormula:
         cert = update_trust(cert_with(score=0.0), report_for(ok=True), POLICY)
         assert cert.trust_score == pytest.approx(0.1)
         assert cert.attempts == 1
-        assert cert.successes == 1
 
     def test_rating_blends_into_observation(self):
         # o = 0.7 * 1 + 0.3 * ((3-1)/4) = 0.85
@@ -152,7 +151,7 @@ class TestUpdateFormula:
         assert cert.trust_score > 0.99
 
     def test_all_failure_stream_is_monotone_toward_zero(self):
-        cert = cert_with(score=0.9, level=SecurityLevel.HIGH, attempts=50, successes=50)
+        cert = cert_with(score=0.9, level=SecurityLevel.HIGH, attempts=50)
         previous = cert.trust_score
         for _ in range(200):
             cert = update_trust(cert, report_for(ok=False, rating=1), POLICY)
@@ -180,7 +179,7 @@ class TestLevelTransitions:
 
     def test_demotion_uses_hysteresis(self):
         """At Medium (threshold 0.5, hysteresis 0.05): demote only below 0.45."""
-        cert = cert_with(level=SecurityLevel.MEDIUM, score=0.52, attempts=20, successes=12)
+        cert = cert_with(level=SecurityLevel.MEDIUM, score=0.52, attempts=20)
         cert = update_trust(cert, report_for(ok=False), POLICY)
         # 0.52 * 0.9 = 0.468, still >= 0.45
         assert cert.trust_score == pytest.approx(0.468)

@@ -506,7 +506,7 @@ class TestEditedJournal:
         `check_invariants()` line, so the restore refuses it after the
         replay."""
         snap = snapshot_governor(governor_after_run)
-        monkeypatch.setattr(BillingUnit, "_meter_report", lambda self, report: False)
+        monkeypatch.setattr(BillingUnit, "_meter_report", lambda self, report, desc: False)
         assert refusal(snap) == (
             "snapshot breaks a rule: ledger: correlation ids differ from the successful report ids"
         )
@@ -610,20 +610,6 @@ def _status_added(governor):
     return ["status and services name different ids: ['svc-ghost']"]
 
 
-def _agreement_on_other_terms(governor):
-    agreements = governor.billing._agreements
-    agreements["svc-resize"] = replace(
-        agreements["svc-resize"], price_per_invocation=5, developer_share=0.7, host_share=0.1
-    )
-    return ["agreement for 'svc-resize' is not what its service's terms settle"]
-
-
-def _agreement_for_no_service(governor):
-    agreements = governor.billing._agreements
-    agreements["svc-ghost"] = replace(agreements["svc-resize"], service_id="svc-ghost")
-    return ["agreement for 'svc-ghost' names no catalogued service"]
-
-
 def _correlation_billed_twice(governor):
     billing = governor.billing
     first = billing._rows[0]
@@ -658,7 +644,7 @@ def _report_repeated(governor):
     first = governor.host_db.reports[0]
     governor.host_db.add_report(first)
     return [
-        f"host {first.host_id}: certificate attempts and successes differ from its reports",
+        f"host {first.host_id}: certificate attempts differ from its reports",
         f"hosts: report id {first.report_id!r} is in the history more than once",
     ]
 
@@ -687,7 +673,7 @@ def _reported_host_without_certificate(governor):
 def _certificate_counters_off(governor):
     profile = governor.host_db.hosts["host-001"]
     _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, attempts=1)))
-    return ["host host-001: certificate attempts and successes differ from its reports"]
+    return ["host host-001: certificate attempts differ from its reports"]
 
 
 def _metered_id_of_no_report(governor):
@@ -718,19 +704,10 @@ def _trust_out_of_bounds(governor):
     return ["host host-001: trust score out of bounds"]
 
 
-def _certificate_successes_beyond_attempts(governor):
-    profile = governor.host_db.hosts["host-001"]
-    _stored(governor, "host-001", replace(profile, certificate=replace(profile.certificate, successes=1)))
-    return ["host host-001: successes exceed attempts",
-            "host host-001: certificate attempts and successes differ from its reports"]
-
-
 BROKEN_STATES = [
     _unsettleable_share,
     _status_dropped,
     _status_added,
-    _agreement_on_other_terms,
-    _agreement_for_no_service,
     _correlation_billed_twice,
     _entry_seq_below_saved,
     _uncatalogued_hosted,
@@ -745,7 +722,6 @@ BROKEN_STATES = [
     _credits_off,
     _committed_beyond_capacity,
     _trust_out_of_bounds,
-    _certificate_successes_beyond_attempts,
 ]
 
 
